@@ -17,8 +17,11 @@ const FLOAT_EQ_SCOPE: &[&str] =
 /// The one place `unsafe` may live: everywhere *else* gets `unsafe-confined`.
 const UNSAFE_EXEMPT_SCOPE: &[&str] = &["shims/epoll/"];
 
-/// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", ".github"];
+/// Directory names never descended into.  `perf` is the benchmark harness:
+/// a standalone package outside this workspace (own manifest and lockfile,
+/// frozen per BENCHMARK.json) whose counting global allocator and affinity
+/// syscall need `unsafe` by construction.
+const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", ".github", "perf"];
 
 /// A completed check: gate-failing findings plus advisory notes.
 #[derive(Debug, Default)]

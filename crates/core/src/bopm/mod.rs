@@ -53,11 +53,8 @@ impl BopmModel {
                 reason: "need at least one time step".into(),
             });
         }
-        let dt = params.dt(steps);
-        let up = (params.volatility * dt.sqrt()).exp();
-        let down = 1.0 / up;
-        let growth = ((params.rate - params.dividend_yield) * dt).exp();
-        let p_up = (growth - down) / (up - down);
+        let model = Self::derive(params, steps);
+        let p_up = model.p_up;
         if !(p_up > 0.0 && p_up < 1.0) {
             return Err(PricingError::UnstableDiscretisation {
                 reason: format!(
@@ -66,18 +63,38 @@ impl BopmModel {
                 ),
             });
         }
+        Ok(model)
+    }
+
+    /// Lattice quantities of already-validated inputs.
+    fn derive(params: OptionParams, steps: usize) -> Self {
+        let dt = params.dt(steps);
+        let ln_up = params.volatility * dt.sqrt();
+        let up = ln_up.exp();
+        let down = 1.0 / up;
+        let growth = ((params.rate - params.dividend_yield) * dt).exp();
+        let p_up = (growth - down) / (up - down);
         let discount = (-params.rate * dt).exp();
-        Ok(BopmModel {
+        BopmModel {
             params,
             steps,
             dt,
             up,
-            ln_up: params.volatility * dt.sqrt(),
+            ln_up,
             p_up,
             s0: discount * (1.0 - p_up),
             s1: discount * p_up,
             discount,
-        })
+        }
+    }
+
+    /// The lattice of the mirrored contract ([`OptionParams::mirrored`]),
+    /// same steps: an American call on `self` is worth exactly an American
+    /// put on the mirror, node `(i, j)` mapping to `(i, i − j)`.  Infallible:
+    /// `p ∈ (0, 1)` is the condition `d < e^{(R−Y)Δt} < u`, which is
+    /// symmetric under `R ↔ Y`.
+    pub fn mirrored(&self) -> Self {
+        Self::derive(self.params.mirrored(), self.steps)
     }
 
     /// The market/contract parameters this lattice was built from.
@@ -177,11 +194,9 @@ impl BopmModel {
     ///
     /// Deliberately **not** clamped to the triangle width `T`: the paper's
     /// red–green lemmas hold on the column-unbounded extension of the grid
-    /// (their algebra never uses the hypotenuse), and the fast engine works
-    /// on that extension — the root's dependency cone only reaches column
-    /// `T`, so extended and triangular grids agree on the answer, while the
-    /// extension keeps the boundary drift exactly `≤ 1` per step even for
-    /// deep out-of-the-money contracts whose boundary exceeds `T`.
+    /// (their algebra never uses the hypotenuse), and the fast pricers seed
+    /// the engine from it — as the put's last in-the-money leaf, which is
+    /// the same column — clamping only where a row is materialised.
     pub fn leaf_call_boundary(&self) -> i64 {
         let t = self.steps as i64;
         // S·u^{2j−T} ≤ K  ⇔  j ≤ (T + ln(K/S)/ln u)/2

@@ -1,88 +1,90 @@
 //! The paper's fast BSM pricer: American put in `O(T log² T)` work and
-//! `O(T)` span via the centered nonlinear-stencil engine (§4.3).
+//! `O(T)` span (§4.3) via the one nonlinear-stencil engine, reached by a
+//! shear of the grid.
+//!
+//! The explicit scheme's kernel is anchored at −1 (cell `(n+1, k)` reads
+//! `k−1, k, k+1`; row `n` spans `k ∈ [−(T−n), T−n]`).  In the sheared column
+//! `c' = k + (T − n)` the same taps `(b, c, a)` sit at offsets `0, 1, 2`, the
+//! cone edge is `hi' = 2(T − n)`, and the last green column drifts left one
+//! or two columns per step (Thm 4.3's zero or one, plus the shear) — the
+//! engine's span-2 case, see [`crate::engine`].  The expiry row needs no
+//! stored values at all: the payoff is exactly zero right of the expiry
+//! boundary `f₀`, which is the engine's implicit zero tail, and green left
+//! of it.  Columns map back as `k = c' − (T − n)`.
 
 use super::BsmModel;
-use crate::engine::centered::{advance_green_left, GreenLeftRow};
+use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::EngineConfig;
-use amopt_stencil::{advance, Segment};
+use amopt_stencil::{advance, Backend, Segment, StencilKernel};
 
-/// Builds the expiry row in compressed green-left form.
-///
-/// Red cells at expiry are the out-of-the-money columns (`s_k > 0`), whose
-/// payoff is exactly zero.
-fn expiry_row(model: &BsmModel) -> GreenLeftRow {
+/// The purely linear scheme (no obstacle) from the payoff row to the apex:
+/// one FFT pass.
+fn linear_apex(model: &BsmModel, backend: Backend) -> f64 {
     let t = model.steps() as i64;
-    let f = model.expiry_boundary().clamp(-t - 1, t);
-    let reds = vec![0.0; (t - f).max(0) as usize];
-    GreenLeftRow { t: 0, boundary: f, hi: t, reds: Segment::new(f + 1, reds) }
-}
-
-/// American put price via the FFT trapezoid decomposition
-/// (`fft-bsm` in the paper's plots).
-pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
-    let strike = model.params().strike;
-    let t = model.steps() as i64;
-    let f0 = model.expiry_boundary();
-    if f0 >= t {
-        // Green covers the whole cone now and forever (the green/cone gap
-        // never shrinks): immediate exercise at the apex.
-        return strike * model.exercise(0);
-    }
-    if f0 < -t {
-        // No green cell in the apex's dependency cone: the obstacle never
-        // binds and the scheme is purely linear — one FFT pass (this is the
-        // European put on this grid).
-        let payoff: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
-        let out = advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, cfg.backend);
-        debug_assert_eq!(out.start, 0);
-        debug_assert_eq!(out.len(), 1);
-        return strike * out.values[0];
-    }
-    let row = expiry_row(model);
-    let green = |_t: u64, k: i64| model.exercise(k);
-    let out = advance_green_left(&model.kernel(), &green, &row, t as u64, cfg);
-    debug_assert_eq!(out.hi, 0);
-    strike * out.value_at(&green, 0)
+    let payoff: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
+    let out = advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, backend);
+    debug_assert_eq!((out.start, out.len()), (0, 1));
+    model.params().strike * out.values[0]
 }
 
 /// European put under the same discretisation, `O(T log T)` (single FFT).
 pub fn price_european_put_fft(model: &BsmModel) -> f64 {
-    let t = model.steps() as i64;
-    let payoff: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
-    if t == 0 {
-        return model.params().strike * payoff[0];
-    }
-    let out =
-        advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, amopt_stencil::Backend::Fft);
-    debug_assert_eq!(out.len(), 1);
-    model.params().strike * out.values[0]
+    linear_apex(model, Backend::Fft)
 }
 
-/// American put price plus green-boundary samples `(n, k_n)` at `rows`
-/// roughly equally spaced time steps (the early-exercise curve of §4.2,
-/// in grid columns; `s`-space value is `ln(S/K) + k·Δs`).
+/// American put price plus green-boundary samples `(n, k_n)` every
+/// `T / rows` time steps from expiry (`n = 0`) to the apex (the
+/// early-exercise curve of §4.2, in grid columns; `s`-space value is
+/// `ln(S/K) + k·Δs`) — `rows = 1` is a plain pricing: one whole-height
+/// advance.  Once the exercise region has left the shrinking cone the
+/// engine no longer tracks it and the sample reports `−(T + 1)`, one column
+/// left of the whole grid.
 pub fn price_with_boundary_samples(
     model: &BsmModel,
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
     let strike = model.params().strike;
-    let t = model.steps() as u64;
+    let t = model.steps() as i64;
     let f0 = model.expiry_boundary();
     let mut samples = vec![(0usize, f0)];
-    if f0 >= t as i64 || f0 < -(t as i64) {
-        return (price_american_put(model, cfg), samples);
+    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check
+    if f0 < -t || model.params().rate == 0.0 {
+        // The obstacle never binds — no green cell in the apex's dependency
+        // cone, or no interest on the strike (ω = 0: one linear step lifts
+        // `1 − e^s` to `1 − λe^s` with λ < 1, so continuation beats exercise
+        // at every node) — and the scheme is purely linear: this is the
+        // European put on this grid.
+        return (linear_apex(model, cfg.backend), samples);
     }
-    let green = |_t: u64, k: i64| model.exercise(k);
-    let kernel = model.kernel();
-    let mut cur = expiry_row(model);
-    let chunk = (t / rows.max(1) as u64).max(1);
-    while cur.t < t {
-        let h = chunk.min(t - cur.t);
-        cur = advance_green_left(&kernel, &green, &cur, h, cfg);
-        samples.push((cur.t as usize, cur.boundary));
+    if f0 >= t {
+        // Green covers the whole cone now and forever (the green/cone gap
+        // never shrinks): immediate exercise at the apex.
+        return (strike * model.exercise(0), samples);
     }
-    (strike * cur.value_at(&green, 0), samples)
+    let (b, c, a) = model.weights();
+    let kernel = StencilKernel::new(vec![b, c, a], 0);
+    let green = |n: u64, col: i64| model.exercise(col - t + n as i64);
+    let expiry = GreenPrefixRow {
+        t: 0,
+        boundary: f0 + t,
+        hi: 2 * t,
+        reds: Segment::new(f0 + t + 1, vec![]),
+    };
+    let chunk = t as u64 / rows.max(1) as u64;
+    let (root, frontier) = left_cone::solve_to_root(&kernel, &green, expiry, t as u64, chunk, cfg);
+    samples.extend(
+        frontier
+            .into_iter()
+            .map(|(n, col)| (n as usize, if col < 0 { -(t + 1) } else { col - t + n as i64 })),
+    );
+    (strike * root, samples)
+}
+
+/// American put price via the FFT trapezoid decomposition
+/// (`fft-bsm` in the paper's plots).
+pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
+    price_with_boundary_samples(model, cfg, 1).0
 }
 
 #[cfg(test)]
@@ -178,6 +180,33 @@ mod tests {
         let m = BsmModel::new(p, 300).unwrap();
         assert!(m.expiry_boundary() < -300);
         assert_matches_naive(p, 300, 1e-9);
+    }
+
+    #[test]
+    fn zero_rate_put_is_the_european_put() {
+        // At R = 0 the nest never exercises early, in or out of the money.
+        for (spot, steps) in [(127.62, 1usize), (100.0, 1), (130.0, 2), (60.0, 300), (127.62, 777)]
+        {
+            let p = OptionParams { spot, rate: 0.0, ..params() };
+            assert_matches_naive(p, steps, 1e-9);
+            let m = BsmModel::new(p, steps).unwrap();
+            assert_eq!(
+                price_american_put(&m, &EngineConfig::default()),
+                price_european_put_fft(&m)
+            );
+        }
+    }
+
+    #[test]
+    fn vanishing_rate_outruns_the_drift_bound_and_still_matches_naive() {
+        // ω below ~Δs²/12: the exercise region vanishes in one step instead
+        // of drifting a column at a time; the engine locates the boundary
+        // rather than assuming the drift, so only its work bound suffers.
+        for rate in [1e-12, 1e-9, 1e-7] {
+            for (spot, steps) in [(127.62, 300usize), (125.0, 64), (129.9, 1000)] {
+                assert_matches_naive(OptionParams { spot, rate, ..params() }, steps, 1e-9);
+            }
+        }
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //! **left** (low prices) and its boundary moves left by at most one column
 //! per step (Thm 4.3).
 //!
-//! Unlike the call lattices, the put value is bounded by `K`, so the engine
-//! stores *raw* dimensionless values (`∈ [0, 1]`) — it is the obstacle
-//! `1 − e^{s}` that diverges (negatively) to the right, and those columns
-//! are red, never green, so the divergence is never materialised.
+//! The put value is bounded by `K`, so the engine stores *raw* dimensionless
+//! values (`∈ [0, 1]`) — it is the obstacle `1 − e^{s}` that diverges
+//! (negatively) to the right, and those columns are red, never green, so
+//! the divergence is never materialised.  [`fast`] shears the grid
+//! (`c' = k + (T − n)`) so the anchor −1 stencil becomes the anchor-0 one
+//! the engine runs.
 
 pub mod barrier;
 pub mod fast;
@@ -168,7 +170,7 @@ impl BsmModel {
 
     /// Dimensionless **call** exercise value at column `k`: `e^{s_k} − 1`
     /// (no floor).  The call's green zone sits on the *right* of the cone;
-    /// only the dense sweep uses it (the compressed engines are green-left).
+    /// only the dense sweep uses it (the engine is green-left).
     #[inline]
     pub fn exercise_call(&self, k: i64) -> f64 {
         self.phi(k) - 1.0

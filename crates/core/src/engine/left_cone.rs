@@ -1,29 +1,26 @@
-//! Left-cone nonlinear stencil engine — American **puts** under BOPM/TOPM.
+//! The cone engine: anchor-0 kernel, green region on the left.
 //!
-//! Same anchor-0 kernels as [`super::right_cone`] (σ = 2 covers BOPM, σ = 3
-//! covers TOPM), mirrored obstacle geometry: the green (early-exercise)
-//! region sits on the **left** of every row (low columns = low asset
-//! prices), the red (continuation) region on the right, and the last green
-//! column `f_t` drifts **left** by at most `σ − 1` columns per interior
-//! step: `f_t − (σ−1) ≤ f_{t+1} ≤ f_t`.  The drift bound is the mirror of
-//! Cor. 2.7 / Cor. A.6 under column reflection (`j ↦ i·(σ−1) − j` maps the
-//! put's green-left triangle onto a call-type green-right one; for the
-//! binomial lattice the reflection is the exact discrete put–call symmetry
-//! `P(S, K, R, Y) = C(K, S, Y, R)`).  Note the asymmetry with the call
-//! engine: a fixed column *gains* one factor of `u` per backward step, so
-//! the put boundary drifts left up to `σ − 1 ≥ 1` columns per step (the
-//! trinomial boundary typically drops 1–2 columns every step), while it
-//! never moves right.
+//! Grid conventions (`t` counts steps *from expiry*, increasing as pricing
+//! walks backward in market time): cell `(t+1, c)` depends on cells
+//! `(t, c), …, (t, c+σ')` with `σ'` the kernel span (1 for BOPM, 2 for TOPM
+//! and the sheared BSM scheme); the green (early-exercise) region sits on
+//! the **left** of every row (low columns = low asset prices), the red
+//! (continuation) region on the right, and the last green column `f_t`
+//! drifts **left** by at most `σ'` columns per interior step and never
+//! right: `f_t − σ' ≤ f_{t+1} ≤ f_t`.  For the lattices this is Cor. 2.7 /
+//! Cor. A.6 reflected through the discrete put–call symmetry (a fixed
+//! column *gains* a factor of `u` per backward step, so the trinomial
+//! boundary typically drops 1–2 columns every step); for BSM it is Thm 4.3
+//! after the shear.  [`super`] explains how every fast route reaches this
+//! geometry.
 //!
-//! Three structural differences from the right cone:
+//! Three structural facts carry the algorithm:
 //!
-//! * **Raw value space.**  Put grid values are bounded by the strike `K`
+//! * **Raw value space.**  Put grid values are bounded by the strike
 //!   everywhere, so there is no `u^T` dynamic-range hazard and rows store
-//!   raw values (the premium trick of the call engine would in fact be
-//!   *wrong* here: the put premium `G − green` diverges like `φ − K` on the
-//!   deep-out-of-the-money right, exactly where the call's premium is zero).
-//! * **Exact zero tail.**  At expiry the payoff `(K − φ)₊` vanishes right of
-//!   the leaf boundary `f₀`, and an anchor-0 cone only looks right — so
+//!   raw values.
+//! * **Exact zero tail.**  At expiry the payoff vanishes right of the leaf
+//!   boundary `f₀`, and an anchor-0 cone only looks right — so
 //!   `G(t, c) = 0` *exactly* for every `c > f₀`, at every `t`.  Rows
 //!   therefore store red values only up to the support edge and treat the
 //!   tail as implicit zeros.
@@ -32,13 +29,15 @@
 //!   every depth: the entire stored red region advances with one FFT
 //!   correlation, no guard band.  The nonlinear work concentrates in the
 //!   trapezoid of freshly exposed columns `(f_{t+h}, f_t]` — a window of
-//!   width `O(σh)` that recurses at half height, giving `O(h log² h)` work
-//!   and `O(h)` span like the other two engines.
+//!   width `O(σ'h)` that recurses at half height, giving `O(h log² h)` work
+//!   and `O(h)` span (Theorems 2.8 / 4.4).  The lower drift bound is what
+//!   keeps that window narrow — a work bound; the values are right for any
+//!   boundary that never moves right, because the new boundary is always
+//!   *located* (a downward scan to the first green cell), never assumed.
 //!
 //! Rows also carry the cone edge `hi` (the triangle hypotenuse in engine
-//! coordinates: `hi = σ'·(T − t)` with σ' the kernel span), which shrinks by
-//! the span each step; the recursion windows are genuinely truncated rows of
-//! the same type.
+//! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
+//! recursion windows are genuinely truncated rows of the same type.
 
 use super::{kernel_scope, EngineConfig};
 use amopt_parallel::join;
@@ -63,12 +62,6 @@ pub struct GreenPrefixRow {
 }
 
 impl GreenPrefixRow {
-    /// Number of red cells in view (stored plus implicit zeros).
-    #[inline]
-    pub fn red_count(&self) -> i64 {
-        (self.hi - self.boundary).max(0)
-    }
-
     /// True when every cone cell is green.
     #[inline]
     pub fn is_all_green(&self) -> bool {
@@ -118,10 +111,7 @@ impl GreenPrefixRow {
 ///
 /// Gallops to a green/red bracket from the `start` hint and binary-searches
 /// the crossing — `O(log)` predicate evaluations however far the true
-/// boundary sits from the hint.  Shared by the BOPM and TOPM put drivers,
-/// which materialise row `T−1` with an honestly located boundary (the
-/// expiry transition is the one step the interior drift lemmas do not
-/// cover).
+/// boundary sits from the hint.
 pub fn last_green_from(start: i64, green: impl Fn(i64) -> bool) -> i64 {
     let start = start.max(0);
     let (mut lo, mut hi); // invariant: lo green or −1, hi red
@@ -182,11 +172,6 @@ where
         }
         acc
     };
-    // Certified-red tail (f, hi1]: the boundary never moves right.
-    let mut tail = Vec::with_capacity((hi1 - f).max(0) as usize);
-    for c in (f + 1)..=hi1 {
-        tail.push(lin(c));
-    }
     // Downward scan from the last in-view boundary candidate.
     // amopt-lint: allow(hot-path-alloc) -- scan buffer sized by the boundary's actual drift, O(σT) summed over a pricing
     let mut head: Vec<f64> = Vec::new(); // cells (boundary, min(f, hi1)], reversed
@@ -202,9 +187,10 @@ where
         head.push(lin_c.max(g_c));
         c -= 1;
     }
-    let mut values = Vec::with_capacity(head.len() + tail.len());
+    // Then the certified-red tail (f, hi1]: the boundary never moves right.
+    let mut values = Vec::with_capacity(head.len() + (hi1 - f).max(0) as usize);
     values.extend(head.into_iter().rev());
-    values.extend(tail);
+    values.extend(((f + 1)..=hi1).map(lin));
     GreenPrefixRow { t: t1, boundary, hi: hi1, reds: Segment::new(boundary + 1, values) }
 }
 
@@ -282,8 +268,7 @@ fn advance_certified(
 /// `G_{t+1}[c] = max(Σ_m kernel[m]·G_t[c+m], green(t+1, c))`, in raw value
 /// space.
 ///
-/// Work `O(h log² h)`, span `O(h)` — the mirror of Theorem 2.8 under the
-/// discrete put–call symmetry.
+/// Work `O(h log² h)`, span `O(h)` (Theorems 2.8 / 4.4).
 ///
 /// # Panics
 /// If the kernel anchor is non-zero or it has fewer than two taps.
@@ -310,7 +295,7 @@ where
         let f = cur.boundary;
         let hi = cur.hi;
         if cur.is_all_green() {
-            // Green absorbs: the boundary drops at most σ−1 ≤ span per step
+            // Green absorbs: the boundary drops at most span columns per step
             // while the cone edge drops exactly span, so an all-green view
             // stays all-green.  The reported boundary is the conservative
             // drift lower bound `f − span·r`; it stays at or above the
@@ -368,7 +353,11 @@ where
 
         debug_assert_eq!(sub_out.t, cur.t + h1);
         debug_assert_eq!(sub_out.hi, f);
-        debug_assert!(sub_out.boundary >= f - span * h1 as i64 && sub_out.boundary <= f);
+        // Only "never right" is load-bearing here: a boundary that outruns
+        // the drift bound (the BSM scheme at a vanishing rate loses its whole
+        // exercise region in one step) just makes the window return more
+        // columns.
+        debug_assert!(sub_out.boundary <= f, "boundary moved right");
         debug_assert_eq!(bulk_out.start, f + 1);
 
         // Stitch: window covers (f1, f] (zero-filled up to its cone edge if
@@ -389,23 +378,61 @@ where
     cur
 }
 
-/// Drives the engine from `init` to the apex and returns the grid value of
-/// the root cell `(total_steps, 0)`.
+/// Builds row `t = 1` of a lattice put straight from the expiry payoff
+/// `(green(0, ·))₊`, with an honestly located last green column.
+///
+/// The expiry transition is the one step the interior drift lemmas do not
+/// cover — the boundary can jump further left than the interior bound (for
+/// a mirrored call: the one-off *rightward* jump of its red region when
+/// `(1 − e^{−RΔt}) > (1 − e^{−YΔt})·u²`) — so the row is materialised from
+/// the closed form and its boundary found by a bracketed search from the
+/// leaf boundary `leaf` (single crossing holds at `T−1` by Lemma 2.2 / A.1,
+/// whose induction starts at the payoff row).  Stored reds reach the
+/// non-zero support edge: continuation vanishes exactly right of `leaf`,
+/// where every child pays zero.
+pub fn first_step_row<G>(kernel: &StencilKernel, green: &G, leaf: i64, hi: i64) -> GreenPrefixRow
+where
+    G: Fn(u64, i64) -> f64,
+{
+    let continuation = |c: i64| -> f64 {
+        kernel.weights().iter().enumerate().map(|(m, &w)| w * green(0, c + m as i64).max(0.0)).sum()
+    };
+    let f = last_green_from(leaf, |c| green(1, c) >= continuation(c));
+    let values: Vec<f64> = ((f + 1)..=leaf.min(hi)).map(continuation).collect();
+    GreenPrefixRow { t: 1, boundary: f, hi, reds: Segment::new(f + 1, values) }
+}
+
+/// Drives the engine from `init` to the apex in advances of at most `chunk`
+/// steps.  Returns the grid value of the root cell `(total_steps, 0)` and
+/// the frontier `(t, last green column)` of every row an advance ended on —
+/// one whole-height advance for a price (`chunk ≥ total_steps`), evenly
+/// spaced rows for an exercise boundary.  The frontier stops early once
+/// green has absorbed the whole cone (it then reaches the apex).
 pub fn solve_to_root<G>(
     kernel: &StencilKernel,
     green: &G,
     init: GreenPrefixRow,
     total_steps: u64,
+    chunk: u64,
     cfg: &EngineConfig,
-) -> f64
+) -> (f64, Vec<(u64, i64)>)
 where
     G: Fn(u64, i64) -> f64 + Sync,
 {
-    let remaining = total_steps - init.t;
-    let final_row = advance_green_prefix(kernel, green, &init, remaining, cfg);
-    debug_assert_eq!(final_row.t, total_steps);
-    debug_assert!(final_row.hi >= 0, "initial row's cone must contain the root");
-    final_row.value_at(green, 0)
+    debug_assert_eq!(
+        init.hi,
+        kernel.span() as i64 * (total_steps - init.t) as i64,
+        "initial row's cone must end at the root"
+    );
+    let mut cur = init;
+    let mut frontier = Vec::new();
+    while cur.t < total_steps && !cur.is_all_green() {
+        let h = chunk.max(1).min(total_steps - cur.t);
+        cur = advance_green_prefix(kernel, green, &cur, h, cfg);
+        frontier.push((cur.t, cur.boundary));
+    }
+    let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
+    (root, frontier)
 }
 
 #[cfg(test)]
@@ -443,26 +470,39 @@ mod tests {
         (row[0], boundaries)
     }
 
-    /// A genuine BOPM-put (span 1) or TOPM-put (span 2) instance, for which
-    /// the mirrored drift lemmas hold.  `strike_off` shifts moneyness.
-    #[allow(clippy::type_complexity)]
+    /// The three problem shapes the fast routes feed the engine.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Shape {
+        /// BOPM put (span 1), started from the materialised row `T−1`.
+        Binomial,
+        /// TOPM put (span 2), started from the materialised row `T−1`.
+        Trinomial,
+        /// BSM explicit-FD put after the shear `c' = k + (T − n)`: the
+        /// anchor −1 taps `(b, c, a)` re-anchored at 0, a time-independent
+        /// obstacle `1 − e^{s_k}` that becomes `K − e^{Δs(c' − i)}` in
+        /// sheared columns, started from the expiry row with empty reds.
+        ShearedBsm,
+    }
+
+    /// A genuine instance of `shape`, for which the drift lemmas hold; the
+    /// strike sits `strike_off` columns from the root's price.
     fn synthetic_problem(
         steps: u64,
-        span: usize,
+        shape: Shape,
         strike_off: f64,
     ) -> (StencilKernel, impl Fn(u64, i64) -> f64 + Sync + Clone, Vec<f64>) {
         let r_dt = 0.0010_f64;
         let y_dt = 0.0004_f64;
         let m = (-r_dt).exp();
-        let (kernel, alpha_exp) = match span {
-            1 => {
+        let (kernel, alpha_exp) = match shape {
+            Shape::Binomial => {
                 let alpha = 0.02_f64;
                 let u = alpha.exp();
                 let p = ((r_dt - y_dt).exp() - 1.0 / u) / (u - 1.0 / u);
                 assert!(p > 0.0 && p < 1.0);
                 (StencilKernel::new(vec![m * (1.0 - p), m * p], 0), alpha)
             }
-            2 => {
+            Shape::Trinomial => {
                 let alpha = 0.04_f64;
                 let su = (alpha / 2.0).exp();
                 let sd = 1.0 / su;
@@ -473,72 +513,73 @@ mod tests {
                 assert!(pu > 0.0 && pd > 0.0 && po > 0.0);
                 (StencilKernel::new(vec![m * pd, m * po, m * pu], 0), alpha)
             }
-            _ => unreachable!(),
+            Shape::ShearedBsm => {
+                let sigma2 = 0.04_f64; // sigma = 0.2
+                let omega = 2.0 * 0.03 / sigma2;
+                let d_tau = 0.5 * sigma2 / steps as f64;
+                let d_s = (d_tau / 0.4).sqrt();
+                let diff = d_tau / (d_s * d_s);
+                let drift = (omega - 1.0) * d_tau / (2.0 * d_s);
+                let (a, b, c) = (diff + drift, diff - drift, 1.0 - omega * d_tau - 2.0 * diff);
+                assert!(a >= 0.0 && b >= 0.0 && c >= 0.0);
+                (StencilKernel::new(vec![b, c, a], 0), d_s)
+            }
         };
         // Node price in grid coordinates: u^{qc − i} with i = steps − t;
-        // q = 2 for the binomial layout, 1 for the trinomial one.
-        let q = if span == 1 { 2.0 } else { 1.0 };
-        let strike = (alpha_exp * (steps as f64 * q / 2.0 + strike_off)).exp();
+        // q = 2 for the binomial layout, 1 for the span-2 ones.
+        let q = if shape == Shape::Binomial { 2.0 } else { 1.0 };
+        let strike = (alpha_exp * strike_off).exp();
         let phi = move |t: u64, c: i64| -> f64 {
             let i = (steps - t) as f64;
             (alpha_exp * (q * c as f64 - i)).exp()
         };
         let green = move |t: u64, c: i64| strike - phi(t, c);
-        let width = steps as usize * span + 1;
+        let width = steps as usize * kernel.span() + 1;
         let init: Vec<f64> = (0..width as i64).map(|c| green(0, c).max(0.0)).collect();
         (kernel, green, init)
     }
 
-    /// Engine row at `t = 1`: one honest dense step from the payoff row
-    /// (the expiry transition may break the unit drift bound — exactly why
-    /// the production drivers materialise row `T−1` explicitly).
-    fn first_step_row<G: Fn(u64, i64) -> f64>(
+    /// The engine's starting row, built the way the production adapters
+    /// build it: lattices materialise `t = 1` (the expiry transition may
+    /// break the interior drift bound), the sheared BSM scheme starts at
+    /// the expiry row itself with nothing stored.
+    fn start_row<G: Fn(u64, i64) -> f64>(
+        shape: Shape,
         kernel: &StencilKernel,
         green: &G,
         init: &[f64],
     ) -> GreenPrefixRow {
-        let span = kernel.span();
-        let hi = (init.len() - 1 - span) as i64;
-        let mut f = -1i64;
-        let mut values = Vec::new();
-        for c in 0..=hi {
-            let lin: f64 =
-                kernel.weights().iter().enumerate().map(|(m, &w)| w * init[c as usize + m]).sum();
-            let ob = green(1, c);
-            if ob >= lin {
-                f = c;
-                values.clear();
-            } else {
-                values.push(lin);
-            }
+        let leaf = init.iter().rposition(|&v| v > 0.0).map_or(-1, |c| c as i64);
+        let hi = (init.len() - 1) as i64;
+        if shape == Shape::ShearedBsm {
+            GreenPrefixRow { t: 0, boundary: leaf, hi, reds: Segment::new(leaf + 1, vec![]) }
+        } else {
+            first_step_row(kernel, green, leaf, hi - kernel.span() as i64)
         }
-        GreenPrefixRow { t: 1, boundary: f, hi, reds: Segment::new(f + 1, values) }
     }
 
-    fn check_matches_dense(steps: u64, span: usize, strike_off: f64, cfg: &EngineConfig) {
-        let (kernel, green, init) = synthetic_problem(steps, span, strike_off);
+    fn check_matches_dense(steps: u64, shape: Shape, strike_off: f64, cfg: &EngineConfig) {
+        let (kernel, green, init) = synthetic_problem(steps, shape, strike_off);
         let (want, _) = dense_solve(&kernel, &green, &init, steps);
-        let row = first_step_row(&kernel, &green, &init);
-        let got = solve_to_root(&kernel, &green, row, steps, cfg);
+        let row = start_row(shape, &kernel, &green, &init);
+        let (got, _) = solve_to_root(&kernel, &green, row, steps, steps, cfg);
         assert!(
-            (got - want).abs() < 1e-9 * want.abs().max(1.0),
-            "steps={steps} span={span} off={strike_off}: fast {got} vs dense {want}"
+            (got - want).abs() < 1e-10 * want.abs().max(1.0),
+            "steps={steps} {shape:?} off={strike_off}: fast {got} vs dense {want}"
         );
     }
 
     #[test]
-    fn binomial_like_matches_dense_across_sizes() {
+    fn matches_dense_across_sizes() {
         let cfg = EngineConfig::default();
-        for steps in [2u64, 3, 5, 8, 9, 16, 33, 100, 257, 1000] {
-            check_matches_dense(steps, 1, 0.0, &cfg);
+        for steps in [1u64, 2, 3, 5, 8, 9, 16, 33, 100, 257, 1000] {
+            check_matches_dense(steps, Shape::Binomial, 0.5, &cfg);
         }
-    }
-
-    #[test]
-    fn trinomial_like_matches_dense_across_sizes() {
-        let cfg = EngineConfig::default();
-        for steps in [2u64, 3, 8, 21, 64, 200, 513] {
-            check_matches_dense(steps, 2, 0.0, &cfg);
+        for steps in [1u64, 2, 3, 8, 21, 64, 200, 513] {
+            check_matches_dense(steps, Shape::Trinomial, 0.5, &cfg);
+        }
+        for steps in [1u64, 2, 5, 8, 9, 16, 33, 100, 257, 600] {
+            check_matches_dense(steps, Shape::ShearedBsm, -0.5, &cfg);
         }
     }
 
@@ -546,8 +587,9 @@ mod tests {
     fn matches_dense_across_moneyness() {
         let cfg = EngineConfig::default();
         for off in [-40.0, -10.0, -1.0, 1.0, 10.0, 40.0] {
-            check_matches_dense(300, 1, off, &cfg);
-            check_matches_dense(150, 2, off, &cfg);
+            check_matches_dense(300, Shape::Binomial, off, &cfg);
+            check_matches_dense(150, Shape::Trinomial, off, &cfg);
+            check_matches_dense(300, Shape::ShearedBsm, off, &cfg);
         }
     }
 
@@ -555,45 +597,51 @@ mod tests {
     fn different_base_cutoffs_agree() {
         for cutoff in [1u64, 4, 8, 32, 100] {
             let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
-            check_matches_dense(300, 1, 0.0, &cfg);
-            check_matches_dense(150, 2, 0.0, &cfg);
+            check_matches_dense(300, Shape::Binomial, 0.5, &cfg);
+            check_matches_dense(150, Shape::Trinomial, 0.5, &cfg);
+            check_matches_dense(200, Shape::ShearedBsm, -1.5, &cfg);
         }
     }
 
     #[test]
     fn direct_taps_backend_agrees() {
         let cfg = EngineConfig { backend: Backend::DirectTaps, ..EngineConfig::default() };
-        check_matches_dense(200, 1, 0.0, &cfg);
+        check_matches_dense(200, Shape::Binomial, 0.5, &cfg);
     }
 
     #[test]
     fn boundary_position_matches_dense_reference() {
-        let steps = 240u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
-        let (_, dense_b) = dense_solve(&kernel, &green, &init, steps);
-        // Interior rows obey the unit drift the engine relies on.
-        for w in dense_b.windows(2) {
-            assert!(w[1] <= w[0] && w[1] >= w[0] - 1, "drift violated: {w:?}");
+        for (shape, steps, drift) in
+            [(Shape::Binomial, 240u64, 1), (Shape::Trinomial, 150, 2), (Shape::ShearedBsm, 150, 2)]
+        {
+            let (kernel, green, init) = synthetic_problem(steps, shape, 0.5);
+            let (_, dense_b) = dense_solve(&kernel, &green, &init, steps);
+            // Interior rows obey the drift bound the engine relies on, while
+            // the boundary is still in view.
+            for w in dense_b.windows(2).filter(|w| w[1] >= 0) {
+                assert!(w[1] <= w[0] && w[1] >= w[0] - drift, "{shape:?} drift violated: {w:?}");
+            }
+            let cfg = EngineConfig::default();
+            let row = start_row(shape, &kernel, &green, &init);
+            // Frontier rows land mid-way, where the cone still holds the
+            // boundary, and at the apex.
+            let (_, frontier) = solve_to_root(&kernel, &green, row, steps, steps / 3, &cfg);
+            assert!(frontier.len() >= 3);
+            for (t, f) in frontier {
+                assert_eq!(f, dense_b[t as usize - 1], "{shape:?} row {t}");
+            }
         }
-        let row = first_step_row(&kernel, &green, &init);
-        assert_eq!(row.boundary, dense_b[0]);
-        let half = steps / 2;
-        let mid = advance_green_prefix(&kernel, &green, &row, half - 1, &EngineConfig::default());
-        assert_eq!(mid.boundary, dense_b[half as usize - 1]);
-        let out =
-            advance_green_prefix(&kernel, &green, &mid, steps - half, &EngineConfig::default());
-        assert_eq!(out.t, steps);
-        assert_eq!(out.boundary, dense_b[steps as usize - 1]);
     }
 
     #[test]
     fn values_stay_bounded_by_the_strike() {
         // The raw-space justification: every put value is in [0, K].
         let steps = 4096u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
+        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.5);
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
-        let row = first_step_row(&kernel, &green, &init);
-        let out = advance_green_prefix(&kernel, &green, &row, steps - 1, &EngineConfig::default());
+        let row = start_row(Shape::Binomial, &kernel, &green, &init);
+        let out = advance_green_prefix(&kernel, &green, &row, steps / 2, &EngineConfig::default());
+        assert!(out.reds.len() > 100);
         for &v in &out.reds.values {
             assert!(v.is_finite() && v >= -1e-12 && v <= strike, "value {v} out of [0, K]");
         }
@@ -603,23 +651,30 @@ mod tests {
     fn deep_itm_goes_all_green() {
         // Strike far above every node: exercise everywhere, price = green.
         let steps = 64u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 500.0);
-        let row = first_step_row(&kernel, &green, &init);
-        assert!(row.is_all_green());
-        let got = solve_to_root(&kernel, &green, row, steps, &EngineConfig::default());
-        assert_eq!(got, green(steps, 0));
+        for shape in [Shape::Binomial, Shape::ShearedBsm] {
+            let (kernel, green, init) = synthetic_problem(steps, shape, 500.0);
+            let row = start_row(shape, &kernel, &green, &init);
+            assert!(row.is_all_green());
+            let cfg = EngineConfig::default();
+            let (got, frontier) = solve_to_root(&kernel, &green, row, steps, steps, &cfg);
+            assert_eq!(got, green(steps, 0));
+            assert!(frontier.is_empty(), "green absorbed the cone before the first advance");
+        }
     }
 
     #[test]
     fn deep_otm_is_exactly_zero() {
         // Strike below every node: payoff row identically zero, price 0.
         let steps = 64u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, -500.0);
-        assert!(init.iter().all(|&v| v == 0.0));
-        let row = first_step_row(&kernel, &green, &init);
-        assert_eq!(row.boundary, -1);
-        let got = solve_to_root(&kernel, &green, row, steps, &EngineConfig::default());
-        assert_eq!(got, 0.0);
+        for shape in [Shape::Binomial, Shape::ShearedBsm] {
+            let (kernel, green, init) = synthetic_problem(steps, shape, -500.0);
+            assert!(init.iter().all(|&v| v == 0.0));
+            let row = start_row(shape, &kernel, &green, &init);
+            assert_eq!(row.boundary, -1);
+            let cfg = EngineConfig::default();
+            let (got, _) = solve_to_root(&kernel, &green, row, steps, steps, &cfg);
+            assert_eq!(got, 0.0);
+        }
     }
 
     #[test]
@@ -634,12 +689,12 @@ mod tests {
 
     #[test]
     fn chunked_advance_composes() {
-        // advance(h1) ∘ advance(h2) == advance(h1 + h2) — what the
-        // boundary-sampling drivers rely on.
+        // advance(h1) ∘ advance(h2) == advance(h1 + h2) — what frontier
+        // sampling relies on.
         let steps = 200u64;
-        let (kernel, green, init) = synthetic_problem(steps, 1, 0.0);
+        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.5);
         let cfg = EngineConfig::default();
-        let row = first_step_row(&kernel, &green, &init);
+        let row = start_row(Shape::Binomial, &kernel, &green, &init);
         let once = advance_green_prefix(&kernel, &green, &row, steps - 1, &cfg);
         let mut chunked = row;
         for h in [30u64, 70, 50, 49] {

@@ -1,36 +1,66 @@
-//! Nonlinear-stencil solvers — the paper's primary contribution.
+//! The nonlinear-stencil solver — the paper's primary contribution.
 //!
 //! A *nonlinear stencil* in the sense of the paper updates each cell with
 //! `max(linear combination of the previous row, closed-form obstacle)`.
 //! The space-time grid then splits into a **red** region (linear update wins)
 //! and a **green** region (obstacle wins) separated by a monotone boundary
-//! that drifts at most one column per step (Cor. 2.7 / Thm 4.3 / Cor. A.6).
+//! whose drift per step is bounded (Cor. 2.7 / Thm 4.3 / Cor. A.6).
 //!
-//! Three engines cover the geometries used by the pricing models:
+//! ## One geometry
 //!
-//! * [`right_cone`]: kernel anchored at offset 0 (cone opens rightward),
-//!   green region on the *right*, boundary drifts left — BOPM (§2.3) and
-//!   TOPM (§3, App. A.3) American **calls**;
-//! * [`left_cone`]: the same anchor-0 kernels with the green region on the
-//!   *left*, boundary drifting left — BOPM/TOPM American **puts**, the
-//!   mirror geometry under the discrete put–call symmetry;
-//! * [`centered`]: symmetric 3-point kernel, green region on the *left*,
-//!   boundary drifts left — the BSM explicit finite difference (§4.3).
+//! There is a single engine, [`left_cone`]: kernel anchored at offset 0
+//! (cell `(t+1, c)` reads `(t, c), …, (t, c+σ')` with `σ'` the kernel span),
+//! green region on the **left** of every row, last green column `f_t`
+//! moving left by at most `σ'` columns per step and never right, values
+//! stored raw, and an exact implicit zero tail right of the expiry payoff's
+//! support.  It advances a [`left_cone::GreenPrefixRow`] by `h` steps in
+//! `O(h log² h)` work and `O(h)` span: everything right of the current
+//! boundary is certified red at every depth and advances with one FFT
+//! correlation of `amopt-stencil`; the freshly exposed columns recurse on a
+//! boundary-anchored window of half height.  Lattice **puts** under BOPM
+//! (`σ' = 1`) and TOPM (`σ' = 2`) are this geometry as they stand.  The
+//! paper's other two geometries reach it by a change of variables, applied
+//! in the model adapters ([`crate::bopm::fast`], [`crate::topm::fast`],
+//! [`crate::bsm::fast`]) rather than by a second engine.
 //!
-//! All three advance a compressed row representation ([`RedRow`] /
-//! [`left_cone::GreenPrefixRow`] / [`centered::GreenLeftRow`]) by `h` steps
-//! in `O(h log² h)` work and `O(h)` span, calling the linear FFT advance of
-//! `amopt-stencil` on regions whose redness is certified by the drift bound,
-//! and recursing on a boundary-centred window of half height.  The call
-//! engine works in premium space (`δ = G − green`, the affine-correction
-//! trick below); the put engines work in raw value space, where the grid
-//! values are bounded by the strike.
+//! ## Lattice calls: the put–call mirror (§2.3's right cone)
+//!
+//! On a recombining lattice with `u·d = 1` the discrete McDonald–Schroder
+//! symmetry `C(S, K, R, Y) = P(K, S, Y, R)` is exact node by node: the value
+//! at call node `(i, j)` is the mirrored put's value at node `(i, w·i − j)`
+//! (`w = 1` BOPM, `2` TOPM) times the positive factor `φ(i, j)/S`, which
+//! scales continuation and exercise alike.  A call is therefore priced as
+//! the put of the mirrored contract, and its red–green divider is the
+//! mirrored put's read backwards: last red call column `j = w·i − f − 1`.
+//!
+//! Why raw value space is safe after the mirror: call grid values grow like
+//! `S·u^T`, and an FFT's *absolute* error scales with its largest input, so
+//! a call-shaped engine must work on the bounded premium `G − green`
+//! instead (and recover a deep out-of-the-money price as a difference of
+//! two `O(K)` numbers — which can come out negative).  The mirrored put's
+//! values lie in `[0, S]` everywhere, with exact zeros where the call is
+//! worthless, so nothing needs rescaling and a zero price stays exactly `0`.
+//!
+//! ## BSM put: the shear (§4.3's centered cone)
+//!
+//! The explicit-FD kernel is anchored at −1: row `n` spans
+//! `k ∈ [−(T−n), T−n]` and cell `(n+1, k)` reads `k−1, k, k+1`.  In the
+//! sheared column `c' = k + (T − n)` the same cell reads `c', c'+1, c'+2` —
+//! an anchor-0 kernel of span 2 with cone edge `hi' = 2(T − n)` — and the
+//! last green column `f' = f + (T − n)` moves left 1–2 columns per step
+//! because `f` itself moves left 0–1 (Thm 4.3).  That is the TOPM-put case
+//! of the engine.  (Front-fixing finite-difference schemes make the same
+//! move to turn a moving boundary into a fixed one.)
+//!
+//! Why the zero tail is exact here: the expiry payoff `(1 − e^{s_k})₊` is
+//! exactly zero for `k > f₀`, i.e. `c' > f₀ + T`, and an anchor-0 cone only
+//! looks right — so every cell with `c' > f₀ + T` is a combination of exact
+//! zeros floored by a negative obstacle, at every step.  In the original
+//! columns the support creeps right one column per step; the shear pins it.
 
-pub mod centered;
 pub mod left_cone;
-pub mod right_cone;
 
-use amopt_stencil::{Backend, Segment, StencilKernel};
+use amopt_stencil::Backend;
 
 /// Times the enclosing scope as one kernel phase when the crate is built
 /// with the `obs` feature; expands to nothing otherwise, so the default
@@ -44,129 +74,7 @@ macro_rules! kernel_scope {
 }
 pub(crate) use kernel_scope;
 
-/// Obstacle (green-region closed form) of the shape all three pricing models
-/// share: `green(t, c) = α·φ(t, c) + β` where the *node function* `φ` is an
-/// eigenfunction of one linear stencil step `L` (`L φ_t = λ·φ_{t+1}`) and the
-/// constants have eigenvalue `μ = Σ kernel taps` (`L 1 = μ·1`).
-///
-/// This structure is what makes the **premium-space** formulation possible:
-/// the engines store `δ(t,c) = G(t,c) − green(t,c) ≥ 0` instead of raw grid
-/// values.  On green cells `δ = 0` *exactly*, so rows extend with exact
-/// zeros, and `δ` is bounded by a constant independent of `T` — while raw
-/// grid values grow like `u^T`, whose dynamic range would drown the FFT's
-/// absolute error (a real failure we observed at `T ≈ 2×10⁴`).  After `h`
-/// linear steps the decomposition gives the exact affine correction
-///
-/// `δ(t+h, c) = (L^h δ(t,·))(c) + α(λ^h − 1)·φ(t+h, c) + β(μ^h − 1)`.
-pub struct ExpObstacle<P> {
-    /// Node function `φ(t, c)` (e.g. the BOPM node price `S·u^{2c−(T−t)}`).
-    pub phi: P,
-    /// Eigenvalue of `φ`: `L φ_t = λ φ_{t+1}` (e.g. `e^{−YΔt}`).
-    pub lambda: f64,
-    /// Eigenvalue of constants: sum of kernel taps (e.g. `e^{−RΔt}`).
-    pub mu: f64,
-    /// Coefficient of `φ` in the obstacle.
-    pub alpha: f64,
-    /// Constant term of the obstacle.
-    pub beta: f64,
-}
-
-impl<P: Fn(u64, i64) -> f64 + Sync> ExpObstacle<P> {
-    /// Builds an obstacle spec.  `μ` is derived from the actual kernel taps
-    /// so the scalar corrections match what repeated application of `L`
-    /// computes numerically; `λ` is model-specific
-    /// (`λ = Σ_m w_m φ(t, c+anchor+m) / φ(t+1, c)`, column-independent for
-    /// exponential node functions) and supplied by the caller.
-    pub fn new(phi: P, kernel: &StencilKernel, lambda: f64, alpha: f64, beta: f64) -> Self {
-        let mu = kernel.weights().iter().sum();
-        ExpObstacle { phi, lambda, mu, alpha, beta }
-    }
-
-    /// Obstacle value `green(t, c)`.
-    #[inline]
-    pub fn green(&self, t: u64, c: i64) -> f64 {
-        self.alpha * (self.phi)(t, c) + self.beta
-    }
-
-    /// Coefficients `(a, b)` of the `h`-step drift
-    /// `A_h(t+h, c) = a·φ(t+h, c) + b`.
-    #[inline]
-    pub fn drift_coeffs(&self, h: u64) -> (f64, f64) {
-        let pow = |base: f64| -> f64 {
-            debug_assert!(base > 0.0);
-            (h as f64 * base.ln()).exp()
-        };
-        (self.alpha * (pow(self.lambda) - 1.0), self.beta * (pow(self.mu) - 1.0))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use amopt_stencil::StencilKernel;
-
-    fn obstacle() -> ExpObstacle<impl Fn(u64, i64) -> f64 + Sync> {
-        // BOPM-like: φ = u^{2c−(T−t)}, λ = s0/u + s1·u with a 64-step grid.
-        let u: f64 = 1.01;
-        let (s0, s1) = (0.49_f64, 0.505_f64);
-        let kernel = StencilKernel::new(vec![s0, s1], 0);
-        let phi = move |t: u64, c: i64| u.powi((2 * c - (64 - t as i64)) as i32);
-        ExpObstacle::new(phi, &kernel, s0 / u + s1 * u, 1.0, -2.5)
-    }
-
-    #[test]
-    fn green_combines_phi_and_constant() {
-        let ob = obstacle();
-        let t = 3u64;
-        let c = 7i64;
-        assert!((ob.green(t, c) - ((ob.phi)(t, c) - 2.5)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mu_is_kernel_tap_sum() {
-        let ob = obstacle();
-        assert!((ob.mu - (0.49 + 0.505)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn drift_coeffs_compose_like_the_stencil() {
-        // A_h must equal the closed form α(λ^h − 1)φ + β(μ^h − 1); check the
-        // one-step case against a direct application of L to green.
-        let ob = obstacle();
-        let (da, db) = ob.drift_coeffs(1);
-        let (t, c) = (5u64, 9i64);
-        // L green(t,·)(c) = s0·green(t,c) + s1·green(t,c+1)
-        let lg = 0.49 * ob.green(t, c) + 0.505 * ob.green(t, c + 1);
-        let want = lg - ob.green(t + 1, c);
-        let got = da * (ob.phi)(t + 1, c) + db;
-        assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-    }
-
-    #[test]
-    fn drift_is_zero_at_h_zero_and_grows_multiplicatively() {
-        let ob = obstacle();
-        let (a0, b0) = ob.drift_coeffs(0);
-        assert_eq!((a0, b0), (0.0, 0.0));
-        let (a1, _) = ob.drift_coeffs(1);
-        let (a2, _) = ob.drift_coeffs(2);
-        // α(λ²−1) = α(λ−1)(λ+1)
-        assert!((a2 - a1 * (ob.lambda + 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn red_row_accounting() {
-        use amopt_stencil::Segment;
-        let row = RedRow { t: 4, reds: Segment::new(3, vec![1.0, 2.0]), boundary: 4 };
-        assert_eq!(row.red_count(), 2);
-        assert!(!row.is_all_green());
-        row.assert_consistent();
-        let empty = RedRow { t: 0, reds: Segment::new(5, vec![]), boundary: 4 };
-        assert!(empty.is_all_green());
-        assert_eq!(empty.red_count(), 0);
-    }
-}
-
-/// Tuning knobs shared by both engines.
+/// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Trapezoid height at or below which the naive loop runs
@@ -181,46 +89,5 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig { base_cutoff: 8, sequential_below: 512, backend: Backend::Fft }
-    }
-}
-
-/// A row of the space-time grid in compressed premium form for the
-/// right-cone engine: red (continuation-valued) cells occupy
-/// `[reds.start, boundary]` and store the **premium** `δ = G − green ≥ 0`;
-/// every cell right of `boundary` is green with `δ = 0` exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RedRow {
-    /// Time index: steps elapsed from the known initial row (expiry).
-    pub t: u64,
-    /// Stored red premiums over `[reds.start, boundary]`; empty iff
-    /// `boundary < reds.start`.
-    pub reds: Segment,
-    /// Last red column; `reds.start − 1` encodes an all-green window.
-    pub boundary: i64,
-}
-
-impl RedRow {
-    /// Number of stored red cells.
-    #[inline]
-    pub fn red_count(&self) -> i64 {
-        (self.boundary - self.reds.start + 1).max(0)
-    }
-
-    /// True when no red cell remains in the window.
-    #[inline]
-    pub fn is_all_green(&self) -> bool {
-        self.boundary < self.reds.start
-    }
-
-    /// Internal consistency between the segment extent and the boundary.
-    pub fn assert_consistent(&self) {
-        debug_assert_eq!(
-            self.reds.len() as i64,
-            self.red_count(),
-            "red segment [{}..{}] disagrees with boundary {}",
-            self.reds.start,
-            self.reds.end(),
-            self.boundary
-        );
     }
 }

@@ -2,9 +2,22 @@
 //! surfaced as a user-facing curve in market coordinates.
 //!
 //! The critical asset price at time step `i` is the price at the first green
-//! (exercise-optimal) column of that row.  Both extractors reuse the fast
-//! engines' boundary tracking, so sampling the curve costs no more than one
+//! (exercise-optimal) column of that row.  The extractors reuse the fast
+//! engine's boundary tracking, so sampling the curve costs no more than one
 //! pricing pass.
+//!
+//! The engine tracks the last *green* column `f` of a put-shaped problem.
+//! Lattice puts report it directly.  Lattice **calls** are priced as the put
+//! of the mirrored contract (`S ↔ K`, `R ↔ Y`), whose node `(i, c)` is the
+//! call's node `(i, w·i − c)` with `w·i` the row width (`w = 1` BOPM, `2`
+//! TOPM): the call's last red column is `j = w·i − f − 1`, clamped to
+//! `[−1, w·i]` — `−1` when the whole row exercises (the mirror reports any
+//! `f ≥ w·i`), `w·i` when none of it does (`f = −1`) — and its critical
+//! price is the node price at `j + 1`.  A node where exercise and
+//! continuation tie *exactly* counts as green, the put engine's convention,
+//! so on such a node the call frontier sits one column lower than a
+//! red-on-tie sweep would put it.  The BSM put's sheared columns map back
+//! as `k = c' − (T − n)`.
 
 use crate::bopm::BopmModel;
 use crate::bsm::BsmModel;
@@ -24,7 +37,8 @@ pub struct BoundaryPoint {
     pub critical_price: Option<f64>,
 }
 
-/// Early-exercise frontier of an American **call** under BOPM.
+/// Early-exercise frontier of an American **call** under BOPM, read off the
+/// mirrored put (module docs).
 pub fn bopm_call_boundary(
     model: &BopmModel,
     cfg: &EngineConfig,
@@ -37,15 +51,15 @@ pub fn bopm_call_boundary(
         .map(|(i, j)| BoundaryPoint {
             time_step: i,
             time_years: expiry * i as f64 / t as f64,
-            // First green column is j+1; a boundary at/over the triangle
-            // width means the whole row continues (no exercise region).
+            // First green column is j+1; a boundary at the row width i
+            // means the whole row continues (no exercise region).
             critical_price: (j < i as i64).then(|| model.node_price(i, j + 1)),
         })
         .collect()
 }
 
 /// Early-exercise frontier of an American **put** under BOPM, via the
-/// left-cone engine's boundary tracking (one fast pricing pass).
+/// engine's boundary tracking (one fast pricing pass).
 pub fn bopm_put_boundary(
     model: &BopmModel,
     cfg: &EngineConfig,
@@ -93,13 +107,13 @@ pub fn bsm_put_boundary(
 /// Early-exercise frontier of an American **call** under the BSM explicit
 /// FD scheme.
 ///
-/// The compressed engines are green-*left* (put-shaped), so the call
-/// frontier comes from the dense serial sweep — `Θ(T²)`, acceptable at
-/// boundary-extraction step counts.  With the model's mandatory `Y = 0`
-/// the continuous call is never exercised early; any sampled point is a
-/// quantisation artifact of the explicit scheme, and an all-`None` curve
-/// is the expected shape.  `cfg` is accepted for signature uniformity with
-/// the other extractors.
+/// The engine is green-*left* (put-shaped) and the dividend-free BSM grid
+/// has no put–call mirror, so the call frontier comes from the dense serial
+/// sweep — `Θ(T²)`, acceptable at boundary-extraction step counts.  With
+/// the model's mandatory `Y = 0` the continuous call is never exercised
+/// early; any sampled point is a quantisation artifact of the explicit
+/// scheme, and an all-`None` curve is the expected shape.  `cfg` is accepted
+/// for signature uniformity with the other extractors.
 pub fn bsm_call_boundary(
     model: &BsmModel,
     _cfg: &EngineConfig,
@@ -134,9 +148,8 @@ pub fn bsm_call_boundary(
         .collect()
 }
 
-/// Early-exercise frontier of an American **call** under TOPM, via the fast
-/// engine's boundary tracking (one `O(T log² T)` pricing pass — this
-/// replaces the old `Θ(T²)` dense sweep `topm_call_boundary_dense`).
+/// Early-exercise frontier of an American **call** under TOPM, read off the
+/// mirrored put (module docs) in one `O(T log² T)` pricing pass.
 pub fn topm_call_boundary(
     model: &TopmModel,
     cfg: &EngineConfig,
@@ -149,15 +162,15 @@ pub fn topm_call_boundary(
         .map(|(i, j)| BoundaryPoint {
             time_step: i,
             time_years: expiry * i as f64 / t as f64,
-            // First green column is j+1; a boundary at/over the trinomial
-            // row width 2i means the whole row continues.
+            // First green column is j+1; a boundary at the trinomial row
+            // width 2i means the whole row continues.
             critical_price: (j < 2 * i as i64).then(|| model.node_price(i, j + 1)),
         })
         .collect()
 }
 
 /// Early-exercise frontier of an American **put** under TOPM, via the
-/// left-cone engine's boundary tracking (one fast pricing pass).
+/// engine's boundary tracking (one fast pricing pass).
 pub fn topm_put_boundary(
     model: &TopmModel,
     cfg: &EngineConfig,

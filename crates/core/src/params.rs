@@ -93,6 +93,21 @@ impl OptionParams {
         }
     }
 
+    /// The put–call mirror of the contract: spot ↔ strike and rate ↔
+    /// dividend yield, volatility and expiry unchanged.  An American call on
+    /// `self` is worth an American put on the mirror (McDonald–Schroder:
+    /// `C(S, K, R, Y) = P(K, S, Y, R)`), exactly so on lattices with
+    /// `u·d = 1`.  Valid whenever `self` is.
+    pub fn mirrored(self) -> Self {
+        OptionParams {
+            spot: self.strike,
+            strike: self.spot,
+            rate: self.dividend_yield,
+            dividend_yield: self.rate,
+            ..self
+        }
+    }
+
     /// Per-step interval for a `steps`-step lattice.
     #[inline]
     pub fn dt(&self, steps: usize) -> f64 {

@@ -1,244 +1,92 @@
-//! The paper's fast TOPM pricer: American call in `O(T log² T)` work and
-//! `O(T)` span (§3 / Appendix A.3), via the same right-cone engine as BOPM —
+//! The paper's fast TOPM pricers: American calls and puts in `O(T log² T)`
+//! work and `O(T)` span (§3 / Appendix A.3), via the same engine as BOPM —
 //! only the kernel (three taps, cone slope 2) and the node function differ.
 //!
-//! The extended-grid / first-backward-step treatment mirrors
-//! [`crate::bopm::fast`]: row `T−1` is materialised from the payoff closed
-//! form with a bracketed boundary search, and `Y = 0` short-circuits to the
-//! European FFT pass.
+//! Everything in [`crate::bopm::fast`]'s module docs carries over with row
+//! width `2i` in place of `i`: puts run on the lattice as it stands (a
+//! fixed column gains a full factor of `u` per backward step, so the put
+//! boundary drifts left one-to-two columns every step — the span-2 case of
+//! the engine's drift law), row `T−1` is materialised from the payoff closed
+//! form, `R = 0` puts and `Y = 0` calls short-circuit to the European FFT
+//! pass, and a call is the put of [`TopmModel::mirrored`] with call node
+//! `(i, j)` at the mirror's `(i, 2i − j)` — last red call column
+//! `j = 2i − f − 1`, clamped to `[−1, 2i]`, exact ties green-side.
 
 use super::european::price_european_fft;
 use super::TopmModel;
-use crate::engine::left_cone::{self, GreenPrefixRow};
-use crate::engine::right_cone::{advance_red_row, solve_to_root};
-use crate::engine::{EngineConfig, ExpObstacle, RedRow};
+use crate::engine::left_cone;
+use crate::engine::EngineConfig;
 use crate::params::OptionType;
-use amopt_stencil::Segment;
 
-/// Obstacle spec for the American call: `green(t, c) = φ(t, c) − K` with
-/// `φ(t, c) = S·u^{c − (T−t)}` and `L φ_t = e^{−YΔt} φ_{t+1}`
-/// (exact by the trinomial first-moment identity, see the module docs of
-/// [`super`]).
-fn call_obstacle(model: &TopmModel) -> ExpObstacle<impl Fn(u64, i64) -> f64 + Sync + '_> {
-    let t_total = model.steps();
-    let phi = move |t: u64, c: i64| model.node_price(t_total - t as usize, c);
-    ExpObstacle::new(phi, &model.kernel(), model.lambda(), 1.0, -model.params().strike)
-}
-
-/// Continuation value of a row-`T−1` cell, straight from the payoff row.
-#[inline]
-fn first_step_continuation(model: &TopmModel, j: i64) -> f64 {
-    let t = model.steps();
-    let (s0, s1, s2) = model.weights();
-    s0 * model.exercise_call(t, j).max(0.0)
-        + s1 * model.exercise_call(t, j + 1).max(0.0)
-        + s2 * model.exercise_call(t, j + 2).max(0.0)
-}
-
-/// Premium of cell `(T−1, j)`; red iff `≥ 0`.
-#[inline]
-fn first_step_premium(model: &TopmModel, j: i64) -> f64 {
-    first_step_continuation(model, j) - model.exercise_call(model.steps() - 1, j)
-}
-
-#[inline]
-fn first_step_red(model: &TopmModel, j: i64) -> bool {
-    first_step_premium(model, j) >= 0.0
-}
-
-/// Builds row `T−1` (engine time `t = 1`) with a bracketed-binary-search
-/// boundary (single crossing holds at `T−1` by Lemma A.1's induction).
-fn first_step_row(model: &TopmModel) -> RedRow {
-    let start = model.leaf_call_boundary().max(0);
-    let (mut lo, mut hi);
-    if first_step_red(model, start) {
-        lo = start;
-        hi = start + 1;
-        let mut step = 1i64;
-        while first_step_red(model, hi) {
-            lo = hi;
-            hi += step;
-            step *= 2;
-        }
-    } else {
-        hi = start;
-        lo = start - 1;
-        let mut step = 1i64;
-        while lo >= 0 && !first_step_red(model, lo) {
-            hi = lo;
-            lo -= step;
-            step *= 2;
-        }
-        lo = lo.max(-1);
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if first_step_red(model, mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let premiums: Vec<f64> = (0..=lo).map(|j| first_step_premium(model, j)).collect();
-    RedRow { t: 1, reds: Segment::new(0, premiums), boundary: lo }
-}
-
-/// American call price via the FFT trapezoid decomposition
-/// (`fft-topm` in the paper's plots).
-pub fn price_american_call(model: &TopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
-    if model.params().dividend_yield == 0.0 {
-        return price_european_fft(model, OptionType::Call);
-    }
-    let t_total = model.steps() as u64;
-    let row = first_step_row(model);
-    if row.is_all_green() {
-        return model.exercise_call(0, 0);
-    }
-    let obstacle = call_obstacle(model);
-    solve_to_root(&model.kernel(), &obstacle, row, t_total, 0, cfg)
-}
-
-/// American call price plus the early-exercise boundary sampled at `rows`
-/// roughly equally spaced time steps (the trinomial mirror of
-/// [`crate::bopm::fast::price_with_boundary_samples`]).
-///
-/// Returns `(price, samples)`; each sample is `(i, j_i)` with grid row `i`
-/// (market time step) and *extended-grid* boundary column `j_i` (−1 = all
-/// green; values at or above the row width `2i` mean the triangle row is
-/// all red).  One fast `O(T log² T)` pricing pass — this retires the old
-/// `Θ(T²)` dense sweep as the only way to see a trinomial frontier.
-pub fn price_with_boundary_samples(
-    model: &TopmModel,
-    cfg: &EngineConfig,
-    rows: usize,
-) -> (f64, Vec<(usize, i64)>) {
-    let t_total = model.steps() as u64;
-    let mut samples = Vec::with_capacity(rows + 2);
-    samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly is the Merton no-dividend sentinel, not a tolerance check
-    if model.params().dividend_yield == 0.0 || t_total == 1 {
-        let price = price_american_call(model, cfg);
-        return (price, samples);
-    }
-    let kernel = model.kernel();
-    let obstacle = call_obstacle(model);
-    let mut cur = first_step_row(model);
-    samples.push((model.steps() - 1, cur.boundary));
-    let chunk = (t_total / rows.max(1) as u64).max(1);
-    while cur.t < t_total && !cur.is_all_green() {
-        let h = chunk.min(t_total - cur.t);
-        cur = advance_red_row(&kernel, &obstacle, &cur, h, cfg);
-        samples.push((model.steps() - cur.t as usize, cur.boundary));
-    }
-    let green_root = model.exercise_call(0, 0);
-    let price = if cur.t == t_total && cur.boundary >= 0 && cur.reds.contains(0) {
-        cur.reds.get(0) + green_root
-    } else {
-        green_root
-    };
-    (price, samples)
-}
-
-// ---------------------------------------------------------------------------
-// American put — the left-cone engine.  On the trinomial lattice a fixed
-// column gains a full factor of `u` per backward step, so the put boundary
-// drifts left one-to-two columns every step (the span-2 case of the
-// left-cone drift law); the engine's downward boundary scan handles it.
-// ---------------------------------------------------------------------------
-
-/// Obstacle closure for the American put: `green(t, c) = K − φ(t, c)`.
-fn put_green(model: &TopmModel) -> impl Fn(u64, i64) -> f64 + Sync + '_ {
-    let t_total = model.steps();
-    move |t: u64, c: i64| model.exercise_put(t_total - t as usize, c)
-}
-
-/// Continuation value of a row-`T−1` cell, straight from the payoff row.
-#[inline]
-fn first_step_put_continuation(model: &TopmModel, j: i64) -> f64 {
-    let t = model.steps();
-    let (s0, s1, s2) = model.weights();
-    s0 * model.exercise_put(t, j).max(0.0)
-        + s1 * model.exercise_put(t, j + 1).max(0.0)
-        + s2 * model.exercise_put(t, j + 2).max(0.0)
-}
-
-/// Whether cell `(T−1, j)` is green (exercise beats continuation).
-#[inline]
-fn first_step_put_green(model: &TopmModel, j: i64) -> bool {
-    model.exercise_put(model.steps() - 1, j) >= first_step_put_continuation(model, j)
-}
-
-/// Builds row `T−1` (engine time `t = 1`) with a bracketed-binary-search
-/// last green column — see [`crate::bopm::fast`]'s put driver for why the
-/// expiry transition is materialised explicitly.
-fn first_step_put_row(model: &TopmModel) -> GreenPrefixRow {
-    let t = model.steps() as i64;
-    let leaf = model.leaf_call_boundary();
-    let lo = left_cone::last_green_from(leaf, |j| first_step_put_green(model, j));
-    let row_hi = 2 * (t - 1);
-    let support_end = leaf.min(row_hi);
-    let values: Vec<f64> =
-        ((lo + 1)..=support_end).map(|j| first_step_put_continuation(model, j)).collect();
-    GreenPrefixRow { t: 1, boundary: lo, hi: row_hi, reds: Segment::new(lo + 1, values) }
-}
-
-/// American put price via the left-cone FFT trapezoid decomposition —
-/// `O(T log² T)` work and `O(T)` span.
-pub fn price_american_put(model: &TopmModel, cfg: &EngineConfig) -> f64 {
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly routes puts to the European fast path; any nonzero rate prices American
-    if model.params().rate == 0.0 {
-        // Zero rate ⇒ no early-exercise premium for puts (continuation
-        // ≥ K·e^{−RΔt} − φ·e^{−YΔt} = K − φ·e^{−YΔt} ≥ K − φ node by node).
-        return price_european_fft(model, OptionType::Put);
-    }
-    let t_total = model.steps() as u64;
-    let row = first_step_put_row(model);
-    if row.is_all_green() {
-        return model.exercise_put(0, 0);
-    }
-    let green = put_green(model);
-    left_cone::solve_to_root(&model.kernel(), &green, row, t_total, cfg)
-}
-
-/// American put price plus the early-exercise boundary sampled at `rows`
-/// roughly equally spaced time steps (the trinomial mirror of
-/// [`crate::bopm::fast::price_put_with_boundary_samples`]).
+/// American put price plus the early-exercise boundary sampled every
+/// `T / rows` time steps, expiry first — the one driver behind all four
+/// entry points (`rows = 1` is a plain pricing: one whole-height advance).
 ///
 /// Returns `(price, samples)`; each sample is `(i, f_i)` with grid row `i`
 /// (market time step) and the last green (exercise-optimal) column `f_i`:
 /// `−1` means no exercise region in the row, values at or above the row
-/// width `2i` mean the whole row exercises.
+/// width `2i` mean the whole row exercises.  Sampling stops early once the
+/// whole cone exercises.
 pub fn price_put_with_boundary_samples(
     model: &TopmModel,
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    let t_total = model.steps() as u64;
-    let mut samples = Vec::with_capacity(rows + 2);
-    samples.push((model.steps(), model.leaf_call_boundary()));
-    // amopt-lint: allow(float-eq) -- R = 0.0 exactly is the no-early-exercise sentinel for puts, not a tolerance check
-    if model.params().rate == 0.0 || t_total == 1 {
-        let price = price_american_put(model, cfg);
-        return (price, samples);
+    let t = model.steps();
+    let leaf = model.leaf_call_boundary();
+    let mut samples = vec![(t, leaf)];
+    // amopt-lint: allow(float-eq) -- R = 0.0 exactly routes puts to the European fast path; any nonzero rate prices American
+    if model.params().rate == 0.0 {
+        // Zero rate ⇒ no early-exercise premium for puts (continuation
+        // ≥ K·e^{−RΔt} − φ·e^{−YΔt} = K − φ·e^{−YΔt} ≥ K − φ node by node).
+        return (price_european_fft(model, OptionType::Put), samples);
     }
     let kernel = model.kernel();
-    let green = put_green(model);
-    let mut cur = first_step_put_row(model);
-    samples.push((model.steps() - 1, cur.boundary));
-    let chunk = (t_total / rows.max(1) as u64).max(1);
-    while cur.t < t_total && !cur.is_all_green() {
-        let h = chunk.min(t_total - cur.t);
-        cur = left_cone::advance_green_prefix(&kernel, &green, &cur, h, cfg);
-        samples.push((model.steps() - cur.t as usize, cur.boundary));
-    }
-    let price = if cur.t < t_total {
-        // Green absorbs through the apex.
-        model.exercise_put(0, 0)
-    } else {
-        cur.value_at(&green, 0)
-    };
+    let green = |n: u64, c: i64| model.exercise_put(t - n as usize, c);
+    let row = left_cone::first_step_row(&kernel, &green, leaf, 2 * (t as i64 - 1));
+    samples.push((t - 1, row.boundary));
+    let chunk = (t / rows.max(1)) as u64;
+    let (price, frontier) = left_cone::solve_to_root(&kernel, &green, row, t as u64, chunk, cfg);
+    samples.extend(frontier.into_iter().map(|(n, f)| (t - n as usize, f)));
     (price, samples)
+}
+
+/// American put price via the FFT trapezoid decomposition — `O(T log² T)`
+/// work and `O(T)` span.
+pub fn price_american_put(model: &TopmModel, cfg: &EngineConfig) -> f64 {
+    price_put_with_boundary_samples(model, cfg, 1).0
+}
+
+/// American call price plus the early-exercise boundary sampled at `rows`
+/// roughly equally spaced time steps, via the mirrored put.
+///
+/// Returns `(price, samples)`; each sample is `(i, j_i)` with grid row `i`
+/// (market time step) and the last red (continuation) column `j_i`: `−1`
+/// means the whole row exercises, the row width `2i` that the whole row
+/// continues.
+pub fn price_with_boundary_samples(
+    model: &TopmModel,
+    cfg: &EngineConfig,
+    rows: usize,
+) -> (f64, Vec<(usize, i64)>) {
+    let t = model.steps();
+    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
+    if model.params().dividend_yield == 0.0 {
+        let expiry = (t, model.leaf_call_boundary().min(2 * t as i64));
+        return (price_european_fft(model, OptionType::Call), vec![expiry]);
+    }
+    let (price, mut samples) = price_put_with_boundary_samples(&model.mirrored(), cfg, rows);
+    for (i, col) in &mut samples {
+        let width = 2 * *i as i64;
+        *col = (width - *col - 1).clamp(-1, width);
+    }
+    (price, samples)
+}
+
+/// American call price via the FFT trapezoid decomposition
+/// (`fft-topm` in the paper's plots).
+pub fn price_american_call(model: &TopmModel, cfg: &EngineConfig) -> f64 {
+    price_with_boundary_samples(model, cfg, 1).0
 }
 
 #[cfg(test)]
@@ -305,7 +153,7 @@ mod tests {
         assert_matches_naive(p, 128, 1e-9);
     }
 
-    // --- American put (left-cone engine) ---
+    // --- American put ---
 
     fn assert_put_matches_naive(params: OptionParams, steps: usize, tol: f64) {
         let m = TopmModel::new(params, steps).unwrap();
@@ -372,7 +220,7 @@ mod tests {
 
     #[test]
     fn put_boundary_drops_one_to_two_columns_per_interior_step() {
-        // The span-2 drift law the left-cone engine is built around.
+        // The span-2 drift law the engine is built around.
         let m = TopmModel::new(OptionParams::paper_defaults(), 400).unwrap();
         let t = m.steps();
         let (s0, s1, s2) = m.weights();

@@ -61,16 +61,8 @@ impl TopmModel {
                 reason: "need at least one time step".into(),
             });
         }
-        let dt = params.dt(steps);
-        let ln_up = params.volatility * (2.0 * dt).sqrt();
-        let up = ln_up.exp();
-        let sqrt_u = (ln_up / 2.0).exp();
-        let sqrt_d = 1.0 / sqrt_u;
-        let b = ((params.rate - params.dividend_yield) * dt / 2.0).exp();
-        let p_up = ((b - sqrt_d) / (sqrt_u - sqrt_d)).powi(2);
-        let p_down = ((sqrt_u - b) / (sqrt_u - sqrt_d)).powi(2);
-        let p_mid = 1.0 - p_up - p_down;
-        for (name, p) in [("p_u", p_up), ("p_d", p_down), ("p_o", p_mid)] {
+        let model = Self::derive(params, steps);
+        for (name, p) in [("p_u", model.p_up), ("p_d", model.p_down), ("p_o", model.p_mid)] {
             if !(p > 0.0 && p < 1.0) {
                 return Err(PricingError::UnstableDiscretisation {
                     reason: format!(
@@ -80,8 +72,22 @@ impl TopmModel {
                 });
             }
         }
+        Ok(model)
+    }
+
+    /// Lattice quantities of already-validated inputs.
+    fn derive(params: OptionParams, steps: usize) -> Self {
+        let dt = params.dt(steps);
+        let ln_up = params.volatility * (2.0 * dt).sqrt();
+        let up = ln_up.exp();
+        let sqrt_u = (ln_up / 2.0).exp();
+        let sqrt_d = 1.0 / sqrt_u;
+        let b = ((params.rate - params.dividend_yield) * dt / 2.0).exp();
+        let p_up = ((b - sqrt_d) / (sqrt_u - sqrt_d)).powi(2);
+        let p_down = ((sqrt_u - b) / (sqrt_u - sqrt_d)).powi(2);
+        let p_mid = 1.0 - p_up - p_down;
         let discount = (-params.rate * dt).exp();
-        Ok(TopmModel {
+        TopmModel {
             params,
             steps,
             dt,
@@ -94,7 +100,16 @@ impl TopmModel {
             s1: discount * p_mid,
             s2: discount * p_up,
             discount,
-        })
+        }
+    }
+
+    /// The lattice of the mirrored contract ([`OptionParams::mirrored`]),
+    /// same steps: an American call on `self` is worth exactly an American
+    /// put on the mirror, node `(i, j)` mapping to `(i, 2i − j)`.
+    /// Infallible: all three probabilities lie in `(0, 1)` iff
+    /// `1/√u < e^{(R−Y)Δt/2} < √u`, which is symmetric under `R ↔ Y`.
+    pub fn mirrored(&self) -> Self {
+        Self::derive(self.params.mirrored(), self.steps)
     }
 
     /// The market/contract parameters this lattice was built from.

@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// and stay checked in for reuse (bounded by peak worker concurrency).
 #[derive(Debug, Default)]
 pub struct AdvanceScratch {
-    /// Caller-assembled input row (padded premiums, zero-extended reds, …).
+    /// Caller-assembled input row (stored reds, zero-extended to the cone edge).
     pub staging: Vec<f64>,
     /// Reusable FFT transform buffers.
     pub fft: FftScratch,
@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn trinomial_right_cone_geometry() {
+    fn trinomial_anchor_zero_geometry() {
         let kernel = StencilKernel::new(vec![0.3, 0.33, 0.3], 0);
         let seg = Segment::new(0, rand_real(101, 3));
         let out = advance(&seg, &kernel, 7, Backend::Fft);

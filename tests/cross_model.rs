@@ -125,3 +125,97 @@ fn greeks_and_implied_vol_roundtrip_through_the_fast_pricer() {
     let vol = implied_vol::american_call_bopm(&p, 1024, quote, &cfg).unwrap();
     assert!((vol - p.volatility).abs() < 1e-6, "recovered vol {vol}");
 }
+
+/// The five fast American routes.
+const FAST_ROUTES: [(ModelKind, OptionType); 5] = [
+    (ModelKind::Bopm, OptionType::Call),
+    (ModelKind::Bopm, OptionType::Put),
+    (ModelKind::Topm, OptionType::Call),
+    (ModelKind::Topm, OptionType::Put),
+    (ModelKind::Bsm, OptionType::Put),
+];
+
+/// Prices one contract through a fast route and through its Θ(T²) nest
+/// (BSM contracts must be dividend-free).
+fn fast_and_nest(kind: ModelKind, ty: OptionType, p: OptionParams, steps: usize) -> (f64, f64) {
+    let cfg = EngineConfig::default();
+    let style = ExerciseStyle::American;
+    match kind {
+        ModelKind::Bopm => {
+            let m = BopmModel::new(p, steps).unwrap();
+            let fast = match ty {
+                OptionType::Call => bopm_fast::price_american_call(&m, &cfg),
+                OptionType::Put => bopm_fast::price_american_put(&m, &cfg),
+            };
+            (fast, bopm_naive::price(&m, ty, style, bopm_naive::ExecMode::Serial))
+        }
+        ModelKind::Topm => {
+            let m = TopmModel::new(p, steps).unwrap();
+            let fast = match ty {
+                OptionType::Call => topm_fast::price_american_call(&m, &cfg),
+                OptionType::Put => topm_fast::price_american_put(&m, &cfg),
+            };
+            (fast, topm_naive::price(&m, ty, style, topm_naive::ExecMode::Serial))
+        }
+        ModelKind::Bsm => {
+            let m = BsmModel::new(p, steps).unwrap();
+            let fast = bsm_fast::price_american_put(&m, &cfg);
+            (fast, bsm_naive::price_american_put(&m, bsm_naive::ExecMode::Serial))
+        }
+    }
+}
+
+#[test]
+fn deep_otm_calls_price_to_exactly_zero_never_below() {
+    // Every leaf is out of the money at T = 400, so both nests return
+    // exactly 0.  A premium-space call engine recovered the price as
+    // (K + rounding) − K: −9.09e-12 on TOPM — a negative American price —
+    // and +1.15e-11 on BOPM.  The mirrored put's payoff row is all zeros.
+    let p = OptionParams { spot: 1.0, strike: 1000.0, ..paper() };
+    for kind in [ModelKind::Bopm, ModelKind::Topm] {
+        let (fast, nest) = fast_and_nest(kind, OptionType::Call, p, 400);
+        assert_eq!(nest, 0.0, "{kind:?}");
+        assert!(fast >= 0.0, "{kind:?}: negative American price {fast}");
+        assert_eq!(fast, nest, "{kind:?}");
+    }
+}
+
+#[test]
+fn tiny_trees_and_extreme_moneyness_are_bounded_on_every_route() {
+    // The corner the route adapters introduce: a mirrored or sheared grid
+    // only a few cells wide, with the boundary at or beyond its edge.
+    let pricer = BatchPricer::new(EngineConfig::default());
+    for (kind, ty) in FAST_ROUTES {
+        for steps in [1usize, 2, 3, 8, 9] {
+            for moneyness in [1.0, 1e3, 1e-3] {
+                let mut p = OptionParams { spot: 130.0 * moneyness, strike: 130.0, ..paper() };
+                if kind == ModelKind::Bsm {
+                    p.dividend_yield = 0.0;
+                }
+                let ctx = format!("{kind:?} {ty:?} T={steps} S/K={moneyness}");
+                let (fast, nest) = fast_and_nest(kind, ty, p, steps);
+                let intrinsic = match ty {
+                    OptionType::Call => p.spot - p.strike,
+                    OptionType::Put => p.strike - p.spot,
+                }
+                .max(0.0);
+                assert!(fast.is_finite() && fast >= 0.0, "{ctx}: price {fast}");
+                assert!(fast >= intrinsic * (1.0 - 1e-12), "{ctx}: {fast} below {intrinsic}");
+                assert!((fast - nest).abs() <= 1e-9 * nest.max(1.0), "{ctx}: {fast} vs {nest}");
+
+                // Asking for more frontier rows than there are time steps
+                // walks the tree one step at a time, expiry to valuation.
+                let req = BoundaryRequest::new(kind, ty, p, steps, 16);
+                let frontier = exercise_boundaries(&pricer, &[req]).remove(0).unwrap();
+                assert!(!frontier.is_empty() && frontier.len() <= steps + 1, "{ctx}");
+                assert_eq!(frontier[0].time_step, steps, "{ctx}");
+                for w in frontier.windows(2) {
+                    assert_eq!(w[1].time_step + 1, w[0].time_step, "{ctx}");
+                }
+                for price in frontier.iter().filter_map(|pt| pt.critical_price) {
+                    assert!(price.is_finite() && price > 0.0, "{ctx}: critical price {price}");
+                }
+            }
+        }
+    }
+}

@@ -185,13 +185,7 @@ proptest! {
         steps in 48usize..160,
     ) {
         let cfg = EngineConfig::default();
-        let reflected = OptionParams {
-            spot: params.strike,
-            strike: params.spot,
-            rate: params.dividend_yield,
-            dividend_yield: params.rate,
-            ..params
-        };
+        let reflected = params.mirrored();
         let quoted = OptionParams { volatility: true_vol, ..params };
         let market_put = match BopmModel::new(quoted, steps) {
             Ok(m) => bopm_fast::price_american_put(&m, &cfg),

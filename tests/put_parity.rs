@@ -1,6 +1,8 @@
-//! Property tests for the fast American puts (left-cone engine): naive-loop
-//! equivalence across a randomized parameter grid, the discrete put–call
-//! symmetry, boundary monotonicity, and batch-of-one bitwise identity.
+//! Property tests for the fast American puts: naive-loop equivalence across
+//! a randomized parameter grid, the discrete put–call symmetry (against the
+//! Θ(T²) *call* nests — the fast calls are themselves mirrored puts, so the
+//! nests are the independent side), boundary monotonicity, and batch-of-one
+//! bitwise identity.
 
 use american_option_pricing::prelude::*;
 use proptest::prelude::*;
@@ -57,25 +59,36 @@ proptest! {
     fn bopm_put_call_symmetry_holds(p in arb_params(), steps in 16usize..500) {
         // McDonald–Schroder discrete symmetry, exact on CRR lattices
         // (u·d = 1): P(S, K, R, Y) = C(K, S, Y, R).  The put prices through
-        // the left-cone engine, the call through the right-cone engine —
-        // two independent code paths agreeing through a nontrivial identity.
-        let mirrored = OptionParams {
-            spot: p.strike,
-            strike: p.spot,
-            rate: p.dividend_yield,
-            dividend_yield: p.rate,
-            ..p
-        };
+        // the fast engine, the mirrored call through the Θ(T²) call nest —
+        // two code paths sharing nothing, agreeing through a nontrivial
+        // identity.
         prop_assume!(BopmModel::new(p, steps).is_ok());
         // |R−Y| and V·√Δt are symmetric, so the mirror is stable too.
         let put_m = BopmModel::new(p, steps).unwrap();
-        let call_m = BopmModel::new(mirrored, steps).unwrap();
-        let cfg = EngineConfig::default();
-        let put = bopm_fast::price_american_put(&put_m, &cfg);
-        let call = bopm_fast::price_american_call(&call_m, &cfg);
+        let call_m = BopmModel::new(p.mirrored(), steps).unwrap();
+        let put = bopm_fast::price_american_put(&put_m, &EngineConfig::default());
+        let call = bopm_naive::price(
+            &call_m, OptionType::Call, ExerciseStyle::American, bopm_naive::ExecMode::Serial);
         prop_assert!(
             (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
-            "put {} vs mirrored call {}", put, call
+            "put {} vs mirrored call nest {}", put, call
+        );
+    }
+
+    #[test]
+    fn topm_put_call_symmetry_holds(p in arb_params(), steps in 16usize..400) {
+        // The same identity on the trinomial lattice (u·d = 1 there too):
+        // column j of the call row maps to column 2i − j of the put row.
+        prop_assume!(TopmModel::new(p, steps).is_ok());
+        prop_assume!(TopmModel::new(p.mirrored(), steps).is_ok());
+        let put_m = TopmModel::new(p, steps).unwrap();
+        let call_m = TopmModel::new(p.mirrored(), steps).unwrap();
+        let put = topm_fast::price_american_put(&put_m, &EngineConfig::default());
+        let call = topm_naive::price(
+            &call_m, OptionType::Call, ExerciseStyle::American, topm_naive::ExecMode::Serial);
+        prop_assert!(
+            (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
+            "put {} vs mirrored call nest {}", put, call
         );
     }
 
@@ -127,26 +140,24 @@ proptest! {
     }
 }
 
-/// The engine-vs-engine symmetry at a size where the trapezoid recursion is
-/// deep on both sides (non-property, one deterministic heavyweight case).
+/// The engine-vs-nest symmetry at a size where the trapezoid recursion is
+/// deep (non-property, one deterministic heavyweight case).
 #[test]
 fn put_call_symmetry_at_depth() {
     let p = OptionParams::paper_defaults();
-    let mirrored = OptionParams {
-        spot: p.strike,
-        strike: p.spot,
-        rate: p.dividend_yield,
-        dividend_yield: p.rate,
-        ..p
-    };
-    let cfg = EngineConfig::default();
-    let put = bopm_fast::price_american_put(&BopmModel::new(p, 8192).unwrap(), &cfg);
-    let call = bopm_fast::price_american_call(&BopmModel::new(mirrored, 8192).unwrap(), &cfg);
-    assert!((put - call).abs() < 1e-8 * call.max(1.0), "put {put} vs mirrored call {call}");
+    let put =
+        bopm_fast::price_american_put(&BopmModel::new(p, 8192).unwrap(), &EngineConfig::default());
+    let call = bopm_naive::price(
+        &BopmModel::new(p.mirrored(), 8192).unwrap(),
+        OptionType::Call,
+        ExerciseStyle::American,
+        bopm_naive::ExecMode::Serial,
+    );
+    assert!((put - call).abs() < 1e-8 * call.max(1.0), "put {put} vs mirrored call nest {call}");
 }
 
-/// The batch layer routes American puts through the fast engines — assert
-/// the route is genuinely the left-cone pricer, not the Θ(T²) loop nest,
+/// The batch layer routes American puts through the fast engine — assert
+/// the route is genuinely the fast pricer, not the Θ(T²) loop nest,
 /// by checking bitwise identity against the fast path (which differs from
 /// the naive path in the last few ulps).
 #[test]
