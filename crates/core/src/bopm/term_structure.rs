@@ -18,7 +18,7 @@
 use super::BopmModel;
 use crate::error::{PricingError, Result};
 use crate::params::{OptionParams, OptionType};
-use amopt_fft::{fft_real, ifft_real, next_pow2, Complex64};
+use amopt_fft::{kernel_response, next_pow2, RealFft};
 
 /// One segment of the volatility term structure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,18 +118,15 @@ pub fn price_european_term_fft(
     // Spectral chain: one forward transform, per-segment pointwise powers,
     // one inverse.
     let n = next_pow2(payoff.len());
-    let sx = fft_real(&payoff, n);
-    let mut spec = sx;
-    for (taps, steps) in &kernels {
-        if *steps == 0 {
-            continue;
-        }
-        let sk = kernel_spectrum(taps, n);
-        for (x, k) in spec.iter_mut().zip(&sk) {
-            *x *= k.conj().powu(*steps as u64);
-        }
-    }
-    let out = ifft_real(spec, 1);
+    let real = RealFft::new(n);
+    let mut spec = Vec::new();
+    real.forward(&payoff, &mut spec);
+    real.map_bins(&mut spec, |k, x| {
+        kernels
+            .iter()
+            .fold(x, |x, (taps, steps)| x * kernel_response(taps, k, n).conj().powu(*steps as u64))
+    });
+    let out = real.inverse(&mut spec, 1);
     let put = out[0];
     Ok(match opt {
         OptionType::Put => put,
@@ -151,19 +148,6 @@ pub fn price_european_term_fft(
             put + params.spot * lambda - params.strike * mu
         }
     })
-}
-
-fn kernel_spectrum(taps: &[f64; 3], n: usize) -> Vec<Complex64> {
-    let step = -2.0 * std::f64::consts::PI / n as f64;
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex64::ZERO;
-            for (m, &w) in taps.iter().enumerate() {
-                acc += Complex64::cis(step * (k * m % n) as f64) * w;
-            }
-            acc
-        })
-        .collect()
 }
 
 /// Reference: dense backward induction with the same per-segment kernels.

@@ -7,33 +7,48 @@
 //! pointwise powering `FFT(w)^h` — this is the linear-stencil algorithm of
 //! Ahmad et al. (SPAA 2021), reference \[1\] of the paper.
 //!
-//! Aliasing correctness: with transform size `n = next_pow2(x.len())`, the
-//! cyclic correlation at output index `c` touches `x[c] … x[c + |W| − 1]`;
+//! The row is real, so it travels as `n/2` complex points
+//! ([`RealFft`]: samples `2j`, `2j+1` in one point, one `n/2`-point
+//! transform), and only bins `0 … n/2` of its length-`n` spectrum are ever
+//! formed: the correlation multiplies bin `k` by `conj(K_k)^h`, a multiplier
+//! with the row's own conjugate symmetry, so the upper half of the product
+//! is the conjugate of the lower and the packed inverse rebuilds the real
+//! output from the lower half alone.
+//!
+//! Aliasing correctness: packing changes how the length-`n` cyclic
+//! correlation is computed, not what it is.  With `n = next_pow2(x.len())`,
+//! the cyclic correlation at output index `c` touches `x[c] … x[c + |W| − 1]`;
 //! for every index in the *valid* output range `c ≤ x.len() − |W|` this stays
-//! below `x.len() ≤ n`, so no wrapped (aliased) term is ever read.
+//! below `x.len() ≤ n`, so no wrapped (aliased) term is ever read — the
+//! period is still `n`, not the `n/2` of the transform that carries it.
+//!
+//! The multiplier is evaluated *directly* per bin, `K_k = Σ_m w_m
+//! e^{−2πikm/n}`, rather than by transforming the kernel alongside `x`: a
+//! shared transform would leave the tiny kernel spectrum with absolute error
+//! proportional to ‖x‖, which the pointwise `h`-th power then amplifies by a
+//! factor of `h` — observed as ~1e-6 price error at T = 252.  Direct
+//! evaluation is exact to ε and costs O(σ) per bin for a σ-tap kernel, over
+//! `n/2 + 1` bins; `K_0` and `K_{n/2}` are sums of `±w_m` and are taken as the
+//! real numbers they are.
 
 use crate::bluestein;
 use crate::complex::Complex64;
 use crate::radix2::{next_pow2, Direction};
-use crate::real::{fft_two_real, ifft_real};
+use crate::real::RealFft;
 
-/// Reusable buffers for [`correlate_power_valid_with`].
+/// Reusable buffer for [`correlate_power_valid_with`].
 ///
-/// One correlation needs two transform-sized complex buffers (the row
-/// spectrum, operated on in place, and the directly-evaluated kernel
-/// spectrum).  Holding them in a scratch that outlives the call makes
-/// repeated correlations — the trapezoid engines issue thousands per
+/// One correlation needs one complex buffer of half the transform size: the
+/// packed row, its spectrum, the pointwise product and the inverse transform
+/// all live in it in turn.  Holding it in a scratch that outlives the call
+/// makes repeated correlations — the trapezoid engines issue thousands per
 /// pricing — allocation-free apart from the returned output vector, which
-/// the caller keeps.  Buffers grow to the largest transform seen and never
-/// shrink; pool instances per worker (e.g. via
+/// the caller keeps.  The buffer grows to the largest transform seen and
+/// never shrinks; pool instances per worker (e.g. via
 /// `amopt_parallel::WorkspacePool`) rather than sharing one.
 #[derive(Debug, Default)]
 pub struct FftScratch {
-    /// Row buffer: holds the padded input, its spectrum, the pointwise
-    /// product, and finally the inverse transform.
     buf: Vec<Complex64>,
-    /// Directly evaluated kernel spectrum.
-    kspec: Vec<Complex64>,
 }
 
 /// Full linear convolution of two real sequences (`len = a + b − 1`).
@@ -52,10 +67,12 @@ pub fn linear_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
         }
         return out;
     }
-    let n = next_pow2(out_len);
-    let (sa, sb) = fft_two_real(a, b, n);
-    let spec: Vec<Complex64> = sa.iter().zip(&sb).map(|(&x, &y)| x * y).collect();
-    ifft_real(spec, out_len)
+    let real = RealFft::new(next_pow2(out_len));
+    let sa = real.spectrum(a);
+    let mut buf = Vec::new();
+    real.forward(b, &mut buf);
+    real.map_bins(&mut buf, |k, v| v * sa[k]);
+    real.inverse(&mut buf, out_len)
 }
 
 /// Number of taps of the `h`-fold self-convolution of a kernel of `k` taps.
@@ -80,9 +97,9 @@ pub fn correlate_power_valid(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
     correlate_power_valid_with(x, kernel, h, &mut FftScratch::default())
 }
 
-/// [`correlate_power_valid`] with caller-owned scratch buffers: bitwise the
-/// same output, but the two transform-sized complex buffers are reused
-/// across calls instead of reallocated.
+/// [`correlate_power_valid`] with a caller-owned scratch buffer: bitwise the
+/// same output, but the transform buffer is reused across calls instead of
+/// reallocated.
 pub fn correlate_power_valid_with(
     x: &[f64],
     kernel: &[f64],
@@ -111,42 +128,38 @@ pub fn correlate_power_valid_with(
     }
 
     let n = next_pow2(x.len());
+    if n < 4 {
+        // Two cells host one step of a two-tap kernel and nothing else, so
+        // the power kernel is the kernel: no transform that small exists.
+        // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
+        return x.windows(w_len).map(|c| c.iter().zip(kernel).map(|(v, w)| v * w).sum()).collect();
+    }
+    let real = RealFft::new(n);
     let buf = &mut scratch.buf;
-    buf.clear();
-    buf.resize(n, Complex64::ZERO);
-    for (slot, &v) in buf.iter_mut().zip(x) {
-        slot.re = v;
-    }
-    let plan = crate::radix2::plan(n);
-    plan.forward(buf);
-    // The kernel spectrum is evaluated *directly* rather than packed into the
-    // same transform as `x`: a shared transform would leave the tiny kernel
-    // spectrum with absolute error proportional to ‖x‖, which the pointwise
-    // `h`-th power then amplifies by a factor of `h` — observed as ~1e-6
-    // price error at T = 252.  Direct evaluation is exact to ε and costs only
-    // O(σ·n) for σ-tap kernels.
-    kernel_spectrum_into(kernel, n, &mut scratch.kspec);
-    for (xv, kv) in buf.iter_mut().zip(&scratch.kspec) {
-        *xv *= kv.conj().powu(h);
-    }
-    plan.inverse(buf);
-    // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller; transform buffers come from FftScratch
-    buf[..out_len].iter().map(|v| v.re).collect()
+    real.forward(x, buf);
+    real.map_bins(buf, |k, v| {
+        let response = kernel_response(kernel, k, n);
+        if k == 0 || 2 * k == n {
+            // Sums of ±w_m: real, and the imaginary part only sin(π)'s rounding.
+            v.scale(response.re.powf(h as f64))
+        } else {
+            v * response.conj().powu(h)
+        }
+    });
+    real.inverse(buf, out_len)
 }
 
-/// Direct evaluation of the length-`n` DFT of a short real kernel:
-/// `K[k] = Σ_m w_m e^{−2πi k m / n}`, written into a reusable buffer.
-fn kernel_spectrum_into(kernel: &[f64], n: usize, out: &mut Vec<Complex64>) {
+/// Direct evaluation of bin `k` of the length-`n` DFT of a short real
+/// kernel: `K_k = Σ_m w_m e^{−2πi k m / n}`.
+#[inline]
+pub fn kernel_response(kernel: &[f64], k: usize, n: usize) -> Complex64 {
     // amopt-lint: hot-path
     let step = -2.0 * std::f64::consts::PI / n as f64;
-    out.clear();
-    out.extend((0..n).map(|k| {
-        let mut acc = Complex64::ZERO;
-        for (m, &w) in kernel.iter().enumerate() {
-            acc += Complex64::cis(step * (k * m % n) as f64) * w;
-        }
-        acc
-    }));
+    let mut acc = Complex64::ZERO;
+    for (m, &w) in kernel.iter().enumerate() {
+        acc += Complex64::cis(step * (k * m % n) as f64) * w;
+    }
+    acc
 }
 
 /// Periodic (cyclic) variant: evolves a periodic grid of `x.len()` cells by
@@ -191,12 +204,12 @@ pub fn kernel_power_taps(kernel: &[f64], h: u64) -> Vec<f64> {
         return kernel.to_vec();
     }
     let w_len = power_kernel_len(kernel.len(), h);
-    let n = next_pow2(w_len);
-    let mut spec = crate::real::fft_real(kernel, n);
-    for v in spec.iter_mut() {
-        *v = v.powu(h);
-    }
-    ifft_real(spec, w_len)
+    // (A one-tap kernel has a one-tap power; it still needs the smallest plan.)
+    let real = RealFft::new(next_pow2(w_len).max(4));
+    let mut buf = Vec::new();
+    real.forward(kernel, &mut buf);
+    real.map_bins(&mut buf, |_, v| v.powu(h));
+    real.inverse(&mut buf, w_len)
 }
 
 #[cfg(test)]
@@ -329,6 +342,92 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-10, "h={h}");
             }
+        }
+    }
+
+    /// `h` explicit single steps: the reference semantics.
+    fn stepped(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+        (0..h).fold(x.to_vec(), |row, _| naive_correlate_valid(&row, kernel))
+    }
+
+    fn assert_rows_close(got: &[f64], want: &[f64], tol: f64, ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (c, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() < tol, "{ctx} c={c}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn degenerate_rows_match_the_stepped_reference() {
+        // Two cells (no transform that small: the direct sum), three (odd, the
+        // smallest transform, no bin pairs) and on up through odd and even
+        // lengths, at every height the row can host.
+        for kernel in [&[0.48, 0.5][..], &[0.3, 0.35, 0.3]] {
+            for len in 2usize..=17 {
+                let x = rand_real(len, 40 + len as u64);
+                for h in (1u64..).take_while(|&h| power_kernel_len(kernel.len(), h) <= len) {
+                    let got = correlate_power_valid(&x, kernel, h);
+                    let ctx = format!("taps={} len={len} h={h}", kernel.len());
+                    assert_rows_close(&got, &stepped(&x, kernel, h), 1e-13, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dc_and_nyquist_multipliers_are_real_whatever_their_sign() {
+        // K(π) = 0.2 − 0.7 = −0.5: a negative real raised to odd and even
+        // powers; and K(π) = 0.5 − 0.5 = 0, which must annihilate the bin.
+        for kernel in [[0.2, 0.7], [0.5, 0.5]] {
+            let nyquist = kernel[0] - kernel[1];
+            for h in [1u64, 2, 7, 8] {
+                // A pure Nyquist row is an eigenvector: every cell picks up
+                // K(π) per step.  64 cells fill the transform exactly.
+                let alternating: Vec<f64> =
+                    (0..64).map(|j| if j % 2 == 0 { 1.0 } else { -1.0 }).collect();
+                let got = correlate_power_valid(&alternating, &kernel, h);
+                let want: Vec<f64> = alternating[..64 - h as usize]
+                    .iter()
+                    .map(|s| s * nyquist.powi(h as i32))
+                    .collect();
+                assert_rows_close(&got, &want, 1e-15, &format!("{kernel:?} alternating h={h}"));
+                for len in [33usize, 64] {
+                    let x = rand_real(len, len as u64);
+                    let got = correlate_power_valid(&x, &kernel, h);
+                    let ctx = format!("{kernel:?} len={len} h={h}");
+                    assert_rows_close(&got, &stepped(&x, &kernel, h), 1e-13, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_carries_no_state_between_calls() {
+        let x = rand_real(301, 5);
+        let kernel = [0.3, 0.35, 0.3];
+        let fresh = correlate_power_valid(&x, &kernel, 40);
+        let mut scratch = FftScratch::default();
+        // A larger transform with another kernel first, then a smaller one.
+        correlate_power_valid_with(&rand_real(5000, 6), &[0.48, 0.5], 900, &mut scratch);
+        correlate_power_valid_with(&rand_real(9, 7), &[0.48, 0.5], 3, &mut scratch);
+        let reused = correlate_power_valid_with(&x, &kernel, 40, &mut scratch);
+        assert_eq!(fresh, reused);
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_single_bit() {
+        // 2¹⁶ cells: the half-length transform is at the size where the
+        // butterfly passes fork.
+        let x = rand_real(1 << 16, 11);
+        let kernel = [0.48, 0.5];
+        let one = amopt_parallel::run_with_threads(1, || correlate_power_valid(&x, &kernel, 5000));
+        let two = amopt_parallel::run_with_threads(2, || correlate_power_valid(&x, &kernel, 5000));
+        assert_eq!(one, two);
+        // and it is the right row: spot-check against explicit taps
+        let taps = kernel_power_taps(&kernel, 5000);
+        for c in [0usize, 1, 30_000, (1 << 16) - 5001] {
+            let want: f64 = taps.iter().zip(&x[c..]).map(|(w, v)| w * v).sum();
+            assert!((one[c] - want).abs() < 1e-10, "c={c}: {} vs {want}", one[c]);
         }
     }
 

@@ -8,7 +8,8 @@
 //! * [`radix2`] — iterative power-of-two Cooley–Tukey transform with a
 //!   process-wide plan cache and fork-join parallel butterfly passes.
 //! * [`bluestein`] — arbitrary-length transforms via the chirp-z identity.
-//! * [`real`] — two-for-one real-input packing.
+//! * [`real`] — the real-input transform: a length-`n` real row through one
+//!   `n/2`-point complex FFT, bins `0 … n/2` only.
 //! * [`convolve`] — linear convolution plus the kernel-power correlation
 //!   primitives ([`correlate_power_valid`], [`correlate_power_periodic`])
 //!   that implement the linear-stencil algorithm of Ahmad et al. (SPAA 2021),
@@ -28,7 +29,7 @@ pub mod real;
 pub use complex::{c64, Complex64};
 pub use convolve::{
     correlate_power_periodic, correlate_power_valid, correlate_power_valid_with, kernel_power_taps,
-    linear_convolve, power_kernel_len, FftScratch,
+    kernel_response, linear_convolve, power_kernel_len, FftScratch,
 };
 pub use radix2::{fft, ifft, next_pow2, plan, Direction, Fft};
-pub use real::{fft_real, fft_two_real, ifft_real};
+pub use real::RealFft;

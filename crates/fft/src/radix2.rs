@@ -57,6 +57,12 @@ impl Fft {
         self.n == 0
     }
 
+    /// The plan's root of unity `e^{-2πi j / n}`, for `j ∈ [0, n/2)`.
+    #[inline]
+    pub fn twiddle(&self, j: usize) -> Complex64 {
+        self.twiddles[j]
+    }
+
     /// In-place forward DFT.
     pub fn forward(&self, buf: &mut [Complex64]) {
         self.transform(buf, Direction::Forward);
@@ -235,7 +241,7 @@ pub fn next_pow2(n: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::complex::c64;
 

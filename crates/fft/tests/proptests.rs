@@ -3,7 +3,7 @@
 
 use amopt_fft::{
     c64, correlate_power_periodic, correlate_power_valid, fft, ifft, kernel_power_taps,
-    linear_convolve, Complex64,
+    linear_convolve, power_kernel_len, Complex64, RealFft,
 };
 use proptest::prelude::*;
 
@@ -28,8 +28,59 @@ fn arb_signal(max_pow: u32) -> impl Strategy<Value = Vec<Complex64>> {
     })
 }
 
+/// A real row of any length (odd or even) up to its transform size
+/// `n ∈ {4 … 4 096}`, with that size.
+fn arb_real_row() -> impl Strategy<Value = (usize, Vec<f64>)> {
+    (2u32..=12).prop_flat_map(|p| {
+        let n = 1usize << p;
+        prop::collection::vec(-10.0..10.0f64, n / 2 + 1..n + 1).prop_map(move |x| (n, x))
+    })
+}
+
+/// A 2- or 3-tap kernel of unit mass (so that thousands of steps neither
+/// blow the row up nor decay it below the tolerance) and a row that hosts
+/// `h` steps of it with 1 … 64 cells to spare.
+fn arb_kernel_and_row(max_h: u64) -> impl Strategy<Value = (Vec<f64>, u64, Vec<f64>)> {
+    (prop::collection::vec(0.1..0.5f64, 2..4), 1..=max_h, 1usize..=64).prop_flat_map(
+        |(w, h, spare)| {
+            let mass: f64 = w.iter().sum();
+            let kernel: Vec<f64> = w.iter().map(|v| v / mass).collect();
+            let len = power_kernel_len(kernel.len(), h) + spare - 1;
+            prop::collection::vec(-3.0..3.0f64, len).prop_map(move |x| (kernel.clone(), h, x))
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn real_bins_match_the_naive_dft(row in arb_real_row()) {
+        let (n, x) = row;
+        let got = RealFft::new(n).spectrum(&x);
+        prop_assert_eq!(got.len(), n / 2 + 1);
+        let mut padded: Vec<Complex64> = x.iter().map(|&v| Complex64::from(v)).collect();
+        padded.resize(n, Complex64::ZERO);
+        let want = dft_naive(&padded);
+        let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!((*g - *w).abs() < 1e-10 * scale, "n={} k={}", n, k);
+        }
+    }
+
+    #[test]
+    fn real_inverse_of_forward_is_the_identity(row in arb_real_row()) {
+        let (n, x) = row;
+        let real = RealFft::new(n);
+        let mut buf = Vec::new();
+        real.forward(&x, &mut buf);
+        real.map_bins(&mut buf, |_, v| v);
+        let back = real.inverse(&mut buf, x.len());
+        prop_assert_eq!(back.len(), x.len());
+        for (g, w) in back.iter().zip(&x) {
+            prop_assert!((g - w).abs() < 1e-10);
+        }
+    }
 
     #[test]
     fn fft_matches_naive_dft(x in arb_signal(8)) {
@@ -108,6 +159,19 @@ proptest! {
     }
 
     #[test]
+    fn valid_correlation_matches_explicit_power_taps(case in arb_kernel_and_row(64)) {
+        let (kernel, h, x) = case;
+        let taps = kernel_power_taps(&kernel, h);
+        let got = correlate_power_valid(&x, &kernel, h);
+        prop_assert_eq!(got.len(), x.len() + 1 - taps.len());
+        let scale: f64 = x.iter().map(|v| v.abs()).fold(1.0, f64::max);
+        for (c, g) in got.iter().enumerate() {
+            let want: f64 = taps.iter().zip(&x[c..]).map(|(w, v)| w * v).sum();
+            prop_assert!((g - want).abs() < 1e-10 * scale, "{} vs {}", g, want);
+        }
+    }
+
+    #[test]
     fn periodic_correlation_conserves_mass(
         x in prop::collection::vec(-3.0..3.0f64, 4..60),
         h in 1u64..10,
@@ -118,5 +182,25 @@ proptest! {
         let lhs: f64 = got.iter().sum();
         let rhs: f64 = x.iter().sum();
         prop_assert!((lhs - rhs).abs() < 1e-8 * (1.0 + rhs.abs()));
+    }
+}
+
+proptest! {
+    // Each case steps a row of up to 8 256 cells up to 4 096 times.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn deep_valid_correlation_matches_stepped_reference(case in arb_kernel_and_row(4096)) {
+        let (kernel, h, x) = case;
+        let got = correlate_power_valid(&x, &kernel, h);
+        let mut row = x.clone();
+        for _ in 0..h {
+            row = row.windows(kernel.len()).map(|c| c.iter().zip(&kernel).map(|(v, w)| v * w).sum()).collect();
+        }
+        prop_assert_eq!(got.len(), row.len());
+        let scale: f64 = x.iter().map(|v| v.abs()).fold(1.0, f64::max);
+        for (g, w) in got.iter().zip(&row) {
+            prop_assert!((g - w).abs() < 1e-9 * scale, "h={}: {} vs {}", h, g, w);
+        }
     }
 }

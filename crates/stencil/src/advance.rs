@@ -255,6 +255,29 @@ mod tests {
     }
 
     #[test]
+    fn fft_backend_agrees_where_the_nyquist_response_is_negative_or_zero() {
+        // K(π) = 0.2 − 0.7 = −0.5 and K(π) = 0.5 − 0.5 = 0, at odd and even
+        // heights, on rows (odd and even, past the stepped cut-off) that
+        // carry most of their energy in the alternating mode.
+        for weights in [vec![0.2, 0.7], vec![0.5, 0.5]] {
+            let kernel = StencilKernel::new(weights.clone(), 0);
+            for len in [65usize, 128, 129] {
+                let values: Vec<f64> = rand_real(len, len as u64)
+                    .iter()
+                    .enumerate()
+                    .map(|(j, v)| 0.1 * v + if j % 2 == 0 { 1.0 } else { -1.0 })
+                    .collect();
+                let seg = Segment::new(3, values);
+                for h in [1u64, 2, 7, 8, 63] {
+                    let f = advance(&seg, &kernel, h, Backend::Fft);
+                    let s = advance(&seg, &kernel, h, Backend::Stepped);
+                    assert_close(&f, &s, 1e-13, &format!("{weights:?} len={len} h={h}"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn trinomial_anchor_zero_geometry() {
         let kernel = StencilKernel::new(vec![0.3, 0.33, 0.3], 0);
         let seg = Segment::new(0, rand_real(101, 3));
