@@ -1,5 +1,8 @@
 //! **unsafe-confined** — the `unsafe` keyword may appear only inside the
-//! `shims/epoll` crate.
+//! `shims/epoll` crate (raw epoll/eventfd syscalls) and the `shims/rayon`
+//! crate (the one lifetime erasure by which a fork-join pool lends a
+//! stack-borrowed closure to a running worker thread, as the upstream crate
+//! it stands in for does).
 //!
 //! Every other crate in the workspace carries `#![forbid(unsafe_code)]`,
 //! but that attribute is self-policing: a future edit could delete the
@@ -7,9 +10,9 @@
 //! This lint is the independent witness — it fires on *any* `unsafe`
 //! token (blocks, `unsafe fn`, `unsafe impl`, `unsafe trait`) in a file
 //! the workspace driver routes to it, and the driver routes every file
-//! except those under `shims/epoll/`.  There is deliberately no
-//! test-code exemption: tests have no more business dereferencing raw
-//! pointers than the hot path does.
+//! except those under `shims/epoll/` and `shims/rayon/`.  There is
+//! deliberately no test-code exemption: tests have no more business
+//! dereferencing raw pointers than the hot path does.
 //!
 //! The keyword cannot appear in a false-positive position in valid Rust
 //! (`unsafe` is reserved; it is not a method or variable name), so a bare
@@ -30,8 +33,9 @@ pub fn unsafe_confined(file: &SourceFile, findings: &mut Vec<Finding>) {
             "unsafe-confined",
             file,
             tok.start,
-            "`unsafe` outside `shims/epoll`; all raw-syscall surface lives in that one \
-             audited crate — wrap the need in a safe shim API instead"
+            "`unsafe` outside `shims/epoll` and `shims/rayon`; raw syscalls and the \
+             scheduler's job-lending live in those two audited crates — wrap the need in a \
+             safe shim API instead"
                 .to_string(),
         ));
     }

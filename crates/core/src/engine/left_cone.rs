@@ -348,8 +348,12 @@ where
             kernel_scope!(BoundaryWindow);
             advance_green_prefix(kernel, green, &sub_row, h1, cfg)
         };
-        let (bulk_out, sub_out) =
-            if parallel { join(bulk_task, sub_task) } else { (bulk_task(), sub_task()) };
+        // The window goes first: it is the long chain every later iteration
+        // waits for, so the forking worker keeps it and lends out the bulk —
+        // one correlation, with forks of its own, that any idle worker can
+        // take whole.
+        let (sub_out, bulk_out) =
+            if parallel { join(sub_task, bulk_task) } else { (sub_task(), bulk_task()) };
 
         debug_assert_eq!(sub_out.t, cur.t + h1);
         debug_assert_eq!(sub_out.hi, f);

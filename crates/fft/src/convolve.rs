@@ -417,17 +417,22 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_a_single_bit() {
         // 2¹⁶ cells: the half-length transform is at the size where the
-        // butterfly passes fork.
+        // butterfly passes and the pointwise pass fork.
         let x = rand_real(1 << 16, 11);
-        let kernel = [0.48, 0.5];
-        let one = amopt_parallel::run_with_threads(1, || correlate_power_valid(&x, &kernel, 5000));
-        let two = amopt_parallel::run_with_threads(2, || correlate_power_valid(&x, &kernel, 5000));
-        assert_eq!(one, two);
-        // and it is the right row: spot-check against explicit taps
-        let taps = kernel_power_taps(&kernel, 5000);
-        for c in [0usize, 1, 30_000, (1 << 16) - 5001] {
-            let want: f64 = taps.iter().zip(&x[c..]).map(|(w, v)| w * v).sum();
-            assert!((one[c] - want).abs() < 1e-10, "c={c}: {} vs {want}", one[c]);
+        for (kernel, h) in [(&[0.48, 0.5][..], 5000u64), (&[0.3, 0.35, 0.3], 2500)] {
+            let on = |threads| {
+                amopt_parallel::run_with_threads(threads, || correlate_power_valid(&x, kernel, h))
+            };
+            let one = on(1);
+            assert_eq!(one, on(2));
+            assert_eq!(one, on(3));
+            assert_eq!(one, correlate_power_valid(&x, kernel, h), "default pool");
+            // and it is the right row: spot-check against explicit taps
+            let taps = kernel_power_taps(kernel, h);
+            for c in [0usize, 1, 30_000, (1 << 16) - taps.len()] {
+                let want: f64 = taps.iter().zip(&x[c..]).map(|(w, v)| w * v).sum();
+                assert!((one[c] - want).abs() < 1e-10, "c={c}: {} vs {want}", one[c]);
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::complex::Complex64;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +19,9 @@ pub enum Direction {
     Inverse,
 }
 
-/// Problem sizes at or below this length always run serially; forking costs
-/// more than the butterflies themselves.
+/// Transforms shorter than this run serially.  A fork costs about a
+/// microsecond (a stolen one a wake-up more), and a pass over fewer points
+/// than this is tens of microseconds of butterflies: too little to share.
 const PAR_MIN_LEN: usize = 1 << 14;
 
 /// A reusable transform plan for one power-of-two size.
@@ -77,11 +78,26 @@ impl Fft {
     pub fn transform(&self, buf: &mut [Complex64], dir: Direction) {
         // amopt-lint: hot-path
         assert_eq!(buf.len(), self.n, "buffer length {} != plan size {}", buf.len(), self.n);
+        let inverse = dir == Direction::Inverse;
+        if self.n >= PAR_MIN_LEN {
+            // Every pass forks.  Forking from a pool worker is a deque push;
+            // from a thread outside the pool it is a hand-over and a wait.
+            // This join moves such a caller's whole transform onto a worker,
+            // so it pays one hand-over rather than one per pass (on a worker
+            // the join itself is a push and a pop).
+            amopt_parallel::join(|| self.passes(buf, inverse), || ());
+        } else {
+            self.passes(buf, inverse);
+        }
+    }
+
+    /// Bit reversal, the butterfly passes and, for the inverse, the scaling.
+    fn passes(&self, buf: &mut [Complex64], inverse: bool) {
+        // amopt-lint: hot-path
         if self.n <= 1 {
             return;
         }
         bit_reverse_permute(buf);
-        let inverse = dir == Direction::Inverse;
 
         let mut len = 1; // half the butterfly block size
         while len < self.n {
@@ -217,11 +233,25 @@ fn bit_reverse_permute(buf: &mut [Complex64]) {
 }
 
 /// Returns the cached plan for power-of-two size `n`, creating it on first use.
+///
+/// # Panics
+/// If `n` is zero or not a power of two — before the cache is touched, so a
+/// bad size costs the caller its own call and nobody else theirs.
 pub fn plan(n: usize) -> Arc<Fft> {
     static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Fft>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("fft plan cache poisoned");
-    map.entry(n).or_insert_with(|| Arc::new(Fft::new(n))).clone()
+    assert!(n.is_power_of_two(), "radix-2 FFT size must be a power of two, got {n}");
+    // Nothing can panic under this lock (lookups and inserts of `Arc`s), so a
+    // poisoned guard still holds a valid map.
+    let cache =
+        || CACHE.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(plan) = cache().get(&n) {
+        return Arc::clone(plan);
+    }
+    // Built outside the lock: a first large plan (1.4 ms at n = 2¹⁸) must not
+    // stall lookups of other sizes.  Two threads may both build; the first
+    // insert wins and both return that one.
+    let built = Arc::new(Fft::new(n));
+    Arc::clone(cache().entry(n).or_insert(built))
 }
 
 /// Convenience: forward transform through the plan cache.
@@ -366,6 +396,33 @@ pub(crate) mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2() {
         Fft::new(12);
+    }
+
+    #[test]
+    fn a_rejected_size_does_not_poison_the_plan_cache() {
+        // `plan`, `fft` and `ifft` are public: a bad size must fail its own
+        // caller and leave the process-wide cache serving everyone else.
+        assert!(std::panic::catch_unwind(|| plan(3)).is_err());
+        assert!(std::panic::catch_unwind(|| fft(&mut [Complex64::ZERO; 3])).is_err());
+        assert_eq!(plan(8).len(), 8);
+    }
+
+    #[test]
+    fn racing_first_requests_for_a_size_share_one_plan() {
+        // 2¹⁷ is a size no other test of this binary plans, so both threads
+        // find the cache empty and build outside the lock.
+        let n = 1 << 17;
+        let start = std::sync::Barrier::new(2);
+        let ask = || {
+            start.wait();
+            plan(n)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(ask);
+            (ask(), other.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &plan(n)));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! ## Unsafe-confinement policy
 //!
-//! Every other crate in this workspace carries `#![forbid(unsafe_code)]`,
-//! and the `unsafe-confined` pass of `amopt-lint` machine-checks that no
-//! `unsafe` token appears outside this directory.  This crate is the single
-//! sanctioned exception, and it keeps the exception narrow:
+//! Every other crate in this workspace but the rayon shim (one lifetime
+//! erasure in its scheduler) carries `#![forbid(unsafe_code)]`, and the
+//! `unsafe-confined` pass of `amopt-lint` machine-checks that no `unsafe`
+//! token appears outside these two directories.  This crate is the
+//! sanctioned exception for raw syscalls, and it keeps the exception narrow:
 //!
 //! * raw FFI is limited to the six syscalls the reactor needs —
 //!   `epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`, `fcntl`

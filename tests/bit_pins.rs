@@ -1,0 +1,67 @@
+//! "Prices did not move" as a test, not a tolerance: the fast routes' prices
+//! are pinned bit for bit, and no pool width changes one of those bits.
+//!
+//! The join tree of a pricing is fixed by sizes (`EngineConfig`, the FFT's
+//! fork thresholds); the scheduler only decides which worker runs a node.
+//! The constants below are the `f64::to_bits` of what that tree computed at
+//! the commit before the work-stealing pool replaced thread-per-`join`
+//! (PR 14, `f4a52bc`), on the paper's parameter set.  A change that moves one
+//! of them changed arithmetic — re-pin only with that stated.
+
+use american_option_pricing::parallel::run_with_threads;
+use american_option_pricing::prelude::*;
+
+/// T = 16 384 is above the FFT's fork threshold (a 16 385-cell row travels
+/// as a 16 384-point transform) and every `sequential_below`, so each
+/// pricing forks in the engine, the butterfly passes and the pointwise pass.
+const DEEP_STEPS: usize = 16_384;
+const PAPER_STEPS: usize = 4_096;
+
+/// The five fast American routes with their pinned bits at `PAPER_STEPS`
+/// and at `DEEP_STEPS`.
+const PINS: [(&str, ModelKind, OptionType, u64, u64); 5] = [
+    ("bopm_call", ModelKind::Bopm, OptionType::Call, 0x4020a77abadfed38, 0x4020a79594a8528e),
+    ("bopm_put", ModelKind::Bopm, OptionType::Put, 0x4028d92522e9c667, 0x4028d9538c559552),
+    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647a12, 0x4020a79fbd0ba28c),
+    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a495618, 0x4028d963554910cf),
+    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d2f6, 0x4026c53a8e7efa4c),
+];
+
+/// The route's price through the facade's one dispatcher, the batch layer
+/// (memo off; a batch of one is bitwise the direct pricer, `tests/batch.rs`).
+fn price_bits(model: ModelKind, option_type: OptionType, steps: usize) -> u64 {
+    let base = OptionParams::paper_defaults();
+    let params = match model {
+        // The BSM grid is dividend-free by construction.
+        ModelKind::Bsm => OptionParams { dividend_yield: 0.0, ..base },
+        _ => base,
+    };
+    let request = PricingRequest::american(model, option_type, params, steps);
+    let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+    pricer.price_one(&request).expect("the paper's contract prices").to_bits()
+}
+
+#[test]
+fn paper_prices_are_the_parent_commits_bit_for_bit() {
+    for (name, model, option_type, pinned, _) in PINS {
+        let got = price_bits(model, option_type, PAPER_STEPS);
+        assert_eq!(got, pinned, "{name} at T = {PAPER_STEPS}: {}", f64::from_bits(got));
+    }
+}
+
+#[test]
+fn no_pool_width_moves_a_bit_of_a_forking_pricing() {
+    for (name, model, option_type, _, pinned) in PINS {
+        // `None` is the default pool.
+        for width in [Some(1), Some(2), Some(3), None] {
+            let price = || price_bits(model, option_type, DEEP_STEPS);
+            let got = width.map_or_else(price, |w| run_with_threads(w, price));
+            assert_eq!(
+                got,
+                pinned,
+                "{name} at T = {DEEP_STEPS}, pool width {width:?}: {}",
+                f64::from_bits(got)
+            );
+        }
+    }
+}
