@@ -17,7 +17,10 @@ use amopt_fft::correlate_power_valid;
 /// European option price via one FFT pass over the payoff row.
 pub fn price_european_fft(model: &BopmModel, opt: OptionType) -> f64 {
     let t = model.steps();
-    let put = price_put(model);
+    // Deep out of the money the correlation returns its own rounding, of
+    // either sign, and parity cancels `put + fwd` to the same: a put is worth
+    // at least 0 and a call at least max(0, fwd).
+    let put = price_put(model).max(0.0);
     match opt {
         OptionType::Put => put,
         OptionType::Call => {
@@ -27,7 +30,7 @@ pub fn price_european_fft(model: &BopmModel, opt: OptionType) -> f64 {
             let mu = model.s0() + model.s1();
             let fwd = model.params().spot * pow_u(lambda, t as u64)
                 - model.params().strike * pow_u(mu, t as u64);
-            put + fwd
+            (put + fwd).max(0.0)
         }
     }
 }
@@ -97,5 +100,36 @@ mod tests {
         let rhs =
             p.spot * (-p.dividend_yield * p.expiry).exp() - p.strike * (-p.rate * p.expiry).exp();
         assert!((call - put - rhs).abs() < 1e-8, "{} vs {}", call - put, rhs);
+    }
+
+    /// A European call is worth at least `max(0, fwd)` and a put at least 0,
+    /// but deep out of the money the put and the forward cancel to the
+    /// transform's rounding, of either sign.
+    #[test]
+    fn deep_otm_prices_are_never_negative() {
+        let base = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
+        let check = |p: OptionParams, steps: usize| {
+            let m = BopmModel::new(p, steps).unwrap();
+            let call = price_european_fft(&m, OptionType::Call);
+            let put = price_european_fft(&m, OptionType::Put);
+            let ctx = format!("S={} K={} V={} T={steps}", p.spot, p.strike, p.volatility);
+            assert!(call >= 0.0, "{ctx}: call {call:e}");
+            assert!(put >= 0.0, "{ctx}: put {put:e}");
+            if call > 0.0 && put > 0.0 {
+                // Neither clamp bit: parity holds to rounding.
+                let fwd = p.spot - p.strike * (-p.rate * p.expiry).exp();
+                assert!((call - put - fwd).abs() < 1e-8, "{ctx}: parity {:e}", call - put - fwd);
+            }
+        };
+        for steps in [400usize, 3_000, 20_000] {
+            // The contracts that priced negative before the clamp.
+            check(OptionParams { spot: 1.0, strike: 1000.0, volatility: 0.05, ..base }, steps);
+            check(OptionParams { spot: 30.0, strike: 130.0, volatility: 0.05, ..base }, steps);
+            for volatility in [0.05, 0.2, 0.6] {
+                for moneyness in [0.01, 0.25, 0.8, 1.0, 1.25, 4.0, 100.0] {
+                    check(OptionParams { spot: 130.0 * moneyness, volatility, ..base }, steps);
+                }
+            }
+        }
     }
 }

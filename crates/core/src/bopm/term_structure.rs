@@ -119,12 +119,13 @@ pub fn price_european_term_fft(
     // one inverse.
     let n = next_pow2(payoff.len());
     let real = RealFft::new(n);
+    let full = real.full();
     let mut spec = Vec::new();
     real.forward(&payoff, &mut spec);
     real.map_bins(&mut spec, |k, x| {
-        kernels
-            .iter()
-            .fold(x, |x, (taps, steps)| x * kernel_response(taps, k, n).conj().powu(*steps as u64))
+        kernels.iter().fold(x, |x, (taps, steps)| {
+            x * kernel_response(taps, k, full).conj().powu(*steps as u64)
+        })
     });
     let out = real.inverse(&mut spec, 1);
     let put = out[0];

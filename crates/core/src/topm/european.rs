@@ -8,7 +8,9 @@ use amopt_fft::correlate_power_valid;
 
 /// European option price via one FFT pass over the payoff row.
 pub fn price_european_fft(model: &TopmModel, opt: OptionType) -> f64 {
-    let put = price_put(model);
+    // Clamped for the reason `bopm::european` gives: deep out of the money
+    // the correlation and the parity sum are rounding of either sign.
+    let put = price_put(model).max(0.0);
     match opt {
         OptionType::Put => put,
         OptionType::Call => {
@@ -17,7 +19,7 @@ pub fn price_european_fft(model: &TopmModel, opt: OptionType) -> f64 {
             let mu = s0 + s1 + s2;
             let fwd = model.params().spot * pow_u(model.lambda(), t)
                 - model.params().strike * pow_u(mu, t);
-            put + fwd
+            (put + fwd).max(0.0)
         }
     }
 }
@@ -71,5 +73,27 @@ mod tests {
         let m = TopmModel::new(p, 30_000).unwrap();
         let v = price_european_fft(&m, OptionType::Call);
         assert!((v - bs).abs() < 1e-3, "{v} vs {bs}");
+    }
+
+    /// The trinomial twin of `bopm::european`'s test of the same name.
+    #[test]
+    fn deep_otm_prices_are_never_negative() {
+        let base = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
+        for steps in [400usize, 3_000, 20_000] {
+            for (spot, strike) in [(1.0, 1000.0), (30.0, 130.0), (130.0, 130.0), (520.0, 130.0)] {
+                let p = OptionParams { spot, strike, volatility: 0.05, ..base };
+                let m = TopmModel::new(p, steps).unwrap();
+                let call = price_european_fft(&m, OptionType::Call);
+                let put = price_european_fft(&m, OptionType::Put);
+                assert!(
+                    call >= 0.0 && put >= 0.0,
+                    "S={spot} K={strike} T={steps}: {call:e} {put:e}"
+                );
+                if call > 0.0 && put > 0.0 {
+                    let fwd = spot - strike * (-p.rate * p.expiry).exp();
+                    assert!((call - put - fwd).abs() < 1e-8, "S={spot} K={strike} T={steps}");
+                }
+            }
+        }
     }
 }

@@ -28,12 +28,36 @@
 //! proportional to ‖x‖, which the pointwise `h`-th power then amplifies by a
 //! factor of `h` — observed as ~1e-6 price error at T = 252.  Direct
 //! evaluation is exact to ε and costs O(σ) per bin for a σ-tap kernel, over
-//! `n/2 + 1` bins; `K_0` and `K_{n/2}` are sums of `±w_m` and are taken as the
-//! real numbers they are.
+//! `n/2 + 1` bins.  The roots `e^{−2πij/n}`, `j = km mod n`, are *read* from
+//! the cached length-`n` plan ([`Fft::root`]) rather than computed: the table
+//! holds the `sin_cos` of `−2πj/n` for `j < n/2`, each taken from its own
+//! angle (no recurrence, nothing accumulated), and the upper half is its
+//! exact negative — the values a `cis` call per tap per bin would return (to
+//! the last place; bit for bit below `n/2`), so reading them *is* direct
+//! evaluation, at a load in place of a `sin_cos` and a mask in place of a
+//! division.  `K_0` and `K_{n/2}` read roots that are exactly `±1`, sum
+//! `±w_m`, and are taken as the real numbers they are.
+//!
+//! Most of those bins then carry nothing.  `|K_k|^h` decays like
+//! `e^{−hθ²/8}` (`θ = 2πk/n`) for a two-tap lattice kernel, so at the heights
+//! a deep pricing runs all but a few percent of the multipliers are below any
+//! magnitude that could reach an output bit.  Before paying for the power
+//! (`hypot`, `ln`, `exp`, `atan2`, `sin_cos`), each bin tests `|K_k|² <
+//! τ^{2/h}` — one `exp` per call, a few flops per bin — and a bin below it
+//! gets an exact zero.  With `|X_k| ≤ ‖x‖₁`, the dropped terms of
+//! `out[c] = (1/n) Σ_k X_k conj(K_k)^h e^{2πikc/n}` sum to at most
+//! `τ·‖x‖₁ ≤ τ·n·‖x‖_∞`; at τ = 1e-40 and the largest rows the pricer sends
+//! (`n = 2²¹`) that is eighteen orders of magnitude below the `ε·‖x‖_∞` the
+//! transform's own rounding leaves.  The test is made bin by bin, never as
+//! "every `k` above some `k_c`": `|K_k|` need not fall with `k` — the sheared
+//! BSM kernel, like any three-tap kernel with a small middle weight, has
+//! `K(π)` near `−1` and keeps a live band at Nyquist behind a dead
+//! mid-band — and a kernel whose taps sum past 1 (a growing DC mode) is
+//! never cut at all.
 
 use crate::bluestein;
 use crate::complex::Complex64;
-use crate::radix2::{next_pow2, Direction};
+use crate::radix2::{next_pow2, Direction, Fft};
 use crate::real::RealFft;
 
 /// Reusable buffer for [`correlate_power_valid_with`].
@@ -50,6 +74,11 @@ use crate::real::RealFft;
 pub struct FftScratch {
     buf: Vec<Complex64>,
 }
+
+/// τ: a multiplier `conj(K_k)^h` of magnitude below this is taken as an exact
+/// zero and its `powu` is never paid for; the dropped terms together move an
+/// output by at most `τ·‖x‖₁` (module comment).
+const VANISHED: f64 = 1e-40;
 
 /// Full linear convolution of two real sequences (`len = a + b − 1`).
 pub fn linear_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -135,12 +164,16 @@ pub fn correlate_power_valid_with(
         return x.windows(w_len).map(|c| c.iter().zip(kernel).map(|(v, w)| v * w).sum()).collect();
     }
     let real = RealFft::new(n);
+    let full = real.full();
+    let vanished = vanished_below(h);
     let buf = &mut scratch.buf;
     real.forward(x, buf);
     real.map_bins(buf, |k, v| {
-        let response = kernel_response(kernel, k, n);
-        if k == 0 || 2 * k == n {
-            // Sums of ±w_m: real, and the imaginary part only sin(π)'s rounding.
+        let response = kernel_response(kernel, k, full);
+        if response.norm_sqr() < vanished {
+            Complex64::ZERO
+        } else if k == 0 || 2 * k == n {
+            // Sums of ±w_m: the roots read there are exactly ±1.
             v.scale(response.re.powf(h as f64))
         } else {
             v * response.conj().powu(h)
@@ -149,17 +182,25 @@ pub fn correlate_power_valid_with(
     real.inverse(buf, out_len)
 }
 
-/// Direct evaluation of bin `k` of the length-`n` DFT of a short real
-/// kernel: `K_k = Σ_m w_m e^{−2πi k m / n}`.
+/// Bin `k ∈ [0, n)` of the length-`n` DFT of a short real kernel,
+/// `K_k = Σ_m w_m e^{−2πi k m / n}`, evaluated directly with the roots of
+/// unity read from `full`, the length-`n` plan.
 #[inline]
-pub fn kernel_response(kernel: &[f64], k: usize, n: usize) -> Complex64 {
+pub fn kernel_response(kernel: &[f64], k: usize, full: &Fft) -> Complex64 {
     // amopt-lint: hot-path
-    let step = -2.0 * std::f64::consts::PI / n as f64;
+    let mask = full.len() - 1;
     let mut acc = Complex64::ZERO;
     for (m, &w) in kernel.iter().enumerate() {
-        acc += Complex64::cis(step * (k * m % n) as f64) * w;
+        acc += full.root((k * m) & mask) * w;
     }
     acc
+}
+
+/// `τ^{2/h}`: a bin whose response has `|K_k|²` below this has a multiplier
+/// `|K_k|^h` below [`VANISHED`].
+#[inline]
+fn vanished_below(h: u64) -> f64 {
+    (2.0 * VANISHED.ln() / h as f64).exp()
 }
 
 /// Periodic (cyclic) variant: evolves a periodic grid of `x.len()` cells by
@@ -215,6 +256,7 @@ pub fn kernel_power_taps(kernel: &[f64], h: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix2::plan;
 
     fn naive_correlate_valid(x: &[f64], w: &[f64]) -> Vec<f64> {
         let out_len = x.len() + 1 - w.len();
@@ -398,6 +440,90 @@ mod tests {
                     assert_rows_close(&got, &stepped(&x, &kernel, h), 1e-13, &ctx);
                 }
             }
+        }
+    }
+
+    /// The correlation with every multiplier paid for: the public transform
+    /// pieces and `powu`, no vanishing test.
+    fn correlate_uncut(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+        let n = next_pow2(x.len());
+        let real = RealFft::new(n);
+        let mut buf = Vec::new();
+        real.forward(x, &mut buf);
+        real.map_bins(&mut buf, |k, v| {
+            let response = kernel_response(kernel, k, real.full());
+            if k == 0 || 2 * k == n {
+                v.scale(response.re.powf(h as f64))
+            } else {
+                v * response.conj().powu(h)
+            }
+        });
+        real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+    }
+
+    #[test]
+    fn vanished_bins_change_nothing_measurable() {
+        // Two lattice-like kernels, whose response dies away from DC, and one
+        // with K(π) = 0.49 − 0.02 + 0.49 = −0.96: the middle of the band
+        // vanishes while a band around Nyquist survives, so a cut "above some
+        // k" would be wrong there.  (The same kernels and heights run against
+        // the stepped backend in `amopt-stencil`'s `advance` tests.)
+        let kernels = [&[0.4999, 0.4998][..], &[0.25, 0.4997, 0.25], &[0.49, 0.02, 0.49]];
+        for (kernel, len) in kernels.into_iter().zip([4100usize, 8192, 8192]) {
+            let x = rand_real(len, 90 + len as u64);
+            let peak = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for h in [64u64, 512, 2048] {
+                let ctx = format!("{kernel:?} h={h}");
+                let (n, cut) = (next_pow2(len), vanished_below(h));
+                let full = plan(n);
+                let dead = (0..=n / 2)
+                    .filter(|&k| kernel_response(kernel, k, &full).norm_sqr() < cut)
+                    .count();
+                assert!(16 * dead > n, "{ctx}: the cut is not exercised, {dead} bins vanish");
+                let got = correlate_power_valid(&x, kernel, h);
+                let uncut = correlate_uncut(&x, kernel, h);
+                assert_rows_close(&got, &uncut, 4.0 * f64::EPSILON * peak, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn a_nyquist_band_survives_a_vanished_middle() {
+        // The alternating row is an eigenvector with eigenvalue K(π) = −0.96.
+        let kernel = [0.49, 0.02, 0.49];
+        let h = 1000u64;
+        let mid = kernel_response(&kernel, 1024, &plan(4096)); // K(π/2) = −0.02i
+        assert!(mid.norm_sqr() < vanished_below(h));
+        let alternating: Vec<f64> =
+            (0..4096).map(|j| if j % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let got = correlate_power_valid(&alternating, &kernel, h);
+        let want = 0.96f64.powi(h as i32);
+        for (c, g) in got.iter().enumerate() {
+            let signed = if c % 2 == 0 { want } else { -want };
+            assert!((g - signed).abs() < 1e-12 * want, "c={c}: {g} vs {signed}");
+        }
+    }
+
+    #[test]
+    fn a_row_whose_every_multiplier_vanishes_comes_back_as_zeros() {
+        // K(0) = 0.6 is the largest response: 0.6^100000 is far below any f64.
+        let h = 100_000u64;
+        let x = rand_real(h as usize + 1, 12);
+        let got = correlate_power_valid(&x, &[0.3, 0.3], h);
+        let norm1: f64 = x.iter().map(|v| v.abs()).sum();
+        assert_eq!(got.len(), 1);
+        assert!(got[0].is_finite() && got[0].abs() <= 1e-300 * norm1, "{}", got[0]);
+    }
+
+    #[test]
+    fn a_growing_dc_response_is_not_cut() {
+        // Tap sum 1.02: the constant row grows by 1.02 per step.
+        let kernel = [0.51, 0.51];
+        let h = 2000u64;
+        let got = correlate_power_valid(&vec![1.0; 4096], &kernel, h);
+        let want = 1.02f64.powi(h as i32);
+        for g in &got {
+            assert!((g - want).abs() < 1e-9 * want, "{g} vs {want}");
         }
     }
 

@@ -5,8 +5,8 @@
 //!
 //! * [`Complex64`] — minimal complex arithmetic, including the stable polar
 //!   integer power used for pointwise spectrum powering.
-//! * [`radix2`] — iterative power-of-two Cooley–Tukey transform with a
-//!   process-wide plan cache and fork-join parallel butterfly passes.
+//! * [`radix2`] — depth-first power-of-two Cooley–Tukey transform with a
+//!   process-wide plan cache, forked over halves.
 //! * [`bluestein`] — arbitrary-length transforms via the chirp-z identity.
 //! * [`real`] — the real-input transform: a length-`n` real row through one
 //!   `n/2`-point complex FFT, bins `0 … n/2` only.

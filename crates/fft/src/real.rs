@@ -21,11 +21,16 @@ use crate::radix2::{self, Fft};
 use std::sync::Arc;
 
 /// Bin pairs one task of [`RealFft::map_bins`] handles; longer ranges fork.
-/// A pair costs what its multiplier does — a hundred nanoseconds and more
-/// when that is a kernel response raised to a power — so a task is around a
-/// tenth of a millisecond against a fork of about a microsecond.  (Measured
-/// on `deep_lattice`, 2 cores: 512, 1 024 and 2 048 pairs read 5.94, 5.88 and
-/// 5.74 options/s.)
+/// A pair costs what its multiplier does, and in a kernel-power correlation
+/// that is uneven: a hundred nanoseconds and more where the response is
+/// raised to a power, a few where it has vanished — at the heights a deep
+/// pricing runs the live pairs are a few percent of all (5–20 ns a pair on
+/// average), bunched at the ends of the band.  So the grain has to be fine
+/// enough to split that bunch between workers, not merely coarse enough to
+/// amortise a fork of about a microsecond.  Measured on `deep_lattice`, 2
+/// cores, 15 s runs interleaved, medians of 5–6: 256, 512 and 1 024 pairs read
+/// 9.09, 9.21 and 9.19 options/s (flat); 2 048, 4 096 and 8 192 read 8.97, 8.78
+/// and 8.57.
 const PAIR_GRAIN: usize = 1024;
 
 /// Transform of real rows of one power-of-two length `n ≥ 4`.
@@ -50,6 +55,13 @@ impl RealFft {
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two() && n >= 4, "real FFT size must be a power of two ≥ 4, got {n}");
         RealFft { half: radix2::plan(n / 2), full: radix2::plan(n) }
+    }
+
+    /// The length-`n` plan, whose roots of unity `e^{−2πij/n}` the split and
+    /// merge passes read.
+    #[inline]
+    pub fn full(&self) -> &Fft {
+        &self.full
     }
 
     /// Packs `x`, zero-padded to `n`, into `buf` (resized to `n/2` points)

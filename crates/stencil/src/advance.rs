@@ -278,6 +278,22 @@ mod tests {
     }
 
     #[test]
+    fn fft_backend_agrees_with_stepped_where_most_multipliers_vanish() {
+        // Heights at which the FFT backend skips most bins as vanished; the
+        // last kernel (K(π) = −0.96) keeps a live band at Nyquist while the
+        // middle of its spectrum is gone.
+        for weights in [vec![0.4999, 0.4998], vec![0.25, 0.4997, 0.25], vec![0.49, 0.02, 0.49]] {
+            let kernel = StencilKernel::new(weights.clone(), 0);
+            let seg = Segment::new(0, rand_real(8192, weights.len() as u64));
+            for h in [64u64, 512, 2048] {
+                let f = advance(&seg, &kernel, h, Backend::Fft);
+                let s = advance(&seg, &kernel, h, Backend::Stepped);
+                assert_close(&f, &s, 1e-9, &format!("{weights:?} h={h}"));
+            }
+        }
+    }
+
+    #[test]
     fn trinomial_anchor_zero_geometry() {
         let kernel = StencilKernel::new(vec![0.3, 0.33, 0.3], 0);
         let seg = Segment::new(0, rand_real(101, 3));

@@ -3,10 +3,22 @@
 //!
 //! The join tree of a pricing is fixed by sizes (`EngineConfig`, the FFT's
 //! fork thresholds); the scheduler only decides which worker runs a node.
-//! The constants below are the `f64::to_bits` of what that tree computed at
-//! the commit before the work-stealing pool replaced thread-per-`join`
-//! (PR 14, `f4a52bc`), on the paper's parameter set.  A change that moves one
-//! of them changed arithmetic — re-pin only with that stated.
+//! The constants below are the `f64::to_bits` of what that tree computes on
+//! the paper's parameter set.  A change that moves one of them changed
+//! arithmetic — re-pin only with that stated, and with the distance.
+//!
+//! History.  The four `bopm_*` constants are those of the commit before the
+//! work-stealing pool replaced thread-per-`join` (PR 14, `f4a52bc`).  The six
+//! `topm_*` / `bsm_put` constants were re-pinned once, when the kernel
+//! response began reading its roots of unity from the plan's twiddle table
+//! (PR 16): a two-tap kernel reads `cis(step·k)`, the very bits it used to
+//! compute, so the binomial routes did not move; a three-tap kernel reads
+//! `e^{−2πi·2k/n}` for `2k ≥ n/2` as the exact negative of a stored twiddle
+//! where it used to call `cis` on the larger angle, which differs in the
+//! last place.  Old → new, in ulp (PAPER_STEPS, DEEP_STEPS): `topm_call`
+//! −1, +9; `topm_put` +2, −14; `bsm_put` +7, −2.  Neither the vanished-bin
+//! cut nor the depth-first transform of that PR moved a bit of any of the
+//! ten.
 
 use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
@@ -22,9 +34,9 @@ const PAPER_STEPS: usize = 4_096;
 const PINS: [(&str, ModelKind, OptionType, u64, u64); 5] = [
     ("bopm_call", ModelKind::Bopm, OptionType::Call, 0x4020a77abadfed38, 0x4020a79594a8528e),
     ("bopm_put", ModelKind::Bopm, OptionType::Put, 0x4028d92522e9c667, 0x4028d9538c559552),
-    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647a12, 0x4020a79fbd0ba28c),
-    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a495618, 0x4028d963554910cf),
-    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d2f6, 0x4026c53a8e7efa4c),
+    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647a11, 0x4020a79fbd0ba295),
+    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a49561a, 0x4028d963554910c1),
+    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d2fd, 0x4026c53a8e7efa4a),
 ];
 
 /// The route's price through the facade's one dispatcher, the batch layer
