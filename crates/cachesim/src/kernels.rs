@@ -152,12 +152,18 @@ pub fn trace_fft_pricer(t: usize, span: usize) -> SimReport {
                 }
                 return;
             }
-            let h1_cap = ((red.saturating_sub(2)) / span + 1).max(1) as u64;
-            let h1 = (remaining / 2).min(h1_cap).max(1);
+            // The driver's hop rule: a row wider than what is left of its
+            // cone takes the whole hop, a row that is its cone halves.
+            let h1 = if red as u64 > span as u64 * remaining {
+                remaining
+            } else {
+                let h1_cap = ((red.saturating_sub(2)) / span + 1).max(1) as u64;
+                (remaining / 2).min(h1_cap).max(1)
+            };
             // Bulk FFT over the certified-red prefix.
             trace_fft_advance(h, red + span * h1 as usize, h1);
-            // Boundary-window recursion of half height.
-            let window = (span as u64 * h1) as usize + 1;
+            // Boundary-window recursion: the `span·h1` cells that are its cone.
+            let window = (span as u64 * h1) as usize;
             advance(h, window.min(red), h1, span);
             remaining -= h1;
         }

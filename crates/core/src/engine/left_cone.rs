@@ -27,19 +27,37 @@
 //! * **Whole-prefix certification.**  The boundary only moves left, so any
 //!   cell right of the *current* boundary has an all-red dependency cone at
 //!   every depth: the entire stored red region advances with one FFT
-//!   correlation, no guard band.  The nonlinear work concentrates in the
-//!   trapezoid of freshly exposed columns `(f_{t+h}, f_t]` — a window of
-//!   width `O(σ'h)` that recurses at half height, giving `O(h log² h)` work
-//!   and `O(h)` span (Theorems 2.8 / 4.4).  The lower drift bound is what
-//!   keeps that window narrow — a work bound; the values are right for any
-//!   boundary that never moves right, because the new boundary is always
+//!   correlation, no guard band, at *any* height.  The nonlinear work
+//!   concentrates in the trapezoid of freshly exposed columns
+//!   `(f_{t+h}, f_t]`, which needs the window `(f_t, f_t + σ'h]` as red
+//!   context — a row that is exactly its own cone.  The lower drift bound is
+//!   what keeps that window narrow — a work bound; the values are right for
+//!   any boundary that never moves right, because the new boundary is always
 //!   *located* (a downward scan to the first green cell), never assumed.
+//!
+//! **The hop rule.**  Only a row that *is* its cone has to halve: the second
+//! half of its height needs the boundary the first half finds.  A row
+//! strictly wider than what is left of its cone, `hi − f > σ'·remaining`,
+//! advances the whole of `remaining` in one hop — the window
+//! `(f, f + σ'·remaining]` recurses at that height, the bulk is one
+//! correlation of the whole row at that height, whose height the window's
+//! never limited.  A window of height `H` is its cone on entry and halves;
+//! one half-hop later the boundary has drifted `d = Θ(H)` columns left, the
+//! row is `σ'H/2 + d` wide with `H/2` steps to go, and the rest is one hop.
+//! So a window costs two correlations of `O(H)` cells and two windows of
+//! `H/2`: `W(H) = 2·W(H/2) + O(H log H) = O(H log² H)` work, `O(H)` span
+//! (Theorems 2.8 / 4.4) — and every correlation runs at a height about half
+//! its row's width over `σ'`, where most of its multipliers have vanished
+//! (`amopt_fft::convolve`).  (Halving a wide row as well walks it in hops of
+//! `H/4, H/8, …`, each a correlation over at least `d` cells: `Θ(H log³ H)`.)
+//! At equality the row halves: a window that took the whole hop would hand
+//! itself to its own recursion.
 //!
 //! Rows also carry the cone edge `hi` (the triangle hypotenuse in engine
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
 
-use super::{kernel_scope, EngineConfig};
+use super::{kernel_scope, linear_cells, EngineConfig};
 use amopt_parallel::join;
 use amopt_stencil::{advance_values_with, with_scratch, Segment, StencilKernel};
 
@@ -222,6 +240,7 @@ fn advance_all_red(
         staging.clear();
         staging.extend_from_slice(&row.reds.values);
         staging.resize(row.reds.len() + span as usize * h as usize, 0.0);
+        linear_cells!(staging.len());
         advance_values_with(staging, row.reds.start, kernel, h, cfg.backend, &mut s.fft)
     });
     if out.end() - 1 > hi1 {
@@ -260,6 +279,7 @@ fn advance_certified(
             // docs); in windows the storage always reaches the cone edge.
             staging.push(if row.reds.contains(c) { row.reds.get(c) } else { 0.0 });
         }
+        linear_cells!(staging.len());
         advance_values_with(staging, f + 1, kernel, h, cfg.backend, &mut s.fft)
     })
 }
@@ -268,7 +288,8 @@ fn advance_certified(
 /// `G_{t+1}[c] = max(Σ_m kernel[m]·G_t[c+m], green(t+1, c))`, in raw value
 /// space.
 ///
-/// Work `O(h log² h)`, span `O(h)` (Theorems 2.8 / 4.4).
+/// Work `O(n log n + h log² h)` for a row of `n` stored cells — `O(h log² h)`
+/// for a row that is its cone — and span `O(h)` (Theorems 2.8 / 4.4).
 ///
 /// # Panics
 /// If the kernel anchor is non-zero or it has fewer than two taps.
@@ -320,9 +341,14 @@ where
             return cur;
         }
 
-        // Half height, capped so the boundary window's red context fits the
-        // cone: the window needs input columns (f, f + σ'·h1].
-        let h1 = (remaining / 2).min(((hi - f) / span).max(0) as u64);
+        // The hop rule (module docs): a row strictly wider than what is left
+        // of its cone takes all of `remaining`; a row that is its cone halves,
+        // capped so the window's red context `(f, f + σ'·h1]` fits the cone.
+        let h1 = if hi - f > span * remaining as i64 {
+            remaining
+        } else {
+            (remaining / 2).min(((hi - f) / span).max(0) as u64)
+        };
         if h1 == 0 {
             // Cone edge hugs the boundary — advance a small chunk naively.
             let steps = remaining.min(cfg.base_cutoff.max(1));
@@ -444,30 +470,59 @@ mod tests {
     use super::*;
     use amopt_stencil::Backend;
 
-    /// Dense reference on the triangle: full rows, explicit max everywhere.
-    /// Returns the root value and the per-step last-green boundary.
+    /// One dense step to row `t1`: explicit max everywhere.  Returns the row
+    /// and its last green column.
+    fn dense_step<G: Fn(u64, i64) -> f64>(
+        kernel: &StencilKernel,
+        green: &G,
+        t1: u64,
+        row: &[f64],
+    ) -> (Vec<f64>, i64) {
+        let mut f = -1i64;
+        let next = (0..row.len() - kernel.span())
+            .map(|c| {
+                let lin: f64 =
+                    kernel.weights().iter().enumerate().map(|(m, &w)| w * row[c + m]).sum();
+                let ob = green(t1, c as i64);
+                if ob >= lin {
+                    f = c as i64;
+                }
+                lin.max(ob)
+            })
+            .collect();
+        (next, f)
+    }
+
+    /// Dense reference on the triangle: every full row from `init` (row 0)
+    /// to row `steps`, and the last green column of rows `1..=steps`.
+    fn dense_rows<G: Fn(u64, i64) -> f64>(
+        kernel: &StencilKernel,
+        green: &G,
+        init: &[f64],
+        steps: u64,
+    ) -> (Vec<Vec<f64>>, Vec<i64>) {
+        let mut rows = vec![init.to_vec()];
+        let mut boundaries = Vec::with_capacity(steps as usize);
+        for t in 0..steps {
+            let (next, f) = dense_step(kernel, green, t + 1, &rows[t as usize]);
+            boundaries.push(f);
+            rows.push(next);
+        }
+        (rows, boundaries)
+    }
+
+    /// The dense reference's root value and per-step last-green boundary,
+    /// keeping one row at a time.
     fn dense_solve<G: Fn(u64, i64) -> f64>(
         kernel: &StencilKernel,
         green: &G,
         init: &[f64],
         steps: u64,
     ) -> (f64, Vec<i64>) {
-        let span = kernel.span();
         let mut row = init.to_vec();
         let mut boundaries = Vec::with_capacity(steps as usize);
         for t in 0..steps {
-            let next_len = row.len() - span;
-            let mut next = Vec::with_capacity(next_len);
-            let mut f = -1i64;
-            for c in 0..next_len {
-                let lin: f64 =
-                    kernel.weights().iter().enumerate().map(|(m, &w)| w * row[c + m]).sum();
-                let ob = green(t + 1, c as i64);
-                if ob >= lin {
-                    f = c as i64;
-                }
-                next.push(lin.max(ob));
-            }
+            let (next, f) = dense_step(kernel, green, t + 1, &row);
             boundaries.push(f);
             row = next;
         }
@@ -576,13 +631,13 @@ mod tests {
     #[test]
     fn matches_dense_across_sizes() {
         let cfg = EngineConfig::default();
-        for steps in [1u64, 2, 3, 5, 8, 9, 16, 33, 100, 257, 1000] {
+        for steps in [1u64, 2, 3, 5, 8, 9, 16, 33, 100, 257, 1000, 1537, 2049] {
             check_matches_dense(steps, Shape::Binomial, 0.5, &cfg);
         }
-        for steps in [1u64, 2, 3, 8, 21, 64, 200, 513] {
+        for steps in [1u64, 2, 3, 8, 21, 64, 200, 513, 1537, 2049] {
             check_matches_dense(steps, Shape::Trinomial, 0.5, &cfg);
         }
-        for steps in [1u64, 2, 5, 8, 9, 16, 33, 100, 257, 600] {
+        for steps in [1u64, 2, 5, 8, 9, 16, 33, 100, 257, 600, 1537, 2049] {
             check_matches_dense(steps, Shape::ShearedBsm, -0.5, &cfg);
         }
     }
@@ -626,13 +681,16 @@ mod tests {
                 assert!(w[1] <= w[0] && w[1] >= w[0] - drift, "{shape:?} drift violated: {w:?}");
             }
             let cfg = EngineConfig::default();
-            let row = start_row(shape, &kernel, &green, &init);
             // Frontier rows land mid-way, where the cone still holds the
-            // boundary, and at the apex.
-            let (_, frontier) = solve_to_root(&kernel, &green, row, steps, steps / 3, &cfg);
-            assert!(frontier.len() >= 3);
-            for (t, f) in frontier {
-                assert_eq!(f, dense_b[t as usize - 1], "{shape:?} row {t}");
+            // boundary, and at the apex; the more rows, the shorter each
+            // advance against the width of the row it starts from.
+            for rows in [3u64, 16, 64] {
+                let row = start_row(shape, &kernel, &green, &init);
+                let (_, frontier) = solve_to_root(&kernel, &green, row, steps, steps / rows, &cfg);
+                assert!(frontier.len() as u64 >= rows);
+                for (t, f) in frontier {
+                    assert_eq!(f, dense_b[t as usize - 1], "{shape:?} {rows} rows, row {t}");
+                }
             }
         }
     }
@@ -694,23 +752,86 @@ mod tests {
     #[test]
     fn chunked_advance_composes() {
         // advance(h1) ∘ advance(h2) == advance(h1 + h2) — what frontier
-        // sampling relies on.
-        let steps = 200u64;
-        let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.5);
-        let cfg = EngineConfig::default();
-        let row = start_row(Shape::Binomial, &kernel, &green, &init);
-        let once = advance_green_prefix(&kernel, &green, &row, steps - 1, &cfg);
-        let mut chunked = row;
-        for h in [30u64, 70, 50, 49] {
-            chunked = advance_green_prefix(&kernel, &green, &chunked, h, &cfg);
+        // sampling relies on.  The one advance starts on a row narrower than
+        // its cone and halves; a chunk far shorter than the row it meets
+        // takes the wide branch, one at or below `base_cutoff` is stepped.
+        for (shape, steps, off) in [
+            (Shape::Binomial, 800u64, 0.5),
+            (Shape::Trinomial, 500, 0.5),
+            (Shape::ShearedBsm, 500, -0.5),
+        ] {
+            let (kernel, green, init) = synthetic_problem(steps, shape, off);
+            let cfg = EngineConfig::default();
+            let row = start_row(shape, &kernel, &green, &init);
+            // Stop where the row still has width to compare.
+            let total = steps * 3 / 4 - row.t;
+            let once = advance_green_prefix(&kernel, &green, &row, total, &cfg);
+            assert!(once.boundary >= 0 && once.reds.len() > 50, "{shape:?}: nothing to compare");
+            let chunk_lists: [&[u64]; 4] =
+                [&[total], &[3, 8, 9, 41, 127, 1, 33], &[17], &[total / 2 + 1, 5, 64]];
+            for chunks in chunk_lists {
+                let mut chunked = row.clone();
+                let mut repeated = chunks.iter().cycle();
+                while chunked.t < once.t {
+                    let h = repeated.next().map_or(1, |&h| h.min(once.t - chunked.t));
+                    chunked = advance_green_prefix(&kernel, &green, &chunked, h, &cfg);
+                }
+                let ctx = format!("{shape:?} chunks {chunks:?}");
+                assert_eq!(chunked.t, once.t, "{ctx}");
+                assert_eq!(chunked.boundary, once.boundary, "{ctx}");
+                assert_eq!(chunked.hi, once.hi, "{ctx}");
+                for c in (chunked.boundary + 1)..=chunked.hi {
+                    let a = chunked.value_at(&green, c);
+                    let b = once.value_at(&green, c);
+                    assert!((a - b).abs() < 1e-10 * b.abs().max(1.0), "{ctx} col {c}: {a} vs {b}");
+                }
+            }
         }
-        assert_eq!(chunked.t, once.t);
-        assert_eq!(chunked.boundary, once.boundary);
-        assert_eq!(chunked.hi, once.hi);
-        for c in (chunked.boundary + 1)..=chunked.hi {
-            let a = chunked.value_at(&green, c);
-            let b = once.value_at(&green, c);
-            assert!((a - b).abs() < 1e-10 * b.abs().max(1.0), "col {c}: {a} vs {b}");
+    }
+
+    #[test]
+    fn rows_as_wide_as_their_cone_halve_and_one_cell_wider_hop() {
+        // The hop rule at its edge, at heights just above the base case: a
+        // row of exactly σ'·h red cells is its own cone and must halve (and
+        // terminate); with σ'·h + 1 it is the narrowest wide row — one hop
+        // whose bulk returns a single cell.
+        for shape in [Shape::Binomial, Shape::Trinomial, Shape::ShearedBsm] {
+            let steps = 160u64;
+            let t0 = 50u64;
+            let (kernel, green, init) = synthetic_problem(steps, shape, 0.5);
+            let span = kernel.span() as i64;
+            let (rows, dense_b) = dense_rows(&kernel, &green, &init, steps);
+            let f = dense_b[t0 as usize - 1];
+            assert!(f >= 0, "{shape:?}: boundary out of view at row {t0}");
+            for cutoff in [8u64, 3] {
+                let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
+                for h in 9u64..=40 {
+                    for extra in [0i64, 1] {
+                        let hi = f + span * h as i64 + extra;
+                        assert!(hi <= span * (steps - t0) as i64, "{shape:?}: cut beyond the cone");
+                        let reds = rows[t0 as usize][(f + 1) as usize..=hi as usize].to_vec();
+                        let row = GreenPrefixRow {
+                            t: t0,
+                            boundary: f,
+                            hi,
+                            reds: Segment::new(f + 1, reds),
+                        };
+                        let out = advance_green_prefix(&kernel, &green, &row, h, &cfg);
+                        let ctx = format!("{shape:?} cutoff {cutoff} h {h} width σ'h + {extra}");
+                        assert_eq!(out.t, t0 + h, "{ctx}");
+                        assert_eq!(out.hi, f + extra, "{ctx}");
+                        assert_eq!(out.boundary, dense_b[(t0 + h) as usize - 1], "{ctx}");
+                        let want = &rows[(t0 + h) as usize];
+                        for c in (out.boundary + 1)..=out.hi {
+                            let (a, b) = (out.value_at(&green, c), want[c as usize]);
+                            assert!(
+                                (a - b).abs() < 1e-10 * b.abs().max(1.0),
+                                "{ctx} col {c}: {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -15,9 +15,15 @@
 //! stored raw, and an exact implicit zero tail right of the expiry payoff's
 //! support.  It advances a [`left_cone::GreenPrefixRow`] by `h` steps in
 //! `O(h log² h)` work and `O(h)` span: everything right of the current
-//! boundary is certified red at every depth and advances with one FFT
-//! correlation of `amopt-stencil`; the freshly exposed columns recurse on a
-//! boundary-anchored window of half height.  Lattice **puts** under BOPM
+//! boundary is certified red at every depth, so it advances *any* height
+//! with one FFT correlation of `amopt-stencil`; only the freshly exposed
+//! columns need a recursion, on the boundary-anchored window that is their
+//! cone, and only a row that is its own cone halves — the second half of
+//! its height waits for the boundary the first half finds.  A window of
+//! height `H` therefore costs two correlations of `O(H)` cells and two
+//! windows of `H/2`, the paper's `W(H) = 2·W(H/2) + O(H log H)`
+//! ([`left_cone`]'s hop rule; at equality a row halves, or a window would
+//! hand itself to its own recursion).  Lattice **puts** under BOPM
 //! (`σ' = 1`) and TOPM (`σ' = 2`) are this geometry as they stand.  The
 //! paper's other two geometries reach it by a change of variables, applied
 //! in the model adapters ([`crate::bopm::fast`], [`crate::topm::fast`],
@@ -74,6 +80,16 @@ macro_rules! kernel_scope {
 }
 pub(crate) use kernel_scope;
 
+/// Counts the input cells of one linear advance under the `obs` feature
+/// (`amopt_obs::kernel::linear_cells`); expands to nothing otherwise.
+macro_rules! linear_cells {
+    ($cells:expr) => {
+        #[cfg(feature = "obs")]
+        amopt_obs::kernel::record_linear_cells($cells as u64);
+    };
+}
+pub(crate) use linear_cells;
+
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -81,12 +97,17 @@ pub struct EngineConfig {
     /// (the paper found 8 empirically optimal; see §5.1).
     pub base_cutoff: u64,
     /// Heights below this run without fork-join.  A fork costs about a
-    /// microsecond, so this no longer prices the fork: it bounds how small a
+    /// microsecond, so this does not price the fork: it bounds how small a
     /// window is worth another worker's wake-up and cache misses.  Measured at
-    /// T = 65 536 on two cores, pricings per second are flat within noise from
-    /// 128 to 1 024 (best at 256–512) and fall off on both sides; with more
-    /// cores the lower end buys parallelism (the windows below this height
-    /// are the sequential chain of a pricing).
+    /// T = 65 536 on two cores with the whole-hop rule (`deep_lattice`, six
+    /// interleaved 10 s runs each), options per second at 128 / 256 / 512 /
+    /// 1 024 / 2 048 read 21.7 / 21.4 / 20.6 / 20.6 / 20.0 with single runs
+    /// 2–4 apart: flat.  512 stays because everything below it is more than
+    /// half of a pricing by now (the windows below this height are its
+    /// sequential chain, so two cores cannot gain much either way) and
+    /// because a lower value makes the T ≤ 504 pricings of a batch fork
+    /// inside a fan-out that already fills the pool.  With more cores the
+    /// lower end buys parallelism.
     pub sequential_below: u64,
     /// Linear-advance backend for certified-red regions.
     pub backend: Backend,

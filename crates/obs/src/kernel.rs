@@ -9,11 +9,19 @@
 //! engines are plumbing-free by design and a handle parameter through the
 //! recursion would cost more than the timers.
 //!
+//! Beside the timers sits one work counter, [`linear_cells`]: the input
+//! cells of every linear advance.  Under the paper's
+//! `W(h) = 2·W(h/2) + O(h log h)` recurrence a `T`-step pricing feeds them
+//! `T·(a·log₂T + b)` cells, so cells per step grow by the same `a` with
+//! every doubling of `T` exactly when the engine meets the bound, whatever
+//! the machine.
+//!
 //! `amopt-core` compiles the scopes only under its `obs` cargo feature;
 //! without it the guards do not exist and the engines pay nothing.  The
-//! statics here are always present (they are three pairs of atomics), so
-//! the service can render them into its metrics exposition unconditionally
-//! — they simply stay zero when the engines were built without `obs`.
+//! statics here are always present (three pairs of atomics and the cell
+//! counter), so the service can render them into its metrics exposition
+//! unconditionally — they simply stay zero when the engines were built
+//! without `obs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -26,7 +34,7 @@ pub const KERNEL_PHASE_COUNT: usize = 3;
 pub enum KernelPhase {
     /// Linear FFT advance over a certified-red region.
     FftPass = 0,
-    /// Boundary-centred window recursion (the half-height subproblem).
+    /// Boundary-anchored window recursion (the cone-shaped subproblem).
     BoundaryWindow = 1,
     /// Naive base-case loop at or below the cutoff height.
     BaseCase = 2,
@@ -60,6 +68,19 @@ impl PhaseCell {
 
 static TIMERS: [PhaseCell; KERNEL_PHASE_COUNT] =
     [PhaseCell::new(), PhaseCell::new(), PhaseCell::new()];
+
+static LINEAR_CELLS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts the `cells` input cells of one linear advance.
+#[inline]
+pub fn record_linear_cells(cells: u64) {
+    LINEAR_CELLS.fetch_add(cells, Ordering::Relaxed);
+}
+
+/// Input cells of every linear advance since the last [`reset`].
+pub fn linear_cells() -> u64 {
+    LINEAR_CELLS.load(Ordering::Relaxed)
+}
 
 /// A scope guard timing one phase: accumulates on drop.
 #[derive(Debug)]
@@ -106,12 +127,13 @@ pub fn snapshot() -> [KernelPhaseStats; KERNEL_PHASE_COUNT] {
     })
 }
 
-/// Zeroes every phase counter (bench/test isolation).
+/// Zeroes every phase counter and the cell counter (bench/test isolation).
 pub fn reset() {
     for cell in &TIMERS {
         cell.calls.store(0, Ordering::Relaxed);
         cell.nanos.store(0, Ordering::Relaxed);
     }
+    LINEAR_CELLS.store(0, Ordering::Relaxed);
 }
 
 /// Appends the kernel phase counters to a metrics exposition in the same
@@ -134,6 +156,13 @@ pub fn render_into(out: &mut String) {
         let _ = writeln!(out, "# TYPE amopt_kernel_{name}_nanos_total counter");
         let _ = writeln!(out, "amopt_kernel_{name}_nanos_total {}", stats.nanos);
     }
+    let _ = writeln!(
+        out,
+        "# HELP amopt_kernel_linear_cells_total Input cells of the engines' linear advances (0 \
+         unless built with the obs feature)"
+    );
+    let _ = writeln!(out, "# TYPE amopt_kernel_linear_cells_total counter");
+    let _ = writeln!(out, "amopt_kernel_linear_cells_total {}", linear_cells());
 }
 
 #[cfg(test)]
@@ -148,7 +177,10 @@ mod tests {
             let _base = KernelScope::start(KernelPhase::BaseCase);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        record_linear_cells(40);
+        record_linear_cells(2);
         let snap = snapshot();
+        assert_eq!(linear_cells(), 42);
         assert_eq!(snap[KernelPhase::FftPass as usize].calls, 1);
         assert_eq!(snap[KernelPhase::BaseCase as usize].calls, 1);
         assert_eq!(snap[KernelPhase::BoundaryWindow as usize].calls, 0);
@@ -157,7 +189,9 @@ mod tests {
         render_into(&mut text);
         assert!(text.contains("amopt_kernel_fft_pass_calls_total 1"), "{text}");
         assert!(text.contains("# TYPE amopt_kernel_base_case_nanos_total counter"));
+        assert!(text.contains("amopt_kernel_linear_cells_total 42"), "{text}");
         reset();
         assert_eq!(snapshot()[0], KernelPhaseStats::default());
+        assert_eq!(linear_cells(), 0);
     }
 }

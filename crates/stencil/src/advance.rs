@@ -128,10 +128,19 @@ pub fn advance_values_with(
     Segment::new(start, out)
 }
 
+/// `h` single steps over one buffer: a step reads `row[c ..= c + span]` to
+/// produce cell `c`, so updating in ascending order over a row of shrinking
+/// length is [`StencilKernel::step`]'s arithmetic in its order, bit for bit,
+/// with one allocation per call instead of one per step.
 fn stepped(row: &[f64], kernel: &StencilKernel, h: u64) -> Vec<f64> {
+    let w = kernel.weights();
     let mut cur = row.to_vec();
     for _ in 0..h {
-        cur = kernel.step(&cur);
+        let len = cur.len() - kernel.span();
+        for c in 0..len {
+            cur[c] = w.iter().enumerate().map(|(m, &wm)| wm * cur[c + m]).sum();
+        }
+        cur.truncate(len);
     }
     cur
 }
@@ -289,6 +298,28 @@ mod tests {
                 let f = advance(&seg, &kernel, h, Backend::Fft);
                 let s = advance(&seg, &kernel, h, Backend::Stepped);
                 assert_close(&f, &s, 1e-9, &format!("{weights:?} h={h}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stepped_in_place_is_h_single_steps_bit_for_bit() {
+        for weights in [vec![0.4999, 0.4998], vec![0.25, 0.4997, 0.25]] {
+            let kernel = StencilKernel::new(weights.clone(), 0);
+            for len in [3usize, 17, 64, 65] {
+                let row = rand_real(len, len as u64);
+                let capacity = ((len - 1) / kernel.span()) as u64;
+                let mut folded = row.clone();
+                for h in 0..=capacity {
+                    let got = stepped(&row, &kernel, h);
+                    assert_eq!(got.len(), folded.len(), "{weights:?} len={len} h={h}");
+                    for (a, b) in got.iter().zip(&folded) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{weights:?} len={len} h={h}");
+                    }
+                    if h < capacity {
+                        folded = kernel.step(&folded);
+                    }
+                }
             }
         }
     }

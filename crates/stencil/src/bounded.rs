@@ -4,11 +4,13 @@
 //! Cells at or beyond the wall column hold zero at every time step (an
 //! absorbing boundary, e.g. a knocked-out barrier option).  Away from the
 //! wall the update is the plain linear stencil, so cells whose dependency
-//! cone clears the wall advance with one FFT correlation; the `h` cells
-//! hugging the wall are resolved by recursion on a window of half height —
-//! the same divide-and-conquer shape as the nonlinear engines, but with a
-//! *known* boundary, hence no tracking.  Work `O((n + h log h)·log h)`,
-//! matching \[1\]'s aperiodic bound for `n = Θ(h)`.
+//! cone clears the wall advance with one FFT correlation at *any* height;
+//! only the `h` cells hugging the wall need a recursion, on the `2h`-cell
+//! window that is their cone, which halves — the same divide-and-conquer
+//! shape as the nonlinear engine, but with a *known* boundary, hence no
+//! tracking.  A window of height `h` costs two correlations of `O(h)` cells
+//! and two windows of `h/2`, so the work is `O(n log n + h log² h)`,
+//! matching \[1\]'s aperiodic bound.
 //!
 //! Only symmetric 3-point kernels (anchor −1) are supported — that is what
 //! the barrier pricers need; the right side of the segment behaves like the
@@ -53,12 +55,16 @@ pub fn advance_left_wall(
             cur = stepped_wall(&cur, kernel, remaining);
             break;
         }
-        let h1 = (remaining / 2).min(((width - 1) / 2).max(1) as u64);
-        if h1 == 0 {
-            cur = stepped_wall(&cur, kernel, remaining.min(BASE_CUTOFF));
-            remaining -= remaining.min(BASE_CUTOFF);
-            continue;
-        }
+        // The wall never moves, so a row wider than the `2·remaining` cells
+        // its wall window needs takes the whole hop — the interior's height
+        // is not limited by the window's; a row that is exactly its window
+        // halves (it would otherwise recurse on itself), capped so the
+        // window's input fits the stored cells.
+        let h1 = if width > 2 * remaining as i64 {
+            remaining
+        } else {
+            (remaining / 2).min(((width - 1) / 2).max(1) as u64)
+        };
         // Interior: cells ≥ wall+1+h1 have cones clear of the wall.
         let interior = advance(&cur, kernel, h1, backend);
         debug_assert_eq!(interior.start, cur.start + h1 as i64);
@@ -118,7 +124,20 @@ mod tests {
     #[test]
     fn matches_stepped_reference() {
         let k = kernel();
-        for (n, h) in [(50usize, 10u64), (200, 64), (400, 150), (31, 9)] {
+        // Rows wider than their wall window (one hop), exactly one cell
+        // wider (n = 2h + 1: the interior returns a single cell), and
+        // narrower (halving from the start).
+        for (n, h) in [
+            (50usize, 10u64),
+            (200, 64),
+            (400, 150),
+            (31, 9),
+            (5000, 40),
+            (3000, 9),
+            (129, 64),
+            (601, 300),
+            (19, 9),
+        ] {
             let seg = Segment::new(5, rand_vals(n, n as u64));
             let fast = advance_left_wall(&seg, &k, h, Backend::Fft);
             let slow = stepped_wall(&seg, &k, h);

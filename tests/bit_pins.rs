@@ -19,6 +19,24 @@
 //! −1, +9; `topm_put` +2, −14; `bsm_put` +7, −2.  Neither the vanished-bin
 //! cut nor the depth-first transform of that PR moved a bit of any of the
 //! ten.
+//!
+//! All ten were re-pinned once more when the engine began to take a row
+//! wider than its cone in one hop (PR 18, parent `ec8115a`).  That changes
+//! the *schedule* — which correlations run, at which heights — not a
+//! rounding, so the old bits are no yardstick and the Θ(T²) nests are: a
+//! re-pin was to be refused if its relative distance to the serial nest
+//! exceeded max(3 × the old distance, 5e-12).  Old → new in ulp, then
+//! |fast − nest| / nest before → after, at PAPER_STEPS and at DEEP_STEPS:
+//!
+//! | route       | ulp 4 096 | nest 4 096          | ulp 16 384 | nest 16 384         |
+//! |-------------|-----------|---------------------|------------|---------------------|
+//! | `bopm_call` | +114      | 1.20e-12 → 1.23e-12 | +1 894     | 1.49e-12 → 1.08e-12 |
+//! | `bopm_put`  | +823      | 4.48e-13 → 3.30e-13 | +10 698    | 1.21e-12 → 2.74e-12 |
+//! | `topm_call` | +197      | 6.04e-13 → 6.46e-13 | −1 537     | 1.91e-11 → 1.94e-11 |
+//! | `topm_put`  | −11       | 6.61e-13 → 6.59e-13 | −5 160     | 7.04e-13 → 1.44e-12 |
+//! | `bsm_put`   | +921      | 1.06e-13 → 2.49e-13 | −3 020     | 1.21e-12 → 1.68e-12 |
+//!
+//! The in-place `stepped` loop of the same PR moved no bit of any of them.
 
 use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
@@ -32,11 +50,11 @@ const PAPER_STEPS: usize = 4_096;
 /// The five fast American routes with their pinned bits at `PAPER_STEPS`
 /// and at `DEEP_STEPS`.
 const PINS: [(&str, ModelKind, OptionType, u64, u64); 5] = [
-    ("bopm_call", ModelKind::Bopm, OptionType::Call, 0x4020a77abadfed38, 0x4020a79594a8528e),
-    ("bopm_put", ModelKind::Bopm, OptionType::Put, 0x4028d92522e9c667, 0x4028d9538c559552),
-    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647a11, 0x4020a79fbd0ba295),
-    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a49561a, 0x4028d963554910c1),
-    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d2fd, 0x4026c53a8e7efa4a),
+    ("bopm_call", ModelKind::Bopm, OptionType::Call, 0x4020a77abadfedaa, 0x4020a79594a859f4),
+    ("bopm_put", ModelKind::Bopm, OptionType::Put, 0x4028d92522e9c99e, 0x4028d9538c55bf1c),
+    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647ad6, 0x4020a79fbd0b9c94),
+    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a49560f, 0x4028d9635548fc99),
+    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d696, 0x4026c53a8e7eee7e),
 ];
 
 /// The route's price through the facade's one dispatcher, the batch layer
