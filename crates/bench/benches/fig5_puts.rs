@@ -1,8 +1,8 @@
 //! Fast-put vs naive-put scaling — the put-side companion to Figure 5:
 //! the left-cone FFT trapezoid engine against the `Θ(T²)` loop nest, for
 //! both lattice families.  Criterion sizes are kept moderate so
-//! `cargo bench` terminates quickly; `batch_throughput` records the
-//! `T = 2¹⁴` headline speedup in its JSON summary.
+//! `cargo bench` terminates quickly; `paper-figures fig5` sweeps the same
+//! put columns up to `--max-t-naive` (default `2¹⁴`).
 
 use amopt_core::bopm::{self, BopmModel};
 use amopt_core::topm::{self, TopmModel};

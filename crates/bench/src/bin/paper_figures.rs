@@ -9,19 +9,11 @@
 //! paper-figures table5          # thread-count sweep at T = 2^15
 //! paper-figures speedups        # headline speedup claims of §5.1
 //! paper-figures scaling         # empirical work-scaling exponents (Table 2)
-//! paper-figures batch           # batch-subsystem throughput (beyond-paper)
-//! paper-figures surface         # implied-vol surface inversion (beyond-paper)
 //! paper-figures all
 //! ```
 
-use amopt_bench::{
-    median_secs, paper_book, sequential_facade_loop, serial_surface_loop, surface_grid,
-    time_batch_cold, time_pricer, Impl,
-};
+use amopt_bench::{time_pricer, Impl};
 use amopt_cachesim::{kernels, EnergyModel};
-use amopt_core::batch::surface::implied_vol_surface;
-use amopt_core::batch::BatchPricer;
-use amopt_core::EngineConfig;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -52,8 +44,6 @@ fn main() {
         "table5" => table5(opt("--t", 1 << 15)),
         "speedups" => speedups(max_t_naive),
         "scaling" => scaling(max_t_fft),
-        "batch" => batch(opt("--batch", 4096), opt("--steps", 252)),
-        "surface" => surface(opt("--strikes", 8), opt("--expiries", 4), opt("--steps", 252)),
         "all" => {
             fig5("all", max_t_fft, max_t_naive);
             fig6(max_t_naive);
@@ -61,8 +51,6 @@ fn main() {
             table5(1 << 15);
             speedups(max_t_naive);
             scaling(max_t_fft);
-            batch(4096, 252);
-            surface(8, 4, 252);
         }
         other => {
             eprintln!("unknown subcommand `{other}`; see module docs");
@@ -287,101 +275,6 @@ fn speedups(max_t_naive: usize) {
         }
     }
     write_csv("results/speedups.csv", "model,T,loop_s,fft_s,speedup", &csv);
-}
-
-/// Beyond-paper: batch-subsystem throughput (options/sec) vs batch size and
-/// thread count, against the sequential facade loop.
-fn batch(max_batch: usize, steps: usize) {
-    println!("\n## Batch pricing throughput (T = {steps}, American BOPM calls)\n");
-    println!("| scenario | batch | threads | secs | options/s |");
-    println!("|---|---|---|---|---|");
-    let max_p = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut csv = Vec::new();
-    let mut emit = |name: &str, batch: usize, threads: usize, secs: f64| {
-        let rate = batch as f64 / secs;
-        println!("| {name} | {batch} | {threads} | {secs:.4} | {rate:.0} |");
-        csv.push(format!("{name},{batch},{threads},{secs:.6},{rate:.1}"));
-    };
-
-    let book = paper_book(max_batch, steps);
-    let seq = median_secs(3, || {
-        std::hint::black_box(sequential_facade_loop(&book));
-    });
-    emit("seq_facade_loop", max_batch, 1, seq);
-
-    let mut sizes = vec![1usize, 64];
-    if !sizes.contains(&max_batch) {
-        sizes.push(max_batch);
-    }
-    let mut batched_at_max = seq;
-    for n in sizes {
-        let book = paper_book(n, steps);
-        let mut threads = vec![1usize];
-        if max_p > 1 {
-            threads.push(max_p);
-        }
-        for p in threads {
-            let secs = amopt_parallel::run_with_threads(p, || time_batch_cold(&book, 3));
-            emit("batch_cold", n, p, secs);
-            if n == max_batch && p == max_p {
-                batched_at_max = secs;
-            }
-        }
-    }
-
-    // Warm memo: reprice an unchanged book.
-    let pricer = BatchPricer::new(EngineConfig::default());
-    let small = paper_book(256, steps);
-    let _ = pricer.price_batch(&small);
-    let warm = median_secs(3, || {
-        std::hint::black_box(pricer.price_batch(&small));
-    });
-    emit("batch_memo_warm", small.len(), max_p, warm);
-
-    println!(
-        "\nbatched ({max_p} threads) vs sequential loop at {max_batch} requests: {:.2}x",
-        seq / batched_at_max
-    );
-    write_csv("results/batch_throughput.csv", "scenario,batch,threads,secs,options_per_sec", &csv);
-}
-
-/// Beyond-paper: implied-vol surface inversion throughput (quotes/sec) —
-/// batch-native lockstep driver vs the serial per-quote bisection loop.
-fn surface(strikes: usize, expiries: usize, steps: usize) {
-    println!(
-        "\n## Implied-vol surface inversion ({strikes}x{expiries} grid, T = {steps}, \
-         American BOPM calls)\n"
-    );
-    println!("| scenario | quotes | secs | quotes/s |");
-    println!("|---|---|---|---|");
-    let mut csv = Vec::new();
-    let mut emit = |name: &str, quotes: usize, secs: f64| {
-        let rate = quotes as f64 / secs;
-        println!("| {name} | {quotes} | {secs:.4} | {rate:.1} |");
-        csv.push(format!("{name},{quotes},{secs:.6},{rate:.1}"));
-    };
-    let quotes = surface_grid(strikes, expiries, steps);
-    let serial = median_secs(3, || {
-        std::hint::black_box(serial_surface_loop(&quotes));
-    });
-    emit("serial_quote_loop", quotes.len(), serial);
-    let cold = median_secs(3, || {
-        let pricer = amopt_core::BatchPricer::with_memo_capacity(EngineConfig::default(), 8192);
-        std::hint::black_box(implied_vol_surface(&pricer, &quotes));
-    });
-    emit("surface_cold", quotes.len(), cold);
-    let pricer = amopt_core::BatchPricer::with_memo_capacity(EngineConfig::default(), 8192);
-    let _ = implied_vol_surface(&pricer, &quotes);
-    let warm = median_secs(3, || {
-        std::hint::black_box(implied_vol_surface(&pricer, &quotes));
-    });
-    emit("surface_requote", quotes.len(), warm);
-    println!(
-        "\nbatch-native surface vs serial loop: {:.2}x cold, {:.2}x re-quote",
-        serial / cold,
-        serial / warm
-    );
-    write_csv("results/surface_throughput.csv", "scenario,quotes,secs,quotes_per_sec", &csv);
 }
 
 /// Empirical scaling exponents: fit runtime ~ T^alpha on log-log points

@@ -6,25 +6,6 @@ use amopt_core::EngineConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which TCP front end [`QuoteServer::bind`](crate::QuoteServer::bind)
-/// serves with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontEnd {
-    /// Single-threaded epoll reactor: one thread multiplexes every
-    /// connection through nonblocking sockets, incremental line buffers,
-    /// and an eventfd completion waker.  Holds thousands of idle
-    /// connections; the default.
-    #[default]
-    Reactor,
-    /// Legacy thread-per-connection front end: two OS threads per
-    /// accepted socket.  Kept as the equivalence baseline and for
-    /// connection-count comparisons; replies are byte-identical for every
-    /// accepted request, but pipelining past the per-connection in-flight
-    /// cap is rejected with `overloaded` errors here where the reactor
-    /// backpressures instead (see [`QuoteServer`](crate::QuoteServer)).
-    Threaded,
-}
-
 /// Configuration of a [`QuoteService`](crate::QuoteService).
 ///
 /// The two coalescing knobs trade latency for batch efficiency:
@@ -49,21 +30,18 @@ pub struct ServiceConfig {
     /// worker lets a fresh batch coalesce while the previous one executes.
     pub workers: usize,
     /// Maximum requests a single connection / client handle may have in
-    /// flight.  In-process [`Client`](crate::Client) submits (and the
-    /// threaded front end, which submits on the reader thread) reject
-    /// beyond it with `Overloaded`; the reactor front end instead stops
-    /// reading the connection at the cap and resumes as replies drain.
+    /// flight.  In-process [`Client`](crate::Client) submits beyond it are
+    /// rejected with `Overloaded`; a TCP connection is never rejected on
+    /// this cap — the reactor stops reading it at the cap and resumes as
+    /// replies drain, so TCP backpressure paces the peer.
     pub per_conn_inflight: usize,
     /// Total memo capacity passed through to the shared `BatchPricer`
     /// (`0` disables cross-batch memoization).
     pub memo_capacity: usize,
     /// Memo shard count passed through to the shared `BatchPricer`.
     pub memo_shards: usize,
-    /// Which TCP front end serves connections (in-process use ignores it).
-    pub front_end: FrontEnd,
-    /// Connections the reactor will hold open at once; accepts beyond it
-    /// are closed immediately.  The threaded front end ignores this (its
-    /// cap is whatever the OS lets it spawn).
+    /// Connections the reactor will hold open at once; a connection
+    /// accepted beyond it is closed immediately (the peer reads EOF).
     pub max_connections: usize,
     /// Brownout shedding thresholds (see [`DegradationPolicy`]).
     pub degradation: DegradationPolicy,
@@ -79,7 +57,10 @@ pub struct ServiceConfig {
     pub fault: Option<Arc<FaultPlan>>,
     /// Whether per-request trace cards are stamped and journaled.  On by
     /// default: a card is one `Arc` allocation at accept plus lock-free
-    /// CAS stamps; the bench overhead gate pins the cost under 3%.
+    /// CAS stamps.  What that costs at saturation is the ledger's
+    /// `obs.trace_cost` (`perf/`, `quote_saturate`: throughput with this
+    /// off ÷ on); at PR 19 it read 0.95–1.20 over nine runs on a 2-core
+    /// VM, median ≈ 1.01 — a 3 % budget is neither shown met nor enforced.
     pub trace: bool,
     /// Event-journal ring capacity (completed trace cards, fault firings,
     /// sheds, retries, worker restarts, deadline misses).  Rounded up to a
@@ -139,7 +120,6 @@ impl Default for ServiceConfig {
             per_conn_inflight: 1024,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
             memo_shards: DEFAULT_MEMO_SHARDS,
-            front_end: FrontEnd::default(),
             max_connections: 10_000,
             degradation: DegradationPolicy::default(),
             retry_budget: 128,

@@ -15,11 +15,11 @@
 //!
 //! | site                                | consulted by                                   |
 //! |-------------------------------------|------------------------------------------------|
-//! | [`FaultSite::ShortRead`]            | reactor `pump_read`, `FaultyStream::read`      |
-//! | [`FaultSite::ShortWrite`]           | reactor `pump_write`, `FaultyStream::write`    |
+//! | [`FaultSite::ShortRead`]            | reactor `pump_read`                            |
+//! | [`FaultSite::ShortWrite`]           | reactor `pump_write`                           |
 //! | [`FaultSite::EagainStorm`]          | reactor read path (level-triggered re-fires)   |
 //! | [`FaultSite::SpuriousWakeup`]       | `epoll::Epoll::wait` via the [`WaitFault`] hook |
-//! | [`FaultSite::ConnReset`]            | reactor + `FaultyStream` read/write paths      |
+//! | [`FaultSite::ConnReset`]            | reactor `pump_read` / `pump_write`             |
 //! | [`FaultSite::ClockSkew`]            | `Client::submit_with_deadline` deadline math   |
 //! | [`FaultSite::WorkerPanic`]          | executor, per price request                    |
 //! | [`FaultSite::WorkerStall`]          | executor, per drained batch                    |
@@ -35,7 +35,6 @@
 //! [`WaitFault`]: epoll::WaitFault
 
 use crate::obs::ServiceObs;
-use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -340,8 +339,8 @@ impl FaultPlan {
     }
 
     /// Next fault to apply to a socket write of up to `full` bytes.
-    /// Consults reset → short-write (EAGAIN storms are a read-path,
-    /// reactor-only class: a blocking writer has no storm to ride out).
+    /// Consults reset → short-write; [`FaultSite::EagainStorm`] is a
+    /// read-path site and is never consulted here.
     pub fn write_fault(&self, full: usize) -> IoFault {
         if self.fires(FaultSite::ConnReset) {
             IoFault::Reset
@@ -409,74 +408,6 @@ impl epoll::WaitFault for SpuriousWakeups {
     }
 }
 
-/// A `Read + Write` wrapper injecting short reads, short writes, and
-/// connection resets into a blocking stream — the threaded front end's
-/// transport-fault surface (the reactor injects at its own nonblocking
-/// call sites instead).
-#[derive(Debug)]
-pub struct FaultyStream<S> {
-    inner: S,
-    plan: Arc<FaultPlan>,
-    dead: bool,
-}
-
-impl<S> FaultyStream<S> {
-    /// Wraps `inner`, consulting `plan` on every transfer.
-    pub fn new(inner: S, plan: Arc<FaultPlan>) -> FaultyStream<S> {
-        FaultyStream { inner, plan, dead: false }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
-    fn reset_err(&mut self) -> io::Error {
-        self.dead = true;
-        io::Error::new(io::ErrorKind::ConnectionReset, "amopt-fault: injected connection reset")
-    }
-}
-
-impl<S: Read> Read for FaultyStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "amopt-fault: stream dead"));
-        }
-        match self.plan.read_fault(buf.len()) {
-            IoFault::Reset => Err(self.reset_err()),
-            // A blocking stream has no EAGAIN to surface; deliver the data.
-            IoFault::None | IoFault::Eagain => self.inner.read(buf),
-            IoFault::Short(n) => {
-                let cap = n.min(buf.len()).max(1);
-                match buf.get_mut(..cap) {
-                    Some(window) => self.inner.read(window),
-                    None => self.inner.read(buf),
-                }
-            }
-        }
-    }
-}
-
-impl<S: Write> Write for FaultyStream<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "amopt-fault: stream dead"));
-        }
-        match self.plan.write_fault(buf.len()) {
-            IoFault::Reset => Err(self.reset_err()),
-            IoFault::None | IoFault::Eagain => self.inner.write(buf),
-            IoFault::Short(n) => {
-                let cap = n.min(buf.len()).max(1);
-                self.inner.write(buf.get(..cap).unwrap_or(buf))
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,30 +471,5 @@ mod tests {
                 IoFault::Reset | IoFault::Eagain | IoFault::None => {}
             }
         }
-    }
-
-    #[test]
-    fn faulty_stream_short_reads_still_deliver_every_byte() {
-        use std::io::Read as _;
-        let payload: Vec<u8> = (0u16..2048).map(|i| (i % 251) as u8).collect();
-        let schedule = FaultSchedule::off()
-            .with_rate(FaultSite::ShortRead, 700)
-            .with_rate(FaultSite::ShortWrite, 700);
-        let plan = FaultPlan::new(3, schedule);
-        let mut stream = FaultyStream::new(std::io::Cursor::new(payload.clone()), plan);
-        let mut out = Vec::new();
-        stream.read_to_end(&mut out).expect("short reads are not errors");
-        assert_eq!(out, payload);
-    }
-
-    #[test]
-    fn faulty_stream_reset_is_terminal() {
-        use std::io::Write as _;
-        let plan = FaultPlan::new(5, FaultSchedule::off().with_rate(FaultSite::ConnReset, 1024));
-        let mut stream = FaultyStream::new(Vec::<u8>::new(), plan);
-        let err = stream.write(b"hello").expect_err("reset must fire at rate 1024");
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        let err = stream.write(b"again").expect_err("stream stays dead");
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
     }
 }

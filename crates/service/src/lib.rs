@@ -16,10 +16,13 @@
 //! the fork-join pool exactly as a hand-built batch would.
 //!
 //! Load shedding is explicit: when the submission queue is at
-//! [`ServiceConfig::queue_depth`] or a connection exceeds its in-flight cap,
-//! the submit fails *immediately* with [`ServiceError::Overloaded`] — no
-//! silent latency cliff, no unbounded buffering.  Shutdown is graceful:
-//! accepted requests are drained and answered before the workers exit.
+//! [`ServiceConfig::queue_depth`] or an in-process client exceeds its
+//! in-flight cap, the submit fails *immediately* with
+//! [`ServiceError::Overloaded`] — no silent latency cliff, no unbounded
+//! buffering.  (A TCP connection at its in-flight cap is paced by
+//! backpressure instead: the server stops reading it until replies drain.)
+//! Shutdown is graceful: accepted requests are drained and answered before
+//! the workers exit.
 //!
 //! Two front doors share the same queue:
 //!
@@ -27,10 +30,8 @@
 //!   the service in another Rust process;
 //! * a TCP listener ([`QuoteServer`]) speaking a line-delimited JSON wire
 //!   protocol ([`wire`]), hand-rolled in this crate so the container needs
-//!   no external dependencies.  By default it is served by a
-//!   single-threaded epoll [`reactor`] that multiplexes thousands of
-//!   connections; [`FrontEnd::Threaded`] keeps the legacy
-//!   thread-per-connection baseline.
+//!   no external dependencies.  It is served by a single-threaded epoll
+//!   [`reactor`] that multiplexes thousands of connections.
 //!
 //! Submissions may carry an optional **deadline budget**
 //! ([`Client::submit_with_deadline`], wire field `deadline_ms`); the
@@ -72,7 +73,7 @@ mod types;
 pub mod wire;
 
 pub use chaos::{soak, ChaosConfig, ChaosReport};
-pub use config::{DegradationPolicy, FrontEnd, ServiceConfig};
+pub use config::{DegradationPolicy, ServiceConfig};
 pub use fault::{FaultPlan, FaultSchedule, FaultSite, FaultStats, FAULT_SITES};
 pub use queue::{Client, QuoteService, RetryPolicy, Ticket};
 pub use tcp::{QuoteServer, TcpQuoteClient};

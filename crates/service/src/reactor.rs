@@ -1,12 +1,12 @@
-//! Single-threaded epoll reactor front end.
+//! Single-threaded epoll reactor: the TCP front end.
 //!
 //! One thread owns every connection: a level-triggered [`epoll::Epoll`]
 //! multiplexes the nonblocking listener, an [`epoll::Waker`] eventfd, and
 //! every accepted socket.  Connections carry incremental read/write
-//! buffers with partial-line and partial-write resumption, so a slow peer
-//! costs a few kilobytes of buffer instead of two parked OS threads — the
-//! reactor holds thousands of idle connections where the threaded front
-//! end capped out at tens.
+//! buffers with partial-line and partial-write resumption, so a slow or
+//! idle peer costs a few kilobytes of buffer and no thread — the reactor
+//! holds thousands of connections (up to
+//! [`max_connections`](crate::ServiceConfig::max_connections)).
 //!
 //! ## Event-loop states (per connection)
 //!
@@ -15,10 +15,8 @@
 //!   [`Interest::NONE`]) while the reply pipeline is at the connection's
 //!   in-flight cap; writes subscribe to `EPOLLOUT` only while a reply is
 //!   partially written.  Lines already buffered past the cap are
-//!   re-parsed as replies drain — a deliberate divergence from the
-//!   threaded front end, which answers over-cap submissions with
-//!   `overloaded` errors; the reactor backpressures instead and never
-//!   rejects on the per-connection cap (see
+//!   re-parsed as replies drain: the per-connection cap backpressures the
+//!   peer and delays its over-cap lines, it never rejects them (see
 //!   [`QuoteServer`](crate::QuoteServer)).
 //! * **Peer-closed** — the peer half-closed (EOF / `EPOLLRDHUP`).  The
 //!   connection stays registered until every accepted request has been
@@ -65,8 +63,10 @@ const TOKEN_CONN_BASE: u64 = 2;
 const EVENT_CAPACITY: usize = 1024;
 /// Read chunk size; also the per-read growth step of a connection buffer.
 const READ_CHUNK: usize = 16 * 1024;
-/// Byte budget for swallowing leftover input after a rejected line
-/// (mirrors the threaded front end's drain).
+/// Byte budget for swallowing leftover input after a rejected line: 64×
+/// [`wire::MAX_LINE_BYTES`], so the rest of any plausible oversized line is
+/// read and the error reply is not lost to a TCP reset, while a hostile
+/// peer cannot keep the connection (and its slot) forever.
 const DRAIN_BUDGET: usize = 64 << 20;
 /// Wall-clock budget for that drain.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
@@ -556,11 +556,13 @@ fn pump_read(
 }
 
 /// Extracts and processes every complete line buffered in the
-/// connection's [`LineAssembler`], preserving the threaded front end's
-/// exact cap and UTF-8 semantics (the assembler reproduces what
-/// `take(cap).read_line` would have reported: a "exceeds" error for an
-/// over-long valid-UTF-8 prefix, the combined "not valid UTF-8 or
-/// exceeds" error for hostile bytes or a cap mid-character).
+/// connection's [`LineAssembler`], up to the in-flight cap.  Blank lines
+/// are skipped; `stats` / `metrics` / `trace` and undecodable lines are
+/// answered inline; everything else is submitted and answered when its
+/// ticket resolves.  A line the assembler rejects — no newline within
+/// [`wire::MAX_LINE_BYTES`] ("exceeds" for a valid-UTF-8 prefix, "not
+/// valid UTF-8 or exceeds" for hostile bytes or a cap mid-character) — is
+/// answered once with that parse error and marks the connection rejected.
 fn parse_lines(conn: &mut Conn, service: &QuoteService, shared: &Arc<ReactorShared>, cap: usize) {
     loop {
         if conn.pending.len() >= cap.max(1) {

@@ -2,58 +2,37 @@
 //! [`wire`](crate::wire), one connection per client, responses in request
 //! order.
 //!
-//! Two interchangeable front ends serve the protocol, selected by
-//! [`ServiceConfig::front_end`](crate::ServiceConfig::front_end).  Every
-//! request the service accepts is answered with byte-identical reply
-//! lines on either; they diverge only in how a connection that pipelines
-//! past its in-flight cap is paced (see below):
+//! Connections are served by a single-threaded epoll event loop (see
+//! [`reactor`](crate::reactor)) that multiplexes every socket through
+//! nonblocking reads and writes and incremental line buffers, so it holds
+//! thousands of mostly-idle connections on one thread.
 //!
-//! * [`FrontEnd::Reactor`] (default) — a single-threaded epoll event loop
-//!   (see [`reactor`](crate::reactor)) multiplexing every connection
-//!   through nonblocking sockets and incremental line buffers.  Scales to
-//!   thousands of mostly-idle connections.
-//! * [`FrontEnd::Threaded`] — the legacy pair of OS threads per
-//!   connection: a **reader** (parse a line, submit to the shared
-//!   coalescing queue, forward the ticket) and a **writer** (resolve
-//!   tickets in order, write one response line each).  The channel between
-//!   them is bounded at the connection's in-flight cap, so a connection
-//!   that stops reading its responses eventually stalls its own reader —
-//!   TCP backpressure.  Kept as the equivalence baseline.
+//! Three rules bound what a connection can cost the server:
 //!
-//! In both, submissions rejected because the shared queue is full are
-//! answered immediately with `"kind":"overloaded"` error lines and never
-//! occupy queue space.  The per-connection in-flight cap is where the
-//! front ends intentionally differ: the threaded reader has already
-//! pulled the over-cap line off the socket, so it answers it with an
-//! `overloaded` error too; the reactor stops reading at the cap and lets
-//! TCP backpressure pace the client, so over-cap pipelining is delayed —
-//! every line is eventually answered — and never rejected on that cap.
+//! * a submission rejected because the shared queue is full (or shed by a
+//!   brownout tier) is answered at once with a `"kind":"overloaded"` error
+//!   line and never occupies queue space;
+//! * a connection that pipelines past
+//!   [`per_conn_inflight`](ServiceConfig::per_conn_inflight) is not
+//!   rejected: the reactor stops reading it at the cap and resumes as
+//!   replies drain, so TCP backpressure paces the peer and every line is
+//!   eventually answered, in order;
+//! * a line longer than [`MAX_LINE_BYTES`](crate::wire::MAX_LINE_BYTES) or
+//!   not valid UTF-8 is answered once with a parse error, then the
+//!   connection is closed.
+//!
+//! The exact reply bytes for every kind of request line are pinned by the
+//! golden transcript in `tests/front_end.rs`.
 
-use crate::config::FrontEnd;
-use crate::fault::FaultyStream;
-use crate::queue::{Client, QuoteService, Ticket};
+use crate::queue::QuoteService;
 use crate::reactor::ReactorHandle;
 use crate::types::ServiceStats;
-use crate::wire::{self, WireRequest};
 use crate::ServiceConfig;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// One line the writer thread owes the socket.
-enum Outgoing {
-    /// Already-encoded response (errors, stats).
-    Ready(String),
-    /// A pending submission: wait, then encode.
-    Pending {
-        /// Echoed request id (compact JSON).
-        id: String,
-        /// Resolves to the response when the coalesced batch executes.
-        ticket: Ticket,
-    },
-}
 
 /// A [`QuoteService`] listening on a TCP socket.
 ///
@@ -72,65 +51,26 @@ enum Outgoing {
 pub struct QuoteServer {
     service: Arc<QuoteService>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    reactor: Option<ReactorHandle>,
+    /// Set by the first [`shutdown`](QuoteServer::shutdown) caller, who
+    /// alone sequences stop-accepting → drain → reactor exit.
+    stop: AtomicBool,
+    reactor: ReactorHandle,
 }
 
 impl QuoteServer {
-    /// Starts a [`QuoteService`] with `cfg` and listens on `addr`
-    /// (`127.0.0.1:0` picks a free port; see [`local_addr`]).
-    ///
-    /// `cfg.front_end` selects the serving strategy.  The wire protocol is
-    /// the same and every accepted request gets byte-identical reply lines
-    /// either way; the front ends differ only when a connection pipelines
-    /// past [`per_conn_inflight`](ServiceConfig::per_conn_inflight) —
-    /// [`FrontEnd::Threaded`] rejects the excess with `overloaded` error
-    /// lines, [`FrontEnd::Reactor`] pauses reads and answers everything
-    /// once replies drain.
+    /// Starts a [`QuoteService`] with `cfg`, listens on `addr`
+    /// (`127.0.0.1:0` picks a free port; see [`local_addr`]) and spawns the
+    /// reactor thread that serves every connection.
     ///
     /// [`local_addr`]: QuoteServer::local_addr
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServiceConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let front_end = cfg.front_end;
         let service = Arc::new(QuoteService::start(cfg)?);
-        let stop = Arc::new(AtomicBool::new(false));
-        match front_end {
-            FrontEnd::Reactor => {
-                let reactor = match ReactorHandle::spawn(listener, Arc::clone(&service)) {
-                    Ok(handle) => handle,
-                    Err(e) => {
-                        service.shutdown();
-                        return Err(e);
-                    }
-                };
-                Ok(QuoteServer { service, addr, stop, accept_thread: None, reactor: Some(reactor) })
-            }
-            FrontEnd::Threaded => {
-                let accept_thread = {
-                    let accept_service = Arc::clone(&service);
-                    let accept_stop = Arc::clone(&stop);
-                    let spawned = std::thread::Builder::new()
-                        .name("amopt-service-accept".to_string())
-                        .spawn(move || accept_loop(&listener, &accept_service, &accept_stop));
-                    match spawned {
-                        Ok(handle) => handle,
-                        Err(e) => {
-                            service.shutdown();
-                            return Err(e);
-                        }
-                    }
-                };
-                Ok(QuoteServer {
-                    service,
-                    addr,
-                    stop,
-                    accept_thread: Some(accept_thread),
-                    reactor: None,
-                })
-            }
-        }
+        // On failure the last handle to the service drops here, which
+        // shuts it down.
+        let reactor = ReactorHandle::spawn(listener, Arc::clone(&service))?;
+        Ok(QuoteServer { service, addr, stop: AtomicBool::new(false), reactor })
     }
 
     /// The bound address (useful with port 0).
@@ -156,213 +96,27 @@ impl QuoteServer {
         self.service.metrics_text()
     }
 
-    /// Stops accepting connections, then drains and stops the service
-    /// ([`QuoteService::shutdown`] semantics).  Established connections are
-    /// answered for everything already accepted: the threaded front end's
-    /// connection threads exit when the peers disconnect; the reactor
-    /// flushes every pending reply (bounded) before closing its sockets.
+    /// Stops accepting connections (the listener closes), drains and stops
+    /// the service ([`QuoteService::shutdown`] semantics), then has the
+    /// reactor flush every reply still owed to an established connection —
+    /// waiting a bounded time on slow peers — before it closes its sockets
+    /// and exits.  Idempotent.
     pub fn shutdown(&self) {
-        if !self.stop.swap(true, Ordering::AcqRel) {
-            match &self.reactor {
-                Some(reactor) => {
-                    reactor.stop_accepting();
-                    self.service.shutdown();
-                    reactor.exit_and_join();
-                    return;
-                }
-                None => {
-                    // Wake the blocking accept with a throwaway connection.
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
+        if self.stop.swap(true, Ordering::AcqRel) {
+            // A concurrent or repeated call: the first caller owns the
+            // sequence below; setting the reactor's exit flag from here
+            // could close connections whose tickets are not yet resolved.
+            return;
         }
+        self.reactor.stop_accepting();
         self.service.shutdown();
+        self.reactor.exit_and_join();
     }
 }
 
 impl Drop for QuoteServer {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, service: &Arc<QuoteService>, stop: &Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        let client = service.client();
-        let service = Arc::clone(service);
-        // The channel bound mirrors the per-connection in-flight cap so
-        // completed-but-unwritten responses stay bounded too.
-        let channel_bound = service.config().per_conn_inflight;
-        let _ = std::thread::Builder::new()
-            .name("amopt-service-conn".to_string())
-            .spawn(move || handle_connection(stream, &service, client, channel_bound));
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    service: &Arc<QuoteService>,
-    client: Client,
-    channel_bound: usize,
-) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let Ok(control) = stream.try_clone() else { return };
-    // Under a fault plan both halves transfer through a `FaultyStream`
-    // (short reads/writes, mid-line resets); `control` keeps a plain handle
-    // for the shutdown/timeout calls the graceful-close drain needs.
-    match service.config().fault.clone() {
-        Some(plan) => serve_lines(
-            BufReader::new(FaultyStream::new(stream, Arc::clone(&plan))),
-            BufWriter::new(FaultyStream::new(write_half, plan)),
-            control,
-            service,
-            client,
-            channel_bound,
-        ),
-        None => serve_lines(
-            BufReader::new(stream),
-            BufWriter::new(write_half),
-            control,
-            service,
-            client,
-            channel_bound,
-        ),
-    }
-}
-
-fn serve_lines<R, W>(
-    mut reader: BufReader<R>,
-    mut out: BufWriter<W>,
-    control: TcpStream,
-    service: &Arc<QuoteService>,
-    client: Client,
-    channel_bound: usize,
-) where
-    R: Read,
-    W: Write + Send + 'static,
-{
-    let (tx, rx) = mpsc::sync_channel::<Outgoing>(channel_bound.max(1));
-    let spawned = std::thread::Builder::new().name("amopt-service-conn-writer".to_string()).spawn(
-        move || {
-            while let Ok(msg) = rx.recv() {
-                let line = match msg {
-                    Outgoing::Ready(line) => line,
-                    Outgoing::Pending { id, ticket } => wire::encode_result(&id, &ticket.wait()),
-                };
-                if out.write_all(line.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
-                    return;
-                }
-            }
-        },
-    );
-    // No writer thread means no way to answer: drop the connection (the
-    // peer sees a clean close and can retry elsewhere).
-    let Ok(writer) = spawned else { return };
-
-    let mut line = String::new();
-    // Set when a line was rejected (too long or not UTF-8) and a final
-    // error response is queued: the close must then be graceful enough for
-    // the peer to actually receive it (see the drain below).
-    let mut rejected_line = false;
-    loop {
-        line.clear();
-        // Read through a `take` so a newline-free line cannot grow the
-        // buffer past the codec's cap; a line that fills the cap without a
-        // terminating newline is hostile (or hopelessly malformed) — answer
-        // once and drop the connection.
-        let n = match (&mut reader).take(wire::MAX_LINE_BYTES as u64).read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Not UTF-8: hostile bytes, or the cap landed mid-character
-                // on an oversized line.  Either way it cannot parse — keep
-                // the documented contract (answer once, then drop) instead
-                // of closing silently.
-                let _ = tx.send(Outgoing::Ready(wire::encode_error(
-                    "null",
-                    "parse",
-                    &format!(
-                        "request line is not valid UTF-8 or exceeds {} bytes",
-                        wire::MAX_LINE_BYTES
-                    ),
-                )));
-                rejected_line = true;
-                break;
-            }
-            Err(_) => break, // broken pipe
-        };
-        if n >= wire::MAX_LINE_BYTES && !line.ends_with('\n') {
-            let _ = tx.send(Outgoing::Ready(wire::encode_error(
-                "null",
-                "parse",
-                &format!("request line exceeds {} bytes", wire::MAX_LINE_BYTES),
-            )));
-            rejected_line = true;
-            break;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        // Start the trace card before decoding so the parse interval covers
-        // the wire decode (mirrors the reactor front end).
-        let trace = service.obs().trace_start();
-        let (id, decoded) = wire::decode_request(trimmed);
-        let outgoing = match decoded {
-            Err(e) => Outgoing::Ready(wire::encode_error(&id, "parse", &e)),
-            Ok(WireRequest::Stats) => Outgoing::Ready(wire::encode_stats(&id, &service.stats())),
-            Ok(WireRequest::Metrics) => {
-                Outgoing::Ready(wire::encode_metrics(&id, &service.metrics_text()))
-            }
-            Ok(WireRequest::Trace(n)) => {
-                Outgoing::Ready(wire::encode_trace(&id, &service.recent_traces(n)))
-            }
-            Ok(WireRequest::Submit(request, deadline)) => {
-                if let Some(trace) = &trace {
-                    trace.set_id(id.parse().unwrap_or_else(|_| service.obs().next_trace_id()));
-                    trace.set_kind(crate::obs::ServiceObs::kind_of(&request));
-                    trace.stamp(amopt_obs::Stage::Parsed);
-                }
-                match client.submit_traced(request, deadline, trace) {
-                    Ok(ticket) => Outgoing::Pending { id, ticket },
-                    Err(e) => Outgoing::Ready(wire::encode_result(&id, &Err(e))),
-                }
-            }
-        };
-        if tx.send(outgoing).is_err() {
-            break; // writer died (peer stopped reading)
-        }
-    }
-    drop(tx); // writer drains the channel, then exits
-    let _ = writer.join();
-    if rejected_line {
-        // The peer may still be mid-send (e.g. the rest of an oversized
-        // line).  Closing now, with unread bytes pending, elicits a TCP RST
-        // that can discard the error line the writer just flushed.  Signal
-        // end-of-responses, then swallow the leftover input — bounded in
-        // both bytes and time so a hostile peer cannot pin the thread —
-        // before dropping the socket.
-        let _ = control.shutdown(std::net::Shutdown::Write);
-        let _ = control.set_read_timeout(Some(Duration::from_secs(2)));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut scratch = [0u8; 8192];
-        let mut budget: usize = 64 << 20;
-        while budget > 0 && std::time::Instant::now() < deadline {
-            match reader.get_mut().read(&mut scratch) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => budget = budget.saturating_sub(n),
-            }
-        }
     }
 }
 
@@ -443,7 +197,7 @@ impl TcpQuoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_pricing_request, parse, JsonValue};
+    use crate::wire::{self, encode_pricing_request, parse, JsonValue};
     use amopt_core::batch::{BatchPricer, ModelKind, PricingRequest};
     use amopt_core::{EngineConfig, OptionParams, OptionType};
     use std::time::Duration;
@@ -566,8 +320,8 @@ mod tests {
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("parse"));
         assert!(client.recv().is_err(), "oversized line must close the connection");
         // The cap splitting a multi-byte character still answers before the
-        // drop (read_line surfaces that as InvalidData, not as a clean cap
-        // hit), as does outright non-UTF-8 input.
+        // drop (as a malformed line, not as a clean cap hit), as does
+        // outright non-UTF-8 input.
         for tail in [&[0xF0u8, 0x9F, 0x98, 0x80][..], &[0xFFu8, 0xFE][..]] {
             let mut raw = TcpStream::connect(server.local_addr()).unwrap();
             let mut payload = vec![b'x'; wire::MAX_LINE_BYTES - 2];
@@ -598,7 +352,7 @@ mod tests {
         let server = server();
         let addr = server.local_addr();
         server.shutdown();
-        // After shutdown the accept loop is gone: either the connect fails
+        // After shutdown the listener is closed: either the connect fails
         // outright or the next request gets no response.
         if let Ok(mut client) = TcpQuoteClient::connect(addr) {
             let req = PricingRequest::american(

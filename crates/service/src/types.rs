@@ -39,9 +39,10 @@ pub enum ServiceResponse {
 /// Why a submission failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
-    /// The service shed this request: the bounded submission queue was full
-    /// or the connection exceeded its in-flight cap.  The request was *not*
-    /// enqueued; retry with backoff.
+    /// The service shed this request: the bounded submission queue was
+    /// full, a brownout tier shed its class, or the in-process client
+    /// handle exceeded its in-flight cap.  The request was *not* enqueued;
+    /// retry with backoff.
     Overloaded {
         /// Which limit rejected the request.
         what: &'static str,
@@ -125,7 +126,7 @@ impl ShedByClass {
 }
 
 /// Counters of the epoll reactor front end, all zero when the service is
-/// driven in-process or by the legacy threaded front end.
+/// driven in-process only (no [`QuoteServer`](crate::QuoteServer)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReactorStats {
     /// Connections the reactor has accepted since start.

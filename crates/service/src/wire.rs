@@ -178,7 +178,7 @@ pub enum LineError {
 }
 
 impl LineError {
-    /// The parse-error message the front ends answer with.
+    /// The parse-error message the server answers with.
     pub fn message(&self) -> String {
         match self {
             LineError::TooLong => format!("request line exceeds {MAX_LINE_BYTES} bytes"),
@@ -190,7 +190,7 @@ impl LineError {
 }
 
 /// Incremental line extraction over an arbitrarily split byte stream —
-/// the reader-resumption half of the wire protocol, shared by the epoll
+/// the reader-resumption half of the wire protocol, used by the epoll
 /// reactor and property-tested in isolation.
 ///
 /// Feed chunks with [`push`](LineAssembler::push) exactly as they arrive
@@ -198,10 +198,13 @@ impl LineError {
 /// complete line (without its `\n`) as soon as its last byte is in,
 /// independent of how the stream was split — mid-line, mid-UTF-8-sequence,
 /// byte-at-a-time, it cannot matter, because assembly happens on raw bytes
-/// and decoding only ever sees whole lines.  The [`MAX_LINE_BYTES`] cap
-/// and UTF-8 validation match the front ends' semantics exactly; a
-/// rejection is terminal (the connection is answered once and dropped, so
-/// there is nothing meaningful to resynchronise onto).
+/// and decoding only ever sees whole lines.  Two things reject the
+/// stream: [`MAX_LINE_BYTES`] buffered bytes with no newline among them
+/// ([`LineError::TooLong`], or [`LineError::Malformed`] when that prefix is
+/// not valid UTF-8 — which includes the cap landing mid-character), and a
+/// complete line that is not valid UTF-8.  A rejection is terminal (the
+/// connection is answered once and dropped, so there is nothing
+/// meaningful to resynchronise onto).
 #[derive(Debug, Default)]
 pub struct LineAssembler {
     buf: Vec<u8>,

@@ -1,23 +1,22 @@
-//! Front-end integration tests: the epoll reactor must be byte-identical
-//! on the wire to the threaded baseline, survive hostile client pacing
-//! (slow-loris, partial lines, half-close), and hold four-digit connection
-//! counts that would cost the threaded front end thousands of OS threads.
+//! Front-end integration tests: a golden wire transcript pins the exact
+//! reply bytes of every kind of request line, and the reactor must survive
+//! hostile client pacing (slow-loris, partial lines, half-close, pipelining
+//! past the in-flight cap) and hold four-digit connection counts.
 
-use amopt_core::batch::{ModelKind, PricingRequest};
-use amopt_core::{OptionParams, OptionType};
+use amopt_core::batch::greeks::greeks as batch_greeks;
+use amopt_core::batch::surface::{implied_vol_surface, VolQuote};
+use amopt_core::batch::{BatchPricer, ModelKind, PricingRequest};
+use amopt_core::{EngineConfig, OptionParams, OptionType};
 use amopt_service::wire::{self, parse, JsonValue};
-use amopt_service::{FrontEnd, QuoteServer, ServiceConfig, TcpQuoteClient};
+use amopt_service::{
+    QuoteServer, ServiceConfig, ServiceError, ServiceResponse, ServiceResult, TcpQuoteClient,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn config(front_end: FrontEnd) -> ServiceConfig {
-    ServiceConfig {
-        max_batch: 16,
-        max_wait: Duration::from_millis(1),
-        front_end,
-        ..ServiceConfig::default()
-    }
+fn config() -> ServiceConfig {
+    ServiceConfig { max_batch: 16, max_wait: Duration::from_millis(1), ..ServiceConfig::default() }
 }
 
 fn contract(strike: f64, ty: OptionType, steps: usize) -> PricingRequest {
@@ -29,52 +28,207 @@ fn contract(strike: f64, ty: OptionType, steps: usize) -> PricingRequest {
     )
 }
 
-/// A request script covering every inline-answerable wire shape: prices on
-/// both option types, an in-script duplicate (memo path), a deadline-tagged
-/// quote, greeks, and a parse error answered without closing.
-fn script() -> Vec<String> {
-    let mut lines = Vec::new();
-    for i in 0..6u64 {
-        let ty = if i % 2 == 0 { OptionType::Call } else { OptionType::Put };
-        lines.push(wire::encode_pricing_request(i, "price", &contract(100.0 + i as f64, ty, 64)));
-    }
-    lines.push(wire::encode_pricing_request(6, "price", &contract(100.0, OptionType::Call, 64)));
-    lines.push(wire::encode_pricing_request_with_deadline(
-        7,
-        "price",
-        &contract(103.0, OptionType::Put, 64),
-        2.5,
-    ));
-    lines.push(wire::encode_pricing_request(8, "greeks", &contract(104.0, OptionType::Call, 64)));
-    lines.push("{\"id\":9,\"op\":\"price\"}".to_string());
-    lines
+/// One exchange of the golden transcript: a request line and the exact
+/// bytes of the reply line it must produce (`None`: the line is skipped
+/// and nothing is sent back).
+type Exchange = (&'static str, Option<String>);
+
+/// The golden wire transcript: the semantic reference for the TCP front
+/// end.  Request lines are literal text.  Replies are of two kinds:
+///
+/// * **literal** wherever the text cannot depend on kernel rounding — parse
+///   errors, pricing errors raised before any lattice is built, echoed ids,
+///   a worthless option (exactly `0`), immediate exercise (exactly the
+///   intrinsic `K − S`, which the root node computes as `strike - spot`);
+/// * **computed** for live numbers: `wire::encode_result` over the answer a
+///   fresh [`BatchPricer`] gives for the contract *written out here* (not
+///   decoded from the line, so the decoder's field mapping is checked
+///   too).  The service's shared, memoizing, coalescing pricer must
+///   reproduce those bits; a kernel change that moves prices moves both
+///   sides and needs no re-pin.
+///
+/// `stats` / `metrics` / `trace` replies carry counters and timings and
+/// stay out.
+fn transcript() -> Vec<Exchange> {
+    let direct = BatchPricer::new(EngineConfig::default());
+    let paper = OptionParams::paper_defaults();
+    let lit = |reply: &str| Some(reply.to_string());
+    let computed = |id: &str, result: ServiceResult| Some(wire::encode_result(id, &result));
+    let price = |id: &str, req: &PricingRequest| {
+        let price = direct.price_one(req).expect("transcript contracts price");
+        computed(id, Ok(ServiceResponse::Price(price)))
+    };
+    let invert = |quote: VolQuote| implied_vol_surface(&direct, &[quote]).remove(0);
+    let put_105 = contract(105.0, OptionType::Put, 64);
+    vec![
+        // --- parse errors: answered inline, the connection stays open ---
+        (
+            r#"{"id":1,"op":"price"}"#,
+            lit(r#"{"id":1,"ok":false,"kind":"parse","error":"missing number `spot`"}"#),
+        ),
+        (
+            r#"{"id":2,"op":"frobnicate","spot":100,"strike":100,"vol":0.2}"#,
+            lit(r#"{"id":2,"ok":false,"kind":"parse","error":"unknown op `frobnicate`"}"#),
+        ),
+        (
+            "price me a call, please",
+            lit(r#"{"id":null,"ok":false,"kind":"parse","error":"invalid number `` at byte 0"}"#),
+        ),
+        (
+            r#"{"id":4,"op":"price","spot":100,"strike":100,"vol":1e999}"#,
+            lit(r#"{"id":4,"ok":false,"kind":"parse","error":"missing number `vol`"}"#),
+        ),
+        // --- blank lines are skipped, not answered ---
+        ("", None),
+        ("  \t ", None),
+        // --- pricing errors raised before any lattice arithmetic ---
+        (
+            r#"{"id":5,"op":"price","spot":100,"strike":100,"rate":0.5,"vol":0.01,"steps":4}"#,
+            lit(concat!(
+                r#"{"id":5,"ok":false,"kind":"pricing","error":"unstable discretisation: "#,
+                "risk-neutral probability p = 13.813540 outside (0,1); increase steps or ",
+                r#"reduce |R−Y|·Δt relative to V·√Δt"}"#,
+            )),
+        ),
+        (
+            r#"{"id":6,"op":"price","model":"bsm","type":"call","spot":100,"strike":100,"vol":0.2}"#,
+            lit(concat!(
+                r#"{"id":6,"ok":false,"kind":"pricing","error":"unsupported pricing request: "#,
+                r#"Bsm Call with American exercise has no pricer in this workspace"}"#,
+            )),
+        ),
+        // --- ids echoed verbatim: string (multi-byte), absent → null; the
+        // prices are exact: every leaf out of the money → 0, immediate
+        // exercise at the root → K − S, at T = 400 and on trees of one and
+        // two steps ---
+        (
+            r#"{"id":"Δ-7","op":"price","type":"call","spot":1,"strike":1000,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":400}"#,
+            lit(r#"{"id":"Δ-7","ok":true,"price":0}"#),
+        ),
+        (
+            r#"{"op":"price","type":"put","spot":50,"strike":200,"rate":0.05,"vol":0.2,"steps":400}"#,
+            lit(r#"{"id":null,"ok":true,"price":150}"#),
+        ),
+        (
+            r#"{"id":9,"op":"price","model":"topm","type":"call","spot":1,"strike":1000,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":1}"#,
+            lit(r#"{"id":9,"ok":true,"price":0}"#),
+        ),
+        (
+            r#"{"id":10,"op":"price","type":"put","spot":50,"strike":200,"rate":0.05,"vol":0.2,"steps":2}"#,
+            lit(r#"{"id":10,"ok":true,"price":150}"#),
+        ),
+        // --- live numbers: bitwise the direct answer ---
+        (
+            r#"{"id":11,"op":"price","spot":127.62,"strike":100,"rate":0.00163,"vol":0.2,"div":0.0163,"expiry":1,"steps":64}"#,
+            price("11", &contract(100.0, OptionType::Call, 64)),
+        ),
+        (
+            r#"{"id":12,"op":"price","model":"bopm","type":"put","style":"american","spot":127.62,"strike":105,"rate":0.00163,"vol":0.2,"div":0.0163,"expiry":1,"steps":64}"#,
+            price("12", &put_105),
+        ),
+        (
+            r#"{"id":13,"op":"price","model":"topm","type":"call","spot":127.62,"strike":130,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":96}"#,
+            price("13", &PricingRequest::american(ModelKind::Topm, OptionType::Call, paper, 96)),
+        ),
+        (
+            r#"{"id":14,"op":"price","model":"bsm","type":"put","spot":127.62,"strike":130,"rate":0.00163,"vol":0.2,"steps":96}"#,
+            price(
+                "14",
+                &PricingRequest::american(
+                    ModelKind::Bsm,
+                    OptionType::Put,
+                    OptionParams { dividend_yield: 0.0, ..paper },
+                    96,
+                ),
+            ),
+        ),
+        (
+            r#"{"id":15,"op":"price","type":"put","style":"european","spot":127.62,"strike":130,"rate":0.00163,"vol":0.2,"div":0.0163}"#,
+            price("15", &PricingRequest::european(ModelKind::Bopm, OptionType::Put, paper, 252)),
+        ),
+        // A deadline-tagged quote is scheduled differently, not priced
+        // differently.
+        (
+            r#"{"id":16,"op":"price","type":"put","spot":127.62,"strike":103,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":64,"deadline_ms":2.5}"#,
+            price("16", &contract(103.0, OptionType::Put, 64)),
+        ),
+        // An in-script duplicate of id 12: served by in-batch dedup or the
+        // memo, same bytes but for the id.
+        (
+            r#"{"id":17,"op":"price","type":"put","spot":127.62,"strike":105,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":64}"#,
+            price("17", &put_105),
+        ),
+        (
+            r#"{"id":18,"op":"greeks","spot":127.62,"strike":104,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":64}"#,
+            {
+                let ladder = batch_greeks(&direct, &[contract(104.0, OptionType::Call, 64)])
+                    .remove(0)
+                    .expect("transcript contracts price");
+                computed("18", Ok(ServiceResponse::Greeks(ladder)))
+            },
+        ),
+        (
+            r#"{"id":19,"op":"implied_vol","spot":127.62,"strike":130,"rate":0.00163,"div":0.0163,"steps":64,"market_price":9.5}"#,
+            {
+                let vol = invert(VolQuote::new(paper, 64, 9.5)).expect("9.5 is attainable");
+                computed("19", Ok(ServiceResponse::ImpliedVol(vol)))
+            },
+        ),
+        // Unattainable quote: the error text quotes lattice prices, so it
+        // is computed too.
+        (
+            r#"{"id":20,"op":"implied_vol","type":"put","spot":127.62,"strike":130,"rate":0.00163,"div":0.0163,"steps":64,"market_price":500}"#,
+            {
+                let e = invert(VolQuote::put(paper, 64, 500.0)).expect_err("500 is unattainable");
+                computed("20", Err(ServiceError::Pricing(e)))
+            },
+        ),
+    ]
 }
 
-fn replies(server: &QuoteServer, lines: &[String]) -> Vec<String> {
-    let mut client = TcpQuoteClient::connect(server.local_addr()).expect("connect");
-    for line in lines {
-        client.send(line).expect("send");
+/// Replays the transcript over one fresh connection, writing the request
+/// bytes `chunk` at a time, half-closes, and returns everything the server
+/// sent before closing its side.
+fn replay(server: &QuoteServer, script: &[Exchange], chunk: usize) -> Vec<u8> {
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_nodelay(true).ok();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).ok();
+    let mut request = Vec::new();
+    for (line, _) in script {
+        request.extend_from_slice(line.as_bytes());
+        request.push(b'\n');
     }
-    lines.iter().map(|_| client.recv().expect("recv")).collect()
+    for piece in request.chunks(chunk) {
+        raw.write_all(piece).expect("write");
+    }
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut got = Vec::new();
+    raw.read_to_end(&mut got).expect("read replies until the server closes");
+    got
 }
 
 #[test]
-fn reactor_and_threaded_reply_bitwise_identically() {
-    let script = script();
-    let reactor = QuoteServer::bind("127.0.0.1:0", config(FrontEnd::Reactor)).expect("bind");
-    let threaded = QuoteServer::bind("127.0.0.1:0", config(FrontEnd::Threaded)).expect("bind");
-    let from_reactor = replies(&reactor, &script);
-    let from_threaded = replies(&threaded, &script);
-    for (i, (r, t)) in from_reactor.iter().zip(&from_threaded).enumerate() {
-        assert_eq!(r, t, "reply {i} diverges between front ends");
+fn golden_transcript_replays_byte_for_byte_in_both_framings() {
+    let script = transcript();
+    let want: Vec<&str> = script.iter().filter_map(|(_, reply)| reply.as_deref()).collect();
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
+    // One write carrying every line, then one byte per write (multi-byte
+    // characters split mid-sequence): the second pass also finds the memo
+    // warm, which must not change a byte either.
+    for (framing, chunk) in [("single write", usize::MAX), ("a byte per write", 1)] {
+        let got = replay(&server, &script, chunk);
+        let got = std::str::from_utf8(&got).expect("replies are UTF-8");
+        for (i, (g, w)) in got.lines().zip(&want).enumerate() {
+            assert_eq!(g, *w, "{framing}: reply {i} differs");
+        }
+        assert_eq!(got, want.join("\n") + "\n", "{framing}: reply stream");
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    server.shutdown();
 }
 
 #[test]
 fn slow_loris_partial_lines_resume() {
-    let server = QuoteServer::bind("127.0.0.1:0", config(FrontEnd::Reactor)).expect("bind");
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     raw.set_nodelay(true).ok();
 
@@ -119,7 +273,7 @@ fn slow_loris_partial_lines_resume() {
 
 #[test]
 fn half_close_still_flushes_pending_replies() {
-    let server = QuoteServer::bind("127.0.0.1:0", config(FrontEnd::Reactor)).expect("bind");
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
     let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
     let n = 5u64;
     for i in 0..n {
@@ -156,14 +310,12 @@ fn pipelining_past_the_inflight_cap_backpressures_and_answers_everything() {
     // One burst delivers far more requests than `per_conn_inflight`: the
     // reactor parses up to the cap and leaves the rest buffered in user
     // space, where no further EPOLLIN will ever announce them — answering
-    // the tail requires re-parsing as replies drain.  The threaded front
-    // end would reject these with `overloaded` errors; the reactor must
-    // instead answer every line, in order.
-    let server = QuoteServer::bind(
-        "127.0.0.1:0",
-        ServiceConfig { per_conn_inflight: 4, ..config(FrontEnd::Reactor) },
-    )
-    .expect("bind");
+    // the tail requires re-parsing as replies drain.  The in-flight cap
+    // paces a connection, it never rejects: every line is answered, in
+    // order, none with an `overloaded` error.
+    let server =
+        QuoteServer::bind("127.0.0.1:0", ServiceConfig { per_conn_inflight: 4, ..config() })
+            .expect("bind");
     let n = 32u64;
     let mut burst = String::new();
     for i in 0..n {
@@ -214,7 +366,7 @@ fn pipelining_past_the_inflight_cap_backpressures_and_answers_everything() {
 
 #[test]
 fn reactor_holds_a_thousand_mostly_idle_connections() {
-    let server = QuoteServer::bind("127.0.0.1:0", config(FrontEnd::Reactor)).expect("bind");
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
     let mut idle = Vec::with_capacity(1024);
     for i in 0..1024 {
         idle.push(
@@ -255,11 +407,8 @@ fn reactor_holds_a_thousand_mostly_idle_connections() {
 
 #[test]
 fn connection_cap_refuses_politely_and_frees_slots() {
-    let server = QuoteServer::bind(
-        "127.0.0.1:0",
-        ServiceConfig { max_connections: 4, ..config(FrontEnd::Reactor) },
-    )
-    .expect("bind");
+    let server = QuoteServer::bind("127.0.0.1:0", ServiceConfig { max_connections: 4, ..config() })
+        .expect("bind");
     let held: Vec<TcpStream> =
         (0..4).map(|_| TcpStream::connect(server.local_addr()).expect("connect")).collect();
     // The fifth connection is accepted then immediately closed: reads EOF.

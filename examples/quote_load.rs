@@ -34,11 +34,10 @@
 //! it must also be tighter than the server's `max_wait` (default 2 ms),
 //! which is the implicit deadline of every untagged request.
 //!
-//! Open-loop mode leans on the reactor front end's non-blocking write
-//! buffering; against the thread-per-connection baseline keep a bounded
-//! window instead.  Exits non-zero on protocol-level failures (parse
-//! errors, disconnects, pricing errors on the valid book) — overload
-//! shedding alone never fails the run.
+//! Open-loop mode leans on the reactor's non-blocking write buffering: a
+//! connection at its in-flight cap is paced, never rejected.  Exits
+//! non-zero on protocol-level failures (parse errors, disconnects, pricing
+//! errors on the valid book) — overload shedding alone never fails the run.
 //!
 //! ```sh
 //! # Chaos mode: skip the external server, bind an embedded loopback

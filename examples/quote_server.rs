@@ -2,11 +2,8 @@
 //! smoke-test it end to end.
 //!
 //! ```sh
-//! # Serve the line-JSON protocol (see amopt_service::wire) until killed.
-//! # The epoll reactor front end is the default; pass `threaded` to serve
-//! # with the legacy thread-per-connection baseline instead:
+//! # Serve the line-JSON protocol (see amopt_service::wire) until killed:
 //! cargo run --release --example quote_server -- serve 127.0.0.1:7878
-//! cargo run --release --example quote_server -- serve 127.0.0.1:7878 threaded
 //!
 //! # CI smoke: spin up a loopback server, drive N requests through
 //! # concurrent pipelined TCP connections — while CONNS total connections
@@ -54,10 +51,10 @@ fn smoke_book(n: usize, steps: usize) -> Vec<PricingRequest> {
         .collect()
 }
 
-fn serve(addr: &str, front_end: FrontEnd) {
-    let server = QuoteServer::bind(addr, ServiceConfig { front_end, ..ServiceConfig::default() })
+fn serve(addr: &str) {
+    let server = QuoteServer::bind(addr, ServiceConfig::default())
         .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
-    println!("quote_server listening on {} ({front_end:?} front end)", server.local_addr());
+    println!("quote_server listening on {}", server.local_addr());
     println!("protocol: one JSON request per line; try:");
     println!(
         "  {{\"id\":1,\"op\":\"price\",\"spot\":127.62,\"strike\":130,\"rate\":0.00163,\
@@ -69,8 +66,8 @@ fn serve(addr: &str, front_end: FrontEnd) {
     }
 }
 
-/// One stats line for the scheduler, one for the reactor (when serving
-/// through it) — the same counters the wire `stats` op reports.
+/// One stats line for the scheduler, one for the reactor — the same
+/// counters the wire `stats` op reports.
 fn print_stats(server: &QuoteServer) {
     let s = server.stats();
     println!(
@@ -87,16 +84,14 @@ fn print_stats(server: &QuoteServer) {
         s.heap_pops
     );
     let r = &s.reactor;
-    if r.loop_iterations > 0 {
-        println!(
-            "[reactor] accepted={} open={} refused={} loop_iters={} events_per_wake={:?}",
-            r.connections_accepted,
-            r.connections_open,
-            r.connections_refused,
-            r.loop_iterations,
-            r.events_per_wake.non_empty()
-        );
-    }
+    println!(
+        "[reactor] accepted={} open={} refused={} loop_iters={} events_per_wake={:?}",
+        r.connections_accepted,
+        r.connections_open,
+        r.connections_refused,
+        r.loop_iterations,
+        r.events_per_wake.non_empty()
+    );
 }
 
 fn smoke(n: usize, conns: usize) {
@@ -217,8 +212,7 @@ fn smoke(n: usize, conns: usize) {
         stats.memo_hit_rate()
     );
     print_stats(&server);
-    let accepted_ok = stats.reactor.loop_iterations == 0
-        || stats.reactor.connections_accepted >= conns.saturating_sub(4) as u64;
+    let accepted_ok = stats.reactor.connections_accepted >= conns.saturating_sub(4) as u64;
     if !accepted_ok {
         eprintln!(
             "reactor accepted only {} of {} connections",
@@ -405,12 +399,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("serve") => {
             let addr = args.get(1).map(String::as_str).unwrap_or("127.0.0.1:7878");
-            let front_end = if args.iter().any(|a| a == "threaded") {
-                FrontEnd::Threaded
-            } else {
-                FrontEnd::Reactor
-            };
-            serve(addr, front_end);
+            serve(addr);
         }
         Some("smoke") => {
             let n = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(512);
@@ -438,7 +427,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: quote_server serve [addr] [threaded] | quote_server smoke [n] [conns] \
+                "usage: quote_server serve [addr] | quote_server smoke [n] [conns] \
                  | quote_server chaos [seed] [requests] [unhandled] \
                  | quote_server metrics [addr] | quote_server tail [addr] [n] \
                  | quote_server obs-smoke [n]"

@@ -18,9 +18,8 @@
 //!   implied-vol surface inversion);
 //! * [`service`] — the batch-coalescing quote service: a bounded
 //!   earliest-deadline-first submission queue with deadline/size coalescing,
-//!   backpressure, and a line-JSON TCP front end (single-threaded epoll
-//!   reactor by default, thread-per-connection baseline behind a config
-//!   switch), turning independent incoming quotes into `BatchPricer`
+//!   backpressure, and a line-JSON TCP front end (a single-threaded epoll
+//!   reactor), turning independent incoming quotes into `BatchPricer`
 //!   batches;
 //! * [`cachesim`] — cache-hierarchy and energy simulation (the PAPI/RAPL
 //!   substitute used to regenerate the paper's Figures 6/7/10).
@@ -77,7 +76,7 @@ pub mod prelude {
         OptionParams, OptionType, PricingError,
     };
     pub use amopt_service::{
-        FrontEnd, QuoteServer, QuoteService, ServiceConfig, ServiceError, ServiceRequest,
-        ServiceResponse, ServiceStats, TcpQuoteClient,
+        QuoteServer, QuoteService, ServiceConfig, ServiceError, ServiceRequest, ServiceResponse,
+        ServiceStats, TcpQuoteClient,
     };
 }

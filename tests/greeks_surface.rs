@@ -147,9 +147,17 @@ proptest! {
         };
         let serial = implied_vol::american_call_bopm(&params, steps, market, &cfg);
         let pricer = BatchPricer::new(cfg);
-        let batch = implied_vol_surface(&pricer, &[VolQuote::new(params, steps, market)])
-            .pop()
-            .unwrap();
+        let quote = [VolQuote::new(params, steps, market)];
+        let batch = implied_vol_surface(&pricer, &quote).pop().unwrap();
+        // An unchanged surface re-quoted through the now-warm pricer prices
+        // nothing fresh: the deterministic driver repeats its probes
+        // bitwise, so every successful one is a memo hit and no entry is
+        // added (probes that error are never cached and are re-discovered).
+        let entries = pricer.memo_stats().entries;
+        let requote = implied_vol_surface(&pricer, &quote).pop().unwrap();
+        prop_assert_eq!(pricer.memo_stats().entries, entries);
+        let bits = |r: &Result<f64, PricingError>| r.as_ref().ok().map(|v| v.to_bits());
+        prop_assert_eq!(bits(&requote), bits(&batch));
         match (serial, batch) {
             (Ok(s), Ok(b)) => {
                 let reprice = |vol: f64| {

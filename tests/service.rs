@@ -86,18 +86,21 @@ fn concurrent_tcp_book_is_bitwise_identical_to_direct_batch_pricing() {
         handles.into_iter().map(|h| h.join().expect("no panics")).collect()
     });
 
-    let mut seen = vec![false; book.len()];
-    for (id, price) in got.into_iter().flatten() {
-        assert!(!seen[id], "response {id} delivered twice");
-        seen[id] = true;
-        assert_eq!(
-            price.to_bits(),
-            want[id].to_bits(),
-            "request {id}: wire {price} vs direct {}",
-            want[id]
-        );
-    }
-    assert!(seen.iter().all(|&s| s), "every request must be answered exactly once");
+    let exactly_once_and_bitwise = |got: Vec<Vec<(usize, f64)>>, door: &str| {
+        let mut seen = vec![false; book.len()];
+        for (id, price) in got.into_iter().flatten() {
+            assert!(!seen[id], "{door}: response {id} delivered twice");
+            seen[id] = true;
+            assert_eq!(
+                price.to_bits(),
+                want[id].to_bits(),
+                "{door}: request {id}: {price} vs direct {}",
+                want[id]
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "{door}: every request must be answered exactly once");
+    };
+    exactly_once_and_bitwise(got, "tcp");
 
     // The traffic actually coalesced: fewer batches than requests.
     let stats = server.service().stats();
@@ -108,6 +111,30 @@ fn concurrent_tcp_book_is_bitwise_identical_to_direct_batch_pricing() {
         stats.batches,
         stats.completed
     );
+
+    // The other front door, the other loop shape: eight in-process clients,
+    // each submitting and waiting one request at a time, so batches form
+    // only from concurrency and the flush deadline.
+    let chunk = book.len().div_ceil(8);
+    let got: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = book
+            .chunks(chunk)
+            .enumerate()
+            .map(|(w, slice)| {
+                let client = server.service().client();
+                scope.spawn(move || {
+                    slice
+                        .iter()
+                        .enumerate()
+                        .map(|(i, req)| (w * chunk + i, client.price(req.clone()).expect("price")))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("no panics")).collect()
+    });
+    exactly_once_and_bitwise(got, "in-process");
+    assert_eq!(server.service().stats().completed, 2 * book.len() as u64);
     server.shutdown();
 }
 
