@@ -1,6 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! base-case cutoff (the paper found 8 optimal, §5.1) and the linear-advance
-//! backend (FFT spectrum powering vs materialised taps).
+//! Ablation benches for the two engine knobs ARCHITECTURE.md's tuning table
+//! keeps for this purpose: base-case cutoff (the paper found 8 optimal,
+//! §5.1) and the linear-advance backend (FFT spectrum powering vs
+//! materialised taps).
 
 use amopt_core::bopm::{fast, BopmModel};
 use amopt_core::{EngineConfig, OptionParams};

@@ -7,8 +7,8 @@
 //! same sub-problem sizes and the same butterfly access pattern inside each
 //! transform, under a stationary-boundary simplification (the red-region
 //! width stays at its expiry value).  The drift only changes sub-problem
-//! sizes by low-order terms, so miss *shapes* are preserved; DESIGN.md
-//! records this substitution.
+//! sizes by low-order terms, so miss *shapes* are preserved; ARCHITECTURE.md
+//! ("Errata and substitutions") records this substitution.
 
 use crate::cache::{Hierarchy, SimReport};
 

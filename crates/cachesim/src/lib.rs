@@ -13,7 +13,8 @@
 //!   RAPL pkg/RAM domains.
 //!
 //! Together these regenerate the *shape* of the paper's Figures 6, 7 and 10;
-//! DESIGN.md documents the substitution rationale.
+//! ARCHITECTURE.md ("Errata and substitutions") documents the substitution
+//! rationale.
 
 #![forbid(unsafe_code)]
 

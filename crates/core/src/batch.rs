@@ -383,7 +383,6 @@ pub const DEFAULT_MEMO_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct BatchPricer {
     cfg: EngineConfig,
-    grain: usize,
     memo: ShardedMemo,
 }
 
@@ -417,15 +416,7 @@ impl BatchPricer {
     /// eviction only ever causes recomputation, and every pricer is
     /// deterministic — so results are bitwise identical for any shard count.
     pub fn with_memo_config(cfg: EngineConfig, capacity: usize, shards: usize) -> Self {
-        BatchPricer { cfg, grain: 1, memo: ShardedMemo::new(capacity, shards) }
-    }
-
-    /// Sets the fork-join grain: number of unique requests per leaf task.
-    /// The default of 1 is right for lattice-sized work items; raise it only
-    /// for huge batches of very small contracts.
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain.max(1);
-        self
+        BatchPricer { cfg, memo: ShardedMemo::new(capacity, shards) }
     }
 
     /// The engine configuration every routed pricer runs under.
@@ -543,7 +534,8 @@ impl BatchPricer {
         // process-wide pool, which every trapezoid engine checks out of, so
         // this loop allocates only the rows the pricers actually keep.
         let todo: Vec<usize> = (0..jobs.len()).filter(|&s| slot_results[s].is_none()).collect();
-        let computed = amopt_parallel::parallel_map(todo.len(), self.grain, |k| {
+        // One unique request per leaf task: a pricing is lattice-sized work.
+        let computed = amopt_parallel::parallel_map(todo.len(), 1, |k| {
             let (req_idx, key) = &jobs[todo[k]];
             Some(self.route(&requests[*req_idx], &key.dates))
         });

@@ -3,12 +3,15 @@
 //! correlation of the payoff row with `kernel^{⊛T}` (cf. the paper's remark
 //! that dropping the `max` reduces Fig. 1 to a linear stencil).
 //!
-//! Calls are priced through put–call parity: the *put* payoff is bounded by
-//! `K`, whereas the call payoff grows like `u^T` — at `T ≳ 10⁴` that dynamic
-//! range would let the FFT's absolute error (∝ the largest input) swamp the
-//! price.  Parity is exact on the risk-neutral lattice:
-//! `C − P = S·λ^T − K·μ^T` with `λ = s0/u + s1·u = e^{−YΔt}` and
-//! `μ = s0 + s1 = e^{−RΔt}` (the eigenvalue identities of Lemma 2.2).
+//! Calls are priced as the put of the mirrored contract
+//! ([`BopmModel::mirrored`]; the symmetry is linear algebra on the lattice,
+//! so it holds without the `max` as it does with it): the *put* payoff is
+//! bounded by `K`, whereas the call payoff grows like `u^T` — at `T ≳ 10⁴`
+//! that dynamic range would let the FFT's absolute error (∝ the largest
+//! input) swamp the price.  The mirrored put's row is bounded by `S` and
+//! exactly zero wherever the call is worthless, so a deep out-of-the-money
+//! call prices to `0`, as it does on the American route, where put–call
+//! parity would leave the rounding of two `O(K)` numbers.
 
 use super::BopmModel;
 use crate::params::OptionType;
@@ -16,30 +19,12 @@ use amopt_fft::correlate_power_valid;
 
 /// European option price via one FFT pass over the payoff row.
 pub fn price_european_fft(model: &BopmModel, opt: OptionType) -> f64 {
-    let t = model.steps();
     // Deep out of the money the correlation returns its own rounding, of
-    // either sign, and parity cancels `put + fwd` to the same: a put is worth
-    // at least 0 and a call at least max(0, fwd).
-    let put = price_put(model).max(0.0);
+    // either sign; a put is worth at least 0.
     match opt {
-        OptionType::Put => put,
-        OptionType::Call => {
-            // Exact lattice parity, using the kernel's own eigenvalues so the
-            // identity matches backward induction to rounding.
-            let lambda = model.s0() / model.up() + model.s1() * model.up();
-            let mu = model.s0() + model.s1();
-            let fwd = model.params().spot * pow_u(lambda, t as u64)
-                - model.params().strike * pow_u(mu, t as u64);
-            (put + fwd).max(0.0)
-        }
+        OptionType::Put => price_put(model).max(0.0),
+        OptionType::Call => price_put(&model.mirrored()).max(0.0),
     }
-}
-
-/// `base^h` via exp/ln — relative error `O(ε)` independent of `h`.
-#[inline]
-fn pow_u(base: f64, h: u64) -> f64 {
-    debug_assert!(base > 0.0);
-    (h as f64 * base.ln()).exp()
 }
 
 fn price_put(model: &BopmModel) -> f64 {

@@ -11,7 +11,7 @@
 //! child and `s1 = e^{−RΔt}p` on the *up* child, where
 //! `p = (e^{(R−Y)Δt} − d)/(u − d)`.  (Fig. 1 of the paper swaps `s0`/`s1`
 //! relative to its own §2.1 — we follow §2.1, the financially correct
-//! assignment; see DESIGN.md "errata".)
+//! assignment; see ARCHITECTURE.md, "Errata and substitutions".)
 
 pub mod european;
 pub mod fast;
@@ -20,6 +20,7 @@ pub mod oblivious;
 pub mod term_structure;
 pub mod tiled;
 
+use crate::engine::left_cone::last_green_from;
 use crate::error::{PricingError, Result};
 use crate::params::OptionParams;
 use amopt_stencil::StencilKernel;
@@ -43,8 +44,9 @@ pub struct BopmModel {
 impl BopmModel {
     /// Derives lattice quantities for a `steps`-step tree.
     ///
-    /// Fails if parameters are invalid or the risk-neutral probability falls
-    /// outside `(0, 1)` (an arbitrageable discretisation).
+    /// Fails if parameters are invalid, the risk-neutral probability falls
+    /// outside `(0, 1)` (an arbitrageable discretisation), or the lattice
+    /// cannot be represented (`OptionParams::check_lattice`).
     pub fn new(params: OptionParams, steps: usize) -> Result<Self> {
         let params = params.validated()?;
         if steps == 0 {
@@ -63,6 +65,7 @@ impl BopmModel {
                 ),
             });
         }
+        params.check_lattice(model.discount, model.ln_up, steps as f64 + 1.0)?;
         Ok(model)
     }
 
@@ -198,19 +201,10 @@ impl BopmModel {
     /// the engine from it — as the put's last in-the-money leaf, which is
     /// the same column — clamping only where a row is materialised.
     pub fn leaf_call_boundary(&self) -> i64 {
-        let t = self.steps as i64;
-        // S·u^{2j−T} ≤ K  ⇔  j ≤ (T + ln(K/S)/ln u)/2
-        let est = (t as f64 + (self.params.strike / self.params.spot).ln() / self.ln_up) / 2.0;
-        let mut j = est.floor() as i64;
-        j = j.max(-1);
-        // Float-exact adjustment around the estimate.
-        while self.exercise_call(self.steps, j + 1) <= 0.0 {
-            j += 1;
-        }
-        while j >= 0 && self.exercise_call(self.steps, j) > 0.0 {
-            j -= 1;
-        }
-        j
+        // S·u^{2j−T} ≤ K  ⇔  j ≤ (T + ln(K/S)/ln u)/2; the float-exact
+        // crossing is searched for from that estimate.
+        let est = (self.steps as f64 + self.params.levels_to_strike(self.ln_up)) / 2.0;
+        last_green_from(est.floor() as i64, |j| self.exercise_call(self.steps, j) <= 0.0)
     }
 }
 
@@ -268,12 +262,40 @@ mod tests {
     #[test]
     fn leaf_boundary_deep_otm_extends_beyond_triangle() {
         // On the unbounded column extension the boundary exceeds T for deep
-        // out-of-the-money contracts (see leaf_call_boundary docs).
-        let p = OptionParams { spot: 1.0, strike: 1_000_000.0, ..OptionParams::paper_defaults() };
-        let m = BopmModel::new(p, 16).unwrap();
-        let j = m.leaf_call_boundary();
-        assert!(j > 16, "extended boundary {j} should pass the triangle edge");
-        assert!(m.exercise_call(16, j) <= 0.0 && m.exercise_call(16, j + 1) > 0.0);
+        // out-of-the-money contracts (see leaf_call_boundary docs) — also
+        // at a *normal* spot for which the ratio K/S is already `inf`.
+        for spot in [1.0, 1e-307] {
+            let p = OptionParams { spot, strike: 1_000_000.0, ..OptionParams::paper_defaults() };
+            let m = BopmModel::new(p, 16).unwrap();
+            let j = m.leaf_call_boundary();
+            assert!(j > 16, "extended boundary {j} should pass the triangle edge");
+            assert!(m.exercise_call(16, j) <= 0.0 && m.exercise_call(16, j + 1) > 0.0);
+            assert_eq!(m.mirrored().leaf_call_boundary(), -1);
+        }
+    }
+
+    #[test]
+    fn rejects_what_the_lattice_cannot_represent() {
+        let base = OptionParams::paper_defaults();
+        let driftless = OptionParams { dividend_yield: base.rate, ..base };
+        for (why, p) in [
+            // u = e^{V√Δt} rounds to 1: p = 0/0.
+            ("p = NaN outside (0,1)", OptionParams { volatility: 1e-20, ..driftless }),
+            // e^{−RΔt} underflows with no drift to trip the p test first.
+            ("discount", OptionParams { rate: 1e9, dividend_yield: 1e9, ..base }),
+            // ln(K/S)/ln u ≈ 3e18 levels: no column that far.
+            ("grid columns", OptionParams { spot: 1e-300, volatility: 4e-16, ..driftless }),
+            // A row of these overflows its transform.
+            ("overflows the transform", OptionParams { strike: f64::MAX, ..base }),
+        ] {
+            let e = BopmModel::new(p, 4).expect_err(why).to_string();
+            assert!(e.contains(why), "{e}");
+        }
+        // None of which is a magnitude threshold on the contract itself.
+        for moneyness in [1e-18, 1e18] {
+            let p = OptionParams { spot: 130.0 * moneyness, ..base };
+            assert!(BopmModel::new(p, 4).is_ok(), "S/K = {moneyness:e}");
+        }
     }
 
     #[test]

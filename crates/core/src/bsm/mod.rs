@@ -11,7 +11,8 @@
 //!
 //! with `a = Δτ/Δs² + (ω−1)Δτ/(2Δs)`, `b = Δτ/Δs² − (ω−1)Δτ/(2Δs)`,
 //! `c = 1 − ωΔτ − 2Δτ/Δs²` (Thm 4.3 of the paper omits the ½ on the
-//! first-order term; we follow Eq. (5) — see DESIGN.md "errata").
+//! first-order term; we follow Eq. (5) — see ARCHITECTURE.md, "Errata and
+//! substitutions").
 //! Stability requires `a, b, c ≥ 0`, enforced at construction by choosing
 //! `Δs = √(Δτ/λ_cfl)` with `λ_cfl = 0.4` and validating.
 //!
@@ -35,6 +36,7 @@ pub mod barrier;
 pub mod fast;
 pub mod naive;
 
+use crate::engine::left_cone::{crossing_from, indexable_offset};
 use crate::error::{PricingError, Result};
 use crate::params::OptionParams;
 use amopt_stencil::StencilKernel;
@@ -91,27 +93,32 @@ impl BsmModel {
         let a = diff + drift;
         let b = diff - drift;
         let c = 1.0 - omega * d_tau - 2.0 * diff;
+        // `!(v >= 0)`, not `v < 0`: a σ² or Δτ that underflowed to zero (or a
+        // σ² that overflowed) leaves NaN coefficients, which pass `v < 0`.
         for (name, v) in [("a", a), ("b", b), ("c", c)] {
-            if v < 0.0 {
+            if !(v >= 0.0 && v.is_finite()) {
                 return Err(PricingError::UnstableDiscretisation {
                     reason: format!(
-                        "explicit-scheme coefficient {name} = {v:.3e} < 0 \
+                        "explicit-scheme coefficient {name} = {v:.3e} is negative or not finite \
                          (ω = {omega:.3}, Δτ = {d_tau:.3e}, Δs = {d_s:.3e}); increase steps"
                     ),
                 });
             }
         }
-        Ok(BsmModel {
-            params,
-            steps,
-            d_tau,
-            d_s,
-            omega,
-            a,
-            b,
-            c,
-            s_base: (params.spot / params.strike).ln(),
-        })
+        // The ratio, not a difference of logarithms: `s_base` is the grid's
+        // origin, and every price on it carries these bits.
+        let s_base = (params.spot / params.strike).ln();
+        if !s_base.is_finite() {
+            return Err(PricingError::InvalidParams {
+                field: "spot",
+                reason: format!(
+                    "moneyness S/K = {:e} has no finite logarithm",
+                    params.spot / params.strike
+                ),
+            });
+        }
+        indexable_offset(s_base / d_s)?;
+        Ok(BsmModel { params, steps, d_tau, d_s, omega, a, b, c, s_base })
     }
 
     /// The market/contract parameters this grid was built from.
@@ -191,14 +198,7 @@ impl BsmModel {
     /// Expiry-row boundary: largest `k` with `s_k ≤ 0` (exercise region),
     /// unclamped to the cone.
     pub fn expiry_boundary(&self) -> i64 {
-        let mut k = (-self.s_base / self.d_s).floor() as i64;
-        while self.s_at(k + 1) <= 0.0 {
-            k += 1;
-        }
-        while self.s_at(k) > 0.0 {
-            k -= 1;
-        }
-        k
+        crossing_from((-self.s_base / self.d_s).floor() as i64, |k| self.s_at(k) <= 0.0)
     }
 
     /// Dimensionless payoff at column `k`: `max(1 − e^{s_k}, 0)`.
@@ -216,14 +216,7 @@ impl BsmModel {
     /// Expiry-row **call** boundary: smallest `k` with `s_k ≥ 0` (exercise
     /// region on the right), unclamped to the cone.
     pub fn expiry_call_boundary(&self) -> i64 {
-        let mut k = (-self.s_base / self.d_s).ceil() as i64;
-        while self.s_at(k - 1) >= 0.0 {
-            k -= 1;
-        }
-        while self.s_at(k) < 0.0 {
-            k += 1;
-        }
-        k
+        crossing_from((-self.s_base / self.d_s).floor() as i64, |k| self.s_at(k) < 0.0) + 1
     }
 }
 
@@ -281,6 +274,23 @@ mod tests {
             assert!(m.s_at(f - 1) < 0.0);
             // The two expiry boundaries straddle the strike column.
             assert!(m.expiry_boundary() < f);
+        }
+    }
+
+    #[test]
+    fn rejects_grids_whose_coefficients_or_columns_are_not_numbers() {
+        for (why, p) in [
+            // σ² underflows to 0: ω = inf, Δs = 0, and a, b, c are NaN —
+            // which `v < 0.0` lets through.  Then σ² overflows.
+            ("a = NaN", OptionParams { volatility: 1e-300, ..params() }),
+            ("a = NaN", OptionParams { volatility: 1e300, ..params() }),
+            // A valid scheme (R = 0: a = b = 0.4, c = 0.2) on a grid so fine
+            // that the strike sits ≈ 1e148 columns from the spot.
+            ("grid columns", OptionParams { volatility: 1e-150, rate: 0.0, ..params() }),
+            ("no finite logarithm", OptionParams { spot: 1e300, strike: 1e-300, ..params() }),
+        ] {
+            let e = BsmModel::new(p, 4).expect_err(why).to_string();
+            assert!(e.contains(why), "{e}");
         }
     }
 

@@ -58,6 +58,7 @@
 //! recursion windows are genuinely truncated rows of the same type.
 
 use super::{kernel_scope, linear_cells, EngineConfig};
+use crate::error::{PricingError, Result};
 use amopt_parallel::join;
 use amopt_stencil::{advance_values_with, with_scratch, Segment, StencilKernel};
 
@@ -123,21 +124,54 @@ impl GreenPrefixRow {
     }
 }
 
+/// Largest column magnitude a grid may place its expiry boundary at.  Up to
+/// `2⁵²` a column converts to `f64` exactly, so neighbouring columns carry
+/// distinct prices, and the column arithmetic of the engine and its adapters
+/// (`2j − i`, `f + σ'·h`, the mirror and the shear) stays far inside `i64`.
+/// The model constructors refuse a discretisation whose boundary estimate
+/// lies beyond it.
+pub const MAX_COLUMN: i64 = 1 << 52;
+
+/// `Ok` when an expiry boundary `offset` columns from the root column can be
+/// indexed ([`MAX_COLUMN`]); a typed error for one that cannot, or whose
+/// estimate is not a number at all.
+pub fn indexable_offset(offset: f64) -> Result<()> {
+    if offset.abs() <= MAX_COLUMN as f64 {
+        return Ok(());
+    }
+    Err(PricingError::UnstableDiscretisation {
+        reason: format!(
+            "the expiry boundary sits {offset:.3e} grid columns from the spot, beyond the \
+             2^52 a column can index; the grid is too fine for this moneyness"
+        ),
+    })
+}
+
 /// Locates the last green column of a single-crossing row: `green(j)` must
 /// be monotone (true up to some column, false beyond), and column `−1` acts
 /// as a virtual green sentinel (returned when no column is green).
-///
-/// Gallops to a green/red bracket from the `start` hint and binary-searches
-/// the crossing — `O(log)` predicate evaluations however far the true
-/// boundary sits from the hint.
 pub fn last_green_from(start: i64, green: impl Fn(i64) -> bool) -> i64 {
-    let start = start.max(0);
-    let (mut lo, mut hi); // invariant: lo green or −1, hi red
-    if green(start) {
+    crossing_from(start.max(0), |j| j < 0 || green(j))
+}
+
+/// Last column of a signed axis at which the monotone `holds` is true (true
+/// up to some column, false beyond).
+///
+/// Gallops to a true/false bracket from the `start` hint and binary-searches
+/// the crossing — `O(log)` predicate evaluations however far the crossing
+/// sits from the hint.  The hint is clamped to `±MAX_COLUMN` and the gallop
+/// stops `2·MAX_COLUMN` out (a column beyond counts as false on the right
+/// and true on the left), so the search ends after at most some hundred
+/// evaluations whatever `holds` answers.
+pub fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
+    const LIMIT: i64 = 2 * MAX_COLUMN;
+    let start = start.clamp(-MAX_COLUMN, MAX_COLUMN);
+    let (mut lo, mut hi); // invariant: holds(lo), !holds(hi)
+    let mut step = 1i64;
+    if holds(start) {
         lo = start;
         hi = start + 1;
-        let mut step = 1i64;
-        while green(hi) {
+        while hi <= LIMIT && holds(hi) {
             lo = hi;
             hi += step;
             step *= 2;
@@ -145,17 +179,15 @@ pub fn last_green_from(start: i64, green: impl Fn(i64) -> bool) -> i64 {
     } else {
         hi = start;
         lo = start - 1;
-        let mut step = 1i64;
-        while lo >= 0 && !green(lo) {
+        while lo >= -LIMIT && !holds(lo) {
             hi = lo;
             lo -= step;
             step *= 2;
         }
-        lo = lo.max(-1);
     }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if green(mid) {
+        if holds(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -747,6 +779,27 @@ mod tests {
                 assert_eq!(got, boundary, "boundary {boundary} hint {hint}");
             }
         }
+        // On the signed axis there is no sentinel, and a saturated hint
+        // (what `as i64` makes of ±inf) is as good as any other.
+        for boundary in [-1_000_000i64, -300, -1, 0, 12, MAX_COLUMN] {
+            for hint in [i64::MIN, -2_000_000, -1, 0, 64, i64::MAX] {
+                let got = crossing_from(hint, |k| k <= boundary);
+                assert_eq!(got, boundary, "boundary {boundary} hint {hint}");
+            }
+        }
+    }
+
+    #[test]
+    fn crossing_from_ends_on_a_predicate_that_never_crosses() {
+        // Not a row any validated model produces; the search must still end.
+        let calls = std::cell::Cell::new(0u32);
+        let count = |answer: bool| {
+            calls.set(calls.get() + 1);
+            answer
+        };
+        assert!(crossing_from(0, |_| count(true)) >= 2 * MAX_COLUMN);
+        assert!(crossing_from(0, |_| count(false)) < -2 * MAX_COLUMN);
+        assert!(calls.get() < 300, "{} evaluations", calls.get());
     }
 
     #[test]

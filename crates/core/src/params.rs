@@ -1,5 +1,6 @@
 //! Market and contract parameters (Table 1 of the paper).
 
+use crate::engine::left_cone::indexable_offset;
 use crate::error::{PricingError, Result};
 
 /// Call or put.
@@ -54,12 +55,23 @@ pub struct OptionParams {
 
 impl OptionParams {
     /// Validates every field; returns `self` for chaining.
+    ///
+    /// The four positive fields must also be *normal* numbers.  A subnormal
+    /// carries fewer than 53 significant bits — `5e-324 · 1.3 == 5e-324` —
+    /// so `S·u^k` is no longer the geometric grid every model assumes, and
+    /// its reciprocal and its ratios with ordinary prices overflow.
     pub fn validated(self) -> Result<Self> {
         fn positive(field: &'static str, v: f64) -> Result<()> {
             if !(v.is_finite() && v > 0.0) {
                 return Err(PricingError::InvalidParams {
                     field,
                     reason: format!("must be a positive finite number, got {v}"),
+                });
+            }
+            if !v.is_normal() {
+                return Err(PricingError::InvalidParams {
+                    field,
+                    reason: format!("must be a normal number, got the subnormal {v:e}"),
                 });
             }
             Ok(())
@@ -108,6 +120,48 @@ impl OptionParams {
         }
     }
 
+    /// `ln(K/S)/ln u`: how many price levels of a lattice with up factor `u`
+    /// the strike sits above the spot.  A difference of logarithms: the
+    /// ratio `K/S` overflows for prices that are each representable.
+    #[inline]
+    pub(crate) fn levels_to_strike(&self, ln_up: f64) -> f64 {
+        (self.strike.ln() - self.spot.ln()) / ln_up
+    }
+
+    /// What a lattice must satisfy beyond probabilities in `(0, 1)` (which
+    /// is also what a `ln u` that underflowed to zero or overflowed reads
+    /// as), given its per-step `discount`, `ln u` and row width in `cells`:
+    ///
+    /// * `e^{−RΔt}` did not underflow to zero, taking every kernel weight
+    ///   and the eigenvalues `λ`, `μ` with it;
+    /// * the expiry boundary is a column that can be indexed
+    ///   ([`indexable_offset`]) — in magnitude, so the mirrored lattice,
+    ///   whose offset is the negative, is covered too;
+    /// * a row can be transformed.  Row values reach `max(S, K)` (a put is
+    ///   worth up to `K`, the mirrored put that prices a call up to `S`), a
+    ///   transform of `n` points sums all of them, and the inverse sums the
+    ///   spectrum before it scales by `1/n` — so `max(S, K)·n²` must be
+    ///   representable, `n ≤ 4·cells` covering the padding to a power of
+    ///   two.  Past that the sums are `inf − inf`, which a `max` against the
+    ///   payoff then hides.
+    pub(crate) fn check_lattice(&self, discount: f64, ln_up: f64, cells: f64) -> Result<()> {
+        if discount <= 0.0 {
+            return Err(PricingError::UnstableDiscretisation {
+                reason: format!("per-step discount e^(−RΔt) = {discount:e} is not positive"),
+            });
+        }
+        indexable_offset(self.levels_to_strike(ln_up))?;
+        let (field, v) =
+            if self.strike > self.spot { ("strike", self.strike) } else { ("spot", self.spot) };
+        if !(v * (4.0 * cells).powi(2)).is_finite() {
+            return Err(PricingError::InvalidParams {
+                field,
+                reason: format!("{v:e} overflows the transform of a {cells}-cell lattice row"),
+            });
+        }
+        Ok(())
+    }
+
     /// Per-step interval for a `steps`-step lattice.
     #[inline]
     pub fn dt(&self, steps: usize) -> f64 {
@@ -134,6 +188,21 @@ mod tests {
     fn rejects_negative_rate() {
         let p = OptionParams { rate: -0.01, ..OptionParams::paper_defaults() };
         assert!(p.validated().is_err());
+    }
+
+    #[test]
+    fn rejects_subnormals_where_positive_is_required() {
+        let p = OptionParams { spot: 5e-324, ..OptionParams::paper_defaults() };
+        assert!(matches!(p.validated(), Err(PricingError::InvalidParams { field: "spot", .. })));
+        let p = OptionParams { expiry: 1e-310, ..OptionParams::paper_defaults() };
+        assert!(matches!(p.validated(), Err(PricingError::InvalidParams { field: "expiry", .. })));
+        // The edge of the normal range, and a subnormal rate (as good as 0), pass.
+        let p = OptionParams {
+            spot: f64::MIN_POSITIVE,
+            rate: 5e-324,
+            ..OptionParams::paper_defaults()
+        };
+        assert!(p.validated().is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! European trinomial pricing in `O(T log T)` — one correlation of the
-//! (bounded) put payoff row with `kernel^{⊛T}`, calls via exact lattice
-//! put–call parity (see `bopm::european` for the dynamic-range rationale).
+//! (bounded) put payoff row with `kernel^{⊛T}`, calls as the put of the
+//! mirrored contract (see `bopm::european` for the dynamic-range rationale).
 
 use super::TopmModel;
 use crate::params::OptionType;
@@ -8,26 +8,12 @@ use amopt_fft::correlate_power_valid;
 
 /// European option price via one FFT pass over the payoff row.
 pub fn price_european_fft(model: &TopmModel, opt: OptionType) -> f64 {
-    // Clamped for the reason `bopm::european` gives: deep out of the money
-    // the correlation and the parity sum are rounding of either sign.
-    let put = price_put(model).max(0.0);
+    // Floored for the reason `bopm::european` gives: deep out of the money
+    // the correlation is rounding of either sign.
     match opt {
-        OptionType::Put => put,
-        OptionType::Call => {
-            let t = model.steps() as u64;
-            let (s0, s1, s2) = model.weights();
-            let mu = s0 + s1 + s2;
-            let fwd = model.params().spot * pow_u(model.lambda(), t)
-                - model.params().strike * pow_u(mu, t);
-            (put + fwd).max(0.0)
-        }
+        OptionType::Put => price_put(model).max(0.0),
+        OptionType::Call => price_put(&model.mirrored()).max(0.0),
     }
-}
-
-#[inline]
-fn pow_u(base: f64, h: u64) -> f64 {
-    debug_assert!(base > 0.0);
-    (h as f64 * base.ln()).exp()
 }
 
 fn price_put(model: &TopmModel) -> f64 {

@@ -16,7 +16,7 @@
 //! Discounted weights in column order: `s0 = m·p_d` (down child at `j`),
 //! `s1 = m·p_o`, `s2 = m·p_u` — §3 of the paper lists `s0 = m·p_u`, which
 //! contradicts its own Appendix A value formula; we use the financially
-//! correct assignment (see DESIGN.md "errata").
+//! correct assignment (see ARCHITECTURE.md, "Errata and substitutions").
 //!
 //! These probabilities satisfy `p_d/u + p_o + p_u·u = e^{(R−Y)Δt}` *exactly*
 //! (shown by factoring the quadratics), so the node function
@@ -27,6 +27,7 @@ pub mod european;
 pub mod fast;
 pub mod naive;
 
+use crate::engine::left_cone::last_green_from;
 use crate::error::{PricingError, Result};
 use crate::params::OptionParams;
 use amopt_stencil::StencilKernel;
@@ -52,7 +53,8 @@ pub struct TopmModel {
 }
 
 impl TopmModel {
-    /// Derives lattice quantities for a `steps`-step trinomial tree.
+    /// Derives lattice quantities for a `steps`-step trinomial tree; fails on
+    /// the conditions `bopm::BopmModel::new` fails on.
     pub fn new(params: OptionParams, steps: usize) -> Result<Self> {
         let params = params.validated()?;
         if steps == 0 {
@@ -72,6 +74,7 @@ impl TopmModel {
                 });
             }
         }
+        params.check_lattice(model.discount, model.ln_up, 2.0 * steps as f64 + 1.0)?;
         Ok(model)
     }
 
@@ -190,18 +193,9 @@ impl TopmModel {
     /// extension (see `bopm::BopmModel::leaf_call_boundary` for why it is
     /// not clamped to the triangle width `2T`).
     pub fn leaf_call_boundary(&self) -> i64 {
-        let t = self.steps as i64;
         // S·u^{j−T} ≤ K  ⇔  j ≤ T + ln(K/S)/ln u
-        let est = t as f64 + (self.params.strike / self.params.spot).ln() / self.ln_up;
-        let mut j = est.floor() as i64;
-        j = j.max(-1);
-        while self.exercise_call(self.steps, j + 1) <= 0.0 {
-            j += 1;
-        }
-        while j >= 0 && self.exercise_call(self.steps, j) > 0.0 {
-            j -= 1;
-        }
-        j
+        let est = self.steps as f64 + self.params.levels_to_strike(self.ln_up);
+        last_green_from(est.floor() as i64, |j| self.exercise_call(self.steps, j) <= 0.0)
     }
 }
 

@@ -55,9 +55,8 @@
 //! mid-band — and a kernel whose taps sum past 1 (a growing DC mode) is
 //! never cut at all.
 
-use crate::bluestein;
 use crate::complex::Complex64;
-use crate::radix2::{next_pow2, Direction, Fft};
+use crate::radix2::{next_pow2, Fft};
 use crate::real::RealFft;
 
 /// Reusable buffer for [`correlate_power_valid_with`].
@@ -203,36 +202,6 @@ fn vanished_below(h: u64) -> f64 {
     (2.0 * VANISHED.ln() / h as f64).exp()
 }
 
-/// Periodic (cyclic) variant: evolves a periodic grid of `x.len()` cells by
-/// `h` steps of the linear stencil, wrapping at the ends.  Arbitrary grid
-/// sizes are supported through the Bluestein transform.
-///
-/// `out[c] = Σ_m W_m · x[(c + m) mod N]`.
-pub fn correlate_power_periodic(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
-    assert!(!kernel.is_empty(), "kernel must have at least one tap");
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if h == 0 {
-        return x.to_vec();
-    }
-    assert!(
-        kernel.len() <= n,
-        "kernel of {} taps does not fit a periodic grid of {} cells",
-        kernel.len(),
-        n
-    );
-    let zx: Vec<Complex64> = x.iter().map(|&v| Complex64::from(v)).collect();
-    let mut zk: Vec<Complex64> = kernel.iter().map(|&v| Complex64::from(v)).collect();
-    zk.resize(n, Complex64::ZERO);
-    let sx = bluestein::dft(&zx, Direction::Forward);
-    let sk = bluestein::dft(&zk, Direction::Forward);
-    let spec: Vec<Complex64> =
-        sx.iter().zip(&sk).map(|(&xv, &kv)| xv * kv.conj().powu(h)).collect();
-    bluestein::dft(&spec, Direction::Inverse).into_iter().map(|v| v.re).collect()
-}
-
 /// Explicit taps of `kernel^{⊛h}` (h-fold self-convolution), computed by
 /// FFT powering.  Used by tests, the direct-weights ablation backend, and the
 /// naive base cases.
@@ -261,13 +230,6 @@ mod tests {
     fn naive_correlate_valid(x: &[f64], w: &[f64]) -> Vec<f64> {
         let out_len = x.len() + 1 - w.len();
         (0..out_len).map(|c| w.iter().enumerate().map(|(m, &wm)| wm * x[c + m]).sum()).collect()
-    }
-
-    fn naive_step_periodic(x: &[f64], kernel: &[f64]) -> Vec<f64> {
-        let n = x.len();
-        (0..n)
-            .map(|c| kernel.iter().enumerate().map(|(m, &wm)| wm * x[(c + m) % n]).sum())
-            .collect()
     }
 
     fn naive_conv(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -574,24 +536,6 @@ mod tests {
         let got = correlate_power_valid(&x, &[0.9], 10);
         for (g, xv) in got.iter().zip(&x) {
             assert!((g - xv * 0.9f64.powi(10)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn periodic_matches_stepped_naive_with_wraparound() {
-        let kernel = [0.2, 0.5, 0.28];
-        for n in [7usize, 16, 31] {
-            let x = rand_real(n, n as u64 + 5);
-            for h in [1u64, 2, 5, 13] {
-                let got = correlate_power_periodic(&x, &kernel, h);
-                let mut row = x.clone();
-                for _ in 0..h {
-                    row = naive_step_periodic(&row, &kernel);
-                }
-                for (g, w) in got.iter().zip(&row) {
-                    assert!((g - w).abs() < 1e-8, "n={n} h={h}");
-                }
-            }
         }
     }
 

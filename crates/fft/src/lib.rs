@@ -7,20 +7,18 @@
 //!   integer power used for pointwise spectrum powering.
 //! * [`radix2`] — depth-first power-of-two Cooley–Tukey transform with a
 //!   process-wide plan cache, forked over halves.
-//! * [`bluestein`] — arbitrary-length transforms via the chirp-z identity.
 //! * [`real`] — the real-input transform: a length-`n` real row through one
 //!   `n/2`-point complex FFT, bins `0 … n/2` only.
 //! * [`convolve`] — linear convolution plus the kernel-power correlation
-//!   primitives ([`correlate_power_valid`], [`correlate_power_periodic`])
-//!   that implement the linear-stencil algorithm of Ahmad et al. (SPAA 2021),
-//!   the substrate reference \[1\] of the paper.
+//!   primitive ([`correlate_power_valid`]) that implements the aperiodic
+//!   linear-stencil algorithm of Ahmad et al. (SPAA 2021), the substrate
+//!   reference \[1\] of the paper.
 //!
 //! Everything is `f64`; transforms of the sizes used by the pricer
 //! (`≤ 2²¹`) keep relative error around `1e-13 · log n`.
 
 #![forbid(unsafe_code)]
 
-pub mod bluestein;
 pub mod complex;
 pub mod convolve;
 pub mod radix2;
@@ -28,8 +26,8 @@ pub mod real;
 
 pub use complex::{c64, Complex64};
 pub use convolve::{
-    correlate_power_periodic, correlate_power_valid, correlate_power_valid_with, kernel_power_taps,
-    kernel_response, linear_convolve, power_kernel_len, FftScratch,
+    correlate_power_valid, correlate_power_valid_with, kernel_power_taps, kernel_response,
+    linear_convolve, power_kernel_len, FftScratch,
 };
 pub use radix2::{fft, ifft, next_pow2, plan, Direction, Fft};
 pub use real::RealFft;

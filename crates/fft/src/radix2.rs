@@ -1,10 +1,9 @@
 //! Radix-2 Cooley–Tukey FFT (decimation in time) with cached twiddle tables,
 //! run depth first and forked over halves.
 //!
-//! Sizes must be powers of two; [`crate::bluestein`] lifts the restriction for
-//! callers that need arbitrary lengths.  Plans are cached process-wide because
-//! the trapezoid decomposition of the pricing algorithms requests the same
-//! handful of sizes thousands of times.
+//! Sizes must be powers of two (every caller pads to [`next_pow2`]).  Plans
+//! are cached process-wide because the trapezoid decomposition of the pricing
+//! algorithms requests the same handful of sizes thousands of times.
 //!
 //! After the bit-reversal permutation, a block of the buffer is transformed
 //! by transforming each of its halves and then running the one butterfly

@@ -4,11 +4,11 @@
 //! a work-stealing scheduler (OpenMP tasks in the original C++ code).  This
 //! crate pins that dependency behind a minimal interface so that
 //!
-//! * the numerical crates never name the backend directly,
-//! * a sequential backend (feature `rayon-backend` disabled) gives bitwise
-//!   deterministic single-thread execution for debugging, and
-//! * benchmark harnesses can run the *same* code under different core counts
-//!   (`run_with_threads`), which is how Table 5 of the paper is regenerated.
+//! * the numerical crates never name the scheduler directly, and
+//! * benchmark harnesses and tests can run the *same* code under different
+//!   core counts (`run_with_threads`), which is how Table 5 of the paper is
+//!   regenerated; `run_with_threads(1, f)` is single-thread execution, and
+//!   prices are the same bits at every width (`tests/bit_pins.rs`).
 //!
 //! The exposed operations are deliberately few: binary [`join`] (the primitive
 //! from which the span bounds of the paper are derived), a grain-controlled
@@ -26,72 +26,38 @@
 
 #![forbid(unsafe_code)]
 
-#[cfg(feature = "rayon-backend")]
-mod backend {
-    /// Runs both closures, potentially in parallel, returning both results.
-    #[inline]
-    pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        rayon::join(a, b)
-    }
-
-    /// Number of worker threads the current scheduler uses.
-    #[inline]
-    pub fn current_num_threads() -> usize {
-        rayon::current_num_threads()
-    }
-
-    /// Runs `f` on a dedicated pool of exactly `threads` workers, started for
-    /// this call and joined after it; the calling thread blocks meanwhile.
-    pub fn run_with_threads<F, R>(threads: usize, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-    {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("failed to build thread pool");
-        pool.install(f)
-    }
+/// Runs both closures, potentially in parallel, returning both results.
+#[inline]
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    rayon::join(a, b)
 }
 
-#[cfg(not(feature = "rayon-backend"))]
-mod backend {
-    /// Sequential fallback: runs `a` then `b` on the calling thread.
-    #[inline]
-    pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        (a(), b())
-    }
-
-    /// Sequential backend always reports a single worker.
-    #[inline]
-    pub fn current_num_threads() -> usize {
-        1
-    }
-
-    /// Sequential backend ignores the requested thread count.
-    pub fn run_with_threads<F, R>(_threads: usize, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-    {
-        f()
-    }
+/// Number of worker threads the current scheduler uses.
+#[inline]
+pub fn current_num_threads() -> usize {
+    rayon::current_num_threads()
 }
 
-pub use backend::{current_num_threads, join, run_with_threads};
+/// Runs `f` on a dedicated pool of exactly `threads` workers (at least one),
+/// started for this call and joined after it; the calling thread blocks
+/// meanwhile.
+pub fn run_with_threads<F, R>(threads: usize, f: F) -> R
+where
+    F: FnOnce() -> R + Send,
+    R: Send,
+{
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.max(1))
+        .build()
+        .expect("failed to build thread pool");
+    pool.install(f)
+}
 
 /// Minimum amount of per-task work below which forking is never worthwhile.
 ///
@@ -163,10 +129,10 @@ where
 /// performs no allocation: a steady-state `parallel_for` body that keeps its
 /// scratch buffers inside a pooled workspace is allocation-free.
 ///
-/// The pool is deliberately not tied to worker-thread identity (the
-/// sequential backend has none): checkout is a mutex-guarded stack pop,
-/// which is a few nanoseconds against the microseconds-to-milliseconds work
-/// items it is designed for.
+/// The pool is deliberately not tied to worker-thread identity (a caller
+/// outside the scheduler's pool has none): checkout is a mutex-guarded stack
+/// pop, which is a few nanoseconds against the microseconds-to-milliseconds
+/// work items it is designed for.
 ///
 /// ```
 /// use amopt_parallel::{parallel_for, WorkspacePool};
@@ -372,27 +338,12 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 9);
     }
 
-    #[cfg(feature = "rayon-backend")]
     #[test]
     fn run_with_threads_controls_pool_width() {
-        for p in [1usize, 2, 4] {
-            let seen = run_with_threads(p, current_num_threads);
-            assert_eq!(seen, p);
-        }
-    }
-
-    #[cfg(not(feature = "rayon-backend"))]
-    #[test]
-    fn sequential_run_with_threads_is_single_threaded_and_never_panics() {
-        // The sequential fallback must accept any requested width — including
-        // 0 — run the closure on the calling thread, and report one worker.
-        for requested in [0usize, 1, 8, 1024] {
-            let caller = std::thread::current().id();
-            let (threads, tid) = run_with_threads(requested, || {
-                (current_num_threads(), std::thread::current().id())
-            });
-            assert_eq!(threads, 1);
-            assert_eq!(tid, caller);
+        // A requested width of 0 is clamped to one worker.
+        for (requested, want) in [(0usize, 1usize), (1, 1), (2, 2), (4, 4)] {
+            let seen = run_with_threads(requested, current_num_threads);
+            assert_eq!(seen, want);
         }
     }
 

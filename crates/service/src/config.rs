@@ -1,7 +1,7 @@
 //! Service tuning knobs.
 
 use crate::fault::FaultPlan;
-use amopt_core::batch::{DEFAULT_MEMO_CAPACITY, DEFAULT_MEMO_SHARDS};
+use amopt_core::batch::DEFAULT_MEMO_CAPACITY;
 use amopt_core::EngineConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,10 +36,9 @@ pub struct ServiceConfig {
     /// replies drain, so TCP backpressure paces the peer.
     pub per_conn_inflight: usize,
     /// Total memo capacity passed through to the shared `BatchPricer`
-    /// (`0` disables cross-batch memoization).
+    /// (`0` disables cross-batch memoization), split over its default
+    /// shard count.
     pub memo_capacity: usize,
-    /// Memo shard count passed through to the shared `BatchPricer`.
-    pub memo_shards: usize,
     /// Connections the reactor will hold open at once; a connection
     /// accepted beyond it is closed immediately (the peer reads EOF).
     pub max_connections: usize,
@@ -119,7 +118,6 @@ impl Default for ServiceConfig {
             workers: 2,
             per_conn_inflight: 1024,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
-            memo_shards: DEFAULT_MEMO_SHARDS,
             max_connections: 10_000,
             degradation: DegradationPolicy::default(),
             retry_budget: 128,
@@ -138,7 +136,6 @@ impl ServiceConfig {
         self.queue_depth = self.queue_depth.max(1);
         self.workers = self.workers.max(1);
         self.per_conn_inflight = self.per_conn_inflight.max(1);
-        self.memo_shards = self.memo_shards.max(1);
         self.max_connections = self.max_connections.max(1);
         self.journal_capacity = self.journal_capacity.max(8);
         self

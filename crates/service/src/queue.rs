@@ -298,7 +298,7 @@ impl QuoteService {
     /// workers already started are shut down and joined before returning.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Self> {
         let cfg = cfg.normalised();
-        let pricer = BatchPricer::with_memo_config(cfg.engine, cfg.memo_capacity, cfg.memo_shards);
+        let pricer = BatchPricer::with_memo_capacity(cfg.engine, cfg.memo_capacity);
         let obs = ServiceObs::new(cfg.trace, cfg.journal_capacity);
         if let Some(plan) = &cfg.fault {
             // Wire the fault plan's firing funnel into the journal and the
@@ -358,7 +358,7 @@ impl QuoteService {
     /// disagree.
     pub fn stats(&self) -> ServiceStats {
         let o = &self.shared.obs;
-        let queue_depth = self.shared.state.lock().map(|s| s.heap.len()).unwrap_or_default();
+        let queue_depth = lock_unpoisoned(&self.shared.state).heap.len();
         ServiceStats {
             queue_depth,
             submitted: o.submitted.get(),
@@ -388,10 +388,7 @@ impl QuoteService {
     /// instrument plus the kernel phase timers, with scrape-time gauges
     /// (memo, journal) refreshed first.
     pub fn metrics_text(&self) -> String {
-        self.shared
-            .obs
-            .queue_depth
-            .set(self.shared.state.lock().map(|s| s.heap.len()).unwrap_or_default() as u64);
+        self.shared.obs.queue_depth.set(lock_unpoisoned(&self.shared.state).heap.len() as u64);
         self.shared.obs.render(&self.shared.pricer.memo_stats())
     }
 
@@ -1808,6 +1805,40 @@ mod tests {
             let d = policy.backoff(3, attempt);
             assert!(d <= policy.max_backoff, "backoff {d:?} above ceiling");
             assert!(d >= policy.base_backoff / 2, "backoff {d:?} under half the base");
+        }
+    }
+
+    #[test]
+    fn queue_depth_survives_a_poisoned_queue_lock() {
+        // Three untagged quotes sit in the heap while the worker coalesces
+        // (a batch of 64 or a minute, whichever comes first: neither does).
+        let service = QuoteService::start(ServiceConfig {
+            workers: 1,
+            max_batch: 64,
+            max_wait: Duration::from_secs(60),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let client = service.client();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| client.submit(ServiceRequest::Price(price_req(100.0 + i as f64, 16))).unwrap())
+            .collect();
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = service.shared.state.lock().unwrap();
+                    panic!("poison the queue lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err() && service.shared.state.is_poisoned());
+        // The service keeps serving on a poisoned lock; so must its gauges.
+        assert_eq!(service.stats().queue_depth, 3);
+        assert!(service.metrics_text().contains("\namopt_queue_depth 3\n"));
+        // Shutdown flushes the coalescing batch: every quote is answered.
+        service.shutdown();
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok());
         }
     }
 

@@ -97,6 +97,24 @@ fn transcript() -> Vec<Exchange> {
                 r#"Bsm Call with American exercise has no pricer in this workspace"}"#,
             )),
         ),
+        // --- two well-formed lines that each used to pin a worker at 100 %
+        // CPU forever (a saturated `as i64` under a float-predicate walk):
+        // typed errors now, and the quotes after them are answered ---
+        (
+            r#"{"op":"price","model":"topm","type":"put","spot":5e-324,"strike":130,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":1}"#,
+            lit(concat!(
+                r#"{"id":null,"ok":false,"kind":"pricing","error":"invalid parameter `spot`: "#,
+                r#"must be a normal number, got the subnormal 5e-324"}"#,
+            )),
+        ),
+        (
+            r#"{"op":"price","model":"bsm","type":"put","spot":100,"strike":100,"rate":0.01,"vol":1e-300,"steps":4}"#,
+            lit(concat!(
+                r#"{"id":null,"ok":false,"kind":"pricing","error":"unstable discretisation: "#,
+                "explicit-scheme coefficient a = NaN is negative or not finite ",
+                r#"(ω = inf, Δτ = 0.000e0, Δs = 0.000e0); increase steps"}"#,
+            )),
+        ),
         // --- ids echoed verbatim: string (multi-byte), absent → null; the
         // prices are exact: every leaf out of the money → 0, immediate
         // exercise at the root → K − S, at T = 400 and on trees of one and
@@ -222,6 +240,49 @@ fn golden_transcript_replays_byte_for_byte_in_both_framings() {
             assert_eq!(g, *w, "{framing}: reply {i} differs");
         }
         assert_eq!(got, want.join("\n") + "\n", "{framing}: reply stream");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn live_scrape_exposes_the_registry_and_cards_that_telescope_exactly() {
+    // The registry floor and exact telescoping are unit- and property-tested
+    // on detached instruments; this is the one scrape of a *live* server,
+    // through the wire ops an operator would use.
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
+    let mut client = TcpQuoteClient::connect(server.local_addr()).expect("connect");
+    let quotes = 64u64;
+    for i in 0..quotes {
+        let req = contract(90.0 + (i % 40) as f64, OptionType::Put, 64);
+        client.send(&wire::encode_pricing_request(i, "price", &req)).expect("send");
+    }
+    for _ in 0..quotes {
+        let reply = client.recv().expect("reply");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+
+    let doc = parse(&client.roundtrip(r#"{"op":"metrics"}"#).expect("metrics")).expect("JSON");
+    let text = doc.get("text").and_then(JsonValue::as_str).expect("metrics reply carries text");
+    let instruments = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert!(instruments >= 25, "only {instruments} instruments exposed:\n{text}");
+    let submitted: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("amopt_queue_submitted_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("amopt_queue_submitted_total in the exposition");
+    assert!(submitted >= quotes, "{submitted} submitted, {quotes} sent");
+
+    let doc = parse(&client.roundtrip(r#"{"op":"trace","n":32}"#).expect("trace")).expect("JSON");
+    let Some(JsonValue::Arr(cards)) = doc.get("traces") else { panic!("no traces array") };
+    assert!(!cards.is_empty(), "no trace cards after {quotes} quotes");
+    for card in cards {
+        let Some(JsonValue::Obj(stages)) = card.get("stages") else { panic!("{card:?}") };
+        assert!(!stages.is_empty(), "{card:?}");
+        // Integer deltas of one clock: the sum is the end-to-end figure, not
+        // close to it.
+        let sum: u64 = stages.iter().map(|(_, v)| v.as_f64().expect("nanos") as u64).sum();
+        let e2e = card.get("end_to_end_nanos").and_then(JsonValue::as_f64).expect("e2e") as u64;
+        assert_eq!(sum, e2e, "{card:?}");
     }
     server.shutdown();
 }

@@ -1,4 +1,4 @@
-//! Multi-step linear stencil advancement over aperiodic and periodic grids.
+//! Multi-step linear stencil advancement over an aperiodic grid.
 //!
 //! `advance(seg, kernel, h)` evolves a row segment `h` time steps under a
 //! *purely linear* stencil and returns exactly the cells whose dependency
@@ -145,74 +145,6 @@ fn stepped(row: &[f64], kernel: &StencilKernel, h: u64) -> Vec<f64> {
     cur
 }
 
-/// Evolves a periodic grid (cells wrap cyclically) by `h` steps.
-///
-/// This is the `O(N log N)` periodic-grid case of Ahmad et al. \[1\]; grid
-/// sizes need not be powers of two.
-pub fn advance_periodic(
-    values: &[f64],
-    kernel: &StencilKernel,
-    h: u64,
-    backend: Backend,
-) -> Vec<f64> {
-    if values.is_empty() || h == 0 {
-        return values.to_vec();
-    }
-    match backend {
-        Backend::Fft => {
-            // The spectral path needs the taps aligned to the anchor: the
-            // correlation primitive assumes tap 0 sits at offset 0, so the
-            // result must be rotated by `h·anchor`.
-            let raw = amopt_fft::correlate_power_periodic(values, kernel.weights(), h);
-            rotate_by(raw, kernel.anchor() * h as i64)
-        }
-        Backend::DirectTaps => {
-            let taps = kernel.power_taps(h);
-            let n = values.len();
-            let base = kernel.anchor() * h as i64;
-            (0..n as i64)
-                .map(|c| {
-                    taps.iter()
-                        .enumerate()
-                        .map(|(m, &w)| w * values[wrap(c + base + m as i64, n)])
-                        .sum()
-                })
-                .collect()
-        }
-        Backend::Stepped => {
-            let n = values.len();
-            let mut cur = values.to_vec();
-            for _ in 0..h {
-                cur = (0..n as i64)
-                    .map(|c| {
-                        kernel
-                            .weights()
-                            .iter()
-                            .enumerate()
-                            .map(|(m, &w)| w * cur[wrap(c + kernel.anchor() + m as i64, n)])
-                            .sum()
-                    })
-                    .collect();
-            }
-            cur
-        }
-    }
-}
-
-#[inline]
-fn wrap(idx: i64, n: usize) -> usize {
-    idx.rem_euclid(n as i64) as usize
-}
-
-/// Cyclic rotation so that output index `c` reads `raw[(c + shift) mod n]`.
-fn rotate_by(raw: Vec<f64>, shift: i64) -> Vec<f64> {
-    let n = raw.len();
-    if n == 0 || shift.rem_euclid(n as i64) == 0 {
-        return raw;
-    }
-    (0..n as i64).map(|c| raw[wrap(c + shift, n)]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,34 +283,6 @@ mod tests {
         let mid = advance(&seg, &kernel, 25, Backend::Fft);
         let twice = advance(&mid, &kernel, 35, Backend::Fft);
         assert_close(&once, &twice, 1e-8, "composition");
-    }
-
-    #[test]
-    fn periodic_backends_agree() {
-        let kernel = StencilKernel::new(vec![0.25, 0.5, 0.24], -1);
-        for n in [9usize, 32, 100] {
-            let vals = rand_real(n, n as u64);
-            for h in [1u64, 3, 11] {
-                let f = advance_periodic(&vals, &kernel, h, Backend::Fft);
-                let d = advance_periodic(&vals, &kernel, h, Backend::DirectTaps);
-                let s = advance_periodic(&vals, &kernel, h, Backend::Stepped);
-                for i in 0..n {
-                    assert!((f[i] - s[i]).abs() < 1e-8, "fft vs stepped n={n} h={h} i={i}");
-                    assert!((d[i] - s[i]).abs() < 1e-8, "direct vs stepped n={n} h={h} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn periodic_conserves_mass_for_stochastic_kernels() {
-        // Row sum is multiplied by (Σw)^h on a periodic grid.
-        let kernel = StencilKernel::new(vec![0.2, 0.5, 0.3], -1);
-        let vals = rand_real(64, 9);
-        let total: f64 = vals.iter().sum();
-        let out = advance_periodic(&vals, &kernel, 20, Backend::Fft);
-        let got: f64 = out.iter().sum();
-        assert!((got - total).abs() < 1e-8);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! * [`StencilKernel`] — one linear time step (taps + anchor offset);
 //! * [`Segment`] — row values anchored at an absolute column;
 //! * [`advance()`](advance::advance) — `h`-step aperiodic evolution returning the valid cone
-//!   interior, with FFT (`O(L log L)`), direct-taps, and stepped backends;
-//! * [`advance_periodic`] — `O(N log N)` periodic-grid evolution for
-//!   arbitrary `N` (Bluestein).
+//!   interior, with FFT (`O(L log L)`), direct-taps, and stepped backends.
 //!
 //! The *nonlinear* stencils of the paper (`max(linear, obstacle)`) live in
 //! `amopt-core`; they call into this crate on regions certified to be free of
@@ -23,8 +21,8 @@ pub mod kernel;
 pub mod segment;
 
 pub use advance::{
-    advance, advance_periodic, advance_values_with, output_start, valid_output_len, with_scratch,
-    AdvanceScratch, Backend,
+    advance, advance_values_with, output_start, valid_output_len, with_scratch, AdvanceScratch,
+    Backend,
 };
 pub use bounded::{advance_left_wall, stepped_wall};
 pub use kernel::StencilKernel;

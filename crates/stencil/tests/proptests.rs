@@ -1,7 +1,7 @@
 //! Property-based tests for the linear stencil engine: all backends agree on
 //! arbitrary kernels/segments, and advancement composes.
 
-use amopt_stencil::{advance, advance_periodic, Backend, Segment, StencilKernel};
+use amopt_stencil::{advance, Backend, Segment, StencilKernel};
 use proptest::prelude::*;
 
 fn arb_kernel() -> impl Strategy<Value = StencilKernel> {
@@ -64,19 +64,5 @@ proptest! {
         let out = advance(&seg, &kernel, h, Backend::Fft);
         prop_assert_eq!(out.start, start - kernel.anchor() * h as i64);
         prop_assert_eq!(out.len(), len - kernel.span() * h as usize);
-    }
-
-    #[test]
-    fn periodic_backends_agree(
-        kernel in arb_kernel(),
-        values in prop::collection::vec(-5.0..5.0f64, 5..64),
-        h in 1u64..10,
-    ) {
-        prop_assume!(kernel.weights().len() <= values.len());
-        let f = advance_periodic(&values, &kernel, h, Backend::Fft);
-        let s = advance_periodic(&values, &kernel, h, Backend::Stepped);
-        for i in 0..values.len() {
-            prop_assert!((f[i] - s[i]).abs() < 1e-8, "i={}: {} vs {}", i, f[i], s[i]);
-        }
     }
 }

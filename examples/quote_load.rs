@@ -38,22 +38,11 @@
 //! connection at its in-flight cap is paced, never rejected.  Exits
 //! non-zero on protocol-level failures (parse errors, disconnects, pricing
 //! errors on the valid book) — overload shedding alone never fails the run.
-//!
-//! ```sh
-//! # Chaos mode: skip the external server, bind an embedded loopback
-//! # server sabotaged by the seeded hostile fault plan, and report
-//! # per-class availability (answered / shed / retried / lost) alongside
-//! # the latency percentiles.  Connections run sequentially (window 1) so
-//! # a torn reply is attributable to exactly one request and is never
-//! # resubmitted; exits non-zero only on total outage (nothing answered):
-//! cargo run --release --example quote_load -- --chaos 42 512 8
-//! #                                                    seed n  conns
-//! ```
 
 use american_option_pricing::prelude::*;
-use american_option_pricing::service::{wire, FaultPlan};
+use american_option_pricing::service::wire;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn book(n: usize, steps: usize) -> Vec<PricingRequest> {
     let base = OptionParams::paper_defaults();
@@ -155,124 +144,6 @@ fn drive_conn(
     report
 }
 
-/// Availability tallies for one chaos-mode connection.
-#[derive(Default)]
-struct ChaosConnReport {
-    /// `(latency_us, had_deadline_budget)` per answered request, measured
-    /// from the *first* send — retries are inside the number, as a caller
-    /// would experience them.
-    latencies_us: Vec<(f64, bool)>,
-    answered: usize,
-    errors: usize,
-    shed: usize,
-    retried: usize,
-    lost: usize,
-}
-
-impl ChaosConnReport {
-    fn add(&mut self, other: &ChaosConnReport) {
-        self.latencies_us.extend_from_slice(&other.latencies_us);
-        self.answered += other.answered;
-        self.errors += other.errors;
-        self.shed += other.shed;
-        self.retried += other.retried;
-        self.lost += other.lost;
-    }
-}
-
-/// Sequential (one in flight) driver for chaos mode: overloaded replies
-/// and zero-reply-byte transport failures are retried on a fresh
-/// connection; a torn reply is counted lost and never resubmitted.
-fn drive_conn_chaos(
-    addr: &str,
-    cfg: &LoadConfig,
-    base_id: usize,
-    slice: &[PricingRequest],
-    tagged: bool,
-) -> ChaosConnReport {
-    const MAX_ATTEMPTS: u32 = 8;
-    let mut report = ChaosConnReport::default();
-    let mut client: Option<TcpQuoteClient> = None;
-    for (i, req) in slice.iter().enumerate() {
-        let id = (base_id + i) as u64;
-        let line = if tagged {
-            wire::encode_pricing_request_with_deadline(id, "price", req, cfg.deadline_ms)
-        } else {
-            wire::encode_pricing_request(id, "price", req)
-        };
-        let t0 = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            if attempt > MAX_ATTEMPTS {
-                report.lost += 1;
-                break;
-            }
-            let conn = match client.as_mut() {
-                Some(conn) => conn,
-                None => match TcpQuoteClient::connect(addr) {
-                    Ok(fresh) => {
-                        fresh.set_read_timeout(Some(Duration::from_secs(2))).ok();
-                        client.insert(fresh)
-                    }
-                    Err(_) => {
-                        report.retried += 1;
-                        std::thread::sleep(Duration::from_millis(u64::from(attempt)));
-                        continue;
-                    }
-                },
-            };
-            if conn.send(&line).is_err() {
-                client = None; // nothing of this request was answered: retry-safe
-                report.retried += 1;
-                continue;
-            }
-            match conn.recv() {
-                Ok(reply) => {
-                    let doc = wire::parse(&reply).ok();
-                    let ok = doc
-                        .as_ref()
-                        .is_some_and(|d| matches!(d.get("ok"), Some(wire::JsonValue::Bool(true))));
-                    let overloaded =
-                        doc.as_ref().and_then(|d| d.get("kind")).and_then(wire::JsonValue::as_str)
-                            == Some("overloaded");
-                    if ok {
-                        report.answered += 1;
-                        report.latencies_us.push((t0.elapsed().as_secs_f64() * 1e6, tagged));
-                        break;
-                    } else if overloaded {
-                        report.shed += 1;
-                        if attempt < MAX_ATTEMPTS {
-                            report.retried += 1;
-                            std::thread::sleep(Duration::from_millis(u64::from(attempt)));
-                            continue;
-                        }
-                        report.lost += 1;
-                        break;
-                    }
-                    report.errors += 1; // parse/pricing/internal: final answer
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // Torn reply: the server may have processed the request,
-                    // so resubmitting could double-price it.  Count it lost.
-                    report.lost += 1;
-                    client = None;
-                    break;
-                }
-                Err(_) => {
-                    // Zero reply bytes: retry-safe.  Reconnect so a late
-                    // reply on the abandoned socket can never be misread.
-                    client = None;
-                    report.retried += 1;
-                    continue;
-                }
-            }
-        }
-    }
-    report
-}
-
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         f64::NAN
@@ -360,35 +231,10 @@ fn print_stage_breakdown(addr: &str) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--chaos <seed>` replaces the external server with an embedded
-    // loopback one sabotaged by the seeded hostile fault plan.
-    let chaos_seed: Option<u64> = args.iter().position(|a| a == "--chaos").map(|at| {
-        let seed = args.get(at + 1).and_then(|v| v.parse().ok()).unwrap_or(42);
-        args.drain(at..(at + 2).min(args.len()));
-        seed
-    });
-    let chaos_plan = chaos_seed.map(FaultPlan::hostile);
-    let embedded = chaos_plan.clone().map(|plan| {
-        let server = QuoteServer::bind(
-            "127.0.0.1:0",
-            ServiceConfig {
-                max_batch: 32,
-                max_wait: Duration::from_millis(1),
-                fault: Some(plan),
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("bind embedded chaos server");
-        // Keep the positional layout below unchanged: the embedded
-        // server's address becomes the addr argument.
-        args.insert(0, server.local_addr().to_string());
-        server
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(addr) = args.first().cloned() else {
         eprintln!(
-            "usage: quote_load <addr> [n] [conns] [window] [idle] [deadline_every] [deadline_ms]\n\
-                    quote_load --chaos <seed> [n] [conns] [window] [idle] [deadline_every] [deadline_ms]"
+            "usage: quote_load <addr> [n] [conns] [window] [idle] [deadline_every] [deadline_ms]"
         );
         std::process::exit(2);
     };
@@ -426,73 +272,6 @@ fn main() {
         };
         slices.push((at, &requests[at..at + take]));
         at += take;
-    }
-
-    if let Some(seed) = chaos_seed {
-        let t0 = Instant::now();
-        let reports: Vec<ChaosConnReport> = std::thread::scope(|scope| {
-            slices
-                .iter()
-                .enumerate()
-                .map(|(w, &(base_id, slice))| {
-                    let (addr, cfg) = (&addr, &cfg);
-                    scope.spawn(move || drive_conn_chaos(addr, cfg, base_id, slice, tagged_of(w)))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("chaos load thread must not panic"))
-                .collect()
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        drop(parked);
-        let mut total = ChaosConnReport::default();
-        for report in &reports {
-            total.add(report);
-        }
-        println!(
-            "quote_load --chaos {seed}: {} requests over {} sequential connections \
-             (embedded faulty loopback server)",
-            cfg.n, cfg.conns
-        );
-        let pct = |part: usize| 100.0 * part as f64 / cfg.n.max(1) as f64;
-        println!(
-            "  availability: answered {} ({:.1}%)  errors {} ({:.1}%)  lost {} ({:.1}%)",
-            total.answered,
-            pct(total.answered),
-            total.errors,
-            pct(total.errors),
-            total.lost,
-            pct(total.lost),
-        );
-        println!("  healing: {} shed replies, {} retries performed", total.shed, total.retried);
-        if let Some(plan) = &chaos_plan {
-            let faults = plan.stats();
-            print!("  faults fired: {} total", faults.total());
-            for (name, count) in faults.non_zero() {
-                print!("  {name}:{count}");
-            }
-            println!();
-        }
-        println!("  wall: {secs:.3}s  throughput: {:.0} answered/s", total.answered as f64 / secs);
-        print_class("all     ", total.latencies_us.iter().map(|&(us, _)| us).collect());
-        if cfg.deadline_every > 0 {
-            print_class(
-                "deadline",
-                total.latencies_us.iter().filter(|&&(_, t)| t).map(|&(us, _)| us).collect(),
-            );
-            print_class(
-                "bulk    ",
-                total.latencies_us.iter().filter(|&&(_, t)| !t).map(|&(us, _)| us).collect(),
-            );
-        }
-        print_stage_breakdown(&addr);
-        if let Some(server) = embedded {
-            server.shutdown();
-        }
-        if total.answered == 0 {
-            std::process::exit(1); // total outage: nothing survived the faults
-        }
-        return;
     }
 
     let t0 = Instant::now();

@@ -5,9 +5,9 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`fft`] — from-scratch FFT substrate (radix-2, Bluestein, real packing,
+//! * [`fft`] — from-scratch FFT substrate (radix-2, real packing,
 //!   kernel-power correlation);
-//! * [`parallel`] — fork-join facade (rayon-backed, sequential fallback);
+//! * [`parallel`] — fork-join facade over the work-stealing pool;
 //! * [`stencil`] — linear 1-D stencil engine (Ahmad et al., SPAA 2021);
 //! * [`core`] — the paper's contribution: nonlinear-stencil trapezoid
 //!   engines and the BOPM/TOPM/BSM pricers with naive, tiled,

@@ -107,8 +107,8 @@ proptest! {
             // Rightward monotonicity (Cor. 2.7 / Lemma 2.4) relies on
             // Lemma 2.3, which needs the row i+1 to have children — it can
             // genuinely fail at the expiry transition i+1 = T when
-            // (1−e^{−RΔt}) > (1−e^{−YΔt})·u² (e.g. Y = 0); see DESIGN.md
-            // errata and bopm::fast's explicit first step.
+            // (1−e^{−RΔt}) > (1−e^{−YΔt})·u² (e.g. Y = 0); see ARCHITECTURE.md
+            // ("Errata and substitutions") and bopm::fast's explicit first step.
             if i + 1 < steps {
                 prop_assert!(b[i] <= b[i + 1] || b[i + 1] >= i as i64, "i={}", i);
             }
