@@ -30,10 +30,8 @@
 //! directly — the dispatcher adds routing, never arithmetic.
 //!
 //! Derived quantities route through the same machinery: [`greeks`] expresses
-//! finite-difference bump ladders as batch requests, [`surface`] inverts
-//! whole implied-volatility surfaces with one batch per bracketing round,
-//! and [`boundary`] extracts early-exercise frontiers for a contract set
-//! with the same dedup → parallel fan-out → scatter pattern.
+//! finite-difference bump ladders as batch requests and [`surface`] inverts
+//! whole implied-volatility surfaces with one batch per bracketing round.
 //!
 //! ```
 //! use amopt_core::batch::{BatchPricer, ModelKind, PricingRequest};
@@ -49,7 +47,6 @@
 //! assert!(prices.iter().all(|p| p.is_ok()));
 //! ```
 
-pub mod boundary;
 pub mod greeks;
 pub mod surface;
 
@@ -189,11 +186,15 @@ fn quantize_on(x: f64, grid: f64) -> Quantized {
     let scaled = x * grid;
     // i64 holds ±9.2e18, so any |scaled| comfortably inside that range
     // round-trips through the cast without saturating.
-    if scaled.is_finite() && scaled.abs() < 9.0e18 {
-        Quantized::Grid(scaled.round() as i64)
+    let cell = scaled.round();
+    // amopt-lint: allow(float-eq) -- exact zeros: a nonzero value that rounds to cell 0 must not share exact 0.0's key
+    if scaled.is_finite() && scaled.abs() < 9.0e18 && (cell != 0.0 || x == 0.0) {
+        Quantized::Grid(cell as i64)
     } else {
-        // Off-grid magnitudes, infinities, NaN: exact bit identity — no
-        // noise folding out there, but no cross-request collisions either.
+        // Off-grid magnitudes (too large, or nonzero yet below half a cell,
+        // where validity itself can differ: a subnormal spot is an error),
+        // infinities, NaN: exact bit identity — no noise folding out there,
+        // but no cross-request collisions either.
         Quantized::Bits(x.to_bits())
     }
 }
@@ -601,7 +602,7 @@ impl BatchPricer {
                     }
                     (Style::European, opt) => Ok(bopm::european::price_european_fft(&model, opt)),
                     (Style::Bermudan(_), OptionType::Put) => {
-                        bermudan::price_bermudan_put_fft(&model, dates, self.cfg.backend)
+                        bermudan::price_bermudan_put_fft(&model, dates)
                     }
                     (Style::Bermudan(_), OptionType::Call) => unsupported(),
                 }
@@ -637,7 +638,6 @@ impl BatchPricer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amopt_stencil::Backend;
 
     fn pricer() -> BatchPricer {
         BatchPricer::new(EngineConfig::default())
@@ -671,7 +671,7 @@ mod tests {
             }),
             (PricingRequest::bermudan_put(p(), steps, vec![50, 100, 200]), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bermudan::price_bermudan_put_fft(&m, &[50, 100, 200], Backend::Fft).unwrap()
+                bermudan::price_bermudan_put_fft(&m, &[50, 100, 200]).unwrap()
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();

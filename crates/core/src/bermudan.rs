@@ -22,11 +22,7 @@ use amopt_stencil::{advance, Backend, Segment};
 /// `exercise_steps` are market time steps in `(0, T]`; expiry is always an
 /// exercise date (payoff), step `0` (valuation date) never is.  Duplicates
 /// are tolerated; order does not matter.
-pub fn price_bermudan_put_fft(
-    model: &BopmModel,
-    exercise_steps: &[usize],
-    backend: Backend,
-) -> Result<f64> {
+pub fn price_bermudan_put_fft(model: &BopmModel, exercise_steps: &[usize]) -> Result<f64> {
     let t = model.steps();
     let strike = model.params().strike;
     for &e in exercise_steps {
@@ -54,7 +50,7 @@ pub fn price_bermudan_put_fft(
             continue;
         }
         let h = (cur_step - date) as u64;
-        row = advance(&row, &kernel, h, backend);
+        row = advance(&row, &kernel, h, Backend::Fft);
         for (idx, v) in row.values.iter_mut().enumerate() {
             let j = row.start + idx as i64;
             *v = v.max(payoff(date, j));
@@ -62,7 +58,7 @@ pub fn price_bermudan_put_fft(
         cur_step = date;
     }
     if cur_step > 0 {
-        row = advance(&row, &kernel, cur_step as u64, backend);
+        row = advance(&row, &kernel, cur_step as u64, Backend::Fft);
     }
     debug_assert_eq!(row.len(), 1);
     Ok(row.values[0])
@@ -110,7 +106,7 @@ mod tests {
             vec![vec![500], vec![250], vec![100, 200, 300, 400], (1..=500).step_by(7).collect()];
         for dates in date_sets {
             let want = price_bermudan_put_naive(&m, &dates).unwrap();
-            let got = price_bermudan_put_fft(&m, &dates, Backend::Fft).unwrap();
+            let got = price_bermudan_put_fft(&m, &dates).unwrap();
             assert!(
                 (got - want).abs() < 1e-9 * want.max(1.0),
                 "dates={}: fft {got} vs naive {want}",
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn expiry_only_equals_european() {
         let m = model(400);
-        let bermudan = price_bermudan_put_fft(&m, &[400], Backend::Fft).unwrap();
+        let bermudan = price_bermudan_put_fft(&m, &[400]).unwrap();
         let european = crate::bopm::european::price_european_fft(&m, OptionType::Put);
         assert!((bermudan - european).abs() < 1e-9);
     }
@@ -131,7 +127,7 @@ mod tests {
     fn every_step_equals_american() {
         let m = model(300);
         let all: Vec<usize> = (1..=300).collect();
-        let bermudan = price_bermudan_put_fft(&m, &all, Backend::Fft).unwrap();
+        let bermudan = price_bermudan_put_fft(&m, &all).unwrap();
         let american =
             naive::price(&m, OptionType::Put, ExerciseStyle::American, naive::ExecMode::Serial);
         assert!((bermudan - american).abs() < 1e-9 * american, "{bermudan} vs {american}");
@@ -140,10 +136,10 @@ mod tests {
     #[test]
     fn value_is_monotone_in_exercise_rights() {
         let m = model(256);
-        let quarterly = price_bermudan_put_fft(&m, &[64, 128, 192, 256], Backend::Fft).unwrap();
+        let quarterly = price_bermudan_put_fft(&m, &[64, 128, 192, 256]).unwrap();
         let monthly: Vec<usize> = (1..=256).step_by(21).chain([256]).collect();
-        let monthly_v = price_bermudan_put_fft(&m, &monthly, Backend::Fft).unwrap();
-        let european = price_bermudan_put_fft(&m, &[256], Backend::Fft).unwrap();
+        let monthly_v = price_bermudan_put_fft(&m, &monthly).unwrap();
+        let european = price_bermudan_put_fft(&m, &[256]).unwrap();
         assert!(quarterly >= european - 1e-12);
         assert!(monthly_v >= quarterly - 1e-9);
     }
@@ -151,16 +147,16 @@ mod tests {
     #[test]
     fn rejects_out_of_range_dates() {
         let m = model(64);
-        assert!(price_bermudan_put_fft(&m, &[0], Backend::Fft).is_err());
-        assert!(price_bermudan_put_fft(&m, &[65], Backend::Fft).is_err());
+        assert!(price_bermudan_put_fft(&m, &[0]).is_err());
+        assert!(price_bermudan_put_fft(&m, &[65]).is_err());
         assert!(price_bermudan_put_naive(&m, &[0]).is_err());
     }
 
     #[test]
     fn duplicate_and_unsorted_dates_are_tolerated() {
         let m = model(200);
-        let a = price_bermudan_put_fft(&m, &[50, 100, 150], Backend::Fft).unwrap();
-        let b = price_bermudan_put_fft(&m, &[150, 50, 100, 50, 150], Backend::Fft).unwrap();
+        let a = price_bermudan_put_fft(&m, &[50, 100, 150]).unwrap();
+        let b = price_bermudan_put_fft(&m, &[150, 50, 100, 50, 150]).unwrap();
         assert!((a - b).abs() < 1e-12);
     }
 }

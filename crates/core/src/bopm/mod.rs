@@ -16,8 +16,6 @@
 pub mod european;
 pub mod fast;
 pub mod naive;
-pub mod oblivious;
-pub mod term_structure;
 pub mod tiled;
 
 use crate::engine::left_cone::last_green_from;

@@ -19,17 +19,17 @@ use amopt_stencil::{advance, Backend, Segment, StencilKernel};
 
 /// The purely linear scheme (no obstacle) from the payoff row to the apex:
 /// one FFT pass.
-fn linear_apex(model: &BsmModel, backend: Backend) -> f64 {
+fn linear_apex(model: &BsmModel) -> f64 {
     let t = model.steps() as i64;
     let payoff: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
-    let out = advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, backend);
+    let out = advance(&Segment::new(-t, payoff), &model.kernel(), t as u64, Backend::Fft);
     debug_assert_eq!((out.start, out.len()), (0, 1));
     model.params().strike * out.values[0]
 }
 
 /// European put under the same discretisation, `O(T log T)` (single FFT).
 pub fn price_european_put_fft(model: &BsmModel) -> f64 {
-    linear_apex(model, Backend::Fft)
+    linear_apex(model)
 }
 
 /// American put price plus green-boundary samples `(n, k_n)` every
@@ -55,7 +55,7 @@ pub fn price_with_boundary_samples(
         // `1 − e^s` to `1 − λe^s` with λ < 1, so continuation beats exercise
         // at every node) — and the scheme is purely linear: this is the
         // European put on this grid.
-        return (linear_apex(model, cfg.backend), samples);
+        return (linear_apex(model), samples);
     }
     if f0 >= t {
         // Green covers the whole cone now and forever (the green/cone gap

@@ -32,7 +32,6 @@
 //! (`c' = k + (T − n)`) so the anchor −1 stencil becomes the anchor-0 one
 //! the engine runs.
 
-pub mod barrier;
 pub mod fast;
 pub mod naive;
 
@@ -175,14 +174,6 @@ impl BsmModel {
         1.0 - self.phi(k)
     }
 
-    /// Dimensionless **call** exercise value at column `k`: `e^{s_k} − 1`
-    /// (no floor).  The call's green zone sits on the *right* of the cone;
-    /// only the dense sweep uses it (the engine is green-left).
-    #[inline]
-    pub fn exercise_call(&self, k: i64) -> f64 {
-        self.phi(k) - 1.0
-    }
-
     /// The 3-point stencil `[b, c, a]` anchored at −1.
     pub fn kernel(&self) -> StencilKernel {
         StencilKernel::new(vec![self.b, self.c, self.a], -1)
@@ -205,18 +196,6 @@ impl BsmModel {
     #[inline]
     pub fn payoff(&self, k: i64) -> f64 {
         self.exercise(k).max(0.0)
-    }
-
-    /// Dimensionless **call** payoff at column `k`: `max(e^{s_k} − 1, 0)`.
-    #[inline]
-    pub fn payoff_call(&self, k: i64) -> f64 {
-        self.exercise_call(k).max(0.0)
-    }
-
-    /// Expiry-row **call** boundary: smallest `k` with `s_k ≥ 0` (exercise
-    /// region on the right), unclamped to the cone.
-    pub fn expiry_call_boundary(&self) -> i64 {
-        crossing_from((-self.s_base / self.d_s).floor() as i64, |k| self.s_at(k) < 0.0) + 1
     }
 }
 
@@ -262,18 +241,6 @@ mod tests {
             let f = m.expiry_boundary();
             assert!(m.s_at(f) <= 0.0);
             assert!(m.s_at(f + 1) > 0.0);
-        }
-    }
-
-    #[test]
-    fn expiry_call_boundary_is_exact_crossover() {
-        for steps in [16usize, 252, 4096] {
-            let m = model(steps);
-            let f = m.expiry_call_boundary();
-            assert!(m.s_at(f) >= 0.0);
-            assert!(m.s_at(f - 1) < 0.0);
-            // The two expiry boundaries straddle the strike column.
-            assert!(m.expiry_boundary() < f);
         }
     }
 

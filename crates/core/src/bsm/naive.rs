@@ -23,41 +23,11 @@ pub enum Style {
     American,
 }
 
-/// Which obstacle the sweep applies: the put's (`1 − e^s`, green on the
-/// left) or the call's (`e^s − 1`, green on the right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Put,
-    Call,
-}
-
-impl Side {
-    #[inline]
-    fn exercise(self, model: &BsmModel, k: i64) -> f64 {
-        match self {
-            Side::Put => model.exercise(k),
-            Side::Call => model.exercise_call(k),
-        }
-    }
-}
-
 /// Dimensionless grid value at the apex; multiply by `K` for the price.
 pub fn apex_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
-    sweep(model, Side::Put, style, mode)
-}
-
-/// Call-side apex value under the same discretisation; multiply by `K` for
-/// the price.  With the model's mandatory `Y = 0` the continuous American
-/// call is never exercised early, so the obstacle binds at most as a
-/// lattice-quantisation artifact — the sweep handles either outcome.
-pub fn apex_call_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
-    sweep(model, Side::Call, style, mode)
-}
-
-fn sweep(model: &BsmModel, side: Side, style: Style, mode: ExecMode) -> f64 {
     let t = model.steps() as i64;
     // Row n spans columns [−(T−n), T−n]; store at index k + (T−n).
-    let mut cur: Vec<f64> = (-t..=t).map(|k| side.exercise(model, k).max(0.0)).collect();
+    let mut cur: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
     let (wb, wc, wa) = model.weights();
     match mode {
         ExecMode::Serial => {
@@ -70,7 +40,7 @@ fn sweep(model: &BsmModel, side: Side, style: Style, mode: ExecMode) -> f64 {
                     let lin = wb * cur[idx - 1] + wc * cur[idx] + wa * cur[idx + 1];
                     next.push(match style {
                         Style::European => lin,
-                        Style::American => lin.max(side.exercise(model, k)),
+                        Style::American => lin.max(model.exercise(k)),
                     });
                 }
                 cur = next;
@@ -91,7 +61,7 @@ fn sweep(model: &BsmModel, side: Side, style: Style, mode: ExecMode) -> f64 {
                             let lin = wb * read[idx - 1] + wc * read[idx] + wa * read[idx + 1];
                             *out = match style {
                                 Style::European => lin,
-                                Style::American => lin.max(side.exercise(model, k)),
+                                Style::American => lin.max(model.exercise(k)),
                             };
                         }
                     });
@@ -116,12 +86,6 @@ pub fn price_european_put(model: &BsmModel, mode: ExecMode) -> f64 {
     model.params().strike * apex_value(model, Style::European, mode)
 }
 
-/// American call price under the same discretisation (dense sweep — the
-/// call side has no compressed green-left engine).
-pub fn price_american_call(model: &BsmModel, mode: ExecMode) -> f64 {
-    model.params().strike * apex_call_value(model, Style::American, mode)
-}
-
 /// Serial American sweep also recording the green-zone boundary
 /// (largest `k` with exercise ≥ continuation; `i64::MIN` when the row has no
 /// green cell inside the cone) for every row — used by the Thm 4.3 tests.
@@ -142,38 +106,6 @@ pub fn apex_value_with_boundary(model: &BsmModel) -> (f64, Vec<i64>) {
             let ex = model.exercise(k);
             if ex >= lin {
                 b = b.max(k);
-            }
-            next.push(lin.max(ex));
-        }
-        boundaries.push(b);
-        cur = next;
-    }
-    (cur[0], boundaries)
-}
-
-/// Serial American **call** sweep also recording the green-zone boundary
-/// for every row: the *smallest* `k` with exercise ≥ continuation
-/// (`i64::MAX` when the row has no green cell inside the cone — for the
-/// dividend-free call that is the common case; a green cell can appear
-/// only as a quantisation artifact of the explicit scheme).  Θ(T²): this
-/// is both the oracle and the production extractor for the call frontier.
-pub fn apex_call_value_with_boundary(model: &BsmModel) -> (f64, Vec<i64>) {
-    let t = model.steps() as i64;
-    let mut cur: Vec<f64> = (-t..=t).map(|k| model.payoff_call(k)).collect();
-    let (wb, wc, wa) = model.weights();
-    let mut boundaries = Vec::with_capacity(t as usize + 1);
-    // Expiry row boundary (clamped into the cone from the right).
-    boundaries.push(model.expiry_call_boundary().max(-t));
-    for n in 1..=t {
-        let half = t - n;
-        let mut next = Vec::with_capacity((2 * half + 1) as usize);
-        let mut b = i64::MAX;
-        for k in -half..=half {
-            let idx = (k + half + 1) as usize;
-            let lin = wb * cur[idx - 1] + wc * cur[idx] + wa * cur[idx + 1];
-            let ex = model.exercise_call(k);
-            if ex >= lin {
-                b = b.min(k);
             }
             next.push(lin.max(ex));
         }
@@ -264,51 +196,6 @@ mod tests {
             }
             assert!(b[n + 1] <= b[n], "n={n}: {} > {}", b[n + 1], b[n]);
             assert!(b[n + 1] >= b[n] - 1, "n={n}: {} < {} - 1", b[n + 1], b[n]);
-        }
-    }
-
-    #[test]
-    fn call_serial_and_parallel_agree() {
-        for steps in [1usize, 2, 9, 128, 400] {
-            let m = BsmModel::new(params(), steps).unwrap();
-            for style in [Style::European, Style::American] {
-                let a = apex_call_value(&m, style, ExecMode::Serial);
-                let b = apex_call_value(&m, style, ExecMode::Parallel);
-                assert!((a - b).abs() < 1e-12, "steps={steps} {style:?}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn american_call_without_dividends_tracks_black_scholes() {
-        // With Y = 0 early exercise of a call is never optimal in the
-        // continuum: American ≥ European on the grid by construction, and
-        // the gap is at most a lattice-quantisation artifact; the European
-        // leg converges to the Black–Scholes closed form.
-        let p = params();
-        let bs = analytic::black_scholes_price(&p, OptionType::Call).unwrap();
-        let m = BsmModel::new(p, 2000).unwrap();
-        let am = price_american_call(&m, ExecMode::Serial);
-        let eu = m.params().strike * apex_call_value(&m, Style::European, ExecMode::Serial);
-        assert!(am >= eu - 1e-12, "obstacle can only raise the value: {am} < {eu}");
-        assert!(am <= eu * (1.0 + 1e-3), "call obstacle overshot: am {am} vs eu {eu}");
-        assert!((eu - bs).abs() < 5e-2, "european leg {eu} vs closed form {bs}");
-    }
-
-    #[test]
-    fn call_boundary_cells_are_in_the_money() {
-        let m = BsmModel::new(params(), 600).unwrap();
-        let (v, b) = apex_call_value_with_boundary(&m);
-        let serial = apex_call_value(&m, Style::American, ExecMode::Serial);
-        assert_eq!(v.to_bits(), serial.to_bits(), "boundary sweep must not change the value");
-        let t = m.steps() as i64;
-        for (n, &k) in b.iter().enumerate() {
-            if k == i64::MAX {
-                continue;
-            }
-            assert!(k <= t - n as i64, "row {n}: boundary {k} outside the cone");
-            // Green ⇒ e^s − 1 ≥ continuation ≥ 0 ⇒ at/above the strike.
-            assert!(m.s_at(k) >= 0.0, "green call cell out of the money: row {n} k {k}");
         }
     }
 

@@ -60,7 +60,7 @@
 use super::{kernel_scope, linear_cells, EngineConfig};
 use crate::error::{PricingError, Result};
 use amopt_parallel::join;
-use amopt_stencil::{advance_values_with, with_scratch, Segment, StencilKernel};
+use amopt_stencil::{advance_values_with, with_scratch, Backend, Segment, StencilKernel};
 
 /// A row in compressed green-prefix form: cells `[?, boundary]` are green
 /// (obstacle closed form), cells `(boundary, hi]` are red with the prefix
@@ -246,12 +246,7 @@ where
 
 /// Pure linear advance of a row with no green cell left (`boundary < 0`):
 /// the boundary never returns, so the remaining problem is one correlation.
-fn advance_all_red(
-    kernel: &StencilKernel,
-    row: &GreenPrefixRow,
-    h: u64,
-    cfg: &EngineConfig,
-) -> GreenPrefixRow {
+fn advance_all_red(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64) -> GreenPrefixRow {
     // amopt-lint: hot-path
     kernel_scope!(FftPass);
     debug_assert!(row.boundary < 0);
@@ -273,7 +268,7 @@ fn advance_all_red(
         staging.extend_from_slice(&row.reds.values);
         staging.resize(row.reds.len() + span as usize * h as usize, 0.0);
         linear_cells!(staging.len());
-        advance_values_with(staging, row.reds.start, kernel, h, cfg.backend, &mut s.fft)
+        advance_values_with(staging, row.reds.start, kernel, h, Backend::Fft, &mut s.fft)
     });
     if out.end() - 1 > hi1 {
         out.values.truncate((hi1 - out.start + 1).max(0) as usize);
@@ -284,13 +279,7 @@ fn advance_all_red(
 /// Advances the certified-red region `(f, hi − σ'h]` by `h` purely linear
 /// steps: only the non-zero support prefix is computed (one correlation);
 /// the zero tail stays implicit.
-fn advance_certified(
-    kernel: &StencilKernel,
-    row: &GreenPrefixRow,
-    h: u64,
-    hi_new: i64,
-    cfg: &EngineConfig,
-) -> Segment {
+fn advance_certified(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64, hi_new: i64) -> Segment {
     // amopt-lint: hot-path
     kernel_scope!(FftPass);
     let span = kernel.span() as i64;
@@ -312,7 +301,7 @@ fn advance_certified(
             staging.push(if row.reds.contains(c) { row.reds.get(c) } else { 0.0 });
         }
         linear_cells!(staging.len());
-        advance_values_with(staging, f + 1, kernel, h, cfg.backend, &mut s.fft)
+        advance_values_with(staging, f + 1, kernel, h, Backend::Fft, &mut s.fft)
     })
 }
 
@@ -364,7 +353,7 @@ where
             };
         }
         if f < 0 {
-            return advance_all_red(kernel, &cur, remaining, cfg);
+            return advance_all_red(kernel, &cur, remaining);
         }
         if remaining <= cfg.base_cutoff {
             for _ in 0..remaining {
@@ -400,7 +389,7 @@ where
             reds: cur.extract_reds(f + 1, win_hi),
         };
         let parallel = remaining >= cfg.sequential_below;
-        let bulk_task = || advance_certified(kernel, &cur, h1, hi_new, cfg);
+        let bulk_task = || advance_certified(kernel, &cur, h1, hi_new);
         let sub_task = || {
             // Inclusive timing: nested window recursions count in full.
             kernel_scope!(BoundaryWindow);
@@ -500,7 +489,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amopt_stencil::Backend;
 
     /// One dense step to row `t1`: explicit max everywhere.  Returns the row
     /// and its last green column.
@@ -692,12 +680,6 @@ mod tests {
             check_matches_dense(150, Shape::Trinomial, 0.5, &cfg);
             check_matches_dense(200, Shape::ShearedBsm, -1.5, &cfg);
         }
-    }
-
-    #[test]
-    fn direct_taps_backend_agrees() {
-        let cfg = EngineConfig { backend: Backend::DirectTaps, ..EngineConfig::default() };
-        check_matches_dense(200, Shape::Binomial, 0.5, &cfg);
     }
 
     #[test]

@@ -66,8 +66,6 @@
 
 pub mod left_cone;
 
-use amopt_stencil::Backend;
-
 /// Times the enclosing scope as one kernel phase when the crate is built
 /// with the `obs` feature; expands to nothing otherwise, so the default
 /// build pays no cost — not even the `Instant::now` call.
@@ -109,12 +107,10 @@ pub struct EngineConfig {
     /// inside a fan-out that already fills the pool.  With more cores the
     /// lower end buys parallelism.
     pub sequential_below: u64,
-    /// Linear-advance backend for certified-red regions.
-    pub backend: Backend,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { base_cutoff: 8, sequential_below: 512, backend: Backend::Fft }
+        EngineConfig { base_cutoff: 8, sequential_below: 512 }
     }
 }

@@ -104,50 +104,6 @@ pub fn bsm_put_boundary(
         .collect()
 }
 
-/// Early-exercise frontier of an American **call** under the BSM explicit
-/// FD scheme.
-///
-/// The engine is green-*left* (put-shaped) and the dividend-free BSM grid
-/// has no put–call mirror, so the call frontier comes from the dense serial
-/// sweep — `Θ(T²)`, acceptable at boundary-extraction step counts.  With
-/// the model's mandatory `Y = 0` the continuous call is never exercised
-/// early; any sampled point is a quantisation artifact of the explicit
-/// scheme, and an all-`None` curve is the expected shape.  `cfg` is accepted
-/// for signature uniformity with the other extractors.
-pub fn bsm_call_boundary(
-    model: &BsmModel,
-    _cfg: &EngineConfig,
-    samples: usize,
-) -> Vec<BoundaryPoint> {
-    let t = model.steps();
-    let expiry = model.params().expiry;
-    let strike = model.params().strike;
-    let (_, dense) = crate::bsm::naive::apex_call_value_with_boundary(model);
-    // Mirror the fast extractors' row sampling: expiry first, then every
-    // `chunk` rows, always ending at the valuation row.
-    let chunk = (t / samples.max(1)).max(1);
-    let mut rows: Vec<usize> = (0..=t).step_by(chunk).collect();
-    if rows.last() != Some(&t) {
-        rows.push(t);
-    }
-    rows.into_iter()
-        .map(|n| {
-            let i = t - n;
-            BoundaryPoint {
-                time_step: i,
-                time_years: expiry * i as f64 / t as f64,
-                // First green column is the boundary itself (smallest green
-                // `k`); `i64::MAX` marks a row with no exercise region.
-                critical_price: dense
-                    .get(n)
-                    .copied()
-                    .filter(|&k| k != i64::MAX)
-                    .map(|k| strike * model.s_at(k).exp()),
-            }
-        })
-        .collect()
-}
-
 /// Early-exercise frontier of an American **call** under TOPM, read off the
 /// mirrored put (module docs) in one `O(T log² T)` pricing pass.
 pub fn topm_call_boundary(

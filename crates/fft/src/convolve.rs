@@ -185,7 +185,7 @@ pub fn correlate_power_valid_with(
 /// `K_k = Σ_m w_m e^{−2πi k m / n}`, evaluated directly with the roots of
 /// unity read from `full`, the length-`n` plan.
 #[inline]
-pub fn kernel_response(kernel: &[f64], k: usize, full: &Fft) -> Complex64 {
+fn kernel_response(kernel: &[f64], k: usize, full: &Fft) -> Complex64 {
     // amopt-lint: hot-path
     let mask = full.len() - 1;
     let mut acc = Complex64::ZERO;
@@ -203,8 +203,7 @@ fn vanished_below(h: u64) -> f64 {
 }
 
 /// Explicit taps of `kernel^{⊛h}` (h-fold self-convolution), computed by
-/// FFT powering.  Used by tests, the direct-weights ablation backend, and the
-/// naive base cases.
+/// FFT powering: the reference the correlation tests compare against.
 pub fn kernel_power_taps(kernel: &[f64], h: u64) -> Vec<f64> {
     assert!(!kernel.is_empty());
     if h == 0 {

@@ -26,8 +26,8 @@ pub mod real;
 
 pub use complex::{c64, Complex64};
 pub use convolve::{
-    correlate_power_valid, correlate_power_valid_with, kernel_power_taps, kernel_response,
-    linear_convolve, power_kernel_len, FftScratch,
+    correlate_power_valid, correlate_power_valid_with, kernel_power_taps, linear_convolve,
+    power_kernel_len, FftScratch,
 };
-pub use radix2::{fft, ifft, next_pow2, plan, Direction, Fft};
+pub use radix2::{fft, ifft, plan, Direction, Fft};
 pub use real::RealFft;

@@ -1,7 +1,7 @@
 //! Radix-2 Cooley–Tukey FFT (decimation in time) with cached twiddle tables,
 //! run depth first and forked over halves.
 //!
-//! Sizes must be powers of two (every caller pads to [`next_pow2`]).  Plans
+//! Sizes must be powers of two (every caller pads to the next one).  Plans
 //! are cached process-wide because the trapezoid decomposition of the pricing
 //! algorithms requests the same handful of sizes thousands of times.
 //!
@@ -292,7 +292,7 @@ pub fn ifft(buf: &mut [Complex64]) {
 
 /// Smallest power of two `≥ n` (and `≥ 1`).
 #[inline]
-pub fn next_pow2(n: usize) -> usize {
+pub(crate) fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 

@@ -11,9 +11,9 @@
 //!   prices are the same bits at every width (`tests/bit_pins.rs`).
 //!
 //! The exposed operations are deliberately few: binary [`join`] (the primitive
-//! from which the span bounds of the paper are derived), a grain-controlled
-//! [`parallel_for`], chunked mutable-slice iteration [`for_each_chunk_mut`],
-//! and pool management.
+//! from which the span bounds of the paper are derived), chunked
+//! mutable-slice iteration [`for_each_chunk_mut`] with the index-ordered
+//! [`parallel_map`] over it, and pool management.
 //!
 //! What a fork costs, which is what every grain and threshold above this
 //! crate prices: on a pool worker a [`join`] is a push and a pop of the
@@ -61,35 +61,10 @@ where
 
 /// Minimum amount of per-task work below which forking is never worthwhile.
 ///
-/// Used as the default grain by [`parallel_for`] callers that have no better
+/// Used as the grain by [`for_each_chunk_mut`] callers that have no better
 /// estimate. Chosen so a task costs at least a few microseconds of arithmetic
 /// — several times a fork, and enough to be worth a sleeping worker's wake-up.
 pub const DEFAULT_GRAIN: usize = 2048;
-
-/// Executes `body(i)` for every `i` in `lo..hi`, splitting recursively while a
-/// half contains at least `grain` iterations.
-///
-/// The body must be safe to run for distinct indices concurrently.  Splitting
-/// is binary, so the span is `O(log n)` forks plus one grain of work.
-pub fn parallel_for<F>(lo: usize, hi: usize, grain: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    fn go<F: Fn(usize) + Sync>(lo: usize, hi: usize, grain: usize, body: &F) {
-        if hi - lo <= grain {
-            for i in lo..hi {
-                body(i);
-            }
-        } else {
-            let mid = lo + (hi - lo) / 2;
-            join(|| go(lo, mid, grain, body), || go(mid, hi, grain, body));
-        }
-    }
-    if lo < hi {
-        let grain = grain.max(1);
-        go(lo, hi, grain, &body);
-    }
-}
 
 /// Splits `data` into chunks of at most `grain` elements and runs
 /// `body(chunk_start_offset, chunk)` on each, in parallel.
@@ -126,7 +101,7 @@ where
 /// Workers borrow a workspace for the duration of one work item and return
 /// it afterwards, so the pool grows to at most the number of *concurrently
 /// active* workers and never shrinks.  After this warm-up the pool itself
-/// performs no allocation: a steady-state `parallel_for` body that keeps its
+/// performs no allocation: a steady-state [`parallel_map`] body that keeps its
 /// scratch buffers inside a pooled workspace is allocation-free.
 ///
 /// The pool is deliberately not tied to worker-thread identity (a caller
@@ -135,15 +110,17 @@ where
 /// work items it is designed for.
 ///
 /// ```
-/// use amopt_parallel::{parallel_for, WorkspacePool};
+/// use amopt_parallel::{parallel_map, WorkspacePool};
 ///
 /// let pool: WorkspacePool<Vec<u64>> = WorkspacePool::new();
-/// parallel_for(0, 100, 8, |i| {
+/// let sums = parallel_map(100, 8, |i| {
 ///     pool.with(Vec::new, |scratch| {
 ///         scratch.clear();
 ///         scratch.extend(0..i as u64); // reuses a previous item's capacity
-///     });
+///         scratch.iter().sum::<u64>()
+///     })
 /// });
+/// assert_eq!(sums[4], 6);
 /// assert!(pool.idle() >= 1);
 /// ```
 #[derive(Debug, Default)]
@@ -234,22 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(0, n, 64, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_empty_range_is_noop() {
-        parallel_for(5, 5, 8, |_| panic!("must not run"));
-        parallel_for(7, 3, 8, |_| panic!("must not run"));
-    }
-
-    #[test]
     fn for_each_chunk_mut_covers_slice_with_correct_offsets() {
         let mut data = vec![0usize; 4097];
         for_each_chunk_mut(&mut data, 100, |offset, chunk| {
@@ -307,17 +268,16 @@ mod tests {
     }
 
     #[test]
-    fn workspace_pool_is_safe_under_parallel_for() {
+    fn workspace_pool_is_safe_under_parallel_map() {
         let pool: WorkspacePool<Vec<usize>> = WorkspacePool::new();
-        let sum = AtomicUsize::new(0);
-        parallel_for(0, 1000, 16, |i| {
+        let sums = parallel_map(1000, 16, |i| {
             pool.with(Vec::new, |w| {
                 w.clear();
                 w.extend([i, i]);
-                sum.fetch_add(w.iter().sum::<usize>(), Ordering::Relaxed);
-            });
+                w.iter().sum::<usize>()
+            })
         });
-        assert_eq!(sum.load(Ordering::Relaxed), 2 * (0..1000).sum::<usize>());
+        assert_eq!(sums.iter().sum::<usize>(), 2 * (0..1000).sum::<usize>());
         // Every checked-out workspace came back, bounded by peak concurrency.
         assert!(pool.idle() >= 1);
     }
@@ -331,11 +291,6 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&v| v == 2));
-        let count = AtomicUsize::new(0);
-        parallel_for(0, 9, 0, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 9);
     }
 
     #[test]
@@ -349,14 +304,7 @@ mod tests {
 
     #[test]
     fn run_with_threads_returns_value() {
-        let v = run_with_threads(2, || {
-            let mut acc = 0u64;
-            parallel_for(0, 100, 10, |_| {});
-            for i in 0..100u64 {
-                acc += i;
-            }
-            acc
-        });
+        let v = run_with_threads(2, || parallel_map(100, 10, |i| i as u64).iter().sum::<u64>());
         assert_eq!(v, 4950);
     }
 }

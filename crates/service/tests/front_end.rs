@@ -201,6 +201,20 @@ fn transcript() -> Vec<Exchange> {
                 computed("20", Err(ServiceError::Pricing(e)))
             },
         ),
+        // Two spots below the memo's grid, one valid (immediate exercise,
+        // exactly K) and one not: neither is answered with the other's
+        // reply, in one batch or through the memo.
+        (
+            r#"{"id":21,"op":"price","type":"put","spot":1e-307,"strike":130,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":64}"#,
+            lit(r#"{"id":21,"ok":true,"price":130}"#),
+        ),
+        (
+            r#"{"id":22,"op":"price","type":"put","spot":5e-324,"strike":130,"rate":0.00163,"vol":0.2,"div":0.0163,"steps":64}"#,
+            lit(concat!(
+                r#"{"id":22,"ok":false,"kind":"pricing","error":"invalid parameter `spot`: "#,
+                r#"must be a normal number, got the subnormal 5e-324"}"#,
+            )),
+        ),
     ]
 }
 

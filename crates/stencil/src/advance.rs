@@ -46,9 +46,6 @@ pub enum Backend {
     /// Spectrum powering, `O(L log L)` — the paper's algorithm.
     #[default]
     Fft,
-    /// Materialise `kernel^{⊛h}` and correlate directly, `O(L·h·span)`.
-    /// Used for ablation and small problems.
-    DirectTaps,
     /// `h` explicit single steps, `O(L·h)` — the reference semantics.
     Stepped,
 }
@@ -115,13 +112,6 @@ pub fn advance_values_with(
                 correlate_power_valid_with(values, kernel.weights(), h, fft)
             }
         }
-        Backend::DirectTaps => {
-            let taps = kernel.power_taps(h);
-            (0..out_len)
-                .map(|c| taps.iter().enumerate().map(|(m, &w)| w * values[c + m]).sum())
-                // amopt-lint: allow(hot-path-alloc) -- ablation backend; the collect is the output row the caller keeps
-                .collect()
-        }
         Backend::Stepped => stepped(values, kernel, h),
     };
     debug_assert_eq!(out.len(), out_len);
@@ -172,10 +162,8 @@ mod tests {
         let seg = Segment::new(10, rand_real(300, 1));
         for h in [1u64, 2, 17, 100] {
             let f = advance(&seg, &kernel, h, Backend::Fft);
-            let d = advance(&seg, &kernel, h, Backend::DirectTaps);
             let s = advance(&seg, &kernel, h, Backend::Stepped);
             assert_close(&f, &s, 1e-9, &format!("fft vs stepped h={h}"));
-            assert_close(&d, &s, 1e-9, &format!("direct vs stepped h={h}"));
             assert_eq!(f.start, 10);
             assert_eq!(f.len(), 300 - h as usize);
         }

@@ -13,8 +13,6 @@
 //! | TOPM  | `[m·p_d, m·p_o, m·p_u]`| 0     | leans right, slope 2|
 //! | BSM   | `[b, c, a]`           | −1     | symmetric           |
 
-use amopt_fft::{kernel_power_taps, linear_convolve, power_kernel_len};
-
 /// One time step of a linear 1-D stencil.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StencilKernel {
@@ -72,27 +70,6 @@ impl StencilKernel {
             .map(|c| self.weights.iter().enumerate().map(|(m, &w)| w * row[c + m]).sum())
             .collect()
     }
-
-    /// Taps of the `h`-fold self-convolution `kernel^{⊛h}` via FFT powering.
-    pub fn power_taps(&self, h: u64) -> Vec<f64> {
-        kernel_power_taps(&self.weights, h)
-    }
-
-    /// Same taps computed by repeated linear convolution — `O(h²·span²)`
-    /// reference implementation for tests and the ablation backend.
-    pub fn power_taps_direct(&self, h: u64) -> Vec<f64> {
-        let mut taps = vec![1.0];
-        for _ in 0..h {
-            taps = linear_convolve(&taps, &self.weights);
-        }
-        taps
-    }
-
-    /// Tap count of `kernel^{⊛h}`.
-    #[inline]
-    pub fn power_len(&self, h: u64) -> usize {
-        power_kernel_len(self.weights.len(), h)
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +83,6 @@ mod tests {
         assert_eq!(k.anchor(), -1);
         assert_eq!(k.hi_offset(), 1);
         assert!((k.l1_norm() - 1.0).abs() < 1e-15);
-        assert_eq!(k.power_len(3), 7);
     }
 
     #[test]
@@ -114,30 +90,6 @@ mod tests {
         let k = StencilKernel::new(vec![2.0, 3.0], 0);
         let out = k.step(&[1.0, 10.0, 100.0]);
         assert_eq!(out, vec![32.0, 320.0]);
-    }
-
-    #[test]
-    fn power_taps_fft_vs_direct() {
-        let k = StencilKernel::new(vec![0.2, 0.45, 0.3], -1);
-        for h in [0u64, 1, 2, 5, 16, 40] {
-            let a = k.power_taps(h);
-            let b = k.power_taps_direct(h);
-            assert_eq!(a.len(), b.len(), "h={h}");
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-11, "h={h}");
-            }
-        }
-    }
-
-    #[test]
-    fn power_taps_mass_conservation() {
-        // Σ taps of kernel^{⊛h} = (Σ kernel)^h.
-        let k = StencilKernel::new(vec![0.3, 0.4, 0.28], 0);
-        let total: f64 = k.weights().iter().sum();
-        for h in [1u64, 7, 33] {
-            let sum: f64 = k.power_taps(h).iter().sum();
-            assert!((sum - total.powi(h as i32)).abs() < 1e-10, "h={h}");
-        }
     }
 
     #[test]

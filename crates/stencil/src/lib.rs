@@ -7,7 +7,7 @@
 //! * [`StencilKernel`] — one linear time step (taps + anchor offset);
 //! * [`Segment`] — row values anchored at an absolute column;
 //! * [`advance()`](advance::advance) — `h`-step aperiodic evolution returning the valid cone
-//!   interior, with FFT (`O(L log L)`), direct-taps, and stepped backends.
+//!   interior, with the FFT backend (`O(L log L)`) and the stepped reference.
 //!
 //! The *nonlinear* stencils of the paper (`max(linear, obstacle)`) live in
 //! `amopt-core`; they call into this crate on regions certified to be free of
@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 
 pub mod advance;
-pub mod bounded;
 pub mod kernel;
 pub mod segment;
 
@@ -24,6 +23,5 @@ pub use advance::{
     advance, advance_values_with, output_start, valid_output_len, with_scratch, AdvanceScratch,
     Backend,
 };
-pub use bounded::{advance_left_wall, stepped_wall};
 pub use kernel::StencilKernel;
 pub use segment::Segment;

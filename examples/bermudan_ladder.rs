@@ -9,7 +9,6 @@
 
 use american_option_pricing::core::bermudan;
 use american_option_pricing::prelude::*;
-use american_option_pricing::stencil::Backend;
 
 fn main() {
     // A visible early-exercise premium needs a real interest rate (the
@@ -18,7 +17,7 @@ fn main() {
     let steps = 8192usize;
     let model = BopmModel::new(params, steps).unwrap();
 
-    let european = bermudan::price_bermudan_put_fft(&model, &[steps], Backend::Fft).unwrap();
+    let european = bermudan::price_bermudan_put_fft(&model, &[steps]).unwrap();
     let american = bopm_naive::price(
         &model,
         OptionType::Put,
@@ -30,7 +29,7 @@ fn main() {
     for n_dates in [1usize, 2, 4, 12, 52, 252, 1024] {
         let stride = (steps / n_dates).max(1);
         let dates: Vec<usize> = (1..=n_dates).map(|k| (k * stride).min(steps)).collect();
-        let v = bermudan::price_bermudan_put_fft(&model, &dates, Backend::Fft).unwrap();
+        let v = bermudan::price_bermudan_put_fft(&model, &dates).unwrap();
         println!("  {n_dates:5}  {v:.6}");
         assert!(v >= european - 1e-9 && v <= american + 1e-6);
     }

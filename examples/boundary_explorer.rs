@@ -1,40 +1,38 @@
 //! Early-exercise boundary explorer: extract and print the critical-price
 //! frontier of a small contract set — BSM put, binomial call/put, and
-//! trinomial call/put — in one batch-native call (the red–green divider of
-//! the paper, §2.2/§4.2).  Every frontier comes from a fast-engine pricing
-//! pass, including the trinomial ones (previously dense-only, `Θ(T²)`).
+//! trinomial call/put (the red–green divider of the paper, §2.2/§4.2).
+//! Every frontier comes from one fast-engine pricing pass.
 //!
 //! ```sh
 //! cargo run --release --example boundary_explorer
 //! ```
 
+use american_option_pricing::prelude::exercise_boundary::*;
 use american_option_pricing::prelude::*;
 
 fn main() {
-    let pricer = BatchPricer::new(EngineConfig::default());
+    let cfg = EngineConfig::default();
     let base = OptionParams::paper_defaults();
     let zero_div = OptionParams { dividend_yield: 0.0, ..base };
+    let (steps, samples) = (8192, 16);
+    let bsm = BsmModel::new(zero_div, steps).expect("valid contract");
+    let bopm = BopmModel::new(base, steps).expect("valid contract");
+    let topm = TopmModel::new(base, steps).expect("valid contract");
 
-    // One batch extracts every frontier in parallel; each slot keeps its
-    // own Result.
-    let book = vec![
-        BoundaryRequest::new(ModelKind::Bsm, OptionType::Put, zero_div, 8192, 16),
-        BoundaryRequest::new(ModelKind::Bopm, OptionType::Call, base, 8192, 16),
-        BoundaryRequest::new(ModelKind::Bopm, OptionType::Put, base, 8192, 16),
-        BoundaryRequest::new(ModelKind::Topm, OptionType::Call, base, 8192, 16),
-        BoundaryRequest::new(ModelKind::Topm, OptionType::Put, base, 8192, 16),
+    let frontiers = [
+        (
+            "American put, BSM grid (exercise when the asset falls below)",
+            bsm_put_boundary(&bsm, &cfg, samples),
+        ),
+        (
+            "American call, binomial lattice (exercise when the asset rises above)",
+            bopm_call_boundary(&bopm, &cfg, samples),
+        ),
+        ("American put, binomial lattice", bopm_put_boundary(&bopm, &cfg, samples)),
+        ("American call, trinomial lattice", topm_call_boundary(&topm, &cfg, samples)),
+        ("American put, trinomial lattice", topm_put_boundary(&topm, &cfg, samples)),
     ];
-    let frontiers = exercise_boundaries(&pricer, &book);
-
-    let titles = [
-        "American put, BSM grid (exercise when the asset falls below)",
-        "American call, binomial lattice (exercise when the asset rises above)",
-        "American put, binomial lattice (left-cone engine)",
-        "American call, trinomial lattice",
-        "American put, trinomial lattice (left-cone engine)",
-    ];
-    for (title, frontier) in titles.iter().zip(frontiers) {
-        let frontier = frontier.expect("valid contract");
+    for (title, frontier) in frontiers {
         println!("{title} — K = {}:", base.strike);
         println!("  t [yr]   critical price");
         for p in frontier.iter().rev() {

@@ -10,10 +10,10 @@
 //! * [`parallel`] — fork-join facade over the work-stealing pool;
 //! * [`stencil`] — linear 1-D stencil engine (Ahmad et al., SPAA 2021);
 //! * [`core`] — the paper's contribution: nonlinear-stencil trapezoid
-//!   engines and the BOPM/TOPM/BSM pricers with naive, tiled,
-//!   cache-oblivious, and FFT implementations, plus greeks, implied vol,
-//!   Bermudan options, exercise-boundary extraction, and the batch pricing
-//!   subsystem (`core::batch`: dedup + sharded memo + parallel fan-out over
+//!   engine and the BOPM/TOPM/BSM pricers with naive, tiled and FFT
+//!   implementations, plus greeks, implied vol, Bermudan options,
+//!   exercise-boundary extraction, and the batch pricing subsystem
+//!   (`core::batch`: dedup + sharded memo + parallel fan-out over
 //!   heterogeneous books, batch-native greeks ladders, and lockstep
 //!   implied-vol surface inversion);
 //! * [`service`] — the batch-coalescing quote service: a bounded
@@ -63,7 +63,6 @@ pub use amopt_stencil as stencil;
 
 /// Most-used items in one import.
 pub mod prelude {
-    pub use amopt_core::batch::boundary::{exercise_boundaries, BoundaryRequest};
     pub use amopt_core::batch::greeks::greeks as batch_greeks;
     pub use amopt_core::batch::surface::{implied_vol_surface, VolQuote};
     pub use amopt_core::batch::{self, BatchPricer, MemoStats, ModelKind, PricingRequest};

@@ -1,6 +1,7 @@
 //! Property tests for the batch pricing subsystem: a batch of one is
 //! bitwise identical to the direct pricer call, duplicates are served from
-//! the memo, and one bad request never poisons the rest of the batch.
+//! the memo, one bad request never poisons the rest of the batch, and values
+//! too small for the memo's grid do not share a key.
 
 use american_option_pricing::core as amopt_core;
 use american_option_pricing::core::batch::Style;
@@ -71,7 +72,7 @@ fn direct_price(req: &PricingRequest) -> Result<f64, PricingError> {
         }
         (ModelKind::Bopm, OptionType::Put, Style::Bermudan(dates)) => {
             let m = BopmModel::new(req.params, req.steps)?;
-            bermudan::price_bermudan_put_fft(&m, dates, cfg.backend)
+            bermudan::price_bermudan_put_fft(&m, dates)
         }
         (ModelKind::Topm, OptionType::Call, Style::American) => {
             Ok(topm_fast::price_american_call(&TopmModel::new(req.params, req.steps)?, &cfg))
@@ -155,5 +156,23 @@ proptest! {
             let got = out[idx].clone().unwrap();
             prop_assert!(got.to_bits() == want.to_bits(), "slot {idx}: {got} vs {want}");
         }
+    }
+}
+
+#[test]
+fn spots_below_the_memo_grid_are_answered_slot_for_slot() {
+    // 1e-307 is a normal number (prices to K), 5e-324 a subnormal (a typed
+    // error); both scale to grid cell 0, where one used to answer for both.
+    let put = |spot| {
+        let p = OptionParams { spot, ..OptionParams::paper_defaults() };
+        PricingRequest::american(ModelKind::Bopm, OptionType::Put, p, 64)
+    };
+    for book in [[put(1e-307), put(5e-324)], [put(5e-324), put(1e-307)]] {
+        let alone: Vec<_> = book
+            .iter()
+            .map(|req| BatchPricer::new(EngineConfig::default()).price_one(req))
+            .collect();
+        assert!(alone.iter().any(|r| r.is_ok()) && alone.iter().any(|r| r.is_err()), "{alone:?}");
+        assert_eq!(BatchPricer::new(EngineConfig::default()).price_batch(&book), alone);
     }
 }

@@ -33,10 +33,7 @@ fn bopm_implementations_agree_at_multiple_sizes() {
             ExerciseStyle::American,
             bopm::tiled::TileConfig::default(),
         );
-        let oblivious = bopm::oblivious::price(&m, OptionType::Call, ExerciseStyle::American);
-        for (name, v) in
-            [("fast", fast), ("parallel", parallel), ("tiled", tiled), ("oblivious", oblivious)]
-        {
+        for (name, v) in [("fast", fast), ("parallel", parallel), ("tiled", tiled)] {
             assert!(
                 (v - serial).abs() < 1e-9 * serial,
                 "steps={steps} {name}: {v} vs serial {serial}"
@@ -165,6 +162,35 @@ fn fast_and_nest(kind: ModelKind, ty: OptionType, p: OptionParams, steps: usize)
     }
 }
 
+/// The early-exercise frontier of one contract through its fast route's
+/// extractor, 16 samples asked for.
+fn frontier(
+    kind: ModelKind,
+    ty: OptionType,
+    p: OptionParams,
+    steps: usize,
+) -> Vec<exercise_boundary::BoundaryPoint> {
+    let cfg = EngineConfig::default();
+    match (kind, ty) {
+        (ModelKind::Bopm, OptionType::Call) => {
+            exercise_boundary::bopm_call_boundary(&BopmModel::new(p, steps).unwrap(), &cfg, 16)
+        }
+        (ModelKind::Bopm, OptionType::Put) => {
+            exercise_boundary::bopm_put_boundary(&BopmModel::new(p, steps).unwrap(), &cfg, 16)
+        }
+        (ModelKind::Topm, OptionType::Call) => {
+            exercise_boundary::topm_call_boundary(&TopmModel::new(p, steps).unwrap(), &cfg, 16)
+        }
+        (ModelKind::Topm, OptionType::Put) => {
+            exercise_boundary::topm_put_boundary(&TopmModel::new(p, steps).unwrap(), &cfg, 16)
+        }
+        (ModelKind::Bsm, OptionType::Put) => {
+            exercise_boundary::bsm_put_boundary(&BsmModel::new(p, steps).unwrap(), &cfg, 16)
+        }
+        (ModelKind::Bsm, OptionType::Call) => unreachable!("not a fast route"),
+    }
+}
+
 #[test]
 fn deep_otm_calls_price_to_exactly_zero_never_below() {
     // Every leaf is out of the money at T = 400, so both nests return
@@ -184,7 +210,6 @@ fn deep_otm_calls_price_to_exactly_zero_never_below() {
 fn tiny_trees_and_extreme_moneyness_are_bounded_on_every_route() {
     // The corner the route adapters introduce: a mirrored or sheared grid
     // only a few cells wide, with the boundary at or beyond its edge.
-    let pricer = BatchPricer::new(EngineConfig::default());
     for (kind, ty) in FAST_ROUTES {
         for steps in [1usize, 2, 3, 8, 9] {
             for moneyness in [1.0, 1e3, 1e-3] {
@@ -205,8 +230,7 @@ fn tiny_trees_and_extreme_moneyness_are_bounded_on_every_route() {
 
                 // Asking for more frontier rows than there are time steps
                 // walks the tree one step at a time, expiry to valuation.
-                let req = BoundaryRequest::new(kind, ty, p, steps, 16);
-                let frontier = exercise_boundaries(&pricer, &[req]).remove(0).unwrap();
+                let frontier = frontier(kind, ty, p, steps);
                 assert!(!frontier.is_empty() && frontier.len() <= steps + 1, "{ctx}");
                 assert_eq!(frontier[0].time_step, steps, "{ctx}");
                 for w in frontier.windows(2) {

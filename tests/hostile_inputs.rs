@@ -3,7 +3,8 @@
 //! infinity.  The sweep walks each field of the paper's contract through the
 //! corners of `f64` (subnormals, the edges of the normal range, magnitudes
 //! whose ratios, squares and logarithm quotients overflow) on every route of
-//! the batch dispatcher, each case on a watchdog.
+//! the batch dispatcher and through the five fast routes' exercise-boundary
+//! extractors, each case on a watchdog.
 //!
 //! A hang is a *panic* in a debug build (the overflow that starts it is
 //! checked there) and a *hang* in a release build, so CI runs this file in
@@ -22,20 +23,51 @@ const HUNG: &str = "no answer before the watchdog expired";
 /// A hung case leaks a spinning thread; stop the sweep after a few.
 const MAX_HANGS: usize = 4;
 
-/// One pricing on its own thread and its own one-worker pool, so a hang or a
+/// One job on its own thread and its own one-worker pool, so a hang or a
 /// panic takes nothing else with it; `Err` says which of the two it was.
-fn price_on_watchdog(req: &PricingRequest) -> Result<Result<f64, PricingError>, &'static str> {
+fn on_watchdog<R: Send + 'static>(
+    job: impl FnOnce() -> R + Send + 'static,
+) -> Result<R, &'static str> {
     let (tx, rx) = mpsc::channel();
-    let req = req.clone();
     std::thread::spawn(move || {
-        let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
-        let out = catch_unwind(AssertUnwindSafe(|| run_with_threads(1, || pricer.price_one(&req))));
-        let _ = tx.send(out);
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(|| run_with_threads(1, job))));
     });
     match rx.recv_timeout(WATCHDOG) {
         Ok(answer) => answer.map_err(|_| "panicked"),
         Err(_) => Err(HUNG),
     }
+}
+
+fn price_on_watchdog(req: &PricingRequest) -> Result<Result<f64, PricingError>, &'static str> {
+    let req = req.clone();
+    on_watchdog(move || BatchPricer::with_memo_capacity(EngineConfig::default(), 0).price_one(&req))
+}
+
+/// Model construction, then the route's frontier extractor (16 samples).
+fn frontier(
+    model: ModelKind,
+    ty: OptionType,
+    p: OptionParams,
+    steps: usize,
+) -> Result<Vec<exercise_boundary::BoundaryPoint>, PricingError> {
+    use exercise_boundary::*;
+    let cfg = EngineConfig::default();
+    Ok(match (model, ty) {
+        (ModelKind::Bopm, OptionType::Call) => {
+            bopm_call_boundary(&BopmModel::new(p, steps)?, &cfg, 16)
+        }
+        (ModelKind::Bopm, OptionType::Put) => {
+            bopm_put_boundary(&BopmModel::new(p, steps)?, &cfg, 16)
+        }
+        (ModelKind::Topm, OptionType::Call) => {
+            topm_call_boundary(&TopmModel::new(p, steps)?, &cfg, 16)
+        }
+        (ModelKind::Topm, OptionType::Put) => {
+            topm_put_boundary(&TopmModel::new(p, steps)?, &cfg, 16)
+        }
+        (ModelKind::Bsm, OptionType::Put) => bsm_put_boundary(&BsmModel::new(p, steps)?, &cfg, 16),
+        (ModelKind::Bsm, OptionType::Call) => unreachable!("not a fast route"),
+    })
 }
 
 /// `None` when the answer is a typed error or a price inside the model-free
@@ -120,12 +152,26 @@ fn every_hostile_contract_gets_a_typed_error_or_a_bounded_price() {
     let mut failures = Vec::new();
     let mut hangs = 0;
     for (label, req) in &requests {
-        let why = match price_on_watchdog(req) {
+        let mut why = match price_on_watchdog(req) {
             Ok(Err(_typed)) => None,
             Ok(Ok(price)) => out_of_band(req, price),
             Err(why) => Some(why.to_string()),
         };
-        hangs += usize::from(why.as_deref() == Some(HUNG));
+        // The same contract through its frontier extractor, where it has one.
+        let fast_route = (req.model, req.option_type) != (ModelKind::Bsm, OptionType::Call);
+        if why.is_none() && req.style == batch::Style::American && fast_route {
+            let (model, ty, p, steps) = (req.model, req.option_type, req.params, req.steps);
+            why = match on_watchdog(move || frontier(model, ty, p, steps)) {
+                Ok(Err(_typed)) => None,
+                Ok(Ok(points)) => points
+                    .iter()
+                    .filter_map(|pt| pt.critical_price)
+                    .find(|x| !(x.is_finite() && *x > 0.0))
+                    .map(|x| format!("frontier: critical price {x:e}")),
+                Err(why) => Some(format!("frontier: {why}")),
+            };
+        }
+        hangs += usize::from(why.as_deref().is_some_and(|w| w.ends_with(HUNG)));
         failures.extend(why.map(|why| format!("{label}: {why}")));
         if hangs == MAX_HANGS {
             failures.push(format!("sweep abandoned after {MAX_HANGS} hangs"));
