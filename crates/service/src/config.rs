@@ -8,18 +8,24 @@ use std::time::Duration;
 
 /// Configuration of a [`QuoteService`](crate::QuoteService).
 ///
-/// The two coalescing knobs trade latency for batch efficiency:
-/// `max_batch` caps how much work one flush carries (bounding per-request
-/// queueing delay under load), `max_wait` caps how long a lone request
-/// waits for company (bounding latency when traffic is thin).  A batch
-/// flushes at whichever limit is hit first.
+/// Coalescing happens only while the service is busy: a request that
+/// finds no batch executing flushes at once, and requests that arrive
+/// while one executes coalesce into the next batch.  The two coalescing
+/// knobs bound that wait: `max_batch` caps how much work one flush carries
+/// (bounding per-request queueing delay under load), `max_wait` caps how
+/// long a request waits for company while another batch executes.  A
+/// waiting batch flushes at whichever limit is hit first, or as soon as no
+/// batch is executing.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Engine configuration every routed pricer runs under.
     pub engine: EngineConfig,
     /// Flush a batch once it holds this many requests.
     pub max_batch: usize,
-    /// Flush a batch once its oldest request has waited this long.
+    /// How long a request waits for company *while another batch
+    /// executes*: the implicit deadline of a request without an explicit
+    /// budget, so a waiting batch flushes once its earliest such request
+    /// has waited this long.  An idle service never waits it out.
     pub max_wait: Duration,
     /// Submission-queue capacity; submits beyond it are rejected with
     /// [`ServiceError::Overloaded`](crate::ServiceError::Overloaded).
@@ -27,7 +33,9 @@ pub struct ServiceConfig {
     /// Worker threads assembling and executing batches.  Each worker
     /// executes its batch through the shared `BatchPricer`, whose internal
     /// fan-out runs on the `amopt-parallel` fork-join pool; more than one
-    /// worker lets a fresh batch coalesce while the previous one executes.
+    /// worker lets a fresh batch coalesce while the previous one executes
+    /// (with one, a request that arrives mid-batch waits only for that
+    /// batch to finish, then flushes with whatever queued behind it).
     pub workers: usize,
     /// Maximum requests a single connection / client handle may have in
     /// flight.  In-process [`Client`](crate::Client) submits beyond it are

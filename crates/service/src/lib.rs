@@ -8,10 +8,12 @@
 //! parallel fan-out — but only when callers hand it *batches*.  Production
 //! traffic arrives as independent quotes.  This crate manufactures the
 //! batches: requests from any number of clients land in one bounded
-//! submission queue, a worker pool coalesces them by **deadline and size**
-//! (a batch flushes when it reaches [`ServiceConfig::max_batch`] requests
-//! or when its oldest request has waited [`ServiceConfig::max_wait`],
-//! whichever comes first) and executes each batch through one shared
+//! submission queue, a worker pool coalesces them **only while busy** (a
+//! request that finds no batch executing flushes at once; requests that
+//! arrive while one executes form the next batch, which flushes once no
+//! batch is executing, at [`ServiceConfig::max_batch`] requests, or when
+//! its earliest deadline — [`ServiceConfig::max_wait`] if untagged — comes
+//! due, whichever is first) and executes each batch through one shared
 //! `BatchPricer`, so co-arriving quotes share dedup, the sharded memo, and
 //! the fork-join pool exactly as a hand-built batch would.
 //!

@@ -7,17 +7,20 @@
 //! 1. **Submit.**  A [`Client`] wraps the request and a fresh completion
 //!    slot into a queue entry.  Every entry carries a *deadline*: the
 //!    caller's budget from [`Client::submit_with_deadline`], or
-//!    [`max_wait`](crate::ServiceConfig::max_wait) when untagged — so a
-//!    plain [`Client::submit`] behaves exactly like the original FIFO
-//!    age-based flush.  Submission fails fast — with
+//!    [`max_wait`](crate::ServiceConfig::max_wait) when untagged.
+//!    Submission fails fast — with
 //!    [`ServiceError::Overloaded`] — when the bounded queue is full or the
 //!    client is at its in-flight cap; nothing is ever silently dropped or
 //!    unboundedly buffered.
-//! 2. **Coalesce.**  An idle worker waits until the queue holds
-//!    [`max_batch`](crate::ServiceConfig::max_batch) requests *or* the
-//!    **earliest queued deadline** arrives, whichever first.  A late
-//!    submission with a tight deadline therefore *shortens* the wait: the
-//!    flush clock follows the heap head, not the oldest arrival.
+//! 2. **Coalesce — only while busy.**  A worker that finds work while no
+//!    batch is executing flushes at once: nothing is outstanding, so
+//!    waiting for company would only add latency (Nagle's rule, applied to
+//!    batches).  While another batch executes, the worker waits until the
+//!    queue holds [`max_batch`](crate::ServiceConfig::max_batch) requests,
+//!    the **earliest queued deadline** arrives, or the pool goes idle,
+//!    whichever first.  A late submission with a tight deadline therefore
+//!    *shortens* the wait: the flush clock follows the heap head, not the
+//!    oldest arrival.
 //! 3. **Drain (EDF + fair share).**  The worker pops the binary heap in
 //!    earliest-deadline-first order (sequence number breaks ties, so equal
 //!    deadlines drain in arrival order).  Each client's take is capped at
@@ -35,7 +38,9 @@
 //!    clients wake, and a completion callback (the reactor's readiness
 //!    nudge) fires outside every lock.  Batch size, queue depth, heap-pop
 //!    and deadline-miss counters feed
-//!    [`ServiceStats`](crate::ServiceStats).
+//!    [`ServiceStats`](crate::ServiceStats).  The batch then stops counting
+//!    as executing — however `execute` ended — and if that leaves the pool
+//!    idle with work queued, the coalescing workers are woken to flush it.
 //!
 //! Shutdown flips a flag (new submits fail with
 //! [`ServiceError::ShuttingDown`]), wakes every worker, and joins them;
@@ -130,7 +135,8 @@ struct Pending {
     deadline: Instant,
     /// Whether `deadline` came from a caller-supplied budget (and therefore
     /// counts toward [`ServiceStats::deadline_misses`]) rather than from the
-    /// `max_wait` coalescing default, which exists only to order the heap.
+    /// `max_wait` coalescing default, which only orders the heap and bounds
+    /// the wait behind a busy pool.
     explicit_deadline: bool,
     /// Queue-arrival sequence number; breaks deadline ties FIFO.
     seq: u64,
@@ -173,6 +179,28 @@ struct QueueState {
     /// drain in true arrival order).
     next_seq: u64,
     shutdown: bool,
+    /// Batches drained but not yet finished executing.  Coalescing waits
+    /// only while this is non-zero; [`Executing`] owns each unit.
+    executing: usize,
+}
+
+/// One unit of [`QueueState::executing`], taken under the queue lock where
+/// a batch is drained and given back when dropped — after `execute`
+/// returns, returns early, or unwinds, so the count never leaks.  The last
+/// batch out wakes the coalescing workers if work is queued.
+struct Executing<'a>(&'a Shared);
+
+impl Drop for Executing<'_> {
+    fn drop(&mut self) {
+        let idle_with_work = {
+            let mut state = lock_unpoisoned(&self.0.state);
+            state.executing -= 1;
+            state.executing == 0 && !state.heap.is_empty()
+        };
+        if idle_with_work {
+            self.0.work.notify_all();
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -180,7 +208,8 @@ struct Shared {
     cfg: ServiceConfig,
     pricer: BatchPricer,
     state: Mutex<QueueState>,
-    /// Signalled on every enqueue and on shutdown.
+    /// Signalled on every enqueue, on shutdown, and when the last
+    /// executing batch finishes with work queued.
     work: Condvar,
     /// The Flightdeck spine: every counter, gauge, histogram, trace card,
     /// and journal event the service emits funnels through here.
@@ -463,8 +492,8 @@ impl Client {
     /// when the coalesced batch containing the request executes.
     ///
     /// The request is scheduled as if its deadline were
-    /// [`max_wait`](crate::ServiceConfig::max_wait) from now — the
-    /// pre-EDF flush behaviour.  Fails fast with
+    /// [`max_wait`](crate::ServiceConfig::max_wait) from now; on an idle
+    /// service it flushes at once.  Fails fast with
     /// [`ServiceError::Overloaded`] when this client is at its in-flight
     /// cap or the submission queue is full, and with
     /// [`ServiceError::ShuttingDown`] once shutdown has begun.
@@ -805,9 +834,10 @@ impl Drop for Ticket {
     }
 }
 
-/// One worker: coalesce until the batch fills or the earliest queued
-/// deadline arrives, drain EDF with per-client fair shares, execute,
-/// repeat — until shutdown *and* an empty queue.
+/// One worker: flush at once if no batch is executing, else coalesce until
+/// the batch fills, the earliest queued deadline arrives, or the pool goes
+/// idle; drain EDF with per-client fair shares, execute, repeat — until
+/// shutdown *and* an empty queue.
 fn worker_loop(shared: &Shared) {
     loop {
         if let Some(plan) = &shared.cfg.fault {
@@ -819,7 +849,7 @@ fn worker_loop(shared: &Shared) {
                 panic!("amopt-fault: injected worker death");
             }
         }
-        let batch = {
+        let (batch, _executing) = {
             let mut state = lock_unpoisoned(&shared.state);
             // Phase 1: wait for work (or exit once shut down and drained).
             loop {
@@ -831,13 +861,18 @@ fn worker_loop(shared: &Shared) {
                 }
                 state = wait_unpoisoned(&shared.work, state);
             }
-            // Phase 2: coalesce until the batch is full or the earliest
-            // queued deadline passes.  The heap head is re-read after
-            // every wake: a fresh submission with a tighter deadline
+            // Phase 2: coalesce only while another batch executes — with
+            // nothing executing there is nothing to wait behind — until
+            // the batch is full, the earliest queued deadline passes, or
+            // the last executing batch finishes.  The heap head is re-read
+            // after every wake: a fresh submission with a tighter deadline
             // shortens the remaining wait.  Shutdown flushes immediately:
             // latency no longer matters, only draining does.
             loop {
-                if state.heap.len() >= shared.cfg.max_batch || state.shutdown {
+                if state.heap.len() >= shared.cfg.max_batch
+                    || state.shutdown
+                    || state.executing == 0
+                {
                     break;
                 }
                 let Some(head) = state.heap.peek() else { break };
@@ -858,8 +893,11 @@ fn worker_loop(shared: &Shared) {
                 continue;
             }
             // Phase 3: drain up to max_batch entries in EDF order with a
-            // per-client fair share.
-            drain_edf(&mut state, &shared.cfg, &shared.obs)
+            // per-client fair share, and count the batch as executing
+            // until its guard drops.
+            let batch = drain_edf(&mut state, &shared.cfg, &shared.obs);
+            state.executing += 1;
+            (batch, Executing(shared))
         };
         execute(shared, batch);
     }
@@ -1051,8 +1089,9 @@ fn execute(shared: &Shared, batch: Vec<Pending>) {
         };
         drop(_permit);
         // Only caller-supplied budgets count as misses: the `max_wait`
-        // default deadline is the *flush trigger*, so delivery lands just
-        // past it by construction and a miss there carries no signal.
+        // default deadline only orders the heap and, behind a busy pool,
+        // serves as the *flush trigger* — delivery then lands just past it
+        // by construction, so a miss there carries no signal.
         let now = Instant::now();
         if explicit_deadline && now > deadline {
             if let Some(trace) = &trace {
@@ -1106,6 +1145,7 @@ fn execute(shared: &Shared, batch: Vec<Pending>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultSchedule};
     use amopt_core::batch::ModelKind;
     use amopt_core::{EngineConfig, OptionParams, OptionType};
     use std::time::Duration;
@@ -1155,38 +1195,99 @@ mod tests {
     }
 
     #[test]
-    fn batches_flush_at_max_batch_before_the_deadline() {
-        // A long max_wait with a tiny max_batch: the only way the calls
-        // below return promptly is the size trigger.
+    fn an_idle_service_flushes_a_lone_request_at_once() {
+        // Nothing is executing, so there is nothing to wait behind: the
+        // lone quote must not sit out its 30 s implicit deadline.
         let service = QuoteService::start(ServiceConfig {
-            max_batch: 4,
-            max_wait: Duration::from_secs(3600),
+            max_batch: 1024,
+            max_wait: Duration::from_secs(30),
             workers: 1,
             ..ServiceConfig::default()
         })
         .expect("start service");
         let client = service.client();
+        let t0 = Instant::now();
+        assert!(client.price(price_req(110.0, 32)).unwrap() > 0.0);
+        assert!(t0.elapsed() < Duration::from_secs(5), "an idle service waited for company");
+        service.shutdown();
+    }
+
+    #[test]
+    fn requests_behind_a_busy_worker_still_coalesce() {
+        // Five quotes arrive while the plug executes.  They must form one
+        // batch (coalescing survives under load) and flush as soon as the
+        // pool goes idle, not when their 30 s implicit deadline comes due.
+        let service = QuoteService::start(ServiceConfig {
+            max_batch: 1024,
+            max_wait: Duration::from_secs(30),
+            workers: 2,
+            fault: Some(stalling_plan()),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let client = service.client();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
+        let tickets: Vec<Ticket> = (0..5)
+            .map(|i| client.submit(ServiceRequest::Price(price_req(90.0 + i as f64, 32))).unwrap())
+            .collect();
+        assert!(plug_ticket.wait().is_ok());
+        let t0 = Instant::now();
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "staged quotes waited out max_wait");
+        let stats = service.stats();
+        assert_eq!(stats.batches, 2, "the plug, then the five staged quotes together");
+        assert_eq!(stats.batch_sizes.non_empty(), vec![(1, 1), (4, 1)]);
+        service.shutdown();
+    }
+
+    #[test]
+    fn batches_flush_at_max_batch_before_the_deadline() {
+        // A long max_wait with a tiny max_batch, staged while the plug
+        // executes: the only way the calls below return before the plug
+        // does is the size trigger.
+        let service = QuoteService::start(ServiceConfig {
+            max_batch: 4,
+            max_wait: Duration::from_secs(3600),
+            workers: 2,
+            fault: Some(stalling_plan()),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let client = service.client();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
         let tickets: Vec<Ticket> = (0..4)
             .map(|i| client.submit(ServiceRequest::Price(price_req(100.0 + i as f64, 32))).unwrap())
             .collect();
         for t in tickets {
             assert!(t.wait().is_ok());
         }
+        // The stalled plug is not counted until its stall ends.
         let stats = service.stats();
+        assert_eq!(stats.completed, 4, "the plug must still be executing");
         assert_eq!(stats.batches, 1, "4 submits at max_batch 4 must flush as one batch");
         assert_eq!(stats.batch_sizes.non_empty(), vec![(4, 1)]);
+        assert!(plug_ticket.wait().is_ok());
         service.shutdown();
     }
 
     #[test]
     fn lone_request_flushes_at_the_deadline() {
+        // Staged behind the plug, a lone request waits for company until
+        // its max_wait deadline — and no longer.
         let service = QuoteService::start(ServiceConfig {
             max_batch: 1024,
             max_wait: Duration::from_millis(5),
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
         let client = service.client();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
         let t0 = Instant::now();
         let price = client.price(price_req(110.0, 32)).unwrap();
         assert!(price > 0.0);
@@ -1194,6 +1295,8 @@ mod tests {
             t0.elapsed() < Duration::from_secs(5),
             "deadline flush must not wait for max_batch"
         );
+        assert_eq!(service.stats().completed, 1, "flushed by the deadline, not by the plug ending");
+        assert!(plug_ticket.wait().is_ok());
         service.shutdown();
     }
 
@@ -1202,12 +1305,16 @@ mod tests {
         let service = QuoteService::start(ServiceConfig {
             max_batch: 1024,
             max_wait: Duration::from_millis(1),
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
         let client = service.client();
-        // Plain submits deliver just after their implicit max_wait deadline
-        // (the flush *is* the deadline) — never a miss.
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
+        // Plain submits behind the busy plug deliver just after their
+        // implicit max_wait deadline (the flush *is* the deadline) — never
+        // a miss.
         for i in 0..4 {
             client.price(price_req(100.0 + i as f64, 32)).unwrap();
         }
@@ -1218,6 +1325,7 @@ mod tests {
             .unwrap();
         assert!(t.wait().is_ok());
         assert_eq!(service.stats().deadline_misses, 1);
+        assert!(plug_ticket.wait().is_ok());
         service.shutdown();
     }
 
@@ -1317,21 +1425,34 @@ mod tests {
 
     #[test]
     fn shutdown_drains_accepted_requests_and_rejects_new_ones() {
+        // A partial batch staged behind the plug: until the plug ends, only
+        // shutdown can flush it.
         let service = QuoteService::start(ServiceConfig {
             max_batch: 4,
-            max_wait: Duration::from_secs(3600), // only shutdown can flush a partial batch
-            workers: 1,
+            max_wait: Duration::from_secs(3600),
+            workers: 2,
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
         let client = service.client();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let plug_ticket = plug(&client);
+        record_completion(&order, 99, &plug_ticket);
+        wait_queue_empty(&service);
         let tickets: Vec<Ticket> = (0..3)
             .map(|i| client.submit(ServiceRequest::Price(price_req(95.0 + i as f64, 32))).unwrap())
             .collect();
+        for (i, t) in tickets.iter().enumerate() {
+            record_completion(&order, i, t);
+        }
         service.shutdown();
         for t in tickets {
             assert!(t.wait().is_ok(), "in-flight requests must be answered during drain");
         }
+        assert!(plug_ticket.wait().is_ok());
+        let order = wait_order_len(&order, 4);
+        assert_eq!(order.last(), Some(&99), "shutdown must flush before the plug ends: {order:?}");
         assert!(matches!(
             client.submit(ServiceRequest::Price(price_req(99.0, 32))),
             Err(ServiceError::ShuttingDown)
@@ -1388,18 +1509,37 @@ mod tests {
         ticket.set_notify(Box::new(move || lock_unpoisoned(&order).push(idx)));
     }
 
-    /// Submits an expensive request with an immediate deadline so the
-    /// (single) worker flushes it alone and stays busy executing it while
-    /// the test stages the *next* batch behind its back.
+    /// The shortest time a plug holds its worker.
+    const PLUG_STALL: Duration = Duration::from_millis(200);
+
+    /// A fault plan whose first drained batch stalls its worker for one to
+    /// two [`PLUG_STALL`]s and whose next sixteen run unstalled: a plug
+    /// whose length the test sets, whatever the engine's speed.  Decisions
+    /// are pure in the seed, so the seed is the first one a twin plan shows
+    /// to behave that way.
+    fn stalling_plan() -> Arc<FaultPlan> {
+        let schedule = FaultSchedule {
+            max_stall_ms: 2 * PLUG_STALL.as_millis() as u64,
+            ..FaultSchedule::off().with_rate(FaultSite::WorkerStall, 64)
+        };
+        let plugs_then_runs_clean = |seed: &u64| {
+            let twin = FaultPlan::new(*seed, schedule);
+            twin.stall() >= Some(PLUG_STALL) && (0..16).all(|_| twin.stall().is_none())
+        };
+        let seed = (0u64..).find(plugs_then_runs_clean).expect("an unbounded search");
+        FaultPlan::new(seed, schedule)
+    }
+
+    /// Submits a cheap quote with an immediate deadline, so an idle worker
+    /// flushes it alone and — on a service started with [`stalling_plan`]
+    /// — then sits on it while the test stages the *next* batch behind its
+    /// back.
     fn plug(client: &Client) -> Ticket {
-        let heavy = PricingRequest::american(
-            ModelKind::Bopm,
-            OptionType::Put,
-            OptionParams { strike: 117.31, ..p() },
-            4000,
-        );
         client
-            .submit_with_deadline(ServiceRequest::Price(heavy), Some(Duration::ZERO))
+            .submit_with_deadline(
+                ServiceRequest::Price(price_req(117.31, 32)),
+                Some(Duration::ZERO),
+            )
             .expect("plug submit")
     }
 
@@ -1441,6 +1581,7 @@ mod tests {
             workers: 1,
             max_batch: 1,
             max_wait: Duration::from_millis(1),
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
@@ -1486,6 +1627,7 @@ mod tests {
             workers: 1,
             max_batch: 4,
             max_wait: Duration::from_millis(1),
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
@@ -1557,6 +1699,7 @@ mod tests {
                 workers: 1,
                 max_batch: 3,
                 max_wait: Duration::from_millis(1),
+                fault: Some(stalling_plan()),
                 ..ServiceConfig::default()
             })
             .expect("start service");
@@ -1599,7 +1742,6 @@ mod tests {
 
     #[test]
     fn injected_panic_is_isolated_to_its_request_and_the_worker_survives() {
-        use crate::fault::{FaultPlan, FaultSchedule, FaultSite};
         // Every price request panics mid-batch; greeks in the same service
         // must still answer, the panicking requests must each get their own
         // Internal error, and no worker may die (the shield catches the
@@ -1654,7 +1796,6 @@ mod tests {
 
     #[test]
     fn watchdog_respawns_injected_worker_deaths_and_nothing_is_lost() {
-        use crate::fault::{FaultPlan, FaultSchedule, FaultSite};
         // Half of all worker-loop iterations die at the top of the loop.
         // Every request must still be answered, restarts must be counted,
         // and the pool must be back at strength afterwards.
@@ -1697,6 +1838,7 @@ mod tests {
             max_batch: 1,
             max_wait: Duration::from_millis(1),
             queue_depth: 10,
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
@@ -1769,6 +1911,7 @@ mod tests {
             max_wait: Duration::from_millis(1),
             per_conn_inflight: 1,
             retry_budget: 2,
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
@@ -1810,16 +1953,19 @@ mod tests {
 
     #[test]
     fn queue_depth_survives_a_poisoned_queue_lock() {
-        // Three untagged quotes sit in the heap while the worker coalesces
-        // (a batch of 64 or a minute, whichever comes first: neither does).
+        // Three untagged quotes sit in the heap while the only worker
+        // executes the plug.
         let service = QuoteService::start(ServiceConfig {
             workers: 1,
             max_batch: 64,
             max_wait: Duration::from_secs(60),
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
         let client = service.client();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
         let tickets: Vec<Ticket> = (0..3)
             .map(|i| client.submit(ServiceRequest::Price(price_req(100.0 + i as f64, 16))).unwrap())
             .collect();
@@ -1835,11 +1981,12 @@ mod tests {
         // The service keeps serving on a poisoned lock; so must its gauges.
         assert_eq!(service.stats().queue_depth, 3);
         assert!(service.metrics_text().contains("\namopt_queue_depth 3\n"));
-        // Shutdown flushes the coalescing batch: every quote is answered.
+        // Shutdown drains the staged quotes: every quote is answered.
         service.shutdown();
         for ticket in tickets {
             assert!(ticket.wait().is_ok());
         }
+        assert!(plug_ticket.wait().is_ok());
     }
 
     #[test]
@@ -1863,5 +2010,35 @@ mod tests {
         assert_eq!(lock_unpoisoned(&order).clone(), vec![7], "late arm must fire immediately");
         assert!(ticket.try_take().is_some(), "result still claimable after notify");
         service.shutdown();
+    }
+
+    #[test]
+    fn an_unwinding_batch_gives_back_its_executing_count() {
+        // A completion callback that panics unwinds `execute` and kills its
+        // worker.  The batch must stop counting as executing all the same:
+        // a leaked count would make the replacement worker wait out the
+        // 30 s max_wait behind a batch that no longer exists.
+        let service = QuoteService::start(ServiceConfig {
+            max_batch: 1024,
+            max_wait: Duration::from_secs(30),
+            workers: 1,
+            fault: Some(stalling_plan()),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let client = service.client();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
+        let doomed = client.submit(ServiceRequest::Price(price_req(95.0, 32))).unwrap();
+        doomed.set_notify(Box::new(|| panic!("completion callback panics mid-batch")));
+        assert!(plug_ticket.wait().is_ok());
+        assert!(doomed.wait().is_ok(), "the slot fills before the callback fires");
+        let t0 = Instant::now();
+        assert!(client.price(price_req(105.0, 32)).unwrap() > 0.0);
+        assert!(t0.elapsed() < Duration::from_secs(5), "the executing count leaked");
+        // Joining the dead worker waits for its watchdog to count the
+        // restart.
+        service.shutdown();
+        assert_eq!(service.stats().worker_restarts, 1);
     }
 }

@@ -164,8 +164,8 @@ pub struct ServiceStats {
     /// Requests with a caller-supplied budget
     /// ([`submit_with_deadline`](crate::queue::Client::submit_with_deadline))
     /// answered after that deadline had already passed.  Requests without a
-    /// budget never count: their implicit `max_wait` deadline is the flush
-    /// trigger itself, not a promise to the caller.
+    /// budget never count: their implicit `max_wait` deadline bounds
+    /// coalescing behind a busy pool, it is not a promise to the caller.
     pub deadline_misses: u64,
     /// EDF heap pops across all flushes; `heap_pops / batches` is the mean
     /// per-flush pop count (pops exceed drained entries when the

@@ -12,10 +12,12 @@
 use american_option_pricing::core::batch::{ModelKind, PricingRequest};
 use american_option_pricing::core::{OptionParams, OptionType};
 use american_option_pricing::service::{
-    soak, ChaosConfig, ChaosReport, EventKind, FaultPlan, FaultSite, QuoteService, RetryPolicy,
-    ServiceConfig, ServiceRequest, TraceCard, FAULT_SITES, FLAG_ABANDONED, FLAG_ERROR,
+    soak, ChaosConfig, ChaosReport, EventKind, FaultPlan, FaultSchedule, FaultSite, QuoteService,
+    RetryPolicy, ServiceConfig, ServiceError, ServiceRequest, TraceCard, FAULT_SITES,
+    FLAG_ABANDONED, FLAG_ERROR,
 };
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The standard seeded soak must pass with a meaningful fault volume
 /// spread across the I/O, panic, and stall classes.
@@ -173,6 +175,27 @@ fn same_seed_soaks_journal_identical_fault_firings() {
     assert!(compared > 0, "no common fault firings — the comparison was vacuous");
 }
 
+/// A plan that stalls every drained batch, the first for 200–400 ms: a
+/// plug whose length the test sets, whatever the engine's speed.  Stall
+/// lengths are pure in the seed, so the seed is the first one a twin plan
+/// shows to stall long enough.
+fn stalling_plan() -> Arc<FaultPlan> {
+    const AT_LEAST: Duration = Duration::from_millis(200);
+    let schedule = FaultSchedule {
+        max_stall_ms: 2 * AT_LEAST.as_millis() as u64,
+        ..FaultSchedule::off().with_rate(FaultSite::WorkerStall, 1024)
+    };
+    let seed = (0u64..)
+        .find(|&seed| FaultPlan::new(seed, schedule).stall() >= Some(AT_LEAST))
+        .expect("an unbounded search");
+    FaultPlan::new(seed, schedule)
+}
+
+fn cheap_quote(strike: f64) -> PricingRequest {
+    let params = OptionParams { strike, ..OptionParams::paper_defaults() };
+    PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, 32)
+}
+
 /// The in-process retry budget journals one `Retry` event per performed
 /// retry, keyed `(client id, attempt)` — exactly once each, in step with
 /// the `retries` counter.
@@ -184,29 +207,19 @@ fn retry_decisions_are_journaled_exactly_once_with_their_attempt_index() {
         max_wait: Duration::from_millis(1),
         per_conn_inflight: 1,
         retry_budget: 2,
+        fault: Some(stalling_plan()),
         ..ServiceConfig::default()
     })
     .expect("start service");
     let client = service.client();
 
-    // Plug the handle's single in-flight slot with a heavy quote: every
-    // further call on it sheds Overloaded until the plug completes, so
-    // call_with_retry burns its whole budget (2 retries) deterministically.
-    let heavy = PricingRequest::american(
-        ModelKind::Bopm,
-        OptionType::Put,
-        OptionParams::paper_defaults(),
-        4000,
-    );
-    let plug = client
-        .submit_with_deadline(ServiceRequest::Price(heavy), Some(Duration::ZERO))
-        .expect("plug submit");
-    let cheap = PricingRequest::american(
-        ModelKind::Bopm,
-        OptionType::Call,
-        OptionParams::paper_defaults(),
-        32,
-    );
+    // Plug the handle's single in-flight slot with a quote whose batch
+    // stalls its worker for at least 200 ms: every further call on it
+    // sheds Overloaded until the plug completes, so call_with_retry burns
+    // its whole budget (2 retries, each backing off under 1 ms)
+    // deterministically.
+    let plug = client.submit(ServiceRequest::Price(cheap_quote(117.31))).expect("plug submit");
+    let cheap = cheap_quote(100.0);
     let policy = RetryPolicy {
         max_attempts: 4,
         base_backoff: Duration::from_micros(100),
@@ -233,5 +246,57 @@ fn retry_decisions_are_journaled_exactly_once_with_their_attempt_index() {
         retries.iter().all(|&(id, _)| id == retries[0].0),
         "all retries came from the one retrying client handle"
     );
+    service.shutdown();
+}
+
+/// The executing-batch count cannot leak: after a seeded load run with the
+/// worker panic, stall and death classes armed, a lone request on the
+/// recovered service flushes at once instead of waiting out a 30 s
+/// `max_wait` behind a batch that no longer exists.
+#[test]
+fn a_recovered_service_flushes_a_lone_request_at_once() {
+    let hostile = FaultSchedule::hostile();
+    let schedule = [FaultSite::WorkerPanic, FaultSite::WorkerStall, FaultSite::WorkerDeath]
+        .into_iter()
+        .fold(FaultSchedule::off(), |s, site| s.with_rate(site, hostile.rate(site)));
+    let plan = FaultPlan::new(0x1EA4, schedule);
+    let service = QuoteService::start(ServiceConfig {
+        workers: 3,
+        max_batch: 32,
+        max_wait: Duration::from_secs(30),
+        fault: Some(Arc::clone(&plan)),
+        ..ServiceConfig::default()
+    })
+    .expect("start service");
+    let answered = |got: Result<f64, ServiceError>| match got {
+        Ok(_) | Err(ServiceError::Internal { .. }) => {}
+        Err(e) => panic!("neither a price nor an injected panic: {e}"),
+    };
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let client = service.client();
+            scope.spawn(move || {
+                for i in 0..50 {
+                    answered(client.price(cheap_quote(80.0 + ((c * 50 + i) % 64) as f64)));
+                }
+            });
+        }
+    });
+    let faults = plan.stats();
+    for site in [FaultSite::WorkerPanic, FaultSite::WorkerStall] {
+        assert!(faults.fired_at(site) > 0, "no {} fault fired", site.name());
+    }
+
+    // Recovered: the watchdog has the pool back at strength.
+    let t0 = Instant::now();
+    while service.stats().workers_alive < 3 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "pool never restored");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t0 = Instant::now();
+    answered(service.client().price(cheap_quote(111.0)));
+    assert!(t0.elapsed() < Duration::from_secs(5), "the lone request waited for company");
+    let stats = service.stats();
+    assert_eq!(stats.submitted, stats.completed, "{stats:?}");
     service.shutdown();
 }
