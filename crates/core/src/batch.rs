@@ -204,7 +204,8 @@ fn quantize(x: f64) -> Quantized {
 }
 
 /// Normalised identity of a request: model/type/style tag, steps, quantized
-/// parameters, and the sorted-deduped Bermudan schedule.
+/// parameters, whether the exact parameters build a lattice, and the
+/// sorted-deduped Bermudan schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct MemoKey {
     model: ModelKind,
@@ -212,8 +213,25 @@ struct MemoKey {
     style_tag: u8,
     steps: usize,
     quantized: [Quantized; 6],
+    /// Whether the request's *exact* parameters build its model's lattice.
+    /// Validity is decided on bits, not on the grid: a volatility at the
+    /// stability edge prices while its neighbour one ulp below is an error,
+    /// and both quantize to one cell.  Keying on the outcome keeps a valid
+    /// contract's price from answering its invalid neighbour; errors are
+    /// never memoized, so an invalid key always misses.
+    builds: bool,
     /// Sorted, deduplicated exercise schedule; empty unless Bermudan.
     dates: Box<[usize]>,
+}
+
+/// Whether `req`'s model constructor accepts its exact parameters — the one
+/// validity test the quantized fields of a [`MemoKey`] cannot see.
+fn lattice_builds(req: &PricingRequest) -> bool {
+    match req.model {
+        ModelKind::Bopm => BopmModel::new(req.params, req.steps).is_ok(),
+        ModelKind::Topm => TopmModel::new(req.params, req.steps).is_ok(),
+        ModelKind::Bsm => BsmModel::new(req.params, req.steps).is_ok(),
+    }
 }
 
 fn make_key(req: &PricingRequest) -> MemoKey {
@@ -241,6 +259,7 @@ fn make_key(req: &PricingRequest) -> MemoKey {
             quantize(p.dividend_yield),
             quantize(p.expiry),
         ],
+        builds: lattice_builds(req),
         dates,
     }
 }
@@ -265,22 +284,25 @@ impl LruMemo {
         LruMemo { map: HashMap::new(), capacity, clock: 0, hits: 0, misses: 0, evictions: 0 }
     }
 
+    /// A probe that counts a miss: the caller prices what it did not find.
     fn get(&mut self, key: &MemoKey) -> Option<f64> {
         if self.capacity == 0 {
             return None;
         }
-        self.clock += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.0 = self.clock;
-                self.hits += 1;
-                Some(entry.1)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.lookup(key);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// A hit counts and refreshes recency; a miss touches nothing.
+    fn lookup(&mut self, key: &MemoKey) -> Option<f64> {
+        let entry = self.map.get_mut(key)?;
+        self.clock += 1;
+        entry.0 = self.clock;
+        self.hits += 1;
+        Some(entry.1)
     }
 
     fn insert(&mut self, key: MemoKey, price: f64) {
@@ -448,6 +470,21 @@ impl BatchPricer {
         }
         let key = make_key(request);
         self.memo.lock(self.memo.shard_of(&key)).map.contains_key(&key)
+    }
+
+    /// `request`'s memoized price, if the memo holds its key.  A hit counts
+    /// and refreshes LRU recency exactly as a [`price_batch`] probe does; a
+    /// miss counts nothing, so the batch that later prices the request
+    /// counts its one miss.  Always `None` when the memo is disabled.
+    ///
+    /// [`price_batch`]: BatchPricer::price_batch
+    pub fn memo_lookup(&self, request: &PricingRequest) -> Option<f64> {
+        // amopt-lint: hot-path
+        if !self.memo.enabled {
+            return None;
+        }
+        let key = make_key(request);
+        self.memo.lock(self.memo.shard_of(&key)).lookup(&key)
     }
 
     /// Drops every memoized price (counters are kept).
@@ -782,6 +819,59 @@ mod tests {
         // One unique job: same normalised schedule, params within the grid.
         assert_eq!(pricer.memo_stats().misses, 1);
         assert_eq!(out[0].as_ref().unwrap().to_bits(), out[1].as_ref().unwrap().to_bits());
+    }
+
+    #[test]
+    fn the_stability_edge_never_shares_a_price_with_its_unstable_twin() {
+        // The smallest volatility whose lattice builds, and the one ulp
+        // below it: one grid cell, but only one of them prices.  The
+        // closed-form floor is exact only up to rounding in the lattice
+        // exponentials, so walk ulps from it to the edge.
+        let steps = 64;
+        let at = |volatility: f64| {
+            PricingRequest::american(
+                ModelKind::Bopm,
+                OptionType::Put,
+                OptionParams { volatility, ..p() },
+                steps,
+            )
+        };
+        let builds = |v: f64| BopmModel::new(at(v).params, steps).is_ok();
+        let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut v = BopmModel::min_stable_volatility(&p(), steps);
+        while !builds(v) {
+            v = f64::from_bits(v.to_bits() + 1);
+        }
+        while builds(below(v)) {
+            v = below(v);
+        }
+        assert_eq!(make_key(&at(v)).quantized, make_key(&at(below(v))).quantized);
+        let pricer = pricer();
+        // In one batch (dedup), then across batches (the memo).
+        let out = pricer.price_batch(&[at(v), at(below(v))]);
+        assert!(out[0].is_ok(), "{:?}", out[0]);
+        assert!(matches!(out[1], Err(PricingError::UnstableDiscretisation { .. })), "{:?}", out[1]);
+        let again = pricer.price_batch(&[at(below(v))]);
+        assert!(matches!(again[0], Err(PricingError::UnstableDiscretisation { .. })));
+        assert_eq!(pricer.memo_lookup(&at(below(v))), None);
+    }
+
+    #[test]
+    fn memo_lookup_counts_only_hits_and_refreshes_recency() {
+        // Single shard of two: the recency refresh decides which entry the
+        // third price evicts.
+        let pricer = BatchPricer::with_memo_config(EngineConfig::default(), 2, 1);
+        let req = |steps| PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps);
+        assert_eq!(pricer.memo_lookup(&req(100)), None);
+        assert_eq!((pricer.memo_stats().hits, pricer.memo_stats().misses), (0, 0));
+        let price = pricer.price_one(&req(100)).unwrap();
+        pricer.price_one(&req(101)).unwrap();
+        assert_eq!(pricer.memo_lookup(&req(100)).map(f64::to_bits), Some(price.to_bits()));
+        pricer.price_one(&req(102)).unwrap(); // evicts 101, not the refreshed 100
+        assert!(pricer.memo_lookup(&req(100)).is_some());
+        assert_eq!(pricer.memo_lookup(&req(101)), None);
+        let stats = pricer.memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 3, 1));
     }
 
     #[test]

@@ -176,12 +176,13 @@ impl BopmModel {
     /// `V·√Δt > |R − Y|·Δt`, i.e. iff the volatility exceeds
     /// `|R − Y|·√(E/steps)`.
     ///
-    /// Volatilities at or below the returned floor make [`BopmModel::new`]
-    /// fail with [`PricingError::UnstableDiscretisation`]; anything strictly
-    /// above it (modulo a few ulps of rounding in the lattice exponentials)
-    /// constructs.  Root-finders that sweep volatility — the implied-vol
-    /// drivers — seed their lower bracket here instead of probe-walking up
-    /// from zero.
+    /// Volatilities below the returned floor make [`BopmModel::new`] fail
+    /// with [`PricingError::UnstableDiscretisation`] and volatilities above
+    /// it construct, up to rounding in the lattice exponentials: the
+    /// effective edge sits up to a few thousand ulps to either side (at the
+    /// paper's parameters and T = 32…96).  Root-finders that sweep
+    /// volatility — the implied-vol drivers — seed their lower bracket here
+    /// instead of probe-walking up from zero.
     pub fn min_stable_volatility(params: &OptionParams, steps: usize) -> f64 {
         if steps == 0 {
             return f64::INFINITY;

@@ -153,7 +153,10 @@ impl ServiceObs {
             next_trace_id: AtomicU64::new(1),
 
             queue_depth: r.gauge("amopt_queue_depth", "Requests waiting in the EDF heap"),
-            submitted: r.counter("amopt_queue_submitted_total", "Requests accepted into the queue"),
+            submitted: r.counter(
+                "amopt_queue_submitted_total",
+                "Requests accepted: queued, or answered at submit from the memo",
+            ),
             completed: r.counter(
                 "amopt_queue_completed_total",
                 "Requests answered (successfully or with a pricing error)",

@@ -11,7 +11,12 @@
 //!    Submission fails fast — with
 //!    [`ServiceError::Overloaded`] — when the bounded queue is full or the
 //!    client is at its in-flight cap; nothing is ever silently dropped or
-//!    unboundedly buffered.
+//!    unboundedly buffered.  A price quote whose key the shared memo
+//!    already holds is answered right here instead, on the submitting
+//!    thread, once the in-flight cap and shutdown checks pass: its ticket
+//!    comes back resolved and no entry, batch or worker is involved.  Such
+//!    hits take no queue capacity, so a full queue or a brownout tier never
+//!    rejects them.
 //! 2. **Coalesce — only while busy.**  A worker that finds work while no
 //!    batch is executing flushes at once: nothing is outstanding, so
 //!    waiting for company would only add latency (Nagle's rule, applied to
@@ -85,8 +90,10 @@ impl fmt::Debug for Slot {
 }
 
 impl Slot {
-    fn new() -> Arc<Self> {
-        Arc::new(Slot { done: Mutex::new(None), ready: Condvar::new(), notify: Mutex::new(None) })
+    /// A slot holding `done` — `None` until a worker fills it, or the answer
+    /// itself for a quote answered at submit.
+    fn new(done: Option<ServiceResult>) -> Arc<Self> {
+        Arc::new(Slot { done: Mutex::new(done), ready: Condvar::new(), notify: Mutex::new(None) })
     }
 
     fn fill(&self, result: ServiceResult) {
@@ -489,14 +496,19 @@ pub struct Client {
 
 impl Client {
     /// Submits a request without waiting; the returned [`Ticket`] resolves
-    /// when the coalesced batch containing the request executes.
+    /// when the coalesced batch containing the request executes — or is
+    /// already resolved when the request is a price quote the shared memo
+    /// holds, answered at submit without a queue entry or a worker.
     ///
     /// The request is scheduled as if its deadline were
     /// [`max_wait`](crate::ServiceConfig::max_wait) from now; on an idle
     /// service it flushes at once.  Fails fast with
     /// [`ServiceError::Overloaded`] when this client is at its in-flight
     /// cap or the submission queue is full, and with
-    /// [`ServiceError::ShuttingDown`] once shutdown has begun.
+    /// [`ServiceError::ShuttingDown`] once shutdown has begun.  A memo hit
+    /// still meets the in-flight cap and the shutdown check, but takes no
+    /// queue capacity, so neither a full queue nor brownout shedding
+    /// rejects it.
     pub fn submit(&self, request: ServiceRequest) -> Result<Ticket, ServiceError> {
         self.submit_with_deadline(request, None)
     }
@@ -545,7 +557,20 @@ impl Client {
             return Err(ServiceError::Overloaded { what: "per-connection in-flight cap" });
         }
         let permit = InflightPermit(Arc::clone(&self.inflight));
-        let slot = Slot::new();
+        if let ServiceRequest::Price(req) = &request {
+            // A quote the shared memo already holds needs no worker: past
+            // the shutdown check, answer it here.  The queue lock is let go
+            // before the memo shard's is taken, and the shard's before the
+            // queue's is taken again for a miss.
+            if lock_unpoisoned(&shared.state).shutdown {
+                shared.obs.rejected_shutdown.inc();
+                return Err(ServiceError::ShuttingDown);
+            }
+            if let Some(price) = shared.pricer.memo_lookup(req) {
+                return Ok(answered_at_submit(shared, price, trace));
+            }
+        }
+        let slot = Slot::new(None);
         let mut deadline = Instant::now() + budget.unwrap_or(shared.cfg.max_wait);
         if let Some(plan) = &shared.cfg.fault {
             // Injected clock skew: perturb the deadline arithmetic by a
@@ -729,6 +754,33 @@ impl Client {
     }
 }
 
+/// The already-resolved ticket of a quote answered at submit from the memo:
+/// counted submitted and completed in one step, never queued or batched.
+/// Its card stamps `Enqueued` through `Completed` back to back — near-zero
+/// queue-wait, batch-form, memo-probe and execute intervals — and carries
+/// the memo-hit flag.
+fn answered_at_submit(shared: &Shared, price: f64, trace: Option<Arc<RequestTrace>>) -> Ticket {
+    // amopt-lint: hot-path
+    if let Some(trace) = &trace {
+        trace.set_flag(amopt_obs::FLAG_MEMO_HIT);
+        for stage in [
+            Stage::Enqueued,
+            Stage::Dequeued,
+            Stage::ExecStart,
+            Stage::MemoProbed,
+            Stage::Completed,
+        ] {
+            trace.stamp(stage);
+        }
+    }
+    shared.obs.submitted.inc();
+    shared.obs.completed.inc();
+    Ticket {
+        slot: Slot::new(Some(Ok(ServiceResponse::Price(price)))),
+        delivery: trace.map(|t| (t, Arc::clone(&shared.obs))),
+    }
+}
+
 /// Backoff shape for [`Client::call_with_retry`]: exponential from
 /// `base_backoff`, capped at `max_backoff`, scaled by a deterministic
 /// jitter in `[0.5, 1.0)` derived from the client handle and attempt
@@ -776,7 +828,8 @@ pub struct Ticket {
 
 impl Ticket {
     /// Blocks until the coalesced batch containing this request has
-    /// executed and returns the request's own result.
+    /// executed and returns the request's own result (at once for a quote
+    /// answered at submit).
     pub fn wait(mut self) -> ServiceResult {
         let result = self.slot.wait();
         if let Some((trace, obs)) = self.delivery.take() {
@@ -797,11 +850,18 @@ impl Ticket {
         Some(result)
     }
 
+    /// Whether the result is in and not yet taken.  A quote answered at
+    /// submit starts out so, and needs no completion callback.
+    pub(crate) fn is_resolved(&self) -> bool {
+        // amopt-lint: hot-path
+        lock_unpoisoned(&self.slot.done).is_some()
+    }
+
     /// Arms a completion callback, fired exactly once — immediately if the
     /// result is already in, otherwise from the completing worker, always
     /// outside the slot's locks.
     pub(crate) fn set_notify(&self, callback: NotifyFn) {
-        if lock_unpoisoned(&self.slot.done).is_some() {
+        if self.is_resolved() {
             callback();
             return;
         }
@@ -810,7 +870,7 @@ impl Ticket {
         // case it saw an empty notify slot and fired nothing: take the
         // callback back and fire it here.  At most one of the two paths
         // observes the callback, so it still runs exactly once.
-        if lock_unpoisoned(&self.slot.done).is_some() {
+        if self.is_resolved() {
             let callback = lock_unpoisoned(&self.slot.notify).take();
             if let Some(callback) = callback {
                 callback();
@@ -1147,7 +1207,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSchedule};
     use amopt_core::batch::ModelKind;
-    use amopt_core::{EngineConfig, OptionParams, OptionType};
+    use amopt_core::bopm::BopmModel;
+    use amopt_core::{EngineConfig, OptionParams, OptionType, PricingError};
     use std::time::Duration;
 
     fn p() -> OptionParams {
@@ -1500,6 +1561,163 @@ mod tests {
         let stats = service.stats();
         assert!(stats.memo.hits >= 1, "second quote must be a memo hit: {stats:?}");
         assert!(stats.memo_hit_rate() > 0.0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_memo_hit_is_answered_at_submit_while_the_only_worker_is_held() {
+        let service = QuoteService::start(ServiceConfig {
+            workers: 1,
+            max_batch: 1024,
+            max_wait: Duration::from_secs(30),
+            fault: Some(stalling_plan()),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let client = service.client();
+        // Warm the memo through the shared pricer itself: the plan's one
+        // stall belongs to the plug.
+        let quote = price_req(111.0, 32);
+        let first = service.shared.pricer.price_one(&quote).unwrap();
+        let plug_ticket = plug(&client);
+        wait_queue_empty(&service);
+        let before = service.stats();
+        let repeats = 16u64;
+        for _ in 0..repeats {
+            let ticket = client.submit(ServiceRequest::Price(quote.clone())).unwrap();
+            assert!(ticket.is_resolved(), "a memo hit must come back resolved");
+            match ticket.wait() {
+                Ok(ServiceResponse::Price(p)) => assert_eq!(p.to_bits(), first.to_bits()),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(!plug_ticket.is_resolved(), "the plug must still hold the only worker");
+        let after = service.stats();
+        assert_eq!(after.memo.hits - before.memo.hits, repeats);
+        assert_eq!(after.memo.misses, before.memo.misses);
+        assert_eq!(after.batches, 0, "the plug's batch is still stalled");
+        assert_eq!(after.submitted - after.completed, 1, "only the plug is outstanding");
+        assert_eq!(client.in_flight(), 1, "hits hand their in-flight unit straight back");
+        assert!(plug_ticket.wait().is_ok());
+        let done = service.stats();
+        assert_eq!(done.submitted, done.completed);
+        assert_eq!(done.submitted, repeats + 1);
+        assert_eq!(done.batches, 1, "at-submit answers belong to no batch");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_fresh_quote_counts_one_miss_not_two() {
+        let service = QuoteService::start(ServiceConfig::default()).expect("start service");
+        let client = service.client();
+        client.price(price_req(107.0, 32)).unwrap();
+        let memo = service.stats().memo;
+        assert_eq!((memo.hits, memo.misses), (0, 1), "the submit-time lookup counts no miss");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_memo_resident_quote_still_meets_the_inflight_cap_and_shutdown() {
+        let service = QuoteService::start(ServiceConfig {
+            workers: 1,
+            per_conn_inflight: 1,
+            fault: Some(stalling_plan()),
+            ..ServiceConfig::default()
+        })
+        .expect("start service");
+        let req = price_req(111.0, 32);
+        service.shared.pricer.price_one(&req).unwrap();
+        let quote = ServiceRequest::Price(req);
+        let client = service.client();
+        let plug_ticket = plug(&client);
+        assert!(matches!(
+            client.submit(quote.clone()),
+            Err(ServiceError::Overloaded { what: "per-connection in-flight cap" })
+        ));
+        assert!(service.client().submit(quote.clone()).is_ok_and(|t| t.is_resolved()));
+        assert_eq!(service.stats().memo.hits, 1, "the capped submit never reached the memo");
+        assert!(plug_ticket.wait().is_ok());
+        service.shutdown();
+        assert!(matches!(service.client().submit(quote), Err(ServiceError::ShuttingDown)));
+        let stats = service.stats();
+        assert_eq!((stats.rejected_shutdown, stats.memo.hits), (1, 1));
+    }
+
+    /// The American BOPM put at the lattice's stability edge, and its twin
+    /// one ulp below it.  The closed-form floor is exact only up to rounding
+    /// in the lattice exponentials, so walk ulps from it to the smallest
+    /// volatility whose lattice builds.
+    fn stability_edge(steps: usize) -> (PricingRequest, PricingRequest) {
+        let at = |volatility: f64| {
+            PricingRequest::american(
+                ModelKind::Bopm,
+                OptionType::Put,
+                OptionParams { volatility, ..p() },
+                steps,
+            )
+        };
+        let builds = |v: f64| BopmModel::new(at(v).params, steps).is_ok();
+        let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut v = BopmModel::min_stable_volatility(&p(), steps);
+        while !builds(v) {
+            v = f64::from_bits(v.to_bits() + 1);
+        }
+        while builds(below(v)) {
+            v = below(v);
+        }
+        (at(v), at(below(v)))
+    }
+
+    #[test]
+    fn the_stability_edge_prices_alike_queued_and_at_submit_and_its_twin_never_hits() {
+        let service = QuoteService::start(ServiceConfig::default()).expect("start service");
+        let client = service.client();
+        let (edge, twin) = stability_edge(64);
+        let queued = client.price(edge.clone()).expect("the edge builds");
+        let batches = service.stats().batches;
+        let at_submit = client.price(edge).expect("the edge builds");
+        assert_eq!(at_submit.to_bits(), queued.to_bits());
+        assert_eq!(service.stats().batches, batches, "the repeat was answered at submit");
+        // Errors are never memoized, and the twin's key says so: it shares
+        // the edge's grid cell but not its memoized price.
+        for attempt in 0..2 {
+            let got = client.price(twin.clone());
+            assert!(
+                matches!(
+                    got,
+                    Err(ServiceError::Pricing(PricingError::UnstableDiscretisation { .. }))
+                ),
+                "attempt {attempt}: {got:?}"
+            );
+        }
+        assert_eq!(service.stats().batches, batches + 2, "each twin went through a batch");
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_at_submit_card_is_stamped_flagged_and_journaled_once() {
+        let service = QuoteService::start(ServiceConfig::default()).expect("start service");
+        let client = service.client();
+        let quote = ServiceRequest::Price(price_req(111.0, 32));
+        client.call(quote.clone()).unwrap();
+        client.call(quote.clone()).unwrap();
+        drop(client.submit(quote).unwrap());
+        let cards = service.recent_traces(3);
+        assert_eq!(cards.len(), 3);
+        for (card, abandoned) in cards[1..].iter().zip([false, true]) {
+            let stamped = &card.stamps[Stage::Parsed as usize..=Stage::Completed as usize];
+            assert!(stamped.iter().all(|&s| s > 0), "{card:?}");
+            assert!(card.is_monotone(), "{card:?}");
+            assert!(card.flags & amopt_obs::FLAG_MEMO_HIT != 0, "{card:?}");
+            assert_eq!(card.flags & amopt_obs::FLAG_ABANDONED != 0, abandoned, "{card:?}");
+        }
+        let journaled = service
+            .journal()
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == amopt_obs::EventKind::Trace)
+            .count();
+        assert_eq!(journaled as u64, service.stats().completed, "one card per answered request");
         service.shutdown();
     }
 

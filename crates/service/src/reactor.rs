@@ -29,9 +29,11 @@
 //! Completions re-enter the loop through a ready-list + eventfd pair: the
 //! worker that fills a slot pushes the connection's token onto the ready
 //! list (outside every lock) and writes the eventfd, and the reactor pumps
-//! those connections on its next iteration.  Replies always leave in
-//! request order; a ticket that is not yet resolvable parks the pipeline
-//! for that connection only.
+//! those connections on its next iteration.  A quote answered at submit
+//! from the memo skips that round trip: its ticket is resolved before the
+//! reactor holds it, and the reply is written in the same pump that parsed
+//! the line.  Replies always leave in request order; a ticket that is not
+//! yet resolvable parks the pipeline for that connection only.
 //!
 //! The `unsafe` syscall surface lives entirely in the `epoll` shim crate;
 //! this module is ordinary safe Rust under the workspace-wide
@@ -606,7 +608,11 @@ fn parse_lines(conn: &mut Conn, service: &QuoteService, shared: &Arc<ReactorShar
                 }
                 match conn.client.submit_traced(request, deadline, trace) {
                     Ok(ticket) => {
-                        arm_notify(&ticket, shared, conn.token);
+                        // A quote answered at submit leaves in this same
+                        // pump: no callback, no eventfd self-kick.
+                        if !ticket.is_resolved() {
+                            arm_notify(&ticket, shared, conn.token);
+                        }
                         Reply::Pending { id, ticket }
                     }
                     Err(e) => Reply::Ready(wire::encode_result(&id, &Err(e))),
@@ -619,7 +625,8 @@ fn parse_lines(conn: &mut Conn, service: &QuoteService, shared: &Arc<ReactorShar
 
 /// Arms the ticket's completion callback: push the connection token onto
 /// the ready list and kick the eventfd.  Runs on the completing worker —
-/// or inline if the batch already executed — always outside queue locks.
+/// or inline if the batch executed since the caller looked — always
+/// outside queue locks.
 fn arm_notify(ticket: &Ticket, shared: &Arc<ReactorShared>, token: u64) {
     let shared = Arc::clone(shared);
     ticket.set_notify(Box::new(move || {

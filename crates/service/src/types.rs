@@ -149,9 +149,11 @@ pub struct ReactorStats {
 pub struct ServiceStats {
     /// Requests currently waiting in the submission queue (the EDF heap).
     pub queue_depth: usize,
-    /// Requests accepted into the queue since start.
+    /// Requests accepted since start: queued, or — for a price quote the
+    /// memo already holds — answered at submit, accepted but never queued.
     pub submitted: u64,
-    /// Requests answered (successfully or with a pricing error).
+    /// Requests answered (successfully or with a pricing error), at-submit
+    /// memo answers included.
     pub completed: u64,
     /// Submissions rejected because the queue was full.
     pub rejected_queue_full: u64,
@@ -159,13 +161,15 @@ pub struct ServiceStats {
     pub rejected_inflight: u64,
     /// Submissions rejected during shutdown.
     pub rejected_shutdown: u64,
-    /// Batches flushed to the executor.
+    /// Batches flushed to the executor.  A quote answered at submit from
+    /// the memo is in no batch.
     pub batches: u64,
     /// Requests with a caller-supplied budget
     /// ([`submit_with_deadline`](crate::queue::Client::submit_with_deadline))
-    /// answered after that deadline had already passed.  Requests without a
-    /// budget never count: their implicit `max_wait` deadline bounds
-    /// coalescing behind a busy pool, it is not a promise to the caller.
+    /// that a worker answered after that deadline had already passed.
+    /// Requests without a budget never count: their implicit `max_wait`
+    /// deadline bounds coalescing behind a busy pool, it is not a promise to
+    /// the caller.  Nor do quotes answered at submit: they never wait.
     pub deadline_misses: u64,
     /// EDF heap pops across all flushes; `heap_pops / batches` is the mean
     /// per-flush pop count (pops exceed drained entries when the
@@ -201,7 +205,10 @@ impl ServiceStats {
         }
     }
 
-    /// Mean flushed batch size (`0.0` before any flush).
+    /// Completed requests per flushed batch (`0.0` before any flush).
+    /// Quotes answered at submit count as completed but belong to no
+    /// batch, so on memo-resident traffic this overstates the mean batch;
+    /// `batch_sizes` holds the batches themselves.
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0

@@ -215,6 +215,12 @@ fn transcript() -> Vec<Exchange> {
                 r#"must be a normal number, got the subnormal 5e-324"}"#,
             )),
         ),
+        // id 11's contract again, under a new id: on the warm second pass
+        // the memo answers it at submit, without a worker — same bytes.
+        (
+            r#"{"id":23,"op":"price","spot":127.62,"strike":100,"rate":0.00163,"vol":0.2,"div":0.0163,"expiry":1,"steps":64}"#,
+            price("23", &contract(100.0, OptionType::Call, 64)),
+        ),
     ]
 }
 
@@ -298,6 +304,31 @@ fn live_scrape_exposes_the_registry_and_cards_that_telescope_exactly() {
         let e2e = card.get("end_to_end_nanos").and_then(JsonValue::as_f64).expect("e2e") as u64;
         assert_eq!(sum, e2e, "{card:?}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_memo_hit_costs_the_reactor_one_loop_iteration_not_two() {
+    // A queued quote wakes the reactor twice: its line arriving, then the
+    // worker's eventfd kick.  A memo hit is answered at submit and written
+    // in the pump that parsed it, so sequential repeats cost about one
+    // iteration each.  The pause between repeats keeps a stray kick from
+    // sharing a wake-up with the next line, where it would go uncounted.
+    let server = QuoteServer::bind("127.0.0.1:0", config()).expect("bind");
+    let mut client = TcpQuoteClient::connect(server.local_addr()).expect("connect");
+    let line = wire::encode_pricing_request(1, "price", &contract(100.0, OptionType::Put, 64));
+    let first = client.roundtrip(&line).expect("first quote");
+    let before = server.stats().reactor.loop_iterations;
+    let repeats = 64u64;
+    for _ in 0..repeats {
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(client.roundtrip(&line).expect("repeat"), first);
+    }
+    let spent = server.stats().reactor.loop_iterations - before;
+    assert!(
+        spent < repeats * 3 / 2,
+        "{spent} loop iterations for {repeats} memo hits: the eventfd self-kick is back"
+    );
     server.shutdown();
 }
 

@@ -252,7 +252,10 @@ fn retry_decisions_are_journaled_exactly_once_with_their_attempt_index() {
 /// The executing-batch count cannot leak: after a seeded load run with the
 /// worker panic, stall and death classes armed, a lone request on the
 /// recovered service flushes at once instead of waiting out a 30 s
-/// `max_wait` behind a batch that no longer exists.
+/// `max_wait` behind a batch that no longer exists.  The load is memo-cold
+/// — 200 distinct strikes, none of them the lone request's — so every
+/// quote reaches a worker (a memo hit is answered at submit) and the
+/// seeded executor faults have batches to fire in.
 #[test]
 fn a_recovered_service_flushes_a_lone_request_at_once() {
     let hostile = FaultSchedule::hostile();
@@ -277,7 +280,7 @@ fn a_recovered_service_flushes_a_lone_request_at_once() {
             let client = service.client();
             scope.spawn(move || {
                 for i in 0..50 {
-                    answered(client.price(cheap_quote(80.0 + ((c * 50 + i) % 64) as f64)));
+                    answered(client.price(cheap_quote(60.0 + (c * 50 + i) as f64 / 4.0)));
                 }
             });
         }
