@@ -37,6 +37,10 @@
 //! | `bsm_put`   | +921      | 1.06e-13 → 2.49e-13 | −3 020     | 1.21e-12 → 1.68e-12 |
 //!
 //! The in-place `stepped` loop of the same PR moved no bit of any of them.
+//!
+//! The four European lattice routes (`*_eu`) were pinned at `2fad527`, before
+//! BOPM and TOPM became one generic lattice, so that refactor is checked bit
+//! for bit on the one-correlation pass too.
 
 use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
@@ -47,44 +51,61 @@ use american_option_pricing::prelude::*;
 const DEEP_STEPS: usize = 16_384;
 const PAPER_STEPS: usize = 4_096;
 
-/// The five fast American routes with their pinned bits at `PAPER_STEPS`
-/// and at `DEEP_STEPS`.
-const PINS: [(&str, ModelKind, OptionType, u64, u64); 5] = [
-    ("bopm_call", ModelKind::Bopm, OptionType::Call, 0x4020a77abadfedaa, 0x4020a79594a859f4),
-    ("bopm_put", ModelKind::Bopm, OptionType::Put, 0x4028d92522e9c99e, 0x4028d9538c55bf1c),
-    ("topm_call", ModelKind::Topm, OptionType::Call, 0x4020a7a0a2647ad6, 0x4020a79fbd0b9c94),
-    ("topm_put", ModelKind::Topm, OptionType::Put, 0x4028d9620a49560f, 0x4028d9635548fc99),
-    ("bsm_put", ModelKind::Bsm, OptionType::Put, 0x4026c552eac4d696, 0x4026c53a8e7eee7e),
-];
+/// The five fast American routes and the four European lattice routes with
+/// their pinned bits at `PAPER_STEPS` and at `DEEP_STEPS`.
+const PINS: [(&str, ModelKind, OptionType, ExerciseStyle, u64, u64); 9] = {
+    use ExerciseStyle::{American, European};
+    use ModelKind::{Bopm, Bsm, Topm};
+    use OptionType::{Call, Put};
+    [
+        ("bopm_call", Bopm, Call, American, 0x4020a77abadfedaa, 0x4020a79594a859f4),
+        ("bopm_put", Bopm, Put, American, 0x4028d92522e9c99e, 0x4028d9538c55bf1c),
+        ("topm_call", Topm, Call, American, 0x4020a7a0a2647ad6, 0x4020a79fbd0b9c94),
+        ("topm_put", Topm, Put, American, 0x4028d9620a49560f, 0x4028d9635548fc99),
+        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d696, 0x4026c53a8e7eee7e),
+        ("bopm_call_eu", Bopm, Call, European, 0x4020628ead394740, 0x402062bd16a5c78e),
+        ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9fdd2, 0x4028d9538c565b95),
+        ("topm_call_eu", Topm, Call, European, 0x402062cb94983995, 0x402062ccdf97845b),
+        ("topm_put_eu", Topm, Put, European, 0x4028d9620a495bd7, 0x4028d9635548924c),
+    ]
+};
 
 /// The route's price through the facade's one dispatcher, the batch layer
 /// (memo off; a batch of one is bitwise the direct pricer, `tests/batch.rs`).
-fn price_bits(model: ModelKind, option_type: OptionType, steps: usize) -> u64 {
+fn price_bits(
+    model: ModelKind,
+    option_type: OptionType,
+    style: ExerciseStyle,
+    steps: usize,
+) -> u64 {
     let base = OptionParams::paper_defaults();
     let params = match model {
         // The BSM grid is dividend-free by construction.
         ModelKind::Bsm => OptionParams { dividend_yield: 0.0, ..base },
         _ => base,
     };
-    let request = PricingRequest::american(model, option_type, params, steps);
+    let request = match style {
+        ExerciseStyle::American => PricingRequest::american(model, option_type, params, steps),
+        ExerciseStyle::European => PricingRequest::european(model, option_type, params, steps),
+    };
     let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
     pricer.price_one(&request).expect("the paper's contract prices").to_bits()
 }
 
 #[test]
 fn paper_prices_are_the_parent_commits_bit_for_bit() {
-    for (name, model, option_type, pinned, _) in PINS {
-        let got = price_bits(model, option_type, PAPER_STEPS);
+    for (name, model, option_type, style, pinned, _) in PINS {
+        let got = price_bits(model, option_type, style, PAPER_STEPS);
         assert_eq!(got, pinned, "{name} at T = {PAPER_STEPS}: {}", f64::from_bits(got));
     }
 }
 
 #[test]
 fn no_pool_width_moves_a_bit_of_a_forking_pricing() {
-    for (name, model, option_type, _, pinned) in PINS {
+    for (name, model, option_type, style, _, pinned) in PINS {
         // `None` is the default pool.
         for width in [Some(1), Some(2), Some(3), None] {
-            let price = || price_bits(model, option_type, DEEP_STEPS);
+            let price = || price_bits(model, option_type, style, DEEP_STEPS);
             let got = width.map_or_else(price, |w| run_with_threads(w, price));
             assert_eq!(
                 got,
