@@ -3,9 +3,10 @@
 
 #![forbid(unsafe_code)]
 
-use amopt_core::bopm::{self, BopmModel};
+use amopt_core::bopm::{tiled, BopmModel};
 use amopt_core::bsm::{self, BsmModel};
-use amopt_core::topm::{self, TopmModel};
+use amopt_core::lattice::{fast, naive};
+use amopt_core::topm::TopmModel;
 use amopt_core::{EngineConfig, ExerciseStyle, OptionParams, OptionType};
 use std::time::Instant;
 
@@ -64,46 +65,36 @@ pub fn run_pricer(which: Impl, steps: usize) -> f64 {
     match which {
         Impl::FftBopm => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::fast::price_american_call(&m, &cfg)
+            fast::price_american_call(&m, &cfg)
         }
         Impl::FftBopmPut => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::fast::price_american_put(&m, &cfg)
+            fast::price_american_put(&m, &cfg)
         }
         Impl::QlBopm => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::naive::price(
-                &m,
-                OptionType::Call,
-                ExerciseStyle::American,
-                bopm::naive::ExecMode::Parallel,
-            )
+            naive::price(&m, OptionType::Call, ExerciseStyle::American, naive::ExecMode::Parallel)
         }
         Impl::ZbBopm => {
             let m = BopmModel::new(params, steps).expect("model");
-            bopm::tiled::price(
+            tiled::price(
                 &m,
                 OptionType::Call,
                 ExerciseStyle::American,
-                bopm::tiled::TileConfig::default(),
+                tiled::TileConfig::default(),
             )
         }
         Impl::FftTopm => {
             let m = TopmModel::new(params, steps).expect("model");
-            topm::fast::price_american_call(&m, &cfg)
+            fast::price_american_call(&m, &cfg)
         }
         Impl::FftTopmPut => {
             let m = TopmModel::new(params, steps).expect("model");
-            topm::fast::price_american_put(&m, &cfg)
+            fast::price_american_put(&m, &cfg)
         }
         Impl::VanillaTopm => {
             let m = TopmModel::new(params, steps).expect("model");
-            topm::naive::price(
-                &m,
-                OptionType::Call,
-                ExerciseStyle::American,
-                topm::naive::ExecMode::Parallel,
-            )
+            naive::price(&m, OptionType::Call, ExerciseStyle::American, naive::ExecMode::Parallel)
         }
         Impl::FftBsm => {
             let p = OptionParams { dividend_yield: 0.0, ..params };
@@ -134,6 +125,7 @@ pub fn time_pricer(which: Impl, steps: usize, reps: usize) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amopt_core::lattice::Lattice;
 
     #[test]
     fn all_impls_price_the_same_contract() {
@@ -153,24 +145,17 @@ mod tests {
 
     #[test]
     fn put_impls_match_their_naive_nests() {
-        let t = 256;
-        let params = OptionParams::paper_defaults();
-        let want_bopm = bopm::naive::price(
-            &BopmModel::new(params, t).unwrap(),
-            OptionType::Put,
-            ExerciseStyle::American,
-            bopm::naive::ExecMode::Serial,
-        );
-        let got = run_pricer(Impl::FftBopmPut, t);
-        assert!((got - want_bopm).abs() < 1e-9 * want_bopm, "{got} vs {want_bopm}");
-        let want_topm = topm::naive::price(
-            &TopmModel::new(params, t).unwrap(),
-            OptionType::Put,
-            ExerciseStyle::American,
-            topm::naive::ExecMode::Serial,
-        );
-        let got = run_pricer(Impl::FftTopmPut, t);
-        assert!((got - want_topm).abs() < 1e-9 * want_topm, "{got} vs {want_topm}");
+        fn nest<const W: usize>(m: Lattice<W>) -> f64 {
+            naive::price(&m, OptionType::Put, ExerciseStyle::American, naive::ExecMode::Serial)
+        }
+        let (t, params) = (256, OptionParams::paper_defaults());
+        for (which, want) in [
+            (Impl::FftBopmPut, nest(BopmModel::new(params, t).unwrap())),
+            (Impl::FftTopmPut, nest(TopmModel::new(params, t).unwrap())),
+        ] {
+            let got = run_pricer(which, t);
+            assert!((got - want).abs() < 1e-9 * want, "{which:?}: {got} vs {want}");
+        }
     }
 
     #[test]

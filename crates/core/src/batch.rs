@@ -56,12 +56,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 use crate::bermudan;
-use crate::bopm::{self, BopmModel};
+use crate::bopm::BopmModel;
 use crate::bsm::{self, BsmModel};
 use crate::engine::EngineConfig;
 use crate::error::{PricingError, Result};
+use crate::lattice::{european, fast, Lattice};
 use crate::params::{OptionParams, OptionType};
-use crate::topm::{self, TopmModel};
+use crate::topm::TopmModel;
 
 /// Which discretisation family prices the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -617,46 +618,17 @@ impl BatchPricer {
     /// identical to the direct call.
     fn route(&self, req: &PricingRequest, dates: &[usize]) -> Result<f64> {
         // amopt-lint: hot-path
-        let unsupported = || {
-            Err(PricingError::Unsupported {
-                what: format!(
-                    "{:?} {:?} with {} exercise has no pricer in this workspace",
-                    req.model,
-                    req.option_type,
-                    req.style.name()
-                ),
-            })
-        };
         match req.model {
             ModelKind::Bopm => {
                 let model = BopmModel::new(req.params, req.steps)?;
                 match (&req.style, req.option_type) {
-                    (Style::American, OptionType::Call) => {
-                        Ok(bopm::fast::price_american_call(&model, &self.cfg))
-                    }
-                    (Style::American, OptionType::Put) => {
-                        Ok(bopm::fast::price_american_put(&model, &self.cfg))
-                    }
-                    (Style::European, opt) => Ok(bopm::european::price_european_fft(&model, opt)),
                     (Style::Bermudan(_), OptionType::Put) => {
                         bermudan::price_bermudan_put_fft(&model, dates)
                     }
-                    (Style::Bermudan(_), OptionType::Call) => unsupported(),
+                    _ => self.route_lattice(&model, req),
                 }
             }
-            ModelKind::Topm => {
-                let model = TopmModel::new(req.params, req.steps)?;
-                match (&req.style, req.option_type) {
-                    (Style::American, OptionType::Call) => {
-                        Ok(topm::fast::price_american_call(&model, &self.cfg))
-                    }
-                    (Style::American, OptionType::Put) => {
-                        Ok(topm::fast::price_american_put(&model, &self.cfg))
-                    }
-                    (Style::European, opt) => Ok(topm::european::price_european_fft(&model, opt)),
-                    (Style::Bermudan(_), _) => unsupported(),
-                }
-            }
+            ModelKind::Topm => self.route_lattice(&TopmModel::new(req.params, req.steps)?, req),
             ModelKind::Bsm => match (&req.style, req.option_type) {
                 (Style::American, OptionType::Put) => {
                     let model = BsmModel::new(req.params, req.steps)?;
@@ -666,10 +638,38 @@ impl BatchPricer {
                     let model = BsmModel::new(req.params, req.steps)?;
                     Ok(bsm::fast::price_european_put_fft(&model))
                 }
-                (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(),
+                (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(req),
             },
         }
     }
+
+    /// The American and European routes of either lattice (the binomial
+    /// Bermudan put is routed before this).
+    fn route_lattice<const W: usize>(
+        &self,
+        model: &Lattice<W>,
+        req: &PricingRequest,
+    ) -> Result<f64> {
+        // amopt-lint: hot-path
+        match (&req.style, req.option_type) {
+            (Style::American, OptionType::Call) => Ok(fast::price_american_call(model, &self.cfg)),
+            (Style::American, OptionType::Put) => Ok(fast::price_american_put(model, &self.cfg)),
+            (Style::European, opt) => Ok(european::price_european_fft(model, opt)),
+            (Style::Bermudan(_), _) => unsupported(req),
+        }
+    }
+}
+
+/// The error of a request no pricer in this crate serves.
+fn unsupported(req: &PricingRequest) -> Result<f64> {
+    Err(PricingError::Unsupported {
+        what: format!(
+            "{:?} {:?} with {} exercise has no pricer in this workspace",
+            req.model,
+            req.option_type,
+            req.style.name()
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -692,19 +692,19 @@ mod tests {
         let cases: Vec<(PricingRequest, f64)> = vec![
             (PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bopm::fast::price_american_call(&m, &cfg)
+                fast::price_american_call(&m, &cfg)
             }),
             (PricingRequest::american(ModelKind::Bopm, OptionType::Put, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bopm::fast::price_american_put(&m, &cfg)
+                fast::price_american_put(&m, &cfg)
             }),
             (PricingRequest::european(ModelKind::Bopm, OptionType::Call, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bopm::european::price_european_fft(&m, OptionType::Call)
+                european::price_european_fft(&m, OptionType::Call)
             }),
             (PricingRequest::european(ModelKind::Bopm, OptionType::Put, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bopm::european::price_european_fft(&m, OptionType::Put)
+                european::price_european_fft(&m, OptionType::Put)
             }),
             (PricingRequest::bermudan_put(p(), steps, vec![50, 100, 200]), {
                 let m = BopmModel::new(p(), steps).unwrap();
@@ -712,15 +712,15 @@ mod tests {
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                topm::fast::price_american_call(&m, &cfg)
+                fast::price_american_call(&m, &cfg)
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Put, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                topm::fast::price_american_put(&m, &cfg)
+                fast::price_american_put(&m, &cfg)
             }),
             (PricingRequest::european(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                topm::european::price_european_fft(&m, OptionType::Call)
+                european::price_european_fft(&m, OptionType::Call)
             }),
             (PricingRequest::american(ModelKind::Bsm, OptionType::Put, zero_div, steps), {
                 let m = BsmModel::new(zero_div, steps).unwrap();
@@ -782,7 +782,7 @@ mod tests {
         assert!(matches!(out[2], Err(PricingError::InvalidParams { .. })));
         let direct = {
             let m = BopmModel::new(p(), 128).unwrap();
-            bopm::fast::price_american_call(&m, &EngineConfig::default())
+            fast::price_american_call(&m, &EngineConfig::default())
         };
         for idx in [0, 3] {
             assert_eq!(out[idx].as_ref().unwrap().to_bits(), direct.to_bits());

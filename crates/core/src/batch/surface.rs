@@ -25,7 +25,7 @@
 //!   the serial inversion, but quadratic convergence: fewer root rounds and
 //!   fewer total lattice pricings per quote than Illinois alone;
 //! * quotes may be **calls or puts**: puts invert over the fast left-cone
-//!   engine (`bopm::fast::price_american_put`) under the identical search
+//!   engine (`lattice::fast::price_american_put`) under the identical search
 //!   interval, tolerance, and error contract;
 //! * every quote gets its own `Result`: an unattainable or zero-vega quote
 //!   errors in its own slot exactly like the serial inversion
@@ -33,7 +33,8 @@
 //!
 //! ```
 //! use amopt_core::batch::{surface, BatchPricer};
-//! use amopt_core::bopm::{fast, BopmModel};
+//! use amopt_core::bopm::BopmModel;
+//! use amopt_core::lattice::fast;
 //! use amopt_core::{EngineConfig, OptionParams};
 //!
 //! let cfg = EngineConfig::default();
@@ -418,9 +419,10 @@ pub fn implied_vol_surface(pricer: &BatchPricer, quotes: &[VolQuote]) -> Vec<Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bopm::{fast, BopmModel};
+    use crate::bopm::BopmModel;
     use crate::engine::EngineConfig;
     use crate::implied_vol;
+    use crate::lattice::fast;
 
     fn p() -> OptionParams {
         OptionParams::paper_defaults()

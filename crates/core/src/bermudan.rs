@@ -10,7 +10,7 @@
 //!
 //! Implemented for the **put** under BOPM: put payoffs are bounded by `K`,
 //! which keeps the FFT inputs in a `T`-independent dynamic range (the same
-//! consideration as `bopm::european`).
+//! consideration as `lattice::european`).
 
 use crate::bopm::BopmModel;
 use crate::error::{PricingError, Result};
@@ -78,7 +78,7 @@ pub fn price_bermudan_put_naive(model: &BopmModel, exercise_steps: &[usize]) -> 
     }
     let exercisable: std::collections::HashSet<usize> = exercise_steps.iter().copied().collect();
     let payoff = |i: usize, j: i64| OptionType::Put.payoff(model.node_price(i, j), strike);
-    let (s0, s1) = (model.s0(), model.s1());
+    let (s0, s1) = (model.weights()[0], model.weights()[1]);
     let mut g: Vec<f64> = (0..=t as i64).map(|j| payoff(t, j)).collect();
     for i in (0..t).rev() {
         for j in 0..=i {
@@ -92,7 +92,7 @@ pub fn price_bermudan_put_naive(model: &BopmModel, exercise_steps: &[usize]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bopm::naive;
+    use crate::lattice::naive;
     use crate::params::{ExerciseStyle, OptionParams};
 
     fn model(steps: usize) -> BopmModel {
@@ -119,7 +119,7 @@ mod tests {
     fn expiry_only_equals_european() {
         let m = model(400);
         let bermudan = price_bermudan_put_fft(&m, &[400]).unwrap();
-        let european = crate::bopm::european::price_european_fft(&m, OptionType::Put);
+        let european = crate::lattice::european::price_european_fft(&m, OptionType::Put);
         assert!((bermudan - european).abs() < 1e-9);
     }
 

@@ -32,16 +32,10 @@ impl Default for TileConfig {
 /// American/European call or put price by cache-aware tiled induction.
 pub fn price(model: &BopmModel, opt: OptionType, style: ExerciseStyle, tile: TileConfig) -> f64 {
     let t = model.steps();
-    let (s0, s1) = (model.s0(), model.s1());
+    let (s0, s1) = (model.weights()[0], model.weights()[1]);
     let band_rows = tile.band.max(1);
     let block_width = tile.width.max(band_rows + 1);
-
-    let exercise = |i: usize, j: i64| -> f64 {
-        match opt {
-            OptionType::Call => model.exercise_call(i, j),
-            OptionType::Put => model.exercise_put(i, j),
-        }
-    };
+    let exercise = |i: usize, j: i64| model.exercise(opt, i, j);
 
     // Row T (expiry) values.
     let mut top: Vec<f64> = (0..=t as i64).map(|j| exercise(t, j).max(0.0)).collect();
@@ -83,7 +77,7 @@ pub fn price(model: &BopmModel, opt: OptionType, style: ExerciseStyle, tile: Til
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bopm::naive::{self, ExecMode};
+    use crate::lattice::naive::{self, ExecMode};
     use crate::params::OptionParams;
 
     #[test]

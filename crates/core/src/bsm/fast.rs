@@ -149,11 +149,11 @@ mod tests {
         let m = BsmModel::new(p, steps).unwrap();
         let fd = price_american_put(&m, &EngineConfig::default());
         let lattice = crate::bopm::BopmModel::new(p, steps).unwrap();
-        let bin = crate::bopm::naive::price(
+        let bin = crate::lattice::naive::price(
             &lattice,
             OptionType::Put,
             crate::params::ExerciseStyle::American,
-            crate::bopm::naive::ExecMode::Serial,
+            ExecMode::Serial,
         );
         assert!((fd - bin).abs() < 5e-3 * bin, "fd {fd} vs binomial {bin}");
     }

@@ -2,29 +2,14 @@
 //! the paper's evaluation.  `Θ(T²)` work.
 
 use super::BsmModel;
+pub use crate::lattice::naive::ExecMode;
+use crate::params::ExerciseStyle;
 use amopt_parallel::{for_each_chunk_mut, DEFAULT_GRAIN};
 
-/// Execution strategy for the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Single-threaded.
-    Serial,
-    /// Row-parallel with double buffering.
-    #[default]
-    Parallel,
-}
-
-/// Early-exercise flavour of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Style {
-    /// Pure linear scheme (European put).
-    European,
-    /// Obstacle scheme `max(linear, exercise)` (American put).
-    American,
-}
-
 /// Dimensionless grid value at the apex; multiply by `K` for the price.
-pub fn apex_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
+/// European is the pure linear scheme, American the obstacle scheme
+/// `max(linear, exercise)`.
+pub fn apex_value(model: &BsmModel, style: ExerciseStyle, mode: ExecMode) -> f64 {
     let t = model.steps() as i64;
     // Row n spans columns [−(T−n), T−n]; store at index k + (T−n).
     let mut cur: Vec<f64> = (-t..=t).map(|k| model.payoff(k)).collect();
@@ -39,8 +24,8 @@ pub fn apex_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
                     let idx = (k + half + 1) as usize;
                     let lin = wb * cur[idx - 1] + wc * cur[idx] + wa * cur[idx + 1];
                     next.push(match style {
-                        Style::European => lin,
-                        Style::American => lin.max(model.exercise(k)),
+                        ExerciseStyle::European => lin,
+                        ExerciseStyle::American => lin.max(model.exercise(k)),
                     });
                 }
                 cur = next;
@@ -60,8 +45,8 @@ pub fn apex_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
                             let idx = pos + 1; // same column in input row
                             let lin = wb * read[idx - 1] + wc * read[idx] + wa * read[idx + 1];
                             *out = match style {
-                                Style::European => lin,
-                                Style::American => lin.max(model.exercise(k)),
+                                ExerciseStyle::European => lin,
+                                ExerciseStyle::American => lin.max(model.exercise(k)),
                             };
                         }
                     });
@@ -78,12 +63,12 @@ pub fn apex_value(model: &BsmModel, style: Style, mode: ExecMode) -> f64 {
 
 /// American put price (`vanilla-bsm`).
 pub fn price_american_put(model: &BsmModel, mode: ExecMode) -> f64 {
-    model.params().strike * apex_value(model, Style::American, mode)
+    model.params().strike * apex_value(model, ExerciseStyle::American, mode)
 }
 
 /// European put price under the same discretisation (validation oracle).
 pub fn price_european_put(model: &BsmModel, mode: ExecMode) -> f64 {
-    model.params().strike * apex_value(model, Style::European, mode)
+    model.params().strike * apex_value(model, ExerciseStyle::European, mode)
 }
 
 /// Serial American sweep also recording the green-zone boundary
@@ -129,7 +114,7 @@ mod tests {
     fn serial_and_parallel_agree() {
         for steps in [1usize, 2, 9, 128, 800] {
             let m = BsmModel::new(params(), steps).unwrap();
-            for style in [Style::European, Style::American] {
+            for style in [ExerciseStyle::European, ExerciseStyle::American] {
                 let a = apex_value(&m, style, ExecMode::Serial);
                 let b = apex_value(&m, style, ExecMode::Parallel);
                 assert!((a - b).abs() < 1e-12, "steps={steps} {style:?}: {a} vs {b}");
@@ -170,11 +155,11 @@ mod tests {
         let m = BsmModel::new(p, 4000).unwrap();
         let fd = price_american_put(&m, ExecMode::Serial);
         let lattice = crate::bopm::BopmModel::new(p, 4000).unwrap();
-        let bin = crate::bopm::naive::price(
+        let bin = crate::lattice::naive::price(
             &lattice,
             OptionType::Put,
-            crate::params::ExerciseStyle::American,
-            crate::bopm::naive::ExecMode::Serial,
+            ExerciseStyle::American,
+            ExecMode::Serial,
         );
         assert!((fd - bin).abs() < 5e-3 * bin, "fd {fd} vs binomial {bin}");
     }

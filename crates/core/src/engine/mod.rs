@@ -26,7 +26,7 @@
 //! hand itself to its own recursion).  Lattice **puts** under BOPM
 //! (`σ' = 1`) and TOPM (`σ' = 2`) are this geometry as they stand.  The
 //! paper's other two geometries reach it by a change of variables, applied
-//! in the model adapters ([`crate::bopm::fast`], [`crate::topm::fast`],
+//! in the two model adapters ([`crate::lattice::fast`] for both lattices,
 //! [`crate::bsm::fast`]) rather than by a second engine.
 //!
 //! ## Lattice calls: the put–call mirror (§2.3's right cone)

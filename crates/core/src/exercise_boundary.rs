@@ -9,20 +9,19 @@
 //! The engine tracks the last *green* column `f` of a put-shaped problem.
 //! Lattice puts report it directly.  Lattice **calls** are priced as the put
 //! of the mirrored contract (`S ↔ K`, `R ↔ Y`), whose node `(i, c)` is the
-//! call's node `(i, w·i − c)` with `w·i` the row width (`w = 1` BOPM, `2`
-//! TOPM): the call's last red column is `j = w·i − f − 1`, clamped to
-//! `[−1, w·i]` — `−1` when the whole row exercises (the mirror reports any
-//! `f ≥ w·i`), `w·i` when none of it does (`f = −1`) — and its critical
+//! call's node `(i, W·i − c)` with `W·i` the row width (`W = 1` BOPM, `2`
+//! TOPM): the call's last red column is `j = W·i − f − 1`, clamped to
+//! `[−1, W·i]` — `−1` when the whole row exercises (the mirror reports any
+//! `f ≥ W·i`), `W·i` when none of it does (`f = −1`) — and its critical
 //! price is the node price at `j + 1`.  A node where exercise and
 //! continuation tie *exactly* counts as green, the put engine's convention,
 //! so on such a node the call frontier sits one column lower than a
 //! red-on-tie sweep would put it.  The BSM put's sheared columns map back
 //! as `k = c' − (T − n)`.
 
-use crate::bopm::BopmModel;
 use crate::bsm::BsmModel;
 use crate::engine::EngineConfig;
-use crate::topm::TopmModel;
+use crate::lattice::{fast, Lattice};
 
 /// One sample of the early-exercise frontier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,47 +36,35 @@ pub struct BoundaryPoint {
     pub critical_price: Option<f64>,
 }
 
-/// Early-exercise frontier of an American **call** under BOPM, read off the
-/// mirrored put (module docs).
-pub fn bopm_call_boundary(
-    model: &BopmModel,
+/// Early-exercise frontier of an American **call** on either lattice, read
+/// off the mirrored put (module docs) in one `O(T log² T)` pricing pass.
+pub fn lattice_call_boundary<const W: usize>(
+    model: &Lattice<W>,
     cfg: &EngineConfig,
     samples: usize,
 ) -> Vec<BoundaryPoint> {
-    let t = model.steps();
-    let expiry = model.params().expiry;
-    let (_, raw) = crate::bopm::fast::price_with_boundary_samples(model, cfg, samples);
-    raw.into_iter()
-        .map(|(i, j)| BoundaryPoint {
-            time_step: i,
-            time_years: expiry * i as f64 / t as f64,
-            // First green column is j+1; a boundary at the row width i
-            // means the whole row continues (no exercise region).
-            critical_price: (j < i as i64).then(|| model.node_price(i, j + 1)),
-        })
-        .collect()
+    let (_, raw) = fast::price_with_boundary_samples(model, cfg, samples);
+    // First green column is j+1; a boundary at the row width W·i means the
+    // whole row continues (no exercise region).
+    points(raw, model.steps(), model.params().expiry, |i, j| {
+        (j < W as i64 * i as i64).then(|| model.node_price(i, j + 1))
+    })
 }
 
-/// Early-exercise frontier of an American **put** under BOPM, via the
-/// engine's boundary tracking (one fast pricing pass).
-pub fn bopm_put_boundary(
-    model: &BopmModel,
+/// Early-exercise frontier of an American **put** on either lattice, via
+/// the engine's boundary tracking (one fast pricing pass).
+pub fn lattice_put_boundary<const W: usize>(
+    model: &Lattice<W>,
     cfg: &EngineConfig,
     samples: usize,
 ) -> Vec<BoundaryPoint> {
-    let t = model.steps();
-    let expiry = model.params().expiry;
-    let (_, raw) = crate::bopm::fast::price_put_with_boundary_samples(model, cfg, samples);
-    raw.into_iter()
-        .map(|(i, f)| BoundaryPoint {
-            time_step: i,
-            time_years: expiry * i as f64 / t as f64,
-            // Last green column is f (clamped to the row: a boundary at or
-            // past the row width means the whole row exercises); f < 0
-            // means no exercise region in the row.
-            critical_price: (f >= 0).then(|| model.node_price(i, f.min(i as i64))),
-        })
-        .collect()
+    let (_, raw) = fast::price_put_with_boundary_samples(model, cfg, samples);
+    // Last green column is f (clamped to the row: a boundary at or past the
+    // row width W·i means the whole row exercises); f < 0 means no exercise
+    // region in the row.
+    points(raw, model.steps(), model.params().expiry, |i, f| {
+        (f >= 0).then(|| model.node_price(i, f.min(W as i64 * i as i64)))
+    })
 }
 
 /// Early-exercise frontier of an American **put** under the BSM explicit FD
@@ -88,60 +75,29 @@ pub fn bsm_put_boundary(
     samples: usize,
 ) -> Vec<BoundaryPoint> {
     let t = model.steps();
-    let expiry = model.params().expiry;
     let strike = model.params().strike;
     let (_, raw) = crate::bsm::fast::price_with_boundary_samples(model, cfg, samples);
-    raw.into_iter()
-        .map(|(n, k)| {
-            // Engine row n counts from expiry; market step i = T − n.
-            let i = t - n;
-            BoundaryPoint {
-                time_step: i,
-                time_years: expiry * i as f64 / t as f64,
-                critical_price: (k >= -(t as i64 - n as i64)).then(|| strike * model.s_at(k).exp()),
-            }
-        })
-        .collect()
+    // Engine row n counts from expiry; market step i = T − n, whose row
+    // spans k ∈ [−i, i].
+    let raw = raw.into_iter().map(|(n, k)| (t - n, k));
+    points(raw, t, model.params().expiry, |i, k| {
+        (k >= -(i as i64)).then(|| strike * model.s_at(k).exp())
+    })
 }
 
-/// Early-exercise frontier of an American **call** under TOPM, read off the
-/// mirrored put (module docs) in one `O(T log² T)` pricing pass.
-pub fn topm_call_boundary(
-    model: &TopmModel,
-    cfg: &EngineConfig,
-    samples: usize,
+/// Market-time samples `(i, column)` of a `T`-step grid as frontier points,
+/// `critical` giving a sample's critical asset price.
+fn points(
+    raw: impl IntoIterator<Item = (usize, i64)>,
+    t: usize,
+    expiry: f64,
+    critical: impl Fn(usize, i64) -> Option<f64>,
 ) -> Vec<BoundaryPoint> {
-    let t = model.steps();
-    let expiry = model.params().expiry;
-    let (_, raw) = crate::topm::fast::price_with_boundary_samples(model, cfg, samples);
     raw.into_iter()
-        .map(|(i, j)| BoundaryPoint {
+        .map(|(i, col)| BoundaryPoint {
             time_step: i,
             time_years: expiry * i as f64 / t as f64,
-            // First green column is j+1; a boundary at the trinomial row
-            // width 2i means the whole row continues.
-            critical_price: (j < 2 * i as i64).then(|| model.node_price(i, j + 1)),
-        })
-        .collect()
-}
-
-/// Early-exercise frontier of an American **put** under TOPM, via the
-/// engine's boundary tracking (one fast pricing pass).
-pub fn topm_put_boundary(
-    model: &TopmModel,
-    cfg: &EngineConfig,
-    samples: usize,
-) -> Vec<BoundaryPoint> {
-    let t = model.steps();
-    let expiry = model.params().expiry;
-    let (_, raw) = crate::topm::fast::price_put_with_boundary_samples(model, cfg, samples);
-    raw.into_iter()
-        .map(|(i, f)| BoundaryPoint {
-            time_step: i,
-            time_years: expiry * i as f64 / t as f64,
-            // Last green column is f (clamped to the row width 2i); f < 0
-            // means no exercise region in the row.
-            critical_price: (f >= 0).then(|| model.node_price(i, f.min(2 * i as i64))),
+            critical_price: critical(i, col),
         })
         .collect()
 }
@@ -153,17 +109,19 @@ mod tests {
 
     #[test]
     fn call_boundary_sits_above_strike() {
-        // Exercising a call early is only optimal in the money.
-        let m = BopmModel::new(OptionParams::paper_defaults(), 1024).unwrap();
-        let pts = bopm_call_boundary(&m, &EngineConfig::default(), 16);
-        let mut seen = 0;
-        for p in &pts {
-            if let Some(price) = p.critical_price {
-                assert!(price >= m.params().strike, "critical {price} below strike");
-                seen += 1;
+        // Exercising a call early is only optimal in the money (the
+        // trinomial frontier to within its quantisation).
+        fn check<const W: usize>(steps: usize, slack: f64) {
+            let m = Lattice::<W>::new(OptionParams::paper_defaults(), steps).unwrap();
+            let pts = lattice_call_boundary(&m, &EngineConfig::default(), 16);
+            let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
+            assert!(prices.len() > 4, "W={W}: expected a visible exercise region");
+            for price in prices {
+                assert!(price >= m.params().strike * slack, "W={W}: critical {price} below strike");
             }
         }
-        assert!(seen > 4, "expected a visible exercise region");
+        check::<1>(1024, 1.0);
+        check::<2>(400, 0.999);
     }
 
     #[test]
@@ -184,52 +142,27 @@ mod tests {
     }
 
     #[test]
-    fn bopm_put_boundary_sits_below_strike_and_decreases_with_tau() {
-        let m = BopmModel::new(OptionParams::paper_defaults(), 2048).unwrap();
-        let pts = bopm_put_boundary(&m, &EngineConfig::default(), 32);
-        // Samples come expiry-first; the critical price decreases as
-        // time-to-expiry grows (the put mirror of Thm 4.2) and sits at or
-        // below the strike.
-        let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
-        assert!(prices.len() > 4, "expected a visible exercise region");
-        // The discrete frontier tracks S*(τ) to within a factor u² of
-        // lattice quantisation.
-        let slack = m.up().powi(2) * (1.0 + 1e-9);
-        for w in prices.windows(2) {
-            assert!(w[1] <= w[0] * slack, "boundary not decreasing in tau: {w:?}");
+    fn lattice_put_boundary_sits_below_strike_and_decreases_with_tau() {
+        fn check<const W: usize>() {
+            let m = Lattice::<W>::new(OptionParams::paper_defaults(), 2048).unwrap();
+            let pts = lattice_put_boundary(&m, &EngineConfig::default(), 32);
+            // Samples come expiry-first; the critical price decreases as
+            // time-to-expiry grows (the put mirror of Thm 4.2) and sits at
+            // or below the strike.
+            let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
+            assert!(prices.len() > 4, "W={W}: expected a visible exercise region");
+            // The discrete frontier tracks S*(τ) to within a factor u² of
+            // lattice quantisation (the trinomial one may drop two columns
+            // per step).
+            let slack = m.up().powi(2) * (1.0 + 1e-9);
+            for w in prices.windows(2) {
+                assert!(w[1] <= w[0] * slack, "W={W}: boundary not decreasing in tau: {w:?}");
+            }
+            for &x in &prices {
+                assert!(x <= m.params().strike * (1.0 + 1e-12), "W={W}: critical {x} above strike");
+            }
         }
-        for &x in &prices {
-            assert!(x <= m.params().strike * (1.0 + 1e-12), "critical {x} above strike");
-        }
-    }
-
-    #[test]
-    fn trinomial_boundary_critical_prices_above_strike() {
-        let p = OptionParams::paper_defaults();
-        let tri = TopmModel::new(p, 400).unwrap();
-        let pts = topm_call_boundary(&tri, &EngineConfig::default(), 16);
-        let seen = pts.iter().filter(|p| p.critical_price.is_some()).count();
-        assert!(seen > 4, "expected a visible exercise region");
-        for pt in pts.iter().filter(|p| p.critical_price.is_some()) {
-            assert!(pt.critical_price.unwrap() >= p.strike * 0.999);
-        }
-    }
-
-    #[test]
-    fn trinomial_put_boundary_sits_below_strike_and_decreases_with_tau() {
-        let m = TopmModel::new(OptionParams::paper_defaults(), 2048).unwrap();
-        let pts = topm_put_boundary(&m, &EngineConfig::default(), 32);
-        // Samples come expiry-first; the critical price decreases as
-        // time-to-expiry grows, to within the trinomial lattice quantisation
-        // (the boundary may drop up to two columns per step, factor u²).
-        let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
-        assert!(prices.len() > 4, "expected a visible exercise region");
-        let slack = m.up().powi(2) * (1.0 + 1e-9);
-        for w in prices.windows(2) {
-            assert!(w[1] <= w[0] * slack, "boundary not decreasing in tau: {w:?}");
-        }
-        for &x in &prices {
-            assert!(x <= m.params().strike * (1.0 + 1e-12), "critical {x} above strike");
-        }
+        check::<1>();
+        check::<2>();
     }
 }

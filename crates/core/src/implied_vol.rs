@@ -15,9 +15,10 @@
 //! same search interval, tolerance, and error contract as this module.
 
 use crate::analytic::{black_scholes_price, black_scholes_vega};
-use crate::bopm::{fast, BopmModel};
+use crate::bopm::BopmModel;
 use crate::engine::EngineConfig;
 use crate::error::{PricingError, Result};
+use crate::lattice::fast;
 use crate::params::{OptionParams, OptionType};
 
 /// Lower end of the volatility search interval (shared with the batch

@@ -1,10 +1,10 @@
-//! European binomial pricing in `O(T log T)`: with no early exercise the
+//! European lattice pricing in `O(T log T)`: with no early exercise the
 //! whole lattice is a *linear* stencil, so the root value is a single
 //! correlation of the payoff row with `kernel^{⊛T}` (cf. the paper's remark
 //! that dropping the `max` reduces Fig. 1 to a linear stencil).
 //!
 //! Calls are priced as the put of the mirrored contract
-//! ([`BopmModel::mirrored`]; the symmetry is linear algebra on the lattice,
+//! ([`Lattice::mirrored`]; the symmetry is linear algebra on the lattice,
 //! so it holds without the `max` as it does with it): the *put* payoff is
 //! bounded by `K`, whereas the call payoff grows like `u^T` — at `T ≳ 10⁴`
 //! that dynamic range would let the FFT's absolute error (∝ the largest
@@ -13,12 +13,12 @@
 //! call prices to `0`, as it does on the American route, where put–call
 //! parity would leave the rounding of two `O(K)` numbers.
 
-use super::BopmModel;
+use super::Lattice;
 use crate::params::OptionType;
 use amopt_fft::correlate_power_valid;
 
 /// European option price via one FFT pass over the payoff row.
-pub fn price_european_fft(model: &BopmModel, opt: OptionType) -> f64 {
+pub fn price_european_fft<const W: usize>(model: &Lattice<W>, opt: OptionType) -> f64 {
     // Deep out of the money the correlation returns its own rounding, of
     // either sign; a put is worth at least 0.
     match opt {
@@ -27,11 +27,12 @@ pub fn price_european_fft(model: &BopmModel, opt: OptionType) -> f64 {
     }
 }
 
-fn price_put(model: &BopmModel) -> f64 {
+fn price_put<const W: usize>(model: &Lattice<W>) -> f64 {
     let t = model.steps();
     let strike = model.params().strike;
-    let payoff: Vec<f64> =
-        (0..=t as i64).map(|j| OptionType::Put.payoff(model.node_price(t, j), strike)).collect();
+    let payoff: Vec<f64> = (0..=W as i64 * t as i64)
+        .map(|j| OptionType::Put.payoff(model.node_price(t, j), strike))
+        .collect();
     if t == 0 {
         return payoff[0];
     }
@@ -45,39 +46,47 @@ fn price_put(model: &BopmModel) -> f64 {
 mod tests {
     use super::*;
     use crate::analytic::black_scholes_price;
-    use crate::bopm::naive::{self, ExecMode};
+    use crate::lattice::naive::{self, ExecMode};
     use crate::params::{ExerciseStyle, OptionParams};
 
     #[test]
     fn matches_naive_european() {
-        for steps in [1usize, 2, 13, 252, 2000] {
-            let m = BopmModel::new(OptionParams::paper_defaults(), steps).unwrap();
-            for opt in [OptionType::Call, OptionType::Put] {
-                let want = naive::price(&m, opt, ExerciseStyle::European, ExecMode::Serial);
-                let got = price_european_fft(&m, opt);
-                assert!(
-                    (got - want).abs() < 1e-9 * want.abs().max(1.0),
-                    "steps={steps} {opt:?}: fft {got} vs naive {want}"
-                );
+        fn check<const W: usize>(steps: &[usize]) {
+            for &steps in steps {
+                let m = Lattice::<W>::new(OptionParams::paper_defaults(), steps).unwrap();
+                for opt in [OptionType::Call, OptionType::Put] {
+                    let want = naive::price(&m, opt, ExerciseStyle::European, ExecMode::Serial);
+                    let got = price_european_fft(&m, opt);
+                    assert!(
+                        (got - want).abs() < 1e-9 * want.abs().max(1.0),
+                        "W={W} steps={steps} {opt:?}: fft {got} vs naive {want}"
+                    );
+                }
             }
         }
+        check::<1>(&[1, 2, 13, 252, 2000]);
+        check::<2>(&[1, 2, 37, 252, 1500]);
     }
 
     #[test]
     fn converges_to_black_scholes() {
-        let p = OptionParams::paper_defaults();
-        for opt in [OptionType::Call, OptionType::Put] {
-            let bs = black_scholes_price(&p, opt).unwrap();
-            let m = BopmModel::new(p, 20_000).unwrap();
-            let v = price_european_fft(&m, opt);
-            assert!((v - bs).abs() < 2e-3, "{opt:?}: lattice {v} vs closed form {bs}");
+        fn check<const W: usize>(steps: usize, opts: &[OptionType], tol: f64) {
+            let p = OptionParams::paper_defaults();
+            let m = Lattice::<W>::new(p, steps).unwrap();
+            for &opt in opts {
+                let bs = black_scholes_price(&p, opt).unwrap();
+                let v = price_european_fft(&m, opt);
+                assert!((v - bs).abs() < tol, "W={W} {opt:?}: lattice {v} vs closed form {bs}");
+            }
         }
+        check::<1>(20_000, &[OptionType::Call, OptionType::Put], 2e-3);
+        check::<2>(30_000, &[OptionType::Call], 1e-3);
     }
 
     #[test]
     fn put_call_parity_on_the_lattice() {
         let p = OptionParams::paper_defaults();
-        let m = BopmModel::new(p, 4096).unwrap();
+        let m = Lattice::<1>::new(p, 4096).unwrap();
         let call = price_european_fft(&m, OptionType::Call);
         let put = price_european_fft(&m, OptionType::Put);
         // Lattice parity: C − P = S·e^{−YT} − K·e^{−RT} holds exactly in the
@@ -92,12 +101,11 @@ mod tests {
     /// transform's rounding, of either sign.
     #[test]
     fn deep_otm_prices_are_never_negative() {
-        let base = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
-        let check = |p: OptionParams, steps: usize| {
-            let m = BopmModel::new(p, steps).unwrap();
+        fn check<const W: usize>(p: OptionParams, steps: usize) {
+            let m = Lattice::<W>::new(p, steps).unwrap();
             let call = price_european_fft(&m, OptionType::Call);
             let put = price_european_fft(&m, OptionType::Put);
-            let ctx = format!("S={} K={} V={} T={steps}", p.spot, p.strike, p.volatility);
+            let ctx = format!("W={W} S={} K={} V={} T={steps}", p.spot, p.strike, p.volatility);
             assert!(call >= 0.0, "{ctx}: call {call:e}");
             assert!(put >= 0.0, "{ctx}: put {put:e}");
             if call > 0.0 && put > 0.0 {
@@ -105,15 +113,19 @@ mod tests {
                 let fwd = p.spot - p.strike * (-p.rate * p.expiry).exp();
                 assert!((call - put - fwd).abs() < 1e-8, "{ctx}: parity {:e}", call - put - fwd);
             }
-        };
+        }
+        let base = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
         for steps in [400usize, 3_000, 20_000] {
             // The contracts that priced negative before the clamp.
-            check(OptionParams { spot: 1.0, strike: 1000.0, volatility: 0.05, ..base }, steps);
-            check(OptionParams { spot: 30.0, strike: 130.0, volatility: 0.05, ..base }, steps);
+            check::<1>(OptionParams { spot: 1.0, strike: 1000.0, volatility: 0.05, ..base }, steps);
+            check::<1>(OptionParams { spot: 30.0, strike: 130.0, volatility: 0.05, ..base }, steps);
             for volatility in [0.05, 0.2, 0.6] {
                 for moneyness in [0.01, 0.25, 0.8, 1.0, 1.25, 4.0, 100.0] {
-                    check(OptionParams { spot: 130.0 * moneyness, volatility, ..base }, steps);
+                    check::<1>(OptionParams { spot: 130.0 * moneyness, volatility, ..base }, steps);
                 }
+            }
+            for (spot, strike) in [(1.0, 1000.0), (30.0, 130.0), (130.0, 130.0), (520.0, 130.0)] {
+                check::<2>(OptionParams { spot, strike, volatility: 0.05, ..base }, steps);
             }
         }
     }

@@ -1,0 +1,451 @@
+//! The paper's fast lattice pricers: American calls and puts in
+//! `O(T log² T)` work and `O(T)` span via the nonlinear-stencil engine
+//! (§2.3 binomial, §3 / Appendix A.3 trinomial) — one driver for both
+//! lattices, which differ only in the kernel (`W + 1` taps, cone slope `W`)
+//! and the node function.
+//!
+//! ## Puts: the engine's native geometry
+//!
+//! The engine ([`crate::engine::left_cone`]) runs on the lattice as it
+//! stands: green (exercise) columns on the left, values in `[0, K]`, exact
+//! zeros right of the leaf boundary.  The "boundary drifts left at most `W`
+//! columns per step" invariant (the mirror of Cor. 2.7 / Cor. A.6; a fixed
+//! trinomial column gains a full factor of `u` per backward step, so there
+//! the boundary drifts left one-to-two columns every step) holds for every
+//! *interior* transition but not necessarily for expiry → `T−1`, so the
+//! driver materialises row `T−1` from the payoff closed form
+//! ([`left_cone::first_step_row`]) and starts the engine from `t = 1`.
+//! `R = 0` is the degenerate limit — early exercise of a put never pays —
+//! and collapses to the `O(T log T)` European FFT pass.
+//!
+//! ## Calls: the put–call mirror
+//!
+//! `C(S, K, R, Y) = P(K, S, Y, R)` exactly on either lattice (`u·d = 1`), so
+//! a call is priced as the put of [`Lattice::mirrored`]: values bounded by
+//! `S` instead of growing like `S·u^T`, a worthless call exactly `0`.  Call
+//! node `(i, j)` is the mirror's node `(i, W·i − j)`, so the call's last
+//! *red* column is `j = W·i − f − 1` with `f` the mirror's last green
+//! column, clamped to `[−1, W·i]` (`−1`: the whole row exercises; `W·i`, the
+//! row width: the whole row continues).  The one-off *rightward* jump of the
+//! binomial call's boundary at the first backward step, when
+//! `(1 − e^{−RΔt}) > (1 − e^{−YΔt})·u²`, is the mirror's boundary dropping
+//! more than one column there — the same materialised row `T−1` absorbs it.
+//! A node where exercise and continuation tie exactly counts as green
+//! (exercise), the put engine's convention.  `Y = 0` (Merton: never exercise
+//! a call on a non-dividend stock early) short-circuits to the European FFT
+//! pass ahead of the mirror.
+
+use super::european::price_european_fft;
+use super::Lattice;
+use crate::engine::left_cone;
+use crate::engine::EngineConfig;
+use crate::params::OptionType;
+
+/// American put price plus the early-exercise boundary sampled every
+/// `T / rows` time steps, expiry first — the one driver behind all four
+/// entry points (`rows = 1` is a plain pricing: one whole-height advance).
+///
+/// Returns `(price, samples)`; each sample is `(i, f_i)` with grid row `i`
+/// (market time step) and the last green (exercise-optimal) column `f_i`:
+/// `−1` means no exercise region in the row, values at or above the row
+/// width `W·i` mean the whole row exercises.  Sampling stops early once the
+/// whole cone exercises.
+pub fn price_put_with_boundary_samples<const W: usize>(
+    model: &Lattice<W>,
+    cfg: &EngineConfig,
+    rows: usize,
+) -> (f64, Vec<(usize, i64)>) {
+    let t = model.steps();
+    // Last column with K ≥ S·u^{…}: the put is in the money exactly where
+    // the call is out of it.
+    let leaf = model.leaf_call_boundary();
+    let mut samples = vec![(t, leaf)];
+    // amopt-lint: allow(float-eq) -- R = 0.0 exactly routes puts to the European fast path; any nonzero rate prices American
+    if model.params().rate == 0.0 {
+        // With no interest on the strike, early exercise of a put never
+        // pays: continuation ≥ K·e^{−RΔt} − S·e^{−YΔt} = K − S·e^{−YΔt}
+        // ≥ K − S at every node (the put-side mirror of Merton's Y = 0
+        // call), so the American put collapses to the European FFT pass.
+        return (price_european_fft(model, OptionType::Put), samples);
+    }
+    let kernel = model.kernel();
+    let green = |n: u64, c: i64| model.exercise_put(t - n as usize, c);
+    let row = left_cone::first_step_row(&kernel, &green, leaf, W as i64 * (t as i64 - 1));
+    samples.push((t - 1, row.boundary));
+    let chunk = (t / rows.max(1)) as u64;
+    let (price, frontier) = left_cone::solve_to_root(&kernel, &green, row, t as u64, chunk, cfg);
+    samples.extend(frontier.into_iter().map(|(n, f)| (t - n as usize, f)));
+    (price, samples)
+}
+
+/// American put price via the FFT trapezoid decomposition — `O(T log² T)`
+/// work and `O(T)` span.
+pub fn price_american_put<const W: usize>(model: &Lattice<W>, cfg: &EngineConfig) -> f64 {
+    price_put_with_boundary_samples(model, cfg, 1).0
+}
+
+/// American call price plus the early-exercise boundary sampled at `rows`
+/// roughly equally spaced time steps (the red–green divider of §2.2), via
+/// the mirrored put.
+///
+/// Returns `(price, samples)`; each sample is `(i, j_i)` with grid row `i`
+/// (market time step) and the last red (continuation) column `j_i`: `−1`
+/// means the whole row exercises, the row width `W·i` that the whole row
+/// continues.
+pub fn price_with_boundary_samples<const W: usize>(
+    model: &Lattice<W>,
+    cfg: &EngineConfig,
+    rows: usize,
+) -> (f64, Vec<(usize, i64)>) {
+    let t = model.steps();
+    // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
+    if model.params().dividend_yield == 0.0 {
+        let expiry = (t, model.leaf_call_boundary().min(W as i64 * t as i64));
+        return (price_european_fft(model, OptionType::Call), vec![expiry]);
+    }
+    let (price, mut samples) = price_put_with_boundary_samples(&model.mirrored(), cfg, rows);
+    for (i, col) in &mut samples {
+        let width = W as i64 * *i as i64;
+        *col = (width - *col - 1).clamp(-1, width);
+    }
+    (price, samples)
+}
+
+/// American call price via the FFT trapezoid decomposition
+/// (`fft-bopm` / `fft-topm` in the paper's plots).
+pub fn price_american_call<const W: usize>(model: &Lattice<W>, cfg: &EngineConfig) -> f64 {
+    price_with_boundary_samples(model, cfg, 1).0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lattice::naive::{self, ExecMode};
+    use crate::params::{ExerciseStyle, OptionParams};
+
+    fn assert_matches_naive<const W: usize>(
+        opt: OptionType,
+        params: OptionParams,
+        steps: usize,
+        tol: f64,
+    ) {
+        let m = Lattice::<W>::new(params, steps).unwrap();
+        let want = naive::price(&m, opt, ExerciseStyle::American, ExecMode::Serial);
+        let got = match opt {
+            OptionType::Call => price_american_call(&m, &EngineConfig::default()),
+            OptionType::Put => price_american_put(&m, &EngineConfig::default()),
+        };
+        assert!(
+            (got - want).abs() <= tol * want.abs().max(1.0),
+            "W={W} steps={steps}: fft {opt:?} {got} vs naive {want}"
+        );
+    }
+
+    /// The paper's parameters on both lattices.
+    fn paper_params_match_naive(opt: OptionType) {
+        let p = OptionParams::paper_defaults();
+        for steps in [1usize, 2, 3, 7, 8, 9, 50, 252, 1000, 4001] {
+            assert_matches_naive::<1>(opt, p, steps, 1e-9);
+        }
+        for steps in [1usize, 2, 3, 7, 8, 9, 50, 252, 1000, 2500] {
+            assert_matches_naive::<2>(opt, p, steps, 1e-9);
+        }
+    }
+
+    #[test]
+    fn matches_naive_paper_params() {
+        paper_params_match_naive(OptionType::Call);
+    }
+
+    #[test]
+    fn put_matches_naive_paper_params() {
+        paper_params_match_naive(OptionType::Put);
+    }
+
+    #[test]
+    fn matches_naive_at_large_t() {
+        // The mirrored put keeps FFT inputs in [0, S] where raw call values
+        // would reach S·u^T ≈ 1e12 and drown the FFT's absolute precision.
+        assert_matches_naive::<1>(OptionType::Call, OptionParams::paper_defaults(), 20_000, 1e-9);
+        assert_matches_naive::<2>(OptionType::Call, OptionParams::paper_defaults(), 10_000, 1e-9);
+    }
+
+    #[test]
+    fn put_matches_naive_at_large_t() {
+        // Raw value space: put values stay O(K) even where node prices reach
+        // u^T ≈ 1e12, so the FFT keeps full precision at this size.
+        assert_matches_naive::<1>(OptionType::Put, OptionParams::paper_defaults(), 20_000, 1e-9);
+        assert_matches_naive::<2>(OptionType::Put, OptionParams::paper_defaults(), 10_000, 1e-9);
+    }
+
+    fn moneyness_matches_naive(opt: OptionType) {
+        let base = OptionParams::paper_defaults();
+        for spot in [60.0, 100.0, 129.0, 131.0, 200.0, 400.0] {
+            assert_matches_naive::<1>(opt, OptionParams { spot, ..base }, 500, 1e-9);
+        }
+        for spot in [60.0, 110.0, 129.5, 131.0, 250.0] {
+            assert_matches_naive::<2>(opt, OptionParams { spot, ..base }, 400, 1e-9);
+        }
+    }
+
+    #[test]
+    fn matches_naive_across_moneyness() {
+        moneyness_matches_naive(OptionType::Call);
+    }
+
+    #[test]
+    fn put_matches_naive_across_moneyness() {
+        moneyness_matches_naive(OptionType::Put);
+    }
+
+    /// Volatility × (R, Y) sweeps at T = 300; the first rate pair zeroes `R`
+    /// for calls and `Y` for puts, mirror images of each other.
+    fn vol_and_rates_match_naive(opt: OptionType, first: (f64, f64)) {
+        fn sweep<const W: usize>(opt: OptionType, vols: [f64; 3], rates: [(f64, f64); 4]) {
+            let base = OptionParams::paper_defaults();
+            for volatility in vols {
+                for (rate, dividend_yield) in rates {
+                    let p = OptionParams { volatility, rate, dividend_yield, ..base };
+                    assert_matches_naive::<W>(opt, p, 300, 1e-8);
+                }
+            }
+        }
+        sweep::<1>(opt, [0.05, 0.2, 0.6], [first, (0.05, 0.02), (0.001, 0.08), (0.08, 0.001)]);
+        sweep::<2>(opt, [0.08, 0.2, 0.5], [first, (0.05, 0.02), (0.001, 0.07), (0.07, 0.004)]);
+    }
+
+    #[test]
+    fn matches_naive_across_vol_and_rates() {
+        vol_and_rates_match_naive(OptionType::Call, (0.0, 0.0163));
+    }
+
+    #[test]
+    fn put_matches_naive_across_vol_and_rates() {
+        vol_and_rates_match_naive(OptionType::Put, (0.0163, 0.0));
+    }
+
+    #[test]
+    fn deep_itm_immediate_exercise() {
+        let base = OptionParams::paper_defaults();
+        let bin = OptionParams { spot: 10_000.0, strike: 1.0, dividend_yield: 0.3, ..base };
+        assert_matches_naive::<1>(OptionType::Call, bin, 64, 1e-9);
+        let tri = OptionParams { spot: 5_000.0, strike: 10.0, dividend_yield: 0.2, ..base };
+        assert_matches_naive::<2>(OptionType::Call, tri, 128, 1e-9);
+    }
+
+    #[test]
+    fn deep_itm_put_immediate_exercise() {
+        fn check<const W: usize>(spot: f64, strike: f64, rate: f64, steps: usize) {
+            let p = OptionParams { spot, strike, rate, ..OptionParams::paper_defaults() };
+            assert_matches_naive::<W>(OptionType::Put, p, steps, 1e-9);
+            let m = Lattice::<W>::new(p, steps).unwrap();
+            let got = price_american_put(&m, &EngineConfig::default());
+            assert_eq!(got, m.exercise_put(0, 0), "W={W}: deep ITM put must exercise at once");
+        }
+        check::<1>(1.0, 10_000.0, 0.3, 64);
+        check::<2>(10.0, 5_000.0, 0.2, 128);
+    }
+
+    #[test]
+    fn deep_otm_all_red() {
+        let p = OptionParams { spot: 1.0, strike: 1000.0, ..OptionParams::paper_defaults() };
+        let m = Lattice::<1>::new(p, 400).unwrap();
+        let want = naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
+        let got = price_american_call(&m, &EngineConfig::default());
+        // Every leaf is out of the money, so the nest prices exactly 0; the
+        // mirrored put's payoff row is identically zero and so is its root
+        // (a premium-space engine recovered ±1e-11 here, as K − K).
+        assert!(got >= 0.0, "negative American price {got}");
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn deep_otm_put_is_tiny_but_accurate() {
+        let p = OptionParams { spot: 1000.0, strike: 1.0, ..OptionParams::paper_defaults() };
+        let m = Lattice::<1>::new(p, 400).unwrap();
+        let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
+        let got = price_american_put(&m, &EngineConfig::default());
+        // Absolute accuracy at the FFT's ε·K scale, like the deep-OTM call.
+        assert!((got - want).abs() < 1e-12 * p.strike, "fft {got} vs naive {want}");
+    }
+
+    /// A shortcut contract (`Y = 0` call, `R = 0` put) matches the nest and
+    /// is bitwise the European FFT pass.
+    fn shortcut_is_the_european_fft(opt: OptionType, p: OptionParams) {
+        fn check<const W: usize>(opt: OptionType, p: OptionParams, steps: usize) {
+            assert_matches_naive::<W>(opt, p, steps, 1e-9);
+            let m = Lattice::<W>::new(p, steps).unwrap();
+            let cfg = EngineConfig::default();
+            let am = match opt {
+                OptionType::Call => price_american_call(&m, &cfg),
+                OptionType::Put => price_american_put(&m, &cfg),
+            };
+            assert_eq!(am, price_european_fft(&m, opt), "W={W} {opt:?}");
+        }
+        check::<1>(opt, p, 777);
+        check::<2>(opt, p, 600);
+    }
+
+    #[test]
+    fn zero_dividend_equals_european_fft() {
+        let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
+        shortcut_is_the_european_fft(OptionType::Call, p);
+    }
+
+    #[test]
+    fn zero_rate_put_equals_european_fft() {
+        let p = OptionParams { rate: 0.0, ..OptionParams::paper_defaults() };
+        shortcut_is_the_european_fft(OptionType::Put, p);
+    }
+
+    #[test]
+    fn boundary_sampling_price_is_bitwise_the_plain_fast_price_on_shortcuts() {
+        // Y = 0 call and R = 0 put short-circuit to the European FFT pass;
+        // the sampling wrappers must return exactly the plain price and the
+        // lone expiry sample.
+        fn check<const W: usize>() {
+            let cfg = EngineConfig::default();
+            let y0 = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
+            let m = Lattice::<W>::new(y0, 300).unwrap();
+            let (p, s) = price_with_boundary_samples(&m, &cfg, 8);
+            assert_eq!(p.to_bits(), price_american_call(&m, &cfg).to_bits());
+            assert_eq!(s.len(), 1);
+            let r0 = OptionParams { rate: 0.0, ..OptionParams::paper_defaults() };
+            let m = Lattice::<W>::new(r0, 300).unwrap();
+            let (p, s) = price_put_with_boundary_samples(&m, &cfg, 8);
+            assert_eq!(p.to_bits(), price_american_put(&m, &cfg).to_bits());
+            assert_eq!(s.len(), 1);
+        }
+        check::<1>();
+        check::<2>();
+    }
+
+    #[test]
+    fn rightward_expiry_jump_is_handled() {
+        // R ≫ Y with modest vol triggers the one-off rightward boundary jump
+        // at the first backward step (see module docs).
+        let p = OptionParams {
+            rate: 0.06,
+            dividend_yield: 0.005,
+            volatility: 0.08,
+            ..OptionParams::paper_defaults()
+        };
+        let m = Lattice::<1>::new(p, 256).unwrap();
+        let (_, samples) = price_with_boundary_samples(&m, &EngineConfig::default(), 16);
+        let (expiry, first_step) = (samples[0], samples[1]);
+        assert_eq!((expiry.0, first_step.0), (256, 255));
+        assert!(first_step.1 > expiry.1, "expected a rightward jump: {first_step:?} vs {expiry:?}");
+        assert_matches_naive::<1>(OptionType::Call, p, 256, 1e-9);
+    }
+
+    #[test]
+    fn tiny_dividend_stays_consistent() {
+        let p = OptionParams { dividend_yield: 1e-6, ..OptionParams::paper_defaults() };
+        assert_matches_naive::<1>(OptionType::Call, p, 300, 1e-8);
+    }
+
+    #[test]
+    fn boundary_samples_match_naive_boundary() {
+        fn check<const W: usize>() {
+            let m = Lattice::<W>::new(OptionParams::paper_defaults(), 512).unwrap();
+            let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Call);
+            let (price, samples) = price_with_boundary_samples(&m, &EngineConfig::default(), 16);
+            let want =
+                naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
+            assert!((price - want).abs() < 1e-9 * want.max(1.0));
+            assert!(samples.len() > 10, "expected a sampled frontier");
+            for (i, j) in samples {
+                let width = (W * i) as i64;
+                if j <= width {
+                    assert_eq!(j, dense[i], "W={W} row {i}");
+                } else {
+                    // Extended boundary beyond the hypotenuse ⇒ triangle row all red.
+                    assert_eq!(dense[i], width, "W={W} row {i}");
+                }
+            }
+        }
+        check::<1>();
+        check::<2>();
+    }
+
+    /// Dense last-green tracking of the put: for every row below expiry the
+    /// largest `j` with exercise ≥ continuation (`−1` if none).
+    fn dense_put_frontier<const W: usize>(m: &Lattice<W>) -> Vec<i64> {
+        let t = m.steps();
+        let w = m.weights();
+        let mut row: Vec<f64> =
+            (0..=(W * t) as i64).map(|j| m.exercise_put(t, j).max(0.0)).collect();
+        let mut dense = vec![-1i64; t];
+        for i in (0..t).rev() {
+            let next: Vec<f64> = (0..=W * i)
+                .map(|j| {
+                    let cont: f64 = (0..=W).map(|k| w[k] * row[j + k]).sum();
+                    let ex = m.exercise_put(i, j as i64);
+                    if ex >= cont {
+                        dense[i] = j as i64;
+                    }
+                    cont.max(ex)
+                })
+                .collect();
+            row = next;
+        }
+        dense
+    }
+
+    #[test]
+    fn put_boundary_samples_match_dense_tracking() {
+        fn check<const W: usize>() {
+            let m = Lattice::<W>::new(OptionParams::paper_defaults(), 512).unwrap();
+            let dense = dense_put_frontier(&m);
+            let (price, samples) =
+                price_put_with_boundary_samples(&m, &EngineConfig::default(), 16);
+            let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
+            assert!((price - want).abs() < 1e-9 * want.max(1.0));
+            assert!(samples.len() > 10, "expected a sampled frontier");
+            for &(i, f) in &samples[1..] {
+                // Expiry sample (index 0) uses the leaf formula; engine rows
+                // are compared against the dense tracker directly.
+                assert_eq!(f, dense[i], "W={W} row {i}");
+            }
+        }
+        check::<1>();
+        check::<2>();
+    }
+
+    #[test]
+    fn put_boundary_drifts_left_by_w_minus_one_to_w_columns_per_interior_step() {
+        // The mirrored Cor. 2.7 / the span-2 drift law the engine is built
+        // around: the last green column moves down monotonically, 0–1
+        // columns per interior step on the binomial lattice and 1–2 on the
+        // trinomial one, where the frontier may also leave the row (−1) at
+        // any step.  The expiry transition is excluded — the drivers
+        // materialise row T−1 explicitly for exactly that reason.
+        fn check<const W: usize>(steps: usize) {
+            let m = Lattice::<W>::new(OptionParams::paper_defaults(), steps).unwrap();
+            let dense = dense_put_frontier(&m);
+            for (i, pair) in dense.windows(2).enumerate() {
+                let (f, p) = (pair[0], pair[1]);
+                if W == 1 || f >= 0 {
+                    let w = W as i64;
+                    assert!(f <= p + 1 - w && f >= p - w, "W={W} row {i}: boundary {f} after {p}");
+                }
+            }
+        }
+        check::<1>(600);
+        check::<2>(400);
+    }
+
+    #[test]
+    fn binomial_and_trinomial_agree_on_calls_and_puts() {
+        // Both lattices approximate the same continuous model; at moderate T
+        // their American prices agree to discretisation error.
+        let p = OptionParams::paper_defaults();
+        let cfg = EngineConfig::default();
+        let tri = Lattice::<2>::new(p, 2000).unwrap();
+        let bin = Lattice::<1>::new(p, 2000).unwrap();
+        let (v_tri, v_bin) = (price_american_call(&tri, &cfg), price_american_call(&bin, &cfg));
+        assert!((v_tri - v_bin).abs() < 5e-3 * v_bin, "call: tri {v_tri} vs bin {v_bin}");
+        let (v_tri, v_bin) = (price_american_put(&tri, &cfg), price_american_put(&bin, &cfg));
+        assert!((v_tri - v_bin).abs() < 5e-3 * v_bin.max(1.0), "put: tri {v_tri} vs bin {v_bin}");
+    }
+}

@@ -6,8 +6,11 @@
 //! Three pricing problems, each with a `Θ(T²)`-work reference family and the
 //! paper's `O(T log² T)`-work / `O(T)`-span FFT trapezoid algorithm:
 //!
-//! * [`bopm`] — American **call**, binomial lattice (§2);
-//! * [`topm`] — American **call**, trinomial lattice (§3, App. A);
+//! * [`lattice`] — American **calls and puts** on the binomial (§2) and
+//!   trinomial (§3, App. A) lattices, one [`lattice::Lattice<W>`] model
+//!   with one fast route, one nest and one European pass for both
+//!   ([`bopm::BopmModel`] = `Lattice<1>`, [`topm::TopmModel`] =
+//!   `Lattice<2>`; [`bopm`] also holds the tiled binomial nest);
 //! * [`bsm`]  — American **put**, Black–Scholes–Merton explicit finite
 //!   difference (§4).
 //!
@@ -35,6 +38,7 @@ pub mod error;
 pub mod exercise_boundary;
 pub mod greeks;
 pub mod implied_vol;
+pub mod lattice;
 pub mod params;
 pub mod topm;
 

@@ -18,11 +18,11 @@ fn main() {
     let model = BopmModel::new(params, steps).unwrap();
 
     let european = bermudan::price_bermudan_put_fft(&model, &[steps]).unwrap();
-    let american = bopm_naive::price(
+    let american = lattice_naive::price(
         &model,
         OptionType::Put,
         ExerciseStyle::American,
-        bopm_naive::ExecMode::Parallel,
+        lattice_naive::ExecMode::Parallel,
     );
     println!("European put  : {european:.6}");
     println!("American put  : {american:.6}\n  dates  value");

@@ -26,11 +26,11 @@ fn main() {
         ),
         (
             "American call, binomial lattice (exercise when the asset rises above)",
-            bopm_call_boundary(&bopm, &cfg, samples),
+            lattice_call_boundary(&bopm, &cfg, samples),
         ),
-        ("American put, binomial lattice", bopm_put_boundary(&bopm, &cfg, samples)),
-        ("American call, trinomial lattice", topm_call_boundary(&topm, &cfg, samples)),
-        ("American put, trinomial lattice", topm_put_boundary(&topm, &cfg, samples)),
+        ("American put, binomial lattice", lattice_put_boundary(&bopm, &cfg, samples)),
+        ("American call, trinomial lattice", lattice_call_boundary(&topm, &cfg, samples)),
+        ("American put, trinomial lattice", lattice_put_boundary(&topm, &cfg, samples)),
     ];
     for (title, frontier) in frontiers {
         println!("{title} — K = {}:", base.strike);

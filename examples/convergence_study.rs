@@ -7,6 +7,7 @@
 //! cargo run --release --example convergence_study
 //! ```
 
+use american_option_pricing::core::lattice::european::price_european_fft;
 use american_option_pricing::prelude::*;
 
 fn main() {
@@ -18,16 +19,8 @@ fn main() {
         let t = 1usize << pow;
         let bin = BopmModel::new(params, t).unwrap();
         let tri = TopmModel::new(params, t).unwrap();
-        let e_bin = (american_option_pricing::core::bopm::european::price_european_fft(
-            &bin,
-            OptionType::Call,
-        ) - target)
-            .abs();
-        let e_tri = (american_option_pricing::core::topm::european::price_european_fft(
-            &tri,
-            OptionType::Call,
-        ) - target)
-            .abs();
+        let e_bin = (price_european_fft(&bin, OptionType::Call) - target).abs();
+        let e_tri = (price_european_fft(&tri, OptionType::Call) - target).abs();
         println!("{t:7}   {e_bin:13.3e}   {e_tri:14.3e}");
     }
     println!("\nAmerican put: FD (BSM) vs binomial lattice cross-check");
@@ -37,11 +30,11 @@ fn main() {
         let fd = BsmModel::new(p, t).unwrap();
         let v_fd = bsm_fast::price_american_put(&fd, &EngineConfig::default());
         let lat = BopmModel::new(p, t).unwrap();
-        let v_lat = bopm_naive::price(
+        let v_lat = lattice_naive::price(
             &lat,
             OptionType::Put,
             ExerciseStyle::American,
-            bopm_naive::ExecMode::Parallel,
+            lattice_naive::ExecMode::Parallel,
         );
         println!(
             "  T={t:6}: FD {v_fd:.6} vs lattice {v_lat:.6} (diff {:.2e})",

@@ -92,7 +92,7 @@ fn main() {
         .flat_map(|&k| {
             expiries.iter().take(4).map(move |&e| {
                 let params = OptionParams { strike: k, expiry: e, volatility: 0.22, ..base };
-                let market = bopm_fast::price_american_call(
+                let market = lattice_fast::price_american_call(
                     &BopmModel::new(params, 512).expect("grid params are valid"),
                     &EngineConfig::default(),
                 );
@@ -107,7 +107,7 @@ fn main() {
     // Every recovered vol must reproduce its quote (price space: deep-ITM
     // quotes have near-zero vega, so vol space is the wrong place to test).
     for (q, v) in quotes.iter().zip(&recovered) {
-        let reprice = bopm_fast::price_american_call(
+        let reprice = lattice_fast::price_american_call(
             &BopmModel::new(OptionParams { volatility: *v, ..q.params }, q.steps).unwrap(),
             &EngineConfig::default(),
         );

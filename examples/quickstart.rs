@@ -16,15 +16,15 @@ fn main() {
     let cfg = EngineConfig::default();
 
     let t0 = Instant::now();
-    let fast = bopm_fast::price_american_call(&model, &cfg);
+    let fast = lattice_fast::price_american_call(&model, &cfg);
     let t_fast = t0.elapsed();
 
     let t0 = Instant::now();
-    let naive = bopm_naive::price(
+    let naive = lattice_naive::price(
         &model,
         OptionType::Call,
         ExerciseStyle::American,
-        bopm_naive::ExecMode::Parallel,
+        lattice_naive::ExecMode::Parallel,
     );
     let t_naive = t0.elapsed();
 

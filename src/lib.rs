@@ -10,8 +10,9 @@
 //! * [`parallel`] — fork-join facade over the work-stealing pool;
 //! * [`stencil`] — linear 1-D stencil engine (Ahmad et al., SPAA 2021);
 //! * [`core`] — the paper's contribution: nonlinear-stencil trapezoid
-//!   engine and the BOPM/TOPM/BSM pricers with naive, tiled and FFT
-//!   implementations, plus greeks, implied vol, Bermudan options,
+//!   engine, one binomial/trinomial lattice (`core::lattice`) and the BSM
+//!   grid, each with naive and FFT implementations (plus the tiled binomial
+//!   nest), greeks, implied vol, Bermudan options,
 //!   exercise-boundary extraction, and the batch pricing subsystem
 //!   (`core::batch`: dedup + sharded memo + parallel fan-out over
 //!   heterogeneous books, batch-native greeks ladders, and lockstep
@@ -31,7 +32,7 @@
 //!
 //! let params = OptionParams::paper_defaults();
 //! let model = BopmModel::new(params, 1024).unwrap();
-//! let price = bopm_fast::price_american_call(&model, &EngineConfig::default());
+//! let price = lattice_fast::price_american_call(&model, &EngineConfig::default());
 //! assert!((price - 8.32).abs() < 0.05);
 //! ```
 //!
@@ -66,10 +67,11 @@ pub mod prelude {
     pub use amopt_core::batch::greeks::greeks as batch_greeks;
     pub use amopt_core::batch::surface::{implied_vol_surface, VolQuote};
     pub use amopt_core::batch::{self, BatchPricer, MemoStats, ModelKind, PricingRequest};
-    pub use amopt_core::bopm::{fast as bopm_fast, naive as bopm_naive, BopmModel};
+    pub use amopt_core::bopm::BopmModel;
     pub use amopt_core::bsm::{fast as bsm_fast, naive as bsm_naive, BsmModel};
     pub use amopt_core::greeks::{greeks_by_fd, Greeks};
-    pub use amopt_core::topm::{fast as topm_fast, naive as topm_naive, TopmModel};
+    pub use amopt_core::lattice::{fast as lattice_fast, naive as lattice_naive, Lattice};
+    pub use amopt_core::topm::TopmModel;
     pub use amopt_core::{
         analytic, bermudan, exercise_boundary, greeks, implied_vol, EngineConfig, ExerciseStyle,
         OptionParams, OptionType, PricingError,

@@ -55,32 +55,23 @@ fn arb_request() -> impl Strategy<Value = PricingRequest> {
 /// Independent oracle: prices `req` straight through the public facade, the
 /// way a pre-batch caller would.
 fn direct_price(req: &PricingRequest) -> Result<f64, PricingError> {
+    fn on_lattice<const W: usize>(m: Lattice<W>, req: &PricingRequest) -> f64 {
+        let cfg = EngineConfig::default();
+        match (req.option_type, &req.style) {
+            (OptionType::Call, Style::American) => lattice_fast::price_american_call(&m, &cfg),
+            (OptionType::Put, Style::American) => lattice_fast::price_american_put(&m, &cfg),
+            (opt, Style::European) => amopt_core::lattice::european::price_european_fft(&m, opt),
+            other => panic!("strategy generated an unroutable lattice request: {other:?}"),
+        }
+    }
     let cfg = EngineConfig::default();
     match (req.model, req.option_type, &req.style) {
-        (ModelKind::Bopm, OptionType::Call, Style::American) => {
-            Ok(bopm_fast::price_american_call(&BopmModel::new(req.params, req.steps)?, &cfg))
-        }
-        (ModelKind::Bopm, OptionType::Put, Style::American) => {
-            Ok(bopm_fast::price_american_put(&BopmModel::new(req.params, req.steps)?, &cfg))
-        }
-        (ModelKind::Topm, OptionType::Put, Style::American) => {
-            Ok(topm_fast::price_american_put(&TopmModel::new(req.params, req.steps)?, &cfg))
-        }
-        (ModelKind::Bopm, opt, Style::European) => {
-            let m = BopmModel::new(req.params, req.steps)?;
-            Ok(amopt_core::bopm::european::price_european_fft(&m, opt))
-        }
         (ModelKind::Bopm, OptionType::Put, Style::Bermudan(dates)) => {
             let m = BopmModel::new(req.params, req.steps)?;
             bermudan::price_bermudan_put_fft(&m, dates)
         }
-        (ModelKind::Topm, OptionType::Call, Style::American) => {
-            Ok(topm_fast::price_american_call(&TopmModel::new(req.params, req.steps)?, &cfg))
-        }
-        (ModelKind::Topm, opt, Style::European) => {
-            let m = TopmModel::new(req.params, req.steps)?;
-            Ok(amopt_core::topm::european::price_european_fft(&m, opt))
-        }
+        (ModelKind::Bopm, ..) => Ok(on_lattice(BopmModel::new(req.params, req.steps)?, req)),
+        (ModelKind::Topm, ..) => Ok(on_lattice(TopmModel::new(req.params, req.steps)?, req)),
         (ModelKind::Bsm, OptionType::Put, Style::American) => {
             Ok(bsm_fast::price_american_put(&BsmModel::new(req.params, req.steps)?, &cfg))
         }

@@ -2,7 +2,7 @@
 //! family must agree on prices, and the models must agree with each other
 //! and with closed forms in their overlap.
 
-use american_option_pricing::core::bopm;
+use american_option_pricing::core::{bopm, lattice};
 use american_option_pricing::prelude::*;
 
 fn paper() -> OptionParams {
@@ -14,18 +14,18 @@ fn bopm_implementations_agree_at_multiple_sizes() {
     let cfg = EngineConfig::default();
     for steps in [64usize, 257, 1024, 4096] {
         let m = BopmModel::new(paper(), steps).unwrap();
-        let fast = bopm_fast::price_american_call(&m, &cfg);
-        let serial = bopm_naive::price(
+        let fast = lattice_fast::price_american_call(&m, &cfg);
+        let serial = lattice_naive::price(
             &m,
             OptionType::Call,
             ExerciseStyle::American,
-            bopm_naive::ExecMode::Serial,
+            lattice_naive::ExecMode::Serial,
         );
-        let parallel = bopm_naive::price(
+        let parallel = lattice_naive::price(
             &m,
             OptionType::Call,
             ExerciseStyle::American,
-            bopm_naive::ExecMode::Parallel,
+            lattice_naive::ExecMode::Parallel,
         );
         let tiled = bopm::tiled::price(
             &m,
@@ -48,8 +48,8 @@ fn binomial_and_trinomial_agree_on_the_continuous_limit() {
     let steps = 4096;
     let bin = BopmModel::new(paper(), steps).unwrap();
     let tri = TopmModel::new(paper(), steps).unwrap();
-    let v_bin = bopm_fast::price_american_call(&bin, &cfg);
-    let v_tri = topm_fast::price_american_call(&tri, &cfg);
+    let v_bin = lattice_fast::price_american_call(&bin, &cfg);
+    let v_tri = lattice_fast::price_american_call(&tri, &cfg);
     assert!((v_bin - v_tri).abs() < 2e-3 * v_bin, "binomial {v_bin} vs trinomial {v_tri}");
 }
 
@@ -61,7 +61,7 @@ fn american_put_consistent_across_bsm_fd_and_lattice() {
     let fd = BsmModel::new(p, steps).unwrap();
     let v_fd = bsm_fast::price_american_put(&fd, &cfg);
     let lat = BopmModel::new(p, steps).unwrap();
-    let v_lat = bopm_fast::price_american_put(&lat, &cfg);
+    let v_lat = lattice_fast::price_american_put(&lat, &cfg);
     assert!((v_fd - v_lat).abs() < 5e-3 * v_lat, "fd {v_fd} vs lattice {v_lat}");
 }
 
@@ -69,7 +69,7 @@ fn american_put_consistent_across_bsm_fd_and_lattice() {
 fn european_limits_match_black_scholes_within_discretisation_error() {
     let bs_call = analytic::black_scholes_price(&paper(), OptionType::Call).unwrap();
     let m = BopmModel::new(paper(), 32_768).unwrap();
-    let v = american_option_pricing::core::bopm::european::price_european_fft(&m, OptionType::Call);
+    let v = lattice::european::price_european_fft(&m, OptionType::Call);
     assert!((v - bs_call).abs() < 1e-3, "lattice {v} vs closed form {bs_call}");
 }
 
@@ -89,8 +89,9 @@ fn perpetual_put_bounds_long_dated_american_put() {
 fn price_is_monotone_in_contract_parameters() {
     let cfg = EngineConfig::default();
     let steps = 1024;
-    let price =
-        |p: OptionParams| bopm_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg);
+    let price = |p: OptionParams| {
+        lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
+    };
     let base = paper();
     // Call value rises with spot and vol, falls with strike.
     assert!(price(OptionParams { spot: 140.0, ..base }) > price(base));
@@ -103,10 +104,10 @@ fn price_is_monotone_in_contract_parameters() {
 #[test]
 fn engine_base_cutoff_is_a_pure_performance_knob() {
     let m = BopmModel::new(paper(), 2000).unwrap();
-    let reference = bopm_fast::price_american_call(&m, &EngineConfig::default());
+    let reference = lattice_fast::price_american_call(&m, &EngineConfig::default());
     for cutoff in [1u64, 3, 16, 64, 256] {
         let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
-        let v = bopm_fast::price_american_call(&m, &cfg);
+        let v = lattice_fast::price_american_call(&m, &cfg);
         assert!((v - reference).abs() < 1e-9 * reference, "cutoff={cutoff}");
     }
 }
@@ -118,7 +119,7 @@ fn greeks_and_implied_vol_roundtrip_through_the_fast_pricer() {
     let g = greeks::american_call_bopm(&p, 1024, &cfg).unwrap();
     assert!(g.delta > 0.0 && g.delta < 1.0 && g.vega > 0.0);
     let m = BopmModel::new(p, 1024).unwrap();
-    let quote = bopm_fast::price_american_call(&m, &cfg);
+    let quote = lattice_fast::price_american_call(&m, &cfg);
     let vol = implied_vol::american_call_bopm(&p, 1024, quote, &cfg).unwrap();
     assert!((vol - p.volatility).abs() < 1e-6, "recovered vol {vol}");
 }
@@ -135,28 +136,21 @@ const FAST_ROUTES: [(ModelKind, OptionType); 5] = [
 /// Prices one contract through a fast route and through its Θ(T²) nest
 /// (BSM contracts must be dividend-free).
 fn fast_and_nest(kind: ModelKind, ty: OptionType, p: OptionParams, steps: usize) -> (f64, f64) {
-    let cfg = EngineConfig::default();
-    let style = ExerciseStyle::American;
+    fn on_lattice<const W: usize>(m: Lattice<W>, ty: OptionType) -> (f64, f64) {
+        let cfg = EngineConfig::default();
+        let fast = match ty {
+            OptionType::Call => lattice_fast::price_american_call(&m, &cfg),
+            OptionType::Put => lattice_fast::price_american_put(&m, &cfg),
+        };
+        let style = ExerciseStyle::American;
+        (fast, lattice_naive::price(&m, ty, style, lattice_naive::ExecMode::Serial))
+    }
     match kind {
-        ModelKind::Bopm => {
-            let m = BopmModel::new(p, steps).unwrap();
-            let fast = match ty {
-                OptionType::Call => bopm_fast::price_american_call(&m, &cfg),
-                OptionType::Put => bopm_fast::price_american_put(&m, &cfg),
-            };
-            (fast, bopm_naive::price(&m, ty, style, bopm_naive::ExecMode::Serial))
-        }
-        ModelKind::Topm => {
-            let m = TopmModel::new(p, steps).unwrap();
-            let fast = match ty {
-                OptionType::Call => topm_fast::price_american_call(&m, &cfg),
-                OptionType::Put => topm_fast::price_american_put(&m, &cfg),
-            };
-            (fast, topm_naive::price(&m, ty, style, topm_naive::ExecMode::Serial))
-        }
+        ModelKind::Bopm => on_lattice(BopmModel::new(p, steps).unwrap(), ty),
+        ModelKind::Topm => on_lattice(TopmModel::new(p, steps).unwrap(), ty),
         ModelKind::Bsm => {
             let m = BsmModel::new(p, steps).unwrap();
-            let fast = bsm_fast::price_american_put(&m, &cfg);
+            let fast = bsm_fast::price_american_put(&m, &EngineConfig::default());
             (fast, bsm_naive::price_american_put(&m, bsm_naive::ExecMode::Serial))
         }
     }
@@ -170,23 +164,24 @@ fn frontier(
     p: OptionParams,
     steps: usize,
 ) -> Vec<exercise_boundary::BoundaryPoint> {
-    let cfg = EngineConfig::default();
+    fn on_lattice<const W: usize>(
+        m: Lattice<W>,
+        ty: OptionType,
+    ) -> Vec<exercise_boundary::BoundaryPoint> {
+        let cfg = EngineConfig::default();
+        match ty {
+            OptionType::Call => exercise_boundary::lattice_call_boundary(&m, &cfg, 16),
+            OptionType::Put => exercise_boundary::lattice_put_boundary(&m, &cfg, 16),
+        }
+    }
     match (kind, ty) {
-        (ModelKind::Bopm, OptionType::Call) => {
-            exercise_boundary::bopm_call_boundary(&BopmModel::new(p, steps).unwrap(), &cfg, 16)
-        }
-        (ModelKind::Bopm, OptionType::Put) => {
-            exercise_boundary::bopm_put_boundary(&BopmModel::new(p, steps).unwrap(), &cfg, 16)
-        }
-        (ModelKind::Topm, OptionType::Call) => {
-            exercise_boundary::topm_call_boundary(&TopmModel::new(p, steps).unwrap(), &cfg, 16)
-        }
-        (ModelKind::Topm, OptionType::Put) => {
-            exercise_boundary::topm_put_boundary(&TopmModel::new(p, steps).unwrap(), &cfg, 16)
-        }
-        (ModelKind::Bsm, OptionType::Put) => {
-            exercise_boundary::bsm_put_boundary(&BsmModel::new(p, steps).unwrap(), &cfg, 16)
-        }
+        (ModelKind::Bopm, _) => on_lattice(BopmModel::new(p, steps).unwrap(), ty),
+        (ModelKind::Topm, _) => on_lattice(TopmModel::new(p, steps).unwrap(), ty),
+        (ModelKind::Bsm, OptionType::Put) => exercise_boundary::bsm_put_boundary(
+            &BsmModel::new(p, steps).unwrap(),
+            &EngineConfig::default(),
+            16,
+        ),
         (ModelKind::Bsm, OptionType::Call) => unreachable!("not a fast route"),
     }
 }

@@ -14,12 +14,12 @@ fn quickstart_code_path_agrees_across_pricers() {
     let model = BopmModel::new(params, steps).expect("valid lattice");
     let cfg = EngineConfig::default();
 
-    let fast = bopm_fast::price_american_call(&model, &cfg);
-    let naive = bopm_naive::price(
+    let fast = lattice_fast::price_american_call(&model, &cfg);
+    let naive = lattice_naive::price(
         &model,
         OptionType::Call,
         ExerciseStyle::American,
-        bopm_naive::ExecMode::Parallel,
+        lattice_naive::ExecMode::Parallel,
     );
     let european = analytic::black_scholes_price(&params, OptionType::Call).unwrap();
 
@@ -36,7 +36,7 @@ fn quickstart_code_path_agrees_across_pricers() {
 fn quickstart_claimed_price_is_accurate() {
     let params = OptionParams::paper_defaults();
     let model = BopmModel::new(params, 1024).unwrap();
-    let price = bopm_fast::price_american_call(&model, &EngineConfig::default());
+    let price = lattice_fast::price_american_call(&model, &EngineConfig::default());
     assert!(
         (price - 8.32).abs() < 0.05,
         "documented quick-start price drifted: got {price}, doc claims 8.32 ± 0.05"

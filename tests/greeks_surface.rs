@@ -109,7 +109,7 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let reprice = |p: OptionParams| {
-            bopm_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
+            lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
         };
         let hs = params.spot * 1e-2;
         let up = reprice(OptionParams { spot: params.spot + hs, ..params });
@@ -142,7 +142,7 @@ proptest! {
         let cfg = EngineConfig::default();
         let quoted = OptionParams { volatility: true_vol, ..params };
         let market = match BopmModel::new(quoted, steps) {
-            Ok(m) => bopm_fast::price_american_call(&m, &cfg),
+            Ok(m) => lattice_fast::price_american_call(&m, &cfg),
             Err(_) => return Ok(()),
         };
         let serial = implied_vol::american_call_bopm(&params, steps, market, &cfg);
@@ -162,7 +162,7 @@ proptest! {
             (Ok(s), Ok(b)) => {
                 let reprice = |vol: f64| {
                     let p = OptionParams { volatility: vol, ..params };
-                    bopm_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
+                    lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
                 };
                 for (name, vol) in [("serial", s), ("surface", b)] {
                     let residual = (reprice(vol) - market).abs();
@@ -196,13 +196,13 @@ proptest! {
         let reflected = params.mirrored();
         let quoted = OptionParams { volatility: true_vol, ..params };
         let market_put = match BopmModel::new(quoted, steps) {
-            Ok(m) => bopm_fast::price_american_put(&m, &cfg),
+            Ok(m) => lattice_fast::price_american_put(&m, &cfg),
             Err(_) => return Ok(()),
         };
         let market_call = {
             let m = BopmModel::new(OptionParams { volatility: true_vol, ..reflected }, steps)
                 .unwrap();
-            bopm_fast::price_american_call(&m, &cfg)
+            lattice_fast::price_american_call(&m, &cfg)
         };
         // The symmetry is exact on the lattice, so the two quotes are the
         // same number up to float rounding of the two engine paths.
@@ -222,7 +222,7 @@ proptest! {
                 // quote to the shared 1e-10 tolerance.
                 let reprice = |vol: f64| {
                     let p = OptionParams { volatility: vol, ..params };
-                    bopm_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &cfg)
+                    lattice_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &cfg)
                 };
                 let residual = (reprice(*p_vol) - market_put).abs();
                 prop_assert!(residual < 1e-10, "put vol {p_vol} residual {residual:e}");

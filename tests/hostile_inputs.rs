@@ -51,21 +51,18 @@ fn frontier(
     steps: usize,
 ) -> Result<Vec<exercise_boundary::BoundaryPoint>, PricingError> {
     use exercise_boundary::*;
-    let cfg = EngineConfig::default();
+    fn on_lattice<const W: usize>(m: Lattice<W>, ty: OptionType) -> Vec<BoundaryPoint> {
+        match ty {
+            OptionType::Call => lattice_call_boundary(&m, &EngineConfig::default(), 16),
+            OptionType::Put => lattice_put_boundary(&m, &EngineConfig::default(), 16),
+        }
+    }
     Ok(match (model, ty) {
-        (ModelKind::Bopm, OptionType::Call) => {
-            bopm_call_boundary(&BopmModel::new(p, steps)?, &cfg, 16)
+        (ModelKind::Bopm, _) => on_lattice(BopmModel::new(p, steps)?, ty),
+        (ModelKind::Topm, _) => on_lattice(TopmModel::new(p, steps)?, ty),
+        (ModelKind::Bsm, OptionType::Put) => {
+            bsm_put_boundary(&BsmModel::new(p, steps)?, &EngineConfig::default(), 16)
         }
-        (ModelKind::Bopm, OptionType::Put) => {
-            bopm_put_boundary(&BopmModel::new(p, steps)?, &cfg, 16)
-        }
-        (ModelKind::Topm, OptionType::Call) => {
-            topm_call_boundary(&TopmModel::new(p, steps)?, &cfg, 16)
-        }
-        (ModelKind::Topm, OptionType::Put) => {
-            topm_put_boundary(&TopmModel::new(p, steps)?, &cfg, 16)
-        }
-        (ModelKind::Bsm, OptionType::Put) => bsm_put_boundary(&BsmModel::new(p, steps)?, &cfg, 16),
         (ModelKind::Bsm, OptionType::Call) => unreachable!("not a fast route"),
     })
 }

@@ -6,6 +6,7 @@
 
 use american_option_pricing::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_params() -> impl Strategy<Value = OptionParams> {
     (
@@ -26,70 +27,79 @@ fn arb_params() -> impl Strategy<Value = OptionParams> {
         })
 }
 
+/// The fast American put against the serial put nest on one random
+/// lattice: relative `1e-8` plus the FFT's `ε·K` floor.
+fn fast_put_matches_naive<const W: usize>(
+    p: OptionParams,
+    steps: usize,
+) -> Result<(), TestCaseError> {
+    prop_assume!(Lattice::<W>::new(p, steps).is_ok());
+    let m = Lattice::<W>::new(p, steps).unwrap();
+    let fast = lattice_fast::price_american_put(&m, &EngineConfig::default());
+    let naive = lattice_naive::price(
+        &m,
+        OptionType::Put,
+        ExerciseStyle::American,
+        lattice_naive::ExecMode::Serial,
+    );
+    prop_assert!(
+        (fast - naive).abs() < 1e-8 * naive.abs().max(1.0) + 1e-12 * p.strike,
+        "W={} fast {} vs naive {}",
+        W,
+        fast,
+        naive
+    );
+    Ok(())
+}
+
+/// McDonald–Schroder discrete symmetry, exact on both lattices (`u·d = 1`):
+/// `P(S, K, R, Y) = C(K, S, Y, R)`, column `j` of the call row mapping to
+/// column `W·i − j` of the put row.  The put prices through the fast
+/// engine, the mirrored call through the Θ(T²) call nest — two code paths
+/// sharing nothing, agreeing through a nontrivial identity.
+fn put_call_symmetry<const W: usize>(p: OptionParams, steps: usize) -> Result<(), TestCaseError> {
+    prop_assume!(Lattice::<W>::new(p, steps).is_ok());
+    prop_assume!(Lattice::<W>::new(p.mirrored(), steps).is_ok());
+    let put_m = Lattice::<W>::new(p, steps).unwrap();
+    let call_m = Lattice::<W>::new(p.mirrored(), steps).unwrap();
+    let put = lattice_fast::price_american_put(&put_m, &EngineConfig::default());
+    let call = lattice_naive::price(
+        &call_m,
+        OptionType::Call,
+        ExerciseStyle::American,
+        lattice_naive::ExecMode::Serial,
+    );
+    prop_assert!(
+        (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
+        "W={} put {} vs mirrored call nest {}",
+        W,
+        put,
+        call
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn bopm_fast_put_matches_naive_on_random_params(p in arb_params(), steps in 16usize..600) {
-        prop_assume!(BopmModel::new(p, steps).is_ok());
-        let m = BopmModel::new(p, steps).unwrap();
-        let fast = bopm_fast::price_american_put(&m, &EngineConfig::default());
-        let naive = bopm_naive::price(
-            &m, OptionType::Put, ExerciseStyle::American, bopm_naive::ExecMode::Serial);
-        prop_assert!(
-            (fast - naive).abs() < 1e-8 * naive.abs().max(1.0) + 1e-12 * p.strike,
-            "fast {} vs naive {}", fast, naive
-        );
+        fast_put_matches_naive::<1>(p, steps)?;
     }
 
     #[test]
     fn topm_fast_put_matches_naive_on_random_params(p in arb_params(), steps in 16usize..400) {
-        prop_assume!(TopmModel::new(p, steps).is_ok());
-        let m = TopmModel::new(p, steps).unwrap();
-        let fast = topm_fast::price_american_put(&m, &EngineConfig::default());
-        let naive = topm_naive::price(
-            &m, OptionType::Put, ExerciseStyle::American, topm_naive::ExecMode::Serial);
-        prop_assert!(
-            (fast - naive).abs() < 1e-8 * naive.abs().max(1.0) + 1e-12 * p.strike,
-            "fast {} vs naive {}", fast, naive
-        );
+        fast_put_matches_naive::<2>(p, steps)?;
     }
 
     #[test]
     fn bopm_put_call_symmetry_holds(p in arb_params(), steps in 16usize..500) {
-        // McDonald–Schroder discrete symmetry, exact on CRR lattices
-        // (u·d = 1): P(S, K, R, Y) = C(K, S, Y, R).  The put prices through
-        // the fast engine, the mirrored call through the Θ(T²) call nest —
-        // two code paths sharing nothing, agreeing through a nontrivial
-        // identity.
-        prop_assume!(BopmModel::new(p, steps).is_ok());
-        // |R−Y| and V·√Δt are symmetric, so the mirror is stable too.
-        let put_m = BopmModel::new(p, steps).unwrap();
-        let call_m = BopmModel::new(p.mirrored(), steps).unwrap();
-        let put = bopm_fast::price_american_put(&put_m, &EngineConfig::default());
-        let call = bopm_naive::price(
-            &call_m, OptionType::Call, ExerciseStyle::American, bopm_naive::ExecMode::Serial);
-        prop_assert!(
-            (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
-            "put {} vs mirrored call nest {}", put, call
-        );
+        put_call_symmetry::<1>(p, steps)?;
     }
 
     #[test]
     fn topm_put_call_symmetry_holds(p in arb_params(), steps in 16usize..400) {
-        // The same identity on the trinomial lattice (u·d = 1 there too):
-        // column j of the call row maps to column 2i − j of the put row.
-        prop_assume!(TopmModel::new(p, steps).is_ok());
-        prop_assume!(TopmModel::new(p.mirrored(), steps).is_ok());
-        let put_m = TopmModel::new(p, steps).unwrap();
-        let call_m = TopmModel::new(p.mirrored(), steps).unwrap();
-        let put = topm_fast::price_american_put(&put_m, &EngineConfig::default());
-        let call = topm_naive::price(
-            &call_m, OptionType::Call, ExerciseStyle::American, topm_naive::ExecMode::Serial);
-        prop_assert!(
-            (put - call).abs() < 1e-8 * call.abs().max(1.0) + 1e-11 * p.strike.max(p.spot),
-            "put {} vs mirrored call nest {}", put, call
-        );
+        put_call_symmetry::<2>(p, steps)?;
     }
 
     #[test]
@@ -97,7 +107,7 @@ proptest! {
         prop_assume!(BopmModel::new(p, steps).is_ok());
         prop_assume!(p.rate > 1e-4); // zero-rate puts have no frontier
         let m = BopmModel::new(p, steps).unwrap();
-        let pts = exercise_boundary::bopm_put_boundary(&m, &EngineConfig::default(), 12);
+        let pts = exercise_boundary::lattice_put_boundary(&m, &EngineConfig::default(), 12);
         // Expiry-first samples: the critical price never increases as
         // time-to-expiry grows — up to the lattice quantisation (the
         // discrete frontier tracks S*(τ) only to within a factor u²) — and
@@ -119,23 +129,15 @@ proptest! {
         family in 0usize..2,
     ) {
         let cfg = EngineConfig::default();
-        let (req, want) = if family == 1 {
+        let (model, want) = if family == 1 {
             prop_assume!(TopmModel::new(p, steps).is_ok());
-            let m = TopmModel::new(p, steps).unwrap();
-            (
-                PricingRequest::american(ModelKind::Topm, OptionType::Put, p, steps),
-                topm_fast::price_american_put(&m, &cfg),
-            )
+            (ModelKind::Topm, lattice_fast::price_american_put(&TopmModel::new(p, steps).unwrap(), &cfg))
         } else {
             prop_assume!(BopmModel::new(p, steps).is_ok());
-            let m = BopmModel::new(p, steps).unwrap();
-            (
-                PricingRequest::american(ModelKind::Bopm, OptionType::Put, p, steps),
-                bopm_fast::price_american_put(&m, &cfg),
-            )
+            (ModelKind::Bopm, lattice_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &cfg))
         };
-        let pricer = BatchPricer::new(cfg);
-        let got = pricer.price_one(&req).unwrap();
+        let req = PricingRequest::american(model, OptionType::Put, p, steps);
+        let got = BatchPricer::new(cfg).price_one(&req).unwrap();
         prop_assert!(got.to_bits() == want.to_bits(), "batch {} vs direct {}", got, want);
     }
 }
@@ -145,13 +147,15 @@ proptest! {
 #[test]
 fn put_call_symmetry_at_depth() {
     let p = OptionParams::paper_defaults();
-    let put =
-        bopm_fast::price_american_put(&BopmModel::new(p, 8192).unwrap(), &EngineConfig::default());
-    let call = bopm_naive::price(
+    let put = lattice_fast::price_american_put(
+        &BopmModel::new(p, 8192).unwrap(),
+        &EngineConfig::default(),
+    );
+    let call = lattice_naive::price(
         &BopmModel::new(p.mirrored(), 8192).unwrap(),
         OptionType::Call,
         ExerciseStyle::American,
-        bopm_naive::ExecMode::Serial,
+        lattice_naive::ExecMode::Serial,
     );
     assert!((put - call).abs() < 1e-8 * call.max(1.0), "put {put} vs mirrored call nest {call}");
 }
@@ -168,15 +172,17 @@ fn batch_put_route_is_the_fast_engine() {
     let got = pricer
         .price_one(&PricingRequest::american(ModelKind::Bopm, OptionType::Put, p, steps))
         .unwrap();
-    let fast =
-        bopm_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &EngineConfig::default());
+    let fast = lattice_fast::price_american_put(
+        &BopmModel::new(p, steps).unwrap(),
+        &EngineConfig::default(),
+    );
     assert_eq!(got.to_bits(), fast.to_bits());
     // Keep the naive nest as the numerical oracle for the same contract.
-    let naive = bopm_naive::price(
+    let naive = lattice_naive::price(
         &BopmModel::new(p, steps).unwrap(),
         OptionType::Put,
         ExerciseStyle::American,
-        bopm_naive::ExecMode::Serial,
+        lattice_naive::ExecMode::Serial,
     );
     assert!((got - naive).abs() < 1e-9 * naive.max(1.0), "batch {got} vs naive {naive}");
 }

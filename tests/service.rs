@@ -243,7 +243,7 @@ fn greeks_and_surface_requests_ride_the_same_queue() {
 
     // A put implied-vol quote through the service round-trips.
     let m = BopmModel::new(OptionParams { volatility: 0.3, ..base() }, 128).unwrap();
-    let market = bopm_fast::price_american_put(&m, &cfg);
+    let market = lattice_fast::price_american_put(&m, &cfg);
     let vol = client.implied_vol(VolQuote::put(base(), 128, market)).expect("inversion");
     assert!((vol - 0.3).abs() < 1e-6, "round-trip put vol {vol}");
     service.shutdown();
