@@ -29,6 +29,8 @@ pub struct ServiceConfig {
     pub max_wait: Duration,
     /// Submission-queue capacity; submits beyond it are rejected with
     /// [`ServiceError::Overloaded`](crate::ServiceError::Overloaded).
+    /// Untagged submissions shed earlier, by class, at fixed brownout tiers
+    /// of this depth: implied vol at 50 %, greeks at 75 %, price at 95 %.
     pub queue_depth: usize,
     /// Worker threads assembling and executing batches.  Each worker
     /// executes its batch through the shared `BatchPricer`, whose internal
@@ -50,8 +52,6 @@ pub struct ServiceConfig {
     /// Connections the reactor will hold open at once; a connection
     /// accepted beyond it is closed immediately (the peer reads EOF).
     pub max_connections: usize,
-    /// Brownout shedding thresholds (see [`DegradationPolicy`]).
-    pub degradation: DegradationPolicy,
     /// Retries the in-process retry budget starts with (and is capped at).
     /// Each retry spends one token; every clean first-attempt success
     /// earns a tenth back, so sustained failure cannot amplify load by
@@ -76,46 +76,6 @@ pub struct ServiceConfig {
     pub journal_capacity: usize,
 }
 
-/// Brownout degradation tiers: queue-fill fractions past which each
-/// request class is shed with
-/// [`ServiceError::Overloaded`](crate::ServiceError::Overloaded) instead
-/// of queued.
-///
-/// The class ordering encodes the service's priorities under pressure:
-/// implied-vol surface inversions (the most expensive per request) shed
-/// first, greeks ladders second, plain price quotes last — and
-/// deadline-tagged submissions skip brownout entirely, consistent with
-/// the EDF scheduler preferring them.  A fraction `>= 1.0` disables that
-/// tier (only a full queue rejects).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Queue-fill fraction past which untagged implied-vol quotes shed.
-    pub shed_implied_vol_at: f64,
-    /// Queue-fill fraction past which untagged greeks ladders shed.
-    pub shed_greeks_at: f64,
-    /// Queue-fill fraction past which untagged price quotes shed.
-    pub shed_price_at: f64,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy { shed_implied_vol_at: 0.50, shed_greeks_at: 0.75, shed_price_at: 0.95 }
-    }
-}
-
-impl DegradationPolicy {
-    /// A policy that never sheds by class (every tier disabled).
-    pub fn off() -> Self {
-        DegradationPolicy { shed_implied_vol_at: 1.0, shed_greeks_at: 1.0, shed_price_at: 1.0 }
-    }
-
-    /// Whether a class at fill fraction `threshold` sheds when the queue
-    /// holds `fill` of `depth` entries.
-    pub(crate) fn sheds(threshold: f64, fill: usize, depth: usize) -> bool {
-        threshold < 1.0 && (fill as f64) >= threshold * (depth as f64)
-    }
-}
-
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
@@ -127,7 +87,6 @@ impl Default for ServiceConfig {
             per_conn_inflight: 1024,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
             max_connections: 10_000,
-            degradation: DegradationPolicy::default(),
             retry_budget: 128,
             fault: None,
             trace: true,

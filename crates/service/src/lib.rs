@@ -75,7 +75,7 @@ mod types;
 pub mod wire;
 
 pub use chaos::{soak, ChaosConfig, ChaosReport};
-pub use config::{DegradationPolicy, ServiceConfig};
+pub use config::ServiceConfig;
 pub use fault::{FaultPlan, FaultSchedule, FaultSite, FaultStats, FAULT_SITES};
 pub use queue::{Client, QuoteService, RetryPolicy, Ticket};
 pub use tcp::{QuoteServer, TcpQuoteClient};

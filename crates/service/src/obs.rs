@@ -3,9 +3,10 @@
 //! [`ServiceObs`] owns the metrics [`Registry`], the ring-buffer event
 //! [`Journal`], and every instrument handle the queue, reactor, executor,
 //! and fault plan record into.  It is created once per [`QuoteService`]
-//! and shared by `Arc`; the legacy `ServiceStats`/`ReactorStats` structs
-//! are now *views* assembled from these instruments at snapshot time, so
-//! there is exactly one stats surface.
+//! and shared by `Arc`.  Its one exposition is the wire `metrics` op
+//! ([`QuoteService::metrics_text`]); the `ServiceStats` / `ReactorStats`
+//! structs are in-process *views* assembled from the same instruments at
+//! snapshot time, so the two can never disagree.
 //!
 //! Recording stays strictly no-alloc: every handle is a pre-registered
 //! atomic cell, trace stamps are lock-free CAS stores, and journal pushes
@@ -13,6 +14,7 @@
 //! are never taken — registration happens in [`ServiceObs::new`].
 //!
 //! [`QuoteService`]: crate::QuoteService
+//! [`QuoteService::metrics_text`]: crate::QuoteService::metrics_text
 
 use crate::fault::{FaultSite, FAULT_SITES, SITE_COUNT};
 use crate::types::{BatchHistogram, ReactorStats, ServiceRequest, BATCH_HIST_BUCKETS};
@@ -337,10 +339,16 @@ impl ServiceObs {
         self.journal.push(&Event::new(EventKind::Fault, &[site as u64, index]));
     }
 
-    /// Journals a brownout shed decision (`class` is a `KIND_*`
-    /// discriminant); the per-class counter is bumped by the caller.
+    /// Counts and journals a brownout shed decision (`class` is a `KIND_*`
+    /// discriminant).
     pub(crate) fn shed_fired(&self, class: u64) {
         // amopt-lint: hot-path
+        match class {
+            KIND_PRICE => &self.shed_price,
+            KIND_GREEKS => &self.shed_greeks,
+            _ => &self.shed_implied_vol,
+        }
+        .inc();
         self.journal.push(&Event::new(EventKind::Shed, &[class]));
     }
 
@@ -383,15 +391,14 @@ impl ServiceObs {
         self.registry.len()
     }
 
-    /// The legacy [`ReactorStats`] view, assembled from the reactor's
-    /// registry instruments (zero until a reactor front end runs).
+    /// The [`ReactorStats`] view, assembled from the reactor's registry
+    /// instruments (zero until a reactor front end runs).
     pub(crate) fn reactor_stats(&self) -> ReactorStats {
         ReactorStats {
             connections_accepted: self.reactor_accepted.get(),
             connections_open: self.reactor_open.get(),
             connections_refused: self.reactor_refused.get(),
             loop_iterations: self.reactor_loop_iterations.get(),
-            events_per_wake: legacy_batch_hist(&self.reactor_events_per_wake.snapshot()),
         }
     }
 
@@ -408,8 +415,7 @@ impl ServiceObs {
 /// Rebuilds the legacy power-of-two [`BatchHistogram`] from a log2
 /// [`HistSnapshot`]: obs bucket `b ≥ 1` holds values `[2^(b-1), 2^b)`,
 /// which is exactly legacy bucket `b − 1`; zeros land in legacy bucket 0
-/// and the overflow tail saturates into the last legacy bucket.  Keeps the
-/// wire `stats` op byte-compatible with the pre-registry counters.
+/// and the overflow tail saturates into the last legacy bucket.
 pub(crate) fn legacy_batch_hist(snap: &HistSnapshot) -> BatchHistogram {
     let mut legacy = BatchHistogram::default();
     for (b, &count) in snap.buckets.iter().enumerate() {

@@ -42,8 +42,8 @@
 //! 5. **Complete.**  Each entry's slot receives its own `Result`; waiting
 //!    clients wake, and a completion callback (the reactor's readiness
 //!    nudge) fires outside every lock.  Batch size, queue depth, heap-pop
-//!    and deadline-miss counters feed
-//!    [`ServiceStats`](crate::ServiceStats).  The batch then stops counting
+//!    and deadline-miss counters feed the metrics registry
+//!    ([`QuoteService::metrics_text`]).  The batch then stops counting
 //!    as executing — however `execute` ended — and if that leaves the pool
 //!    idle with work queued, the coalescing workers are woken to flush it.
 //!
@@ -52,7 +52,7 @@
 //! workers drain the remaining queue — answering every accepted request —
 //! before exiting.
 
-use crate::config::{DegradationPolicy, ServiceConfig};
+use crate::config::ServiceConfig;
 use crate::fault::FaultSite;
 use crate::obs::{legacy_batch_hist, ServiceObs, KIND_GREEKS, KIND_IMPLIED_VOL, KIND_PRICE};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
@@ -385,13 +385,12 @@ impl QuoteService {
         &self.shared.cfg
     }
 
-    /// Point-in-time counters: queue depth, batch-size histogram, memo hit
-    /// rate, rejection / deadline-miss / heap-pop counts.
+    /// Point-in-time counters: queue depth, batch-size histogram, memo
+    /// counters, rejection / deadline-miss / heap-pop counts.
     ///
-    /// Since the Flightdeck refactor this is a *view* assembled from the
-    /// metrics registry — the same instruments `metrics_text` exposes — so
-    /// the legacy `stats` wire op and the Prometheus exposition can never
-    /// disagree.
+    /// An in-process *view* assembled from the metrics registry: every
+    /// counter here is also in [`metrics_text`](QuoteService::metrics_text),
+    /// the one exposition on the wire, so the two can never disagree.
     pub fn stats(&self) -> ServiceStats {
         let o = &self.shared.obs;
         let queue_depth = lock_unpoisoned(&self.shared.state).heap.len();
@@ -602,47 +601,34 @@ impl Client {
                 return Err(ServiceError::Overloaded { what: "submission queue full" });
             }
             // Brownout tiers: under sustained queue pressure, shed untagged
-            // work by class — implied-vol inversions first, greeks ladders
-            // second, plain quotes last.  Deadline-tagged submissions skip
+            // work by class — implied-vol inversions (the most expensive per
+            // request) first, greeks ladders second, plain quotes last — once
+            // the queue is that full.  Deadline-tagged submissions skip
             // brownout entirely (the EDF scheduler exists to serve them);
             // only a full queue rejects those.
+            const SHED_IMPLIED_VOL_AT: f64 = 0.50;
+            const SHED_GREEKS_AT: f64 = 0.75;
+            const SHED_PRICE_AT: f64 = 0.95;
             if budget.is_none() {
-                let fill = state.heap.len();
-                let depth = shared.cfg.queue_depth;
-                let policy = &shared.cfg.degradation;
-                let shed = match &request {
-                    ServiceRequest::ImpliedVol(_)
-                        if DegradationPolicy::sheds(policy.shed_implied_vol_at, fill, depth) =>
-                    {
-                        Some((
-                            KIND_IMPLIED_VOL,
-                            &shared.obs.shed_implied_vol,
-                            "brownout: implied-vol inversions shed under queue pressure",
-                        ))
-                    }
-                    ServiceRequest::Greeks(_)
-                        if DegradationPolicy::sheds(policy.shed_greeks_at, fill, depth) =>
-                    {
-                        Some((
-                            KIND_GREEKS,
-                            &shared.obs.shed_greeks,
-                            "brownout: greeks ladders shed under queue pressure",
-                        ))
-                    }
-                    ServiceRequest::Price(_)
-                        if DegradationPolicy::sheds(policy.shed_price_at, fill, depth) =>
-                    {
-                        Some((
-                            KIND_PRICE,
-                            &shared.obs.shed_price,
-                            "brownout: untagged quotes shed under queue pressure",
-                        ))
-                    }
-                    _ => None,
+                let (class, shed_at, what) = match &request {
+                    ServiceRequest::ImpliedVol(_) => (
+                        KIND_IMPLIED_VOL,
+                        SHED_IMPLIED_VOL_AT,
+                        "brownout: implied-vol inversions shed under queue pressure",
+                    ),
+                    ServiceRequest::Greeks(_) => (
+                        KIND_GREEKS,
+                        SHED_GREEKS_AT,
+                        "brownout: greeks ladders shed under queue pressure",
+                    ),
+                    ServiceRequest::Price(_) => (
+                        KIND_PRICE,
+                        SHED_PRICE_AT,
+                        "brownout: untagged quotes shed under queue pressure",
+                    ),
                 };
-                if let Some((class, counter, what)) = shed {
+                if state.heap.len() as f64 >= shed_at * shared.cfg.queue_depth as f64 {
                     drop(state);
-                    counter.inc();
                     shared.obs.shed_fired(class);
                     return Err(ServiceError::Overloaded { what });
                 }
@@ -1560,7 +1546,6 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
         let stats = service.stats();
         assert!(stats.memo.hits >= 1, "second quote must be a memo hit: {stats:?}");
-        assert!(stats.memo_hit_rate() > 0.0);
         service.shutdown();
     }
 

@@ -77,8 +77,9 @@ const EXIT_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
 /// State shared between the reactor thread, completion callbacks, and the
 /// owning [`QuoteServer`](crate::QuoteServer).  The reactor's counters
-/// live on the service's [`ServiceObs`] registry, not here, so the wire
-/// `stats` op and the `metrics` exposition read the same instruments.
+/// live on the service's [`ServiceObs`] registry, not here: the `metrics`
+/// exposition and [`QuoteServer::stats`](crate::QuoteServer::stats) read
+/// the same instruments.
 #[derive(Debug)]
 struct ReactorShared {
     waker: Waker,
@@ -559,7 +560,7 @@ fn pump_read(
 
 /// Extracts and processes every complete line buffered in the
 /// connection's [`LineAssembler`], up to the in-flight cap.  Blank lines
-/// are skipped; `stats` / `metrics` / `trace` and undecodable lines are
+/// are skipped; `metrics` / `trace` and undecodable lines are
 /// answered inline; everything else is submitted and answered when its
 /// ticket resolves.  A line the assembler rejects — no newline within
 /// [`wire::MAX_LINE_BYTES`] ("exceeds" for a valid-UTF-8 prefix, "not
@@ -593,7 +594,6 @@ fn parse_lines(conn: &mut Conn, service: &QuoteService, shared: &Arc<ReactorShar
         let (id, decoded) = wire::decode_request(trimmed);
         let reply = match decoded {
             Err(e) => Reply::Ready(wire::encode_error(&id, "parse", &e)),
-            Ok(WireRequest::Stats) => Reply::Ready(wire::encode_stats(&id, &service.stats())),
             Ok(WireRequest::Metrics) => {
                 Reply::Ready(wire::encode_metrics(&id, &service.metrics_text()))
             }

@@ -83,9 +83,9 @@ impl QuoteServer {
         &self.service
     }
 
-    /// Scheduler stats merged with front-end (reactor) stats — the same
-    /// view the wire `stats` op serves.  Both now read from the one
-    /// metrics registry, so this is just [`QuoteService::stats`].
+    /// Scheduler stats merged with front-end (reactor) stats, in process:
+    /// [`QuoteService::stats`], a view of the same registry the wire
+    /// `metrics` op renders (see [`metrics_text`](QuoteServer::metrics_text)).
     pub fn stats(&self) -> ServiceStats {
         self.service.stats()
     }
@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_and_stats_answer_inline() {
+    fn parse_errors_and_metrics_answer_inline() {
         let server = server();
         let mut client = TcpQuoteClient::connect(server.local_addr()).unwrap();
         let reply = client.roundtrip("{\"op\":\"price\"}").unwrap();
@@ -263,11 +263,12 @@ mod tests {
         assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(false)));
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("parse"));
 
-        let reply = client.roundtrip("{\"id\":9,\"op\":\"stats\"}").unwrap();
+        let reply = client.roundtrip("{\"id\":9,\"op\":\"metrics\"}").unwrap();
         let doc = parse(&reply).unwrap();
         assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(true)));
-        assert!(doc.get("queue_depth").is_some(), "{reply}");
-        assert!(doc.get("memo_hit_rate").is_some(), "{reply}");
+        let text = doc.get("text").and_then(JsonValue::as_str).unwrap_or_default();
+        assert!(text.contains("amopt_queue_depth "), "{reply}");
+        assert!(text.contains("amopt_memo_hits "), "{reply}");
         server.shutdown();
     }
 

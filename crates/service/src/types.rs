@@ -106,8 +106,9 @@ impl BatchHistogram {
     }
 }
 
-/// Requests shed by the brownout degradation tiers, per request class
-/// (see [`DegradationPolicy`](crate::config::DegradationPolicy)).
+/// Requests shed by the brownout tiers (see
+/// [`ServiceConfig::queue_depth`](crate::ServiceConfig::queue_depth)), per
+/// request class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShedByClass {
     /// Untagged price quotes shed.
@@ -137,14 +138,12 @@ pub struct ReactorStats {
     pub connections_refused: u64,
     /// Event-loop iterations (one per `epoll_wait` return).
     pub loop_iterations: u64,
-    /// Ready events delivered per `epoll_wait` return, power-of-two
-    /// bucketed — the loop-iteration histogram: a right-shifted mass means
-    /// each wakeup served many connections.
-    pub events_per_wake: BatchHistogram,
 }
 
 /// Point-in-time service counters, from
-/// [`QuoteService::stats`](crate::QuoteService::stats).
+/// [`QuoteService::stats`](crate::QuoteService::stats): an in-process view
+/// of the registry instruments the `metrics` exposition renders, each under
+/// the name the [`wire`](crate::wire) docs list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Requests currently waiting in the submission queue (the EDF heap).
@@ -188,34 +187,10 @@ pub struct ServiceStats {
     pub retries: u64,
     /// Retries refused because the retry budget was exhausted.
     pub retry_budget_exhausted: u64,
-    /// Requests shed by the brownout degradation tiers, per class.
+    /// Requests shed by the brownout tiers, per class.
     pub shed_by_class: ShedByClass,
     /// Event-loop counters of the serving reactor (zeros elsewhere).
     pub reactor: ReactorStats,
-}
-
-impl ServiceStats {
-    /// Memo hit rate over the service's lifetime (`0.0` before any probe).
-    pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo.hits + self.memo.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo.hits as f64 / total as f64
-        }
-    }
-
-    /// Completed requests per flushed batch (`0.0` before any flush).
-    /// Quotes answered at submit count as completed but belong to no
-    /// batch, so on memo-resident traffic this overstates the mean batch;
-    /// `batch_sizes` holds the batches themselves.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completed as f64 / self.batches as f64
-        }
-    }
 }
 
 #[cfg(test)]

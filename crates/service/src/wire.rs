@@ -13,7 +13,9 @@
 //!  "vol": 0.2, "div": 0.0163, "expiry": 1.0, "steps": 252}
 //! ```
 //!
-//! * `op` — `"price"`, `"greeks"`, `"implied_vol"`, or `"stats"`.
+//! * `op` — `"price"`, `"greeks"`, `"implied_vol"`, `"metrics"`, or
+//!   `"trace"`.  Any other op is a parse error (`unknown op`), whatever
+//!   other fields the line carries.
 //! * `id` — any JSON scalar, echoed verbatim in the response (optional).
 //! * `model` — `"bopm"` (default), `"topm"`, `"bsm"`.
 //! * `type` — `"call"` (default) or `"put"`.
@@ -41,10 +43,35 @@
 //!
 //! `kind` on failures is `"overloaded"`, `"shutdown"`, `"pricing"`, or
 //! `"parse"`; overloaded submissions were never enqueued and are safe to
-//! retry with backoff.  The `stats` op answers with the counters of
-//! [`ServiceStats`] flattened into one object.
+//! retry with backoff.
+//!
+//! `metrics` answers `{"id": …, "ok": true, "text": "…"}`: the
+//! Prometheus-style exposition of every service instrument as one
+//! JSON-escaped string.  `trace` (optional `"n"`, default
+//! [`DEFAULT_TRACE_CARDS`]) answers with the most recent request trace
+//! cards.
+//!
+//! **Deprecated and retired: `stats`.**  The 27-field `stats` op is gone; a
+//! `stats` line is answered like any other unknown op.  `metrics` carries
+//! each counter it reported, under these names:
+//!
+//! | retired `stats` field | `metrics` name |
+//! |---|---|
+//! | `queue_depth` | `amopt_queue_depth` |
+//! | `submitted`, `completed` | `amopt_queue_submitted_total`, `amopt_queue_completed_total` |
+//! | `rejected_queue_full`, `rejected_inflight`, `rejected_shutdown` | `amopt_queue_rejected_{queue_full,inflight,shutdown}_total` |
+//! | `batches`, `deadline_misses`, `heap_pops` | `amopt_queue_{batches,deadline_misses,heap_pops}_total` |
+//! | `batch_size_hist`, `mean_batch_size` | the `amopt_queue_batch_size` histogram |
+//! | `memo_hits`, `memo_misses`, `memo_entries` | `amopt_memo_hits`, `amopt_memo_misses`, `amopt_memo_entries` |
+//! | `memo_hit_rate` | `amopt_memo_hits / (amopt_memo_hits + amopt_memo_misses)` |
+//! | `worker_restarts`, `workers_alive` | `amopt_worker_restarts_total`, `amopt_workers_alive` |
+//! | `retries`, `retry_budget_exhausted` | `amopt_retries_total`, `amopt_retry_budget_exhausted_total` |
+//! | `shed_price`, `shed_greeks`, `shed_implied_vol` | `amopt_shed_{price,greeks,implied_vol}_total` |
+//! | `reactor_connections_accepted`, `_open`, `_refused` | `amopt_reactor_connections_accepted_total`, `amopt_reactor_connections_open`, `amopt_reactor_connections_refused_total` |
+//! | `reactor_loop_iterations` | `amopt_reactor_loop_iterations_total` |
+//! | `reactor_events_per_wake_hist` | the `amopt_reactor_events_per_wake` histogram |
 
-use crate::types::{ServiceError, ServiceRequest, ServiceResponse, ServiceStats};
+use crate::types::{ServiceError, ServiceRequest, ServiceResponse};
 use crate::ServiceResult;
 use amopt_core::batch::surface::VolQuote;
 use amopt_core::batch::{ModelKind, PricingRequest, Style};
@@ -479,14 +506,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 // ---------------------------------------------------------------------------
 
 /// A decoded wire request: a service submission (with its optional
-/// `deadline_ms` latency budget) or the stats query.
+/// `deadline_ms` latency budget) or an observability query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
     /// Submit to the coalescing queue, scheduling with the given latency
     /// budget (`None` → the server's `max_wait`).
     Submit(ServiceRequest, Option<Duration>),
-    /// Answer immediately with the service counters.
-    Stats,
     /// Answer immediately with the Prometheus-style metrics exposition.
     Metrics,
     /// Answer immediately with the most recent `n` completed request
@@ -510,9 +535,6 @@ pub fn decode_request(line: &str) -> (String, Result<WireRequest, String>) {
 
 fn decode_request_body(doc: &JsonValue) -> Result<WireRequest, String> {
     let op = doc.get("op").and_then(JsonValue::as_str).ok_or("missing `op`")?;
-    if op == "stats" {
-        return Ok(WireRequest::Stats);
-    }
     if op == "metrics" {
         return Ok(WireRequest::Metrics);
     }
@@ -528,6 +550,9 @@ fn decode_request_body(doc: &JsonValue) -> Result<WireRequest, String> {
             }
         };
         return Ok(WireRequest::Trace(n));
+    }
+    if !matches!(op, "price" | "greeks" | "implied_vol") {
+        return Err(format!("unknown op `{op}`"));
     }
     let num = |key: &str| doc.get(key).and_then(JsonValue::as_f64);
     let required = |key: &str| num(key).ok_or_else(|| format!("missing number `{key}`"));
@@ -609,9 +634,8 @@ fn decode_request_body(doc: &JsonValue) -> Result<WireRequest, String> {
     };
     let request = PricingRequest { model, option_type, style, params, steps };
     match op {
-        "price" => Ok(WireRequest::Submit(ServiceRequest::Price(request), deadline)),
         "greeks" => Ok(WireRequest::Submit(ServiceRequest::Greeks(request), deadline)),
-        other => Err(format!("unknown op `{other}`")),
+        _ => Ok(WireRequest::Submit(ServiceRequest::Price(request), deadline)),
     }
 }
 
@@ -652,57 +676,6 @@ pub fn encode_result(id: &str, result: &ServiceResult) -> String {
 /// Encodes an error response line (also used for parse failures).
 pub fn encode_error(id: &str, kind: &str, message: &str) -> String {
     format!("{{\"id\":{id},\"ok\":false,\"kind\":{},\"error\":{}}}", quote(kind), quote(message))
-}
-
-/// Encodes the stats response line.
-pub fn encode_stats(id: &str, stats: &ServiceStats) -> String {
-    let hist: Vec<String> =
-        stats.batch_sizes.non_empty().into_iter().map(|(lo, n)| format!("[{lo},{n}]")).collect();
-    let wake_hist: Vec<String> = stats
-        .reactor
-        .events_per_wake
-        .non_empty()
-        .into_iter()
-        .map(|(lo, n)| format!("[{lo},{n}]"))
-        .collect();
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"queue_depth\":{},\"submitted\":{},\"completed\":{},\
-         \"rejected_queue_full\":{},\"rejected_inflight\":{},\"rejected_shutdown\":{},\
-         \"batches\":{},\"deadline_misses\":{},\"heap_pops\":{},\"batch_size_hist\":[{}],\
-         \"mean_batch_size\":{},\"memo_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{},\
-         \"memo_entries\":{},\"reactor_connections_accepted\":{},\"reactor_connections_open\":{},\
-         \"reactor_connections_refused\":{},\"reactor_loop_iterations\":{},\
-         \"reactor_events_per_wake_hist\":[{}],\"worker_restarts\":{},\"workers_alive\":{},\
-         \"retries\":{},\"retry_budget_exhausted\":{},\"shed_price\":{},\"shed_greeks\":{},\
-         \"shed_implied_vol\":{}}}",
-        stats.queue_depth,
-        stats.submitted,
-        stats.completed,
-        stats.rejected_queue_full,
-        stats.rejected_inflight,
-        stats.rejected_shutdown,
-        stats.batches,
-        stats.deadline_misses,
-        stats.heap_pops,
-        hist.join(","),
-        fmt_f64(stats.mean_batch_size()),
-        stats.memo.hits,
-        stats.memo.misses,
-        fmt_f64(stats.memo_hit_rate()),
-        stats.memo.entries,
-        stats.reactor.connections_accepted,
-        stats.reactor.connections_open,
-        stats.reactor.connections_refused,
-        stats.reactor.loop_iterations,
-        wake_hist.join(","),
-        stats.worker_restarts,
-        stats.workers_alive,
-        stats.retries,
-        stats.retry_budget_exhausted,
-        stats.shed_by_class.price,
-        stats.shed_by_class.greeks,
-        stats.shed_by_class.implied_vol,
-    )
 }
 
 /// Encodes the metrics response line: the Prometheus-style exposition as
@@ -853,7 +826,7 @@ mod tests {
         // Raw (unescaped) non-BMP UTF-8 passes through untouched.
         assert_eq!(parse("\"\u{1F600}\"").unwrap(), JsonValue::Str("\u{1F600}".into()));
         // An id holding an escaped pair echoes back the original character.
-        let (id, _) = decode_request(r#"{"id":"\ud83d\ude00","op":"stats"}"#);
+        let (id, _) = decode_request(r#"{"id":"\ud83d\ude00","op":"metrics"}"#);
         assert_eq!(id, quote("\u{1F600}"));
         // Unpaired or malformed surrogates are parse errors, not U+FFFD.
         for bad in [
@@ -980,8 +953,6 @@ mod tests {
         let (id, decoded) = decode_request("not json at all");
         assert_eq!(id, "null");
         assert!(decoded.is_err());
-        let (_, stats) = decode_request(r#"{"op":"stats"}"#);
-        assert_eq!(stats.unwrap(), WireRequest::Stats);
     }
 
     #[test]
@@ -1000,67 +971,6 @@ mod tests {
         assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(false)));
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("overloaded"));
         assert_eq!(doc.get("id").unwrap().as_str(), Some("abc"));
-    }
-
-    /// Pins the `stats` reply byte-for-byte: the fields, their order, and
-    /// their formatting are wire compatibility.  Migrating the counters
-    /// onto the obs registry must never be visible to a `stats` consumer —
-    /// if this test needs updating, that migration leaked.
-    #[test]
-    fn stats_wire_format_is_pinned_byte_for_byte() {
-        use crate::types::{BatchHistogram, ReactorStats, ShedByClass};
-        use amopt_core::batch::MemoStats;
-
-        let mut batch_sizes = BatchHistogram::default();
-        batch_sizes.0[0] = 1; // one singleton batch
-        batch_sizes.0[2] = 3; // three batches of size 4..=7
-        let mut events_per_wake = BatchHistogram::default();
-        events_per_wake.0[1] = 9;
-        let stats = ServiceStats {
-            queue_depth: 3,
-            submitted: 100,
-            completed: 96,
-            rejected_queue_full: 2,
-            rejected_inflight: 1,
-            rejected_shutdown: 0,
-            batches: 24,
-            deadline_misses: 5,
-            heap_pops: 30,
-            batch_sizes,
-            memo: MemoStats {
-                hits: 50,
-                misses: 50,
-                evictions: 7,
-                entries: 20,
-                capacity: 100,
-                shards: 8,
-            },
-            worker_restarts: 1,
-            workers_alive: 8,
-            retries: 4,
-            retry_budget_exhausted: 1,
-            shed_by_class: ShedByClass { price: 2, greeks: 1, implied_vol: 0 },
-            reactor: ReactorStats {
-                connections_accepted: 10,
-                connections_open: 2,
-                connections_refused: 1,
-                loop_iterations: 500,
-                events_per_wake,
-            },
-        };
-        assert_eq!(
-            encode_stats("7", &stats),
-            "{\"id\":7,\"ok\":true,\"queue_depth\":3,\"submitted\":100,\"completed\":96,\
-             \"rejected_queue_full\":2,\"rejected_inflight\":1,\"rejected_shutdown\":0,\
-             \"batches\":24,\"deadline_misses\":5,\"heap_pops\":30,\
-             \"batch_size_hist\":[[1,1],[4,3]],\"mean_batch_size\":4,\"memo_hits\":50,\
-             \"memo_misses\":50,\"memo_hit_rate\":0.5,\"memo_entries\":20,\
-             \"reactor_connections_accepted\":10,\"reactor_connections_open\":2,\
-             \"reactor_connections_refused\":1,\"reactor_loop_iterations\":500,\
-             \"reactor_events_per_wake_hist\":[[2,9]],\"worker_restarts\":1,\"workers_alive\":8,\
-             \"retries\":4,\"retry_budget_exhausted\":1,\"shed_price\":2,\"shed_greeks\":1,\
-             \"shed_implied_vol\":0}"
-        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn assemble(stream: &[u8], splits: &[usize]) -> Vec<Result<String, LineError>> {
 /// multi-byte UTF-8 — every split of it must parse identically.
 fn valid_stream() -> Vec<u8> {
     let mut stream = Vec::new();
-    stream.extend_from_slice(b"{\"id\":1,\"op\":\"stats\"}\n");
+    stream.extend_from_slice(b"{\"id\":1,\"op\":\"metrics\"}\n");
     stream
         .extend_from_slice("{\"id\":2,\"note\":\"smile \u{1F600} \u{00e9}\u{00e9}\"}\n".as_bytes());
     stream.extend_from_slice(b"\n"); // empty line: skipped by the servers, still a line here

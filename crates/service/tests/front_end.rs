@@ -47,8 +47,7 @@ type Exchange = (&'static str, Option<String>);
 ///   reproduce those bits; a kernel change that moves prices moves both
 ///   sides and needs no re-pin.
 ///
-/// `stats` / `metrics` / `trace` replies carry counters and timings and
-/// stay out.
+/// `metrics` / `trace` replies carry counters and timings and stay out.
 fn transcript() -> Vec<Exchange> {
     let direct = BatchPricer::new(EngineConfig::default());
     let paper = OptionParams::paper_defaults();
@@ -221,6 +220,12 @@ fn transcript() -> Vec<Exchange> {
             r#"{"id":23,"op":"price","spot":127.62,"strike":100,"rate":0.00163,"vol":0.2,"div":0.0163,"expiry":1,"steps":64}"#,
             price("23", &contract(100.0, OptionType::Call, 64)),
         ),
+        // The retired `stats` op is an unknown op like any other; `metrics`
+        // carries its counters.
+        (
+            r#"{"id":24,"op":"stats"}"#,
+            lit(r#"{"id":24,"ok":false,"kind":"parse","error":"unknown op `stats`"}"#),
+        ),
     ]
 }
 
@@ -285,11 +290,7 @@ fn live_scrape_exposes_the_registry_and_cards_that_telescope_exactly() {
     let text = doc.get("text").and_then(JsonValue::as_str).expect("metrics reply carries text");
     let instruments = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
     assert!(instruments >= 25, "only {instruments} instruments exposed:\n{text}");
-    let submitted: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("amopt_queue_submitted_total "))
-        .and_then(|v| v.parse().ok())
-        .expect("amopt_queue_submitted_total in the exposition");
+    let submitted = exposed(text, "amopt_queue_submitted_total").expect("submitted exposed");
     assert!(submitted >= quotes, "{submitted} submitted, {quotes} sent");
 
     let doc = parse(&client.roundtrip(r#"{"op":"trace","n":32}"#).expect("trace")).expect("JSON");
@@ -304,7 +305,55 @@ fn live_scrape_exposes_the_registry_and_cards_that_telescope_exactly() {
         let e2e = card.get("end_to_end_nanos").and_then(JsonValue::as_f64).expect("e2e") as u64;
         assert_eq!(sum, e2e, "{card:?}");
     }
+
+    // The in-process view and the exposition read one registry: once the
+    // server is quiet they agree on every counter the retired `stats` op
+    // carried, each under its registry name.
+    let (s, text) = (0..100)
+        .find_map(|_| {
+            let s = server.stats();
+            let text = server.metrics_text();
+            (server.stats() == s).then_some((s, text))
+        })
+        .expect("the server never went quiet");
+    let r = s.reactor;
+    let carried = [
+        ("amopt_queue_depth", s.queue_depth as u64),
+        ("amopt_queue_submitted_total", s.submitted),
+        ("amopt_queue_completed_total", s.completed),
+        ("amopt_queue_rejected_queue_full_total", s.rejected_queue_full),
+        ("amopt_queue_rejected_inflight_total", s.rejected_inflight),
+        ("amopt_queue_rejected_shutdown_total", s.rejected_shutdown),
+        ("amopt_queue_batches_total", s.batches),
+        ("amopt_queue_deadline_misses_total", s.deadline_misses),
+        ("amopt_queue_heap_pops_total", s.heap_pops),
+        ("amopt_memo_hits", s.memo.hits),
+        ("amopt_memo_misses", s.memo.misses),
+        ("amopt_memo_entries", s.memo.entries as u64),
+        ("amopt_worker_restarts_total", s.worker_restarts),
+        ("amopt_workers_alive", s.workers_alive),
+        ("amopt_retries_total", s.retries),
+        ("amopt_retry_budget_exhausted_total", s.retry_budget_exhausted),
+        ("amopt_shed_price_total", s.shed_by_class.price),
+        ("amopt_shed_greeks_total", s.shed_by_class.greeks),
+        ("amopt_shed_implied_vol_total", s.shed_by_class.implied_vol),
+        ("amopt_reactor_connections_accepted_total", r.connections_accepted),
+        ("amopt_reactor_connections_open", r.connections_open),
+        ("amopt_reactor_connections_refused_total", r.connections_refused),
+        ("amopt_reactor_loop_iterations_total", r.loop_iterations),
+    ];
+    for (name, want) in carried {
+        let got = exposed(&text, name)
+            .unwrap_or_else(|| panic!("{name} missing from the exposition:\n{text}"));
+        assert_eq!(got, want, "{name}: stats() and the exposition disagree");
+    }
+    assert!(s.completed >= quotes && r.connections_open == 1, "{s:?}");
     server.shutdown();
+}
+
+/// The value of the unlabelled sample `name` in a metrics exposition.
+fn exposed(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
 }
 
 #[test]

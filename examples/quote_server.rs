@@ -22,7 +22,6 @@
 
 use american_option_pricing::prelude::*;
 use american_option_pricing::service::wire;
-use std::time::Duration;
 
 fn serve(addr: &str) {
     let server = QuoteServer::bind(addr, ServiceConfig::default())
@@ -33,38 +32,13 @@ fn serve(addr: &str) {
         "  {{\"id\":1,\"op\":\"price\",\"spot\":127.62,\"strike\":130,\"rate\":0.00163,\
          \"vol\":0.2,\"div\":0.0163,\"steps\":252}}"
     );
+    println!(
+        "watch it with `quote_server metrics {0}` or `quote_server tail {0}`",
+        server.local_addr()
+    );
     loop {
-        std::thread::sleep(Duration::from_secs(30));
-        print_stats(&server);
+        std::thread::park();
     }
-}
-
-/// One stats line for the scheduler, one for the reactor — the same
-/// counters the wire `stats` op reports.
-fn print_stats(server: &QuoteServer) {
-    let s = server.stats();
-    println!(
-        "[stats] queue={} submitted={} completed={} rejected={} batches={} mean_batch={:.1} \
-         memo_hit_rate={:.3} deadline_misses={} heap_pops={}",
-        s.queue_depth,
-        s.submitted,
-        s.completed,
-        s.rejected_queue_full + s.rejected_inflight,
-        s.batches,
-        s.mean_batch_size(),
-        s.memo_hit_rate(),
-        s.deadline_misses,
-        s.heap_pops
-    );
-    let r = &s.reactor;
-    println!(
-        "[reactor] accepted={} open={} refused={} loop_iters={} events_per_wake={:?}",
-        r.connections_accepted,
-        r.connections_open,
-        r.connections_refused,
-        r.loop_iterations,
-        r.events_per_wake.non_empty()
-    );
 }
 
 /// Sends one wire request line to a running server and returns the parsed
