@@ -48,8 +48,12 @@
 //! `H/2`: `W(H) = 2·W(H/2) + O(H log H) = O(H log² H)` work, `O(H)` span
 //! (Theorems 2.8 / 4.4) — and every correlation runs at a height about half
 //! its row's width over `σ'`, where most of its multipliers have vanished
-//! (`amopt_fft::convolve`).  (Halving a wide row as well walks it in hops of
-//! `H/4, H/8, …`, each a correlation over at least `d` cells: `Θ(H log³ H)`.)
+//! (`amopt_fft::convolve`).  The windows of a level correlate at nearly one
+//! size and height, so a pricing asks for a few dozen distinct multiplier
+//! tables over thousands of correlations; one `KernelPowers`, owned by
+//! [`solve_to_root`], evaluates each once.  (Halving a wide row as well walks
+//! it in hops of `H/4, H/8, …`, each a correlation over at least `d` cells:
+//! `Θ(H log³ H)`.)
 //! At equality the row halves: a window that took the whole hop would hand
 //! itself to its own recursion.
 //!
@@ -57,10 +61,11 @@
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
 
-use super::{kernel_scope, linear_cells, EngineConfig};
+use super::{kernel_scope, linear_cells, power_tables, EngineConfig};
 use crate::error::{PricingError, Result};
+use amopt_fft::KernelPowers;
 use amopt_parallel::join;
-use amopt_stencil::{advance_values_with, with_scratch, Backend, Segment, StencilKernel};
+use amopt_stencil::{advance_powered, with_scratch, Segment, StencilKernel};
 
 /// A row in compressed green-prefix form: cells `[?, boundary]` are green
 /// (obstacle closed form), cells `(boundary, hi]` are red with the prefix
@@ -246,7 +251,12 @@ where
 
 /// Pure linear advance of a row with no green cell left (`boundary < 0`):
 /// the boundary never returns, so the remaining problem is one correlation.
-fn advance_all_red(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64) -> GreenPrefixRow {
+fn advance_all_red(
+    kernel: &StencilKernel,
+    powers: &KernelPowers,
+    row: &GreenPrefixRow,
+    h: u64,
+) -> GreenPrefixRow {
     // amopt-lint: hot-path
     kernel_scope!(FftPass);
     debug_assert!(row.boundary < 0);
@@ -268,7 +278,7 @@ fn advance_all_red(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64) -> Gree
         staging.extend_from_slice(&row.reds.values);
         staging.resize(row.reds.len() + span as usize * h as usize, 0.0);
         linear_cells!(staging.len());
-        advance_values_with(staging, row.reds.start, kernel, h, Backend::Fft, &mut s.fft)
+        advance_powered(staging, row.reds.start, kernel, h, powers, &mut s.fft)
     });
     if out.end() - 1 > hi1 {
         out.values.truncate((hi1 - out.start + 1).max(0) as usize);
@@ -279,7 +289,13 @@ fn advance_all_red(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64) -> Gree
 /// Advances the certified-red region `(f, hi − σ'h]` by `h` purely linear
 /// steps: only the non-zero support prefix is computed (one correlation);
 /// the zero tail stays implicit.
-fn advance_certified(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64, hi_new: i64) -> Segment {
+fn advance_certified(
+    kernel: &StencilKernel,
+    powers: &KernelPowers,
+    row: &GreenPrefixRow,
+    h: u64,
+    hi_new: i64,
+) -> Segment {
     // amopt-lint: hot-path
     kernel_scope!(FftPass);
     let span = kernel.span() as i64;
@@ -301,7 +317,7 @@ fn advance_certified(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64, hi_ne
             staging.push(if row.reds.contains(c) { row.reds.get(c) } else { 0.0 });
         }
         linear_cells!(staging.len());
-        advance_values_with(staging, f + 1, kernel, h, Backend::Fft, &mut s.fft)
+        advance_powered(staging, f + 1, kernel, h, powers, &mut s.fft)
     })
 }
 
@@ -310,12 +326,14 @@ fn advance_certified(kernel: &StencilKernel, row: &GreenPrefixRow, h: u64, hi_ne
 /// space.
 ///
 /// Work `O(n log n + h log² h)` for a row of `n` stored cells — `O(h log² h)`
-/// for a row that is its cone — and span `O(h)` (Theorems 2.8 / 4.4).
+/// for a row that is its cone — and span `O(h)` (Theorems 2.8 / 4.4).  Every
+/// correlation reads its multipliers from `powers`, the kernel's tables.
 ///
 /// # Panics
 /// If the kernel anchor is non-zero or it has fewer than two taps.
 pub fn advance_green_prefix<G>(
     kernel: &StencilKernel,
+    powers: &KernelPowers,
     green: &G,
     row: &GreenPrefixRow,
     h: u64,
@@ -353,7 +371,7 @@ where
             };
         }
         if f < 0 {
-            return advance_all_red(kernel, &cur, remaining);
+            return advance_all_red(kernel, powers, &cur, remaining);
         }
         if remaining <= cfg.base_cutoff {
             for _ in 0..remaining {
@@ -389,11 +407,11 @@ where
             reds: cur.extract_reds(f + 1, win_hi),
         };
         let parallel = remaining >= cfg.sequential_below;
-        let bulk_task = || advance_certified(kernel, &cur, h1, hi_new);
+        let bulk_task = || advance_certified(kernel, powers, &cur, h1, hi_new);
         let sub_task = || {
             // Inclusive timing: nested window recursions count in full.
             kernel_scope!(BoundaryWindow);
-            advance_green_prefix(kernel, green, &sub_row, h1, cfg)
+            advance_green_prefix(kernel, powers, green, &sub_row, h1, cfg)
         };
         // The window goes first: it is the long chain every later iteration
         // waits for, so the forking worker keeps it and lends out the bulk —
@@ -458,7 +476,9 @@ where
 /// the frontier `(t, last green column)` of every row an advance ended on —
 /// one whole-height advance for a price (`chunk ≥ total_steps`), evenly
 /// spaced rows for an exercise boundary.  The frontier stops early once
-/// green has absorbed the whole cone (it then reaches the apex).
+/// green has absorbed the whole cone (it then reaches the apex).  The
+/// kernel's multiplier tables live for this one call: every advance of the
+/// pricing shares them, and they are freed when it returns.
 pub fn solve_to_root<G>(
     kernel: &StencilKernel,
     green: &G,
@@ -475,13 +495,15 @@ where
         kernel.span() as i64 * (total_steps - init.t) as i64,
         "initial row's cone must end at the root"
     );
+    let powers = KernelPowers::new(kernel.weights());
     let mut cur = init;
     let mut frontier = Vec::new();
     while cur.t < total_steps && !cur.is_all_green() {
         let h = chunk.max(1).min(total_steps - cur.t);
-        cur = advance_green_prefix(kernel, green, &cur, h, cfg);
+        cur = advance_green_prefix(kernel, &powers, green, &cur, h, cfg);
         frontier.push((cur.t, cur.boundary));
     }
+    power_tables!(powers.tables_built());
     let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
     (root, frontier)
 }
@@ -716,7 +738,9 @@ mod tests {
         let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.5);
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
         let row = start_row(Shape::Binomial, &kernel, &green, &init);
-        let out = advance_green_prefix(&kernel, &green, &row, steps / 2, &EngineConfig::default());
+        let powers = KernelPowers::new(kernel.weights());
+        let cfg = EngineConfig::default();
+        let out = advance_green_prefix(&kernel, &powers, &green, &row, steps / 2, &cfg);
         assert!(out.reds.len() > 100);
         for &v in &out.reds.values {
             assert!(v.is_finite() && v >= -1e-12 && v <= strike, "value {v} out of [0, K]");
@@ -800,7 +824,8 @@ mod tests {
             let row = start_row(shape, &kernel, &green, &init);
             // Stop where the row still has width to compare.
             let total = steps * 3 / 4 - row.t;
-            let once = advance_green_prefix(&kernel, &green, &row, total, &cfg);
+            let powers = KernelPowers::new(kernel.weights());
+            let once = advance_green_prefix(&kernel, &powers, &green, &row, total, &cfg);
             assert!(once.boundary >= 0 && once.reds.len() > 50, "{shape:?}: nothing to compare");
             let chunk_lists: [&[u64]; 4] =
                 [&[total], &[3, 8, 9, 41, 127, 1, 33], &[17], &[total / 2 + 1, 5, 64]];
@@ -809,7 +834,7 @@ mod tests {
                 let mut repeated = chunks.iter().cycle();
                 while chunked.t < once.t {
                     let h = repeated.next().map_or(1, |&h| h.min(once.t - chunked.t));
-                    chunked = advance_green_prefix(&kernel, &green, &chunked, h, &cfg);
+                    chunked = advance_green_prefix(&kernel, &powers, &green, &chunked, h, &cfg);
                 }
                 let ctx = format!("{shape:?} chunks {chunks:?}");
                 assert_eq!(chunked.t, once.t, "{ctx}");
@@ -851,7 +876,8 @@ mod tests {
                             hi,
                             reds: Segment::new(f + 1, reds),
                         };
-                        let out = advance_green_prefix(&kernel, &green, &row, h, &cfg);
+                        let powers = KernelPowers::new(kernel.weights());
+                        let out = advance_green_prefix(&kernel, &powers, &green, &row, h, &cfg);
                         let ctx = format!("{shape:?} cutoff {cutoff} h {h} width σ'h + {extra}");
                         assert_eq!(out.t, t0 + h, "{ctx}");
                         assert_eq!(out.hi, f + extra, "{ctx}");

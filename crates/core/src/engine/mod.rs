@@ -88,6 +88,16 @@ macro_rules! linear_cells {
 }
 pub(crate) use linear_cells;
 
+/// Counts the multiplier tables one pricing built under the `obs` feature
+/// (`amopt_obs::kernel::power_tables`); expands to nothing otherwise.
+macro_rules! power_tables {
+    ($tables:expr) => {
+        #[cfg(feature = "obs")]
+        amopt_obs::kernel::record_power_tables($tables as u64);
+    };
+}
+pub(crate) use power_tables;
+
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {

@@ -39,6 +39,54 @@ fn pricing_drives_all_three_phase_timers() {
     assert!(text.contains("amopt_kernel_boundary_window_calls_total"), "{text}");
     assert!(text.contains("amopt_kernel_base_case_calls_total"), "{text}");
     assert!(text.contains("amopt_kernel_linear_cells_total"), "{text}");
+    assert!(text.contains("amopt_kernel_power_tables_total"), "{text}");
+    assert!(kernel::power_tables() > 0, "a 4096-step pricing built no multiplier table");
+}
+
+/// The multiplier memo, checked without a clock: every window of a
+/// recursion level correlates at that level's size and height, so the
+/// distinct `(n, h)` of a pricing — the tables it builds — grow by a bounded
+/// number per doubling of `T`, `O(log T)` in all, while its correlations
+/// (the `fft_pass` scopes, one per linear advance) roughly double.  A
+/// multiplier evaluated per correlation, not per table, builds as many
+/// tables as there are passes.
+#[test]
+fn multiplier_tables_grow_like_log_t_while_correlations_double() {
+    let _turn = counters();
+    let cfg = EngineConfig::default();
+    let params = OptionParams::paper_defaults();
+    let bopm_put = |steps: usize| {
+        bopm::fast::price_american_put(&BopmModel::new(params, steps).unwrap(), &cfg)
+    };
+    let topm_call = |steps: usize| {
+        topm::fast::price_american_call(&TopmModel::new(params, steps).unwrap(), &cfg)
+    };
+    let routes: [(&str, &dyn Fn(usize) -> f64); 2] =
+        [("bopm_put", &bopm_put), ("topm_call", &topm_call)];
+    for (route, price) in routes {
+        let counts: Vec<(u64, u64)> = (10u32..=14)
+            .map(|log_t| {
+                kernel::reset();
+                assert!(price(1 << log_t) > 0.0);
+                let passes = kernel::snapshot()[KernelPhase::FftPass as usize].calls;
+                let tables = kernel::power_tables();
+                println!("{route} T = 2^{log_t}: {tables} tables, {passes} fft passes");
+                (tables, passes)
+            })
+            .collect();
+        for pair in counts.windows(2) {
+            let ((tables, passes), (more_tables, more_passes)) = (pair[0], pair[1]);
+            assert!(
+                tables > 0 && more_tables <= tables + 6,
+                "{route}: {tables} → {more_tables} tables in one doubling of T ({counts:?})"
+            );
+            let growth = more_passes as f64 / passes as f64;
+            assert!(
+                (1.6..=2.5).contains(&growth),
+                "{route}: fft passes grew {growth:.2}× in one doubling of T ({counts:?})"
+            );
+        }
+    }
 }
 
 /// The paper's bound as a number that does not depend on the machine.

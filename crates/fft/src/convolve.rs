@@ -28,8 +28,9 @@
 //! proportional to ‖x‖, which the pointwise `h`-th power then amplifies by a
 //! factor of `h` — observed as ~1e-6 price error at T = 252.  Direct
 //! evaluation is exact to ε and costs O(σ) per bin for a σ-tap kernel, over
-//! `n/2 + 1` bins.  The roots `e^{−2πij/n}`, `j = km mod n`, are *read* from
-//! the cached length-`n` plan ([`Fft::root`]) rather than computed: the table
+//! `n/2 + 1` bins, once per table (below).  The roots `e^{−2πij/n}`,
+//! `j = km mod n`, are *read* from the cached length-`n` plan
+//! ([`Fft::root`]) rather than computed: the plan's table
 //! holds the `sin_cos` of `−2πj/n` for `j < n/2`, each taken from its own
 //! angle (no recurrence, nothing accumulated), and the upper half is its
 //! exact negative — the values a `cis` call per tap per bin would return (to
@@ -43,7 +44,7 @@
 //! a deep pricing runs all but a few percent of the multipliers are below any
 //! magnitude that could reach an output bit.  Before paying for the power
 //! (`hypot`, `ln`, `exp`, `atan2`, `sin_cos`), each bin tests `|K_k|² <
-//! τ^{2/h}` — one `exp` per call, a few flops per bin — and a bin below it
+//! τ^{2/h}` — one `exp` per table, a few flops per bin — and a bin below it
 //! gets an exact zero.  With `|X_k| ≤ ‖x‖₁`, the dropped terms of
 //! `out[c] = (1/n) Σ_k X_k conj(K_k)^h e^{2πikc/n}` sum to at most
 //! `τ·‖x‖₁ ≤ τ·n·‖x‖_∞`; at τ = 1e-40 and the largest rows the pricer sends
@@ -54,10 +55,29 @@
 //! `K(π)` near `−1` and keeps a live band at Nyquist behind a dead
 //! mid-band — and a kernel whose taps sum past 1 (a growing DC mode) is
 //! never cut at all.
+//!
+//! The multipliers depend on the kernel, `n` and `h` alone, never on `x`, and
+//! the trapezoid engines ask for few of them: every window of a recursion
+//! level correlates at that level's size and height, so a pricing issues
+//! thousands of correlations over a few dozen distinct `(n, h)`.  A
+//! [`KernelPowers`] therefore evaluates each table once — on its first use,
+//! with the expressions above, so every bit is what a fresh evaluation
+//! gives — and hands it to every later correlation at the same `(n, h)`.  A
+//! table keeps only its live bins: a bitmap of bins `0 … n/2` with the count
+//! of live bins before each 64-bit word, and the live multipliers in rising
+//! `k`; a vanished bin reads back as the exact zero it always was.  At the
+//! heights a deep pricing runs that is a few percent of `n/2 + 1` entries.
+//! The engines scope one [`KernelPowers`] to one pricing: the tables hold no
+//! request's data, but nothing bounds how many distinct `(n, h)` a stream of
+//! requests would leave behind, and within one pricing nearly every
+//! correlation already finds its table.  [`correlate_power_valid_with`] is
+//! the same path with a [`KernelPowers`] of its own, used once.
 
-use crate::complex::Complex64;
+use crate::complex::{c64, Complex64};
 use crate::radix2::{next_pow2, Fft};
 use crate::real::RealFft;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Reusable buffer for [`correlate_power_valid_with`].
 ///
@@ -127,58 +147,228 @@ pub fn correlate_power_valid(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
 
 /// [`correlate_power_valid`] with a caller-owned scratch buffer: bitwise the
 /// same output, but the transform buffer is reused across calls instead of
-/// reallocated.
+/// reallocated.  The multipliers are evaluated for this call alone; a caller
+/// that correlates with one kernel many times holds a [`KernelPowers`].
 pub fn correlate_power_valid_with(
     x: &[f64],
     kernel: &[f64],
     h: u64,
     scratch: &mut FftScratch,
 ) -> Vec<f64> {
-    // amopt-lint: hot-path
-    assert!(!kernel.is_empty(), "kernel must have at least one tap");
-    if h == 0 {
-        // amopt-lint: allow(hot-path-alloc) -- h = 0 identity returns a fresh copy; this is the output the caller keeps
-        return x.to_vec();
-    }
-    let w_len = power_kernel_len(kernel.len(), h);
-    assert!(
-        x.len() >= w_len,
-        "input of {} cells cannot host a {}-tap power kernel",
-        x.len(),
-        w_len
-    );
-    let out_len = x.len() - w_len + 1;
+    KernelPowers::new(kernel).correlate(x, h, scratch)
+}
 
-    if kernel.len() == 1 {
-        let s = kernel[0].powi(h.min(i32::MAX as u64) as i32);
-        // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
-        return x[..out_len].iter().map(|&v| v * s).collect();
+/// Bitmap words (64 bins each) one task of a table build evaluates; longer
+/// ranges fork.  A word costs 64 responses of a few nanoseconds each and a
+/// polar power, about fifty, per live bin: 32 words make a task of ten
+/// microseconds and more, several forks' worth.
+const WORD_GRAIN: usize = 32;
+
+/// The spectrum multipliers `conj(K_k)^h` of one kernel, one table per
+/// transform size `n` and height `h`, each evaluated on its first use and
+/// kept until this value is dropped (module docs).
+///
+/// Workers share one by reference.  Two that miss the same table at once
+/// both build it, outside the lock, and the first insert wins; the two
+/// builds are the same bits, so no output depends on which worker ran what.
+#[derive(Debug)]
+pub struct KernelPowers<'k> {
+    kernel: &'k [f64],
+    /// A few dozen per pricing, so found by a scan.
+    tables: Mutex<Vec<Arc<PowerTable>>>,
+    built: AtomicUsize,
+}
+
+impl<'k> KernelPowers<'k> {
+    /// An empty set of tables for `kernel`; nothing is allocated until the
+    /// first correlation that needs a transform.
+    ///
+    /// # Panics
+    /// If `kernel` is empty.
+    pub fn new(kernel: &'k [f64]) -> Self {
+        assert!(!kernel.is_empty(), "kernel must have at least one tap");
+        KernelPowers { kernel, tables: Mutex::default(), built: AtomicUsize::new(0) }
     }
 
-    let n = next_pow2(x.len());
-    if n < 4 {
-        // Two cells host one step of a two-tap kernel and nothing else, so
-        // the power kernel is the kernel: no transform that small exists.
-        // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
-        return x.windows(w_len).map(|c| c.iter().zip(kernel).map(|(v, w)| v * w).sum()).collect();
+    /// The kernel whose powers these are.
+    pub fn kernel(&self) -> &'k [f64] {
+        self.kernel
     }
-    let real = RealFft::new(n);
-    let full = real.full();
-    let vanished = vanished_below(h);
-    let buf = &mut scratch.buf;
-    real.forward(x, buf);
-    real.map_bins(buf, |k, v| {
-        let response = kernel_response(kernel, k, full);
-        if response.norm_sqr() < vanished {
-            Complex64::ZERO
-        } else if k == 0 || 2 * k == n {
-            // Sums of ±w_m: the roots read there are exactly ±1.
-            v.scale(response.re.powf(h as f64))
-        } else {
-            v * response.conj().powu(h)
+
+    /// Tables built so far, counting both builds of a table two workers
+    /// raced for.
+    pub fn tables_built(&self) -> usize {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    /// [`correlate_power_valid_with`] of this kernel, with the multipliers
+    /// of `(next_pow2(x.len()), h)` read from their table.
+    ///
+    /// # Panics
+    /// If `x` is shorter than `|W|`.
+    pub fn correlate(&self, x: &[f64], h: u64, scratch: &mut FftScratch) -> Vec<f64> {
+        // amopt-lint: hot-path
+        let kernel = self.kernel;
+        if h == 0 {
+            // amopt-lint: allow(hot-path-alloc) -- h = 0 identity returns a fresh copy; this is the output the caller keeps
+            return x.to_vec();
         }
-    });
-    real.inverse(buf, out_len)
+        let w_len = power_kernel_len(kernel.len(), h);
+        assert!(
+            x.len() >= w_len,
+            "input of {} cells cannot host a {}-tap power kernel",
+            x.len(),
+            w_len
+        );
+        let out_len = x.len() - w_len + 1;
+
+        if kernel.len() == 1 {
+            let s = kernel[0].powi(h.min(i32::MAX as u64) as i32);
+            // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
+            return x[..out_len].iter().map(|&v| v * s).collect();
+        }
+
+        let n = next_pow2(x.len());
+        if n < 4 {
+            // Two cells host one step of a two-tap kernel and nothing else,
+            // so the power kernel is the kernel: no transform that small.
+            let dot = |c: &[f64]| c.iter().zip(kernel).map(|(v, w)| v * w).sum();
+            // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
+            return x.windows(w_len).map(dot).collect();
+        }
+        let table = self.table(n, h);
+        let buf = &mut scratch.buf;
+        table.real.forward(x, buf);
+        table.real.map_bins(buf, |k, v| table.apply(k, v));
+        table.real.inverse(buf, out_len)
+    }
+
+    /// The table of `(n, h)`, built now if no correlation has asked for it
+    /// yet.
+    fn table(&self, n: usize, h: u64) -> Arc<PowerTable> {
+        let find = |tables: &[Arc<PowerTable>]| {
+            tables.iter().find(|table| (table.real.full().len(), table.h) == (n, h)).map(Arc::clone)
+        };
+        if let Some(table) = find(&self.lock()) {
+            return table;
+        }
+        let built = Arc::new(PowerTable::build(self.kernel, n, h));
+        self.built.fetch_add(1, Ordering::Relaxed);
+        let mut tables = self.lock();
+        find(&tables).unwrap_or_else(|| {
+            tables.push(Arc::clone(&built));
+            built
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<PowerTable>>> {
+        // Nothing panics under this lock (a scan, or a push of an `Arc`).
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The multipliers of one `(n, h)`: bins `0 … n/2`, live ones only.
+#[derive(Debug)]
+struct PowerTable {
+    /// The transform of rows of length `n`, planned once for the table.
+    real: RealFft,
+    h: u64,
+    /// Per 64 bins: bit `k % 64` set when bin `k` is live, and the number of
+    /// live bins in the words before.
+    live: Vec<(u64, usize)>,
+    /// `conj(K_k)^h` of the live bins in rising `k`; at DC and Nyquist the
+    /// real `K_k^h` (a zero imaginary part).
+    values: Vec<Complex64>,
+}
+
+impl PowerTable {
+    /// Evaluates every bin's multiplier for rows of length `n`.
+    fn build(kernel: &[f64], n: usize, h: u64) -> PowerTable {
+        let real = RealFft::new(n);
+        let mut live = vec![(0u64, 0usize); (n / 2 + 1).div_ceil(64)];
+        let mut values = live_words(kernel, real.full(), h, vanished_below(h), &mut live, 0);
+        values.shrink_to_fit();
+        let mut total = 0;
+        for (word, before) in &mut live {
+            *before = total;
+            total += word.count_ones() as usize;
+        }
+        PowerTable { real, h, live, values }
+    }
+
+    /// Bin `k` of a spectrum times its multiplier; an exact zero where the
+    /// multiplier has vanished.
+    #[inline]
+    fn apply(&self, k: usize, v: Complex64) -> Complex64 {
+        // amopt-lint: hot-path
+        let (word, before) = self.live[k / 64];
+        let bit = 1u64 << (k % 64);
+        if word & bit == 0 {
+            return Complex64::ZERO;
+        }
+        let m = self.values[before + (word & (bit - 1)).count_ones() as usize];
+        if k == 0 || 2 * k == self.real.full().len() {
+            v.scale(m.re)
+        } else {
+            v * m
+        }
+    }
+}
+
+/// Sets the bits of the live bins in `words` — bins `64·w0` on — and returns
+/// their multipliers in rising `k`; a bin whose `|K_k|²` is below `vanished`
+/// stays clear.  Ranges longer than [`WORD_GRAIN`] fork in halves.
+fn live_words(
+    kernel: &[f64],
+    full: &Fft,
+    h: u64,
+    vanished: f64,
+    words: &mut [(u64, usize)],
+    w0: usize,
+) -> Vec<Complex64> {
+    if words.len() > WORD_GRAIN {
+        let (head, tail) = words.split_at_mut(words.len() / 2);
+        let w1 = w0 + head.len();
+        let (mut values, rest) = amopt_parallel::join(
+            || live_words(kernel, full, h, vanished, head, w0),
+            || live_words(kernel, full, h, vanished, tail, w1),
+        );
+        values.extend_from_slice(&rest);
+        return values;
+    }
+    let n = full.len();
+    let mut values = Vec::new();
+    let mut responses = [Complex64::ZERO; 64];
+    for (w, (word, _)) in (w0..).zip(words) {
+        let bins = 64 * w..(64 * w + 64).min(n / 2 + 1);
+        for (b, (k, response)) in bins.zip(&mut responses).enumerate() {
+            *response = kernel_response(kernel, k, full);
+            let vanishes = response.norm_sqr() < vanished;
+            *word |= u64::from(!vanishes) << b;
+        }
+        values.reserve(word.count_ones() as usize);
+        for b in set_bits(*word) {
+            let (k, response) = (64 * w + b, responses[b]);
+            values.push(if k == 0 || 2 * k == n {
+                // Sums of ±w_m: the roots read there are exactly ±1.
+                c64(response.re.powf(h as f64), 0.0)
+            } else {
+                response.conj().powu(h)
+            });
+        }
+    }
+    values
+}
+
+/// Positions of the set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Bin `k ∈ [0, n)` of the length-`n` DFT of a short real kernel,
@@ -499,6 +689,93 @@ mod tests {
         correlate_power_valid_with(&rand_real(9, 7), &[0.48, 0.5], 3, &mut scratch);
         let reused = correlate_power_valid_with(&x, &kernel, 40, &mut scratch);
         assert_eq!(fresh, reused);
+    }
+
+    /// Each multiplier evaluated in the pointwise pass itself, on every call:
+    /// the expressions a table must reproduce bit for bit.
+    fn correlate_direct(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+        let n = next_pow2(x.len());
+        let (real, vanished) = (RealFft::new(n), vanished_below(h));
+        let mut buf = Vec::new();
+        real.forward(x, &mut buf);
+        real.map_bins(&mut buf, |k, v| {
+            let response = kernel_response(kernel, k, real.full());
+            if response.norm_sqr() < vanished {
+                Complex64::ZERO
+            } else if k == 0 || 2 * k == n {
+                v.scale(response.re.powf(h as f64))
+            } else {
+                v * response.conj().powu(h)
+            }
+        });
+        real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_kept_table_gives_the_direct_bits_and_is_built_once() {
+        // Lattice-like two- and three-tap kernels; a live band at Nyquist
+        // behind a vanished middle; K(π) < 0 and K(π) = 0; a growing DC mode.
+        let kernels: [&[f64]; 7] = [
+            &[0.4999, 0.4998],
+            &[0.25, 0.4997, 0.25],
+            &[0.49, 0.02, 0.49],
+            &[0.2, 0.7],
+            &[0.5, 0.5],
+            &[0.51, 0.51],
+            &[0.3, 0.35, 0.3],
+        ];
+        // Two cells (no transform), n = 4 at h = 1, and on up to heights at
+        // which most bins vanish.
+        let shapes =
+            [(2usize, 1u64), (3, 1), (4, 1), (5, 2), (64, 1), (200, 37), (4100, 64), (8192, 2048)];
+        for (i, kernel) in kernels.into_iter().enumerate() {
+            let powers = KernelPowers::new(kernel);
+            let mut scratch = FftScratch::default();
+            let mut tables = std::collections::HashSet::new();
+            let hosted = |&(len, h): &(usize, u64)| power_kernel_len(kernel.len(), h) <= len;
+            for (len, h) in shapes.into_iter().filter(hosted) {
+                let ctx = format!("{kernel:?} len={len} h={h}");
+                let x = rand_real(len, 60 + i as u64 + len as u64);
+                let first = bits(&powers.correlate(&x, h, &mut scratch));
+                if len > 2 {
+                    tables.insert((next_pow2(len), h));
+                    assert_eq!(first, bits(&correlate_direct(&x, kernel, h)), "{ctx}");
+                }
+                assert_eq!(powers.tables_built(), tables.len(), "{ctx}: one build per first use");
+                let again = bits(&powers.correlate(&rand_real(len, 3), h, &mut scratch));
+                assert_eq!(
+                    powers.tables_built(),
+                    tables.len(),
+                    "{ctx}: a second use builds nothing"
+                );
+                assert_eq!(again, bits(&correlate_power_valid(&rand_real(len, 3), kernel, h)));
+                assert_eq!(first, bits(&powers.correlate(&x, h, &mut scratch)), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_use_raced_on_any_pool_width_gives_the_same_bits() {
+        // 2¹⁶ cells: tables of 513 bitmap words, whose build forks.
+        let x = rand_real(1 << 16, 13);
+        for (kernel, h) in [(&[0.48, 0.5][..], 64u64), (&[0.49, 0.02, 0.49], 700)] {
+            let want = bits(&correlate_direct(&x, kernel, h));
+            for threads in [1, 2, 3] {
+                let powers = KernelPowers::new(kernel);
+                let use_it = || bits(&powers.correlate(&x, h, &mut FftScratch::default()));
+                let (a, b) = amopt_parallel::run_with_threads(threads, || {
+                    amopt_parallel::join(use_it, use_it)
+                });
+                assert_eq!(a, want, "{kernel:?} on {threads} threads");
+                assert_eq!(b, want, "{kernel:?} on {threads} threads");
+                assert!((1..=2).contains(&powers.tables_built()), "{threads} threads");
+                assert_eq!(use_it(), want, "{kernel:?}: the kept table");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`convolve`] — linear convolution plus the kernel-power correlation
 //!   primitive ([`correlate_power_valid`]) that implements the aperiodic
 //!   linear-stencil algorithm of Ahmad et al. (SPAA 2021), the substrate
-//!   reference \[1\] of the paper.
+//!   reference \[1\] of the paper; [`KernelPowers`] keeps one kernel's
+//!   spectrum multipliers for every correlation of a pricing.
 //!
 //! Everything is `f64`; transforms of the sizes used by the pricer
 //! (`≤ 2²¹`) keep relative error around `1e-13 · log n`.
@@ -27,7 +28,7 @@ pub mod real;
 pub use complex::{c64, Complex64};
 pub use convolve::{
     correlate_power_valid, correlate_power_valid_with, kernel_power_taps, linear_convolve,
-    power_kernel_len, FftScratch,
+    power_kernel_len, FftScratch, KernelPowers,
 };
 pub use radix2::{fft, ifft, plan, Direction, Fft};
 pub use real::RealFft;

@@ -30,7 +30,7 @@
 //! what remains at 2¹⁵–2¹⁷ points, `bit_reverse_permute` is 3.5–4 ns a point
 //! — serial, a scattered swap per point — which a decimation-in-frequency
 //! forward paired with a decimation-in-time inverse would remove altogether
-//! (ROADMAP item 2(c)).
+//! (ROADMAP item 2(d)).
 
 use crate::complex::Complex64;
 use std::collections::HashMap;

@@ -21,16 +21,16 @@ use crate::radix2::{self, Fft};
 use std::sync::Arc;
 
 /// Bin pairs one task of [`RealFft::map_bins`] handles; longer ranges fork.
-/// A pair costs what its multiplier does, and in a kernel-power correlation
-/// that is uneven: a hundred nanoseconds and more where the response is
-/// raised to a power, a few where it has vanished — at the heights a deep
-/// pricing runs the live pairs are a few percent of all (5–20 ns a pair on
-/// average), bunched at the ends of the band.  So the grain has to be fine
-/// enough to split that bunch between workers, not merely coarse enough to
-/// amortise a fork of about a microsecond.  Measured on `deep_lattice`, 2
-/// cores, 15 s runs interleaved, medians of 5–6: 256, 512 and 1 024 pairs read
-/// 9.09, 9.21 and 9.19 options/s (flat); 2 048, 4 096 and 8 192 read 8.97, 8.78
-/// and 8.57.
+/// A pair costs what its multiplier does.  In a kernel-power correlation the
+/// multipliers come from a table evaluated once per size and height
+/// (`convolve::KernelPowers`, whose build forks on its own), so a pair is
+/// cheap and uniform: a bitmap test, and a load and a complex product where
+/// the bin is live — a few nanoseconds, which makes 1 024 pairs a task of a
+/// few microseconds, a few forks' worth.  The value was measured while the
+/// powers were still taken in this pass (a hundred nanoseconds and more per
+/// live pair): on `deep_lattice`, 2 cores, 15 s runs interleaved, medians of
+/// 5–6, 256, 512 and 1 024 pairs read 9.09, 9.21 and 9.19 options/s (flat);
+/// 2 048, 4 096 and 8 192 read 8.97, 8.78 and 8.57.
 const PAIR_GRAIN: usize = 1024;
 
 /// Transform of real rows of one power-of-two length `n ≥ 4`.

@@ -9,17 +9,21 @@
 //! engines are plumbing-free by design and a handle parameter through the
 //! recursion would cost more than the timers.
 //!
-//! Beside the timers sits one work counter, [`linear_cells`]: the input
-//! cells of every linear advance.  Under the paper's
+//! Beside the timers sit two work counters.  [`linear_cells`] counts the
+//! input cells of every linear advance.  Under the paper's
 //! `W(h) = 2·W(h/2) + O(h log h)` recurrence a `T`-step pricing feeds them
 //! `T·(a·log₂T + b)` cells, so cells per step grow by the same `a` with
 //! every doubling of `T` exactly when the engine meets the bound, whatever
-//! the machine.
+//! the machine.  [`power_tables`] counts the spectrum-multiplier tables the
+//! pricings built (`amopt_fft::KernelPowers`): one per distinct correlation
+//! size and height of a pricing, `O(log T)` of them while the correlations
+//! themselves grow like `T` — so it says, without a clock, that the
+//! multipliers are evaluated once per table and not once per correlation.
 //!
 //! `amopt-core` compiles the scopes only under its `obs` cargo feature;
 //! without it the guards do not exist and the engines pay nothing.  The
-//! statics here are always present (three pairs of atomics and the cell
-//! counter), so the service can render them into its metrics exposition
+//! statics here are always present (three pairs of atomics and the two
+//! counters), so the service can render them into its metrics exposition
 //! unconditionally — they simply stay zero when the engines were built
 //! without `obs`.
 
@@ -71,6 +75,8 @@ static TIMERS: [PhaseCell; KERNEL_PHASE_COUNT] =
 
 static LINEAR_CELLS: AtomicU64 = AtomicU64::new(0);
 
+static POWER_TABLES: AtomicU64 = AtomicU64::new(0);
+
 /// Counts the `cells` input cells of one linear advance.
 #[inline]
 pub fn record_linear_cells(cells: u64) {
@@ -80,6 +86,17 @@ pub fn record_linear_cells(cells: u64) {
 /// Input cells of every linear advance since the last [`reset`].
 pub fn linear_cells() -> u64 {
     LINEAR_CELLS.load(Ordering::Relaxed)
+}
+
+/// Counts the `tables` multiplier tables one pricing built.
+#[inline]
+pub fn record_power_tables(tables: u64) {
+    POWER_TABLES.fetch_add(tables, Ordering::Relaxed);
+}
+
+/// Multiplier tables built by every pricing since the last [`reset`].
+pub fn power_tables() -> u64 {
+    POWER_TABLES.load(Ordering::Relaxed)
 }
 
 /// A scope guard timing one phase: accumulates on drop.
@@ -127,13 +144,15 @@ pub fn snapshot() -> [KernelPhaseStats; KERNEL_PHASE_COUNT] {
     })
 }
 
-/// Zeroes every phase counter and the cell counter (bench/test isolation).
+/// Zeroes every phase counter and both work counters (bench/test
+/// isolation).
 pub fn reset() {
     for cell in &TIMERS {
         cell.calls.store(0, Ordering::Relaxed);
         cell.nanos.store(0, Ordering::Relaxed);
     }
     LINEAR_CELLS.store(0, Ordering::Relaxed);
+    POWER_TABLES.store(0, Ordering::Relaxed);
 }
 
 /// Appends the kernel phase counters to a metrics exposition in the same
@@ -163,6 +182,13 @@ pub fn render_into(out: &mut String) {
     );
     let _ = writeln!(out, "# TYPE amopt_kernel_linear_cells_total counter");
     let _ = writeln!(out, "amopt_kernel_linear_cells_total {}", linear_cells());
+    let _ = writeln!(
+        out,
+        "# HELP amopt_kernel_power_tables_total Spectrum-multiplier tables the engines' pricings \
+         built (0 unless built with the obs feature)"
+    );
+    let _ = writeln!(out, "# TYPE amopt_kernel_power_tables_total counter");
+    let _ = writeln!(out, "amopt_kernel_power_tables_total {}", power_tables());
 }
 
 #[cfg(test)]
@@ -179,6 +205,7 @@ mod tests {
         }
         record_linear_cells(40);
         record_linear_cells(2);
+        record_power_tables(3);
         let snap = snapshot();
         assert_eq!(linear_cells(), 42);
         assert_eq!(snap[KernelPhase::FftPass as usize].calls, 1);
@@ -190,8 +217,10 @@ mod tests {
         assert!(text.contains("amopt_kernel_fft_pass_calls_total 1"), "{text}");
         assert!(text.contains("# TYPE amopt_kernel_base_case_nanos_total counter"));
         assert!(text.contains("amopt_kernel_linear_cells_total 42"), "{text}");
+        assert!(text.contains("amopt_kernel_power_tables_total 3"), "{text}");
         reset();
         assert_eq!(snapshot()[0], KernelPhaseStats::default());
         assert_eq!(linear_cells(), 0);
+        assert_eq!(power_tables(), 0);
     }
 }

@@ -1413,13 +1413,21 @@ mod tests {
 
     #[test]
     fn inflight_cap_rejects_the_overcommitted_client_only() {
+        // The one worker sits on another client's plug while the greedy
+        // client submits, so neither of its first two quotes can finish
+        // (and free its permit) before the third submit.
         let service = QuoteService::start(ServiceConfig {
             per_conn_inflight: 2,
             max_batch: 1024,
             max_wait: Duration::from_millis(50),
+            workers: 1,
+            fault: Some(stalling_plan()),
             ..ServiceConfig::default()
         })
         .expect("start service");
+        let plugger = service.client();
+        let plug_ticket = plug(&plugger);
+        wait_queue_empty(&service);
         let greedy = service.client();
         let t1 = greedy.submit(ServiceRequest::Price(price_req(100.0, 64))).unwrap();
         let t2 = greedy.submit(ServiceRequest::Price(price_req(101.0, 64))).unwrap();
@@ -1442,6 +1450,7 @@ mod tests {
         assert!(greedy.submit(ServiceRequest::Price(price_req(104.0, 64))).is_ok());
         let stats = service.stats();
         assert_eq!(stats.rejected_inflight, 1);
+        assert!(plug_ticket.wait().is_ok());
         service.shutdown();
     }
 

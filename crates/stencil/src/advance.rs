@@ -11,7 +11,7 @@
 
 use crate::kernel::StencilKernel;
 use crate::segment::Segment;
-use amopt_fft::{correlate_power_valid_with, FftScratch};
+use amopt_fft::{FftScratch, KernelPowers};
 use amopt_parallel::WorkspacePool;
 use std::sync::OnceLock;
 
@@ -88,6 +88,38 @@ pub fn advance_values_with(
     backend: Backend,
     fft: &mut FftScratch,
 ) -> Segment {
+    let powers = KernelPowers::new(kernel.weights());
+    advance_by(values, start, kernel, h, backend, &powers, fft)
+}
+
+/// [`advance_values_with`] on the FFT backend, with the spectrum multipliers
+/// of `kernel` read from (and first built into) `powers`: a caller advancing
+/// by one kernel many times evaluates each `(size, height)` once.  Bitwise
+/// identical to a fresh [`advance_values_with`].
+///
+/// # Panics
+/// If the slice is too short to produce at least one valid cell.
+pub fn advance_powered(
+    values: &[f64],
+    start: i64,
+    kernel: &StencilKernel,
+    h: u64,
+    powers: &KernelPowers,
+    fft: &mut FftScratch,
+) -> Segment {
+    debug_assert_eq!(powers.kernel(), kernel.weights(), "powers of another kernel");
+    advance_by(values, start, kernel, h, Backend::Fft, powers, fft)
+}
+
+fn advance_by(
+    values: &[f64],
+    start: i64,
+    kernel: &StencilKernel,
+    h: u64,
+    backend: Backend,
+    powers: &KernelPowers,
+    fft: &mut FftScratch,
+) -> Segment {
     // amopt-lint: hot-path
     let out_len =
         valid_output_len(values.len(), kernel, h).filter(|&l| l > 0).unwrap_or_else(|| {
@@ -109,7 +141,7 @@ pub fn advance_values_with(
             if values.len() <= 64 {
                 stepped(values, kernel, h)
             } else {
-                correlate_power_valid_with(values, kernel.weights(), h, fft)
+                powers.correlate(values, h, fft)
             }
         }
         Backend::Stepped => stepped(values, kernel, h),

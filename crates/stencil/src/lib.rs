@@ -7,7 +7,10 @@
 //! * [`StencilKernel`] — one linear time step (taps + anchor offset);
 //! * [`Segment`] — row values anchored at an absolute column;
 //! * [`advance()`](advance::advance) — `h`-step aperiodic evolution returning the valid cone
-//!   interior, with the FFT backend (`O(L log L)`) and the stepped reference.
+//!   interior, with the FFT backend (`O(L log L)`) and the stepped reference;
+//!   [`advance_powered()`](advance::advance_powered) is the FFT backend with a
+//!   caller's `amopt_fft::KernelPowers`, whose multiplier tables outlive the
+//!   call.
 //!
 //! The *nonlinear* stencils of the paper (`max(linear, obstacle)`) live in
 //! `amopt-core`; they call into this crate on regions certified to be free of
@@ -20,8 +23,8 @@ pub mod kernel;
 pub mod segment;
 
 pub use advance::{
-    advance, advance_values_with, output_start, valid_output_len, with_scratch, AdvanceScratch,
-    Backend,
+    advance, advance_powered, advance_values_with, output_start, valid_output_len, with_scratch,
+    AdvanceScratch, Backend,
 };
 pub use kernel::StencilKernel;
 pub use segment::Segment;
