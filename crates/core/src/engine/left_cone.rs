@@ -472,13 +472,14 @@ where
 }
 
 /// Drives the engine from `init` to the apex in advances of at most `chunk`
-/// steps.  Returns the grid value of the root cell `(total_steps, 0)` and
-/// the frontier `(t, last green column)` of every row an advance ended on —
-/// one whole-height advance for a price (`chunk ≥ total_steps`), evenly
-/// spaced rows for an exercise boundary.  The frontier stops early once
-/// green has absorbed the whole cone (it then reaches the apex).  The
-/// kernel's multiplier tables live for this one call: every advance of the
-/// pricing shares them, and they are freed when it returns.
+/// steps.  Returns the grid value of the root cell `(total_steps, 0)`, never
+/// below zero, and the frontier `(t, last green column)` of every row an
+/// advance ended on — one whole-height advance for a price
+/// (`chunk ≥ total_steps`), evenly spaced rows for an exercise boundary.
+/// The frontier stops early once green has absorbed the whole cone (it then
+/// reaches the apex).  The kernel's multiplier tables live for this one
+/// call: every advance of the pricing shares them, and they are freed when
+/// it returns.
 pub fn solve_to_root<G>(
     kernel: &StencilKernel,
     green: &G,
@@ -505,7 +506,11 @@ where
     }
     power_tables!(powers.tables_built());
     let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
-    (root, frontier)
+    // A put is worth at least zero.  A red root whose exact value underflows
+    // (every path to an in-the-money leaf is less likely than f64 can hold)
+    // leaves the correlations as roundoff of either sign, so a negative root
+    // is the exact zero the nest computes.  NaN passes through.
+    (if root < 0.0 { 0.0 } else { root }, frontier)
 }
 
 #[cfg(test)]

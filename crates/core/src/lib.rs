@@ -10,7 +10,7 @@
 //!   trinomial (§3, App. A) lattices, one [`lattice::Lattice<W>`] model
 //!   with one fast route, one nest and one European pass for both
 //!   ([`bopm::BopmModel`] = `Lattice<1>`, [`topm::TopmModel`] =
-//!   `Lattice<2>`; [`bopm`] also holds the tiled binomial nest);
+//!   `Lattice<2>`);
 //! * [`bsm`]  — American **put**, Black–Scholes–Merton explicit finite
 //!   difference (§4).
 //!

@@ -6,9 +6,9 @@
 //!
 //! * the numerical crates never name the scheduler directly, and
 //! * benchmark harnesses and tests can run the *same* code under different
-//!   core counts (`run_with_threads`), which is how Table 5 of the paper is
-//!   regenerated; `run_with_threads(1, f)` is single-thread execution, and
-//!   prices are the same bits at every width (`tests/bit_pins.rs`).
+//!   core counts (`run_with_threads`); `run_with_threads(1, f)` is
+//!   single-thread execution, and prices are the same bits at every width
+//!   (`tests/bit_pins.rs`).
 //!
 //! The exposed operations are deliberately few: binary [`join`] (the primitive
 //! from which the span bounds of the paper are derived), chunked

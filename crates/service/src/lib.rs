@@ -80,8 +80,7 @@ pub use fault::{FaultPlan, FaultSchedule, FaultSite, FaultStats, FAULT_SITES};
 pub use queue::{Client, QuoteService, RetryPolicy, Ticket};
 pub use tcp::{QuoteServer, TcpQuoteClient};
 pub use types::{
-    BatchHistogram, ReactorStats, ServiceError, ServiceRequest, ServiceResponse, ServiceStats,
-    ShedByClass,
+    ReactorStats, ServiceError, ServiceRequest, ServiceResponse, ServiceStats, ShedByClass,
 };
 
 // Re-exported observability vocabulary, so wire consumers and the chaos

@@ -17,10 +17,10 @@
 //! [`QuoteService::metrics_text`]: crate::QuoteService::metrics_text
 
 use crate::fault::{FaultSite, FAULT_SITES, SITE_COUNT};
-use crate::types::{BatchHistogram, ReactorStats, ServiceRequest, BATCH_HIST_BUCKETS};
+use crate::types::{ReactorStats, ServiceRequest};
 use amopt_obs::{
-    Counter, Event, EventKind, Gauge, HistSnapshot, Histogram, Journal, Registry, RequestTrace,
-    Stage, TraceCard, FLAG_ABANDONED, FLAG_ERROR, STAGES, STAGE_COUNT,
+    Counter, Event, EventKind, Gauge, Histogram, Journal, Registry, RequestTrace, Stage, TraceCard,
+    FLAG_ABANDONED, FLAG_ERROR, STAGES, STAGE_COUNT,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -412,25 +412,9 @@ impl ServiceObs {
     }
 }
 
-/// Rebuilds the legacy power-of-two [`BatchHistogram`] from a log2
-/// [`HistSnapshot`]: obs bucket `b ≥ 1` holds values `[2^(b-1), 2^b)`,
-/// which is exactly legacy bucket `b − 1`; zeros land in legacy bucket 0
-/// and the overflow tail saturates into the last legacy bucket.
-pub(crate) fn legacy_batch_hist(snap: &HistSnapshot) -> BatchHistogram {
-    let mut legacy = BatchHistogram::default();
-    for (b, &count) in snap.buckets.iter().enumerate() {
-        let slot = b.saturating_sub(1).min(BATCH_HIST_BUCKETS - 1);
-        if let Some(cell) = legacy.0.get_mut(slot) {
-            *cell += count;
-        }
-    }
-    legacy
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amopt_obs::bucket_index;
 
     #[test]
     fn the_registry_meets_the_instrument_floor() {
@@ -503,29 +487,6 @@ mod tests {
     fn tracing_disabled_yields_no_cards() {
         let obs = ServiceObs::new(false, 64);
         assert!(obs.trace_start().is_none());
-    }
-
-    #[test]
-    fn legacy_histogram_reconstruction_matches_bucket_of() {
-        let hist = Histogram::detached();
-        for size in [1u64, 1, 2, 3, 255, 256, 300, 1 << 20] {
-            hist.record(size);
-        }
-        let legacy = legacy_batch_hist(&hist.snapshot());
-        let mut want = BatchHistogram::default();
-        for size in [1usize, 1, 2, 3, 255, 256, 300, 1 << 20] {
-            want.0[BatchHistogram::bucket_of(size)] += 1;
-        }
-        assert_eq!(legacy, want);
-        // The obs bucket of a size and the legacy bucket agree by the
-        // shift-by-one law for every in-range power of two boundary.
-        for size in 1..4096u64 {
-            assert_eq!(
-                bucket_index(size) - 1,
-                BatchHistogram::bucket_of(size as usize),
-                "size {size}"
-            );
-        }
     }
 
     #[test]

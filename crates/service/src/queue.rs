@@ -54,7 +54,7 @@
 
 use crate::config::ServiceConfig;
 use crate::fault::FaultSite;
-use crate::obs::{legacy_batch_hist, ServiceObs, KIND_GREEKS, KIND_IMPLIED_VOL, KIND_PRICE};
+use crate::obs::{ServiceObs, KIND_GREEKS, KIND_IMPLIED_VOL, KIND_PRICE};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use crate::types::{ServiceError, ServiceRequest, ServiceResponse, ServiceStats, ShedByClass};
 use crate::ServiceResult;
@@ -404,7 +404,6 @@ impl QuoteService {
             batches: o.batches.get(),
             deadline_misses: o.deadline_misses.get(),
             heap_pops: o.heap_pops.get(),
-            batch_sizes: legacy_batch_hist(&o.batch_size.snapshot()),
             memo: self.shared.pricer.memo_stats(),
             worker_restarts: o.worker_restarts.get(),
             workers_alive: o.workers_alive.get(),
@@ -1195,6 +1194,7 @@ mod tests {
     use amopt_core::batch::ModelKind;
     use amopt_core::bopm::BopmModel;
     use amopt_core::{EngineConfig, OptionParams, OptionType, PricingError};
+    use amopt_obs::bucket_index;
     use std::time::Duration;
 
     fn p() -> OptionParams {
@@ -1259,6 +1259,13 @@ mod tests {
         service.shutdown();
     }
 
+    /// `(log2 bucket, count)` for every non-empty bucket of the flushed
+    /// batch sizes.
+    fn batch_size_buckets(service: &QuoteService) -> Vec<(usize, u64)> {
+        let buckets = service.shared.obs.batch_size.snapshot().buckets;
+        buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(b, &c)| (b, c)).collect()
+    }
+
     #[test]
     fn requests_behind_a_busy_worker_still_coalesce() {
         // Five quotes arrive while the plug executes.  They must form one
@@ -1286,7 +1293,7 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(5), "staged quotes waited out max_wait");
         let stats = service.stats();
         assert_eq!(stats.batches, 2, "the plug, then the five staged quotes together");
-        assert_eq!(stats.batch_sizes.non_empty(), vec![(1, 1), (4, 1)]);
+        assert_eq!(batch_size_buckets(&service), vec![(bucket_index(1), 1), (bucket_index(4), 1)]);
         service.shutdown();
     }
 
@@ -1316,7 +1323,7 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.completed, 4, "the plug must still be executing");
         assert_eq!(stats.batches, 1, "4 submits at max_batch 4 must flush as one batch");
-        assert_eq!(stats.batch_sizes.non_empty(), vec![(4, 1)]);
+        assert_eq!(batch_size_buckets(&service), vec![(bucket_index(4), 1)]);
         assert!(plug_ticket.wait().is_ok());
         service.shutdown();
     }

@@ -80,32 +80,6 @@ impl From<PricingError> for ServiceError {
     }
 }
 
-/// Number of power-of-two buckets in the batch-size histogram (bucket `i`
-/// counts flushed batches of size in `[2^i, 2^{i+1})`; sizes beyond the
-/// last bucket land in it).
-pub const BATCH_HIST_BUCKETS: usize = 16;
-
-/// Histogram of flushed batch sizes in power-of-two buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchHistogram(pub [u64; BATCH_HIST_BUCKETS]);
-
-impl BatchHistogram {
-    /// Bucket index for a batch of `size` requests.
-    pub fn bucket_of(size: usize) -> usize {
-        ((usize::BITS - 1 - size.max(1).leading_zeros()) as usize).min(BATCH_HIST_BUCKETS - 1)
-    }
-
-    /// Total batches recorded.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-
-    /// `(lower bound, count)` for every non-empty bucket.
-    pub fn non_empty(&self) -> Vec<(usize, u64)> {
-        self.0.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (1usize << i, c)).collect()
-    }
-}
-
 /// Requests shed by the brownout tiers (see
 /// [`ServiceConfig::queue_depth`](crate::ServiceConfig::queue_depth)), per
 /// request class.
@@ -174,8 +148,6 @@ pub struct ServiceStats {
     /// per-flush pop count (pops exceed drained entries when the
     /// fair-share cap parks and re-queues over-share work).
     pub heap_pops: u64,
-    /// Sizes of those batches, power-of-two bucketed.
-    pub batch_sizes: BatchHistogram,
     /// Memo counters of the shared `BatchPricer`.
     pub memo: MemoStats,
     /// Worker threads that died (panicked out of the worker loop) and were
@@ -196,28 +168,6 @@ pub struct ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(BatchHistogram::bucket_of(1), 0);
-        assert_eq!(BatchHistogram::bucket_of(2), 1);
-        assert_eq!(BatchHistogram::bucket_of(3), 1);
-        assert_eq!(BatchHistogram::bucket_of(4), 2);
-        assert_eq!(BatchHistogram::bucket_of(255), 7);
-        assert_eq!(BatchHistogram::bucket_of(256), 8);
-        // Zero is clamped into the first bucket rather than panicking.
-        assert_eq!(BatchHistogram::bucket_of(0), 0);
-    }
-
-    #[test]
-    fn histogram_accumulates_and_reports() {
-        let mut h = BatchHistogram::default();
-        for size in [1usize, 1, 2, 3, 300] {
-            h.0[BatchHistogram::bucket_of(size)] += 1;
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.non_empty(), vec![(1, 2), (2, 2), (256, 1)]);
-    }
 
     #[test]
     fn error_display_names_the_limit() {

@@ -13,7 +13,6 @@
 //! ```
 
 use american_option_pricing::prelude::*;
-use std::time::Instant;
 
 fn main() {
     let base = OptionParams::paper_defaults();
@@ -33,17 +32,11 @@ fn main() {
         })
         .collect();
 
-    let t0 = Instant::now();
     let results = pricer.price_batch(&book);
-    let elapsed = t0.elapsed();
     let prices: Vec<f64> =
         results.into_iter().collect::<Result<_, _>>().expect("every contract in the book prices");
 
-    println!(
-        "re-priced {} American calls at T={steps} in {elapsed:.2?} ({:.1} contracts/s)",
-        book.len(),
-        book.len() as f64 / elapsed.as_secs_f64()
-    );
+    println!("re-priced {} American calls at T={steps}", book.len());
     // Sanity: prices decrease in strike for fixed expiry.
     for e_idx in 0..expiries.len() {
         for k_idx in 1..strikes.len() {
@@ -58,14 +51,11 @@ fn main() {
     }
 
     // The next market tick: the book is unchanged, so the memo answers it.
-    let t1 = Instant::now();
     let again = pricer.price_batch(&book);
-    let memo_elapsed = t1.elapsed();
     assert!(again.iter().zip(&prices).all(|(a, b)| a.as_ref().unwrap() == b));
     let stats = pricer.memo_stats();
     println!(
-        "unchanged tick served from memo in {memo_elapsed:.2?} \
-         ({} hits / {} misses, {} entries across {} shards)",
+        "unchanged tick served from memo ({} hits / {} misses, {} entries across {} shards)",
         stats.hits, stats.misses, stats.entries, stats.shards
     );
 
@@ -73,14 +63,9 @@ fn main() {
     // ladder, fanned through the warm pricer as one batch.  The ladders'
     // base requests are the book itself — already memoized.
     let risk_book: Vec<PricingRequest> = book.iter().take(24).cloned().collect();
-    let t2 = Instant::now();
     let ladder = batch_greeks(&pricer, &risk_book);
-    let greeks_elapsed = t2.elapsed();
     let net_delta: f64 = ladder.iter().map(|g| g.as_ref().unwrap().delta).sum();
-    println!(
-        "batch greeks for {} contracts in {greeks_elapsed:.2?} (net delta {net_delta:.3})",
-        risk_book.len()
-    );
+    println!("batch greeks for {} contracts (net delta {net_delta:.3})", risk_book.len());
 
     // Implied-vol surface: quote a near-the-money strike x expiry grid off
     // a synthetic 22%-vol market, then invert every quote in lockstep.
@@ -100,9 +85,7 @@ fn main() {
             })
         })
         .collect();
-    let t3 = Instant::now();
     let vols = implied_vol_surface(&pricer, &quotes);
-    let surface_elapsed = t3.elapsed();
     let recovered: Vec<f64> = vols.into_iter().map(|v| v.expect("grid quote inverts")).collect();
     // Every recovered vol must reproduce its quote (price space: deep-ITM
     // quotes have near-zero vega, so vol space is the wrong place to test).
@@ -115,8 +98,7 @@ fn main() {
     }
     let max_dev = recovered.iter().map(|v| (v - 0.22).abs()).fold(0.0f64, f64::max);
     println!(
-        "inverted a {}x4 implied-vol surface ({} quotes) in {surface_elapsed:.2?} \
-         (max |vol - 0.22| = {max_dev:.2e})",
+        "inverted a {}x4 implied-vol surface ({} quotes, max |vol - 0.22| = {max_dev:.2e})",
         quote_strikes.len(),
         quotes.len()
     );

@@ -11,9 +11,9 @@
 //! * [`stencil`] — linear 1-D stencil engine (Ahmad et al., SPAA 2021);
 //! * [`core`] — the paper's contribution: nonlinear-stencil trapezoid
 //!   engine, one binomial/trinomial lattice (`core::lattice`) and the BSM
-//!   grid, each with naive and FFT implementations (plus the tiled binomial
-//!   nest), greeks, implied vol, Bermudan options,
-//!   exercise-boundary extraction, and the batch pricing subsystem
+//!   grid, each with naive and FFT implementations, greeks, implied vol,
+//!   Bermudan options, exercise-boundary extraction, and the batch pricing
+//!   subsystem
 //!   (`core::batch`: dedup + sharded memo + parallel fan-out over
 //!   heterogeneous books, batch-native greeks ladders, and lockstep
 //!   implied-vol surface inversion);

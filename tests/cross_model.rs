@@ -2,8 +2,9 @@
 //! family must agree on prices, and the models must agree with each other
 //! and with closed forms in their overlap.
 
-use american_option_pricing::core::{bopm, lattice};
+use american_option_pricing::core::lattice;
 use american_option_pricing::prelude::*;
+use lattice_naive::ExecMode;
 
 fn paper() -> OptionParams {
     OptionParams::paper_defaults()
@@ -15,25 +16,10 @@ fn bopm_implementations_agree_at_multiple_sizes() {
     for steps in [64usize, 257, 1024, 4096] {
         let m = BopmModel::new(paper(), steps).unwrap();
         let fast = lattice_fast::price_american_call(&m, &cfg);
-        let serial = lattice_naive::price(
-            &m,
-            OptionType::Call,
-            ExerciseStyle::American,
-            lattice_naive::ExecMode::Serial,
-        );
-        let parallel = lattice_naive::price(
-            &m,
-            OptionType::Call,
-            ExerciseStyle::American,
-            lattice_naive::ExecMode::Parallel,
-        );
-        let tiled = bopm::tiled::price(
-            &m,
-            OptionType::Call,
-            ExerciseStyle::American,
-            bopm::tiled::TileConfig::default(),
-        );
-        for (name, v) in [("fast", fast), ("parallel", parallel), ("tiled", tiled)] {
+        let (call, american) = (OptionType::Call, ExerciseStyle::American);
+        let serial = lattice_naive::price(&m, call, american, ExecMode::Serial);
+        let parallel = lattice_naive::price(&m, call, american, ExecMode::Parallel);
+        for (name, v) in [("fast", fast), ("parallel", parallel)] {
             assert!(
                 (v - serial).abs() < 1e-9 * serial,
                 "steps={steps} {name}: {v} vs serial {serial}"
@@ -133,25 +119,30 @@ const FAST_ROUTES: [(ModelKind, OptionType); 5] = [
     (ModelKind::Bsm, OptionType::Put),
 ];
 
-/// Prices one contract through a fast route and through its Θ(T²) nest
-/// (BSM contracts must be dividend-free).
-fn fast_and_nest(kind: ModelKind, ty: OptionType, p: OptionParams, steps: usize) -> (f64, f64) {
-    fn on_lattice<const W: usize>(m: Lattice<W>, ty: OptionType) -> (f64, f64) {
+/// Prices one contract through a fast route and through its Θ(T²) nest run
+/// in `mode` (BSM contracts must be dividend-free).
+fn fast_and_nest(
+    kind: ModelKind,
+    ty: OptionType,
+    p: OptionParams,
+    steps: usize,
+    mode: ExecMode,
+) -> (f64, f64) {
+    fn on_lattice<const W: usize>(m: Lattice<W>, ty: OptionType, mode: ExecMode) -> (f64, f64) {
         let cfg = EngineConfig::default();
         let fast = match ty {
             OptionType::Call => lattice_fast::price_american_call(&m, &cfg),
             OptionType::Put => lattice_fast::price_american_put(&m, &cfg),
         };
-        let style = ExerciseStyle::American;
-        (fast, lattice_naive::price(&m, ty, style, lattice_naive::ExecMode::Serial))
+        (fast, lattice_naive::price(&m, ty, ExerciseStyle::American, mode))
     }
     match kind {
-        ModelKind::Bopm => on_lattice(BopmModel::new(p, steps).unwrap(), ty),
-        ModelKind::Topm => on_lattice(TopmModel::new(p, steps).unwrap(), ty),
+        ModelKind::Bopm => on_lattice(BopmModel::new(p, steps).unwrap(), ty, mode),
+        ModelKind::Topm => on_lattice(TopmModel::new(p, steps).unwrap(), ty, mode),
         ModelKind::Bsm => {
             let m = BsmModel::new(p, steps).unwrap();
             let fast = bsm_fast::price_american_put(&m, &EngineConfig::default());
-            (fast, bsm_naive::price_american_put(&m, bsm_naive::ExecMode::Serial))
+            (fast, bsm_naive::price_american_put(&m, mode))
         }
     }
 }
@@ -187,6 +178,21 @@ fn frontier(
 }
 
 #[test]
+fn every_fast_route_prices_the_paper_contract_like_its_parallel_nest() {
+    // The pairs the paper's §5 compares: the paper contract at T = 256
+    // (dividend-free on the BSM grid), each fast route against its Θ(T²)
+    // nest run in parallel.
+    for (kind, ty) in FAST_ROUTES {
+        let p = match kind {
+            ModelKind::Bsm => OptionParams { dividend_yield: 0.0, ..paper() },
+            _ => paper(),
+        };
+        let (fast, nest) = fast_and_nest(kind, ty, p, 256, ExecMode::Parallel);
+        assert!((fast - nest).abs() < 1e-9 * nest.max(1.0), "{kind:?} {ty:?}: {fast} vs {nest}");
+    }
+}
+
+#[test]
 fn deep_otm_calls_price_to_exactly_zero_never_below() {
     // Every leaf is out of the money at T = 400, so both nests return
     // exactly 0.  A premium-space call engine recovered the price as
@@ -194,7 +200,7 @@ fn deep_otm_calls_price_to_exactly_zero_never_below() {
     // and +1.15e-11 on BOPM.  The mirrored put's payoff row is all zeros.
     let p = OptionParams { spot: 1.0, strike: 1000.0, ..paper() };
     for kind in [ModelKind::Bopm, ModelKind::Topm] {
-        let (fast, nest) = fast_and_nest(kind, OptionType::Call, p, 400);
+        let (fast, nest) = fast_and_nest(kind, OptionType::Call, p, 400, ExecMode::Serial);
         assert_eq!(nest, 0.0, "{kind:?}");
         assert!(fast >= 0.0, "{kind:?}: negative American price {fast}");
         assert_eq!(fast, nest, "{kind:?}");
@@ -213,7 +219,7 @@ fn tiny_trees_and_extreme_moneyness_are_bounded_on_every_route() {
                     p.dividend_yield = 0.0;
                 }
                 let ctx = format!("{kind:?} {ty:?} T={steps} S/K={moneyness}");
-                let (fast, nest) = fast_and_nest(kind, ty, p, steps);
+                let (fast, nest) = fast_and_nest(kind, ty, p, steps, ExecMode::Serial);
                 let intrinsic = match ty {
                     OptionType::Call => p.spot - p.strike,
                     OptionType::Put => p.strike - p.spot,

@@ -2,9 +2,10 @@
 //! gets a typed error or a bounded price — never a panic, a hang, a NaN or an
 //! infinity.  The sweep walks each field of the paper's contract through the
 //! corners of `f64` (subnormals, the edges of the normal range, magnitudes
-//! whose ratios, squares and logarithm quotients overflow) on every route of
-//! the batch dispatcher and through the five fast routes' exercise-boundary
-//! extractors, each case on a watchdog.
+//! whose ratios, squares and logarithm quotients overflow), and the
+//! volatility through the ulps around the binomial stability floor, on every
+//! route of the batch dispatcher and through the five fast routes'
+//! exercise-boundary extractors, each case on a watchdog.
 //!
 //! A hang is a *panic* in a debug build (the overflow that starts it is
 //! checked there) and a *hang* in a release build, so CI runs this file in
@@ -18,6 +19,8 @@ use std::time::Duration;
 
 const HOSTILE: [f64; 10] =
     [5e-324, 1e-310, 1e-300, 1e-150, 1e-20, 1e-9, 1e9, 1e150, 1e300, f64::MAX];
+/// The lattice sizes every hostile contract is priced at.
+const STEPS: [usize; 3] = [1, 9, 300];
 const WATCHDOG: Duration = Duration::from_secs(2);
 const HUNG: &str = "no answer before the watchdog expired";
 /// A hung case leaks a spinning thread; stop the sweep after a few.
@@ -116,6 +119,17 @@ fn hostile_params(model: ModelKind) -> Vec<(String, OptionParams)> {
             (format!("rate=div={v:e}"), OptionParams { rate: v, dividend_yield: v, ..b }),
         ]);
     }
+    // The binomial stability floor at each swept size, and ±1 and ±4096 ulp
+    // around it: the band where rounding in the lattice exponentials, not
+    // the closed form, decides whether the CRR probability is in (0, 1).
+    for steps in STEPS {
+        let floor = BopmModel::min_stable_volatility(&b, steps);
+        for ulps in [-4096, -1, 0, 1, 4096] {
+            let v = f64::from_bits(floor.to_bits().wrapping_add_signed(ulps));
+            let what = format!("vol=floor(T={steps}){ulps:+}ulp");
+            out.push((what, OptionParams { volatility: v, ..b }));
+        }
+    }
     out
 }
 
@@ -125,7 +139,7 @@ fn every_hostile_contract_gets_a_typed_error_or_a_bounded_price() {
     for model in [ModelKind::Bopm, ModelKind::Topm, ModelKind::Bsm] {
         for (what, params) in hostile_params(model) {
             for ty in [OptionType::Call, OptionType::Put] {
-                for steps in [1usize, 9, 300] {
+                for steps in STEPS {
                     let label = format!("{model:?} {ty:?} T={steps} {what}");
                     requests.extend([
                         (
