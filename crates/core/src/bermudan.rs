@@ -15,7 +15,8 @@
 use crate::bopm::BopmModel;
 use crate::error::{PricingError, Result};
 use crate::params::OptionType;
-use amopt_stencil::{advance, Backend, Segment};
+use amopt_fft::KernelPowers;
+use amopt_stencil::{advance_powered, with_scratch, Segment};
 
 /// Prices a Bermudan **put** exercisable at the given lattice steps.
 ///
@@ -41,25 +42,31 @@ pub fn price_bermudan_put_fft(model: &BopmModel, exercise_steps: &[usize]) -> Re
     let payoff = |i: usize, j: i64| OptionType::Put.payoff(model.node_price(i, j), strike);
     let mut row = Segment::new(0, (0..=t as i64).map(|j| payoff(t, j)).collect());
     let kernel = model.kernel();
+    // One pricing, one set of multiplier tables: every stretch reads them.
+    let powers = KernelPowers::new(kernel.weights());
 
-    // Walk backward through exercise dates (skipping the expiry itself:
-    // the payoff row already reflects exercise at T).
-    let mut cur_step = t; // market step of `row`
-    for &date in dates.iter().rev() {
-        if date == t {
-            continue;
+    with_scratch(|s| {
+        let mut advance = |row: &Segment, h: usize| {
+            advance_powered(&row.values, row.start, &kernel, h as u64, &powers, &mut s.fft)
+        };
+        // Walk backward through exercise dates (skipping the expiry itself:
+        // the payoff row already reflects exercise at T).
+        let mut cur_step = t; // market step of `row`
+        for &date in dates.iter().rev() {
+            if date == t {
+                continue;
+            }
+            row = advance(&row, cur_step - date);
+            for (idx, v) in row.values.iter_mut().enumerate() {
+                let j = row.start + idx as i64;
+                *v = v.max(payoff(date, j));
+            }
+            cur_step = date;
         }
-        let h = (cur_step - date) as u64;
-        row = advance(&row, &kernel, h, Backend::Fft);
-        for (idx, v) in row.values.iter_mut().enumerate() {
-            let j = row.start + idx as i64;
-            *v = v.max(payoff(date, j));
+        if cur_step > 0 {
+            row = advance(&row, cur_step);
         }
-        cur_step = date;
-    }
-    if cur_step > 0 {
-        row = advance(&row, &kernel, cur_step as u64, Backend::Fft);
-    }
+    });
     debug_assert_eq!(row.len(), 1);
     Ok(row.values[0])
 }
@@ -112,6 +119,50 @@ mod tests {
                 "dates={}: fft {got} vs naive {want}",
                 dates.len()
             );
+        }
+    }
+
+    /// The pricing on the four-argument `advance`, which builds fresh
+    /// multiplier tables and checks out scratch on every call.
+    fn price_by_plain_advance(m: &BopmModel, dates: &[usize]) -> f64 {
+        use amopt_stencil::{advance, Backend};
+        let t = m.steps();
+        let payoff =
+            |i: usize, j: i64| OptionType::Put.payoff(m.node_price(i, j), m.params().strike);
+        let mut dates = dates.to_vec();
+        dates.sort_unstable();
+        dates.dedup();
+        let mut row = Segment::new(0, (0..=t as i64).map(|j| payoff(t, j)).collect());
+        let mut cur_step = t;
+        for &date in dates.iter().rev().filter(|&&d| d != t) {
+            row = advance(&row, &m.kernel(), (cur_step - date) as u64, Backend::Fft);
+            for (idx, v) in row.values.iter_mut().enumerate() {
+                *v = v.max(payoff(date, row.start + idx as i64));
+            }
+            cur_step = date;
+        }
+        if cur_step > 0 {
+            row = advance(&row, &m.kernel(), cur_step as u64, Backend::Fft);
+        }
+        row.values[0]
+    }
+
+    #[test]
+    fn shared_tables_price_bitwise_like_the_plain_advance() {
+        // Stretches above and below the 64-cell stepped cut, repeated
+        // heights (a table's second use) and the expiry-only European.
+        let m = model(500);
+        let date_sets: Vec<Vec<usize>> = vec![
+            vec![500],
+            vec![100, 200, 300, 400],
+            (1..=500).step_by(7).collect(),
+            vec![1, 2, 3, 60, 61, 499],
+            vec![450, 30, 250, 30],
+        ];
+        for dates in date_sets {
+            let got = price_bermudan_put_fft(&m, &dates).unwrap();
+            let want = price_by_plain_advance(&m, &dates);
+            assert_eq!(got.to_bits(), want.to_bits(), "dates {dates:?}: {got} vs {want}");
         }
     }
 

@@ -116,16 +116,23 @@ impl GreenPrefixRow {
         }
     }
 
-    /// Copy of the red cells over `[lo, hi]` (inclusive), materialising the
-    /// implicit zero tail.  `lo` must sit above the boundary and `hi` within
+    /// Appends the red cells `(boundary, hi]` to `out`: the stored reds up to
+    /// `hi`, then the implicit zero tail as exact zeros.  `hi` must lie within
     /// the cone.
-    fn extract_reds(&self, lo: i64, hi: i64) -> Segment {
-        debug_assert!(lo > self.boundary && hi <= self.hi);
-        let mut values = Vec::with_capacity((hi - lo + 1).max(0) as usize);
-        for c in lo..=hi {
-            values.push(if self.reds.contains(c) { self.reds.get(c) } else { 0.0 });
-        }
-        Segment::new(lo, values)
+    fn push_reds_through(&self, hi: i64, out: &mut Vec<f64>) {
+        debug_assert!(hi <= self.hi);
+        let n = (hi - self.boundary).max(0) as usize;
+        let len = out.len() + n;
+        out.extend_from_slice(&self.reds.values[..n.min(self.reds.len())]);
+        out.resize(len, 0.0);
+    }
+
+    /// Copy of the red cells `(boundary, hi]`, materialising the implicit
+    /// zero tail.  `hi` must lie within the cone.
+    fn extract_reds(&self, hi: i64) -> Segment {
+        let mut values = Vec::with_capacity((hi - self.boundary).max(0) as usize);
+        self.push_reds_through(hi, &mut values);
+        Segment::new(self.boundary + 1, values)
     }
 }
 
@@ -310,12 +317,9 @@ fn advance_certified(
     with_scratch(|s| {
         let staging = &mut s.staging;
         staging.clear();
-        staging.reserve((in_hi - f) as usize);
-        for c in (f + 1)..=in_hi {
-            // Columns beyond the stored support are exact zeros (module
-            // docs); in windows the storage always reaches the cone edge.
-            staging.push(if row.reds.contains(c) { row.reds.get(c) } else { 0.0 });
-        }
+        // Columns beyond the stored support are exact zeros (module docs); in
+        // windows the storage always reaches the cone edge.
+        row.push_reds_through(in_hi, staging);
         linear_cells!(staging.len());
         advance_powered(staging, f + 1, kernel, h, powers, &mut s.fft)
     })
@@ -400,12 +404,8 @@ where
 
         let win_hi = f + span * h1 as i64;
         let hi_new = hi - span * h1 as i64;
-        let sub_row = GreenPrefixRow {
-            t: cur.t,
-            boundary: f,
-            hi: win_hi,
-            reds: cur.extract_reds(f + 1, win_hi),
-        };
+        let sub_row =
+            GreenPrefixRow { t: cur.t, boundary: f, hi: win_hi, reds: cur.extract_reds(win_hi) };
         let parallel = remaining >= cfg.sequential_below;
         let bulk_task = || advance_certified(kernel, powers, &cur, h1, hi_new);
         let sub_task = || {
@@ -849,6 +849,51 @@ mod tests {
                     let a = chunked.value_at(&green, c);
                     let b = once.value_at(&green, c);
                     assert!((a - b).abs() < 1e-10 * b.abs().max(1.0), "{ctx} col {c}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_reds_are_the_stored_reds_then_exact_zeros() {
+        // The slice-built staging of `advance_certified` and `extract_reds`
+        // against the per-column definition (stored red, else exact zero),
+        // bit for bit, for stored support ending before, at and beyond the
+        // requested column, and for empty reds.
+        for f in [-3i64, 0, 5] {
+            let cone_hi = f + 30;
+            for stored in [0usize, 1, 12, 30] {
+                let values: Vec<f64> = (0..stored)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 1.0 / (i as f64 + 0.5) })
+                    .collect();
+                let row = GreenPrefixRow {
+                    t: 7,
+                    boundary: f,
+                    hi: cone_hi,
+                    reds: Segment::new(f + 1, values),
+                };
+                row.assert_consistent();
+                for hi in f..=cone_hi {
+                    let want: Vec<u64> = ((f + 1)..=hi)
+                        .map(|c| if row.reds.contains(c) { row.reds.get(c) } else { 0.0 })
+                        .map(f64::to_bits)
+                        .collect();
+                    let ctx = format!("f {f} stored {stored} hi {hi}");
+                    let mut staging = vec![9.0; 40];
+                    staging.clear();
+                    row.push_reds_through(hi, &mut staging);
+                    assert_eq!(
+                        staging.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want,
+                        "{ctx}"
+                    );
+                    let seg = row.extract_reds(hi);
+                    assert_eq!(seg.start, f + 1, "{ctx}");
+                    assert_eq!(
+                        seg.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want,
+                        "{ctx}"
+                    );
                 }
             }
         }

@@ -49,17 +49,6 @@ impl StencilKernel {
         self.weights.len() - 1
     }
 
-    /// Column offset of the last tap relative to the output cell.
-    #[inline]
-    pub fn hi_offset(&self) -> i64 {
-        self.anchor + self.span() as i64
-    }
-
-    /// `Σ|w|` — the ℓ¹ norm; `≤ 1` guarantees numerically stable powering.
-    pub fn l1_norm(&self) -> f64 {
-        self.weights.iter().map(|w| w.abs()).sum()
-    }
-
     /// Applies a single step to `row`, returning the valid cells.
     /// The output corresponds to input columns shifted by `anchor` (the
     /// caller tracks absolute positions; see [`crate::segment::Segment`]).
@@ -81,8 +70,6 @@ mod tests {
         let k = StencilKernel::new(vec![0.25, 0.5, 0.25], -1);
         assert_eq!(k.span(), 2);
         assert_eq!(k.anchor(), -1);
-        assert_eq!(k.hi_offset(), 1);
-        assert!((k.l1_norm() - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -38,13 +38,6 @@ impl Segment {
         self.start + self.values.len() as i64
     }
 
-    /// Last absolute column (inclusive); panics on empty segments.
-    #[inline]
-    pub fn last_col(&self) -> i64 {
-        assert!(!self.is_empty(), "empty segment has no last column");
-        self.end() - 1
-    }
-
     /// Whether absolute column `col` lies inside the segment.
     #[inline]
     pub fn contains(&self, col: i64) -> bool {
@@ -96,7 +89,6 @@ mod tests {
         let s = Segment::new(-3, vec![10.0, 11.0, 12.0, 13.0]);
         assert_eq!(s.len(), 4);
         assert_eq!(s.end(), 1);
-        assert_eq!(s.last_col(), 0);
         assert!(s.contains(-3) && s.contains(0) && !s.contains(1) && !s.contains(-4));
         assert_eq!(s.get(-3), 10.0);
         assert_eq!(s.get(0), 13.0);
