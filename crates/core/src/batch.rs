@@ -487,13 +487,6 @@ impl BatchPricer {
         self.memo.lock(self.memo.shard_of(&key)).lookup(&key)
     }
 
-    /// Drops every memoized price (counters are kept).
-    pub fn clear_memo(&self) {
-        for shard in 0..self.memo.shards.len() {
-            self.memo.lock(shard).map.clear();
-        }
-    }
-
     /// Prices a single request through the full batch machinery (dedup is
     /// trivial; the memo still applies).
     pub fn price_one(&self, request: &PricingRequest) -> Result<f64> {
@@ -976,17 +969,10 @@ mod tests {
         let pricer = pricer();
         let req = PricingRequest::european(ModelKind::Topm, OptionType::Put, p(), 150);
         let one = pricer.price_one(&req).unwrap();
-        let batch = pricer.clear_and_price(&req);
+        // A memo-less pricer, so the batch is a fresh computation, not a hit.
+        let fresh = BatchPricer::with_memo_capacity(*pricer.engine_config(), 0);
+        let batch = fresh.price_batch(std::slice::from_ref(&req))[0].clone().unwrap();
         assert_eq!(one.to_bits(), batch.to_bits());
-    }
-
-    impl BatchPricer {
-        /// Test helper: price after clearing the memo, so the comparison is
-        /// against a fresh computation rather than a cache hit.
-        fn clear_and_price(&self, req: &PricingRequest) -> f64 {
-            self.clear_memo();
-            self.price_batch(std::slice::from_ref(req))[0].clone().unwrap()
-        }
     }
 
     #[test]

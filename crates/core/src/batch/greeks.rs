@@ -156,8 +156,8 @@ mod tests {
         let pricer = BatchPricer::new(EngineConfig::default());
         let req = PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), 400);
         let batch = greeks(&pricer, std::slice::from_ref(&req)).pop().unwrap().unwrap();
-        let serial =
-            crate::greeks::american_call_bopm(&p(), 400, &EngineConfig::default()).unwrap();
+        let one_shot = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+        let serial = crate::greeks::greeks_by_fd(&one_shot, &req).unwrap();
         for (a, b) in [
             (batch.delta, serial.delta),
             (batch.gamma, serial.gamma),

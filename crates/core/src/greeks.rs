@@ -3,18 +3,16 @@
 //! is only `O(T log² T)`.
 //!
 //! This module owns the [`Greeks`] type, the bump-width policy, and the
-//! per-contract convenience entry points.  The differencing itself lives in
-//! [`crate::batch::greeks`]: every entry point here is a **batch-of-one
+//! per-contract entry point [`greeks_by_fd`].  The differencing itself lives
+//! in [`crate::batch::greeks`]: [`greeks_by_fd`] is a **batch-of-one
 //! facade** over [`crate::batch::greeks::greeks`], so a single contract's
 //! greeks take exactly the same code path — same bump ladder, same routed
 //! pricers, same arithmetic — as a thousand-contract book fanned through
 //! [`BatchPricer::price_batch`](crate::batch::BatchPricer::price_batch).
 
 use crate::batch::greeks as batch_greeks;
-use crate::batch::{BatchPricer, ModelKind, PricingRequest};
-use crate::engine::EngineConfig;
+use crate::batch::{BatchPricer, PricingRequest};
 use crate::error::Result;
-use crate::params::{OptionParams, OptionType};
 
 /// First- and second-order sensitivities of an option price.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,43 +65,27 @@ pub fn greeks_by_fd(pricer: &BatchPricer, request: &PricingRequest) -> Result<Gr
         .expect("one request in, one result out")
 }
 
-/// Greeks of the American **call** under BOPM (fast pricer).
-pub fn american_call_bopm(
-    params: &OptionParams,
-    steps: usize,
-    cfg: &EngineConfig,
-) -> Result<Greeks> {
-    // Memo capacity 0: a one-shot facade has no second batch to serve; the
-    // in-batch dedup (rho's base-price reuse) still applies.
-    let pricer = BatchPricer::with_memo_capacity(*cfg, 0);
-    greeks_by_fd(
-        &pricer,
-        &PricingRequest::american(ModelKind::Bopm, OptionType::Call, *params, steps),
-    )
-}
-
-/// Greeks of the American **put** under the BSM explicit FD scheme.
-pub fn american_put_bsm(params: &OptionParams, steps: usize, cfg: &EngineConfig) -> Result<Greeks> {
-    let pricer = BatchPricer::with_memo_capacity(*cfg, 0);
-    greeks_by_fd(
-        &pricer,
-        &PricingRequest::american(ModelKind::Bsm, OptionType::Put, *params, steps),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytic;
+    use crate::batch::ModelKind;
+    use crate::engine::EngineConfig;
     use crate::lattice::{fast, Lattice};
-    use crate::params::OptionType;
+    use crate::params::{OptionParams, OptionType};
+
+    /// Greeks of one American contract on a memo-less default pricer.
+    fn american(model: ModelKind, ty: OptionType, p: OptionParams, steps: usize) -> Result<Greeks> {
+        let request = PricingRequest::american(model, ty, p, steps);
+        greeks_by_fd(&BatchPricer::with_memo_capacity(EngineConfig::default(), 0), &request)
+    }
 
     #[test]
     fn zero_dividend_call_matches_black_scholes_greeks() {
         // With Y = 0 the American call is European, so the lattice greeks
         // must approach the closed-form ones.
         let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
-        let g = american_call_bopm(&p, 6000, &EngineConfig::default()).unwrap();
+        let g = american(ModelKind::Bopm, OptionType::Call, p, 6000).unwrap();
         let delta = analytic::black_scholes_delta(&p, OptionType::Call).unwrap();
         let vega = analytic::black_scholes_vega(&p).unwrap();
         assert!((g.delta - delta).abs() < 5e-3, "delta {} vs {}", g.delta, delta);
@@ -115,11 +97,11 @@ mod tests {
     #[test]
     fn call_delta_in_unit_range_and_put_delta_negative() {
         let p = OptionParams::paper_defaults();
-        let g = american_call_bopm(&p, 2000, &EngineConfig::default()).unwrap();
+        let g = american(ModelKind::Bopm, OptionType::Call, p, 2000).unwrap();
         assert!(g.delta > 0.0 && g.delta < 1.0, "call delta {}", g.delta);
 
         let put_params = OptionParams { dividend_yield: 0.0, ..p };
-        let gp = american_put_bsm(&put_params, 2000, &EngineConfig::default()).unwrap();
+        let gp = american(ModelKind::Bsm, OptionType::Put, put_params, 2000).unwrap();
         assert!(gp.delta < 0.0 && gp.delta > -1.0, "put delta {}", gp.delta);
         assert!(gp.vega > 0.0, "put vega {}", gp.vega);
         assert!(gp.rho < 0.0, "put rho should be negative, got {}", gp.rho);
@@ -132,7 +114,7 @@ mod tests {
         // difference built from a silently clamped rate.
         let p = OptionParams { rate: 0.0, dividend_yield: 0.0, ..OptionParams::paper_defaults() };
         let cfg = EngineConfig::default();
-        let g = american_put_bsm(&p, 800, &cfg).unwrap();
+        let g = american(ModelKind::Bsm, OptionType::Put, p, 800).unwrap();
         assert!(g.rho.is_finite());
         let price = |rate: f64| {
             let m = Lattice::explicit_fd(OptionParams { rate, ..p }, 800).unwrap();
@@ -143,7 +125,7 @@ mod tests {
         assert!(g.rho < 0.0, "put rho must be negative, got {}", g.rho);
 
         // The BOPM call at R = 0 takes the same fallback and stays positive.
-        let gc = american_call_bopm(&p, 1000, &cfg).unwrap();
+        let gc = american(ModelKind::Bopm, OptionType::Call, p, 1000).unwrap();
         assert!(gc.rho.is_finite() && gc.rho > 0.0, "call rho {}", gc.rho);
     }
 
@@ -151,7 +133,7 @@ mod tests {
     fn rho_above_the_bump_is_a_central_difference() {
         let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
         let cfg = EngineConfig::default();
-        let g = american_put_bsm(&p, 800, &cfg).unwrap();
+        let g = american(ModelKind::Bsm, OptionType::Put, p, 800).unwrap();
         let price = |rate: f64| {
             let m = Lattice::explicit_fd(OptionParams { rate, ..p }, 800).unwrap();
             fast::price_american_put(&m, &cfg)
@@ -163,7 +145,7 @@ mod tests {
     #[test]
     fn american_put_theta_nonpositive() {
         let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
-        let g = american_put_bsm(&p, 1500, &EngineConfig::default()).unwrap();
+        let g = american(ModelKind::Bsm, OptionType::Put, p, 1500).unwrap();
         assert!(g.theta <= 1e-6, "theta {}", g.theta);
     }
 

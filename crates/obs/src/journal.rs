@@ -28,9 +28,6 @@ pub enum EventKind {
     /// A brownout shed decision: payload `[class]` (0 price, 1 greeks,
     /// 2 implied-vol).
     Shed,
-    /// A retry performed by the in-process retry budget: payload
-    /// `[client id, attempt]`.
-    Retry,
     /// A worker thread respawned by the watchdog: payload `[worker index]`.
     WorkerRestart,
     /// An explicit latency budget missed: payload `[lateness in nanos]`.
@@ -43,7 +40,6 @@ impl EventKind {
             EventKind::Trace => 1,
             EventKind::Fault => 2,
             EventKind::Shed => 3,
-            EventKind::Retry => 4,
             EventKind::WorkerRestart => 5,
             EventKind::DeadlineMiss => 6,
         }
@@ -54,7 +50,6 @@ impl EventKind {
             1 => EventKind::Trace,
             2 => EventKind::Fault,
             3 => EventKind::Shed,
-            4 => EventKind::Retry,
             5 => EventKind::WorkerRestart,
             6 => EventKind::DeadlineMiss,
             _ => return None,
@@ -67,7 +62,6 @@ impl EventKind {
             EventKind::Trace => "trace",
             EventKind::Fault => "fault",
             EventKind::Shed => "shed",
-            EventKind::Retry => "retry",
             EventKind::WorkerRestart => "worker-restart",
             EventKind::DeadlineMiss => "deadline-miss",
         }
@@ -239,7 +233,7 @@ mod tests {
                 let journal = &journal;
                 scope.spawn(move || {
                     for i in 0..500u64 {
-                        journal.push(&Event::new(EventKind::Retry, &[t, i, t ^ i]));
+                        journal.push(&Event::new(EventKind::Fault, &[t, i, t ^ i]));
                     }
                 });
             }

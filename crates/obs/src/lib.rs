@@ -14,9 +14,8 @@
 //!   lifecycle and aggregated into per-stage histograms.
 //! * [`Journal`]: a lock-free ring buffer of fixed-size [`Event`]s — the
 //!   flight recorder.  Completed trace cards, fault-injection firings,
-//!   worker restarts, brownout sheds, retries, and deadline misses all
-//!   land here; [`Journal::recent`] samples the newest N without stopping
-//!   writers.
+//!   worker restarts, brownout sheds, and deadline misses all land here;
+//!   [`Journal::recent`] samples the newest N without stopping writers.
 //! * [`kernel`]: static phase timers for the trapezoid/cone engines (FFT
 //!   pass vs boundary window vs base case), enabled by the `obs` cargo
 //!   feature of `amopt-core` and zero-cost when disabled.

@@ -162,11 +162,11 @@ pub struct ChaosReport {
     pub worker_restarts: u64,
     /// Full service-side stats snapshot after the settle wait (the fields
     /// above are the headline subset; the journal audit needs the rest —
-    /// retries, sheds per class, deadline misses).
+    /// sheds per class, deadline misses).
     pub service: ServiceStats,
     /// Quiesced event-journal snapshot taken after shutdown, oldest first.
     /// The soak sizes the ring so nothing is evicted: every fault firing,
-    /// shed, retry, restart, and trace card of the run is here.
+    /// shed, restart, and trace card of the run is here.
     pub journal: Vec<Event>,
     /// Invariant violations (empty ⇔ the soak passed).
     pub violations: Vec<String>,

@@ -1,8 +1,6 @@
 //! Service tuning knobs.
 
 use crate::fault::FaultPlan;
-use amopt_core::batch::DEFAULT_MEMO_CAPACITY;
-use amopt_core::EngineConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,8 +16,6 @@ use std::time::Duration;
 /// batch is executing.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Engine configuration every routed pricer runs under.
-    pub engine: EngineConfig,
     /// Flush a batch once it holds this many requests.
     pub max_batch: usize,
     /// How long a request waits for company *while another batch
@@ -45,19 +41,9 @@ pub struct ServiceConfig {
     /// this cap — the reactor stops reading it at the cap and resumes as
     /// replies drain, so TCP backpressure paces the peer.
     pub per_conn_inflight: usize,
-    /// Total memo capacity passed through to the shared `BatchPricer`
-    /// (`0` disables cross-batch memoization), split over its default
-    /// shard count.
-    pub memo_capacity: usize,
     /// Connections the reactor will hold open at once; a connection
     /// accepted beyond it is closed immediately (the peer reads EOF).
     pub max_connections: usize,
-    /// Retries the in-process retry budget starts with (and is capped at).
-    /// Each retry spends one token; every clean first-attempt success
-    /// earns a tenth back, so sustained failure cannot amplify load by
-    /// more than the budget (see
-    /// [`Client::call_with_retry`](crate::Client::call_with_retry)).
-    pub retry_budget: usize,
     /// Deterministic fault-injection plan threaded through every layer
     /// (`None`, the default, injects nothing and costs nothing on the hot
     /// path beyond one pointer test).
@@ -70,7 +56,7 @@ pub struct ServiceConfig {
     /// VM, median ≈ 1.01 — a 3 % budget is neither shown met nor enforced.
     pub trace: bool,
     /// Event-journal ring capacity (completed trace cards, fault firings,
-    /// sheds, retries, worker restarts, deadline misses).  Rounded up to a
+    /// sheds, worker restarts, deadline misses).  Rounded up to a
     /// power of two; the ring overwrites oldest-first, so size it for the
     /// window a post-mortem needs.
     pub journal_capacity: usize,
@@ -79,15 +65,12 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            engine: EngineConfig::default(),
             max_batch: 256,
             max_wait: Duration::from_millis(2),
             queue_depth: 4096,
             workers: 2,
             per_conn_inflight: 1024,
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
             max_connections: 10_000,
-            retry_budget: 128,
             fault: None,
             trace: true,
             journal_capacity: 4096,

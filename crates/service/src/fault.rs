@@ -140,7 +140,7 @@ impl FaultSchedule {
 
     /// The hostile schedule the chaos soak runs: every handled class fires
     /// often enough that a mixed book sees hundreds of faults, while resets
-    /// stay rare enough that retry budgets are not the bottleneck.
+    /// stay rare enough that the fleet's retry attempts are not the bottleneck.
     pub fn hostile() -> FaultSchedule {
         FaultSchedule::off()
             .with_rate(FaultSite::ShortRead, 300)
@@ -217,7 +217,7 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64: the standard 64-bit finalizer, bijective and well mixed.
-/// Crate-visible so retry jitter can mix deterministically too.
+/// Crate-visible so the chaos book can mix deterministically too.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -77,7 +77,7 @@ pub mod wire;
 pub use chaos::{soak, ChaosConfig, ChaosReport};
 pub use config::ServiceConfig;
 pub use fault::{FaultPlan, FaultSchedule, FaultSite, FaultStats, FAULT_SITES};
-pub use queue::{Client, QuoteService, RetryPolicy, Ticket};
+pub use queue::{Client, QuoteService, Ticket};
 pub use tcp::{QuoteServer, TcpQuoteClient};
 pub use types::{
     ReactorStats, ServiceError, ServiceRequest, ServiceResponse, ServiceStats, ShedByClass,

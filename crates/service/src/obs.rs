@@ -56,11 +56,6 @@ pub(crate) struct ServiceObs {
     pub(crate) workers_alive: Gauge,
     pub(crate) worker_restarts: Counter,
 
-    // Retry budget.
-    pub(crate) retries: Counter,
-    pub(crate) retry_budget_exhausted: Counter,
-    pub(crate) retry_tokens: Gauge,
-
     // Brownout sheds, per request class.
     pub(crate) shed_price: Counter,
     pub(crate) shed_greeks: Counter,
@@ -189,13 +184,6 @@ impl ServiceObs {
                 "amopt_worker_restarts_total",
                 "Worker threads respawned by the watchdog after a panic",
             ),
-
-            retries: r.counter("amopt_retries_total", "Retries performed by call_with_retry"),
-            retry_budget_exhausted: r.counter(
-                "amopt_retry_budget_exhausted_total",
-                "Retries refused because the retry budget was exhausted",
-            ),
-            retry_tokens: r.gauge("amopt_retry_tokens", "Retry-budget tokens currently available"),
 
             shed_price: r
                 .counter("amopt_shed_price_total", "Price requests shed by brownout tiers"),
@@ -352,12 +340,6 @@ impl ServiceObs {
         self.journal.push(&Event::new(EventKind::Shed, &[class]));
     }
 
-    /// Journals one performed retry.
-    pub(crate) fn retry_fired(&self, client_id: u64, attempt: u64) {
-        self.retries.inc();
-        self.journal.push(&Event::new(EventKind::Retry, &[client_id, attempt]));
-    }
-
     /// Journals a watchdog worker respawn.
     pub(crate) fn worker_restarted(&self, worker_index: u64) {
         self.worker_restarts.inc();
@@ -384,11 +366,6 @@ impl ServiceObs {
         let mut text = self.registry.render();
         amopt_obs::kernel::render_into(&mut text);
         text
-    }
-
-    /// Number of registered instruments (acceptance: ≥ 25).
-    pub(crate) fn instrument_count(&self) -> usize {
-        self.registry.len()
     }
 
     /// The [`ReactorStats`] view, assembled from the reactor's registry
@@ -419,11 +396,7 @@ mod tests {
     #[test]
     fn the_registry_meets_the_instrument_floor() {
         let obs = ServiceObs::new(true, 64);
-        assert!(
-            obs.instrument_count() >= 25,
-            "only {} instruments registered",
-            obs.instrument_count()
-        );
+        assert!(obs.registry.len() >= 25, "only {} instruments registered", obs.registry.len());
         // Every subsystem the acceptance criteria name is represented.
         let text = obs.render(&amopt_core::batch::MemoStats::default());
         for needle in [
@@ -432,7 +405,6 @@ mod tests {
             "amopt_queue_batch_size_bucket",
             "amopt_memo_hits",
             "amopt_fault_worker_panic_fired_total",
-            "amopt_retries_total",
             "amopt_shed_price_total",
             "amopt_stage_queue_wait_nanos_count",
             "amopt_kernel_fft_pass_calls_total",

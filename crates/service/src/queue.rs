@@ -60,6 +60,7 @@ use crate::types::{ServiceError, ServiceRequest, ServiceResponse, ServiceStats, 
 use crate::ServiceResult;
 use amopt_core::batch::surface::{implied_vol_surface, VolQuote};
 use amopt_core::batch::{greeks as batch_greeks, BatchPricer, PricingRequest};
+use amopt_core::EngineConfig;
 use amopt_obs::{Journal, RequestTrace, Stage, TraceCard};
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -221,40 +222,12 @@ struct Shared {
     /// The Flightdeck spine: every counter, gauge, histogram, trace card,
     /// and journal event the service emits funnels through here.
     obs: Arc<ServiceObs>,
-    /// Retry-budget token bucket, in *tenths* of a retry: a retry spends
-    /// 10, a clean first-attempt success earns 1 back (capped at the
-    /// configured budget), so retry traffic is bounded at the budget plus
-    /// ~10% of successful throughput.  Kept as a raw atomic (the spend
-    /// path is a CAS loop, not a plain add) and mirrored to the
-    /// `amopt_retry_tokens` gauge after every state change.
-    retry_tokens: AtomicU64,
     /// Client-handle id allocator (fair-share key).
     next_client: AtomicU64,
     /// Worker thread handles.  Lives in `Shared` (not `QuoteService`) so
     /// the watchdog guard of a dying worker can register its replacement's
     /// handle for shutdown to join.
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Shared {
-    /// Spends one retry token (10 tenths); `false` when the bucket is dry.
-    fn spend_retry_token(&self) -> bool {
-        let spent = self
-            .retry_tokens
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| t.checked_sub(10))
-            .is_ok();
-        self.obs.retry_tokens.set(self.retry_tokens.load(Ordering::Acquire));
-        spent
-    }
-
-    /// Earns a tenth of a retry token, capped at the configured budget.
-    fn earn_retry_tenth(&self) {
-        let cap = self.cfg.retry_budget as u64 * 10;
-        let _ = self
-            .retry_tokens
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| (t < cap).then_some(t + 1));
-        self.obs.retry_tokens.set(self.retry_tokens.load(Ordering::Acquire));
-    }
 }
 
 /// The batch-coalescing quote service.  Start one with
@@ -328,13 +301,15 @@ fn take_worker_handles(shared: &Shared) -> Vec<std::thread::JoinHandle<()>> {
 }
 
 impl QuoteService {
-    /// Starts the worker pool and returns the running service.
+    /// Starts the worker pool and returns the running service.  Every
+    /// request prices through one shared `BatchPricer` with the default
+    /// engine configuration and memo capacity.
     ///
     /// Fails with the spawn error if the OS refuses a worker thread; any
     /// workers already started are shut down and joined before returning.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Self> {
         let cfg = cfg.normalised();
-        let pricer = BatchPricer::with_memo_capacity(cfg.engine, cfg.memo_capacity);
+        let pricer = BatchPricer::new(EngineConfig::default());
         let obs = ServiceObs::new(cfg.trace, cfg.journal_capacity);
         if let Some(plan) = &cfg.fault {
             // Wire the fault plan's firing funnel into the journal and the
@@ -348,13 +323,9 @@ impl QuoteService {
             state: Mutex::new(QueueState::default()),
             work: Condvar::new(),
             obs,
-            retry_tokens: AtomicU64::new(0),
             next_client: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
         });
-        // Fill the retry-budget token bucket (tenths of a retry).
-        shared.retry_tokens.store(shared.cfg.retry_budget as u64 * 10, Ordering::Relaxed);
-        shared.obs.retry_tokens.set(shared.cfg.retry_budget as u64 * 10);
         for i in 0..shared.cfg.workers {
             if let Err(e) = spawn_worker(&shared, i) {
                 lock_unpoisoned(&shared.state).shutdown = true;
@@ -407,8 +378,6 @@ impl QuoteService {
             memo: self.shared.pricer.memo_stats(),
             worker_restarts: o.worker_restarts.get(),
             workers_alive: o.workers_alive.get(),
-            retries: o.retries.get(),
-            retry_budget_exhausted: o.retry_budget_exhausted.get(),
             shed_by_class: ShedByClass {
                 price: o.shed_price.get(),
                 greeks: o.shed_greeks.get(),
@@ -433,14 +402,9 @@ impl QuoteService {
     }
 
     /// The event journal — completed trace cards, fault firings, sheds,
-    /// retries, worker restarts, and deadline misses, in push order.
+    /// worker restarts, and deadline misses, in push order.
     pub fn journal(&self) -> &Arc<Journal> {
         self.shared.obs.journal()
-    }
-
-    /// Number of instruments registered with the metrics registry.
-    pub fn instrument_count(&self) -> usize {
-        self.shared.obs.instrument_count()
     }
 
     /// The observability spine, shared with the front ends.
@@ -661,49 +625,6 @@ impl Client {
         self.submit(request)?.wait()
     }
 
-    /// [`call`](Client::call) with jittered-exponential-backoff retries on
-    /// [`ServiceError::Overloaded`] — the one in-process outcome that is
-    /// idempotent-safe to retry, because a rejected request was never
-    /// enqueued.  Everything else (success, pricing errors, shutdown,
-    /// internal errors) returns immediately: those requests *executed*, so
-    /// resubmitting would double-run them.
-    ///
-    /// Retries draw on a service-wide budget
-    /// ([`retry_budget`](crate::ServiceConfig::retry_budget)): each retry
-    /// spends a token and each clean first-attempt success earns a tenth
-    /// back, so a persistent overload cannot amplify traffic by more than
-    /// the budget plus ~10% of goodput.  When the budget is dry the
-    /// original `Overloaded` error surfaces unchanged and
-    /// `retry_budget_exhausted` counts it.  Backoff jitter is
-    /// deterministic per (client handle, attempt): no global RNG.
-    pub fn call_with_retry(&self, request: ServiceRequest, policy: &RetryPolicy) -> ServiceResult {
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 1..=attempts {
-            let first_attempt = attempt == 1;
-            match self.call(request.clone()) {
-                Err(ServiceError::Overloaded { what }) => {
-                    if attempt == attempts {
-                        return Err(ServiceError::Overloaded { what });
-                    }
-                    if !self.shared.spend_retry_token() {
-                        self.shared.obs.retry_budget_exhausted.inc();
-                        return Err(ServiceError::Overloaded { what });
-                    }
-                    self.shared.obs.retry_fired(self.id, attempt as u64);
-                    std::thread::sleep(policy.backoff(self.id, attempt));
-                }
-                result => {
-                    if first_attempt && result.is_ok() {
-                        self.shared.earn_retry_tenth();
-                    }
-                    return result;
-                }
-            }
-        }
-        // Unreachable: the final attempt returned above.
-        Err(ServiceError::Internal { what: "retry loop exhausted without a result" })
-    }
-
     /// Prices one contract through the service.
     pub fn price(&self, request: PricingRequest) -> Result<f64, ServiceError> {
         match self.call(ServiceRequest::Price(request))? {
@@ -763,41 +684,6 @@ fn answered_at_submit(shared: &Shared, price: f64, trace: Option<Arc<RequestTrac
     Ticket {
         slot: Slot::new(Some(Ok(ServiceResponse::Price(price)))),
         delivery: trace.map(|t| (t, Arc::clone(&shared.obs))),
-    }
-}
-
-/// Backoff shape for [`Client::call_with_retry`]: exponential from
-/// `base_backoff`, capped at `max_backoff`, scaled by a deterministic
-/// jitter in `[0.5, 1.0)` derived from the client handle and attempt
-/// number (no global RNG, so a replay retries at identical instants).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (min 1).
-    pub max_attempts: usize,
-    /// Backoff before the second attempt.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before attempt `attempt + 1` for client handle `id`.
-    pub(crate) fn backoff(&self, id: u64, attempt: usize) -> Duration {
-        let doublings = u32::try_from(attempt.saturating_sub(1)).unwrap_or(16).min(16);
-        let exp = self.base_backoff.saturating_mul(1u32 << doublings).min(self.max_backoff);
-        let jitter =
-            crate::fault::splitmix64(id.wrapping_mul(0x9e37_79b9).wrapping_add(attempt as u64));
-        exp.mul_f64(0.5 + (jitter & 1023) as f64 / 2048.0)
     }
 }
 
@@ -1193,7 +1079,7 @@ mod tests {
     use crate::fault::{FaultPlan, FaultSchedule};
     use amopt_core::batch::ModelKind;
     use amopt_core::bopm::BopmModel;
-    use amopt_core::{EngineConfig, OptionParams, OptionType, PricingError};
+    use amopt_core::{OptionParams, OptionType, PricingError};
     use amopt_obs::bucket_index;
     use std::time::Duration;
 
@@ -2117,57 +2003,6 @@ mod tests {
         // error for an unattainable market price) — acceptance is the point.
         let _ = tagged.wait();
         service.shutdown();
-    }
-
-    #[test]
-    fn retry_budget_bounds_retries_and_surfaces_exhaustion() {
-        // A cap-1 client with a plugged worker: every extra call rejects
-        // with Overloaded.  With a budget of 2 retries, call_with_retry
-        // spends both, then surfaces the error and counts the exhaustion.
-        let service = QuoteService::start(ServiceConfig {
-            workers: 1,
-            max_batch: 1,
-            max_wait: Duration::from_millis(1),
-            per_conn_inflight: 1,
-            retry_budget: 2,
-            fault: Some(stalling_plan()),
-            ..ServiceConfig::default()
-        })
-        .expect("start service");
-        let client = service.client();
-        let plug_ticket = plug(&client);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(1),
-        };
-        let got = client.call_with_retry(ServiceRequest::Price(price_req(100.0, 32)), &policy);
-        assert!(matches!(got, Err(ServiceError::Overloaded { .. })), "{got:?}");
-        let stats = service.stats();
-        assert_eq!(stats.retries, 2, "budget 2 must allow exactly two retries");
-        assert_eq!(stats.retry_budget_exhausted, 1);
-        assert!(plug_ticket.wait().is_ok());
-        // With the worker free again, a clean call succeeds first try (and
-        // earns a tenth of a token back — not enough for a whole retry).
-        assert!(client
-            .call_with_retry(ServiceRequest::Price(price_req(101.0, 32)), &policy)
-            .is_ok());
-        assert_eq!(service.stats().retries, 2, "clean calls spend nothing");
-        service.shutdown();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_grows() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff(7, 1);
-        let b = policy.backoff(7, 1);
-        assert_eq!(a, b, "same (client, attempt) must back off identically");
-        assert_ne!(policy.backoff(7, 1), policy.backoff(8, 1), "jitter must differ per client");
-        for attempt in 1..10 {
-            let d = policy.backoff(3, attempt);
-            assert!(d <= policy.max_backoff, "backoff {d:?} above ceiling");
-            assert!(d >= policy.base_backoff / 2, "backoff {d:?} under half the base");
-        }
     }
 
     #[test]

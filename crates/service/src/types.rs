@@ -155,10 +155,6 @@ pub struct ServiceStats {
     pub worker_restarts: u64,
     /// Worker threads currently alive.
     pub workers_alive: u64,
-    /// Retries performed by [`Client::call_with_retry`](crate::Client::call_with_retry).
-    pub retries: u64,
-    /// Retries refused because the retry budget was exhausted.
-    pub retry_budget_exhausted: u64,
     /// Requests shed by the brownout tiers, per class.
     pub shed_by_class: ShedByClass,
     /// Event-loop counters of the serving reactor (zeros elsewhere).

@@ -65,7 +65,6 @@
 //! | `memo_hits`, `memo_misses`, `memo_entries` | `amopt_memo_hits`, `amopt_memo_misses`, `amopt_memo_entries` |
 //! | `memo_hit_rate` | `amopt_memo_hits / (amopt_memo_hits + amopt_memo_misses)` |
 //! | `worker_restarts`, `workers_alive` | `amopt_worker_restarts_total`, `amopt_workers_alive` |
-//! | `retries`, `retry_budget_exhausted` | `amopt_retries_total`, `amopt_retry_budget_exhausted_total` |
 //! | `shed_price`, `shed_greeks`, `shed_implied_vol` | `amopt_shed_{price,greeks,implied_vol}_total` |
 //! | `reactor_connections_accepted`, `_open`, `_refused` | `amopt_reactor_connections_accepted_total`, `amopt_reactor_connections_open`, `amopt_reactor_connections_refused_total` |
 //! | `reactor_loop_iterations` | `amopt_reactor_loop_iterations_total` |

@@ -332,8 +332,6 @@ fn live_scrape_exposes_the_registry_and_cards_that_telescope_exactly() {
         ("amopt_memo_entries", s.memo.entries as u64),
         ("amopt_worker_restarts_total", s.worker_restarts),
         ("amopt_workers_alive", s.workers_alive),
-        ("amopt_retries_total", s.retries),
-        ("amopt_retry_budget_exhausted_total", s.retry_budget_exhausted),
         ("amopt_shed_price_total", s.shed_by_class.price),
         ("amopt_shed_greeks_total", s.shed_by_class.greeks),
         ("amopt_shed_implied_vol_total", s.shed_by_class.implied_vol),

@@ -13,8 +13,7 @@ use american_option_pricing::core::batch::{ModelKind, PricingRequest};
 use american_option_pricing::core::{OptionParams, OptionType};
 use american_option_pricing::service::{
     soak, ChaosConfig, ChaosReport, EventKind, FaultPlan, FaultSchedule, FaultSite, QuoteService,
-    RetryPolicy, ServiceConfig, ServiceError, ServiceRequest, TraceCard, FAULT_SITES,
-    FLAG_ABANDONED, FLAG_ERROR,
+    ServiceConfig, ServiceError, TraceCard, FAULT_SITES, FLAG_ABANDONED, FLAG_ERROR,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -120,7 +119,6 @@ fn journal_records_every_fault_and_decision_exactly_once() {
     // Decisions: each journal kind tallies exactly with its counter.
     let stats = &report.service;
     assert_eq!(count_of(EventKind::Shed), stats.shed_by_class.total());
-    assert_eq!(count_of(EventKind::Retry), stats.retries);
     assert_eq!(count_of(EventKind::WorkerRestart), stats.worker_restarts);
     assert_eq!(count_of(EventKind::DeadlineMiss), stats.deadline_misses);
 
@@ -175,78 +173,9 @@ fn same_seed_soaks_journal_identical_fault_firings() {
     assert!(compared > 0, "no common fault firings — the comparison was vacuous");
 }
 
-/// A plan that stalls every drained batch, the first for 200–400 ms: a
-/// plug whose length the test sets, whatever the engine's speed.  Stall
-/// lengths are pure in the seed, so the seed is the first one a twin plan
-/// shows to stall long enough.
-fn stalling_plan() -> Arc<FaultPlan> {
-    const AT_LEAST: Duration = Duration::from_millis(200);
-    let schedule = FaultSchedule {
-        max_stall_ms: 2 * AT_LEAST.as_millis() as u64,
-        ..FaultSchedule::off().with_rate(FaultSite::WorkerStall, 1024)
-    };
-    let seed = (0u64..)
-        .find(|&seed| FaultPlan::new(seed, schedule).stall() >= Some(AT_LEAST))
-        .expect("an unbounded search");
-    FaultPlan::new(seed, schedule)
-}
-
 fn cheap_quote(strike: f64) -> PricingRequest {
     let params = OptionParams { strike, ..OptionParams::paper_defaults() };
     PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, 32)
-}
-
-/// The in-process retry budget journals one `Retry` event per performed
-/// retry, keyed `(client id, attempt)` — exactly once each, in step with
-/// the `retries` counter.
-#[test]
-fn retry_decisions_are_journaled_exactly_once_with_their_attempt_index() {
-    let service = QuoteService::start(ServiceConfig {
-        workers: 1,
-        max_batch: 1,
-        max_wait: Duration::from_millis(1),
-        per_conn_inflight: 1,
-        retry_budget: 2,
-        fault: Some(stalling_plan()),
-        ..ServiceConfig::default()
-    })
-    .expect("start service");
-    let client = service.client();
-
-    // Plug the handle's single in-flight slot with a quote whose batch
-    // stalls its worker for at least 200 ms: every further call on it
-    // sheds Overloaded until the plug completes, so call_with_retry burns
-    // its whole budget (2 retries, each backing off under 1 ms)
-    // deterministically.
-    let plug = client.submit(ServiceRequest::Price(cheap_quote(117.31))).expect("plug submit");
-    let cheap = cheap_quote(100.0);
-    let policy = RetryPolicy {
-        max_attempts: 4,
-        base_backoff: Duration::from_micros(100),
-        max_backoff: Duration::from_millis(1),
-    };
-    let got = client.call_with_retry(ServiceRequest::Price(cheap), &policy);
-    assert!(got.is_err(), "the plugged slot must shed the retrying call: {got:?}");
-    assert!(plug.wait().is_ok());
-
-    let stats = service.stats();
-    assert_eq!(stats.retries, 2, "budget 2 must allow exactly two retries");
-    let retries: Vec<(u64, u64)> = service
-        .journal()
-        .snapshot()
-        .iter()
-        .filter(|e| e.kind == EventKind::Retry)
-        .map(|e| (e.payload[0], e.payload[1]))
-        .collect();
-    assert_eq!(retries.len() as u64, stats.retries, "one journal event per performed retry");
-    let mut attempts: Vec<u64> = retries.iter().map(|&(_, a)| a).collect();
-    attempts.sort_unstable();
-    assert_eq!(attempts, vec![1, 2], "attempt indices journaled exactly once each");
-    assert!(
-        retries.iter().all(|&(id, _)| id == retries[0].0),
-        "all retries came from the one retrying client handle"
-    );
-    service.shutdown();
 }
 
 /// The executing-batch count cannot leak: after a seeded load run with the

@@ -102,7 +102,8 @@ fn engine_base_cutoff_is_a_pure_performance_knob() {
 fn greeks_and_implied_vol_roundtrip_through_the_fast_pricer() {
     let cfg = EngineConfig::default();
     let p = paper();
-    let g = greeks::american_call_bopm(&p, 1024, &cfg).unwrap();
+    let request = PricingRequest::american(ModelKind::Bopm, OptionType::Call, p, 1024);
+    let g = greeks::greeks_by_fd(&BatchPricer::with_memo_capacity(cfg, 0), &request).unwrap();
     assert!(g.delta > 0.0 && g.delta < 1.0 && g.vega > 0.0);
     let m = BopmModel::new(p, 1024).unwrap();
     let quote = lattice_fast::price_american_call(&m, &cfg);

@@ -102,7 +102,8 @@ proptest! {
         steps in 32usize..200,
     ) {
         let cfg = EngineConfig::default();
-        let got = match greeks::american_call_bopm(&params, steps, &cfg) {
+        let request = PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, steps);
+        let got = match greeks::greeks_by_fd(&BatchPricer::with_memo_capacity(cfg, 0), &request) {
             Ok(g) => g,
             // Unstable discretisations at a bumped parameter are legal; the
             // property only constrains successful results.

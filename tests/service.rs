@@ -248,3 +248,38 @@ fn greeks_and_surface_requests_ride_the_same_queue() {
     assert!((vol - 0.3).abs() < 1e-6, "round-trip put vol {vol}");
     service.shutdown();
 }
+
+/// ARCHITECTURE's "Service tuning knobs" table has one row per
+/// `ServiceConfig` field, no more and no fewer.  The field list is an
+/// exhaustive destructuring (no `..`), so adding a field breaks this
+/// build until the table gains its row.
+#[test]
+fn service_knob_table_lists_every_config_field_once() {
+    macro_rules! fields {
+        ($($field:ident),* $(,)?) => {{
+            let ServiceConfig { $($field: _),* } = ServiceConfig::default();
+            vec![$(stringify!($field)),*]
+        }};
+    }
+    let mut fields = fields!(
+        max_batch,
+        max_wait,
+        queue_depth,
+        workers,
+        per_conn_inflight,
+        max_connections,
+        fault,
+        trace,
+        journal_capacity,
+    );
+    let architecture = include_str!("../ARCHITECTURE.md");
+    let section = architecture
+        .split_once("### Service tuning knobs")
+        .map(|(_, rest)| rest.split("\n#").next().unwrap_or(rest))
+        .expect("ARCHITECTURE.md has a \"Service tuning knobs\" section");
+    let mut rows: Vec<&str> =
+        section.lines().filter_map(|line| line.strip_prefix("| `")?.split('`').next()).collect();
+    fields.sort_unstable();
+    rows.sort_unstable();
+    assert_eq!(rows, fields, "knob table rows vs ServiceConfig fields");
+}
