@@ -15,6 +15,9 @@
 //!   left-cone engine), which draw per-worker scratch (FFT buffers, staging
 //!   rows) from `amopt-stencil`'s process-wide `WorkspacePool` — so the hot
 //!   loop is allocation-light after warm-up;
+//! * the unique requests that share their kernels (the strikes of one
+//!   expiry) are priced as one **kernel group**, whose members read one
+//!   set of spectrum-multiplier tables, each built once for the group;
 //! * identical requests inside a batch are **deduplicated** (priced once,
 //!   scattered to every duplicate), and results are **memoized** across
 //!   batches in an LRU keyed on quantized parameters — a market tick that
@@ -57,11 +60,12 @@ use std::sync::Mutex;
 
 use crate::bermudan;
 use crate::bopm::BopmModel;
-use crate::engine::EngineConfig;
+use crate::engine::{with_powers, EngineConfig};
 use crate::error::{PricingError, Result};
 use crate::lattice::{european, fast, Lattice};
 use crate::params::{OptionParams, OptionType};
 use crate::topm::TopmModel;
+use amopt_fft::KernelPowers;
 
 /// Which discretisation family prices the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -560,16 +564,33 @@ impl BatchPricer {
                 slot_results[slot] = hit.map(Ok);
             }
         }
-        // Phase 3 (parallel): price what the memo did not know.  Per-worker
-        // scratch (FFT buffers, staging rows) lives in `amopt-stencil`'s
-        // process-wide pool, which every trapezoid engine checks out of, so
-        // this loop allocates only the rows the pricers actually keep.
+        // Phase 3 (parallel): price what the memo did not know, one kernel
+        // group at a time.  A group is the requests that agree on every
+        // field their kernels depend on (the strikes of one expiry; puts and
+        // calls alike), and its members share one set of multiplier tables,
+        // which is dropped when the group's last member returns.  Groups fan
+        // out, and so do the members of each, so a batch of one group still
+        // fills the pool.  Per-worker scratch (FFT buffers, staging rows)
+        // lives in `amopt-stencil`'s process-wide pool, which every engine
+        // checks out of, so this loop allocates only the rows and tables the
+        // pricers keep.
         let todo: Vec<usize> = (0..jobs.len()).filter(|&s| slot_results[s].is_none()).collect();
-        // One unique request per leaf task: a pricing is lattice-sized work.
-        let computed = amopt_parallel::parallel_map(todo.len(), 1, |k| {
-            let (req_idx, key) = &jobs[todo[k]];
-            Some(self.route(&requests[*req_idx], &key.dates))
+        let (order, starts) = kernel_groups(todo.iter().map(|&slot| &requests[jobs[slot].0]));
+        // One group per leaf task, then one member per leaf task: a pricing
+        // is lattice-sized work.
+        let priced = amopt_parallel::parallel_map(starts.len() - 1, 1, |g| {
+            let members = &order[starts[g]..starts[g + 1]];
+            with_powers(|powers| {
+                amopt_parallel::parallel_map(members.len(), 1, |m| {
+                    let (req_idx, key) = &jobs[todo[members[m]]];
+                    Some(self.route(&requests[*req_idx], &key.dates, powers))
+                })
+            })
         });
+        let mut computed: Vec<Option<Result<f64>>> = vec![None; todo.len()];
+        for (&k, res) in order.iter().zip(priced.into_iter().flatten()) {
+            computed[k] = res;
+        }
         // Phase 4 (serial, one lock acquisition per touched shard): publish
         // fresh prices to the memo and the slots.  Errors are never cached;
         // a disabled memo publishes nothing; small batches insert directly
@@ -578,7 +599,7 @@ impl BatchPricer {
         let mut publish: Vec<Vec<(usize, f64)>> =
             if group_publish { vec![Vec::new(); self.memo.shards.len()] } else { Vec::new() };
         for (slot, res) in todo.into_iter().zip(computed) {
-            let res = res.expect("parallel_map fills every slot");
+            let res = res.expect("every group prices every member");
             if let Ok(price) = res {
                 if group_publish {
                     publish[shard_of_job[slot]].push((slot, price));
@@ -608,23 +629,25 @@ impl BatchPricer {
     /// normalised Bermudan schedule from the request's key (unused
     /// otherwise).  Adds no arithmetic of its own: a batch of one is bitwise
     /// identical to the direct call.
-    fn route(&self, req: &PricingRequest, dates: &[usize]) -> Result<f64> {
+    fn route(&self, req: &PricingRequest, dates: &[usize], powers: &KernelPowers) -> Result<f64> {
         // amopt-lint: hot-path
         match req.model {
             ModelKind::Bopm => {
                 let model = BopmModel::new(req.params, req.steps)?;
                 match (&req.style, req.option_type) {
                     (Style::Bermudan(_), OptionType::Put) => {
-                        bermudan::price_bermudan_put_fft(&model, dates)
+                        bermudan::price_put_with(&model, dates, powers)
                     }
-                    _ => self.route_lattice(&model, req),
+                    _ => self.route_lattice(&model, req, powers),
                 }
             }
-            ModelKind::Topm => self.route_lattice(&TopmModel::new(req.params, req.steps)?, req),
+            ModelKind::Topm => {
+                self.route_lattice(&TopmModel::new(req.params, req.steps)?, req, powers)
+            }
             // The FD grid prices puts only: no call route may reach it.
             ModelKind::Bsm => match (&req.style, req.option_type) {
                 (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(req),
-                _ => self.route_lattice(&Lattice::explicit_fd(req.params, req.steps)?, req),
+                _ => self.route_lattice(&Lattice::explicit_fd(req.params, req.steps)?, req, powers),
             },
         }
     }
@@ -636,15 +659,46 @@ impl BatchPricer {
         &self,
         model: &Lattice<W>,
         req: &PricingRequest,
+        powers: &KernelPowers,
     ) -> Result<f64> {
         // amopt-lint: hot-path
         match (&req.style, req.option_type) {
-            (Style::American, OptionType::Call) => Ok(fast::price_american_call(model, &self.cfg)),
-            (Style::American, OptionType::Put) => Ok(fast::price_american_put(model, &self.cfg)),
-            (Style::European, opt) => Ok(european::price_european_fft(model, opt)),
+            (Style::American, OptionType::Call) => {
+                Ok(fast::call_samples(model, &self.cfg, 1, powers).0)
+            }
+            (Style::American, OptionType::Put) => {
+                Ok(fast::put_samples(model, &self.cfg, 1, powers).0)
+            }
+            (Style::European, opt) => Ok(european::price_with(model, opt, powers)),
             (Style::Bermudan(_), _) => unsupported(req),
         }
     }
+}
+
+/// Orders requests by kernel group: the requests that agree on model, rate,
+/// volatility, dividend yield, expiry (all bit for bit) and steps build the
+/// same kernel, and the same mirror for a call.  Spot, strike, option type
+/// and exercise schedule are left out.  Returns the requests' indices,
+/// grouped — groups in order of first appearance, members in request
+/// order — and the start of every group in that order, then its length.
+fn kernel_groups<'r>(
+    requests: impl Iterator<Item = &'r PricingRequest>,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut group_of: HashMap<(ModelKind, [u64; 4], usize), usize> = HashMap::new();
+    let group: Vec<usize> = requests
+        .map(|req| {
+            let p = &req.params;
+            let fields = [p.rate, p.volatility, p.dividend_yield, p.expiry].map(f64::to_bits);
+            let next = group_of.len();
+            *group_of.entry((req.model, fields, req.steps)).or_insert(next)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..group.len()).collect();
+    order.sort_by_key(|&k| group[k]); // stable: members stay in request order
+    let mut starts: Vec<usize> =
+        (0..order.len()).filter(|&i| i == 0 || group[order[i]] != group[order[i - 1]]).collect();
+    starts.push(order.len());
+    (order, starts)
 }
 
 /// The error of a request no pricer in this crate serves.
@@ -973,6 +1027,114 @@ mod tests {
         let fresh = BatchPricer::with_memo_capacity(*pricer.engine_config(), 0);
         let batch = fresh.price_batch(std::slice::from_ref(&req))[0].clone().unwrap();
         assert_eq!(one.to_bits(), batch.to_bits());
+    }
+
+    /// `req` priced by its direct entry point, with a set of tables of its
+    /// own.
+    fn direct(req: &PricingRequest) -> f64 {
+        fn on<const W: usize>(m: &Lattice<W>, req: &PricingRequest) -> f64 {
+            let cfg = EngineConfig::default();
+            match (&req.style, req.option_type) {
+                (Style::American, OptionType::Call) => fast::price_american_call(m, &cfg),
+                (Style::American, OptionType::Put) => fast::price_american_put(m, &cfg),
+                (Style::European, opt) => european::price_european_fft(m, opt),
+                (Style::Bermudan(_), _) => {
+                    unreachable!("the binomial Bermudan put is priced above")
+                }
+            }
+        }
+        let (params, steps) = (req.params, req.steps);
+        if let Style::Bermudan(dates) = &req.style {
+            let model = BopmModel::new(params, steps).unwrap();
+            return bermudan::price_bermudan_put_fft(&model, dates).unwrap();
+        }
+        match req.model {
+            ModelKind::Bopm => on(&BopmModel::new(params, steps).unwrap(), req),
+            ModelKind::Topm => on(&TopmModel::new(params, steps).unwrap(), req),
+            ModelKind::Bsm => on(&Lattice::explicit_fd(params, steps).unwrap(), req),
+        }
+    }
+
+    #[test]
+    fn members_of_a_shared_set_keep_their_direct_bits_on_any_pool_width() {
+        // Two expiries × eight strikes of one underlying: BOPM and TOPM puts
+        // and their mirrored calls (a put and its call share every `(n, h)`
+        // but not the kernel), calls at Y = 0 (the European pass), BSM
+        // puts, and a European and a Bermudan put beside the BOPM puts.
+        let base = OptionParams {
+            spot: 100.0,
+            strike: 100.0,
+            rate: 0.03,
+            volatility: 0.25,
+            dividend_yield: 0.01,
+            expiry: 0.5,
+        };
+        let mut book = Vec::new();
+        for (expiry, steps) in [(0.5, 126), (1.0, 252)] {
+            for k in 0..8 {
+                let params = OptionParams { strike: 80.0 + 5.0 * k as f64, expiry, ..base };
+                let dividend_free = OptionParams { dividend_yield: 0.0, ..params };
+                for model in [ModelKind::Bopm, ModelKind::Topm] {
+                    for opt in [OptionType::Put, OptionType::Call] {
+                        book.push(PricingRequest::american(model, opt, params, steps));
+                    }
+                    book.push(PricingRequest::american(
+                        model,
+                        OptionType::Call,
+                        dividend_free,
+                        steps,
+                    ));
+                }
+                book.push(PricingRequest::american(
+                    ModelKind::Bsm,
+                    OptionType::Put,
+                    dividend_free,
+                    steps,
+                ));
+            }
+            let params = OptionParams { expiry, ..base };
+            book.push(PricingRequest::european(ModelKind::Bopm, OptionType::Put, params, steps));
+            book.push(PricingRequest::bermudan_put(params, steps, vec![steps / 3, steps / 2]));
+        }
+        // Per expiry: BOPM and TOPM at Y = 0.01 and at Y = 0, and the BSM grid.
+        let (_, starts) = kernel_groups(book.iter());
+        assert_eq!(starts.len() - 1, 10);
+        let want: Vec<u64> = book.iter().map(|req| direct(req).to_bits()).collect();
+        for threads in [1, 2, 3] {
+            let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+            let got = amopt_parallel::run_with_threads(threads, || pricer.price_batch(&book));
+            for ((req, got), want) in book.iter().zip(got).zip(&want) {
+                let got = got.unwrap_or_else(|e| panic!("{req:?}: {e}"));
+                assert_eq!(got.to_bits(), *want, "{threads} threads, {req:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_member_leaves_its_group_alone() {
+        // Four strikes of one expiry, one of them with no spot: one group,
+        // whose one invalid member gets its error and nothing else.
+        let at = |spot, strike| {
+            let params = OptionParams { spot, strike, ..p() };
+            PricingRequest::american(ModelKind::Bopm, OptionType::Put, params, 252)
+        };
+        let book = [at(127.62, 120.0), at(127.62, 130.0), at(0.0, 135.0), at(127.62, 140.0)];
+        assert_eq!(kernel_groups(book.iter()).1, [0, 4]);
+        for threads in [1, 2] {
+            let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+            let out = amopt_parallel::run_with_threads(threads, || pricer.price_batch(&book));
+            assert!(
+                matches!(out[2], Err(PricingError::InvalidParams { field: "spot", .. })),
+                "{:?}",
+                out[2]
+            );
+            for i in [0, 1, 3] {
+                let alone = pricer.price_one(&book[i]).unwrap();
+                let got = out[i].as_ref().unwrap_or_else(|e| panic!("member {i}: {e}"));
+                assert_eq!(got.to_bits(), alone.to_bits(), "member {i}, {threads} threads");
+                assert_eq!(got.to_bits(), direct(&book[i]).to_bits(), "member {i}");
+            }
+        }
     }
 
     #[test]

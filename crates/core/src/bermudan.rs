@@ -13,6 +13,7 @@
 //! consideration as `lattice::european`).
 
 use crate::bopm::BopmModel;
+use crate::engine::with_powers;
 use crate::error::{PricingError, Result};
 use crate::params::OptionType;
 use amopt_fft::KernelPowers;
@@ -24,6 +25,16 @@ use amopt_stencil::{advance_powered, with_scratch, Segment};
 /// exercise date (payoff), step `0` (valuation date) never is.  Duplicates
 /// are tolerated; order does not matter.
 pub fn price_bermudan_put_fft(model: &BopmModel, exercise_steps: &[usize]) -> Result<f64> {
+    with_powers(|powers| price_put_with(model, exercise_steps, powers))
+}
+
+/// [`price_bermudan_put_fft`] with its multiplier tables read from (and
+/// first built into) the caller's `powers`.
+pub(crate) fn price_put_with(
+    model: &BopmModel,
+    exercise_steps: &[usize],
+    powers: &KernelPowers,
+) -> Result<f64> {
     let t = model.steps();
     let strike = model.params().strike;
     for &e in exercise_steps {
@@ -42,12 +53,10 @@ pub fn price_bermudan_put_fft(model: &BopmModel, exercise_steps: &[usize]) -> Re
     let payoff = |i: usize, j: i64| OptionType::Put.payoff(model.node_price(i, j), strike);
     let mut row = Segment::new(0, (0..=t as i64).map(|j| payoff(t, j)).collect());
     let kernel = model.kernel();
-    // One pricing, one set of multiplier tables: every stretch reads them.
-    let powers = KernelPowers::new(kernel.weights());
 
     with_scratch(|s| {
         let mut advance = |row: &Segment, h: usize| {
-            advance_powered(&row.values, row.start, &kernel, h as u64, &powers, &mut s.fft)
+            advance_powered(&row.values, row.start, &kernel, h as u64, powers, &mut s.fft)
         };
         // Walk backward through exercise dates (skipping the expiry itself:
         // the payoff row already reflects exercise at T).

@@ -50,8 +50,9 @@
 //! its row's width over `σ'`, where most of its multipliers have vanished
 //! (`amopt_fft::convolve`).  The windows of a level correlate at nearly one
 //! size and height, so a pricing asks for a few dozen distinct multiplier
-//! tables over thousands of correlations; one `KernelPowers`, owned by
-//! [`solve_to_root`], evaluates each once.  (Halving a wide row as well walks
+//! tables over thousands of correlations; the `KernelPowers` that
+//! [`solve_to_root`] borrows from its caller — one pricing, or a batch group
+//! of contracts with the same kernel — evaluates each once.  (Halving a wide row as well walks
 //! it in hops of `H/4, H/8, …`, each a correlation over at least `d` cells:
 //! `Θ(H log³ H)`.)
 //! At equality the row halves: a window that took the whole hop would hand
@@ -61,7 +62,7 @@
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
 
-use super::{kernel_scope, linear_cells, power_tables, EngineConfig};
+use super::{kernel_scope, linear_cells, EngineConfig};
 use crate::error::{PricingError, Result};
 use amopt_fft::KernelPowers;
 use amopt_parallel::join;
@@ -477,11 +478,12 @@ where
 /// advance ended on — one whole-height advance for a price
 /// (`chunk ≥ total_steps`), evenly spaced rows for an exercise boundary.
 /// The frontier stops early once green has absorbed the whole cone (it then
-/// reaches the apex).  The kernel's multiplier tables live for this one
-/// call: every advance of the pricing shares them, and they are freed when
-/// it returns.
+/// reaches the apex).  Every advance reads its multipliers from `powers`,
+/// which the caller owns: a set of its own for one pricing, or one shared by
+/// the pricings of a batch group.
 pub fn solve_to_root<G>(
     kernel: &StencilKernel,
+    powers: &KernelPowers,
     green: &G,
     init: GreenPrefixRow,
     total_steps: u64,
@@ -496,15 +498,13 @@ where
         kernel.span() as i64 * (total_steps - init.t) as i64,
         "initial row's cone must end at the root"
     );
-    let powers = KernelPowers::new(kernel.weights());
     let mut cur = init;
     let mut frontier = Vec::new();
     while cur.t < total_steps && !cur.is_all_green() {
         let h = chunk.max(1).min(total_steps - cur.t);
-        cur = advance_green_prefix(kernel, &powers, green, &cur, h, cfg);
+        cur = advance_green_prefix(kernel, powers, green, &cur, h, cfg);
         frontier.push((cur.t, cur.boundary));
     }
-    power_tables!(powers.tables_built());
     let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
     // A put is worth at least zero.  A red root whose exact value underflows
     // (every path to an in-the-money leaf is less likely than f64 can hold)
@@ -668,7 +668,7 @@ mod tests {
         let (kernel, green, init) = synthetic_problem(steps, shape, strike_off);
         let (want, _) = dense_solve(&kernel, &green, &init, steps);
         let row = start_row(shape, &kernel, &green, &init);
-        let (got, _) = solve_to_root(&kernel, &green, row, steps, steps, cfg);
+        let (got, _) = solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, cfg);
         assert!(
             (got - want).abs() < 1e-10 * want.abs().max(1.0),
             "steps={steps} {shape:?} off={strike_off}: fast {got} vs dense {want}"
@@ -727,7 +727,15 @@ mod tests {
             // advance against the width of the row it starts from.
             for rows in [3u64, 16, 64] {
                 let row = start_row(shape, &kernel, &green, &init);
-                let (_, frontier) = solve_to_root(&kernel, &green, row, steps, steps / rows, &cfg);
+                let (_, frontier) = solve_to_root(
+                    &kernel,
+                    &KernelPowers::new(),
+                    &green,
+                    row,
+                    steps,
+                    steps / rows,
+                    &cfg,
+                );
                 assert!(frontier.len() as u64 >= rows);
                 for (t, f) in frontier {
                     assert_eq!(f, dense_b[t as usize - 1], "{shape:?} {rows} rows, row {t}");
@@ -743,7 +751,7 @@ mod tests {
         let (kernel, green, init) = synthetic_problem(steps, Shape::Binomial, 0.5);
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
         let row = start_row(Shape::Binomial, &kernel, &green, &init);
-        let powers = KernelPowers::new(kernel.weights());
+        let powers = KernelPowers::new();
         let cfg = EngineConfig::default();
         let out = advance_green_prefix(&kernel, &powers, &green, &row, steps / 2, &cfg);
         assert!(out.reds.len() > 100);
@@ -761,7 +769,8 @@ mod tests {
             let row = start_row(shape, &kernel, &green, &init);
             assert!(row.is_all_green());
             let cfg = EngineConfig::default();
-            let (got, frontier) = solve_to_root(&kernel, &green, row, steps, steps, &cfg);
+            let (got, frontier) =
+                solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, &cfg);
             assert_eq!(got, green(steps, 0));
             assert!(frontier.is_empty(), "green absorbed the cone before the first advance");
         }
@@ -777,7 +786,8 @@ mod tests {
             let row = start_row(shape, &kernel, &green, &init);
             assert_eq!(row.boundary, -1);
             let cfg = EngineConfig::default();
-            let (got, _) = solve_to_root(&kernel, &green, row, steps, steps, &cfg);
+            let (got, _) =
+                solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, &cfg);
             assert_eq!(got, 0.0);
         }
     }
@@ -829,7 +839,7 @@ mod tests {
             let row = start_row(shape, &kernel, &green, &init);
             // Stop where the row still has width to compare.
             let total = steps * 3 / 4 - row.t;
-            let powers = KernelPowers::new(kernel.weights());
+            let powers = KernelPowers::new();
             let once = advance_green_prefix(&kernel, &powers, &green, &row, total, &cfg);
             assert!(once.boundary >= 0 && once.reds.len() > 50, "{shape:?}: nothing to compare");
             let chunk_lists: [&[u64]; 4] =
@@ -926,7 +936,7 @@ mod tests {
                             hi,
                             reds: Segment::new(f + 1, reds),
                         };
-                        let powers = KernelPowers::new(kernel.weights());
+                        let powers = KernelPowers::new();
                         let out = advance_green_prefix(&kernel, &powers, &green, &row, h, &cfg);
                         let ctx = format!("{shape:?} cutoff {cutoff} h {h} width σ'h + {extra}");
                         assert_eq!(out.t, t0 + h, "{ctx}");

@@ -70,6 +70,8 @@
 
 pub mod left_cone;
 
+use amopt_fft::KernelPowers;
+
 /// Times the enclosing scope as one kernel phase when the crate is built
 /// with the `obs` feature; expands to nothing otherwise, so the default
 /// build pays no cost — not even the `Instant::now` call.
@@ -92,7 +94,7 @@ macro_rules! linear_cells {
 }
 pub(crate) use linear_cells;
 
-/// Counts the multiplier tables one pricing built under the `obs` feature
+/// Counts the multiplier tables a set built under the `obs` feature
 /// (`amopt_obs::kernel::power_tables`); expands to nothing otherwise.
 macro_rules! power_tables {
     ($tables:expr) => {
@@ -100,7 +102,17 @@ macro_rules! power_tables {
         amopt_obs::kernel::record_power_tables($tables as u64);
     };
 }
-pub(crate) use power_tables;
+
+/// Runs `f` with a set of multiplier tables of its own: the owner of a
+/// `KernelPowers` (a single pricing, or a batch group of contracts that
+/// share their kernels).  The tables live until `f` returns; the ones the
+/// set built are counted once, then.
+pub(crate) fn with_powers<R>(f: impl FnOnce(&KernelPowers) -> R) -> R {
+    let powers = KernelPowers::new();
+    let out = f(&powers);
+    power_tables!(powers.tables_built());
+    out
+}
 
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]

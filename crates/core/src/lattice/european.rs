@@ -15,24 +15,36 @@
 //! parity would leave the rounding of two `O(K)` numbers.
 
 use super::Lattice;
+use crate::engine::with_powers;
 use crate::params::OptionType;
-use amopt_fft::correlate_power_valid;
+use amopt_fft::KernelPowers;
+use amopt_stencil::with_scratch;
 
 /// European option price via one FFT pass over the payoff row.
 pub fn price_european_fft<const W: usize>(model: &Lattice<W>, opt: OptionType) -> f64 {
+    with_powers(|powers| price_with(model, opt, powers))
+}
+
+/// [`price_european_fft`] with its multiplier table read from (and first
+/// built into) the caller's `powers`.
+pub(crate) fn price_with<const W: usize>(
+    model: &Lattice<W>,
+    opt: OptionType,
+    powers: &KernelPowers,
+) -> f64 {
     // Deep out of the money the correlation returns its own rounding, of
     // either sign; a put is worth at least 0.
     match opt {
-        OptionType::Put => price_put(model).max(0.0),
-        OptionType::Call => price_put(&model.mirrored()).max(0.0),
+        OptionType::Put => price_put(model, powers).max(0.0),
+        OptionType::Call => price_put(&model.mirrored(), powers).max(0.0),
     }
 }
 
-fn price_put<const W: usize>(model: &Lattice<W>) -> f64 {
+fn price_put<const W: usize>(model: &Lattice<W>, powers: &KernelPowers) -> f64 {
     let t = model.steps();
     let payoff: Vec<f64> =
         (0..=W as i64 * t as i64).map(|j| model.exercise_put(t, j).max(0.0)).collect();
-    let out = correlate_power_valid(&payoff, model.weights(), t as u64);
+    let out = with_scratch(|s| powers.correlate(&payoff, model.weights(), t as u64, &mut s.fft));
     debug_assert_eq!(out.len(), 1);
     model.units.scale * out[0]
 }

@@ -40,11 +40,11 @@
 //! a call on a non-dividend stock early) short-circuits to the European FFT
 //! pass ahead of the mirror.  The FD grid has no mirror and no call route.
 
-use super::european::price_european_fft;
-use super::Lattice;
+use super::{european, Lattice};
 use crate::engine::left_cone::{self, GreenPrefixRow};
-use crate::engine::EngineConfig;
+use crate::engine::{with_powers, EngineConfig};
 use crate::params::OptionType;
+use amopt_fft::KernelPowers;
 use amopt_stencil::Segment;
 
 /// American put price plus the early-exercise boundary sampled every
@@ -61,6 +61,17 @@ pub fn price_put_with_boundary_samples<const W: usize>(
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
+    with_powers(|powers| put_samples(model, cfg, rows, powers))
+}
+
+/// [`price_put_with_boundary_samples`] with its multiplier tables read from
+/// (and first built into) the caller's `powers`.
+pub(crate) fn put_samples<const W: usize>(
+    model: &Lattice<W>,
+    cfg: &EngineConfig,
+    rows: usize,
+    powers: &KernelPowers,
+) -> (f64, Vec<(usize, i64)>) {
     let t = model.steps();
     // Last column with K ≥ S·u^{…}: the put is in the money exactly where
     // the call is out of it.
@@ -74,7 +85,7 @@ pub fn price_put_with_boundary_samples<const W: usize>(
         // call; on the FD grid ω = 0, and one linear step lifts `1 − e^s`
         // to `1 − λe^s` with λ < 1), so the American put collapses to the
         // European FFT pass.
-        return (price_european_fft(model, OptionType::Put), samples);
+        return (european::price_with(model, OptionType::Put, powers), samples);
     }
     let kernel = model.kernel();
     let green = |n: u64, c: i64| model.exercise_put(t - n as usize, c);
@@ -87,7 +98,8 @@ pub fn price_put_with_boundary_samples<const W: usize>(
         row
     };
     let chunk = (t / rows.max(1)) as u64;
-    let (root, frontier) = left_cone::solve_to_root(&kernel, &green, row, t as u64, chunk, cfg);
+    let (root, frontier) =
+        left_cone::solve_to_root(&kernel, powers, &green, row, t as u64, chunk, cfg);
     samples.extend(frontier.into_iter().map(|(n, f)| (t - n as usize, f)));
     (model.units.scale * root, samples)
 }
@@ -111,13 +123,24 @@ pub fn price_with_boundary_samples<const W: usize>(
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
+    with_powers(|powers| call_samples(model, cfg, rows, powers))
+}
+
+/// [`price_with_boundary_samples`] with its multiplier tables read from
+/// (and first built into) the caller's `powers`.
+pub(crate) fn call_samples<const W: usize>(
+    model: &Lattice<W>,
+    cfg: &EngineConfig,
+    rows: usize,
+    powers: &KernelPowers,
+) -> (f64, Vec<(usize, i64)>) {
     let t = model.steps();
     // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
     if model.params().dividend_yield == 0.0 {
         let expiry = (t, model.leaf_call_boundary().min(W as i64 * t as i64));
-        return (price_european_fft(model, OptionType::Call), vec![expiry]);
+        return (european::price_with(model, OptionType::Call, powers), vec![expiry]);
     }
-    let (price, mut samples) = price_put_with_boundary_samples(&model.mirrored(), cfg, rows);
+    let (price, mut samples) = put_samples(&model.mirrored(), cfg, rows, powers);
     for (i, col) in &mut samples {
         let width = W as i64 * *i as i64;
         *col = (width - *col - 1).clamp(-1, width);
@@ -324,7 +347,7 @@ mod tests {
             OptionType::Call => price_american_call(&m, &cfg),
             OptionType::Put => price_american_put(&m, &cfg),
         };
-        assert_eq!(am, price_european_fft(&m, opt), "W={W} {opt:?}");
+        assert_eq!(am, european::price_european_fft(&m, opt), "W={W} {opt:?}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! build in which the engine scopes exist at all.
 #![cfg(feature = "obs")]
 
+use amopt_core::batch::{BatchPricer, ModelKind, PricingRequest};
 use amopt_core::bopm::{self, BopmModel};
 use amopt_core::topm::{self, TopmModel};
-use amopt_core::{EngineConfig, OptionParams};
+use amopt_core::{EngineConfig, OptionParams, OptionType};
 use amopt_obs::kernel::{self, KernelPhase, KERNEL_PHASES};
 use std::sync::{Mutex, MutexGuard};
 
@@ -87,6 +88,37 @@ fn multiplier_tables_grow_like_log_t_while_correlations_double() {
             );
         }
     }
+}
+
+/// A batch group owns one set of tables for all its members: one expiry's
+/// four puts priced as one batch build fewer tables than the same four
+/// priced one by one, each with a set of its own — and some.
+#[test]
+fn one_expirys_puts_share_their_tables_in_a_batch() {
+    let _turn = counters();
+    let cfg = EngineConfig::default();
+    let puts: Vec<PricingRequest> = [120.0, 125.0, 130.0, 135.0]
+        .into_iter()
+        .map(|strike| OptionParams { strike, ..OptionParams::paper_defaults() })
+        .map(|params| PricingRequest::american(ModelKind::Bopm, OptionType::Put, params, 252))
+        .collect();
+    let tables = |price: &(dyn Fn() + Sync)| {
+        kernel::reset();
+        amopt_parallel::run_with_threads(1, price);
+        kernel::power_tables()
+    };
+    let alone = tables(&|| {
+        for put in &puts {
+            let model = BopmModel::new(put.params, put.steps).unwrap();
+            assert!(bopm::fast::price_american_put(&model, &cfg) > 0.0);
+        }
+    });
+    let together = tables(&|| {
+        let prices = BatchPricer::with_memo_capacity(cfg, 0).price_batch(&puts);
+        assert!(prices.iter().all(|price| *price.as_ref().unwrap() > 0.0));
+    });
+    println!("four puts at T = 252: {alone} tables one by one, {together} as one batch");
+    assert!(0 < together && together < alone, "{together} tables as a batch, {alone} alone");
 }
 
 /// The paper's bound as a number that does not depend on the machine.

@@ -62,16 +62,23 @@
 //! thousands of correlations over a few dozen distinct `(n, h)`.  A
 //! [`KernelPowers`] therefore evaluates each table once — on its first use,
 //! with the expressions above, so every bit is what a fresh evaluation
-//! gives — and hands it to every later correlation at the same `(n, h)`.  A
-//! table keeps only its live bins: a bitmap of bins `0 … n/2` with the count
+//! gives — and hands it to every later correlation with the same kernel and
+//! `(n, h)`.  A table keeps only its live bins: a bitmap of bins `0 … n/2` with the count
 //! of live bins before each 64-bit word, and the live multipliers in rising
 //! `k`; a vanished bin reads back as the exact zero it always was.  At the
 //! heights a deep pricing runs that is a few percent of `n/2 + 1` entries.
-//! The engines scope one [`KernelPowers`] to one pricing: the tables hold no
-//! request's data, but nothing bounds how many distinct `(n, h)` a stream of
-//! requests would leave behind, and within one pricing nearly every
-//! correlation already finds its table.  [`correlate_power_valid_with`] is
-//! the same path with a [`KernelPowers`] of its own, used once.
+//!
+//! A set is keyed on the kernel's weight *bits* as well as `(n, h)`, and
+//! owns no kernel: the caller passes it with each correlation, so a set
+//! handed another kernel builds that kernel's table and never reads the
+//! wrong one.  Whoever prices holds the set.  A single pricing holds one
+//! for its own correlations; the batch pricer holds one per group of
+//! contracts that share their kernels (the strikes of one expiry), for as
+//! long as the group's pricings run.  The tables hold no request's data,
+//! but nothing bounds how many distinct `(n, h)` a stream of requests would
+//! leave behind, so no set outlives the batch that built it.
+//! [`correlate_power_valid_with`] is the same path with a [`KernelPowers`]
+//! of its own, used once.
 
 use crate::complex::{c64, Complex64};
 use crate::radix2::{next_pow2, Fft};
@@ -155,7 +162,7 @@ pub fn correlate_power_valid_with(
     h: u64,
     scratch: &mut FftScratch,
 ) -> Vec<f64> {
-    KernelPowers::new(kernel).correlate(x, h, scratch)
+    KernelPowers::new().correlate(x, kernel, h, scratch)
 }
 
 /// Bitmap words (64 bins each) one task of a table build evaluates; longer
@@ -164,35 +171,27 @@ pub fn correlate_power_valid_with(
 /// microseconds and more, several forks' worth.
 const WORD_GRAIN: usize = 32;
 
-/// The spectrum multipliers `conj(K_k)^h` of one kernel, one table per
-/// transform size `n` and height `h`, each evaluated on its first use and
-/// kept until this value is dropped (module docs).
+/// The spectrum multipliers `conj(K_k)^h` of the kernels a caller
+/// correlates with, one table per kernel, transform size `n` and height
+/// `h`, each evaluated on its first use and kept until this value is
+/// dropped (module docs).  A table is found by the kernel's weight bits, so
+/// it is only ever read for the kernel it was built from.
 ///
 /// Workers share one by reference.  Two that miss the same table at once
 /// both build it, outside the lock, and the first insert wins; the two
 /// builds are the same bits, so no output depends on which worker ran what.
-#[derive(Debug)]
-pub struct KernelPowers<'k> {
-    kernel: &'k [f64],
-    /// A few dozen per pricing, so found by a scan.
+#[derive(Debug, Default)]
+pub struct KernelPowers {
+    /// A few dozen per kernel and pricing, so found by a scan.
     tables: Mutex<Vec<Arc<PowerTable>>>,
     built: AtomicUsize,
 }
 
-impl<'k> KernelPowers<'k> {
-    /// An empty set of tables for `kernel`; nothing is allocated until the
-    /// first correlation that needs a transform.
-    ///
-    /// # Panics
-    /// If `kernel` is empty.
-    pub fn new(kernel: &'k [f64]) -> Self {
-        assert!(!kernel.is_empty(), "kernel must have at least one tap");
-        KernelPowers { kernel, tables: Mutex::default(), built: AtomicUsize::new(0) }
-    }
-
-    /// The kernel whose powers these are.
-    pub fn kernel(&self) -> &'k [f64] {
-        self.kernel
+impl KernelPowers {
+    /// An empty set of tables; nothing is allocated until the first
+    /// correlation that needs a transform.
+    pub fn new() -> Self {
+        KernelPowers::default()
     }
 
     /// Tables built so far, counting both builds of a table two workers
@@ -201,14 +200,20 @@ impl<'k> KernelPowers<'k> {
         self.built.load(Ordering::Relaxed)
     }
 
-    /// [`correlate_power_valid_with`] of this kernel, with the multipliers
-    /// of `(next_pow2(x.len()), h)` read from their table.
+    /// [`correlate_power_valid_with`], with the multipliers of `(kernel,
+    /// next_pow2(x.len()), h)` read from their table.
     ///
     /// # Panics
-    /// If `x` is shorter than `|W|`.
-    pub fn correlate(&self, x: &[f64], h: u64, scratch: &mut FftScratch) -> Vec<f64> {
+    /// If `kernel` is empty or `x` is shorter than `|W|`.
+    pub fn correlate(
+        &self,
+        x: &[f64],
+        kernel: &[f64],
+        h: u64,
+        scratch: &mut FftScratch,
+    ) -> Vec<f64> {
         // amopt-lint: hot-path
-        let kernel = self.kernel;
+        assert!(!kernel.is_empty(), "kernel must have at least one tap");
         if h == 0 {
             // amopt-lint: allow(hot-path-alloc) -- h = 0 identity returns a fresh copy; this is the output the caller keeps
             return x.to_vec();
@@ -236,23 +241,23 @@ impl<'k> KernelPowers<'k> {
             // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
             return x.windows(w_len).map(dot).collect();
         }
-        let table = self.table(n, h);
+        let table = self.table(kernel, n, h);
         let buf = &mut scratch.buf;
         table.real.forward(x, buf);
         table.real.map_bins(buf, |k, v| table.apply(k, v));
         table.real.inverse(buf, out_len)
     }
 
-    /// The table of `(n, h)`, built now if no correlation has asked for it
-    /// yet.
-    fn table(&self, n: usize, h: u64) -> Arc<PowerTable> {
+    /// The table of `(kernel, n, h)`, built now if no correlation has asked
+    /// for it yet.
+    fn table(&self, kernel: &[f64], n: usize, h: u64) -> Arc<PowerTable> {
         let find = |tables: &[Arc<PowerTable>]| {
-            tables.iter().find(|table| (table.real.full().len(), table.h) == (n, h)).map(Arc::clone)
+            tables.iter().find(|table| table.is_for(kernel, n, h)).map(Arc::clone)
         };
         if let Some(table) = find(&self.lock()) {
             return table;
         }
-        let built = Arc::new(PowerTable::build(self.kernel, n, h));
+        let built = Arc::new(PowerTable::build(kernel, n, h));
         self.built.fetch_add(1, Ordering::Relaxed);
         let mut tables = self.lock();
         find(&tables).unwrap_or_else(|| {
@@ -267,9 +272,11 @@ impl<'k> KernelPowers<'k> {
     }
 }
 
-/// The multipliers of one `(n, h)`: bins `0 … n/2`, live ones only.
+/// The multipliers of one `(kernel, n, h)`: bins `0 … n/2`, live ones only.
 #[derive(Debug)]
 struct PowerTable {
+    /// The bits of the kernel's weights, in tap order.
+    taps: Box<[u64]>,
     /// The transform of rows of length `n`, planned once for the table.
     real: RealFft,
     h: u64,
@@ -293,7 +300,15 @@ impl PowerTable {
             *before = total;
             total += word.count_ones() as usize;
         }
-        PowerTable { real, h, live, values }
+        let taps = kernel.iter().map(|w| w.to_bits()).collect();
+        PowerTable { taps, real, h, live, values }
+    }
+
+    /// Whether this is the table of `kernel` (bit for bit) at `(n, h)`.
+    fn is_for(&self, kernel: &[f64], n: usize, h: u64) -> bool {
+        (self.real.full().len(), self.h) == (n, h)
+            && self.taps.len() == kernel.len()
+            && self.taps.iter().zip(kernel).all(|(&bits, w)| bits == w.to_bits())
     }
 
     /// Bin `k` of a spectrum times its multiplier; an exact zero where the
@@ -719,6 +734,8 @@ mod tests {
     fn a_kept_table_gives_the_direct_bits_and_is_built_once() {
         // Lattice-like two- and three-tap kernels; a live band at Nyquist
         // behind a vanished middle; K(π) < 0 and K(π) = 0; a growing DC mode.
+        // One set serves them all: every kernel meets the `(n, h)` of the
+        // kernels before it and must build, and read, a table of its own.
         let kernels: [&[f64]; 7] = [
             &[0.4999, 0.4998],
             &[0.25, 0.4997, 0.25],
@@ -732,28 +749,28 @@ mod tests {
         // which most bins vanish.
         let shapes =
             [(2usize, 1u64), (3, 1), (4, 1), (5, 2), (64, 1), (200, 37), (4100, 64), (8192, 2048)];
+        let powers = KernelPowers::new();
+        let mut scratch = FftScratch::default();
+        let mut tables = std::collections::HashSet::new();
         for (i, kernel) in kernels.into_iter().enumerate() {
-            let powers = KernelPowers::new(kernel);
-            let mut scratch = FftScratch::default();
-            let mut tables = std::collections::HashSet::new();
             let hosted = |&(len, h): &(usize, u64)| power_kernel_len(kernel.len(), h) <= len;
             for (len, h) in shapes.into_iter().filter(hosted) {
                 let ctx = format!("{kernel:?} len={len} h={h}");
                 let x = rand_real(len, 60 + i as u64 + len as u64);
-                let first = bits(&powers.correlate(&x, h, &mut scratch));
+                let first = bits(&powers.correlate(&x, kernel, h, &mut scratch));
                 if len > 2 {
-                    tables.insert((next_pow2(len), h));
+                    tables.insert((i, next_pow2(len), h));
                     assert_eq!(first, bits(&correlate_direct(&x, kernel, h)), "{ctx}");
                 }
                 assert_eq!(powers.tables_built(), tables.len(), "{ctx}: one build per first use");
-                let again = bits(&powers.correlate(&rand_real(len, 3), h, &mut scratch));
+                let again = bits(&powers.correlate(&rand_real(len, 3), kernel, h, &mut scratch));
                 assert_eq!(
                     powers.tables_built(),
                     tables.len(),
                     "{ctx}: a second use builds nothing"
                 );
                 assert_eq!(again, bits(&correlate_power_valid(&rand_real(len, 3), kernel, h)));
-                assert_eq!(first, bits(&powers.correlate(&x, h, &mut scratch)), "{ctx}");
+                assert_eq!(first, bits(&powers.correlate(&x, kernel, h, &mut scratch)), "{ctx}");
             }
         }
     }
@@ -765,8 +782,8 @@ mod tests {
         for (kernel, h) in [(&[0.48, 0.5][..], 64u64), (&[0.49, 0.02, 0.49], 700)] {
             let want = bits(&correlate_direct(&x, kernel, h));
             for threads in [1, 2, 3] {
-                let powers = KernelPowers::new(kernel);
-                let use_it = || bits(&powers.correlate(&x, h, &mut FftScratch::default()));
+                let powers = KernelPowers::new();
+                let use_it = || bits(&powers.correlate(&x, kernel, h, &mut FftScratch::default()));
                 let (a, b) = amopt_parallel::run_with_threads(threads, || {
                     amopt_parallel::join(use_it, use_it)
                 });

@@ -12,8 +12,9 @@
 //! * [`convolve`] — linear convolution plus the kernel-power correlation
 //!   primitive ([`correlate_power_valid`]) that implements the aperiodic
 //!   linear-stencil algorithm of Ahmad et al. (SPAA 2021), the substrate
-//!   reference \[1\] of the paper; [`KernelPowers`] keeps one kernel's
-//!   spectrum multipliers for every correlation of a pricing.
+//!   reference \[1\] of the paper; [`KernelPowers`] keeps the spectrum
+//!   multipliers of the kernels its owner correlates with — one pricing,
+//!   or one batch group of contracts that share their kernels.
 //!
 //! Everything is `f64`; transforms of the sizes used by the pricer
 //! (`≤ 2²¹`) keep relative error around `1e-13 · log n`.

@@ -22,8 +22,9 @@ use std::sync::Arc;
 
 /// Bin pairs one task of [`RealFft::map_bins`] handles; longer ranges fork.
 /// A pair costs what its multiplier does.  In a kernel-power correlation the
-/// multipliers come from a table evaluated once per size and height
-/// (`convolve::KernelPowers`, whose build forks on its own), so a pair is
+/// multipliers come from a table evaluated once per kernel, size and height
+/// for a whole pricing or batch group (`convolve::KernelPowers`, whose build
+/// forks on its own), so a pair is
 /// cheap and uniform: a bitmap test, and a load and a complex product where
 /// the bin is live — a few nanoseconds, which makes 1 024 pairs a task of a
 /// few microseconds, a few forks' worth.  The value was measured while the

@@ -15,8 +15,10 @@
 //! `T·(a·log₂T + b)` cells, so cells per step grow by the same `a` with
 //! every doubling of `T` exactly when the engine meets the bound, whatever
 //! the machine.  [`power_tables`] counts the spectrum-multiplier tables the
-//! pricings built (`amopt_fft::KernelPowers`): one per distinct correlation
-//! size and height of a pricing, `O(log T)` of them while the correlations
+//! engines' sets built (`amopt_fft::KernelPowers`), recorded once per set
+//! when its owner — one pricing, or one batch group of contracts that share
+//! their kernels — is done with it: one per distinct kernel, correlation
+//! size and height, `O(log T)` of them per pricing while the correlations
 //! themselves grow like `T` — so it says, without a clock, that the
 //! multipliers are evaluated once per table and not once per correlation.
 //!
@@ -88,13 +90,14 @@ pub fn linear_cells() -> u64 {
     LINEAR_CELLS.load(Ordering::Relaxed)
 }
 
-/// Counts the `tables` multiplier tables one pricing built.
+/// Counts the `tables` multiplier tables a set built, recorded once by the
+/// set's owner (one pricing, or one batch group) when it is done with it.
 #[inline]
 pub fn record_power_tables(tables: u64) {
     POWER_TABLES.fetch_add(tables, Ordering::Relaxed);
 }
 
-/// Multiplier tables built by every pricing since the last [`reset`].
+/// Multiplier tables built by every set since the last [`reset`].
 pub fn power_tables() -> u64 {
     POWER_TABLES.load(Ordering::Relaxed)
 }
@@ -184,8 +187,8 @@ pub fn render_into(out: &mut String) {
     let _ = writeln!(out, "amopt_kernel_linear_cells_total {}", linear_cells());
     let _ = writeln!(
         out,
-        "# HELP amopt_kernel_power_tables_total Spectrum-multiplier tables the engines' pricings \
-         built (0 unless built with the obs feature)"
+        "# HELP amopt_kernel_power_tables_total Spectrum-multiplier tables a set built, one set \
+         per pricing or batch group (0 unless built with the obs feature)"
     );
     let _ = writeln!(out, "# TYPE amopt_kernel_power_tables_total counter");
     let _ = writeln!(out, "amopt_kernel_power_tables_total {}", power_tables());

@@ -65,37 +65,22 @@ pub fn output_start(start: i64, kernel: &StencilKernel, h: u64) -> i64 {
 
 /// Advances `seg` by `h` linear steps using the requested backend.
 ///
-/// Scratch comes from the process-wide pool ([`with_scratch`]); callers that
-/// already hold scratch (or stage their input in one) should use
-/// [`advance_values_with`] directly.
+/// Scratch comes from the process-wide pool ([`with_scratch`]), and the
+/// multipliers are evaluated for this call alone; a caller advancing by one
+/// kernel many times holds a `KernelPowers` and calls [`advance_powered`].
 ///
 /// # Panics
 /// If the segment is too short to produce at least one valid cell.
 pub fn advance(seg: &Segment, kernel: &StencilKernel, h: u64, backend: Backend) -> Segment {
-    with_scratch(|s| advance_values_with(&seg.values, seg.start, kernel, h, backend, &mut s.fft))
+    let powers = KernelPowers::new();
+    with_scratch(|s| advance_by(&seg.values, seg.start, kernel, h, backend, &powers, &mut s.fft))
 }
 
-/// [`advance`] over a raw value slice anchored at absolute column `start`,
-/// reusing caller-owned FFT scratch.  Bitwise identical to [`advance`].
-///
-/// # Panics
-/// If the slice is too short to produce at least one valid cell.
-pub fn advance_values_with(
-    values: &[f64],
-    start: i64,
-    kernel: &StencilKernel,
-    h: u64,
-    backend: Backend,
-    fft: &mut FftScratch,
-) -> Segment {
-    let powers = KernelPowers::new(kernel.weights());
-    advance_by(values, start, kernel, h, backend, &powers, fft)
-}
-
-/// [`advance_values_with`] on the FFT backend, with the spectrum multipliers
-/// of `kernel` read from (and first built into) `powers`: a caller advancing
-/// by one kernel many times evaluates each `(size, height)` once.  Bitwise
-/// identical to a fresh [`advance_values_with`].
+/// [`advance`] on the FFT backend over a raw value slice anchored at
+/// absolute column `start`, with caller-owned FFT scratch and the spectrum
+/// multipliers of `kernel` read from (and first built into) `powers`: a
+/// caller advancing by one kernel many times evaluates each `(size, height)`
+/// once.  Bitwise identical to [`advance`].
 ///
 /// # Panics
 /// If the slice is too short to produce at least one valid cell.
@@ -107,7 +92,6 @@ pub fn advance_powered(
     powers: &KernelPowers,
     fft: &mut FftScratch,
 ) -> Segment {
-    debug_assert_eq!(powers.kernel(), kernel.weights(), "powers of another kernel");
     advance_by(values, start, kernel, h, Backend::Fft, powers, fft)
 }
 
@@ -141,7 +125,7 @@ fn advance_by(
             if values.len() <= 64 {
                 stepped(values, kernel, h)
             } else {
-                powers.correlate(values, h, fft)
+                powers.correlate(values, kernel.weights(), h, fft)
             }
         }
         Backend::Stepped => stepped(values, kernel, h),

@@ -10,7 +10,7 @@
 //!   interior, with the FFT backend (`O(L log L)`) and the stepped reference;
 //!   [`advance_powered()`](advance::advance_powered) is the FFT backend with a
 //!   caller's `amopt_fft::KernelPowers`, whose multiplier tables outlive the
-//!   call.
+//!   call: one pricing's, or one batch group's.
 //!
 //! The *nonlinear* stencils of the paper (`max(linear, obstacle)`) live in
 //! `amopt-core`; they call into this crate on regions certified to be free of
@@ -23,8 +23,7 @@ pub mod kernel;
 pub mod segment;
 
 pub use advance::{
-    advance, advance_powered, advance_values_with, output_start, valid_output_len, with_scratch,
-    AdvanceScratch, Backend,
+    advance, advance_powered, output_start, valid_output_len, with_scratch, AdvanceScratch, Backend,
 };
 pub use kernel::StencilKernel;
 pub use segment::Segment;
