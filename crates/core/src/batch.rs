@@ -678,25 +678,23 @@ impl BatchPricer {
 /// Orders requests by kernel group: the requests that agree on model, rate,
 /// volatility, dividend yield, expiry (all bit for bit) and steps build the
 /// same kernel, and the same mirror for a call.  Spot, strike, option type
-/// and exercise schedule are left out.  Returns the requests' indices,
-/// grouped — groups in order of first appearance, members in request
-/// order — and the start of every group in that order, then its length.
+/// and exercise schedule are left out.  Returns the requests' indices, each
+/// group's members together and in request order, and the start of every
+/// group in that order, then its length.
 fn kernel_groups<'r>(
     requests: impl Iterator<Item = &'r PricingRequest>,
 ) -> (Vec<usize>, Vec<usize>) {
-    let mut group_of: HashMap<(ModelKind, [u64; 4], usize), usize> = HashMap::new();
-    let group: Vec<usize> = requests
+    let keys: Vec<(u8, [u64; 4], usize)> = requests
         .map(|req| {
             let p = &req.params;
             let fields = [p.rate, p.volatility, p.dividend_yield, p.expiry].map(f64::to_bits);
-            let next = group_of.len();
-            *group_of.entry((req.model, fields, req.steps)).or_insert(next)
+            (req.model as u8, fields, req.steps)
         })
         .collect();
-    let mut order: Vec<usize> = (0..group.len()).collect();
-    order.sort_by_key(|&k| group[k]); // stable: members stay in request order
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&k| keys[k]); // stable: members stay in request order
     let mut starts: Vec<usize> =
-        (0..order.len()).filter(|&i| i == 0 || group[order[i]] != group[order[i - 1]]).collect();
+        (0..order.len()).filter(|&i| i == 0 || keys[order[i]] != keys[order[i - 1]]).collect();
     starts.push(order.len());
     (order, starts)
 }
