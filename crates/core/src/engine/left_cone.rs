@@ -52,9 +52,9 @@
 //! size and height, so a pricing asks for a few dozen distinct multiplier
 //! tables over thousands of correlations; the `KernelPowers` that
 //! [`solve_to_root`] borrows from its caller — one pricing, or a batch group
-//! of contracts with the same kernel — evaluates each once.  (Halving a wide row as well walks
-//! it in hops of `H/4, H/8, …`, each a correlation over at least `d` cells:
-//! `Θ(H log³ H)`.)
+//! of contracts with the same kernel — evaluates each once.  (Halving a wide
+//! row as well walks it in hops of `H/4, H/8, …`, each a correlation over at
+//! least `d` cells: `Θ(H log³ H)`.)
 //! At equality the row halves: a window that took the whole hop would hand
 //! itself to its own recursion.
 //!

@@ -63,10 +63,11 @@
 //! [`KernelPowers`] therefore evaluates each table once — on its first use,
 //! with the expressions above, so every bit is what a fresh evaluation
 //! gives — and hands it to every later correlation with the same kernel and
-//! `(n, h)`.  A table keeps only its live bins: a bitmap of bins `0 … n/2` with the count
-//! of live bins before each 64-bit word, and the live multipliers in rising
-//! `k`; a vanished bin reads back as the exact zero it always was.  At the
-//! heights a deep pricing runs that is a few percent of `n/2 + 1` entries.
+//! `(n, h)`.  A table keeps only its live bins: a bitmap of bins `0 … n/2`
+//! with the count of live bins before each 64-bit word, and the live
+//! multipliers in rising `k`; a vanished bin reads back as the exact zero it
+//! always was.  At the heights a deep pricing runs that is a few percent of
+//! `n/2 + 1` entries.
 //!
 //! A set is keyed on the kernel's weight *bits* as well as `(n, h)`, and
 //! owns no kernel: the caller passes it with each correlation, so a set
