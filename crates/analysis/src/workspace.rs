@@ -12,8 +12,7 @@ const PANIC_SURFACE_SCOPE: &[&str] = &["crates/service/src/"];
 /// `crates/obs/src/` is in scope: the metrics/journal record paths run
 /// inside the service's hot loops, so the same lock rules apply there.
 const LOCK_DISCIPLINE_SCOPE: &[&str] = &["crates/service/src/", "crates/obs/src/"];
-const FLOAT_EQ_SCOPE: &[&str] =
-    &["crates/core/src/", "crates/fft/src/", "crates/stencil/src/", "crates/cachesim/src/"];
+const FLOAT_EQ_SCOPE: &[&str] = &["crates/core/src/", "crates/fft/src/", "crates/stencil/src/"];
 /// The two places `unsafe` may live; everywhere *else* gets
 /// `unsafe-confined`.  `shims/epoll/` wraps raw syscalls.  `shims/rayon/`
 /// stands in for an upstream crate that contains the same one erasure:
@@ -166,6 +165,21 @@ mod tests {
         assert!(lints_for("crates/core/src/bopm/fast.rs").contains(&"float-eq"));
         assert!(!lints_for("crates/core/src/bopm/fast.rs").contains(&"panic-surface"));
         assert!(lints_for("examples/quickstart.rs") == vec!["hot-path-alloc", "unsafe-confined"]);
+    }
+
+    /// A prefix naming no directory lints nothing and fails nothing, so a
+    /// deleted or renamed crate would silently drop out of its lint.
+    #[test]
+    fn every_scope_prefix_names_a_workspace_directory() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+        for prefix in PANIC_SURFACE_SCOPE
+            .iter()
+            .chain(LOCK_DISCIPLINE_SCOPE)
+            .chain(FLOAT_EQ_SCOPE)
+            .chain(UNSAFE_EXEMPT_SCOPE)
+        {
+            assert!(root.join(prefix).is_dir(), "scope prefix `{prefix}` names no directory");
+        }
     }
 
     #[test]

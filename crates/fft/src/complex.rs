@@ -104,21 +104,6 @@ impl Complex64 {
         let magnitude = (k as f64 * r.ln()).exp();
         Self::from_polar(magnitude, k as f64 * self.arg())
     }
-
-    /// Binary-exponentiation power; reference implementation used by tests to
-    /// cross-check [`Complex64::powu`].
-    pub fn powu_binary(self, mut k: u64) -> Self {
-        let mut base = self;
-        let mut acc = Self::ONE;
-        while k > 0 {
-            if k & 1 == 1 {
-                acc *= base;
-            }
-            base *= base;
-            k >>= 1;
-        }
-        acc
-    }
 }
 
 impl Add for Complex64 {
@@ -208,6 +193,20 @@ mod tests {
         (a - b).abs() <= tol
     }
 
+    /// Binary-exponentiation power: the reference [`Complex64::powu`] is
+    /// cross-checked against.
+    fn powu_binary(mut base: Complex64, mut k: u64) -> Complex64 {
+        let mut acc = Complex64::ONE;
+        while k > 0 {
+            if k & 1 == 1 {
+                acc *= base;
+            }
+            base *= base;
+            k >>= 1;
+        }
+        acc
+    }
+
     #[test]
     fn ring_identities() {
         let z = c64(3.0, -4.0);
@@ -250,7 +249,7 @@ mod tests {
         let z = c64(0.6, -0.35);
         for k in [0u64, 1, 2, 3, 7, 16, 31, 100] {
             let a = z.powu(k);
-            let b = z.powu_binary(k);
+            let b = powu_binary(z, k);
             assert!(close(a, b, 1e-10 * (1.0 + b.abs())), "k={k}: {a:?} vs {b:?}");
         }
     }

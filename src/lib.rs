@@ -21,9 +21,7 @@
 //!   earliest-deadline-first submission queue with deadline/size coalescing,
 //!   backpressure, and a line-JSON TCP front end (a single-threaded epoll
 //!   reactor), turning independent incoming quotes into `BatchPricer`
-//!   batches;
-//! * [`cachesim`] — cache-hierarchy and energy simulation (the PAPI/RAPL
-//!   substitute used to regenerate the paper's Figures 6/7/10).
+//!   batches.
 //!
 //! ## Quick start
 //!
@@ -55,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use amopt_cachesim as cachesim;
 pub use amopt_core as core;
 pub use amopt_fft as fft;
 pub use amopt_parallel as parallel;
