@@ -1,13 +1,13 @@
 //! **hot-path-alloc** — no heap allocation in `// amopt-lint: hot-path`
 //! regions.
 //!
-//! ROADMAP open item 5 ("allocation-free, cache-tuned hot path") is only
+//! ROADMAP item 2(c) ("a row arena", an allocation-free hot path) is only
 //! checkable if allocation sites are machine-visible.  A region annotated
 //! `hot-path` may not call the allocating idioms below; every remaining
 //! allocation must carry an allow marker whose reason explains why it is
 //! acceptable (one-time setup, O(batch) not O(steps), kept output rows).
 //! The allow inventory *is* the deliverable: it is the work list the row
-//! arena of ROADMAP item 5 must drain.
+//! arena of ROADMAP item 2(c) must drain.
 //!
 //! Flagged (outside `#[cfg(test)]`):
 //! * `Vec::new` / `vec![…]` (zero-capacity today is a growth site tomorrow)

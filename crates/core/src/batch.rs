@@ -22,10 +22,10 @@
 //!   scattered to every duplicate), and results are **memoized** across
 //!   batches in an LRU keyed on quantized parameters — a market tick that
 //!   leaves most of the book unchanged reprices only what moved;
-//! * the memo is **sharded** by key hash ([`DEFAULT_MEMO_SHARDS`] shards,
-//!   one lock each): probes take only their shard's lock and the probe
-//!   phase itself runs in parallel across shards, so the cache scales past
-//!   one core instead of serialising every batch behind a single mutex;
+//! * the memo is **sharded** by key hash (eight shards, one lock each):
+//!   a probe or an insert takes only its own shard's lock, so concurrent
+//!   batches contend only when their keys share a shard, and each shard's
+//!   eviction scan stays bounded by its share of the capacity;
 //! * every request gets its own `Result`: one invalid contract never poisons
 //!   the rest of the batch.
 //!
@@ -333,13 +333,13 @@ impl LruMemo {
 ///
 /// Shard selection hashes the full [`MemoKey`] with the standard library's
 /// default (SipHash) hasher under fixed keys, so a key's shard is
-/// deterministic for the lifetime of the process — a prerequisite for the
-/// one-lock-per-shard-per-batch probe phase.
+/// deterministic for the lifetime of the process: a key is always probed
+/// and published under the same shard's lock.
 #[derive(Debug)]
 struct ShardedMemo {
     shards: Box<[Mutex<LruMemo>]>,
     /// `false` when total capacity is 0: the probe and publish phases are
-    /// skipped wholesale (no key hashing, no shard fan-out) — memo-less
+    /// skipped wholesale (no key hashing, no locking) — memo-less
     /// pricers like the serial greeks facades stay pure dispatch.
     enabled: bool,
 }
@@ -349,7 +349,6 @@ impl ShardedMemo {
     /// `capacity.div_ceil(shards)` entries, so the effective total rounds up
     /// to a shard multiple (`0` stays `0`: memo disabled).
     fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         let per_shard = capacity.div_ceil(shards);
         ShardedMemo {
             shards: (0..shards).map(|_| Mutex::new(LruMemo::new(per_shard))).collect(),
@@ -391,14 +390,15 @@ pub struct MemoStats {
 /// stays invisible.
 pub const DEFAULT_MEMO_CAPACITY: usize = 512;
 
-/// Default shard count for the memo.
+/// Shard count of every memo.
 ///
 /// Eight shards keep lock contention negligible up to a few tens of worker
 /// threads (probes for distinct keys collide on a lock with probability
-/// `1/8`) while the per-batch probe fan-out (one task per shard) stays
-/// cheap enough to be harmless on a single core.  Override with
-/// [`BatchPricer::with_memo_config`].
-pub const DEFAULT_MEMO_SHARDS: usize = 8;
+/// `1/8`) and bound each shard's eviction scan at 64 entries of the default
+/// capacity.  Eviction order is per shard, so a sharded memo may evict an
+/// entry that one globally-ordered LRU of the same capacity would keep;
+/// prices are unaffected (eviction only ever causes recomputation).
+const MEMO_SHARDS: usize = 8;
 
 /// Batched pricing engine: dedup → memo probe → parallel price → scatter.
 ///
@@ -414,36 +414,21 @@ pub struct BatchPricer {
 }
 
 impl BatchPricer {
-    /// A pricer with the default memo capacity and shard count.
+    /// A pricer with the default memo capacity.
     pub fn new(cfg: EngineConfig) -> Self {
         Self::with_memo_capacity(cfg, DEFAULT_MEMO_CAPACITY)
     }
 
-    /// A pricer whose memo holds roughly `capacity` prices across
-    /// [`DEFAULT_MEMO_SHARDS`] shards (`0` disables memoization entirely;
-    /// in-batch deduplication still applies).
+    /// A pricer whose memo holds roughly `capacity` prices across eight
+    /// shards (`0` disables memoization entirely; in-batch deduplication
+    /// still applies).
     ///
     /// Capacity is split evenly across shards, rounding the per-shard share
-    /// up, so the effective total is `shards * ceil(capacity / shards)`.
-    /// Callers that need exact-capacity (or single-shard, globally-ordered
-    /// LRU) semantics should use [`with_memo_config`] with `shards = 1`.
-    ///
-    /// [`with_memo_config`]: BatchPricer::with_memo_config
+    /// up, so the effective total is `8 * ceil(capacity / 8)`.  Eviction is
+    /// least-recently-used *within* each shard; prices are bitwise the same
+    /// whatever the memo holds, since eviction only causes recomputation.
     pub fn with_memo_capacity(cfg: EngineConfig, capacity: usize) -> Self {
-        Self::with_memo_config(cfg, capacity, DEFAULT_MEMO_SHARDS)
-    }
-
-    /// A pricer with explicit memo `capacity` (total, split across shards)
-    /// and `shards` (clamped to at least 1).
-    ///
-    /// More shards reduce lock contention between concurrent probes but
-    /// fragment the LRU: eviction order is maintained *per shard*, so a
-    /// sharded memo may evict an entry that a single globally-ordered LRU of
-    /// the same total capacity would have kept.  Prices are unaffected —
-    /// eviction only ever causes recomputation, and every pricer is
-    /// deterministic — so results are bitwise identical for any shard count.
-    pub fn with_memo_config(cfg: EngineConfig, capacity: usize, shards: usize) -> Self {
-        BatchPricer { cfg, memo: ShardedMemo::new(capacity, shards) }
+        BatchPricer { cfg, memo: ShardedMemo::new(capacity, MEMO_SHARDS) }
     }
 
     /// The engine configuration every routed pricer runs under.
@@ -528,41 +513,18 @@ impl BatchPricer {
             };
             assignment.push(slot);
         }
-        // Phase 2 (parallel): memo probe, sharded by key hash.  Jobs are
-        // grouped by shard so each worker takes exactly one shard lock for
-        // its whole group — shards never contend with each other, and the
-        // groups themselves probe concurrently.  A disabled memo (capacity
-        // 0, e.g. the serial greeks facades) skips the hashing and shard
-        // fan-out entirely: every probe would be a guaranteed miss.
+        // Phase 2 (serial): memo probe.  Each job probes its own shard,
+        // under that shard's lock, in job order.  A disabled memo (capacity
+        // 0, e.g. the serial greeks facades) hashes no key and so probes
+        // nothing: every probe would be a guaranteed miss.
         let shard_of_job: Vec<usize> = if self.memo.enabled {
             jobs.iter().map(|(_, key)| self.memo.shard_of(key)).collect()
         } else {
             Vec::new()
         };
         let mut slot_results: Vec<Option<Result<f64>>> = vec![None; jobs.len()];
-        if self.memo.enabled && jobs.len() <= self.memo.shards.len() {
-            // Small batches (greeks ladders, a surface round's convergence
-            // tail) probe serially: a lock per job costs less than grouping
-            // into shards and forking over mostly-empty buckets.
-            for (slot, (_, key)) in jobs.iter().enumerate() {
-                slot_results[slot] = self.memo.lock(shard_of_job[slot]).get(key).map(Ok);
-            }
-        } else if self.memo.enabled {
-            let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.memo.shards.len()];
-            for (slot, &shard) in shard_of_job.iter().enumerate() {
-                by_shard[shard].push(slot);
-            }
-            let probed: Vec<Vec<(usize, Option<f64>)>> =
-                amopt_parallel::parallel_map_slice(&by_shard, 1, |shard, slots| {
-                    if slots.is_empty() {
-                        return Vec::new();
-                    }
-                    let mut memo = self.memo.lock(shard);
-                    slots.iter().map(|&slot| (slot, memo.get(&jobs[slot].1))).collect()
-                });
-            for (slot, hit) in probed.into_iter().flatten() {
-                slot_results[slot] = hit.map(Ok);
-            }
+        for (slot, &shard) in shard_of_job.iter().enumerate() {
+            slot_results[slot] = self.memo.lock(shard).get(&jobs[slot].1).map(Ok);
         }
         // Phase 3 (parallel): price what the memo did not know, one kernel
         // group at a time.  A group is the requests that agree on every
@@ -591,32 +553,15 @@ impl BatchPricer {
         for (&k, res) in order.iter().zip(priced.into_iter().flatten()) {
             computed[k] = res;
         }
-        // Phase 4 (serial, one lock acquisition per touched shard): publish
-        // fresh prices to the memo and the slots.  Errors are never cached;
-        // a disabled memo publishes nothing; small batches insert directly
-        // (a lock per fresh price) instead of grouping by shard.
-        let group_publish = self.memo.enabled && jobs.len() > self.memo.shards.len();
-        let mut publish: Vec<Vec<(usize, f64)>> =
-            if group_publish { vec![Vec::new(); self.memo.shards.len()] } else { Vec::new() };
+        // Phase 4 (serial): publish fresh prices to the slots and, each
+        // under its shard's lock and in job order, to the memo.  Errors are
+        // never cached; a disabled memo hashed no shard, so publishes nothing.
         for (slot, res) in todo.into_iter().zip(computed) {
             let res = res.expect("every group prices every member");
-            if let Ok(price) = res {
-                if group_publish {
-                    publish[shard_of_job[slot]].push((slot, price));
-                } else if self.memo.enabled {
-                    self.memo.lock(shard_of_job[slot]).insert(jobs[slot].1.clone(), price);
-                }
+            if let (Ok(price), Some(&shard)) = (&res, shard_of_job.get(slot)) {
+                self.memo.lock(shard).insert(jobs[slot].1.clone(), *price);
             }
             slot_results[slot] = Some(res);
-        }
-        for (shard, fresh) in publish.into_iter().enumerate() {
-            if fresh.is_empty() {
-                continue;
-            }
-            let mut memo = self.memo.lock(shard);
-            for (slot, price) in fresh {
-                memo.insert(jobs[slot].1.clone(), price);
-            }
         }
         // Phase 5: scatter unique results back to request order.
         assignment
@@ -899,7 +844,7 @@ mod tests {
     fn memo_lookup_counts_only_hits_and_refreshes_recency() {
         // Single shard of two: the recency refresh decides which entry the
         // third price evicts.
-        let pricer = BatchPricer::with_memo_config(EngineConfig::default(), 2, 1);
+        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 1) };
         let req = |steps| PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps);
         assert_eq!(pricer.memo_lookup(&req(100)), None);
         assert_eq!((pricer.memo_stats().hits, pricer.memo_stats().misses), (0, 0));
@@ -952,7 +897,7 @@ mod tests {
     fn lru_evicts_the_stalest_entry() {
         // Single shard: the test pins down *global* LRU ordering, which only
         // a one-shard memo guarantees (sharded eviction is per shard).
-        let pricer = BatchPricer::with_memo_config(EngineConfig::default(), 2, 1);
+        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 1) };
         let req = |steps| PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps);
         pricer.price_batch(&[req(100)]);
         pricer.price_batch(&[req(101)]);
@@ -980,38 +925,72 @@ mod tests {
     fn sharded_memo_matches_single_shard_bitwise_and_splits_capacity() {
         // Same book through a single-shard and a many-shard pricer: prices
         // must be bitwise identical on the cold pass *and* on the warm
-        // re-quote, and the aggregate hit/miss counters must agree.
-        let book: Vec<PricingRequest> = (0..24)
+        // re-quote, and the aggregate counters must agree.  The book mixes
+        // BOPM American calls, BOPM European puts and BSM puts, plus one
+        // invalid contract that must be an error on both sides.
+        let mut book: Vec<PricingRequest> = (0..8)
             .map(|i| OptionParams { strike: 100.0 + 2.0 * i as f64, ..p() })
-            .map(|params| PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, 96))
+            .flat_map(|params| {
+                let dividend_free = OptionParams { dividend_yield: 0.0, ..params };
+                [
+                    PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, 96),
+                    PricingRequest::european(ModelKind::Bopm, OptionType::Put, params, 80),
+                    PricingRequest::american(ModelKind::Bsm, OptionType::Put, dividend_free, 64),
+                ]
+            })
             .collect();
-        let single = BatchPricer::with_memo_config(EngineConfig::default(), 512, 1);
-        let sharded = BatchPricer::with_memo_config(EngineConfig::default(), 512, 8);
+        let invalid = OptionParams { spot: -1.0, ..p() };
+        book.insert(5, PricingRequest::american(ModelKind::Bopm, OptionType::Call, invalid, 96));
+        let cfg = EngineConfig::default();
+        let single = BatchPricer { cfg, memo: ShardedMemo::new(512, 1) };
+        let sharded = BatchPricer { cfg, memo: ShardedMemo::new(512, 8) };
         assert_eq!(single.memo_stats().shards, 1);
         assert_eq!(sharded.memo_stats().shards, 8);
         assert_eq!(sharded.memo_stats().capacity, 512); // 8 * ceil(512/8)
+        let bits = |r: &Result<f64>| r.as_ref().map(|v| v.to_bits()).map_err(|_| ());
         for pass in 0..2 {
             let a = single.price_batch(&book);
             let b = sharded.price_batch(&book);
-            for (x, y) in a.iter().zip(&b) {
-                let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-                assert_eq!(x.to_bits(), y.to_bits(), "pass {pass}");
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(bits(x), bits(y), "pass {pass} slot {i}");
+                assert_eq!(x.is_err(), i == 5, "pass {pass} slot {i}: {x:?}");
             }
         }
         let (s, m) = (single.memo_stats(), sharded.memo_stats());
-        assert_eq!((s.hits, s.misses), (m.hits, m.misses));
-        assert_eq!(m.misses, 24);
-        assert_eq!(m.hits, 24);
-        // The 24 distinct keys spread over more than one shard: entries
-        // aggregate correctly while no single shard holds them all (the
-        // probability of 24 SipHashed keys landing in one of 8 shards is
-        // ~8^-23 — deterministic in practice since the hash keys are fixed).
-        assert_eq!(m.entries, 24);
+        assert_eq!((s.hits, s.misses, s.entries), (m.hits, m.misses, m.entries));
+        // 24 valid keys miss once, hit once and stay resident; the invalid
+        // one misses on both passes, since errors are never memoized.
+        assert_eq!((m.misses, m.hits, m.entries), (26, 24, 24));
+    }
+
+    #[test]
+    fn one_batch_evicts_inside_every_shard_it_fills() {
+        // 40 distinct contracts in one batch through 8 shards of 2: the
+        // publish phase evicts within the batch, and a re-quote hits
+        // exactly what survived.
+        let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 16);
+        let book: Vec<PricingRequest> = (0..40)
+            .map(|i| OptionParams { strike: 80.0 + i as f64, ..p() })
+            .map(|params| PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, 32))
+            .collect();
+        let first = pricer.price_batch(&book);
+        let cold = pricer.memo_stats();
+        assert_eq!((cold.shards, cold.capacity), (8, 16));
+        assert_eq!((cold.misses, cold.hits), (40, 0));
+        assert_eq!(cold.entries as u64 + cold.evictions, 40);
+        assert!(cold.entries <= 16, "{cold:?}");
+        let second = pricer.price_batch(&book);
+        let warm = pricer.memo_stats();
+        assert_eq!(warm.hits, cold.entries as u64, "{warm:?}");
+        assert_eq!(warm.misses, 40 + (40 - cold.entries as u64));
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.as_ref().unwrap().to_bits(), b.as_ref().unwrap().to_bits());
+        }
     }
 
     #[test]
     fn tiny_capacity_rounds_up_to_one_entry_per_shard() {
-        let pricer = BatchPricer::with_memo_config(EngineConfig::default(), 2, 4);
+        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 4) };
         let stats = pricer.memo_stats();
         assert_eq!((stats.capacity, stats.shards), (4, 4)); // 4 * ceil(2/4)
     }

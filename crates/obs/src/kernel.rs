@@ -1,7 +1,7 @@
 //! Static kernel phase timers for the trapezoid/cone engines.
 //!
 //! The engines spend their time in three places the cache-tuning work
-//! (ROADMAP item 4) needs to see separately: the **FFT pass** advancing
+//! (ROADMAP item 2) needs to see separately: the **FFT pass** advancing
 //! certified-red regions, the **boundary window** recursion around the
 //! red/green boundary, and the **base case** naive loops below the
 //! cutoff.  A [`KernelScope`] guard wraps each, accumulating call counts

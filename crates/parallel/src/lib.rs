@@ -170,22 +170,6 @@ where
     out
 }
 
-/// Maps `f(index, item)` over a slice in parallel, collecting results in
-/// input order.
-///
-/// The indexed form exists for callers whose work items are *partitions* of
-/// some larger structure — e.g. the batch layer's sharded memo probe, where
-/// each item is one shard's slot list and the index names the shard whose
-/// lock the worker must take.
-pub fn parallel_map_slice<T, R, F>(items: &[T], grain: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Default + Clone,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map(items.len(), grain, |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,17 +218,6 @@ mod tests {
         let got = parallel_map(1000, 32, |i| i * i);
         let want: Vec<usize> = (0..1000).map(|i| i * i).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn parallel_map_slice_passes_matching_index_and_item() {
-        let items: Vec<String> = (0..257).map(|i| format!("item-{i}")).collect();
-        let got = parallel_map_slice(&items, 16, |i, s| format!("{i}:{s}"));
-        for (i, g) in got.iter().enumerate() {
-            assert_eq!(*g, format!("{i}:item-{i}"));
-        }
-        let empty: Vec<u8> = vec![];
-        assert!(parallel_map_slice(&empty, 4, |_, _| 0u8).is_empty());
     }
 
     #[test]
