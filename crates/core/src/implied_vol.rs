@@ -1,25 +1,22 @@
 //! Implied volatility: invert a pricer for the volatility that reproduces an
 //! observed market price.
 //!
-//! European quotes use Newton's method on the Black–Scholes closed form
-//! (quadratic convergence, analytic vega) with a bisection fallback;
-//! American quotes bisect over the fast lattice pricer — each probe is
-//! `O(T log² T)`, so the whole inversion is a few dozen milliseconds even at
-//! large `T`.
+//! An American call quote bisects over the fast lattice pricer — each probe
+//! is `O(T log² T)`, so the whole inversion is a few dozen milliseconds even
+//! at large `T`.
 //!
-//! The per-quote functions here are the *reference* inversions.  For bulk
+//! The per-quote function here is the *reference* inversion.  For bulk
 //! work — inverting a whole quote surface — use
 //! [`crate::batch::surface::implied_vol_surface`], which drives every
 //! quote's bracketing rounds in lockstep through the batch pricer (parallel
 //! probes, cross-quote dedup, and a superlinear root iteration) under the
 //! same search interval, tolerance, and error contract as this module.
 
-use crate::analytic::{black_scholes_price, black_scholes_vega};
 use crate::bopm::BopmModel;
 use crate::engine::EngineConfig;
 use crate::error::{PricingError, Result};
 use crate::lattice::fast;
-use crate::params::{OptionParams, OptionType};
+use crate::params::OptionParams;
 
 /// Lower end of the volatility search interval (shared with the batch
 /// surface driver so both inversions search the same space).
@@ -40,56 +37,6 @@ pub(crate) const VOL_HI: f64 = 5.0;
 pub(crate) const PRICE_TOL: f64 = 1e-10;
 /// Probe budget per quote before declaring no convergence.
 pub(crate) const MAX_ITERS: usize = 200;
-
-/// Implied volatility of a **European** option from its market price.
-pub fn european(params: &OptionParams, opt: OptionType, market_price: f64) -> Result<f64> {
-    let params = params.validated()?;
-    let price_at = |vol: f64| -> Result<f64> {
-        black_scholes_price(&OptionParams { volatility: vol, ..params }, opt)
-    };
-    // Arbitrage bounds: the price must lie between the zero-vol and
-    // huge-vol limits.
-    let lo_p = price_at(VOL_LO)?;
-    let hi_p = price_at(VOL_HI)?;
-    if market_price < lo_p - 1e-12 || market_price > hi_p + 1e-12 {
-        return Err(PricingError::InvalidParams {
-            field: "market_price",
-            reason: format!("price {market_price} outside attainable range [{lo_p:.6}, {hi_p:.6}]"),
-        });
-    }
-    // Newton from a mid-range start, guarded by a bisection bracket.
-    let (mut lo, mut hi) = (VOL_LO, VOL_HI);
-    let mut vol = 0.3;
-    for iterations in 0..MAX_ITERS {
-        let p = price_at(vol)?;
-        let diff = p - market_price;
-        if diff.abs() < PRICE_TOL {
-            return Ok(vol);
-        }
-        if diff > 0.0 {
-            hi = vol;
-        } else {
-            lo = vol;
-        }
-        let vega = black_scholes_vega(&OptionParams { volatility: vol, ..params })?;
-        let newton = vol - diff / vega;
-        vol = if vega > 1e-12 && newton > lo && newton < hi { newton } else { 0.5 * (lo + hi) };
-        if hi - lo < 1e-14 {
-            // Exhausted bracket: only accept the candidate if it actually
-            // reproduces the quote (same guard as the American inversion —
-            // a flat, near-zero-vega region must not yield an arbitrary vol).
-            if (price_at(vol)? - market_price).abs() < PRICE_TOL {
-                return Ok(vol);
-            }
-            return Err(PricingError::NoConvergence {
-                what: "European implied volatility (bracket collapsed with residual above \
-                       tolerance: near-zero vega)",
-                iterations,
-            });
-        }
-    }
-    Err(PricingError::NoConvergence { what: "European implied volatility", iterations: MAX_ITERS })
-}
 
 /// Implied volatility of an **American call** from its market price, by
 /// bisection over the fast BOPM pricer.
@@ -173,19 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn european_roundtrip() {
-        let p = OptionParams::paper_defaults();
-        for opt in [OptionType::Call, OptionType::Put] {
-            for true_vol in [0.08, 0.2, 0.55] {
-                let quoted =
-                    black_scholes_price(&OptionParams { volatility: true_vol, ..p }, opt).unwrap();
-                let got = european(&p, opt, quoted).unwrap();
-                assert!((got - true_vol).abs() < 1e-7, "{opt:?} σ={true_vol}: got {got}");
-            }
-        }
-    }
-
-    #[test]
     fn american_roundtrip() {
         let p = OptionParams::paper_defaults();
         let cfg = EngineConfig::default();
@@ -200,24 +134,7 @@ mod tests {
     #[test]
     fn rejects_unattainable_prices() {
         let p = OptionParams::paper_defaults();
-        assert!(european(&p, OptionType::Call, -1.0).is_err());
-        assert!(european(&p, OptionType::Call, p.spot * 10.0).is_err());
         assert!(american_call_bopm(&p, 200, -5.0, &EngineConfig::default()).is_err());
-    }
-
-    #[test]
-    fn european_flat_vega_exact_quote_still_inverts() {
-        // Deep ITM at tiny expiry the price is volatility-independent to
-        // double precision; an exactly attainable quote must still come back
-        // `Ok` (residual 0), only off-curve quotes are rejected.
-        let p = OptionParams {
-            spot: 200.0,
-            strike: 100.0,
-            expiry: 1e-4,
-            ..OptionParams::paper_defaults()
-        };
-        let quoted = black_scholes_price(&p, OptionType::Call).unwrap();
-        assert!(european(&p, OptionType::Call, quoted).is_ok());
     }
 
     #[test]
@@ -294,13 +211,5 @@ mod tests {
         let quoted = fast::price_american_call(&m, &cfg);
         let got = american_call_bopm(&p, 64, quoted, &cfg).unwrap();
         assert!((got - true_vol).abs() < 1e-6, "got {got}");
-    }
-
-    #[test]
-    fn monotone_in_market_price() {
-        let p = OptionParams::paper_defaults();
-        let q1 = european(&p, OptionType::Call, 5.0).unwrap();
-        let q2 = european(&p, OptionType::Call, 9.0).unwrap();
-        assert!(q2 > q1);
     }
 }

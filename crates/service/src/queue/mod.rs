@@ -1,6 +1,7 @@
-//! The coalescing core: bounded submission queue, earliest-deadline-first
-//! batcher with per-client fair shares, worker pool, and the in-process
-//! client handle.
+//! The coalescing core: the in-process client handle, its completion
+//! tickets, and the worker pool with its watchdog.  The bounded
+//! earliest-deadline-first queue and its condvar are [`edf`]; running a
+//! drained batch is [`execute`].
 //!
 //! ## Queue lifecycle
 //!
@@ -17,75 +18,63 @@
 //!    comes back resolved and no entry, batch or worker is involved.  Such
 //!    hits take no queue capacity, so a full queue or a brownout tier never
 //!    rejects them.
-//! 2. **Coalesce — only while busy.**  A worker that finds work while no
-//!    batch is executing flushes at once: nothing is outstanding, so
-//!    waiting for company would only add latency (Nagle's rule, applied to
-//!    batches).  While another batch executes, the worker waits until the
-//!    queue holds [`max_batch`](crate::ServiceConfig::max_batch) requests,
-//!    the **earliest queued deadline** arrives, or the pool goes idle,
-//!    whichever first.  A late submission with a tight deadline therefore
-//!    *shortens* the wait: the flush clock follows the heap head, not the
-//!    oldest arrival.
-//! 3. **Drain (EDF + fair share).**  The worker pops the binary heap in
-//!    earliest-deadline-first order (sequence number breaks ties, so equal
-//!    deadlines drain in arrival order).  Each client's take is capped at
-//!    `max_batch / distinct-queued-clients` (at least 1); over-share pops
-//!    are set aside and re-admitted — still in EDF order — only if the
-//!    batch has room once every client got its share, and anything left
-//!    returns to the heap untouched.  A deadline-tagged quote therefore
-//!    overtakes a 4096-contract bulk book instead of queueing behind it.
-//! 4. **Execute.**  The drained batch is grouped by request kind and each
-//!    group runs through its batch-native driver over the *shared*
-//!    [`BatchPricer`] — one `price_batch` for prices, one fanned greeks
-//!    ladder, one lockstep surface inversion — so co-batched requests share
-//!    in-batch dedup and every request shares the cross-batch memo.
-//! 5. **Complete.**  Each entry's slot receives its own `Result`; waiting
+//! 2. **Coalesce and drain:** [`edf`].
+//! 3. **Execute:** [`execute`].
+//! 4. **Complete.**  Each entry's slot receives its own `Result`; waiting
 //!    clients wake, and a completion callback (the reactor's readiness
-//!    nudge) fires outside every lock.  Batch size, queue depth, heap-pop
-//!    and deadline-miss counters feed the metrics registry
-//!    ([`QuoteService::metrics_text`]).  The batch then stops counting
-//!    as executing — however `execute` ended — and if that leaves the pool
-//!    idle with work queued, the coalescing workers are woken to flush it.
+//!    nudge) fires outside the slot's lock.  Batch size, queue depth,
+//!    heap-pop and deadline-miss counters feed the metrics registry
+//!    ([`QuoteService::metrics_text`]).
 //!
-//! Shutdown flips a flag (new submits fail with
-//! [`ServiceError::ShuttingDown`]), wakes every worker, and joins them;
-//! workers drain the remaining queue — answering every accepted request —
-//! before exiting.
+//! Shutdown closes the queue (new submits fail with
+//! [`ServiceError::ShuttingDown`]) and joins the workers; workers drain the
+//! remaining queue — answering every accepted request — before exiting.
+
+mod edf;
+mod execute;
 
 use crate::config::ServiceConfig;
 use crate::fault::FaultSite;
-use crate::obs::{ServiceObs, KIND_GREEKS, KIND_IMPLIED_VOL, KIND_PRICE};
-use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+use crate::obs::ServiceObs;
+use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use crate::types::{ServiceError, ServiceRequest, ServiceResponse, ServiceStats, ShedByClass};
 use crate::ServiceResult;
-use amopt_core::batch::surface::{implied_vol_surface, VolQuote};
-use amopt_core::batch::{greeks as batch_greeks, BatchPricer, PricingRequest};
+use amopt_core::batch::surface::VolQuote;
+use amopt_core::batch::{BatchPricer, PricingRequest};
 use amopt_core::EngineConfig;
 use amopt_obs::{Journal, RequestTrace, Stage, TraceCard};
-use std::collections::BinaryHeap;
+use edf::{EdfQueue, Pending};
+use execute::execute;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A completion callback, invoked exactly once when the slot fills —
-/// always *outside* the slot's own locks.  The reactor front end uses this
-/// to push the connection onto its ready list and kick the event loop.
+/// always *outside* the slot's lock.  The reactor front end uses this to
+/// push the connection onto its ready list and kick the event loop.
 type NotifyFn = Box<dyn FnOnce() + Send>;
 
-/// Completion slot of one submitted request.
+/// Completion slot of one submitted request: result and callback under one
+/// lock, so a fill and an arming callback always see each other.
 struct Slot {
-    done: Mutex<Option<ServiceResult>>,
+    inner: Mutex<SlotInner>,
     ready: Condvar,
-    notify: Mutex<Option<NotifyFn>>,
+}
+
+struct SlotInner {
+    /// `None` until a worker fills it, or the answer itself for a quote
+    /// answered at submit; `None` again once taken.
+    done: Option<ServiceResult>,
+    notify: Option<NotifyFn>,
 }
 
 impl fmt::Debug for Slot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let inner = lock_unpoisoned(&self.inner);
         f.debug_struct("Slot")
-            .field("done", &self.done)
-            .field("has_notify", &lock_unpoisoned(&self.notify).is_some())
+            .field("done", &inner.done)
+            .field("has_notify", &inner.notify.is_some())
             .finish()
     }
 }
@@ -94,31 +83,34 @@ impl Slot {
     /// A slot holding `done` — `None` until a worker fills it, or the answer
     /// itself for a quote answered at submit.
     fn new(done: Option<ServiceResult>) -> Arc<Self> {
-        Arc::new(Slot { done: Mutex::new(done), ready: Condvar::new(), notify: Mutex::new(None) })
+        Arc::new(Slot {
+            inner: Mutex::new(SlotInner { done, notify: None }),
+            ready: Condvar::new(),
+        })
     }
 
     fn fill(&self, result: ServiceResult) {
-        {
-            let mut done = lock_unpoisoned(&self.done);
-            *done = Some(result);
+        let callback = {
+            let mut inner = lock_unpoisoned(&self.inner);
+            inner.done = Some(result);
             self.ready.notify_all();
-        }
-        // Fire the completion callback outside both locks: it may grab the
+            inner.notify.take()
+        };
+        // Fire the completion callback outside the lock: it may grab the
         // reactor's ready-list mutex and write an eventfd, neither of which
         // belongs under a guard.
-        let callback = lock_unpoisoned(&self.notify).take();
         if let Some(callback) = callback {
             callback();
         }
     }
 
     fn wait(&self) -> ServiceResult {
-        let mut done = lock_unpoisoned(&self.done);
+        let mut inner = lock_unpoisoned(&self.inner);
         loop {
-            if let Some(result) = done.take() {
+            if let Some(result) = inner.done.take() {
                 return result;
             }
-            done = wait_unpoisoned(&self.ready, done);
+            inner = wait_unpoisoned(&self.ready, inner);
         }
     }
 }
@@ -136,89 +128,10 @@ impl Drop for InflightPermit {
 }
 
 #[derive(Debug)]
-struct Pending {
-    request: ServiceRequest,
-    slot: Arc<Slot>,
-    /// EDF key: when this request wants to have flushed.
-    deadline: Instant,
-    /// Whether `deadline` came from a caller-supplied budget (and therefore
-    /// counts toward [`ServiceStats::deadline_misses`]) rather than from the
-    /// `max_wait` coalescing default, which only orders the heap and bounds
-    /// the wait behind a busy pool.
-    explicit_deadline: bool,
-    /// Queue-arrival sequence number; breaks deadline ties FIFO.
-    seq: u64,
-    /// Fair-share key: which client handle submitted this.
-    client_id: u64,
-    /// Flightdeck trace card riding along (absent when tracing is off).
-    trace: Option<Arc<RequestTrace>>,
-    _permit: InflightPermit,
-}
-
-// The heap orders *only* by (deadline, seq); payload fields are ignored.
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // `BinaryHeap` is a max-heap, so invert: the earliest deadline
-        // (then the lowest sequence number) compares greatest and pops
-        // first.
-        other.deadline.cmp(&self.deadline).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    /// Earliest-deadline-first submission queue.
-    heap: BinaryHeap<Pending>,
-    /// Next arrival sequence number (assigned under this lock, so ties
-    /// drain in true arrival order).
-    next_seq: u64,
-    shutdown: bool,
-    /// Batches drained but not yet finished executing.  Coalescing waits
-    /// only while this is non-zero; [`Executing`] owns each unit.
-    executing: usize,
-}
-
-/// One unit of [`QueueState::executing`], taken under the queue lock where
-/// a batch is drained and given back when dropped — after `execute`
-/// returns, returns early, or unwinds, so the count never leaks.  The last
-/// batch out wakes the coalescing workers if work is queued.
-struct Executing<'a>(&'a Shared);
-
-impl Drop for Executing<'_> {
-    fn drop(&mut self) {
-        let idle_with_work = {
-            let mut state = lock_unpoisoned(&self.0.state);
-            state.executing -= 1;
-            state.executing == 0 && !state.heap.is_empty()
-        };
-        if idle_with_work {
-            self.0.work.notify_all();
-        }
-    }
-}
-
-#[derive(Debug)]
 struct Shared {
     cfg: ServiceConfig,
     pricer: BatchPricer,
-    state: Mutex<QueueState>,
-    /// Signalled on every enqueue, on shutdown, and when the last
-    /// executing batch finishes with work queued.
-    work: Condvar,
+    queue: EdfQueue,
     /// The Flightdeck spine: every counter, gauge, histogram, trace card,
     /// and journal event the service emits funnels through here.
     obs: Arc<ServiceObs>,
@@ -262,6 +175,26 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> std::io::Result<()> {
     }
 }
 
+/// One worker: take the next batch from the queue and execute it, until
+/// the queue is closed and drained.
+fn worker_loop(shared: &Shared) {
+    loop {
+        if let Some(plan) = &shared.cfg.fault {
+            // Injected worker death, at the one safe point: between
+            // batches, with nothing drained, so no accepted request is
+            // held by the dying thread.  The watchdog guard respawns.
+            if plan.fires(FaultSite::WorkerDeath) {
+                // amopt-lint: allow(panic-surface) -- injected fault: the watchdog guard turns this panic into a respawn, which is the machinery under test
+                panic!("amopt-fault: injected worker death");
+            }
+        }
+        let Some((batch, _executing)) = shared.queue.next_batch(&shared.cfg, &shared.obs) else {
+            return;
+        };
+        execute(shared, batch);
+    }
+}
+
 /// The self-healing watchdog: dropped as a worker thread exits.  A normal
 /// exit (shutdown drain finished) just decrements the live count; an exit
 /// by panic respawns a replacement — unless the service is shutting down
@@ -277,27 +210,13 @@ struct WorkerGuard {
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
         self.shared.obs.workers_alive.sub(1);
-        if !std::thread::panicking() {
-            return;
-        }
-        let respawn = {
-            let state = lock_unpoisoned(&self.shared.state);
-            !state.shutdown || !state.heap.is_empty()
-        };
-        if !respawn {
+        if !std::thread::panicking() || !self.shared.queue.needs_workers() {
             return;
         }
         if spawn_worker(&self.shared, self.index).is_ok() {
             self.shared.obs.worker_restarted(self.index as u64);
         }
     }
-}
-
-/// Takes the current worker handles (a helper so no lock guard outlives
-/// the take — the caller joins outside any lock).
-fn take_worker_handles(shared: &Shared) -> Vec<std::thread::JoinHandle<()>> {
-    let mut workers = lock_unpoisoned(&shared.workers);
-    std::mem::take(&mut *workers)
 }
 
 impl QuoteService {
@@ -317,26 +236,21 @@ impl QuoteService {
             // reusing one plan across services keeps the first journal.
             plan.attach_observer(Arc::clone(&obs));
         }
-        let shared = Arc::new(Shared {
-            cfg,
-            pricer,
-            state: Mutex::new(QueueState::default()),
-            work: Condvar::new(),
-            obs,
-            next_client: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
-        });
-        for i in 0..shared.cfg.workers {
-            if let Err(e) = spawn_worker(&shared, i) {
-                lock_unpoisoned(&shared.state).shutdown = true;
-                shared.work.notify_all();
-                for handle in take_worker_handles(&shared) {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
+        let service = QuoteService {
+            shared: Arc::new(Shared {
+                cfg,
+                pricer,
+                queue: EdfQueue::default(),
+                obs,
+                next_client: AtomicU64::new(0),
+                workers: Mutex::new(Vec::new()),
+            }),
+        };
+        // On a spawn failure, dropping `service` joins the workers started.
+        for i in 0..service.shared.cfg.workers {
+            spawn_worker(&service.shared, i)?;
         }
-        Ok(QuoteService { shared })
+        Ok(service)
     }
 
     /// A new client handle with its own in-flight budget
@@ -364,9 +278,8 @@ impl QuoteService {
     /// the one exposition on the wire, so the two can never disagree.
     pub fn stats(&self) -> ServiceStats {
         let o = &self.shared.obs;
-        let queue_depth = lock_unpoisoned(&self.shared.state).heap.len();
         ServiceStats {
-            queue_depth,
+            queue_depth: self.shared.queue.depth(),
             submitted: o.submitted.get(),
             completed: o.completed.get(),
             rejected_queue_full: o.rejected_queue_full.get(),
@@ -391,7 +304,7 @@ impl QuoteService {
     /// instrument plus the kernel phase timers, with scrape-time gauges
     /// (memo, journal) refreshed first.
     pub fn metrics_text(&self) -> String {
-        self.shared.obs.queue_depth.set(lock_unpoisoned(&self.shared.state).heap.len() as u64);
+        self.shared.obs.queue_depth.set(self.shared.queue.depth() as u64);
         self.shared.obs.render(&self.shared.pricer.memo_stats())
     }
 
@@ -415,11 +328,7 @@ impl QuoteService {
     /// Stops accepting new requests, drains and answers everything already
     /// accepted, and joins the workers.  Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
+        self.shared.queue.close();
         // Take the handles, join outside the lock: joining with `workers`
         // held would block every concurrent `shutdown` caller on this
         // mutex for the full drain instead of on the join itself.  Loop
@@ -428,7 +337,7 @@ impl QuoteService {
         // the dying thread returns only after that registration, so the
         // next take observes it.
         loop {
-            let drained = take_worker_handles(&self.shared);
+            let drained = std::mem::take(&mut *lock_unpoisoned(&self.shared.workers));
             if drained.is_empty() {
                 return;
             }
@@ -524,7 +433,7 @@ impl Client {
             // the shutdown check, answer it here.  The queue lock is let go
             // before the memo shard's is taken, and the shard's before the
             // queue's is taken again for a miss.
-            if lock_unpoisoned(&shared.state).shutdown {
+            if shared.queue.is_closed() {
                 shared.obs.rejected_shutdown.inc();
                 return Err(ServiceError::ShuttingDown);
             }
@@ -551,72 +460,18 @@ impl Client {
             }
         }
         let delivery = trace.as_ref().map(|t| (Arc::clone(t), Arc::clone(&shared.obs)));
-        {
-            let mut state = lock_unpoisoned(&shared.state);
-            if state.shutdown {
-                drop(state);
-                shared.obs.rejected_shutdown.inc();
-                return Err(ServiceError::ShuttingDown);
-            }
-            if state.heap.len() >= shared.cfg.queue_depth {
-                drop(state);
-                shared.obs.rejected_queue_full.inc();
-                return Err(ServiceError::Overloaded { what: "submission queue full" });
-            }
-            // Brownout tiers: under sustained queue pressure, shed untagged
-            // work by class — implied-vol inversions (the most expensive per
-            // request) first, greeks ladders second, plain quotes last — once
-            // the queue is that full.  Deadline-tagged submissions skip
-            // brownout entirely (the EDF scheduler exists to serve them);
-            // only a full queue rejects those.
-            const SHED_IMPLIED_VOL_AT: f64 = 0.50;
-            const SHED_GREEKS_AT: f64 = 0.75;
-            const SHED_PRICE_AT: f64 = 0.95;
-            if budget.is_none() {
-                let (class, shed_at, what) = match &request {
-                    ServiceRequest::ImpliedVol(_) => (
-                        KIND_IMPLIED_VOL,
-                        SHED_IMPLIED_VOL_AT,
-                        "brownout: implied-vol inversions shed under queue pressure",
-                    ),
-                    ServiceRequest::Greeks(_) => (
-                        KIND_GREEKS,
-                        SHED_GREEKS_AT,
-                        "brownout: greeks ladders shed under queue pressure",
-                    ),
-                    ServiceRequest::Price(_) => (
-                        KIND_PRICE,
-                        SHED_PRICE_AT,
-                        "brownout: untagged quotes shed under queue pressure",
-                    ),
-                };
-                if state.heap.len() as f64 >= shed_at * shared.cfg.queue_depth as f64 {
-                    drop(state);
-                    shared.obs.shed_fired(class);
-                    return Err(ServiceError::Overloaded { what });
-                }
-            }
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            state.heap.push(Pending {
-                request,
-                slot: Arc::clone(&slot),
-                deadline,
-                explicit_deadline: budget.is_some(),
-                seq,
-                client_id: self.id,
-                trace,
-                _permit: permit,
-            });
-        }
-        if let Some((trace, _)) = &delivery {
-            trace.stamp(Stage::Enqueued);
-        }
-        shared.obs.submitted.inc();
-        // notify_all, not notify_one: a new earliest deadline must re-arm
-        // the timeout of whichever worker is coalescing, which is not
-        // necessarily the one `notify_one` would pick.
-        shared.work.notify_all();
+        let entry = Pending {
+            request,
+            slot: Arc::clone(&slot),
+            deadline,
+            explicit_deadline: budget.is_some(),
+            seq: 0,
+            client_id: self.id,
+            trace,
+            _permit: permit,
+        };
+        let enqueued = delivery.as_ref().map(|(t, _)| &**t);
+        shared.queue.admit(&shared.cfg, &shared.obs, entry, enqueued)?;
         Ok(Ticket { slot, delivery })
     }
 
@@ -714,7 +569,7 @@ impl Ticket {
     /// ever parking its event loop.
     pub(crate) fn try_take(&self) -> Option<ServiceResult> {
         // amopt-lint: hot-path
-        let result = lock_unpoisoned(&self.slot.done).take()?;
+        let result = lock_unpoisoned(&self.slot.inner).done.take()?;
         if let Some((trace, obs)) = &self.delivery {
             obs.deliver(trace, result.is_err());
         }
@@ -725,28 +580,21 @@ impl Ticket {
     /// submit starts out so, and needs no completion callback.
     pub(crate) fn is_resolved(&self) -> bool {
         // amopt-lint: hot-path
-        lock_unpoisoned(&self.slot.done).is_some()
+        lock_unpoisoned(&self.slot.inner).done.is_some()
     }
 
     /// Arms a completion callback, fired exactly once — immediately if the
     /// result is already in, otherwise from the completing worker, always
-    /// outside the slot's locks.
+    /// outside the slot's lock.
     pub(crate) fn set_notify(&self, callback: NotifyFn) {
-        if self.is_resolved() {
-            callback();
-            return;
-        }
-        *lock_unpoisoned(&self.slot.notify) = Some(callback);
-        // `fill` may have landed between the two locks above, in which
-        // case it saw an empty notify slot and fired nothing: take the
-        // callback back and fire it here.  At most one of the two paths
-        // observes the callback, so it still runs exactly once.
-        if self.is_resolved() {
-            let callback = lock_unpoisoned(&self.slot.notify).take();
-            if let Some(callback) = callback {
-                callback();
+        {
+            let mut inner = lock_unpoisoned(&self.slot.inner);
+            if inner.done.is_none() {
+                inner.notify = Some(callback);
+                return;
             }
         }
+        callback();
     }
 }
 
@@ -761,314 +609,6 @@ impl Drop for Ticket {
         // does nothing.
         if let Some((trace, obs)) = self.delivery.take() {
             obs.abandon(&trace);
-        }
-    }
-}
-
-/// One worker: flush at once if no batch is executing, else coalesce until
-/// the batch fills, the earliest queued deadline arrives, or the pool goes
-/// idle; drain EDF with per-client fair shares, execute, repeat — until
-/// shutdown *and* an empty queue.
-fn worker_loop(shared: &Shared) {
-    loop {
-        if let Some(plan) = &shared.cfg.fault {
-            // Injected worker death, at the one safe point: between
-            // batches, with nothing drained, so no accepted request is
-            // held by the dying thread.  The watchdog guard respawns.
-            if plan.fires(FaultSite::WorkerDeath) {
-                // amopt-lint: allow(panic-surface) -- injected fault: the watchdog guard turns this panic into a respawn, which is the machinery under test
-                panic!("amopt-fault: injected worker death");
-            }
-        }
-        let (batch, _executing) = {
-            let mut state = lock_unpoisoned(&shared.state);
-            // Phase 1: wait for work (or exit once shut down and drained).
-            loop {
-                if !state.heap.is_empty() {
-                    break;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = wait_unpoisoned(&shared.work, state);
-            }
-            // Phase 2: coalesce only while another batch executes — with
-            // nothing executing there is nothing to wait behind — until
-            // the batch is full, the earliest queued deadline passes, or
-            // the last executing batch finishes.  The heap head is re-read
-            // after every wake: a fresh submission with a tighter deadline
-            // shortens the remaining wait.  Shutdown flushes immediately:
-            // latency no longer matters, only draining does.
-            loop {
-                if state.heap.len() >= shared.cfg.max_batch
-                    || state.shutdown
-                    || state.executing == 0
-                {
-                    break;
-                }
-                let Some(head) = state.heap.peek() else { break };
-                let deadline = head.deadline;
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (s, _timeout) = wait_timeout_unpoisoned(&shared.work, state, deadline - now);
-                state = s;
-                if state.heap.is_empty() {
-                    // Another worker drained the queue while this one
-                    // slept; nothing left to coalesce around.
-                    break;
-                }
-            }
-            if state.heap.is_empty() {
-                continue;
-            }
-            // Phase 3: drain up to max_batch entries in EDF order with a
-            // per-client fair share, and count the batch as executing
-            // until its guard drops.
-            let batch = drain_edf(&mut state, &shared.cfg, &shared.obs);
-            state.executing += 1;
-            (batch, Executing(shared))
-        };
-        execute(shared, batch);
-    }
-}
-
-/// Pops up to `max_batch` entries earliest-deadline-first, capping each
-/// client at `max_batch / distinct-queued-clients` (at least one).  Pops
-/// beyond a client's share are parked and — still in EDF order — backfill
-/// whatever room the batch has left once the heap is exhausted, so the
-/// flush never runs below capacity while work is queued.  Unused parked
-/// entries go back on the heap.
-fn drain_edf(state: &mut QueueState, cfg: &ServiceConfig, obs: &ServiceObs) -> Vec<Pending> {
-    let mut distinct: Vec<u64> = Vec::new();
-    for entry in state.heap.iter() {
-        if !distinct.contains(&entry.client_id) {
-            distinct.push(entry.client_id);
-        }
-    }
-    let share = (cfg.max_batch / distinct.len().max(1)).max(1);
-    let mut batch: Vec<Pending> = Vec::with_capacity(cfg.max_batch.min(state.heap.len()));
-    let mut parked: Vec<Pending> = Vec::new();
-    let mut taken: Vec<(u64, usize)> = Vec::new();
-    let mut pops = 0u64;
-    while batch.len() < cfg.max_batch {
-        let Some(entry) = state.heap.pop() else { break };
-        pops += 1;
-        let count = match taken.iter_mut().find(|(id, _)| *id == entry.client_id) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                taken.push((entry.client_id, 1));
-                1
-            }
-        };
-        if count <= share {
-            batch.push(entry);
-        } else {
-            parked.push(entry);
-        }
-    }
-    obs.heap_pops.add(pops);
-    // Work-conserving backfill, then return the rest to the heap.
-    let mut parked = parked.into_iter();
-    while batch.len() < cfg.max_batch {
-        let Some(entry) = parked.next() else { break };
-        batch.push(entry);
-    }
-    for entry in parked {
-        state.heap.push(entry);
-    }
-    // The drained entries leave the EDF queue here — stamp the end of
-    // their queue/coalesce wait.  (Parked entries back on the heap keep an
-    // unstamped slot; the CAS stamp is first-wins, so a later real drain
-    // still lands.)
-    for entry in &batch {
-        if let Some(trace) = &entry.trace {
-            trace.stamp(Stage::Dequeued);
-        }
-    }
-    batch
-}
-
-/// A request group's batch-native driver: slice of requests in, one result
-/// per request out.
-type BatchDriver<'a, R, T> = dyn Fn(&[R]) -> Vec<Result<T, amopt_core::PricingError>> + 'a;
-
-/// Runs one request group through its batch driver inside the designated
-/// `catch_unwind` boundary.  The fast path runs the whole group at once;
-/// if the group panics (a real bug, or an injected [`FaultSite::WorkerPanic`]
-/// flagged in `injected`), it falls back to per-request isolation: each
-/// request re-runs alone under its own shield, so a panicking request
-/// resolves to [`ServiceError::Internal`] for *that request only* and the
-/// rest of the group still answers.  Injected panics fire *before* the
-/// driver call, so the shared memo is never entered by a doomed request.
-fn run_shielded<R, T>(
-    injected: &[bool],
-    reqs: &[R],
-    run: &BatchDriver<'_, R, T>,
-) -> Vec<Result<T, ServiceError>> {
-    let clean = !injected.iter().any(|&b| b);
-    if clean {
-        // amopt-lint: allow(panic-surface) -- designated worker-pool unwind boundary: a driver panic is isolated per request below instead of killing the worker mid-batch
-        let shielded = catch_unwind(AssertUnwindSafe(|| run(reqs)));
-        if let Ok(results) = shielded {
-            return results.into_iter().map(|r| r.map_err(ServiceError::from)).collect();
-        }
-    }
-    reqs.iter()
-        .zip(injected.iter().chain(std::iter::repeat(&false)))
-        .map(|(req, &boom)| {
-            // amopt-lint: allow(panic-surface) -- designated worker-pool unwind boundary: per-request isolation shield
-            let one = catch_unwind(AssertUnwindSafe(|| {
-                if boom {
-                    // amopt-lint: allow(panic-surface) -- injected fault: this panic exists to prove the shield holds
-                    panic!("amopt-fault: injected worker panic");
-                }
-                run(std::slice::from_ref(req)).pop()
-            }));
-            match one {
-                Ok(Some(result)) => result.map_err(ServiceError::from),
-                Ok(None) => Err(ServiceError::Internal { what: "batch driver returned no result" }),
-                Err(_) => {
-                    Err(ServiceError::Internal { what: "worker panicked pricing this request" })
-                }
-            }
-        })
-        .collect()
-}
-
-/// Executes one drained batch: group by request kind, run each group
-/// through its batch-native driver over the shared pricer, scatter results
-/// into the slots.
-fn execute(shared: &Shared, batch: Vec<Pending>) {
-    // amopt-lint: hot-path
-    // amopt-lint: allow-scope(hot-path-alloc) -- per-batch grouping/scatter buffers are O(batch); request payloads are cloned exactly once into the driver slices
-    let o = &shared.obs;
-    for pending in &batch {
-        if let Some(trace) = &pending.trace {
-            trace.stamp(Stage::ExecStart);
-        }
-    }
-    let plan = shared.cfg.fault.as_deref();
-    if let Some(plan) = plan {
-        if let Some(stall) = plan.stall() {
-            // Injected stall: the worker sits on its drained batch.  Other
-            // workers keep draining; nothing is lost, latency suffers.
-            std::thread::sleep(stall);
-        }
-        if plan.fires(FaultSite::LostReply) {
-            // The deliberately *unhandled* class: drop the drained entries
-            // without filling their slots.  `submitted` permanently exceeds
-            // `completed` and the chaos gate must fail — CI's proof that the
-            // gate can catch a broken service.  Rate is zero in every
-            // handled schedule.
-            return;
-        }
-    }
-    o.batches.inc();
-    o.batch_size.record(batch.len() as u64);
-
-    // Group by request kind, tracking batch indices alongside the driver
-    // input slices — the request payloads are cloned exactly once.  Traced
-    // price requests probe the memo on the way past (recency- and
-    // counter-neutral) so their cards can carry the hit flag.
-    let mut prices: Vec<usize> = Vec::new();
-    let mut price_reqs: Vec<PricingRequest> = Vec::new();
-    let mut greeks: Vec<usize> = Vec::new();
-    let mut greek_reqs: Vec<PricingRequest> = Vec::new();
-    let mut vols: Vec<usize> = Vec::new();
-    let mut vol_quotes: Vec<VolQuote> = Vec::new();
-    for (i, pending) in batch.iter().enumerate() {
-        match &pending.request {
-            ServiceRequest::Price(req) => {
-                if let Some(trace) = &pending.trace {
-                    if shared.pricer.memo_peek(req) {
-                        trace.set_flag(amopt_obs::FLAG_MEMO_HIT);
-                    }
-                    trace.stamp(Stage::MemoProbed);
-                }
-                prices.push(i);
-                price_reqs.push(req.clone());
-            }
-            ServiceRequest::Greeks(req) => {
-                greeks.push(i);
-                greek_reqs.push(req.clone());
-            }
-            ServiceRequest::ImpliedVol(quote) => {
-                vols.push(i);
-                vol_quotes.push(quote.clone());
-            }
-        }
-    }
-
-    // Each entry is consumed at completion so its in-flight permit drops
-    // *before* the slot fill wakes the waiter: a client that has observed
-    // its response always has that unit of budget back, and an `in_flight`
-    // read after `Ticket::wait` is never stale.
-    let mut batch: Vec<Option<Pending>> = batch.into_iter().map(Some).collect();
-    let mut complete = |i: usize, result: ServiceResult| {
-        // The index vectors partition the batch, so every `i` is in range
-        // and completed exactly once; if that bookkeeping ever broke,
-        // skipping the entry beats panicking the worker.
-        let Some(Pending { slot, deadline, explicit_deadline, trace, _permit, .. }) =
-            batch.get_mut(i).and_then(Option::take)
-        else {
-            return;
-        };
-        drop(_permit);
-        // Only caller-supplied budgets count as misses: the `max_wait`
-        // default deadline only orders the heap and, behind a busy pool,
-        // serves as the *flush trigger* — delivery then lands just past it
-        // by construction, so a miss there carries no signal.
-        let now = Instant::now();
-        if explicit_deadline && now > deadline {
-            if let Some(trace) = &trace {
-                trace.set_flag(amopt_obs::FLAG_DEADLINE_MISS);
-            }
-            let lateness = u64::try_from((now - deadline).as_nanos()).unwrap_or(u64::MAX);
-            o.deadline_missed(lateness);
-        }
-        if let Some(trace) = &trace {
-            trace.stamp(Stage::Completed);
-        }
-        // Count *before* filling: the fill wakes the waiter, and a stats
-        // read right after `Ticket::wait` must already see this completion.
-        o.completed.inc();
-        slot.fill(result);
-    };
-
-    // Injected panic decisions, consulted once per price request (the
-    // tentpole injects inside `price_batch` execution; other groups take
-    // the isolation path only on a real driver panic).  Price batch-of-one
-    // results are pinned bitwise-identical to in-batch results, so the
-    // isolation fallback never perturbs delivered prices.
-    let price_inject: Vec<bool> = match plan {
-        Some(plan) => price_reqs.iter().map(|_| plan.fires(FaultSite::WorkerPanic)).collect(),
-        None => Vec::new(),
-    };
-
-    if !price_reqs.is_empty() {
-        let results =
-            run_shielded(&price_inject, &price_reqs, &|reqs| shared.pricer.price_batch(reqs));
-        for (&i, result) in prices.iter().zip(results) {
-            complete(i, result.map(ServiceResponse::Price));
-        }
-    }
-    if !greek_reqs.is_empty() {
-        let results =
-            run_shielded(&[], &greek_reqs, &|reqs| batch_greeks::greeks(&shared.pricer, reqs));
-        for (&i, result) in greeks.iter().zip(results) {
-            complete(i, result.map(ServiceResponse::Greeks));
-        }
-    }
-    if !vol_quotes.is_empty() {
-        let results =
-            run_shielded(&[], &vol_quotes, &|quotes| implied_vol_surface(&shared.pricer, quotes));
-        for (&i, result) in vols.iter().zip(results) {
-            complete(i, result.map(ServiceResponse::ImpliedVol));
         }
     }
 }
@@ -2026,12 +1566,12 @@ mod tests {
         let poisoner = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = service.shared.state.lock().unwrap();
+                    let _guard = service.shared.queue.state.lock().unwrap();
                     panic!("poison the queue lock");
                 })
                 .join()
         });
-        assert!(poisoner.is_err() && service.shared.state.is_poisoned());
+        assert!(poisoner.is_err() && service.shared.queue.state.is_poisoned());
         // The service keeps serving on a poisoned lock; so must its gauges.
         assert_eq!(service.stats().queue_depth, 3);
         assert!(service.metrics_text().contains("\namopt_queue_depth 3\n"));
@@ -2064,6 +1604,25 @@ mod tests {
         assert_eq!(lock_unpoisoned(&order).clone(), vec![7], "late arm must fire immediately");
         assert!(ticket.try_take().is_some(), "result still claimable after notify");
         service.shutdown();
+    }
+
+    #[test]
+    fn a_fill_racing_set_notify_fires_the_callback_exactly_once() {
+        for i in 0..1000 {
+            let ticket = Ticket { slot: Slot::new(None), delivery: None };
+            let (slot, start) = (Arc::clone(&ticket.slot), Arc::new(std::sync::Barrier::new(2)));
+            let go = Arc::clone(&start);
+            let filler = std::thread::spawn(move || {
+                go.wait();
+                slot.fill(Ok(ServiceResponse::Price(1.0)));
+            });
+            let fired = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&fired);
+            start.wait();
+            ticket.set_notify(Box::new(move || _ = counted.fetch_add(1, Ordering::SeqCst)));
+            filler.join().expect("filler thread");
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "iteration {i}");
+        }
     }
 
     #[test]
