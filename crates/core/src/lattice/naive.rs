@@ -353,4 +353,73 @@ mod tests {
         check::<1>(&[7, 252, 100], &mut scratch);
         check::<2>(&[5, 200, 64], &mut scratch);
     }
+
+    /// The nest's prices as `f64::to_bits` at `steps`: on the paper's
+    /// contract BOPM then TOPM, each call American, call European, put
+    /// American, put European; the FD put American and European; then the
+    /// American put of the mirrored contract (whose early exercise binds) on
+    /// BOPM and TOPM.
+    fn nest_bits(steps: usize) -> [u64; 12] {
+        fn tree<const W: usize>(m: &Lattice<W>) -> impl Iterator<Item = u64> + '_ {
+            [OptionType::Call, OptionType::Put].into_iter().flat_map(move |opt| {
+                [ExerciseStyle::American, ExerciseStyle::European]
+                    .map(|style| price(m, opt, style, ExecMode::Serial).to_bits())
+            })
+        }
+        let (am, eu, put) = (ExerciseStyle::American, ExerciseStyle::European, OptionType::Put);
+        let grid = fd(steps);
+        let mirror = OptionParams::paper_defaults().mirrored();
+        let bits: Vec<u64> = tree(&model::<1>(steps))
+            .chain(tree(&model::<2>(steps)))
+            .chain([am, eu].map(|style| price(&grid, put, style, ExecMode::Serial).to_bits()))
+            .chain(
+                [
+                    price(&Lattice::<1>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial),
+                    price(&Lattice::<2>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial),
+                ]
+                .map(f64::to_bits),
+            )
+            .collect();
+        bits.try_into().unwrap()
+    }
+
+    #[test]
+    fn nest_prices_are_the_parent_commits_bit_for_bit() {
+        // Pinned before the nests became one sweep (parent `8be9981`).
+        #[rustfmt::skip]
+        const PINS: [(usize, [u64; 12]); 4] = [
+            (1, [
+                0x402563d4fd5b7fa4, 0x402563d4fd5b7fa4, 0x402dda6b730c674f, 0x402dda6b730c674f,
+                0x401e44f164a148fc, 0x401e44f164a148fc, 0x4027990f28018c33, 0x4027990f28018c33,
+                0x402999ff7c63be43, 0x402999ff7c63be43, 0x402563d4fd5b7fa3, 0x401e44f164a14905,
+            ]),
+            (2, [
+                0x401e44f164a148fb, 0x401e44f164a148fb, 0x4027990f28018c32, 0x4027990f28018c32,
+                0x402022e69f53427a, 0x401fe42638c60871, 0x402868a99213ebec, 0x402868a99213ebec,
+                0x402699dca07368a9, 0x4026830177e89faf, 0x401e44f164a14908, 0x402022e69f534280,
+            ]),
+            (252, [
+                0x4020ab3d9fbc64dc, 0x4020659ffe646ca0, 0x4028dc36741555ee, 0x4028dc36741555ee,
+                0x4020a6113c8593f4, 0x402060eeaaca123f, 0x4028d785207afcbf, 0x4028d785207afcbf,
+                0x4026c784f0a6fbb9, 0x4026c0c4fc7ea7bb, 0x4020ab3d9fbc651e, 0x4020a6113c859163,
+            ]),
+            (1000, [
+                0x4020a8ecbcb8dbaa, 0x402064058e3e7dce, 0x4028da9c03ef612a, 0x4028da9c03ef612a,
+                0x4020a7572be736f2, 0x4020626ff2d95dea, 0x4028d906688a2a7d, 0x4028d906688a2a7d,
+                0x4026c5d87af4d7e4, 0x4026bf43dfc65eb9, 0x4020a8ecbcb8de2f, 0x4020a7572be72969,
+            ]),
+        ];
+        for (steps, want) in PINS {
+            assert_eq!(nest_bits(steps), want, "steps={steps}");
+        }
+        // A Bermudan put, weekly dates, on the paper's contract (where its
+        // exercise never binds) and at R = 6 % (where it does).
+        let dates: Vec<usize> = (1..=500).step_by(7).collect();
+        for (rate, want) in [(0.00163, 0x4028d76d5becc238u64), (0.06, 0x40223caddd10e0a5)] {
+            let p = OptionParams { rate, ..OptionParams::paper_defaults() };
+            let m = Lattice::<1>::new(p, 500).unwrap();
+            let got = crate::bermudan::price_bermudan_put_naive(&m, &dates).unwrap();
+            assert_eq!(got.to_bits(), want, "Bermudan put at R = {rate}");
+        }
+    }
 }
