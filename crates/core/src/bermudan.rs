@@ -80,31 +80,6 @@ pub(crate) fn price_put_with(
     Ok(row.values[0])
 }
 
-/// Reference Bermudan put by the naive loop nest (`Θ(T²)`).
-pub fn price_bermudan_put_naive(model: &BopmModel, exercise_steps: &[usize]) -> Result<f64> {
-    let t = model.steps();
-    let strike = model.params().strike;
-    for &e in exercise_steps {
-        if e == 0 || e > t {
-            return Err(PricingError::InvalidParams {
-                field: "exercise_steps",
-                reason: format!("step {e} outside the valid range 1..={t}"),
-            });
-        }
-    }
-    let exercisable: std::collections::HashSet<usize> = exercise_steps.iter().copied().collect();
-    let payoff = |i: usize, j: i64| OptionType::Put.payoff(model.node_price(i, j), strike);
-    let (s0, s1) = (model.weights()[0], model.weights()[1]);
-    let mut g: Vec<f64> = (0..=t as i64).map(|j| payoff(t, j)).collect();
-    for i in (0..t).rev() {
-        for j in 0..=i {
-            let cont = s0 * g[j] + s1 * g[j + 1];
-            g[j] = if exercisable.contains(&i) { cont.max(payoff(i, j as i64)) } else { cont };
-        }
-    }
-    Ok(g[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +90,18 @@ mod tests {
         BopmModel::new(OptionParams::paper_defaults(), steps).unwrap()
     }
 
+    /// The `Θ(T²)` nest on the same schedule.
+    fn price_by_nest(m: &BopmModel, dates: &[usize]) -> f64 {
+        naive::sweep(m, OptionType::Put, |i| dates.contains(&i), None)
+    }
+
     #[test]
     fn fft_matches_naive_reference() {
         let m = model(500);
         let date_sets: Vec<Vec<usize>> =
             vec![vec![500], vec![250], vec![100, 200, 300, 400], (1..=500).step_by(7).collect()];
         for dates in date_sets {
-            let want = price_bermudan_put_naive(&m, &dates).unwrap();
+            let want = price_by_nest(&m, &dates);
             let got = price_bermudan_put_fft(&m, &dates).unwrap();
             assert!(
                 (got - want).abs() < 1e-9 * want.max(1.0),
@@ -209,7 +189,6 @@ mod tests {
         let m = model(64);
         assert!(price_bermudan_put_fft(&m, &[0]).is_err());
         assert!(price_bermudan_put_fft(&m, &[65]).is_err());
-        assert!(price_bermudan_put_naive(&m, &[0]).is_err());
     }
 
     #[test]

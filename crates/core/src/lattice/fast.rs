@@ -453,42 +453,16 @@ mod tests {
         check::<2>();
     }
 
-    /// Dense last-green tracking of the put: for every row below expiry the
-    /// largest `j` with exercise ≥ continuation (`−1` if none).
-    fn dense_put_frontier<const W: usize>(m: &Lattice<W>) -> Vec<i64> {
-        let t = m.steps();
-        let w = m.weights();
-        let mut row: Vec<f64> =
-            (0..=(W * t) as i64).map(|j| m.exercise_put(t, j).max(0.0)).collect();
-        let mut dense = vec![-1i64; t];
-        for i in (0..t).rev() {
-            let next: Vec<f64> = (0..=W * i)
-                .map(|j| {
-                    let cont: f64 = (0..=W).map(|k| w[k] * row[j + k]).sum();
-                    let ex = m.exercise_put(i, j as i64);
-                    if ex >= cont {
-                        dense[i] = j as i64;
-                    }
-                    cont.max(ex)
-                })
-                .collect();
-            row = next;
-        }
-        dense
-    }
-
     #[test]
     fn put_boundary_samples_match_dense_tracking() {
         fn check<const W: usize>(m: Lattice<W>) {
-            let dense = dense_put_frontier(&m);
+            let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Put);
             let (price, samples) =
                 price_put_with_boundary_samples(&m, &EngineConfig::default(), 16);
             let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
             assert!((price - want).abs() < 1e-9 * want.max(1.0));
             assert!(samples.len() > 10, "expected a sampled frontier");
-            for &(i, f) in &samples[1..] {
-                // Expiry sample (index 0) uses the leaf formula; engine rows
-                // are compared against the dense tracker directly.
+            for (i, f) in samples {
                 assert_eq!(f, dense[i], "W={W} row {i}");
             }
         }
@@ -508,8 +482,8 @@ mod tests {
         // (−1) at any step.  The expiry transition is excluded — the drivers
         // materialise a tree's row T−1 explicitly for exactly that reason.
         fn check<const W: usize>(m: Lattice<W>) {
-            let dense = dense_put_frontier(&m);
-            for (i, pair) in dense.windows(2).enumerate() {
+            let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Put);
+            for (i, pair) in dense[..m.steps()].windows(2).enumerate() {
                 let (f, p) = (pair[0], pair[1]);
                 if W == 1 || f >= 0 {
                     let w = W as i64;

@@ -3,25 +3,23 @@
 //! evaluation (Par-bin-ops' QuantLib-equivalent loop nest, its trinomial
 //! twin and the row-by-row explicit FD sweep).
 //!
-//! `Θ(T²)` work (row `i` has `W·i + 1` cells); the parallel variant sweeps
-//! each row with fork-join chunks for `Θ(T²/p + T log T)` time.  The
-//! continuation of a cell is summed tap by tap in ascending column order,
-//! starting from the first product.  Values live in the grid's units and
-//! the root is scaled to a price at the end (module docs of
-//! [`super`]).
+//! `Θ(T²)` work (row `i` has `W·i + 1` cells) in one serial sweep, which
+//! every European, American and Bermudan nest price and the per-row
+//! frontier come from.  The continuation of a cell is summed tap by tap in
+//! ascending column order, starting from the first product.  Values live in
+//! the grid's units and the root is scaled to a price at the end (module
+//! docs of [`super`]).
 
 use super::Lattice;
 use crate::params::{ExerciseStyle, OptionType};
-use amopt_parallel::{for_each_chunk_mut, DEFAULT_GRAIN};
 
-/// Execution strategy for the loop nests.
+/// Execution strategy for the loop nest: serial is the only one.  The enum
+/// stays while `perf/` names it (ROADMAP 1(l)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Single-threaded, single rolling buffer (cache-friendliest loop).
-    Serial,
-    /// Row-parallel with double buffering.
+    /// Single-threaded, single rolling buffer.
     #[default]
-    Parallel,
+    Serial,
 }
 
 /// Prices any (type, style) combination by backward induction.
@@ -29,12 +27,66 @@ pub fn price<const W: usize>(
     model: &Lattice<W>,
     opt: OptionType,
     style: ExerciseStyle,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> f64 {
-    match mode {
-        ExecMode::Serial => price_with_scratch(model, opt, style, &mut Vec::new()),
-        ExecMode::Parallel => price_parallel(model, opt, style),
+    let american = style == ExerciseStyle::American;
+    sweep(model, opt, |_| american, None)
+}
+
+/// [`price`] of the American `opt`, also recording for every row `i` its
+/// frontier `j_i`: for a call the red–green boundary, the largest `j` with
+/// continuation ≥ exercise; for a put the largest `j` with exercise ≥
+/// continuation; −1 when there is none.  The expiry row compares against a
+/// continuation of 0.  Used by boundary-extraction tests and by
+/// the tests of Corollaries 2.7 and A.6.
+pub fn price_american_with_boundary<const W: usize>(
+    model: &Lattice<W>,
+    opt: OptionType,
+) -> (f64, Vec<i64>) {
+    let mut frontier = vec![-1; model.steps() + 1];
+    (sweep(model, opt, |_| true, Some(&mut frontier)), frontier)
+}
+
+/// The backward induction every price of this module runs: one rolling
+/// buffer of `W·T + 1` cells, each row swept in place in ascending column
+/// order.  Row `i < T` exercises early when `exercisable(i)` holds; the
+/// expiry row pays the floored exercise value.
+///
+/// With `frontier` (`T + 1` slots, each left at −1 or overwritten), row `i`
+/// records its last column on the frontier's side: a call's last *red*
+/// cell (continuation ≥ exercise), a put's last *green* one (exercise ≥
+/// continuation); the expiry row compares against a continuation of 0.
+pub(crate) fn sweep<const W: usize>(
+    model: &Lattice<W>,
+    opt: OptionType,
+    exercisable: impl Fn(usize) -> bool,
+    mut frontier: Option<&mut [i64]>,
+) -> f64 {
+    let side = |cont: f64, ex: f64| if opt == OptionType::Call { cont >= ex } else { ex >= cont };
+    let (t, w) = (model.steps(), &model.weights);
+    let mut g: Vec<f64> = (0..=W * t).map(|j| model.exercise(opt, t, j as i64)).collect();
+    if let Some(f) = frontier.as_deref_mut() {
+        f[t] = g.iter().rposition(|&ex| side(0.0, ex)).map_or(-1, |j| j as i64);
     }
+    g.iter_mut().for_each(|v| *v = v.max(0.0));
+    for i in (0..t).rev() {
+        let early = exercisable(i);
+        // In-place ascending sweep: g[j] is consumed before it is overwritten.
+        for j in 0..=W * i {
+            let cont = continuation::<W>(w, &g, j);
+            g[j] = cont;
+            if early || frontier.is_some() {
+                let ex = model.exercise(opt, i, j as i64);
+                if early {
+                    g[j] = cont.max(ex);
+                }
+                if let Some(f) = frontier.as_deref_mut().filter(|_| side(cont, ex)) {
+                    f[i] = j as i64;
+                }
+            }
+        }
+    }
+    model.units.scale * g[0]
 }
 
 /// Continuation value of the cell whose children start at `row[j]`:
@@ -46,109 +98,6 @@ fn continuation<const W: usize>(w: &[f64; 3], row: &[f64], j: usize) -> f64 {
         cont += w[k] * row[j + k];
     }
     cont
-}
-
-/// Fills `out` with the expiry-row payoffs — the single source of truth for
-/// the serial, scratch-reusing, and parallel sweeps.
-fn fill_leaf_values<const W: usize>(model: &Lattice<W>, opt: OptionType, out: &mut Vec<f64>) {
-    let t = model.steps();
-    out.clear();
-    out.extend((0..=W as i64 * t as i64).map(|j| model.exercise(opt, t, j).max(0.0)));
-}
-
-/// [`price`] with [`ExecMode::Serial`], reusing a caller-provided lattice
-/// buffer so repeated pricings (e.g. a batch hot loop or finite-difference
-/// bumps) allocate nothing once the buffer has grown to `W·T + 1` slots.
-///
-/// Bitwise identical to `price(model, opt, style, ExecMode::Serial)`.
-pub fn price_with_scratch<const W: usize>(
-    model: &Lattice<W>,
-    opt: OptionType,
-    style: ExerciseStyle,
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    let t = model.steps();
-    let w = &model.weights;
-    fill_leaf_values(model, opt, scratch);
-    let g = &mut scratch[..];
-    for i in (0..t).rev() {
-        // In-place ascending sweep: g[j] is consumed before it is overwritten.
-        for j in 0..=W * i {
-            let cont = continuation::<W>(w, g, j);
-            g[j] = match style {
-                ExerciseStyle::European => cont,
-                ExerciseStyle::American => cont.max(model.exercise(opt, i, j as i64)),
-            };
-        }
-    }
-    model.units.scale * g[0]
-}
-
-fn price_parallel<const W: usize>(
-    model: &Lattice<W>,
-    opt: OptionType,
-    style: ExerciseStyle,
-) -> f64 {
-    let t = model.steps();
-    let w = &model.weights;
-    let mut cur = Vec::new();
-    fill_leaf_values(model, opt, &mut cur);
-    let mut next = vec![0.0; W * t + 1];
-    for i in (0..t).rev() {
-        {
-            let read: &[f64] = &cur;
-            for_each_chunk_mut(&mut next[..=W * i], DEFAULT_GRAIN, |offset, chunk| {
-                for (k, out) in chunk.iter_mut().enumerate() {
-                    let j = offset + k;
-                    let cont = continuation::<W>(w, read, j);
-                    *out = match style {
-                        ExerciseStyle::European => cont,
-                        ExerciseStyle::American => cont.max(model.exercise(opt, i, j as i64)),
-                    };
-                }
-            });
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    model.units.scale * cur[0]
-}
-
-/// Serial backward induction that also records, for every row `i`, the
-/// red–green boundary `j_i` = largest `j` with continuation ≥ exercise
-/// (−1 when the whole row is green).  Used by boundary-extraction tests and
-/// by the tests of Corollaries 2.7 and A.6.
-pub fn price_american_with_boundary<const W: usize>(
-    model: &Lattice<W>,
-    opt: OptionType,
-) -> (f64, Vec<i64>) {
-    let t = model.steps();
-    let w = &model.weights;
-    let mut g = Vec::new();
-    fill_leaf_values(model, opt, &mut g);
-    let mut boundary = vec![0i64; t + 1];
-    // Expiry row: red cells are those whose exercise value is non-positive
-    // (their lattice value is 0 = the degenerate continuation); a call's
-    // exercise value only grows with `j`, so its scan stops at the first
-    // green cell.
-    let red = |j: &i64| model.exercise(opt, t, *j) <= 0.0;
-    boundary[t] = (0..=W as i64 * t as i64)
-        .take_while(|j| opt == OptionType::Put || red(j))
-        .filter(red)
-        .last()
-        .unwrap_or(-1);
-    for i in (0..t).rev() {
-        let mut b = -1i64;
-        for j in 0..=W * i {
-            let cont = continuation::<W>(w, &g, j);
-            let ex = model.exercise(opt, i, j as i64);
-            if cont >= ex {
-                b = b.max(j as i64);
-            }
-            g[j] = cont.max(ex);
-        }
-        boundary[i] = b;
-    }
-    (model.units.scale * g[0], boundary)
 }
 
 #[cfg(test)]
@@ -205,33 +154,6 @@ mod tests {
         let m = fd(1);
         let strike = m.params().strike;
         check(m, OptionType::Put, strike);
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        fn check<const W: usize>(m: Lattice<W>, opts: &[OptionType]) {
-            for &opt in opts {
-                for style in [ExerciseStyle::European, ExerciseStyle::American] {
-                    let a = price(&m, opt, style, ExecMode::Serial);
-                    let b = price(&m, opt, style, ExecMode::Parallel);
-                    assert!(
-                        (a - b).abs() < 1e-9 * a.abs().max(1.0),
-                        "W={W} steps={} {opt:?} {style:?}: {a} vs {b}",
-                        m.steps()
-                    );
-                }
-            }
-        }
-        let both = [OptionType::Call, OptionType::Put];
-        for steps in [1, 2, 3, 17, 252, 1000] {
-            check(model::<1>(steps), &both);
-        }
-        for steps in [1, 2, 9, 252, 700] {
-            check(model::<2>(steps), &both);
-        }
-        for steps in [1, 2, 9, 128, 800] {
-            check(fd(steps), &[OptionType::Put]);
-        }
     }
 
     #[test]
@@ -308,7 +230,9 @@ mod tests {
         // All red cells left of all green cells, and the boundary moves left
         // by at most one per step: j_{i+1} − 1 ≤ j_i ≤ j_{i+1}.
         let m = model::<1>(800);
-        let (_, b) = price_american_with_boundary(&m, OptionType::Call);
+        let (v, b) = price_american_with_boundary(&m, OptionType::Call);
+        let plain = price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
+        assert_eq!(v.to_bits(), plain.to_bits(), "recording moved the price");
         for i in 0..m.steps() {
             assert!(b[i] <= b[i + 1], "i={i}: {} > {}", b[i], b[i + 1]);
             assert!(b[i] >= b[i + 1] - 1, "i={i}: {} < {} - 1", b[i], b[i + 1]);
@@ -328,59 +252,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn boundary_price_matches_plain_price() {
-        let m = model::<1>(300);
-        let (v, _) = price_american_with_boundary(&m, OptionType::Call);
-        let want = price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
-        assert!((v - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scratch_reuse_is_bitwise_stable() {
-        fn check<const W: usize>(steps: &[usize], scratch: &mut Vec<f64>) {
-            for &steps in steps {
-                let m = model::<W>(steps);
-                for opt in [OptionType::Call, OptionType::Put] {
-                    let want = price(&m, opt, ExerciseStyle::American, ExecMode::Serial);
-                    let got = price_with_scratch(&m, opt, ExerciseStyle::American, scratch);
-                    assert_eq!(got.to_bits(), want.to_bits(), "W={W} steps={steps} {opt:?}");
-                }
-            }
-        }
-        // One buffer across both lattices and shrinking sizes.
-        let mut scratch = Vec::new();
-        check::<1>(&[7, 252, 100], &mut scratch);
-        check::<2>(&[5, 200, 64], &mut scratch);
-    }
-
     /// The nest's prices as `f64::to_bits` at `steps`: on the paper's
     /// contract BOPM then TOPM, each call American, call European, put
     /// American, put European; the FD put American and European; then the
     /// American put of the mirrored contract (whose early exercise binds) on
     /// BOPM and TOPM.
-    fn nest_bits(steps: usize) -> [u64; 12] {
-        fn tree<const W: usize>(m: &Lattice<W>) -> impl Iterator<Item = u64> + '_ {
-            [OptionType::Call, OptionType::Put].into_iter().flat_map(move |opt| {
-                [ExerciseStyle::American, ExerciseStyle::European]
-                    .map(|style| price(m, opt, style, ExecMode::Serial).to_bits())
-            })
+    fn nest_bits(steps: usize) -> Vec<u64> {
+        fn tree<const W: usize>(m: &Lattice<W>) -> Vec<f64> {
+            let styles = [ExerciseStyle::American, ExerciseStyle::European];
+            [OptionType::Call, OptionType::Put]
+                .iter()
+                .flat_map(|&opt| styles.map(|style| price(m, opt, style, ExecMode::Serial)))
+                .collect()
         }
         let (am, eu, put) = (ExerciseStyle::American, ExerciseStyle::European, OptionType::Put);
-        let grid = fd(steps);
-        let mirror = OptionParams::paper_defaults().mirrored();
-        let bits: Vec<u64> = tree(&model::<1>(steps))
-            .chain(tree(&model::<2>(steps)))
-            .chain([am, eu].map(|style| price(&grid, put, style, ExecMode::Serial).to_bits()))
-            .chain(
-                [
-                    price(&Lattice::<1>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial),
-                    price(&Lattice::<2>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial),
-                ]
-                .map(f64::to_bits),
-            )
-            .collect();
-        bits.try_into().unwrap()
+        let (grid, mirror) = (fd(steps), OptionParams::paper_defaults().mirrored());
+        let mut prices = [tree(&model::<1>(steps)), tree(&model::<2>(steps))].concat();
+        prices.extend([am, eu].map(|style| price(&grid, put, style, ExecMode::Serial)));
+        prices.push(price(&Lattice::<1>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial));
+        prices.push(price(&Lattice::<2>::new(mirror, steps).unwrap(), put, am, ExecMode::Serial));
+        prices.into_iter().map(f64::to_bits).collect()
     }
 
     #[test]
@@ -418,7 +309,7 @@ mod tests {
         for (rate, want) in [(0.00163, 0x4028d76d5becc238u64), (0.06, 0x40223caddd10e0a5)] {
             let p = OptionParams { rate, ..OptionParams::paper_defaults() };
             let m = Lattice::<1>::new(p, 500).unwrap();
-            let got = crate::bermudan::price_bermudan_put_naive(&m, &dates).unwrap();
+            let got = sweep(&m, OptionType::Put, |i| dates.contains(&i), None);
             assert_eq!(got.to_bits(), want, "Bermudan put at R = {rate}");
         }
     }

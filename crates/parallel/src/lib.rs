@@ -59,18 +59,14 @@ where
     pool.install(f)
 }
 
-/// Minimum amount of per-task work below which forking is never worthwhile.
-///
-/// Used as the grain by [`for_each_chunk_mut`] callers that have no better
-/// estimate. Chosen so a task costs at least a few microseconds of arithmetic
-/// — several times a fork, and enough to be worth a sleeping worker's wake-up.
-pub const DEFAULT_GRAIN: usize = 2048;
-
 /// Splits `data` into chunks of at most `grain` elements and runs
 /// `body(chunk_start_offset, chunk)` on each, in parallel.
 ///
-/// This is the workhorse for row-parallel lattice sweeps: each worker owns a
-/// disjoint `&mut` window, so no synchronisation is needed inside `body`.
+/// Each worker owns a disjoint `&mut` window, so no synchronisation is
+/// needed inside `body` (the FFT's inverse scaling pass runs on it).  A
+/// `grain` should make a chunk cost at least a few microseconds of
+/// arithmetic — several times a fork, and enough to be worth a sleeping
+/// worker's wake-up.
 pub fn for_each_chunk_mut<T, F>(data: &mut [T], grain: usize, body: F)
 where
     T: Send,

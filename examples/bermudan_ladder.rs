@@ -22,7 +22,7 @@ fn main() {
         &model,
         OptionType::Put,
         ExerciseStyle::American,
-        lattice_naive::ExecMode::Parallel,
+        lattice_naive::ExecMode::Serial,
     );
     println!("European put  : {european:.6}");
     println!("American put  : {american:.6}\n  dates  value");

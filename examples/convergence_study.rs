@@ -35,7 +35,7 @@ fn main() {
             &lat,
             OptionType::Put,
             ExerciseStyle::American,
-            lattice_naive::ExecMode::Parallel,
+            lattice_naive::ExecMode::Serial,
         );
         println!(
             "  T={t:6}: FD {v_fd:.6} vs lattice {v_lat:.6} (diff {:.2e})",

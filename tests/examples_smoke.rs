@@ -19,7 +19,7 @@ fn quickstart_code_path_agrees_across_pricers() {
         &model,
         OptionType::Call,
         ExerciseStyle::American,
-        lattice_naive::ExecMode::Parallel,
+        lattice_naive::ExecMode::Serial,
     );
     let european = analytic::black_scholes_price(&params, OptionType::Call).unwrap();
 

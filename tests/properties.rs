@@ -113,6 +113,38 @@ fn european_parity<const W: usize>(m: &Lattice<W>) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// The American price is convex in the strike: a tree's nodes do not move
+/// with `K`, so `P(K−h) − 2P(K) + P(K+h)` at `h = 0.01·K` is non-negative up
+/// to rounding, on the fast route and on the nest alike.  (The FD grid's
+/// nodes move with `K`, so it is left out.)
+fn convex_in_strike<const W: usize>(p: OptionParams, steps: usize) -> Result<(), TestCaseError> {
+    let h = 0.01 * p.strike;
+    let grids: Vec<Lattice<W>> = [-h, 0.0, h]
+        .into_iter()
+        .filter_map(|dk| Lattice::<W>::new(OptionParams { strike: p.strike + dk, ..p }, steps).ok())
+        .collect();
+    prop_assume!(grids.len() == 3);
+    let cfg = EngineConfig::default();
+    for ty in [OptionType::Call, OptionType::Put] {
+        let prices: Vec<[f64; 2]> = grids
+            .iter()
+            .map(|m| {
+                let fast = match ty {
+                    OptionType::Call => lattice_fast::price_american_call(m, &cfg),
+                    OptionType::Put => lattice_fast::price_american_put(m, &cfg),
+                };
+                let serial = lattice_naive::ExecMode::Serial;
+                [fast, lattice_naive::price(m, ty, ExerciseStyle::American, serial)]
+            })
+            .collect();
+        for (k, route) in ["fast", "nest"].into_iter().enumerate() {
+            let d2 = prices[0][k] - 2.0 * prices[1][k] + prices[2][k];
+            prop_assert!(d2 >= -1e-12 * p.strike, "W={} {:?} {}: d² {}", W, ty, route, d2);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -147,6 +179,12 @@ proptest! {
         if BsmModel::new(fd, steps).is_ok() {
             american_dominates(ModelKind::Bsm, fd, steps, &[OptionType::Put])?;
         }
+    }
+
+    #[test]
+    fn american_price_is_convex_in_strike(p in arb_params(), steps in 16usize..300) {
+        convex_in_strike::<1>(p, steps)?;
+        convex_in_strike::<2>(p, steps)?;
     }
 
     #[test]
