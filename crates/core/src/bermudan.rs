@@ -90,18 +90,13 @@ mod tests {
         BopmModel::new(OptionParams::paper_defaults(), steps).unwrap()
     }
 
-    /// The `Θ(T²)` nest on the same schedule.
-    fn price_by_nest(m: &BopmModel, dates: &[usize]) -> f64 {
-        naive::sweep(m, OptionType::Put, |i| dates.contains(&i), None)
-    }
-
     #[test]
     fn fft_matches_naive_reference() {
         let m = model(500);
         let date_sets: Vec<Vec<usize>> =
             vec![vec![500], vec![250], vec![100, 200, 300, 400], (1..=500).step_by(7).collect()];
         for dates in date_sets {
-            let want = price_by_nest(&m, &dates);
+            let want = naive::sweep(&m, OptionType::Put, |i| dates.contains(&i), None);
             let got = price_bermudan_put_fft(&m, &dates).unwrap();
             assert!(
                 (got - want).abs() < 1e-9 * want.max(1.0),

@@ -470,6 +470,9 @@ mod tests {
         check(Lattice::<1>::new(p, 512).unwrap());
         check(Lattice::<2>::new(p, 512).unwrap());
         check(Lattice::explicit_fd(fd_params(), 512).unwrap());
+        // At the money the leaf at the strike ties (exercise 0 against a
+        // continuation of 0), which both count as green.
+        check(Lattice::<1>::new(OptionParams { spot: p.strike, ..p }, 512).unwrap());
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub fn price<const W: usize>(
 /// frontier `j_i`: for a call the red–green boundary, the largest `j` with
 /// continuation ≥ exercise; for a put the largest `j` with exercise ≥
 /// continuation; −1 when there is none.  The expiry row compares against a
-/// continuation of 0.  Used by boundary-extraction tests and by
-/// the tests of Corollaries 2.7 and A.6.
+/// continuation of 0.  Used by boundary-extraction tests and by the tests of
+/// Corollaries 2.7 and A.6.
 pub fn price_american_with_boundary<const W: usize>(
     model: &Lattice<W>,
     opt: OptionType,
@@ -249,6 +249,17 @@ mod tests {
                 assert!(b[i] <= b[i + 1], "i={i}");
                 assert!(b[i] >= b[i + 1] - 1, "i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn a_tie_is_red_for_a_call_and_green_for_a_put() {
+        // At the money leaf T/2 sits on the strike: exercise 0 against the
+        // expiry row's continuation of 0.
+        let p = OptionParams { spot: 130.0, strike: 130.0, ..OptionParams::paper_defaults() };
+        let m = Lattice::<1>::new(p, 64).unwrap();
+        for opt in [OptionType::Call, OptionType::Put] {
+            assert_eq!(price_american_with_boundary(&m, opt).1[64], 32, "{opt:?}");
         }
     }
 
