@@ -91,8 +91,63 @@ fn price_bits(
         ExerciseStyle::American => PricingRequest::american(model, option_type, params, steps),
         ExerciseStyle::European => PricingRequest::european(model, option_type, params, steps),
     };
+    contract_bits(&request)
+}
+
+fn contract_bits(request: &PricingRequest) -> u64 {
     let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
-    pricer.price_one(&request).expect("the paper's contract prices").to_bits()
+    pricer.price_one(request).expect("the contract prices").to_bits()
+}
+
+/// The step counts of the benchmark's chain book, where the engine's base
+/// case is a large share of a pricing.
+const BOOK_STEPS: [usize; 3] = [63, 252, 504];
+
+/// American routes at `BOOK_STEPS`, pinned on the commit before the base
+/// case became one flat buffer read from a node table, in the order of
+/// `book_contracts`.
+const BOOK_PINS: [(&str, [u64; 3]); 6] = [
+    ("bopm_put", [0x40236c3dfa81c618, 0x40236fbfc7556a8a, 0x40236c87952af256]),
+    ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03ed, 0x402545eaa784fb4b]),
+    ("topm_put", [0x40237315e5fbc838, 0x40236bc8da571117, 0x40236dfaf893cbba]),
+    ("topm_call", [0x40255169cf93eef5, 0x402545eaa7832cdc, 0x402548fe29d86dcc]),
+    ("bopm_put_atm", [0x40268d3c50fe33a0, 0x4026736d3bf0dad8, 0x40267609c03f19d0]),
+    ("bsm_put_vanishing_rate", [0x402705f37601b891, 0x4026ff0dad8f8d37, 0x4026fd6bcc4366a5]),
+];
+
+/// The contracts of `BOOK_PINS`:
+/// * both trees' puts and calls at R = 5 %, Y = 2 %, where both exercise
+///   (the paper's contract never exercises a tree put);
+/// * the binomial put at the money, whose leaf on the strike ties
+///   (exercise 0 against a continuation of 0) at even T;
+/// * the FD put at R = 1e-9, whose exercise region vanishes faster than
+///   the drift bound allows, so the engine's boundary outruns its window.
+fn book_contracts() -> [(ModelKind, OptionType, OptionParams); 6] {
+    use ModelKind::{Bopm, Bsm, Topm};
+    use OptionType::{Call, Put};
+    let paper = OptionParams::paper_defaults();
+    let both = OptionParams { rate: 0.05, dividend_yield: 0.02, ..paper };
+    let atm = OptionParams { spot: paper.strike, ..paper };
+    let vanishing = OptionParams { rate: 1e-9, dividend_yield: 0.0, ..paper };
+    [
+        (Bopm, Put, both),
+        (Bopm, Call, both),
+        (Topm, Put, both),
+        (Topm, Call, both),
+        (Bopm, Put, atm),
+        (Bsm, Put, vanishing),
+    ]
+}
+
+#[test]
+fn book_sized_prices_are_pinned_bit_for_bit() {
+    for ((name, want), (model, option_type, params)) in BOOK_PINS.into_iter().zip(book_contracts())
+    {
+        for (steps, pinned) in BOOK_STEPS.into_iter().zip(want) {
+            let got = contract_bits(&PricingRequest::american(model, option_type, params, steps));
+            assert_eq!(got, pinned, "{name} at T = {steps}: {}", f64::from_bits(got));
+        }
+    }
 }
 
 #[test]
