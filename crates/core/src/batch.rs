@@ -62,6 +62,7 @@ use crate::bermudan;
 use crate::bopm::BopmModel;
 use crate::engine::{with_powers, EngineConfig};
 use crate::error::{PricingError, Result};
+use crate::lattice::nodes::NodeTables;
 use crate::lattice::{european, fast, Lattice};
 use crate::params::{OptionParams, OptionType};
 use crate::topm::TopmModel;
@@ -543,9 +544,10 @@ impl BatchPricer {
         let priced = amopt_parallel::parallel_map(starts.len() - 1, 1, |g| {
             let members = &order[starts[g]..starts[g + 1]];
             with_powers(|powers| {
+                let nodes = NodeTables::new();
                 amopt_parallel::parallel_map(members.len(), 1, |m| {
                     let (req_idx, key) = &jobs[todo[members[m]]];
-                    Some(self.route(&requests[*req_idx], &key.dates, powers))
+                    Some(self.route(&requests[*req_idx], &key.dates, powers, &nodes))
                 })
             })
         });
@@ -574,7 +576,13 @@ impl BatchPricer {
     /// normalised Bermudan schedule from the request's key (unused
     /// otherwise).  Adds no arithmetic of its own: a batch of one is bitwise
     /// identical to the direct call.
-    fn route(&self, req: &PricingRequest, dates: &[usize], powers: &KernelPowers) -> Result<f64> {
+    fn route(
+        &self,
+        req: &PricingRequest,
+        dates: &[usize],
+        powers: &KernelPowers,
+        nodes: &NodeTables,
+    ) -> Result<f64> {
         // amopt-lint: hot-path
         match req.model {
             ModelKind::Bopm => {
@@ -583,16 +591,19 @@ impl BatchPricer {
                     (Style::Bermudan(_), OptionType::Put) => {
                         bermudan::price_put_with(&model, dates, powers)
                     }
-                    _ => self.route_lattice(&model, req, powers),
+                    _ => self.route_lattice(&model, req, powers, nodes),
                 }
             }
             ModelKind::Topm => {
-                self.route_lattice(&TopmModel::new(req.params, req.steps)?, req, powers)
+                self.route_lattice(&TopmModel::new(req.params, req.steps)?, req, powers, nodes)
             }
             // The FD grid prices puts only: no call route may reach it.
             ModelKind::Bsm => match (&req.style, req.option_type) {
                 (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(req),
-                _ => self.route_lattice(&Lattice::explicit_fd(req.params, req.steps)?, req, powers),
+                _ => {
+                    let model = Lattice::explicit_fd(req.params, req.steps)?;
+                    self.route_lattice(&model, req, powers, nodes)
+                }
             },
         }
     }
@@ -605,14 +616,15 @@ impl BatchPricer {
         model: &Lattice<W>,
         req: &PricingRequest,
         powers: &KernelPowers,
+        nodes: &NodeTables,
     ) -> Result<f64> {
         // amopt-lint: hot-path
         match (&req.style, req.option_type) {
             (Style::American, OptionType::Call) => {
-                Ok(fast::call_samples(model, &self.cfg, 1, powers).0)
+                Ok(fast::call_samples(model, &self.cfg, 1, powers, &nodes.table_for(model)).0)
             }
             (Style::American, OptionType::Put) => {
-                Ok(fast::put_samples(model, &self.cfg, 1, powers).0)
+                Ok(fast::put_samples(model, &self.cfg, 1, powers, &nodes.table_for(model)).0)
             }
             (Style::European, opt) => Ok(european::price_with(model, opt, powers)),
             (Style::Bermudan(_), _) => unsupported(req),
@@ -1083,6 +1095,39 @@ mod tests {
             for ((req, got), want) in book.iter().zip(got).zip(&want) {
                 let got = got.unwrap_or_else(|e| panic!("{req:?}: {e}"));
                 assert_eq!(got.to_bits(), *want, "{threads} threads, {req:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tree_group_reads_one_node_table_built_once() {
+        // A put and a mirrored call of one expiry at two strikes, routed as
+        // phase 3 routes a group's members: one node table between them,
+        // their direct bits, and no more node `exp`s than the table has
+        // levels, rounded up to whole blocks (the leaf locators probe on the
+        // column-unbounded extension, outside the table).  Far from the
+        // boundary's band a deep pricing reads almost none of them.
+        use crate::lattice::nodes::NODE_BLOCK;
+        let both = OptionParams { rate: 0.05, dividend_yield: 0.02, ..p() };
+        let pricer = pricer();
+        for model in [ModelKind::Bopm, ModelKind::Topm] {
+            for steps in [63usize, 504, 4096] {
+                let (powers, nodes) = (KernelPowers::new(), NodeTables::new());
+                for strike in [110.0, 150.0] {
+                    for opt in [OptionType::Put, OptionType::Call] {
+                        let params = OptionParams { strike, ..both };
+                        let req = PricingRequest::american(model, opt, params, steps);
+                        let got = pricer.route(&req, &[], &powers, &nodes).unwrap();
+                        assert_eq!(got.to_bits(), direct(&req).to_bits(), "{req:?}");
+                    }
+                }
+                let (tables, exps) = nodes.census();
+                let ctx = format!("{model:?} T = {steps}: {exps} exps");
+                assert_eq!(tables, 1, "{ctx}");
+                assert!(exps <= (2 * steps + 1).div_ceil(NODE_BLOCK) * NODE_BLOCK, "{ctx}");
+                if steps == 4096 {
+                    assert!(4 * exps <= 2 * steps + 1, "{ctx}");
+                }
             }
         }
     }

@@ -58,6 +58,16 @@
 //! At equality the row halves: a window that took the whole hop would hand
 //! itself to its own recursion.
 //!
+//! **The base case.**  A window of height at most `base_cutoff` (8, the
+//! paper's §5.1 optimum), and a row whose cone edge hugs its boundary, is
+//! stepped naively, all of its steps in one buffer checked out of the
+//! worker's `AdvanceScratch`: per step a downward scan locates the new
+//! boundary (obstacle taps at or below the old one, buffer taps above it),
+//! then one ascending in-place sweep advances the red cells, with two- and
+//! three-tap arms.  The only allocation is the row it returns.  Its
+//! obstacle reads are `green`'s, which the lattice routes serve from a node
+//! table (`lattice::nodes`): a load, not an `exp`.
+//!
 //! Rows also carry the cone edge `hi` (the triangle hypotenuse in engine
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
@@ -209,52 +219,132 @@ pub fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
     lo
 }
 
-/// One naive step.  Cells right of the old boundary are certified red (pure
-/// linear update); the new boundary is located by scanning *down* from the
-/// old one until the obstacle wins — single crossing makes the first green
-/// hit the last green column.  The scan length is the boundary's actual
-/// drift, which totals `O(σT)` over a whole pricing, so the base case stays
-/// linear-time regardless of how fast the boundary moves.
-fn step_once<G>(kernel: &StencilKernel, green: &G, row: &GreenPrefixRow) -> GreenPrefixRow
+/// The base case: `h` naive steps of `row` (`h ≤ base_cutoff`, or a short
+/// chunk where the cone edge hugs the boundary) in one buffer checked out of
+/// the worker's [`AdvanceScratch`](amopt_stencil::AdvanceScratch) — the
+/// allocation is the output row's alone.
+///
+/// Cells right of the old boundary are certified red (pure linear update);
+/// the new boundary is located by scanning *down* from the old one until the
+/// obstacle wins — single crossing makes the first green hit the last green
+/// column.  The scan length is the boundary's actual drift, which totals
+/// `O(σT)` over a whole pricing, so the base case stays linear-time however
+/// fast the boundary moves.  The buffer starts where the drift bound keeps
+/// every cell a scan exposes; a boundary that outruns it (the FD grid at a
+/// vanishing rate) reruns the same steps over a buffer from column 0.
+fn advance_naive<G>(
+    kernel: &StencilKernel,
+    green: &G,
+    row: &GreenPrefixRow,
+    h: u64,
+) -> GreenPrefixRow
 where
-    G: Fn(u64, i64) -> f64 + Sync,
+    G: Fn(u64, i64) -> f64,
 {
     // amopt-lint: hot-path
     kernel_scope!(BaseCase);
+    let mut lo = (row.boundary - kernel.span() as i64 * h as i64 + 1).max(0);
+    with_scratch(|s| loop {
+        match step_in(kernel, green, row, h, lo, &mut s.staging) {
+            Some(out) => return out,
+            None => lo = 0,
+        }
+    })
+}
+
+/// [`advance_naive`]'s steps over `buf`, which holds column `c` at
+/// `buf[c − lo]`; `None` when a scan walks below `lo`.
+///
+/// A step scans down from the old boundary `f`, reading the obstacle at `t`
+/// for taps at or below `f` and the buffer above it, and writes each cell it
+/// passes in place: no later tap reads the buffer at or below `f`.  Then it
+/// sweeps the red cells `(f, hi − σ']` in place in ascending order, each cell
+/// read before the cell below it is written.  Every cell sums its taps in
+/// ascending order from `0.0`.
+fn step_in<G>(
+    kernel: &StencilKernel,
+    green: &G,
+    row: &GreenPrefixRow,
+    h: u64,
+    lo: i64,
+    buf: &mut Vec<f64>,
+) -> Option<GreenPrefixRow>
+where
+    G: Fn(u64, i64) -> f64,
+{
+    // amopt-lint: hot-path
     let span = kernel.span() as i64;
-    let f = row.boundary;
-    let hi1 = row.hi - span;
-    let t1 = row.t + 1;
-    debug_assert!(hi1 >= 0, "stepped past the cone apex");
     let w = kernel.weights();
-    let val = |c: i64| row.value_at(green, c);
-    let lin = |c: i64| -> f64 {
-        let mut acc = 0.0;
-        for (m, &wm) in w.iter().enumerate() {
-            acc += wm * val(c + m as i64);
+    let at = |c: i64| (c - lo) as usize;
+    let (mut t, mut f, mut hi) = (row.t, row.boundary, row.hi);
+    buf.clear();
+    buf.resize(at(f + 1), 0.0);
+    row.push_reds_through(hi, buf);
+    for _ in 0..h {
+        debug_assert!(hi >= span, "stepped past the cone apex");
+        let (t1, hi1) = (t + 1, hi - span);
+        let mut boundary = -1;
+        let mut c = f.min(hi1);
+        while c >= 0 {
+            let mut lin = 0.0;
+            for (m, &wm) in w.iter().enumerate() {
+                let x = c + m as i64;
+                lin += wm * if x <= f { green(t, x) } else { buf[at(x)] };
+            }
+            let g = green(t1, c);
+            if g >= lin {
+                boundary = c;
+                break;
+            }
+            if c < lo {
+                return None;
+            }
+            buf[at(c)] = lin.max(g);
+            c -= 1;
         }
-        acc
-    };
-    // Downward scan from the last in-view boundary candidate.
-    // amopt-lint: allow(hot-path-alloc) -- scan buffer sized by the boundary's actual drift, O(σT) summed over a pricing
-    let mut head: Vec<f64> = Vec::new(); // cells (boundary, min(f, hi1)], reversed
-    let mut boundary = -1i64;
-    let mut c = f.min(hi1);
-    while c >= 0 {
-        let lin_c = lin(c);
-        let g_c = green(t1, c);
-        if g_c >= lin_c {
-            boundary = c;
-            break;
-        }
-        head.push(lin_c.max(g_c));
-        c -= 1;
+        step_reds(w, &mut buf[at(f + 1)..=at(hi)]);
+        (t, f, hi) = (t1, boundary, hi1);
     }
-    // Then the certified-red tail (f, hi1]: the boundary never moves right.
-    let mut values = Vec::with_capacity(head.len() + (hi1 - f).max(0) as usize);
-    values.extend(head.into_iter().rev());
-    values.extend(((f + 1)..=hi1).map(lin));
-    GreenPrefixRow { t: t1, boundary, hi: hi1, reds: Segment::new(boundary + 1, values) }
+    let mut values = Vec::with_capacity((hi - f) as usize);
+    values.extend_from_slice(&buf[at(f + 1)..=at(hi)]);
+    Some(GreenPrefixRow { t, boundary: f, hi, reds: Segment::new(f + 1, values) })
+}
+
+/// One linear step of `cells` in place: cell `k` becomes
+/// `0.0 + w₀·cells[k] + … + w_σ'·cells[k + σ']` for every `k` that has all
+/// its taps, in ascending order.  The two- and three-tap kernels keep their
+/// taps and the sliding cells in registers; other widths take the generic
+/// loop, the same sum.
+fn step_reds(w: &[f64], cells: &mut [f64]) {
+    // amopt-lint: hot-path
+    let len = cells.len().saturating_sub(w.len() - 1);
+    match *w {
+        [w0, w1] if len > 0 => {
+            let mut x0 = cells[0];
+            for k in 0..len {
+                let x1 = cells[k + 1];
+                cells[k] = 0.0 + w0 * x0 + w1 * x1;
+                x0 = x1;
+            }
+        }
+        [w0, w1, w2] if len > 0 => {
+            let (mut x0, mut x1) = (cells[0], cells[1]);
+            for k in 0..len {
+                let x2 = cells[k + 2];
+                cells[k] = 0.0 + w0 * x0 + w1 * x1 + w2 * x2;
+                (x0, x1) = (x1, x2);
+            }
+        }
+        _ => {
+            for k in 0..len {
+                let mut lin = 0.0;
+                for (m, &wm) in w.iter().enumerate() {
+                    lin += wm * cells[k + m];
+                }
+                cells[k] = lin;
+            }
+        }
+    }
 }
 
 /// Pure linear advance of a row with no green cell left (`boundary < 0`):
@@ -379,10 +469,7 @@ where
             return advance_all_red(kernel, powers, &cur, remaining);
         }
         if remaining <= cfg.base_cutoff {
-            for _ in 0..remaining {
-                cur = step_once(kernel, green, &cur);
-            }
-            return cur;
+            return advance_naive(kernel, green, &cur, remaining);
         }
 
         // The hop rule (module docs): a row strictly wider than what is left
@@ -396,9 +483,7 @@ where
         if h1 == 0 {
             // Cone edge hugs the boundary — advance a small chunk naively.
             let steps = remaining.min(cfg.base_cutoff.max(1));
-            for _ in 0..steps {
-                cur = step_once(kernel, green, &cur);
-            }
+            cur = advance_naive(kernel, green, &cur, steps);
             remaining -= steps;
             continue;
         }

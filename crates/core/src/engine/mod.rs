@@ -117,8 +117,13 @@ pub(crate) fn with_powers<R>(f: impl FnOnce(&KernelPowers) -> R) -> R {
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Trapezoid height at or below which the naive loop runs
-    /// (the paper found 8 empirically optimal; see §5.1).
+    /// Trapezoid height at or below which the naive base case runs (the
+    /// paper found 8 empirically optimal; see §5.1): all of the window's
+    /// steps in one per-worker buffer, each a downward boundary scan and an
+    /// in-place sweep of the red cells, its obstacles read from the
+    /// pricing's node table rather than evaluated ([`left_cone`]'s module
+    /// docs).  A higher cutoff computes in the base case cells that
+    /// correlations compute at 8, so it moves the last bits of a price.
     pub base_cutoff: u64,
     /// Heights below this run without fork-join.  A fork costs about a
     /// microsecond, so this does not price the fork: it bounds how small a

@@ -13,10 +13,11 @@
 //! TOPM): the call's last red column is `j = W·i − f − 1`, clamped to
 //! `[−1, W·i]` — `−1` when the whole row exercises (the mirror reports any
 //! `f ≥ W·i`), `W·i` when none of it does (`f = −1`) — and its critical
-//! price is the node price at `j + 1`.  A node where exercise and
-//! continuation tie *exactly* counts as green, the put engine's convention,
-//! so on such a node the call frontier sits one column lower than a
-//! red-on-tie sweep would put it.  The BSM put's grid is a trinomial-shaped
+//! price is the node price at `j + 1`.  At expiry a leaf whose payoff ties
+//! with the continuation of 0 (at the money) counts as red, read on the
+//! call's own lattice as the nest reads it.  On an interior row the frontier
+//! is the mirror's, where an exact tie would count as green, so there the
+//! call frontier is the last column *strictly* red at a tie.  The BSM put's grid is a trinomial-shaped
 //! lattice (column `j = k + i` of row `i` is the scheme's log-price column
 //! `k`), so its samples follow the lattice put's conventions — market row
 //! `i`, last green column, `−1` for none — and its critical price is

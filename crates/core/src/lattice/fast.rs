@@ -35,11 +35,23 @@
 //! binomial call's boundary at the first backward step, when
 //! `(1 − e^{−RΔt}) > (1 − e^{−YΔt})·u²`, is the mirror's boundary dropping
 //! more than one column there — the same materialised row `T−1` absorbs it.
-//! A node where exercise and continuation tie exactly counts as green
-//! (exercise), the put engine's convention.  `Y = 0` (Merton: never exercise
-//! a call on a non-dividend stock early) short-circuits to the European FFT
-//! pass ahead of the mirror.  The FD grid has no mirror and no call route.
+//! The expiry sample is read on the call's own lattice, where a leaf whose
+//! payoff ties with the continuation of 0 (at the money) counts as red, as
+//! in the nest; an interior row is the mirror's, where an exact tie would
+//! count as green (exercise), the put engine's convention.  `Y = 0` (Merton:
+//! never exercise a call on a non-dividend stock early) short-circuits to
+//! the European FFT pass ahead of the mirror.  The FD grid has no mirror and
+//! no call route.
+//!
+//! ## Obstacles from a node table
+//!
+//! Every obstacle the engine reads is `K − S·E[levels]` with `E` read from a
+//! node table (`lattice::nodes`), bitwise the node's `exp`.  The public
+//! entry points build one per pricing; the batch layer hands its kernel
+//! group's to `put_samples` and `call_samples`, and a call's mirror reads the same
+//! table as the call (same `ln u`, same `T`, and a tree's table has no spot).
 
+use super::nodes::NodeTable;
 use super::{european, Lattice};
 use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::{with_powers, EngineConfig};
@@ -61,18 +73,21 @@ pub fn price_put_with_boundary_samples<const W: usize>(
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    with_powers(|powers| put_samples(model, cfg, rows, powers))
+    with_powers(|powers| put_samples(model, cfg, rows, powers, &model.node_table()))
 }
 
 /// [`price_put_with_boundary_samples`] with its multiplier tables read from
-/// (and first built into) the caller's `powers`.
+/// (and first built into) the caller's `powers`, and every obstacle from the
+/// caller's node table `nodes` ([`super::nodes`]), which must be `model`'s.
 pub(crate) fn put_samples<const W: usize>(
     model: &Lattice<W>,
     cfg: &EngineConfig,
     rows: usize,
     powers: &KernelPowers,
+    nodes: &NodeTable,
 ) -> (f64, Vec<(usize, i64)>) {
     let t = model.steps();
+    debug_assert!(nodes.is_for(model.units.base, model.ln_up, t), "another lattice's node table");
     // Last column with K ≥ S·u^{…}: the put is in the money exactly where
     // the call is out of it.
     let leaf = model.leaf_call_boundary();
@@ -88,7 +103,7 @@ pub(crate) fn put_samples<const W: usize>(
         return (european::price_with(model, OptionType::Put, powers), samples);
     }
     let kernel = model.kernel();
-    let green = |n: u64, c: i64| model.exercise_put(t - n as usize, c);
+    let green = |n: u64, c: i64| model.exercise_in(nodes, OptionType::Put, t - n as usize, c);
     let hi = W as i64 * t as i64;
     let row = if model.from_expiry {
         GreenPrefixRow { t: 0, boundary: leaf, hi, reds: Segment::new(leaf + 1, vec![]) }
@@ -123,28 +138,35 @@ pub fn price_with_boundary_samples<const W: usize>(
     cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    with_powers(|powers| call_samples(model, cfg, rows, powers))
+    with_powers(|powers| call_samples(model, cfg, rows, powers, &model.node_table()))
 }
 
 /// [`price_with_boundary_samples`] with its multiplier tables read from
-/// (and first built into) the caller's `powers`.
+/// (and first built into) the caller's `powers`, and its obstacles from
+/// `nodes`, `model`'s node table — which is the mirror's too: the mirror
+/// keeps `ln u` and `T`, and a tree's table has no spot.
 pub(crate) fn call_samples<const W: usize>(
     model: &Lattice<W>,
     cfg: &EngineConfig,
     rows: usize,
     powers: &KernelPowers,
+    nodes: &NodeTable,
 ) -> (f64, Vec<(usize, i64)>) {
     let t = model.steps();
+    // The expiry row's last red column, read on the call's own lattice: a
+    // leaf where the payoff ties with the continuation of 0 counts as red,
+    // where the mirror's put would count it green.
+    let expiry = (t, model.leaf_call_boundary().min(W as i64 * t as i64));
     // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
     if model.params().dividend_yield == 0.0 {
-        let expiry = (t, model.leaf_call_boundary().min(W as i64 * t as i64));
         return (european::price_with(model, OptionType::Call, powers), vec![expiry]);
     }
-    let (price, mut samples) = put_samples(&model.mirrored(), cfg, rows, powers);
+    let (price, mut samples) = put_samples(&model.mirrored(), cfg, rows, powers, nodes);
     for (i, col) in &mut samples {
         let width = W as i64 * *i as i64;
         *col = (width - *col - 1).clamp(-1, width);
     }
+    samples[0] = expiry;
     (price, samples)
 }
 
@@ -431,8 +453,8 @@ mod tests {
 
     #[test]
     fn boundary_samples_match_naive_boundary() {
-        fn check<const W: usize>() {
-            let m = Lattice::<W>::new(OptionParams::paper_defaults(), 512).unwrap();
+        fn check<const W: usize>(p: OptionParams) {
+            let m = Lattice::<W>::new(p, 512).unwrap();
             let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Call);
             let (price, samples) = price_with_boundary_samples(&m, &EngineConfig::default(), 16);
             let want =
@@ -449,8 +471,13 @@ mod tests {
                 }
             }
         }
-        check::<1>();
-        check::<2>();
+        let p = OptionParams::paper_defaults();
+        check::<1>(p);
+        check::<2>(p);
+        // At the money the leaf on the strike ties (exercise 0 against a
+        // continuation of 0), which the nest counts as red for a call.
+        check::<1>(OptionParams { spot: p.strike, ..p });
+        check::<2>(OptionParams { spot: p.strike, ..p });
     }
 
     #[test]

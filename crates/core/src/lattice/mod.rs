@@ -71,11 +71,13 @@
 pub mod european;
 pub mod fast;
 pub mod naive;
+pub(crate) mod nodes;
 
 use crate::engine::left_cone::{indexable_offset, last_green_from};
 use crate::error::{PricingError, Result};
 use crate::params::{OptionParams, OptionType};
 use amopt_stencil::StencilKernel;
+use nodes::{level_exp, NodeTable};
 
 /// Courant number `Δτ/Δs²` of the explicit finite-difference grid.
 const CFL_RATIO: f64 = 0.4;
@@ -272,8 +274,47 @@ impl<const W: usize> Lattice<W> {
     /// `x/K` on the FD grid.
     #[inline]
     fn node(&self, i: usize, j: i64) -> f64 {
-        let levels = (2 / W) as i64 * j - i as i64;
-        self.units.spot * (self.units.base + levels as f64 * self.ln_up).exp()
+        self.units.spot * level_exp(self.units.base, self.ln_up, Self::levels(i, j))
+    }
+
+    /// The `u`-levels of node `(i, j)` above the root: `(2/W)·j − i`.
+    #[inline]
+    fn levels(i: usize, j: i64) -> i64 {
+        (2 / W) as i64 * j - i as i64
+    }
+
+    /// An empty table of this lattice's node exponentials (`nodes`), filled
+    /// as it is read.
+    pub(crate) fn node_table(&self) -> NodeTable {
+        NodeTable::new(self.units.base, self.ln_up, self.steps)
+    }
+
+    /// Every node exponential of the triangle at once: `E[levels + T]` for
+    /// `levels ∈ [−T, T]`, the node table of a reader that visits every
+    /// level (the Θ(T²) nest), read with [`Lattice::exercise_from`].
+    pub(crate) fn node_exps(&self) -> Vec<f64> {
+        let t = self.steps as i64;
+        (-t..=t).map(|levels| level_exp(self.units.base, self.ln_up, levels)).collect()
+    }
+
+    /// Exercise value of `(i, j)` for `opt` (no floor), the node's exponential
+    /// read from `nodes`, which must be this lattice's table
+    /// ([`Lattice::node_table`], or the one [`nodes::NodeTables`] hands out
+    /// for it): bitwise [`Lattice::exercise_call`] / [`Lattice::exercise_put`].
+    #[inline]
+    pub(crate) fn exercise_in(&self, nodes: &NodeTable, opt: OptionType, i: usize, j: i64) -> f64 {
+        self.exercise_from(opt, nodes.exp(Self::levels(i, j)))
+    }
+
+    /// Exercise value for `opt` (no floor) of the node whose exponential
+    /// `e^{base + levels·ln u}` is `exp`.
+    #[inline]
+    pub(crate) fn exercise_from(&self, opt: OptionType, exp: f64) -> f64 {
+        let node = self.units.spot * exp;
+        match opt {
+            OptionType::Call => node - self.units.strike,
+            OptionType::Put => self.units.strike - node,
+        }
     }
 
     /// Call exercise value at node `(i, j)` in grid units: `S·u^{…} − K` on a
@@ -288,15 +329,6 @@ impl<const W: usize> Lattice<W> {
     #[inline]
     pub fn exercise_put(&self, i: usize, j: i64) -> f64 {
         self.units.strike - self.node(i, j)
-    }
-
-    /// Exercise value of `(i, j)` for `opt` (no floor).
-    #[inline]
-    pub(crate) fn exercise(&self, opt: OptionType, i: usize, j: i64) -> f64 {
-        match opt {
-            OptionType::Call => self.exercise_call(i, j),
-            OptionType::Put => self.exercise_put(i, j),
-        }
     }
 
     /// The one-step linear stencil [`Lattice::weights`] with anchor 0

@@ -50,7 +50,10 @@ pub fn price_american_with_boundary<const W: usize>(
 /// The backward induction every price of this module runs: one rolling
 /// buffer of `W·T + 1` cells, each row swept in place in ascending column
 /// order.  Row `i < T` exercises early when `exercisable(i)` holds; the
-/// expiry row pays the floored exercise value.
+/// expiry row pays the floored exercise value.  Every exercise value reads
+/// its node's exponential from one node table filled at once
+/// ([`Lattice::node_exps`]): `2T + 1` `exp`s per pricing where each cell used
+/// to pay one.
 ///
 /// With `frontier` (`T + 1` slots, each left at −1 or overwritten), row `i`
 /// records its last column on the frontier's side: a call's last *red*
@@ -64,7 +67,9 @@ pub(crate) fn sweep<const W: usize>(
 ) -> f64 {
     let side = |cont: f64, ex: f64| if opt == OptionType::Call { cont >= ex } else { ex >= cont };
     let (t, w) = (model.steps(), &model.weights);
-    let mut g: Vec<f64> = (0..=W * t).map(|j| model.exercise(opt, t, j as i64)).collect();
+    let nodes = model.node_exps();
+    let exercise = |i: usize, j: usize| model.exercise_from(opt, nodes[(2 / W) * j + t - i]);
+    let mut g: Vec<f64> = (0..=W * t).map(|j| exercise(t, j)).collect();
     if let Some(f) = frontier.as_deref_mut() {
         f[t] = g.iter().rposition(|&ex| side(0.0, ex)).map_or(-1, |j| j as i64);
     }
@@ -76,7 +81,7 @@ pub(crate) fn sweep<const W: usize>(
             let cont = continuation::<W>(w, &g, j);
             g[j] = cont;
             if early || frontier.is_some() {
-                let ex = model.exercise(opt, i, j as i64);
+                let ex = exercise(i, j);
                 if early {
                     g[j] = cont.max(ex);
                 }
@@ -142,9 +147,10 @@ mod tests {
     #[test]
     fn one_step_tree_by_hand() {
         fn check<const W: usize>(m: Lattice<W>, opt: OptionType, scale: f64) {
-            let leaves = (0..=W as i64).map(|j| m.exercise(opt, 1, j).max(0.0));
+            let nodes = m.node_table();
+            let leaves = (0..=W as i64).map(|j| m.exercise_in(&nodes, opt, 1, j).max(0.0));
             let cont: f64 = m.weights().iter().zip(leaves).map(|(s, leaf)| s * leaf).sum();
-            let want = scale * cont.max(m.exercise(opt, 0, 0));
+            let want = scale * cont.max(m.exercise_in(&nodes, opt, 0, 0));
             let got = price(&m, opt, ExerciseStyle::American, ExecMode::Serial);
             assert!((got - want).abs() < 1e-12, "W={W} {opt:?}: {got} vs {want}");
         }
