@@ -48,8 +48,8 @@
 //! Every obstacle the engine reads is `K − S·E[levels]` with `E` read from a
 //! node table (`lattice::nodes`), bitwise the node's `exp`.  The public
 //! entry points build one per pricing; the batch layer hands its kernel
-//! group's to `put_samples` and `call_samples`, and a call's mirror reads the same
-//! table as the call (same `ln u`, same `T`, and a tree's table has no spot).
+//! group's to `put_samples` and `call_samples`, and a call's mirror reads
+//! the call's table (same `ln u`, same `T`, and a tree's table has no spot).
 
 use super::nodes::NodeTable;
 use super::{european, Lattice};

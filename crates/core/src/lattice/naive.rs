@@ -147,10 +147,13 @@ mod tests {
     #[test]
     fn one_step_tree_by_hand() {
         fn check<const W: usize>(m: Lattice<W>, opt: OptionType, scale: f64) {
-            let nodes = m.node_table();
-            let leaves = (0..=W as i64).map(|j| m.exercise_in(&nodes, opt, 1, j).max(0.0));
+            let exercise = |i, j| match opt {
+                OptionType::Call => m.exercise_call(i, j),
+                OptionType::Put => m.exercise_put(i, j),
+            };
+            let leaves = (0..=W as i64).map(|j| exercise(1, j).max(0.0));
             let cont: f64 = m.weights().iter().zip(leaves).map(|(s, leaf)| s * leaf).sum();
-            let want = scale * cont.max(m.exercise_in(&nodes, opt, 0, 0));
+            let want = scale * cont.max(exercise(0, 0));
             let got = price(&m, opt, ExerciseStyle::American, ExecMode::Serial);
             assert!((got - want).abs() < 1e-12, "W={W} {opt:?}: {got} vs {want}");
         }
