@@ -140,11 +140,10 @@ fn advance_by(
 /// with one allocation per call instead of one per step.
 ///
 /// Every advance of at most 64 cells lands here, and the pricing engine's
-/// sequential chain of boundary windows is made of them: about 12k calls and
-/// a sixth of a one-thread T = 65 536 BOPM put.  So the two-tap (BOPM) and
-/// three-tap (TOPM, the BSM grid) kernels get arms of their own, with the
-/// taps and the sliding input cells in registers; other widths take the
-/// generic loop.  Each arm keeps `Iterator::sum`'s left fold from `−0.0`,
+/// sequential chain of boundary windows is made of them.  So the two-tap
+/// (BOPM) and three-tap (TOPM, the BSM grid) kernels get arms of their own,
+/// with the taps and the sliding input cells in registers; other widths take
+/// the generic loop.  Each arm keeps `Iterator::sum`'s left fold from `−0.0`,
 /// `((−0.0 + w₀x₀) + w₁x₁) + w₂x₂`, so it is that loop bit for bit.
 fn stepped(row: &[f64], kernel: &StencilKernel, h: u64) -> Vec<f64> {
     // amopt-lint: hot-path
