@@ -6,12 +6,12 @@
 //!   is a function of the test name and the attempt.  Half the draws come
 //!   from a moderate box, half are one entry of one of the [`CORNERS`]
 //!   families of such a draw.  The hostile sweep walks every entry.
-//! * **Routes.** [`fast`], [`nest`], [`batch_one`] (European prices too), the five
-//!   exercise-boundary extractors ([`frontier`]) and the wire round trip
-//!   ([`wire_replies`]); `cross_model` drives the greeks and implied-vol
-//!   drivers itself.
+//! * **Routes.** [`fast`], [`nest`], [`batch_one`], the five boundary extractors
+//!   ([`frontier`]), the wire round trip ([`wire_replies`]); `cross_model`
+//!   drives the greeks and implied-vol drivers itself.
 //! * **Relations**, from [`fast_matches_nest`] on, one invariant each.  A
-//!   relation rejects (`Err(Reject)`) a contract that builds no model.
+//!   relation rejects (`Err(Reject)`) a contract only where [`builds`] fails:
+//!   a route that errs on a contract whose model builds fails the relation.
 
 #![allow(dead_code)] // each binary binds only some of the relations
 
@@ -94,22 +94,18 @@ fn sizes(c: &Case) -> Vec<Case> {
 /// so the walk straddles it exactly.  The closed form can miss it by a few
 /// thousand ulps.
 fn vol_edges(c: &Case) -> Vec<Case> {
-    let builds: [&dyn Fn(OptionParams) -> bool; 3] =
-        [&|p| BopmModel::new(p, c.steps).is_ok(), &|p| TopmModel::new(p, c.steps).is_ok(), &|p| {
-            BsmModel::new(OptionParams { dividend_yield: 0.0, ..p }, c.steps).is_ok()
-        }];
     let mut out = Vec::new();
-    for builds in builds {
-        let at = |v: u64| OptionParams { volatility: f64::from_bits(v), ..c.p };
+    for kind in [BOPM_PUT, TOPM_PUT, BSM_PUT] {
+        let at = |v: u64| c.with(OptionParams { volatility: f64::from_bits(v), ..c.p });
         let (mut lo, mut hi) = (0, c.p.volatility.to_bits());
-        if !builds(at(hi)) {
+        if !builds(kind, &at(hi)) {
             continue;
         }
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            *(if builds(at(mid)) { &mut hi } else { &mut lo }) = mid;
+            *(if builds(kind, &at(mid)) { &mut hi } else { &mut lo }) = mid;
         }
-        out.extend(ULPS.map(|ulps| c.with(at(hi.wrapping_add_signed(ulps)))));
+        out.extend(ULPS.map(|ulps| at(hi.wrapping_add_signed(ulps))));
     }
     out
 }
@@ -206,6 +202,15 @@ pub fn draws(test: &str, steps: Range<usize>, n: u64) -> Vec<Case> {
 
 // ---- the routes ----
 
+/// Whether `kind`'s model builds on `c`: the one ground for rejecting a case.
+pub fn builds(kind: Kind, c: &Case) -> bool {
+    match kind.0 {
+        ModelKind::Bopm => BopmModel::new(c.p, c.steps).is_ok(),
+        ModelKind::Topm => TopmModel::new(c.p, c.steps).is_ok(),
+        ModelKind::Bsm => BsmModel::new(c.params(kind), c.steps).is_ok(),
+    }
+}
+
 /// The fast American route of `kind` (the FD grid's: the put).
 pub fn fast(kind: Kind, p: OptionParams, steps: usize) -> Price {
     fn on<const W: usize>(m: Lattice<W>, ty: OptionType, cfg: &EngineConfig) -> f64 {
@@ -272,7 +277,7 @@ pub fn each(kinds: &[Kind], relation: impl Fn(Kind) -> Check) -> Check {
     Ok(())
 }
 
-/// Both answers, or a rejection when either contract builds no model.
+/// Fast and nest answers, or a rejection: they err only when a model does not build.
 fn both(a: Price, b: Price) -> Result<(f64, f64), TestCaseError> {
     a.and_then(|a| Ok((a, b?))).map_err(|_| TestCaseError::Reject)
 }
@@ -293,14 +298,14 @@ pub fn fast_matches_nest(kind: Kind, c: &Case, rel: f64, floor: f64) -> Check {
 
 /// American ≥ European ≥ 0, and intrinsic ≤ American ≤ cap (S for a call, K for a put).
 pub fn bounded(kind: Kind, c: &Case) -> Check {
+    prop_assume!(builds(kind, c));
     let p = c.params(kind);
-    let (am, eu) = both(
-        batch_one(&PricingRequest::american(kind.0, kind.1, p, c.steps)),
-        batch_one(&PricingRequest::european(kind.0, kind.1, p, c.steps)),
-    )?;
+    let am = batch_one(&PricingRequest::american(kind.0, kind.1, p, c.steps));
+    let eu = batch_one(&PricingRequest::european(kind.0, kind.1, p, c.steps));
+    let ctx = format!("{kind:?} {c:?}: am {am:?}, eu {eu:?}");
+    let (Ok(am), Ok(eu)) = (am, eu) else { return Err(TestCaseError::Fail(ctx)) };
     let cap = if kind.1 == OptionType::Call { p.spot } else { p.strike };
     let intrinsic = kind.1.payoff(p.spot, p.strike);
-    let ctx = format!("{kind:?} {c:?}: am {am:e}, eu {eu:e}");
     prop_assert!(eu >= 0.0, "{ctx}: eu < 0");
     prop_assert!(am >= eu - 1e-8 * eu.abs().max(1.0), "{ctx}: am < eu");
     prop_assert!(am >= intrinsic - 1e-8 * p.strike, "{ctx}: am < intrinsic");
@@ -310,11 +315,14 @@ pub fn bounded(kind: Kind, c: &Case) -> Check {
 
 /// European put–call parity on a tree, `C − P = S·e^{−YE} − K·e^{−RE}`, to 1e-7·max(K, S).
 pub fn european_parity(model: ModelKind, c: &Case) -> Check {
+    prop_assume!(builds((model, OptionType::Call), c));
     let (p, eu) = (c.p, |ty| batch_one(&PricingRequest::european(model, ty, c.p, c.steps)));
-    let (call, put) = both(eu(OptionType::Call), eu(OptionType::Put))?;
+    let (call, put) = (eu(OptionType::Call), eu(OptionType::Put));
+    let ctx = format!("{model:?} {c:?}: call {call:?}, put {put:?}");
+    let (Ok(call), Ok(put)) = (call, put) else { return Err(TestCaseError::Fail(ctx)) };
     let rhs = p.spot * (-p.dividend_yield * p.expiry).exp() - p.strike * (-p.rate * p.expiry).exp();
     let gap = call - put - rhs;
-    prop_assert!(gap.abs() < 1e-7 * p.strike.max(p.spot), "{model:?} {c:?}: C − P − rhs {gap}");
+    prop_assert!(gap.abs() < 1e-7 * p.strike.max(p.spot), "{ctx}: C − P − rhs {gap}");
     Ok(())
 }
 
@@ -358,10 +366,7 @@ pub fn monotone(kind: Kind, c: &Case) -> Check {
 /// Whether `ty`'s early-exercise carry (a call's Y, a put's R) moves a price
 /// per step by more than rounding; below that, the frontier is rounding noise.
 fn resolved(ty: OptionType, c: &Case) -> bool {
-    let carry = match ty {
-        OptionType::Call => c.p.dividend_yield,
-        OptionType::Put => c.p.rate,
-    };
+    let carry = if ty == OptionType::Call { c.p.dividend_yield } else { c.p.rate };
     carry * c.p.dt(c.steps) > 1e-12
 }
 
@@ -396,7 +401,7 @@ pub fn put_frontier_is_monotone(c: &Case) -> Check {
 /// A tree extractor's frontier is the nest's: exactly at expiry, where a leaf
 /// tie counts red for a call, and to one column inside, where near-ties round.
 pub fn frontier_is_the_nests(kind: Kind, c: &Case) -> Check {
-    prop_assume!(resolved(kind.1, c));
+    prop_assume!(resolved(kind.1, c) && builds(kind, c));
     fn on<const W: usize>(m: Lattice<W>, ty: OptionType, rows: usize) -> Check {
         let (_, dense) = lattice_naive::price_american_with_boundary(&m, ty);
         let critical = |i: usize, col: i64| match ty {
@@ -411,10 +416,9 @@ pub fn frontier_is_the_nests(kind: Kind, c: &Case) -> Check {
         }
         Ok(())
     }
-    let reject = |_| TestCaseError::Reject;
     match kind.0 {
-        ModelKind::Bopm => on(BopmModel::new(c.p, c.steps).map_err(reject)?, kind.1, 16),
-        _ => on(TopmModel::new(c.p, c.steps).map_err(reject)?, kind.1, 16),
+        ModelKind::Bopm => on(BopmModel::new(c.p, c.steps).unwrap(), kind.1, 16),
+        _ => on(TopmModel::new(c.p, c.steps).unwrap(), kind.1, 16),
     }
 }
 
@@ -444,10 +448,11 @@ pub fn batch_of_one_is_direct(pricer: &BatchPricer, kind: Kind, c: &Case) -> Che
 }
 
 /// A batch, and again from the memo, answers each slot bitwise as a batch of
-/// one answers it or an equally valid request with the same memo key.
+/// one answers it or an equally valid request with the same memo key (an
+/// invalid one with another's error too, until ROADMAP 19 is done).
 pub fn batch_is_its_batches_of_one(reqs: &[PricingRequest], alone: &[Price]) -> Result<(), String> {
-    // The key's documented grid: cells of 1e-9 (σ: 1e-13), bits for a value
-    // off the grid or a nonzero one that rounds to cell 0.
+    // Mirrors `quantize_on` (crates/core/src/batch.rs): cells of 1e-9 (σ: 1e-13), bits off
+    // the grid or for a nonzero value in cell 0; `as_alone`'s `is_ok` match stands for `builds`.
     let cell = |(x, grid): (f64, f64)| {
         let c = (x * grid).round();
         let on_grid = c.is_finite() && c.abs() < 9e18 && (c != 0.0 || x == 0.0);

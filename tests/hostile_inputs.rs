@@ -72,12 +72,8 @@ fn every_hostile_contract_gets_a_typed_error_or_a_bounded_price() {
                     (batch_one(&job), extract.then(|| frontier_is_well_formed(kind, &c, 16)))
                 });
                 let why = match &answer {
-                    Ok((price, frontier)) => {
-                        out_of_band(&req, price).or(wire_replies(&req, price).err()).or(frontier
-                            .clone()
-                            .and_then(Result::err)
-                            .map(|w| format!("frontier: {w}")))
-                    }
+                    Ok((_, Some(Err(w)))) => Some(format!("frontier: {w}")),
+                    Ok((price, _)) => out_of_band(&req, price).or(wire_replies(&req, price).err()),
                     Err(why) => Some(why.clone()),
                 };
                 hangs += usize::from(why.as_deref().is_some_and(|w| w.ends_with(HUNG)));
