@@ -1,4 +1,4 @@
-//! The lint catalogue: five project-specific invariant checkers plus the
+//! The lint catalogue: six project-specific invariant checkers plus the
 //! `marker` pseudo-lint for `// amopt-lint:` grammar errors.
 //!
 //! Each lint is a function over one lexed [`SourceFile`]; which files a
@@ -10,20 +10,28 @@ use std::path::PathBuf;
 
 mod float_eq;
 mod hot_path_alloc;
+mod hot_path_lock;
 mod lock_discipline;
 mod panic_surface;
 mod unsafe_confined;
 
 pub use float_eq::float_eq;
 pub use hot_path_alloc::hot_path_alloc;
+pub use hot_path_lock::hot_path_lock;
 pub use lock_discipline::lock_discipline;
 pub use panic_surface::panic_surface;
 pub use unsafe_confined::unsafe_confined;
 
 /// Every lint an allow marker may name.  `marker` itself is not allowable:
 /// a broken marker must always fail the gate.
-pub const LINT_NAMES: &[&str] =
-    &["hot-path-alloc", "panic-surface", "float-eq", "lock-discipline", "unsafe-confined"];
+pub const LINT_NAMES: &[&str] = &[
+    "hot-path-alloc",
+    "hot-path-lock",
+    "panic-surface",
+    "float-eq",
+    "lock-discipline",
+    "unsafe-confined",
+];
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +66,7 @@ pub fn run_lints(file: &SourceFile, lints: &[&str], findings: &mut Vec<Finding>)
     for lint in lints {
         match *lint {
             "hot-path-alloc" => hot_path_alloc(file, findings),
+            "hot-path-lock" => hot_path_lock(file, findings),
             "panic-surface" => panic_surface(file, findings),
             "float-eq" => float_eq(file, findings),
             "lock-discipline" => lock_discipline(file, findings),

@@ -6,8 +6,9 @@ use crate::source::{AllowScope, SourceFile};
 use std::path::{Path, PathBuf};
 
 /// Where each lint looks, as workspace-relative path prefixes (always `/`
-/// separated, also on Windows).  `hot-path-alloc` is marker-driven and runs
-/// everywhere; the marker grammar itself is validated everywhere too.
+/// separated, also on Windows).  `hot-path-alloc` and `hot-path-lock` are
+/// marker-driven and run everywhere; the marker grammar itself is validated
+/// everywhere too.
 const PANIC_SURFACE_SCOPE: &[&str] = &["crates/service/src/"];
 /// `crates/obs/src/` is in scope: the metrics/journal record paths run
 /// inside the service's hot loops, so the same lock rules apply there.
@@ -40,7 +41,7 @@ pub struct CheckReport {
 
 /// Lints that apply to a workspace-relative path.
 pub fn lints_for(rel: &str) -> Vec<&'static str> {
-    let mut lints = vec!["hot-path-alloc"];
+    let mut lints = vec!["hot-path-alloc", "hot-path-lock"];
     if PANIC_SURFACE_SCOPE.iter().any(|p| rel.starts_with(p)) {
         lints.push("panic-surface");
     }
@@ -164,7 +165,10 @@ mod tests {
         assert!(!lints_for("crates/obs/src/registry.rs").contains(&"panic-surface"));
         assert!(lints_for("crates/core/src/bopm/fast.rs").contains(&"float-eq"));
         assert!(!lints_for("crates/core/src/bopm/fast.rs").contains(&"panic-surface"));
-        assert!(lints_for("examples/quickstart.rs") == vec!["hot-path-alloc", "unsafe-confined"]);
+        assert!(
+            lints_for("examples/quickstart.rs")
+                == vec!["hot-path-alloc", "hot-path-lock", "unsafe-confined"]
+        );
     }
 
     /// A prefix naming no directory lints nothing and fails nothing, so a

@@ -33,6 +33,15 @@ fn hot_path_alloc_fixture_pair() {
 }
 
 #[test]
+fn hot_path_lock_fixture_pair() {
+    let bad = run_fixture("hot_path_lock_violations.rs", &["hot-path-lock"]);
+    assert_all_lint(&bad, "hot-path-lock", 3, "hot_path_lock_violations");
+    let clean = run_fixture("hot_path_lock_clean.rs", &["hot-path-lock"]);
+    assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
+    assert!(clean.unused_allows.is_empty(), "{:#?}", clean.unused_allows);
+}
+
+#[test]
 fn obs_record_alloc_fixture_pair() {
     // The zero-alloc observability contract: a metric-record call that
     // allocates inside a hot-path region is a gate failure, and the
@@ -96,6 +105,7 @@ fn fixture_paths_would_route_like_their_home_crates() {
     assert!(lints_for("crates/obs/src/registry.rs").contains(&"lock-discipline"));
     assert!(lints_for("crates/fft/src/convolve.rs").contains(&"float-eq"));
     assert!(lints_for("crates/stencil/src/advance.rs").contains(&"hot-path-alloc"));
+    assert!(lints_for("crates/stencil/src/advance.rs").contains(&"hot-path-lock"));
     assert!(lints_for("crates/service/src/reactor.rs").contains(&"unsafe-confined"));
     assert!(!lints_for("shims/epoll/src/lib.rs").contains(&"unsafe-confined"));
 }

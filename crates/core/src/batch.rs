@@ -12,9 +12,9 @@
 //! * [`BatchPricer::price_batch`] prices a request slice in parallel over
 //!   the `amopt-parallel` fork-join pool; every routed pricer is one of the
 //!   fast `O(T log² T)` trapezoid engines (American puts included, via the
-//!   left-cone engine), which draw per-worker scratch (FFT buffers, staging
-//!   rows) from `amopt-stencil`'s process-wide `WorkspacePool` — so the hot
-//!   loop is allocation-light after warm-up;
+//!   left-cone engine), which draw scratch (FFT buffers, staging rows) from
+//!   their own thread's free list (`amopt_stencil::with_scratch`, no lock)
+//!   — so the hot loop is allocation-light after warm-up;
 //! * the unique requests that share their kernels (the strikes of one
 //!   expiry) are priced as one **kernel group**, whose members read one
 //!   set of spectrum-multiplier tables, each built once for the group;
@@ -474,6 +474,7 @@ impl BatchPricer {
             return None;
         }
         let key = make_key(request);
+        // amopt-lint: allow(hot-path-lock) -- one shard lock per submitted quote, not per advance
         self.memo.lock(self.memo.shard_of(&key)).lookup(&key)
     }
 
@@ -492,12 +493,16 @@ impl BatchPricer {
     /// the result is scattered to every duplicate; memoized prices from
     /// earlier batches short-circuit pricing entirely.  Errors (invalid
     /// parameters, unstable discretisations, unsupported combinations) are
-    /// confined to their own slots and never cached.
+    /// confined to their own slots and never cached, and a request whose
+    /// model does not build is never deduplicated: its error names its own
+    /// numbers.
     pub fn price_batch(&self, requests: &[PricingRequest]) -> Vec<Result<f64>> {
         // amopt-lint: hot-path
-        // amopt-lint: allow-scope(hot-path-alloc) -- dedup/scatter fan-out buffers are O(batch), amortised across the coalesced batch; per-step pricing work draws on pooled scratch
+        // amopt-lint: allow-scope(hot-path-alloc) -- dedup/scatter fan-out buffers are O(batch), amortised across the coalesced batch; per-step pricing work draws on per-thread scratch
         // Phase 1 (serial): normalise and deduplicate.  `jobs` keeps the
-        // first-occurrence request index alongside the normalised key.
+        // first-occurrence request index alongside the normalised key.  A
+        // request whose model does not build is a job of its own: requests
+        // of one cell can fail with different numbers.
         let mut unique: HashMap<MemoKey, usize> = HashMap::new();
         let mut jobs: Vec<(usize, MemoKey)> = Vec::new();
         let mut assignment = Vec::with_capacity(requests.len());
@@ -505,6 +510,10 @@ impl BatchPricer {
             let key = make_key(req);
             let slot = match unique.entry(key) {
                 Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(v) if !v.key().builds => {
+                    jobs.push((i, v.into_key()));
+                    jobs.len() - 1
+                }
                 Entry::Vacant(v) => {
                     let slot = jobs.len();
                     jobs.push((i, v.key().clone()));
@@ -525,6 +534,7 @@ impl BatchPricer {
         };
         let mut slot_results: Vec<Option<Result<f64>>> = vec![None; jobs.len()];
         for (slot, &shard) in shard_of_job.iter().enumerate() {
+            // amopt-lint: allow(hot-path-lock) -- one shard lock per job per batch, not per advance
             slot_results[slot] = self.memo.lock(shard).get(&jobs[slot].1).map(Ok);
         }
         // Phase 3 (parallel): price what the memo did not know, one kernel
@@ -533,10 +543,10 @@ impl BatchPricer {
         // calls alike), and its members share one set of multiplier tables,
         // which is dropped when the group's last member returns.  Groups fan
         // out, and so do the members of each, so a batch of one group still
-        // fills the pool.  Per-worker scratch (FFT buffers, staging rows)
-        // lives in `amopt-stencil`'s process-wide pool, which every engine
-        // checks out of, so this loop allocates only the rows and tables the
-        // pricers keep.
+        // fills the pool.  Scratch (FFT buffers, staging rows) lives on each
+        // worker thread's own free list (`amopt_stencil::with_scratch`),
+        // taken without a lock, so this loop allocates only the rows and
+        // tables the pricers keep.
         let todo: Vec<usize> = (0..jobs.len()).filter(|&s| slot_results[s].is_none()).collect();
         let (order, starts) = kernel_groups(todo.iter().map(|&slot| &requests[jobs[slot].0]));
         // One group per leaf task, then one member per leaf task: a pricing
@@ -561,6 +571,7 @@ impl BatchPricer {
         for (slot, res) in todo.into_iter().zip(computed) {
             let res = res.expect("every group prices every member");
             if let (Ok(price), Some(&shard)) = (&res, shard_of_job.get(slot)) {
+                // amopt-lint: allow(hot-path-lock) -- one shard lock per job per batch, not per advance
                 self.memo.lock(shard).insert(jobs[slot].1.clone(), *price);
             }
             slot_results[slot] = Some(res);
@@ -766,16 +777,29 @@ mod tests {
     fn invalid_request_does_not_poison_the_batch() {
         let pricer = pricer();
         let good = PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), 128);
-        let bad_params = PricingRequest::american(
-            ModelKind::Bopm,
-            OptionType::Call,
-            OptionParams { spot: -1.0, ..p() },
-            128,
-        );
+        let spot = |spot: f64| {
+            PricingRequest::american(
+                ModelKind::Bopm,
+                OptionType::Call,
+                OptionParams { spot, ..p() },
+                128,
+            )
+        };
+        let (bad_params, bad_twin) = (spot(-1.0), spot(-1.0 - 1e-12));
+        assert_eq!(make_key(&bad_params), make_key(&bad_twin), "one memo cell");
         let bad_dates = PricingRequest::bermudan_put(p(), 128, vec![0]);
-        let out = pricer.price_batch(&[good.clone(), bad_params, bad_dates, good.clone()]);
+        let out = pricer.price_batch(&[
+            good.clone(),
+            bad_params,
+            bad_dates,
+            good.clone(),
+            bad_twin.clone(),
+        ]);
         assert!(matches!(out[1], Err(PricingError::InvalidParams { field: "spot", .. })));
         assert!(matches!(out[2], Err(PricingError::InvalidParams { .. })));
+        // The twin shares the cell but not the job: its error names its spot.
+        assert_ne!(out[4], out[1]);
+        assert_eq!(out[4], pricer.price_one(&bad_twin));
         let direct = {
             let m = BopmModel::new(p(), 128).unwrap();
             fast::price_american_call(&m, &EngineConfig::default())

@@ -95,8 +95,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// makes repeated correlations — the trapezoid engines issue thousands per
 /// pricing — allocation-free apart from the returned output vector, which
 /// the caller keeps.  The buffer grows to the largest transform seen and
-/// never shrinks; pool instances per worker (e.g. via
-/// `amopt_parallel::WorkspacePool`) rather than sharing one.
+/// never shrinks; keep one instance per thread (as
+/// `amopt_stencil::with_scratch` does) rather than sharing one.
 #[derive(Debug, Default)]
 pub struct FftScratch {
     buf: Vec<Complex64>,

@@ -92,65 +92,6 @@ where
     go(0, data, grain, &body);
 }
 
-/// A checkout pool of reusable scratch workspaces for parallel loops.
-///
-/// Workers borrow a workspace for the duration of one work item and return
-/// it afterwards, so the pool grows to at most the number of *concurrently
-/// active* workers and never shrinks.  After this warm-up the pool itself
-/// performs no allocation: a steady-state [`parallel_map`] body that keeps its
-/// scratch buffers inside a pooled workspace is allocation-free.
-///
-/// The pool is deliberately not tied to worker-thread identity (a caller
-/// outside the scheduler's pool has none): checkout is a mutex-guarded stack
-/// pop, which is a few nanoseconds against the microseconds-to-milliseconds
-/// work items it is designed for.
-///
-/// ```
-/// use amopt_parallel::{parallel_map, WorkspacePool};
-///
-/// let pool: WorkspacePool<Vec<u64>> = WorkspacePool::new();
-/// let sums = parallel_map(100, 8, |i| {
-///     pool.with(Vec::new, |scratch| {
-///         scratch.clear();
-///         scratch.extend(0..i as u64); // reuses a previous item's capacity
-///         scratch.iter().sum::<u64>()
-///     })
-/// });
-/// assert_eq!(sums[4], 6);
-/// assert!(pool.idle() >= 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct WorkspacePool<W> {
-    free: std::sync::Mutex<Vec<W>>,
-}
-
-impl<W> WorkspacePool<W> {
-    /// Creates an empty pool; workspaces are built on first checkout.
-    pub fn new() -> Self {
-        WorkspacePool { free: std::sync::Mutex::new(Vec::new()) }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<W>> {
-        // A worker that panicked mid-item loses its checked-out workspace
-        // (it was never returned), so the surviving inventory is still valid.
-        self.free.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Runs `f` with a workspace checked out of the pool, creating one with
-    /// `make` only when every pooled workspace is already in use.
-    pub fn with<R>(&self, make: impl FnOnce() -> W, f: impl FnOnce(&mut W) -> R) -> R {
-        let mut w = self.lock().pop().unwrap_or_else(make);
-        let out = f(&mut w);
-        self.lock().push(w);
-        out
-    }
-
-    /// Number of workspaces currently checked in (idle).
-    pub fn idle(&self) -> usize {
-        self.lock().len()
-    }
-}
-
 /// Maps `f` over `0..n` in parallel, collecting results in index order.
 pub fn parallel_map<R, F>(n: usize, grain: usize, f: F) -> Vec<R>
 where
@@ -169,7 +110,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn join_returns_both_results() {
@@ -214,41 +154,6 @@ mod tests {
         let got = parallel_map(1000, 32, |i| i * i);
         let want: Vec<usize> = (0..1000).map(|i| i * i).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn workspace_pool_reuses_instances() {
-        let pool: WorkspacePool<Vec<u8>> = WorkspacePool::new();
-        let created = AtomicUsize::new(0);
-        // Strictly sequential checkouts must share one workspace.
-        for _ in 0..100 {
-            pool.with(
-                || {
-                    created.fetch_add(1, Ordering::Relaxed);
-                    Vec::new()
-                },
-                |w| w.push(1),
-            );
-        }
-        assert_eq!(created.load(Ordering::Relaxed), 1);
-        assert_eq!(pool.idle(), 1);
-        // The single pooled workspace accumulated every push.
-        pool.with(Vec::new, |w| assert_eq!(w.len(), 100));
-    }
-
-    #[test]
-    fn workspace_pool_is_safe_under_parallel_map() {
-        let pool: WorkspacePool<Vec<usize>> = WorkspacePool::new();
-        let sums = parallel_map(1000, 16, |i| {
-            pool.with(Vec::new, |w| {
-                w.clear();
-                w.extend([i, i]);
-                w.iter().sum::<usize>()
-            })
-        });
-        assert_eq!(sums.iter().sum::<usize>(), 2 * (0..1000).sum::<usize>());
-        // Every checked-out workspace came back, bounded by peak concurrency.
-        assert!(pool.idle() >= 1);
     }
 
     #[test]

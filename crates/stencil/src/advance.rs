@@ -12,17 +12,16 @@
 use crate::kernel::StencilKernel;
 use crate::segment::Segment;
 use amopt_fft::{FftScratch, KernelPowers};
-use amopt_parallel::WorkspacePool;
-use std::sync::OnceLock;
+use std::cell::RefCell;
 
-/// Per-worker scratch for the advance primitives: FFT buffers plus a staging
+/// Per-thread scratch for the advance primitives: FFT buffers plus a staging
 /// row for callers that assemble padded/stitched inputs before advancing.
 ///
-/// Engines running inside a fork-join pool check one of these out of the
-/// process-wide pool ([`with_scratch`]) per linear advance, so steady-state
+/// Engines take one of these from their own thread's free list
+/// ([`with_scratch`]) per linear advance or base case, so steady-state
 /// pricing — in particular the batch layer's hot loop — allocates only the
-/// output rows it actually keeps.  Buffers grow to the largest problem seen
-/// and stay checked in for reuse (bounded by peak worker concurrency).
+/// output rows it actually keeps.  Buffers grow to the largest problem their
+/// thread has seen and stay on that thread for reuse until it exits.
 #[derive(Debug, Default)]
 pub struct AdvanceScratch {
     /// Caller-assembled input row (stored reds, zero-extended to the cone edge).
@@ -31,13 +30,24 @@ pub struct AdvanceScratch {
     pub fft: FftScratch,
 }
 
-/// Runs `f` with an [`AdvanceScratch`] checked out of the process-wide pool.
+thread_local! {
+    /// This thread's idle scratches: one per level of [`with_scratch`]
+    /// nesting the thread has reached, never shared with another thread.
+    static FREE: RefCell<Vec<AdvanceScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with an [`AdvanceScratch`] taken from the calling thread's free
+/// list, and returns it there afterwards; no lock is taken.
 ///
-/// The pool grows to at most the number of concurrently active workers; a
-/// sequential caller reuses a single scratch forever.
+/// The list is not borrowed while `f` runs, so a worker that steals a job
+/// inside `f` (a fork-join wait) and reaches `with_scratch` again takes a
+/// second scratch.  A sequential caller reuses a single scratch forever.
 pub fn with_scratch<R>(f: impl FnOnce(&mut AdvanceScratch) -> R) -> R {
-    static POOL: OnceLock<WorkspacePool<AdvanceScratch>> = OnceLock::new();
-    POOL.get_or_init(WorkspacePool::new).with(AdvanceScratch::default, f)
+    // amopt-lint: hot-path
+    let mut scratch = FREE.with_borrow_mut(Vec::pop).unwrap_or_default();
+    let out = f(&mut scratch);
+    FREE.with_borrow_mut(|free| free.push(scratch));
+    out
 }
 
 /// Strategy for computing a multi-step advance.
@@ -65,7 +75,7 @@ pub fn output_start(start: i64, kernel: &StencilKernel, h: u64) -> i64 {
 
 /// Advances `seg` by `h` linear steps using the requested backend.
 ///
-/// Scratch comes from the process-wide pool ([`with_scratch`]), and the
+/// Scratch comes from the calling thread's free list ([`with_scratch`]), and the
 /// multipliers are evaluated for this call alone; a caller advancing by one
 /// kernel many times holds a `KernelPowers` and calls [`advance_powered`].
 ///
@@ -357,5 +367,91 @@ mod tests {
         let kernel = StencilKernel::new(vec![0.5, 0.5], 0);
         let seg = Segment::new(0, vec![1.0; 5]);
         advance(&seg, &kernel, 5, Backend::Fft);
+    }
+
+    /// Idle scratches on the calling thread's free list.
+    fn idle() -> usize {
+        FREE.with_borrow(Vec::len)
+    }
+
+    /// Runs `f` on a new thread, whose free list starts empty.
+    fn on_a_new_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().expect("test thread panicked");
+    }
+
+    #[test]
+    fn a_nested_checkout_takes_a_distinct_scratch_and_both_return_to_the_thread() {
+        on_a_new_thread(|| {
+            let outer = with_scratch(|a| {
+                a.staging.push(1.0);
+                with_scratch(|b| {
+                    assert!(b.staging.is_empty(), "the outer scratch was handed out twice");
+                    b.staging.push(2.0);
+                });
+                assert_eq!(idle(), 1, "the inner scratch is back while the outer runs");
+                a.staging.as_ptr()
+            });
+            assert_eq!(idle(), 2);
+            // The outer scratch went back last, so it comes out first.
+            with_scratch(|a| {
+                assert_eq!(a.staging.as_ptr(), outer);
+                with_scratch(|b| assert_eq!(b.staging, [2.0]));
+            });
+            assert_eq!(idle(), 2);
+        });
+    }
+
+    #[test]
+    fn a_warm_thread_reuses_its_scratch_and_allocates_no_other() {
+        on_a_new_thread(|| {
+            let grown = with_scratch(|s| {
+                s.staging.resize(4096, 0.0);
+                (s.staging.as_ptr(), s.staging.capacity())
+            });
+            let kernel = StencilKernel::new(vec![0.25, 0.5, 0.25], -1);
+            let seg = Segment::new(0, rand_real(600, 6));
+            for _ in 0..50 {
+                advance(&seg, &kernel, 40, Backend::Fft);
+                with_scratch(|s| {
+                    s.staging.clear();
+                    s.staging.extend_from_slice(&seg.values);
+                    assert_eq!((s.staging.as_ptr(), s.staging.capacity()), grown);
+                });
+                assert_eq!(idle(), 1);
+            }
+        });
+    }
+
+    #[test]
+    fn a_scratch_grown_on_one_thread_is_never_handed_to_another() {
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+
+        // Each scratch is known by its staging row's address once grown;
+        // every address must stay with the thread that grew it, through
+        // nested advances and whatever the pool's workers steal meanwhile.
+        let owners: Mutex<HashMap<usize, ThreadId>> = Mutex::new(HashMap::new());
+        let claim = |s: &mut AdvanceScratch| {
+            if s.staging.capacity() == 0 {
+                s.staging.reserve(64);
+            }
+            let me = thread::current().id();
+            let at = s.staging.as_ptr() as usize;
+            let owner = *owners.lock().unwrap().entry(at).or_insert(me);
+            assert_eq!(owner, me, "a scratch crossed threads");
+        };
+        with_scratch(claim);
+        let kernel = StencilKernel::new(vec![0.2, 0.5, 0.28], -1);
+        let seg = Segment::new(0, rand_real(3000, 7));
+        amopt_parallel::run_with_threads(2, || {
+            amopt_parallel::parallel_map(256, 1, |i| {
+                with_scratch(|s| {
+                    claim(s);
+                    advance(&seg, &kernel, 1 + i as u64 % 64, Backend::Fft).len()
+                })
+            })
+        });
+        assert!(owners.lock().unwrap().len() >= 2);
     }
 }

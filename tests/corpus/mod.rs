@@ -448,11 +448,11 @@ pub fn batch_of_one_is_direct(pricer: &BatchPricer, kind: Kind, c: &Case) -> Che
 }
 
 /// A batch, and again from the memo, answers each slot bitwise as a batch of
-/// one answers it or an equally valid request with the same memo key (an
-/// invalid one with another's error too, until ROADMAP 19 is done).
+/// one answers it; a valid one may take the price of another valid request
+/// with the same memo key, an invalid one keeps its own error.
 pub fn batch_is_its_batches_of_one(reqs: &[PricingRequest], alone: &[Price]) -> Result<(), String> {
     // Mirrors `quantize_on` (crates/core/src/batch.rs): cells of 1e-9 (σ: 1e-13), bits off
-    // the grid or for a nonzero value in cell 0; `as_alone`'s `is_ok` match stands for `builds`.
+    // the grid or for a nonzero value in cell 0; `as_alone`'s `is_ok` stands for `builds`.
     let cell = |(x, grid): (f64, f64)| {
         let c = (x * grid).round();
         let on_grid = c.is_finite() && c.abs() < 9e18 && (c != 0.0 || x == 0.0);
@@ -468,11 +468,11 @@ pub fn batch_is_its_batches_of_one(reqs: &[PricingRequest], alone: &[Price]) -> 
     let pricer = BatchPricer::new(EngineConfig::default());
     for pass in ["batch", "memo"] {
         let got = pricer.price_batch(reqs);
-        let as_alone = |i: usize, j: usize| {
-            alone[i].is_ok() == alone[j].is_ok() && bits(&got[i]) == bits(&alone[j])
+        let as_alone = |i: usize, j: usize| alone[j].is_ok() && bits(&got[i]) == bits(&alone[j]);
+        let answered = |i: usize| {
+            bits(&got[i]) == bits(&alone[i])
+                || alone[i].is_ok() && (0..reqs.len()).any(|j| keys[i] == keys[j] && as_alone(i, j))
         };
-        let answered =
-            |i| as_alone(i, i) || (0..reqs.len()).any(|j| keys[i] == keys[j] && as_alone(i, j));
         if let Some(i) = (0..reqs.len()).find(|&i| !answered(i)) {
             let (req, got, alone) = (&reqs[i], &got[i], &alone[i]);
             return Err(format!("{pass}: {req:?} answered {got:?}, alone {alone:?}"));
