@@ -9,10 +9,10 @@
 //!   (the trapezoid engines, `amopt_fft`, `amopt_stencil::advance_*`, the
 //!   batch execute path) may not allocate (`Vec::new`, `vec!`, `.to_vec()`,
 //!   `.collect()`, `Box::new`, `.clone()`) outside annotated allow sites.
-//! * **hot-path-lock** — the same regions may not call `.lock(` outside
-//!   annotated allow sites: per-worker state lives per thread
-//!   (`amopt_stencil::with_scratch`), and a lock once per request or batch
-//!   says so in its marker.
+//! * **hot-path-lock** — the same regions may not call `.lock(` or the
+//!   service's `lock_unpoisoned(` outside annotated allow sites: per-worker
+//!   state lives per thread (`amopt_stencil::with_scratch`), and a lock once
+//!   per request or batch says so in its marker.
 //! * **panic-surface** — non-test `crates/service` code may not
 //!   `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, or index slices.
 //! * **float-eq** — no `==`/`!=` between visibly float-typed expressions

@@ -35,7 +35,7 @@ fn hot_path_alloc_fixture_pair() {
 #[test]
 fn hot_path_lock_fixture_pair() {
     let bad = run_fixture("hot_path_lock_violations.rs", &["hot-path-lock"]);
-    assert_all_lint(&bad, "hot-path-lock", 3, "hot_path_lock_violations");
+    assert_all_lint(&bad, "hot-path-lock", 4, "hot_path_lock_violations");
     let clean = run_fixture("hot_path_lock_clean.rs", &["hot-path-lock"]);
     assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
     assert!(clean.unused_allows.is_empty(), "{:#?}", clean.unused_allows);

@@ -27,15 +27,15 @@ pub fn publish(memo: &Mutex<Vec<f64>>, prices: &[f64]) {
     memo.lock().unwrap().extend_from_slice(prices);
 }
 
-// Other names are not `.lock(`: a free function, a binding, `try_lock`.
+// Other names take no lock: a binding, `try_lock`, another free function.
 pub fn other_names(m: &Mutex<u64>) -> bool {
     // amopt-lint: hot-path
-    let lock = lock_unpoisoned(m);
+    let lock = is_free(m);
     lock && m.try_lock().is_ok()
 }
 
-fn lock_unpoisoned(m: &Mutex<u64>) -> bool {
-    m.lock().is_ok()
+fn is_free(m: &Mutex<u64>) -> bool {
+    m.try_lock().is_ok()
 }
 
 #[cfg(test)]

@@ -403,19 +403,20 @@ const MEMO_SHARDS: usize = 8;
 
 /// Batched pricing engine: dedup → memo probe → parallel price → scatter.
 ///
-/// Cheap to keep alive and share (`&BatchPricer` is `Sync`); the memo and
-/// workspace pool amortise across successive [`price_batch`] calls, which is
-/// where the subsystem earns its keep on repeated market ticks.
+/// Cheap to keep alive and share (`&BatchPricer` is `Sync`); the memo
+/// amortises across successive [`price_batch`] calls, which is where the
+/// subsystem earns its keep on repeated market ticks (the advance scratch is
+/// per thread, and outlives any one pricer).
 ///
 /// [`price_batch`]: BatchPricer::price_batch
 #[derive(Debug)]
 pub struct BatchPricer {
-    cfg: EngineConfig,
     memo: ShardedMemo,
 }
 
 impl BatchPricer {
-    /// A pricer with the default memo capacity.
+    /// A pricer with the default memo capacity.  The [`EngineConfig`] is an
+    /// empty marker the benchmark harness still passes; it is ignored.
     pub fn new(cfg: EngineConfig) -> Self {
         Self::with_memo_capacity(cfg, DEFAULT_MEMO_CAPACITY)
     }
@@ -428,13 +429,15 @@ impl BatchPricer {
     /// up, so the effective total is `8 * ceil(capacity / 8)`.  Eviction is
     /// least-recently-used *within* each shard; prices are bitwise the same
     /// whatever the memo holds, since eviction only causes recomputation.
-    pub fn with_memo_capacity(cfg: EngineConfig, capacity: usize) -> Self {
-        BatchPricer { cfg, memo: ShardedMemo::new(capacity, MEMO_SHARDS) }
+    /// The [`EngineConfig`] is ignored, as in [`BatchPricer::new`].
+    pub fn with_memo_capacity(_: EngineConfig, capacity: usize) -> Self {
+        BatchPricer { memo: ShardedMemo::new(capacity, MEMO_SHARDS) }
     }
 
-    /// The engine configuration every routed pricer runs under.
+    /// The empty [`EngineConfig`] marker, kept only because the benchmark
+    /// harness reads it.
     pub fn engine_config(&self) -> &EngineConfig {
-        &self.cfg
+        &EngineConfig {}
     }
 
     /// Current memo counters, aggregated over every shard.
@@ -557,7 +560,7 @@ impl BatchPricer {
                 let nodes = NodeTables::new();
                 amopt_parallel::parallel_map(members.len(), 1, |m| {
                     let (req_idx, key) = &jobs[todo[members[m]]];
-                    Some(self.route(&requests[*req_idx], &key.dates, powers, &nodes))
+                    Some(route(&requests[*req_idx], &key.dates, powers, &nodes))
                 })
             })
         });
@@ -582,64 +585,62 @@ impl BatchPricer {
             .map(|slot| slot_results[slot].clone().expect("every slot resolved"))
             .collect()
     }
+}
 
-    /// Routes one request to its canonical pricer.  `dates` is the
-    /// normalised Bermudan schedule from the request's key (unused
-    /// otherwise).  Adds no arithmetic of its own: a batch of one is bitwise
-    /// identical to the direct call.
-    fn route(
-        &self,
-        req: &PricingRequest,
-        dates: &[usize],
-        powers: &KernelPowers,
-        nodes: &NodeTables,
-    ) -> Result<f64> {
-        // amopt-lint: hot-path
-        match req.model {
-            ModelKind::Bopm => {
-                let model = BopmModel::new(req.params, req.steps)?;
-                match (&req.style, req.option_type) {
-                    (Style::Bermudan(_), OptionType::Put) => {
-                        bermudan::price_put_with(&model, dates, powers)
-                    }
-                    _ => self.route_lattice(&model, req, powers, nodes),
+/// Routes one request to its canonical pricer.  `dates` is the
+/// normalised Bermudan schedule from the request's key (unused
+/// otherwise).  Adds no arithmetic of its own: a batch of one is bitwise
+/// identical to the direct call.
+fn route(
+    req: &PricingRequest,
+    dates: &[usize],
+    powers: &KernelPowers,
+    nodes: &NodeTables,
+) -> Result<f64> {
+    // amopt-lint: hot-path
+    match req.model {
+        ModelKind::Bopm => {
+            let model = BopmModel::new(req.params, req.steps)?;
+            match (&req.style, req.option_type) {
+                (Style::Bermudan(_), OptionType::Put) => {
+                    bermudan::price_put_with(&model, dates, powers)
                 }
+                _ => route_lattice(&model, req, powers, nodes),
             }
-            ModelKind::Topm => {
-                self.route_lattice(&TopmModel::new(req.params, req.steps)?, req, powers, nodes)
-            }
-            // The FD grid prices puts only: no call route may reach it.
-            ModelKind::Bsm => match (&req.style, req.option_type) {
-                (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(req),
-                _ => {
-                    let model = Lattice::explicit_fd(req.params, req.steps)?;
-                    self.route_lattice(&model, req, powers, nodes)
-                }
-            },
         }
+        ModelKind::Topm => {
+            route_lattice(&TopmModel::new(req.params, req.steps)?, req, powers, nodes)
+        }
+        // The FD grid prices puts only: no call route may reach it.
+        ModelKind::Bsm => match (&req.style, req.option_type) {
+            (_, OptionType::Call) | (Style::Bermudan(_), _) => unsupported(req),
+            _ => {
+                let model = Lattice::explicit_fd(req.params, req.steps)?;
+                route_lattice(&model, req, powers, nodes)
+            }
+        },
     }
+}
 
-    /// The American and European routes of every lattice (the binomial
-    /// Bermudan put is routed before this, BSM calls and Bermudans are
-    /// refused before it).
-    fn route_lattice<const W: usize>(
-        &self,
-        model: &Lattice<W>,
-        req: &PricingRequest,
-        powers: &KernelPowers,
-        nodes: &NodeTables,
-    ) -> Result<f64> {
-        // amopt-lint: hot-path
-        match (&req.style, req.option_type) {
-            (Style::American, OptionType::Call) => {
-                Ok(fast::call_samples(model, &self.cfg, 1, powers, &nodes.table_for(model)).0)
-            }
-            (Style::American, OptionType::Put) => {
-                Ok(fast::put_samples(model, &self.cfg, 1, powers, &nodes.table_for(model)).0)
-            }
-            (Style::European, opt) => Ok(european::price_with(model, opt, powers)),
-            (Style::Bermudan(_), _) => unsupported(req),
+/// The American and European routes of every lattice (the binomial
+/// Bermudan put is routed before this, BSM calls and Bermudans are
+/// refused before it).
+fn route_lattice<const W: usize>(
+    model: &Lattice<W>,
+    req: &PricingRequest,
+    powers: &KernelPowers,
+    nodes: &NodeTables,
+) -> Result<f64> {
+    // amopt-lint: hot-path
+    match (&req.style, req.option_type) {
+        (Style::American, OptionType::Call) => {
+            Ok(fast::call_samples(model, 1, powers, &nodes.table_for(model)).0)
         }
+        (Style::American, OptionType::Put) => {
+            Ok(fast::put_samples(model, 1, powers, &nodes.table_for(model)).0)
+        }
+        (Style::European, opt) => Ok(european::price_with(model, opt, powers)),
+        (Style::Bermudan(_), _) => unsupported(req),
     }
 }
 
@@ -693,17 +694,16 @@ mod tests {
 
     #[test]
     fn every_supported_route_matches_its_direct_pricer_bitwise() {
-        let cfg = EngineConfig::default();
         let steps = 200;
         let zero_div = OptionParams { dividend_yield: 0.0, ..p() };
         let cases: Vec<(PricingRequest, f64)> = vec![
             (PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                fast::price_american_call(&m, &cfg)
+                fast::price_american_call(&m)
             }),
             (PricingRequest::american(ModelKind::Bopm, OptionType::Put, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                fast::price_american_put(&m, &cfg)
+                fast::price_american_put(&m)
             }),
             (PricingRequest::european(ModelKind::Bopm, OptionType::Call, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
@@ -719,11 +719,11 @@ mod tests {
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                fast::price_american_call(&m, &cfg)
+                fast::price_american_call(&m)
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Put, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                fast::price_american_put(&m, &cfg)
+                fast::price_american_put(&m)
             }),
             (PricingRequest::european(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
@@ -731,7 +731,7 @@ mod tests {
             }),
             (PricingRequest::american(ModelKind::Bsm, OptionType::Put, zero_div, steps), {
                 let m = Lattice::explicit_fd(zero_div, steps).unwrap();
-                fast::price_american_put(&m, &cfg)
+                fast::price_american_put(&m)
             }),
             (PricingRequest::european(ModelKind::Bsm, OptionType::Put, zero_div, steps), {
                 let m = Lattice::explicit_fd(zero_div, steps).unwrap();
@@ -802,7 +802,7 @@ mod tests {
         assert_eq!(out[4], pricer.price_one(&bad_twin));
         let direct = {
             let m = BopmModel::new(p(), 128).unwrap();
-            fast::price_american_call(&m, &EngineConfig::default())
+            fast::price_american_call(&m)
         };
         for idx in [0, 3] {
             assert_eq!(out[idx].as_ref().unwrap().to_bits(), direct.to_bits());
@@ -880,7 +880,7 @@ mod tests {
     fn memo_lookup_counts_only_hits_and_refreshes_recency() {
         // Single shard of two: the recency refresh decides which entry the
         // third price evicts.
-        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 1) };
+        let pricer = BatchPricer { memo: ShardedMemo::new(2, 1) };
         let req = |steps| PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps);
         assert_eq!(pricer.memo_lookup(&req(100)), None);
         assert_eq!((pricer.memo_stats().hits, pricer.memo_stats().misses), (0, 0));
@@ -933,7 +933,7 @@ mod tests {
     fn lru_evicts_the_stalest_entry() {
         // Single shard: the test pins down *global* LRU ordering, which only
         // a one-shard memo guarantees (sharded eviction is per shard).
-        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 1) };
+        let pricer = BatchPricer { memo: ShardedMemo::new(2, 1) };
         let req = |steps| PricingRequest::american(ModelKind::Bopm, OptionType::Call, p(), steps);
         pricer.price_batch(&[req(100)]);
         pricer.price_batch(&[req(101)]);
@@ -977,9 +977,8 @@ mod tests {
             .collect();
         let invalid = OptionParams { spot: -1.0, ..p() };
         book.insert(5, PricingRequest::american(ModelKind::Bopm, OptionType::Call, invalid, 96));
-        let cfg = EngineConfig::default();
-        let single = BatchPricer { cfg, memo: ShardedMemo::new(512, 1) };
-        let sharded = BatchPricer { cfg, memo: ShardedMemo::new(512, 8) };
+        let single = BatchPricer { memo: ShardedMemo::new(512, 1) };
+        let sharded = BatchPricer { memo: ShardedMemo::new(512, 8) };
         assert_eq!(single.memo_stats().shards, 1);
         assert_eq!(sharded.memo_stats().shards, 8);
         assert_eq!(sharded.memo_stats().capacity, 512); // 8 * ceil(512/8)
@@ -1026,7 +1025,7 @@ mod tests {
 
     #[test]
     fn tiny_capacity_rounds_up_to_one_entry_per_shard() {
-        let pricer = BatchPricer { cfg: EngineConfig::default(), memo: ShardedMemo::new(2, 4) };
+        let pricer = BatchPricer { memo: ShardedMemo::new(2, 4) };
         let stats = pricer.memo_stats();
         assert_eq!((stats.capacity, stats.shards), (4, 4)); // 4 * ceil(2/4)
     }
@@ -1046,10 +1045,9 @@ mod tests {
     /// own.
     fn direct(req: &PricingRequest) -> f64 {
         fn on<const W: usize>(m: &Lattice<W>, req: &PricingRequest) -> f64 {
-            let cfg = EngineConfig::default();
             match (&req.style, req.option_type) {
-                (Style::American, OptionType::Call) => fast::price_american_call(m, &cfg),
-                (Style::American, OptionType::Put) => fast::price_american_put(m, &cfg),
+                (Style::American, OptionType::Call) => fast::price_american_call(m),
+                (Style::American, OptionType::Put) => fast::price_american_put(m),
                 (Style::European, opt) => european::price_european_fft(m, opt),
                 (Style::Bermudan(_), _) => {
                     unreachable!("the binomial Bermudan put is priced above")
@@ -1133,7 +1131,6 @@ mod tests {
         // boundary's band a deep pricing reads almost none of them.
         use crate::lattice::nodes::NODE_BLOCK;
         let both = OptionParams { rate: 0.05, dividend_yield: 0.02, ..p() };
-        let pricer = pricer();
         for model in [ModelKind::Bopm, ModelKind::Topm] {
             for steps in [63usize, 504, 4096] {
                 let (powers, nodes) = (KernelPowers::new(), NodeTables::new());
@@ -1141,7 +1138,7 @@ mod tests {
                     for opt in [OptionType::Put, OptionType::Call] {
                         let params = OptionParams { strike, ..both };
                         let req = PricingRequest::american(model, opt, params, steps);
-                        let got = pricer.route(&req, &[], &powers, &nodes).unwrap();
+                        let got = route(&req, &[], &powers, &nodes).unwrap();
                         assert_eq!(got.to_bits(), direct(&req).to_bits(), "{req:?}");
                     }
                 }

@@ -37,18 +37,17 @@
 //! use amopt_core::lattice::fast;
 //! use amopt_core::{EngineConfig, OptionParams};
 //!
-//! let cfg = EngineConfig::default();
 //! let base = OptionParams::paper_defaults();
 //! // Quote two strikes off a known 25%-vol market.
 //! let quotes: Vec<surface::VolQuote> = [120.0, 140.0]
 //!     .iter()
 //!     .map(|&strike| {
 //!         let p = OptionParams { strike, volatility: 0.25, ..base };
-//!         let market = fast::price_american_call(&BopmModel::new(p, 256).unwrap(), &cfg);
+//!         let market = fast::price_american_call(&BopmModel::new(p, 256).unwrap());
 //!         surface::VolQuote::new(p, 256, market)
 //!     })
 //!     .collect();
-//! let pricer = BatchPricer::new(cfg);
+//! let pricer = BatchPricer::new(EngineConfig::default());
 //! for vol in surface::implied_vol_surface(&pricer, &quotes) {
 //!     assert!((vol.unwrap() - 0.25).abs() < 1e-6);
 //! }
@@ -429,9 +428,8 @@ mod tests {
     }
 
     fn quote_at(params: OptionParams, true_vol: f64, steps: usize) -> VolQuote {
-        let cfg = EngineConfig::default();
         let priced = OptionParams { volatility: true_vol, ..params };
-        let market = fast::price_american_call(&BopmModel::new(priced, steps).unwrap(), &cfg);
+        let market = fast::price_american_call(&BopmModel::new(priced, steps).unwrap());
         VolQuote::new(params, steps, market)
     }
 
@@ -485,9 +483,8 @@ mod tests {
     }
 
     fn put_quote_at(params: OptionParams, true_vol: f64, steps: usize) -> VolQuote {
-        let cfg = EngineConfig::default();
         let priced = OptionParams { volatility: true_vol, ..params };
-        let market = fast::price_american_put(&BopmModel::new(priced, steps).unwrap(), &cfg);
+        let market = fast::price_american_put(&BopmModel::new(priced, steps).unwrap());
         VolQuote::put(params, steps, market)
     }
 

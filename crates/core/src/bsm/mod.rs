@@ -30,9 +30,10 @@ pub mod fast {
     use super::BsmModel;
     use crate::engine::EngineConfig;
 
-    /// [`crate::lattice::fast::price_american_put`] on the model's grid.
-    pub fn price_american_put(model: &BsmModel, cfg: &EngineConfig) -> f64 {
-        crate::lattice::fast::price_american_put(&model.0, cfg)
+    /// [`crate::lattice::fast::price_american_put`] on the model's grid.  The
+    /// [`EngineConfig`] is an empty marker, ignored.
+    pub fn price_american_put(model: &BsmModel, _: &EngineConfig) -> f64 {
+        crate::lattice::fast::price_american_put(&model.0)
     }
 }
 

@@ -51,14 +51,14 @@
 //! (`amopt_fft::convolve`).  The windows of a level correlate at nearly one
 //! size and height, so a pricing asks for a few dozen distinct multiplier
 //! tables over thousands of correlations; the `KernelPowers` that
-//! [`solve_to_root`] borrows from its caller — one pricing, or a batch group
+//! `solve_to_root` borrows from its caller — one pricing, or a batch group
 //! of contracts with the same kernel — evaluates each once.  (Halving a wide
 //! row as well walks it in hops of `H/4, H/8, …`, each a correlation over at
 //! least `d` cells: `Θ(H log³ H)`.)
 //! At equality the row halves: a window that took the whole hop would hand
 //! itself to its own recursion.
 //!
-//! **The base case.**  A window of height at most `base_cutoff` (8, the
+//! **The base case.**  A window of height at most `BASE_CUTOFF` (8, the
 //! paper's §5.1 optimum), and a row whose cone edge hugs its boundary, is
 //! stepped naively, all of its steps in one buffer checked out of the
 //! worker's `AdvanceScratch`: per step a downward scan locates the new
@@ -72,7 +72,7 @@
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
 
-use super::{kernel_scope, linear_cells, EngineConfig};
+use super::{kernel_scope, linear_cells, SEQUENTIAL_BELOW};
 use crate::error::{PricingError, Result};
 use amopt_fft::KernelPowers;
 use amopt_parallel::join;
@@ -99,12 +99,12 @@ pub struct GreenPrefixRow {
 impl GreenPrefixRow {
     /// True when every cone cell is green.
     #[inline]
-    pub fn is_all_green(&self) -> bool {
+    fn is_all_green(&self) -> bool {
         self.boundary >= self.hi
     }
 
     /// Internal consistency between segment extent, boundary and `hi`.
-    pub fn assert_consistent(&self) {
+    fn assert_consistent(&self) {
         debug_assert_eq!(self.reds.start, self.boundary + 1, "red segment must start after f");
         debug_assert!(
             self.reds.end() - 1 <= self.hi,
@@ -117,7 +117,7 @@ impl GreenPrefixRow {
 
     /// Row value at column `c ∈ [boundary', hi]` (green closed form at or
     /// below the boundary, stored red or implicit zero above it).
-    pub fn value_at<G: Fn(u64, i64) -> f64>(&self, green: &G, c: i64) -> f64 {
+    fn value_at<G: Fn(u64, i64) -> f64>(&self, green: &G, c: i64) -> f64 {
         if c <= self.boundary {
             green(self.t, c)
         } else if self.reds.contains(c) {
@@ -153,10 +153,10 @@ impl GreenPrefixRow {
 /// (`2j − i`, `f + σ'·h`, the mirror and the shear) stays far inside `i64`.
 /// The model constructors refuse a discretisation whose boundary estimate
 /// lies beyond it.
-pub const MAX_COLUMN: i64 = 1 << 52;
+const MAX_COLUMN: i64 = 1 << 52;
 
 /// `Ok` when an expiry boundary `offset` columns from the root column can be
-/// indexed ([`MAX_COLUMN`]); a typed error for one that cannot, or whose
+/// indexed (`MAX_COLUMN`); a typed error for one that cannot, or whose
 /// estimate is not a number at all.
 pub fn indexable_offset(offset: f64) -> Result<()> {
     if offset.abs() <= MAX_COLUMN as f64 {
@@ -186,7 +186,7 @@ pub fn last_green_from(start: i64, green: impl Fn(i64) -> bool) -> i64 {
 /// stops `2·MAX_COLUMN` out (a column beyond counts as false on the right
 /// and true on the left), so the search ends after at most some hundred
 /// evaluations whatever `holds` answers.
-pub fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
+fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
     const LIMIT: i64 = 2 * MAX_COLUMN;
     let start = start.clamp(-MAX_COLUMN, MAX_COLUMN);
     let (mut lo, mut hi); // invariant: holds(lo), !holds(hi)
@@ -219,7 +219,7 @@ pub fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
     lo
 }
 
-/// The base case: `h` naive steps of `row` (`h ≤ base_cutoff`, or a short
+/// The base case: `h` naive steps of `row` (`h` at most the cutoff, or a short
 /// chunk where the cone edge hugs the boundary) in one buffer checked out of
 /// the worker's [`AdvanceScratch`](amopt_stencil::AdvanceScratch) — the
 /// allocation is the output row's alone.
@@ -423,16 +423,18 @@ fn advance_certified(
 /// Work `O(n log n + h log² h)` for a row of `n` stored cells — `O(h log² h)`
 /// for a row that is its cone — and span `O(h)` (Theorems 2.8 / 4.4).  Every
 /// correlation reads its multipliers from `powers`, the kernel's tables.
+/// Heights at or below `base_cutoff` take the base case: the pricings pass
+/// [`BASE_CUTOFF`](super::BASE_CUTOFF), only tests another height.
 ///
 /// # Panics
 /// If the kernel anchor is non-zero or it has fewer than two taps.
-pub fn advance_green_prefix<G>(
+pub(crate) fn advance_green_prefix<G>(
     kernel: &StencilKernel,
     powers: &KernelPowers,
     green: &G,
     row: &GreenPrefixRow,
     h: u64,
-    cfg: &EngineConfig,
+    base_cutoff: u64,
 ) -> GreenPrefixRow
 where
     G: Fn(u64, i64) -> f64 + Sync,
@@ -468,7 +470,7 @@ where
         if f < 0 {
             return advance_all_red(kernel, powers, &cur, remaining);
         }
-        if remaining <= cfg.base_cutoff {
+        if remaining <= base_cutoff {
             return advance_naive(kernel, green, &cur, remaining);
         }
 
@@ -482,7 +484,7 @@ where
         };
         if h1 == 0 {
             // Cone edge hugs the boundary — advance a small chunk naively.
-            let steps = remaining.min(cfg.base_cutoff.max(1));
+            let steps = remaining.min(base_cutoff.max(1));
             cur = advance_naive(kernel, green, &cur, steps);
             remaining -= steps;
             continue;
@@ -492,12 +494,12 @@ where
         let hi_new = hi - span * h1 as i64;
         let sub_row =
             GreenPrefixRow { t: cur.t, boundary: f, hi: win_hi, reds: cur.extract_reds(win_hi) };
-        let parallel = remaining >= cfg.sequential_below;
+        let parallel = remaining >= SEQUENTIAL_BELOW;
         let bulk_task = || advance_certified(kernel, powers, &cur, h1, hi_new);
         let sub_task = || {
             // Inclusive timing: nested window recursions count in full.
             kernel_scope!(BoundaryWindow);
-            advance_green_prefix(kernel, powers, green, &sub_row, h1, cfg)
+            advance_green_prefix(kernel, powers, green, &sub_row, h1, base_cutoff)
         };
         // The window goes first: it is the long chain every later iteration
         // waits for, so the forking worker keeps it and lends out the bulk —
@@ -565,15 +567,16 @@ where
 /// The frontier stops early once green has absorbed the whole cone (it then
 /// reaches the apex).  Every advance reads its multipliers from `powers`,
 /// which the caller owns: a set of its own for one pricing, or one shared by
-/// the pricings of a batch group.
-pub fn solve_to_root<G>(
+/// the pricings of a batch group.  `base_cutoff` is
+/// [`advance_green_prefix`]'s.
+pub(crate) fn solve_to_root<G>(
     kernel: &StencilKernel,
     powers: &KernelPowers,
     green: &G,
     init: GreenPrefixRow,
     total_steps: u64,
     chunk: u64,
-    cfg: &EngineConfig,
+    base_cutoff: u64,
 ) -> (f64, Vec<(u64, i64)>)
 where
     G: Fn(u64, i64) -> f64 + Sync,
@@ -587,7 +590,7 @@ where
     let mut frontier = Vec::new();
     while cur.t < total_steps && !cur.is_all_green() {
         let h = chunk.max(1).min(total_steps - cur.t);
-        cur = advance_green_prefix(kernel, powers, green, &cur, h, cfg);
+        cur = advance_green_prefix(kernel, powers, green, &cur, h, base_cutoff);
         frontier.push((cur.t, cur.boundary));
     }
     let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
@@ -601,6 +604,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BASE_CUTOFF;
 
     /// One dense step to row `t1`: explicit max everywhere.  Returns the row
     /// and its last green column.
@@ -749,11 +753,12 @@ mod tests {
         }
     }
 
-    fn check_matches_dense(steps: u64, shape: Shape, strike_off: f64, cfg: &EngineConfig) {
+    fn check_matches_dense(steps: u64, shape: Shape, strike_off: f64, base_cutoff: u64) {
         let (kernel, green, init) = synthetic_problem(steps, shape, strike_off);
         let (want, _) = dense_solve(&kernel, &green, &init, steps);
         let row = start_row(shape, &kernel, &green, &init);
-        let (got, _) = solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, cfg);
+        let (got, _) =
+            solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, base_cutoff);
         assert!(
             (got - want).abs() < 1e-10 * want.abs().max(1.0),
             "steps={steps} {shape:?} off={strike_off}: fast {got} vs dense {want}"
@@ -762,35 +767,35 @@ mod tests {
 
     #[test]
     fn matches_dense_across_sizes() {
-        let cfg = EngineConfig::default();
         for steps in [1u64, 2, 3, 5, 8, 9, 16, 33, 100, 257, 1000, 1537, 2049] {
-            check_matches_dense(steps, Shape::Binomial, 0.5, &cfg);
+            check_matches_dense(steps, Shape::Binomial, 0.5, BASE_CUTOFF);
         }
         for steps in [1u64, 2, 3, 8, 21, 64, 200, 513, 1537, 2049] {
-            check_matches_dense(steps, Shape::Trinomial, 0.5, &cfg);
+            check_matches_dense(steps, Shape::Trinomial, 0.5, BASE_CUTOFF);
         }
         for steps in [1u64, 2, 5, 8, 9, 16, 33, 100, 257, 600, 1537, 2049] {
-            check_matches_dense(steps, Shape::ShearedBsm, -0.5, &cfg);
+            check_matches_dense(steps, Shape::ShearedBsm, -0.5, BASE_CUTOFF);
         }
     }
 
     #[test]
     fn matches_dense_across_moneyness() {
-        let cfg = EngineConfig::default();
         for off in [-40.0, -10.0, -1.0, 1.0, 10.0, 40.0] {
-            check_matches_dense(300, Shape::Binomial, off, &cfg);
-            check_matches_dense(150, Shape::Trinomial, off, &cfg);
-            check_matches_dense(300, Shape::ShearedBsm, off, &cfg);
+            check_matches_dense(300, Shape::Binomial, off, BASE_CUTOFF);
+            check_matches_dense(150, Shape::Trinomial, off, BASE_CUTOFF);
+            check_matches_dense(300, Shape::ShearedBsm, off, BASE_CUTOFF);
         }
     }
 
+    /// Every cutoff, not only [`BASE_CUTOFF`], prices like the dense
+    /// reference: a cutoff above 8 sends taller windows through the base
+    /// case, so this sweep is what checks the base case above height 8.
     #[test]
     fn different_base_cutoffs_agree() {
-        for cutoff in [1u64, 4, 8, 32, 100] {
-            let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
-            check_matches_dense(300, Shape::Binomial, 0.5, &cfg);
-            check_matches_dense(150, Shape::Trinomial, 0.5, &cfg);
-            check_matches_dense(200, Shape::ShearedBsm, -1.5, &cfg);
+        for cutoff in [1u64, 3, 4, 8, 16, 32, 64, 100, 256] {
+            check_matches_dense(300, Shape::Binomial, 0.5, cutoff);
+            check_matches_dense(150, Shape::Trinomial, 0.5, cutoff);
+            check_matches_dense(200, Shape::ShearedBsm, -1.5, cutoff);
         }
     }
 
@@ -806,7 +811,6 @@ mod tests {
             for w in dense_b.windows(2).filter(|w| w[1] >= 0) {
                 assert!(w[1] <= w[0] && w[1] >= w[0] - drift, "{shape:?} drift violated: {w:?}");
             }
-            let cfg = EngineConfig::default();
             // Frontier rows land mid-way, where the cone still holds the
             // boundary, and at the apex; the more rows, the shorter each
             // advance against the width of the row it starts from.
@@ -819,7 +823,7 @@ mod tests {
                     row,
                     steps,
                     steps / rows,
-                    &cfg,
+                    BASE_CUTOFF,
                 );
                 assert!(frontier.len() as u64 >= rows);
                 for (t, f) in frontier {
@@ -837,8 +841,7 @@ mod tests {
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
         let row = start_row(Shape::Binomial, &kernel, &green, &init);
         let powers = KernelPowers::new();
-        let cfg = EngineConfig::default();
-        let out = advance_green_prefix(&kernel, &powers, &green, &row, steps / 2, &cfg);
+        let out = advance_green_prefix(&kernel, &powers, &green, &row, steps / 2, BASE_CUTOFF);
         assert!(out.reds.len() > 100);
         for &v in &out.reds.values {
             assert!(v.is_finite() && v >= -1e-12 && v <= strike, "value {v} out of [0, K]");
@@ -853,9 +856,9 @@ mod tests {
             let (kernel, green, init) = synthetic_problem(steps, shape, 500.0);
             let row = start_row(shape, &kernel, &green, &init);
             assert!(row.is_all_green());
-            let cfg = EngineConfig::default();
+            let powers = KernelPowers::new();
             let (got, frontier) =
-                solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, &cfg);
+                solve_to_root(&kernel, &powers, &green, row, steps, steps, BASE_CUTOFF);
             assert_eq!(got, green(steps, 0));
             assert!(frontier.is_empty(), "green absorbed the cone before the first advance");
         }
@@ -870,9 +873,8 @@ mod tests {
             assert!(init.iter().all(|&v| v == 0.0));
             let row = start_row(shape, &kernel, &green, &init);
             assert_eq!(row.boundary, -1);
-            let cfg = EngineConfig::default();
-            let (got, _) =
-                solve_to_root(&kernel, &KernelPowers::new(), &green, row, steps, steps, &cfg);
+            let powers = KernelPowers::new();
+            let (got, _) = solve_to_root(&kernel, &powers, &green, row, steps, steps, BASE_CUTOFF);
             assert_eq!(got, 0.0);
         }
     }
@@ -920,12 +922,11 @@ mod tests {
             (Shape::ShearedBsm, 500, -0.5),
         ] {
             let (kernel, green, init) = synthetic_problem(steps, shape, off);
-            let cfg = EngineConfig::default();
             let row = start_row(shape, &kernel, &green, &init);
             // Stop where the row still has width to compare.
             let total = steps * 3 / 4 - row.t;
             let powers = KernelPowers::new();
-            let once = advance_green_prefix(&kernel, &powers, &green, &row, total, &cfg);
+            let once = advance_green_prefix(&kernel, &powers, &green, &row, total, BASE_CUTOFF);
             assert!(once.boundary >= 0 && once.reds.len() > 50, "{shape:?}: nothing to compare");
             let chunk_lists: [&[u64]; 4] =
                 [&[total], &[3, 8, 9, 41, 127, 1, 33], &[17], &[total / 2 + 1, 5, 64]];
@@ -934,7 +935,8 @@ mod tests {
                 let mut repeated = chunks.iter().cycle();
                 while chunked.t < once.t {
                     let h = repeated.next().map_or(1, |&h| h.min(once.t - chunked.t));
-                    chunked = advance_green_prefix(&kernel, &powers, &green, &chunked, h, &cfg);
+                    chunked =
+                        advance_green_prefix(&kernel, &powers, &green, &chunked, h, BASE_CUTOFF);
                 }
                 let ctx = format!("{shape:?} chunks {chunks:?}");
                 assert_eq!(chunked.t, once.t, "{ctx}");
@@ -1008,8 +1010,7 @@ mod tests {
             let (rows, dense_b) = dense_rows(&kernel, &green, &init, steps);
             let f = dense_b[t0 as usize - 1];
             assert!(f >= 0, "{shape:?}: boundary out of view at row {t0}");
-            for cutoff in [8u64, 3] {
-                let cfg = EngineConfig { base_cutoff: cutoff, ..EngineConfig::default() };
+            for cutoff in [BASE_CUTOFF, 3] {
                 for h in 9u64..=40 {
                     for extra in [0i64, 1] {
                         let hi = f + span * h as i64 + extra;
@@ -1022,7 +1023,7 @@ mod tests {
                             reds: Segment::new(f + 1, reds),
                         };
                         let powers = KernelPowers::new();
-                        let out = advance_green_prefix(&kernel, &powers, &green, &row, h, &cfg);
+                        let out = advance_green_prefix(&kernel, &powers, &green, &row, h, cutoff);
                         let ctx = format!("{shape:?} cutoff {cutoff} h {h} width σ'h + {extra}");
                         assert_eq!(out.t, t0 + h, "{ctx}");
                         assert_eq!(out.hi, f + extra, "{ctx}");

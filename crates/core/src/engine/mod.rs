@@ -114,34 +114,37 @@ pub(crate) fn with_powers<R>(f: impl FnOnce(&KernelPowers) -> R) -> R {
     out
 }
 
-/// Tuning knobs of the engine.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Trapezoid height at or below which the naive base case runs (the
-    /// paper found 8 empirically optimal; see §5.1): all of the window's
-    /// steps in one per-worker buffer, each a downward boundary scan and an
-    /// in-place sweep of the red cells, its obstacles read from the
-    /// pricing's node table rather than evaluated ([`left_cone`]'s module
-    /// docs).  A higher cutoff computes in the base case cells that
-    /// correlations compute at 8, so it moves the last bits of a price.
-    pub base_cutoff: u64,
-    /// Heights below this run without fork-join.  A fork costs about a
-    /// microsecond, so this does not price the fork: it bounds how small a
-    /// window is worth another worker's wake-up and cache misses.  Measured at
-    /// T = 65 536 on two cores with the whole-hop rule (`deep_lattice`, six
-    /// interleaved 10 s runs each), options per second at 128 / 256 / 512 /
-    /// 1 024 / 2 048 read 21.7 / 21.4 / 20.6 / 20.6 / 20.0 with single runs
-    /// 2–4 apart: flat.  512 stays because everything below it is more than
-    /// half of a pricing by now (the windows below this height are its
-    /// sequential chain, so two cores cannot gain much either way) and
-    /// because a lower value makes the T ≤ 504 pricings of a batch fork
-    /// inside a fan-out that already fills the pool.  With more cores the
-    /// lower end buys parallelism.
-    pub sequential_below: u64,
-}
+/// Trapezoid height at or below which the naive base case runs (the paper
+/// found 8 empirically optimal; see §5.1): all of the window's steps in one
+/// per-worker buffer, each a downward boundary scan and an in-place sweep of
+/// the red cells, its obstacles read from the pricing's node table rather
+/// than evaluated ([`left_cone`]'s module docs).  A higher cutoff computes
+/// in the base case cells that correlations compute at 8, so it moves the
+/// last bits of a price.
+pub(crate) const BASE_CUTOFF: u64 = 8;
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { base_cutoff: 8, sequential_below: 512 }
-    }
-}
+/// Heights below this run without fork-join.  A fork costs about a
+/// microsecond, so this does not price the fork: it bounds how small a
+/// window is worth another worker's wake-up and cache misses.  Measured at
+/// T = 65 536 on two cores with the whole-hop rule (`deep_lattice`, six
+/// interleaved 10 s runs each), options per second at 128 / 256 / 512 /
+/// 1 024 / 2 048 read 21.7 / 21.4 / 20.6 / 20.6 / 20.0 with single runs
+/// 2–4 apart: flat.  512 stays because everything below it is more than
+/// half of a pricing by now (the windows below this height are its
+/// sequential chain, so two cores cannot gain much either way) and because
+/// a lower value makes the T ≤ 504 pricings of a batch fork inside a
+/// fan-out that already fills the pool.  With more cores the lower end buys
+/// parallelism.  It decides only where the engine forks, never a bit.
+pub(crate) const SEQUENTIAL_BELOW: u64 = 512;
+
+/// An empty marker, kept only because the benchmark harness (`perf/`) still
+/// names it: it passes one to `BatchPricer::new` / `with_memo_capacity`, the
+/// `bopm` / `topm` / `bsm` `fast` forwards and
+/// `implied_vol::american_call_bopm`, each of which ignores it.  The engine
+/// has no knobs; its cutoffs are constants, so there is no field to set:
+///
+/// ```compile_fail
+/// let _ = amopt_core::EngineConfig { base_cutoff: 32, ..Default::default() };
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineConfig {}

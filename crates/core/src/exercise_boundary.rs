@@ -24,7 +24,6 @@
 //! `K·e^{ln(S/K) + (j−i)·Δs}`.
 
 use crate::bsm::BsmModel;
-use crate::engine::EngineConfig;
 use crate::lattice::{fast, Lattice};
 
 /// One sample of the early-exercise frontier.
@@ -44,10 +43,9 @@ pub struct BoundaryPoint {
 /// off the mirrored put (module docs) in one `O(T log² T)` pricing pass.
 pub fn lattice_call_boundary<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     samples: usize,
 ) -> Vec<BoundaryPoint> {
-    let (_, raw) = fast::price_with_boundary_samples(model, cfg, samples);
+    let (_, raw) = fast::price_with_boundary_samples(model, samples);
     // First green column is j+1; a boundary at the row width W·i means the
     // whole row continues (no exercise region).
     points(raw, model.steps(), model.params().expiry, |i, j| {
@@ -59,10 +57,9 @@ pub fn lattice_call_boundary<const W: usize>(
 /// the engine's boundary tracking (one fast pricing pass).
 pub fn lattice_put_boundary<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     samples: usize,
 ) -> Vec<BoundaryPoint> {
-    let (_, raw) = fast::price_put_with_boundary_samples(model, cfg, samples);
+    let (_, raw) = fast::price_put_with_boundary_samples(model, samples);
     // Last green column is f (clamped to the row: a boundary at or past the
     // row width W·i means the whole row exercises); f < 0 means no exercise
     // region in the row.
@@ -73,12 +70,8 @@ pub fn lattice_put_boundary<const W: usize>(
 
 /// Early-exercise frontier of an American **put** under the BSM explicit FD
 /// scheme: [`lattice_put_boundary`] on its grid.
-pub fn bsm_put_boundary(
-    model: &BsmModel,
-    cfg: &EngineConfig,
-    samples: usize,
-) -> Vec<BoundaryPoint> {
-    lattice_put_boundary(&model.0, cfg, samples)
+pub fn bsm_put_boundary(model: &BsmModel, samples: usize) -> Vec<BoundaryPoint> {
+    lattice_put_boundary(&model.0, samples)
 }
 
 /// Market-time samples `(i, column)` of a `T`-step grid as frontier points,
@@ -109,7 +102,7 @@ mod tests {
         // trinomial frontier to within its quantisation).
         fn check<const W: usize>(steps: usize, slack: f64) {
             let m = Lattice::<W>::new(OptionParams::paper_defaults(), steps).unwrap();
-            let pts = lattice_call_boundary(&m, &EngineConfig::default(), 16);
+            let pts = lattice_call_boundary(&m, 16);
             let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
             assert!(prices.len() > 4, "W={W}: expected a visible exercise region");
             for price in prices {
@@ -124,7 +117,7 @@ mod tests {
     fn put_boundary_sits_below_strike_and_decreases_with_tau() {
         let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
         let m = BsmModel::new(p, 2048).unwrap();
-        let pts = bsm_put_boundary(&m, &EngineConfig::default(), 32);
+        let pts = bsm_put_boundary(&m, 32);
         // Points come expiry-first; Thm 4.2: the critical price decreases as
         // time-to-expiry grows, and always sits below the strike.
         let prices: Vec<f64> = pts.iter().filter_map(|p| p.critical_price).collect();
@@ -141,7 +134,7 @@ mod tests {
     fn lattice_put_boundary_sits_below_strike_and_decreases_with_tau() {
         fn check<const W: usize>() {
             let m = Lattice::<W>::new(OptionParams::paper_defaults(), 2048).unwrap();
-            let pts = lattice_put_boundary(&m, &EngineConfig::default(), 32);
+            let pts = lattice_put_boundary(&m, 32);
             // Samples come expiry-first; the critical price decreases as
             // time-to-expiry grows (the put mirror of Thm 4.2) and sits at
             // or below the strike.

@@ -113,12 +113,11 @@ mod tests {
         // be the documented forward difference, not a half-width central
         // difference built from a silently clamped rate.
         let p = OptionParams { rate: 0.0, dividend_yield: 0.0, ..OptionParams::paper_defaults() };
-        let cfg = EngineConfig::default();
         let g = american(ModelKind::Bsm, OptionType::Put, p, 800).unwrap();
         assert!(g.rho.is_finite());
         let price = |rate: f64| {
             let m = Lattice::explicit_fd(OptionParams { rate, ..p }, 800).unwrap();
-            fast::price_american_put(&m, &cfg)
+            fast::price_american_put(&m)
         };
         let want = (price(BUMP_RATE) - price(0.0)) / BUMP_RATE;
         assert!((g.rho - want).abs() < 1e-12, "rho {} vs forward diff {}", g.rho, want);
@@ -132,11 +131,10 @@ mod tests {
     #[test]
     fn rho_above_the_bump_is_a_central_difference() {
         let p = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
-        let cfg = EngineConfig::default();
         let g = american(ModelKind::Bsm, OptionType::Put, p, 800).unwrap();
         let price = |rate: f64| {
             let m = Lattice::explicit_fd(OptionParams { rate, ..p }, 800).unwrap();
-            fast::price_american_put(&m, &cfg)
+            fast::price_american_put(&m)
         };
         let want = (price(p.rate + BUMP_RATE) - price(p.rate - BUMP_RATE)) / (2.0 * BUMP_RATE);
         assert!((g.rho - want).abs() < 1e-12, "rho {} vs central diff {}", g.rho, want);

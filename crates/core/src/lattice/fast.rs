@@ -54,7 +54,7 @@
 use super::nodes::NodeTable;
 use super::{european, Lattice};
 use crate::engine::left_cone::{self, GreenPrefixRow};
-use crate::engine::{with_powers, EngineConfig};
+use crate::engine::{with_powers, BASE_CUTOFF};
 use crate::params::OptionType;
 use amopt_fft::KernelPowers;
 use amopt_stencil::Segment;
@@ -70,10 +70,9 @@ use amopt_stencil::Segment;
 /// whole cone exercises.
 pub fn price_put_with_boundary_samples<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    with_powers(|powers| put_samples(model, cfg, rows, powers, &model.node_table()))
+    with_powers(|powers| put_samples(model, rows, powers, &model.node_table()))
 }
 
 /// [`price_put_with_boundary_samples`] with its multiplier tables read from
@@ -81,7 +80,6 @@ pub fn price_put_with_boundary_samples<const W: usize>(
 /// caller's node table `nodes` ([`super::nodes`]), which must be `model`'s.
 pub(crate) fn put_samples<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     rows: usize,
     powers: &KernelPowers,
     nodes: &NodeTable,
@@ -114,15 +112,15 @@ pub(crate) fn put_samples<const W: usize>(
     };
     let chunk = (t / rows.max(1)) as u64;
     let (root, frontier) =
-        left_cone::solve_to_root(&kernel, powers, &green, row, t as u64, chunk, cfg);
+        left_cone::solve_to_root(&kernel, powers, &green, row, t as u64, chunk, BASE_CUTOFF);
     samples.extend(frontier.into_iter().map(|(n, f)| (t - n as usize, f)));
     (model.units.scale * root, samples)
 }
 
 /// American put price via the FFT trapezoid decomposition — `O(T log² T)`
 /// work and `O(T)` span.
-pub fn price_american_put<const W: usize>(model: &Lattice<W>, cfg: &EngineConfig) -> f64 {
-    price_put_with_boundary_samples(model, cfg, 1).0
+pub fn price_american_put<const W: usize>(model: &Lattice<W>) -> f64 {
+    price_put_with_boundary_samples(model, 1).0
 }
 
 /// American call price plus the early-exercise boundary sampled at `rows`
@@ -135,10 +133,9 @@ pub fn price_american_put<const W: usize>(model: &Lattice<W>, cfg: &EngineConfig
 /// continues.
 pub fn price_with_boundary_samples<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     rows: usize,
 ) -> (f64, Vec<(usize, i64)>) {
-    with_powers(|powers| call_samples(model, cfg, rows, powers, &model.node_table()))
+    with_powers(|powers| call_samples(model, rows, powers, &model.node_table()))
 }
 
 /// [`price_with_boundary_samples`] with its multiplier tables read from
@@ -147,7 +144,6 @@ pub fn price_with_boundary_samples<const W: usize>(
 /// keeps `ln u` and `T`, and a tree's table has no spot.
 pub(crate) fn call_samples<const W: usize>(
     model: &Lattice<W>,
-    cfg: &EngineConfig,
     rows: usize,
     powers: &KernelPowers,
     nodes: &NodeTable,
@@ -161,7 +157,7 @@ pub(crate) fn call_samples<const W: usize>(
     if model.params().dividend_yield == 0.0 {
         return (european::price_with(model, OptionType::Call, powers), vec![expiry]);
     }
-    let (price, mut samples) = put_samples(&model.mirrored(), cfg, rows, powers, nodes);
+    let (price, mut samples) = put_samples(&model.mirrored(), rows, powers, nodes);
     for (i, col) in &mut samples {
         let width = W as i64 * *i as i64;
         *col = (width - *col - 1).clamp(-1, width);
@@ -172,8 +168,8 @@ pub(crate) fn call_samples<const W: usize>(
 
 /// American call price via the FFT trapezoid decomposition
 /// (`fft-bopm` / `fft-topm` in the paper's plots).
-pub fn price_american_call<const W: usize>(model: &Lattice<W>, cfg: &EngineConfig) -> f64 {
-    price_with_boundary_samples(model, cfg, 1).0
+pub fn price_american_call<const W: usize>(model: &Lattice<W>) -> f64 {
+    price_with_boundary_samples(model, 1).0
 }
 
 #[cfg(test)]
@@ -186,8 +182,8 @@ mod tests {
     fn check_matches_naive<const W: usize>(opt: OptionType, m: &Lattice<W>, tol: f64) {
         let want = naive::price(m, opt, ExerciseStyle::American, ExecMode::Serial);
         let got = match opt {
-            OptionType::Call => price_american_call(m, &EngineConfig::default()),
-            OptionType::Put => price_american_put(m, &EngineConfig::default()),
+            OptionType::Call => price_american_call(m),
+            OptionType::Put => price_american_put(m),
         };
         assert!(
             (got - want).abs() <= tol * want.abs().max(1.0),
@@ -325,7 +321,7 @@ mod tests {
             let p = OptionParams { spot, strike, rate, ..OptionParams::paper_defaults() };
             assert_matches_naive::<W>(OptionType::Put, p, steps, 1e-9);
             let m = Lattice::<W>::new(p, steps).unwrap();
-            let got = price_american_put(&m, &EngineConfig::default());
+            let got = price_american_put(&m);
             assert_eq!(got, m.exercise_put(0, 0), "W={W}: deep ITM put must exercise at once");
         }
         check::<1>(1.0, 10_000.0, 0.3, 64);
@@ -338,7 +334,7 @@ mod tests {
         let p = OptionParams { spot: 1.0, strike: 1000.0, ..OptionParams::paper_defaults() };
         let m = Lattice::<1>::new(p, 400).unwrap();
         let want = naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_call(&m, &EngineConfig::default());
+        let got = price_american_call(&m);
         // Every leaf is out of the money, so the nest prices exactly 0; the
         // mirrored put's payoff row is identically zero and so is its root
         // (a premium-space engine recovered ±1e-11 here, as K − K).
@@ -351,7 +347,7 @@ mod tests {
         let p = OptionParams { spot: 1000.0, strike: 1.0, ..OptionParams::paper_defaults() };
         let m = Lattice::<1>::new(p, 400).unwrap();
         let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
-        let got = price_american_put(&m, &EngineConfig::default());
+        let got = price_american_put(&m);
         // Absolute accuracy at the FFT's ε·K scale, like the deep-OTM call.
         assert!((got - want).abs() < 1e-12 * p.strike, "fft {got} vs naive {want}");
         // On the FD grid no leaf in reach is in the money at all.
@@ -364,10 +360,9 @@ mod tests {
     /// is bitwise the European FFT pass.
     fn shortcut_is_the_european_fft<const W: usize>(opt: OptionType, m: Lattice<W>) {
         check_matches_naive(opt, &m, 1e-9);
-        let cfg = EngineConfig::default();
         let am = match opt {
-            OptionType::Call => price_american_call(&m, &cfg),
-            OptionType::Put => price_american_put(&m, &cfg),
+            OptionType::Call => price_american_call(&m),
+            OptionType::Put => price_american_put(&m),
         };
         assert_eq!(am, european::price_european_fft(&m, opt), "W={W} {opt:?}");
     }
@@ -411,16 +406,15 @@ mod tests {
         // the sampling wrappers must return exactly the plain price and the
         // lone expiry sample.
         fn check<const W: usize>() {
-            let cfg = EngineConfig::default();
             let y0 = OptionParams { dividend_yield: 0.0, ..OptionParams::paper_defaults() };
             let m = Lattice::<W>::new(y0, 300).unwrap();
-            let (p, s) = price_with_boundary_samples(&m, &cfg, 8);
-            assert_eq!(p.to_bits(), price_american_call(&m, &cfg).to_bits());
+            let (p, s) = price_with_boundary_samples(&m, 8);
+            assert_eq!(p.to_bits(), price_american_call(&m).to_bits());
             assert_eq!(s.len(), 1);
             let r0 = OptionParams { rate: 0.0, ..OptionParams::paper_defaults() };
             let m = Lattice::<W>::new(r0, 300).unwrap();
-            let (p, s) = price_put_with_boundary_samples(&m, &cfg, 8);
-            assert_eq!(p.to_bits(), price_american_put(&m, &cfg).to_bits());
+            let (p, s) = price_put_with_boundary_samples(&m, 8);
+            assert_eq!(p.to_bits(), price_american_put(&m).to_bits());
             assert_eq!(s.len(), 1);
         }
         check::<1>();
@@ -438,7 +432,7 @@ mod tests {
             ..OptionParams::paper_defaults()
         };
         let m = Lattice::<1>::new(p, 256).unwrap();
-        let (_, samples) = price_with_boundary_samples(&m, &EngineConfig::default(), 16);
+        let (_, samples) = price_with_boundary_samples(&m, 16);
         let (expiry, first_step) = (samples[0], samples[1]);
         assert_eq!((expiry.0, first_step.0), (256, 255));
         assert!(first_step.1 > expiry.1, "expected a rightward jump: {first_step:?} vs {expiry:?}");
@@ -456,7 +450,7 @@ mod tests {
         fn check<const W: usize>(p: OptionParams) {
             let m = Lattice::<W>::new(p, 512).unwrap();
             let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Call);
-            let (price, samples) = price_with_boundary_samples(&m, &EngineConfig::default(), 16);
+            let (price, samples) = price_with_boundary_samples(&m, 16);
             let want =
                 naive::price(&m, OptionType::Call, ExerciseStyle::American, ExecMode::Serial);
             assert!((price - want).abs() < 1e-9 * want.max(1.0));
@@ -484,8 +478,7 @@ mod tests {
     fn put_boundary_samples_match_dense_tracking() {
         fn check<const W: usize>(m: Lattice<W>) {
             let (_, dense) = naive::price_american_with_boundary(&m, OptionType::Put);
-            let (price, samples) =
-                price_put_with_boundary_samples(&m, &EngineConfig::default(), 16);
+            let (price, samples) = price_put_with_boundary_samples(&m, 16);
             let want = naive::price(&m, OptionType::Put, ExerciseStyle::American, ExecMode::Serial);
             assert!((price - want).abs() < 1e-9 * want.max(1.0));
             assert!(samples.len() > 10, "expected a sampled frontier");
@@ -532,12 +525,11 @@ mod tests {
         // Both lattices approximate the same continuous model; at moderate T
         // their American prices agree to discretisation error.
         let p = OptionParams::paper_defaults();
-        let cfg = EngineConfig::default();
         let tri = Lattice::<2>::new(p, 2000).unwrap();
         let bin = Lattice::<1>::new(p, 2000).unwrap();
-        let (v_tri, v_bin) = (price_american_call(&tri, &cfg), price_american_call(&bin, &cfg));
+        let (v_tri, v_bin) = (price_american_call(&tri), price_american_call(&bin));
         assert!((v_tri - v_bin).abs() < 5e-3 * v_bin, "call: tri {v_tri} vs bin {v_bin}");
-        let (v_tri, v_bin) = (price_american_put(&tri, &cfg), price_american_put(&bin, &cfg));
+        let (v_tri, v_bin) = (price_american_put(&tri), price_american_put(&bin));
         assert!((v_tri - v_bin).abs() < 5e-3 * v_bin.max(1.0), "put: tri {v_tri} vs bin {v_bin}");
     }
 }

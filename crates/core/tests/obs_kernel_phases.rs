@@ -4,8 +4,9 @@
 #![cfg(feature = "obs")]
 
 use amopt_core::batch::{BatchPricer, ModelKind, PricingRequest};
-use amopt_core::bopm::{self, BopmModel};
-use amopt_core::topm::{self, TopmModel};
+use amopt_core::bopm::BopmModel;
+use amopt_core::lattice::fast;
+use amopt_core::topm::TopmModel;
 use amopt_core::{EngineConfig, OptionParams, OptionType};
 use amopt_obs::kernel::{self, KernelPhase, KERNEL_PHASES};
 use std::sync::{Mutex, MutexGuard};
@@ -21,8 +22,7 @@ fn pricing_drives_all_three_phase_timers() {
     let _turn = counters();
     kernel::reset();
     let model = BopmModel::new(OptionParams::paper_defaults(), 4096).unwrap();
-    let cfg = EngineConfig::default();
-    let price = bopm::fast::price_american_call(&model, &cfg);
+    let price = fast::price_american_call(&model);
     assert!(price.is_finite() && price > 0.0);
 
     let snap = kernel::snapshot();
@@ -54,14 +54,10 @@ fn pricing_drives_all_three_phase_timers() {
 #[test]
 fn multiplier_tables_grow_like_log_t_while_correlations_double() {
     let _turn = counters();
-    let cfg = EngineConfig::default();
     let params = OptionParams::paper_defaults();
-    let bopm_put = |steps: usize| {
-        bopm::fast::price_american_put(&BopmModel::new(params, steps).unwrap(), &cfg)
-    };
-    let topm_call = |steps: usize| {
-        topm::fast::price_american_call(&TopmModel::new(params, steps).unwrap(), &cfg)
-    };
+    let bopm_put = |steps: usize| fast::price_american_put(&BopmModel::new(params, steps).unwrap());
+    let topm_call =
+        |steps: usize| fast::price_american_call(&TopmModel::new(params, steps).unwrap());
     let routes: [(&str, &dyn Fn(usize) -> f64); 2] =
         [("bopm_put", &bopm_put), ("topm_call", &topm_call)];
     for (route, price) in routes {
@@ -96,7 +92,6 @@ fn multiplier_tables_grow_like_log_t_while_correlations_double() {
 #[test]
 fn one_expirys_puts_share_their_tables_in_a_batch() {
     let _turn = counters();
-    let cfg = EngineConfig::default();
     let puts: Vec<PricingRequest> = [120.0, 125.0, 130.0, 135.0]
         .into_iter()
         .map(|strike| OptionParams { strike, ..OptionParams::paper_defaults() })
@@ -110,11 +105,11 @@ fn one_expirys_puts_share_their_tables_in_a_batch() {
     let alone = tables(&|| {
         for put in &puts {
             let model = BopmModel::new(put.params, put.steps).unwrap();
-            assert!(bopm::fast::price_american_put(&model, &cfg) > 0.0);
+            assert!(fast::price_american_put(&model) > 0.0);
         }
     });
     let together = tables(&|| {
-        let prices = BatchPricer::with_memo_capacity(cfg, 0).price_batch(&puts);
+        let prices = BatchPricer::with_memo_capacity(EngineConfig::default(), 0).price_batch(&puts);
         assert!(prices.iter().all(|price| *price.as_ref().unwrap() > 0.0));
     });
     println!("four puts at T = 252: {alone} tables one by one, {together} as one batch");
@@ -137,14 +132,10 @@ fn one_expirys_puts_share_their_tables_in_a_batch() {
 #[test]
 fn linear_advance_cells_per_step_grow_by_a_constant_per_level() {
     let _turn = counters();
-    let cfg = EngineConfig::default();
     let params = OptionParams::paper_defaults();
-    let bopm_put = |steps: usize| {
-        bopm::fast::price_american_put(&BopmModel::new(params, steps).unwrap(), &cfg)
-    };
-    let topm_call = |steps: usize| {
-        topm::fast::price_american_call(&TopmModel::new(params, steps).unwrap(), &cfg)
-    };
+    let bopm_put = |steps: usize| fast::price_american_put(&BopmModel::new(params, steps).unwrap());
+    let topm_call =
+        |steps: usize| fast::price_american_call(&TopmModel::new(params, steps).unwrap());
     let routes: [(&str, &dyn Fn(usize) -> f64); 2] =
         [("bopm_put", &bopm_put), ("topm_call", &topm_call)];
     for (route, price) in routes {

@@ -116,6 +116,7 @@ impl EdfQueue {
     ) -> Result<(), ServiceError> {
         // amopt-lint: hot-path
         {
+            // amopt-lint: allow(hot-path-lock) -- the queue's one lock, once per admitted request, not per advance
             let mut state = lock_unpoisoned(&self.state);
             if state.shutdown {
                 drop(state);

@@ -569,6 +569,7 @@ impl Ticket {
     /// ever parking its event loop.
     pub(crate) fn try_take(&self) -> Option<ServiceResult> {
         // amopt-lint: hot-path
+        // amopt-lint: allow(hot-path-lock) -- this ticket's own slot, shared only with the one worker that completes it
         let result = lock_unpoisoned(&self.slot.inner).done.take()?;
         if let Some((trace, obs)) = &self.delivery {
             obs.deliver(trace, result.is_err());
@@ -580,6 +581,7 @@ impl Ticket {
     /// submit starts out so, and needs no completion callback.
     pub(crate) fn is_resolved(&self) -> bool {
         // amopt-lint: hot-path
+        // amopt-lint: allow(hot-path-lock) -- this ticket's own slot, shared only with the one worker that completes it
         lock_unpoisoned(&self.slot.inner).done.is_some()
     }
 

@@ -11,7 +11,6 @@ use american_option_pricing::prelude::exercise_boundary::*;
 use american_option_pricing::prelude::*;
 
 fn main() {
-    let cfg = EngineConfig::default();
     let base = OptionParams::paper_defaults();
     let zero_div = OptionParams { dividend_yield: 0.0, ..base };
     let (steps, samples) = (8192, 16);
@@ -22,15 +21,15 @@ fn main() {
     let frontiers = [
         (
             "American put, BSM grid (exercise when the asset falls below)",
-            bsm_put_boundary(&bsm, &cfg, samples),
+            bsm_put_boundary(&bsm, samples),
         ),
         (
             "American call, binomial lattice (exercise when the asset rises above)",
-            lattice_call_boundary(&bopm, &cfg, samples),
+            lattice_call_boundary(&bopm, samples),
         ),
-        ("American put, binomial lattice", lattice_put_boundary(&bopm, &cfg, samples)),
-        ("American call, trinomial lattice", lattice_call_boundary(&topm, &cfg, samples)),
-        ("American put, trinomial lattice", lattice_put_boundary(&topm, &cfg, samples)),
+        ("American put, binomial lattice", lattice_put_boundary(&bopm, samples)),
+        ("American call, trinomial lattice", lattice_call_boundary(&topm, samples)),
+        ("American put, trinomial lattice", lattice_put_boundary(&topm, samples)),
     ];
     for (title, frontier) in frontiers {
         println!("{title} — K = {}:", base.strike);

@@ -79,7 +79,6 @@ fn main() {
                 let params = OptionParams { strike: k, expiry: e, volatility: 0.22, ..base };
                 let market = lattice_fast::price_american_call(
                     &BopmModel::new(params, 512).expect("grid params are valid"),
-                    &EngineConfig::default(),
                 );
                 VolQuote::new(OptionParams { volatility: 0.2, ..params }, 512, market)
             })
@@ -92,7 +91,6 @@ fn main() {
     for (q, v) in quotes.iter().zip(&recovered) {
         let reprice = lattice_fast::price_american_call(
             &BopmModel::new(OptionParams { volatility: *v, ..q.params }, q.steps).unwrap(),
-            &EngineConfig::default(),
         );
         assert!((reprice - q.market_price).abs() < 1e-9, "vol {v} misses quote");
     }

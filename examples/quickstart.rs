@@ -12,9 +12,8 @@ fn main() {
     let params = OptionParams::paper_defaults();
     let steps = 16_384;
     let model = BopmModel::new(params, steps).expect("valid lattice");
-    let cfg = EngineConfig::default();
 
-    let fast = lattice_fast::price_american_call(&model, &cfg);
+    let fast = lattice_fast::price_american_call(&model);
     let naive = lattice_naive::price(
         &model,
         OptionType::Call,

@@ -30,7 +30,7 @@
 //!
 //! let params = OptionParams::paper_defaults();
 //! let model = BopmModel::new(params, 1024).unwrap();
-//! let price = lattice_fast::price_american_call(&model, &EngineConfig::default());
+//! let price = lattice_fast::price_american_call(&model);
 //! assert!((price - 8.32).abs() < 0.05);
 //! ```
 //!

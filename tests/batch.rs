@@ -53,10 +53,9 @@ fn arb_request() -> impl Strategy<Value = PricingRequest> {
 /// way a pre-batch caller would.
 fn direct_price(req: &PricingRequest) -> Result<f64, PricingError> {
     fn on_lattice<const W: usize>(m: Lattice<W>, req: &PricingRequest) -> f64 {
-        let cfg = EngineConfig::default();
         match (req.option_type, &req.style) {
-            (OptionType::Call, Style::American) => lattice_fast::price_american_call(&m, &cfg),
-            (OptionType::Put, Style::American) => lattice_fast::price_american_put(&m, &cfg),
+            (OptionType::Call, Style::American) => lattice_fast::price_american_call(&m),
+            (OptionType::Put, Style::American) => lattice_fast::price_american_put(&m),
             (opt, Style::European) => amopt_core::lattice::european::price_european_fft(&m, opt),
             other => panic!("strategy generated an unroutable lattice request: {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! "Prices did not move" as a test, not a tolerance: the fast routes' prices
 //! are pinned bit for bit, and no pool width changes one of those bits.
 //!
-//! The join tree of a pricing is fixed by sizes (`EngineConfig`, the FFT's
+//! The join tree of a pricing is fixed by sizes (the engine's and the FFT's
 //! fork thresholds); the scheduler only decides which worker runs a node.
 //! The constants below are the `f64::to_bits` of what that tree computes on
 //! the paper's parameter set.  A change that moves one of them changed
@@ -48,7 +48,7 @@ use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
 
 /// T = 16 384 is above the FFT's fork threshold (a 16 385-cell row travels
-/// as a 16 384-point transform) and every `sequential_below`, so each
+/// as a 16 384-point transform) and above `SEQUENTIAL_BELOW`, so each
 /// pricing forks in the engine, the butterfly passes and the pointwise pass.
 const DEEP_STEPS: usize = 16_384;
 const PAPER_STEPS: usize = 4_096;

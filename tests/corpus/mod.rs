@@ -213,17 +213,18 @@ pub fn builds(kind: Kind, c: &Case) -> bool {
 
 /// The fast American route of `kind` (the FD grid's: the put).
 pub fn fast(kind: Kind, p: OptionParams, steps: usize) -> Price {
-    fn on<const W: usize>(m: Lattice<W>, ty: OptionType, cfg: &EngineConfig) -> f64 {
+    fn on<const W: usize>(m: Lattice<W>, ty: OptionType) -> f64 {
         match ty {
-            OptionType::Call => lattice_fast::price_american_call(&m, cfg),
-            OptionType::Put => lattice_fast::price_american_put(&m, cfg),
+            OptionType::Call => lattice_fast::price_american_call(&m),
+            OptionType::Put => lattice_fast::price_american_put(&m),
         }
     }
-    let cfg = EngineConfig::default();
     Ok(match kind.0 {
-        ModelKind::Bopm => on(BopmModel::new(p, steps)?, kind.1, &cfg),
-        ModelKind::Topm => on(TopmModel::new(p, steps)?, kind.1, &cfg),
-        ModelKind::Bsm => bsm::fast::price_american_put(&BsmModel::new(p, steps)?, &cfg),
+        ModelKind::Bopm => on(BopmModel::new(p, steps)?, kind.1),
+        ModelKind::Topm => on(TopmModel::new(p, steps)?, kind.1),
+        ModelKind::Bsm => {
+            bsm::fast::price_american_put(&BsmModel::new(p, steps)?, &EngineConfig::default())
+        }
     })
 }
 
@@ -244,21 +245,17 @@ pub fn batch_one(req: &PricingRequest) -> Price {
 
 /// The exercise-boundary extractor of `kind`, `rows` samples asked for.
 pub fn frontier(kind: Kind, c: &Case, rows: usize) -> Result<Vec<BoundaryPoint>, PricingError> {
-    let cfg = EngineConfig::default();
     Ok(match kind.0 {
         ModelKind::Bopm => extract(&BopmModel::new(c.p, c.steps)?, kind.1, rows),
         ModelKind::Topm => extract(&TopmModel::new(c.p, c.steps)?, kind.1, rows),
-        ModelKind::Bsm => {
-            exercise_boundary::bsm_put_boundary(&BsmModel::new(c.p, c.steps)?, &cfg, rows)
-        }
+        ModelKind::Bsm => exercise_boundary::bsm_put_boundary(&BsmModel::new(c.p, c.steps)?, rows),
     })
 }
 
 fn extract<const W: usize>(m: &Lattice<W>, ty: OptionType, rows: usize) -> Vec<BoundaryPoint> {
-    let cfg = EngineConfig::default();
     match ty {
-        OptionType::Call => exercise_boundary::lattice_call_boundary(m, &cfg, rows),
-        OptionType::Put => exercise_boundary::lattice_put_boundary(m, &cfg, rows),
+        OptionType::Call => exercise_boundary::lattice_call_boundary(m, rows),
+        OptionType::Put => exercise_boundary::lattice_put_boundary(m, rows),
     }
 }
 

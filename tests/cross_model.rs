@@ -65,19 +65,6 @@ fn price_is_monotone_in_contract_parameters() {
     }
 }
 
-/// A cutoff above 8 moves the last bits of a price (`EngineConfig`), so this
-/// is a tolerance, not a bitwise claim.
-#[test]
-fn base_cutoffs_1_to_256_agree_within_tolerance() {
-    let p = OptionParams::paper_defaults();
-    let (m, reference) = (BopmModel::new(p, 2000).unwrap(), fast(BOPM_CALL, p, 2000).unwrap());
-    for base_cutoff in [1u64, 3, 16, 64, 256] {
-        let cfg = EngineConfig { base_cutoff, ..EngineConfig::default() };
-        let v = lattice_fast::price_american_call(&m, &cfg);
-        assert!((v - reference).abs() < 1e-9 * reference, "cutoff={base_cutoff}: {v}");
-    }
-}
-
 #[test]
 fn greeks_and_implied_vol_roundtrip_through_the_fast_pricer() {
     let (cfg, p) = (EngineConfig::default(), OptionParams::paper_defaults());

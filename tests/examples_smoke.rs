@@ -12,9 +12,8 @@ fn quickstart_code_path_agrees_across_pricers() {
     let params = OptionParams::paper_defaults();
     let steps = 2048;
     let model = BopmModel::new(params, steps).expect("valid lattice");
-    let cfg = EngineConfig::default();
 
-    let fast = lattice_fast::price_american_call(&model, &cfg);
+    let fast = lattice_fast::price_american_call(&model);
     let naive = lattice_naive::price(
         &model,
         OptionType::Call,
@@ -36,7 +35,7 @@ fn quickstart_code_path_agrees_across_pricers() {
 fn quickstart_claimed_price_is_accurate() {
     let params = OptionParams::paper_defaults();
     let model = BopmModel::new(params, 1024).unwrap();
-    let price = lattice_fast::price_american_call(&model, &EngineConfig::default());
+    let price = lattice_fast::price_american_call(&model);
     assert!(
         (price - 8.32).abs() < 0.05,
         "documented quick-start price drifted: got {price}, doc claims 8.32 ± 0.05"

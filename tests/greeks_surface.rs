@@ -73,16 +73,16 @@ proptest! {
         params in arb_params(),
         steps in 32usize..200,
     ) {
-        let cfg = EngineConfig::default();
         let request = PricingRequest::american(ModelKind::Bopm, OptionType::Call, params, steps);
-        let got = match greeks::greeks_by_fd(&BatchPricer::with_memo_capacity(cfg, 0), &request) {
+        let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+        let got = match greeks::greeks_by_fd(&pricer, &request) {
             Ok(g) => g,
             // Unstable discretisations at a bumped parameter are legal; the
             // property only constrains successful results.
             Err(_) => return Ok(()),
         };
         let reprice = |p: OptionParams| {
-            lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
+            lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap())
         };
         let hs = params.spot * 1e-2;
         let up = reprice(OptionParams { spot: params.spot + hs, ..params });
@@ -115,7 +115,7 @@ proptest! {
         let cfg = EngineConfig::default();
         let quoted = OptionParams { volatility: true_vol, ..params };
         let market = match BopmModel::new(quoted, steps) {
-            Ok(m) => lattice_fast::price_american_call(&m, &cfg),
+            Ok(m) => lattice_fast::price_american_call(&m),
             Err(_) => return Ok(()),
         };
         let serial = implied_vol::american_call_bopm(&params, steps, market, &cfg);
@@ -135,7 +135,7 @@ proptest! {
             (Ok(s), Ok(b)) => {
                 let reprice = |vol: f64| {
                     let p = OptionParams { volatility: vol, ..params };
-                    lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap(), &cfg)
+                    lattice_fast::price_american_call(&BopmModel::new(p, steps).unwrap())
                 };
                 for (name, vol) in [("serial", s), ("surface", b)] {
                     let residual = (reprice(vol) - market).abs();
@@ -165,17 +165,16 @@ proptest! {
         true_vol in 0.12..0.5f64,
         steps in 48usize..160,
     ) {
-        let cfg = EngineConfig::default();
         let reflected = params.mirrored();
         let quoted = OptionParams { volatility: true_vol, ..params };
         let market_put = match BopmModel::new(quoted, steps) {
-            Ok(m) => lattice_fast::price_american_put(&m, &cfg),
+            Ok(m) => lattice_fast::price_american_put(&m),
             Err(_) => return Ok(()),
         };
         let market_call = {
             let m = BopmModel::new(OptionParams { volatility: true_vol, ..reflected }, steps)
                 .unwrap();
-            lattice_fast::price_american_call(&m, &cfg)
+            lattice_fast::price_american_call(&m)
         };
         // The symmetry is exact on the lattice, so the two quotes are the
         // same number up to float rounding of the two engine paths.
@@ -183,7 +182,7 @@ proptest! {
             (market_put - market_call).abs() <= 1e-9 * market_put.abs().max(1.0),
             "put {market_put} vs reflected call {market_call}"
         );
-        let pricer = BatchPricer::new(cfg);
+        let pricer = BatchPricer::new(EngineConfig::default());
         let quotes = [
             VolQuote::put(params, steps, market_put),
             VolQuote::new(reflected, steps, market_call),
@@ -195,7 +194,7 @@ proptest! {
                 // quote to the shared 1e-10 tolerance.
                 let reprice = |vol: f64| {
                     let p = OptionParams { volatility: vol, ..params };
-                    lattice_fast::price_american_put(&BopmModel::new(p, steps).unwrap(), &cfg)
+                    lattice_fast::price_american_put(&BopmModel::new(p, steps).unwrap())
                 };
                 let residual = (reprice(*p_vol) - market_put).abs();
                 prop_assert!(residual < 1e-10, "put vol {p_vol} residual {residual:e}");

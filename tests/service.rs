@@ -232,18 +232,17 @@ fn greeks_and_surface_requests_ride_the_same_queue() {
     })
     .expect("start service");
     let client = service.client();
-    let cfg = EngineConfig::default();
     let req = PricingRequest::american(ModelKind::Bopm, OptionType::Call, base(), 128);
 
     // Greeks through the service ≡ the serial facade (bitwise).
     let got = client.greeks(req.clone()).expect("greeks");
-    let want = greeks_by_fd(&BatchPricer::new(cfg), &req).unwrap();
+    let want = greeks_by_fd(&BatchPricer::new(EngineConfig::default()), &req).unwrap();
     assert_eq!(got.delta.to_bits(), want.delta.to_bits());
     assert_eq!(got.vega.to_bits(), want.vega.to_bits());
 
     // A put implied-vol quote through the service round-trips.
     let m = BopmModel::new(OptionParams { volatility: 0.3, ..base() }, 128).unwrap();
-    let market = lattice_fast::price_american_put(&m, &cfg);
+    let market = lattice_fast::price_american_put(&m);
     let vol = client.implied_vol(VolQuote::put(base(), 128, market)).expect("inversion");
     assert!((vol - 0.3).abs() < 1e-6, "round-trip put vol {vol}");
     service.shutdown();
