@@ -58,8 +58,9 @@
 //! At equality the row halves: a window that took the whole hop would hand
 //! itself to its own recursion.
 //!
-//! **The base case.**  A window of height at most `BASE_CUTOFF` (8, the
-//! paper's §5.1 optimum), and a row whose cone edge hugs its boundary, is
+//! **The base case.**  A window of height at most `BASE_CUTOFF` (32; the
+//! paper's §5.1 sweep chose 8, ARCHITECTURE erratum 7), and a row whose cone
+//! edge hugs its boundary, in chunks of at most `BASE_CUTOFF` steps, is
 //! stepped naively, all of its steps in one buffer checked out of the
 //! worker's `AdvanceScratch`: per step a downward scan locates the new
 //! boundary (obstacle taps at or below the old one, buffer taps above it),
@@ -788,11 +789,13 @@ mod tests {
     }
 
     /// Every cutoff, not only [`BASE_CUTOFF`], prices like the dense
-    /// reference: a cutoff above 8 sends taller windows through the base
-    /// case, so this sweep is what checks the base case above height 8.
+    /// reference: a cutoff above [`BASE_CUTOFF`] sends taller windows
+    /// through the base case and one below it splits shorter ones, so this
+    /// sweep checks the base case and the recursion at heights the pricings
+    /// never give them.
     #[test]
     fn different_base_cutoffs_agree() {
-        for cutoff in [1u64, 3, 4, 8, 16, 32, 64, 100, 256] {
+        for cutoff in [1u64, 3, 4, 8, 16, 31, 32, 33, 64, 100, 256] {
             check_matches_dense(300, Shape::Binomial, 0.5, cutoff);
             check_matches_dense(150, Shape::Trinomial, 0.5, cutoff);
             check_matches_dense(200, Shape::ShearedBsm, -1.5, cutoff);
@@ -998,12 +1001,13 @@ mod tests {
 
     #[test]
     fn rows_as_wide_as_their_cone_halve_and_one_cell_wider_hop() {
-        // The hop rule at its edge, at heights just above the base case: a
-        // row of exactly σ'·h red cells is its own cone and must halve (and
-        // terminate); with σ'·h + 1 it is the narrowest wide row — one hop
-        // whose bulk returns a single cell.
+        // The hop rule at its edge, at the 32 heights just above the base
+        // case, and again with a cutoff of 3, under which the same rows
+        // recurse further: a row of exactly σ'·h red cells is its own cone
+        // and must halve (and terminate); with σ'·h + 1 it is the narrowest
+        // wide row — one hop whose bulk returns a single cell.
         for shape in [Shape::Binomial, Shape::Trinomial, Shape::ShearedBsm] {
-            let steps = 160u64;
+            let steps = 320u64;
             let t0 = 50u64;
             let (kernel, green, init) = synthetic_problem(steps, shape, 0.5);
             let span = kernel.span() as i64;
@@ -1011,7 +1015,7 @@ mod tests {
             let f = dense_b[t0 as usize - 1];
             assert!(f >= 0, "{shape:?}: boundary out of view at row {t0}");
             for cutoff in [BASE_CUTOFF, 3] {
-                for h in 9u64..=40 {
+                for h in (BASE_CUTOFF + 1)..=(BASE_CUTOFF + 32) {
                     for extra in [0i64, 1] {
                         let hi = f + span * h as i64 + extra;
                         assert!(hi <= span * (steps - t0) as i64, "{shape:?}: cut beyond the cone");

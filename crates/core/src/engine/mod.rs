@@ -114,14 +114,25 @@ pub(crate) fn with_powers<R>(f: impl FnOnce(&KernelPowers) -> R) -> R {
     out
 }
 
-/// Trapezoid height at or below which the naive base case runs (the paper
-/// found 8 empirically optimal; see §5.1): all of the window's steps in one
-/// per-worker buffer, each a downward boundary scan and an in-place sweep of
-/// the red cells, its obstacles read from the pricing's node table rather
-/// than evaluated ([`left_cone`]'s module docs).  A higher cutoff computes
-/// in the base case cells that correlations compute at 8, so it moves the
-/// last bits of a price.
-pub(crate) const BASE_CUTOFF: u64 = 8;
+/// Trapezoid height at or below which the naive base case runs: all of the
+/// window's steps in one per-worker buffer, each a downward boundary scan and
+/// an in-place sweep of the red cells, its obstacles read from the pricing's
+/// node table rather than evaluated ([`left_cone`]'s module docs).  The paper
+/// takes 8 from one sweep on its own machine (§5.1); this base case is a
+/// flat, `exp`-free loop, and at 8 a small pricing spends its time setting up
+/// correlations of tiny windows rather than on arithmetic.  The chain book
+/// (the benchmark harness's `book_cold`, T = 63 to 504, two cores, medians
+/// of two 10 s runs) prices 39.3k / 45.1k / 52.5k / 60.6k / 67.9k options
+/// per second at 8 / 16 / 32 / 64 / 128; at 32 one T = 252 pricing steps
+/// 8.6 base cases and runs 11.0 correlations where it stepped 33.0 and ran
+/// 49.1 at 8.  The curve keeps rising, but the harness keeps every answer
+/// for its final check, so its resident set grows with throughput: at 64
+/// `quote_saturate`'s peak rises 27 % over 8's, beyond the benchmark's 25 %
+/// bound, so the value stays at 32 until that harness stops holding its
+/// answers (ARCHITECTURE erratum 7).  A higher cutoff computes in the base
+/// case cells that correlations compute at 32, so it moves the last bits of
+/// a price.
+pub(crate) const BASE_CUTOFF: u64 = 32;
 
 /// Heights below this run without fork-join.  A fork costs about a
 /// microsecond, so this does not price the fork: it bounds how small a

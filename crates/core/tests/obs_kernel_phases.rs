@@ -128,7 +128,11 @@ fn one_expirys_puts_share_their_tables_in_a_batch() {
 /// a wide row in hops of h/2, h/4, … pays another `log h` per level, and the
 /// increment grows with `T`: 2.91 → 3.46 binomial, 5.70 → 6.70 trinomial,
 /// 18 % apart, at the commit before the whole-hop rule (1.80 → 1.85 and
-/// 3.46 → 3.48 with it).
+/// 3.46 → 3.48 with it), measured over T = 2¹², 2¹⁴, 2¹⁶ with a base case
+/// of height 8.  The window sits 2⁹ base cases above the bottom of the
+/// recursion, below which the levels are not yet all alike: at a base case
+/// of height 32 it is T = 2¹⁴, 2¹⁶, 2¹⁸ (over 2¹², 2¹⁴, 2¹⁶ a binomial level
+/// costs 7 % more at the upper pair).
 #[test]
 fn linear_advance_cells_per_step_grow_by_a_constant_per_level() {
     let _turn = counters();
@@ -139,7 +143,7 @@ fn linear_advance_cells_per_step_grow_by_a_constant_per_level() {
     let routes: [(&str, &dyn Fn(usize) -> f64); 2] =
         [("bopm_put", &bopm_put), ("topm_call", &topm_call)];
     for (route, price) in routes {
-        let per_step: Vec<f64> = [12u32, 14, 16]
+        let per_step: Vec<f64> = [14u32, 16, 18]
             .into_iter()
             .map(|log_t| {
                 kernel::reset();
@@ -156,8 +160,45 @@ fn linear_advance_cells_per_step_grow_by_a_constant_per_level() {
         let (lower, upper) = ((per_step[1] - per_step[0]) / 2.0, (per_step[2] - per_step[1]) / 2.0);
         assert!(
             lower > 0.0 && (upper / lower - 1.0).abs() <= 0.03,
-            "{route}: a level costs {lower:.3} cells per step between T = 2^12 and 2^14 but \
-             {upper:.3} between 2^14 and 2^16 (cells per step {per_step:.3?})"
+            "{route}: a level costs {lower:.3} cells per step between T = 2^14 and 2^16 but \
+             {upper:.3} between 2^16 and 2^18 (cells per step {per_step:.3?})"
         );
+    }
+}
+
+/// The work of a chain-book pricing as exact counts, on one thread: the
+/// base cases it steps, the correlations it runs (one `fft_pass` each) and
+/// the cells those read.  The engine's schedule is a function of the sizes
+/// alone, so these move only with it — `BASE_CUTOFF`, the hop rule, where a
+/// row goes all-red — and a change of schedule must re-pin them, stating
+/// the old counts.  Both contracts exercise early (R = 5 %, Y = 2 %).  With
+/// a base case of height 8 the same pricings read, as (base cases, passes,
+/// cells) at T = 63 / 252 / 504: BOPM put (7, 9, 183) / (30, 42, 1 478) /
+/// (61, 90, 3 557); TOPM call (5, 9, 451) / (25, 40, 3 078) /
+/// (54, 81, 7 551).
+#[test]
+fn book_sized_pricings_do_pinned_work() {
+    let _turn = counters();
+    let params =
+        OptionParams { rate: 0.05, dividend_yield: 0.02, ..OptionParams::paper_defaults() };
+    let bopm_put = |steps: usize| fast::price_american_put(&BopmModel::new(params, steps).unwrap());
+    let topm_call =
+        |steps: usize| fast::price_american_call(&TopmModel::new(params, steps).unwrap());
+    // (T, base cases, fft passes, linear cells) per route.
+    let routes: [(&str, &(dyn Fn(usize) -> f64 + Sync), [(usize, u64, u64, u64); 3]); 2] = [
+        ("bopm_put", &bopm_put, [(63, 2, 1, 32), (252, 8, 8, 649), (504, 16, 19, 1813)]),
+        ("topm_call", &topm_call, [(63, 2, 1, 89), (252, 7, 9, 1552), (504, 14, 19, 4458)]),
+    ];
+    for (route, price, pins) in routes {
+        let got = pins.map(|(steps, ..)| {
+            kernel::reset();
+            assert!(amopt_parallel::run_with_threads(1, || price(steps)) > 0.0);
+            let snap = kernel::snapshot();
+            let base_cases = snap[KernelPhase::BaseCase as usize].calls;
+            let passes = snap[KernelPhase::FftPass as usize].calls;
+            (steps, base_cases, passes, kernel::linear_cells())
+        });
+        println!("{route} (T, base cases, passes, cells): {got:?}");
+        assert_eq!(got, pins, "{route}: (T, base cases, fft passes, linear cells)");
     }
 }

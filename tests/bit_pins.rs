@@ -38,6 +38,31 @@
 //!
 //! The in-place `stepped` loop of the same PR moved no bit of any of them.
 //!
+//! The pins the engine's base case reaches were re-pinned once more when
+//! `BASE_CUTOFF` rose from 8 to 32 (parent `da00365`): windows of height 9
+//! to 32, and the chunks of a row whose cone edge hugs its boundary, are now
+//! stepped where correlations computed them.  Same refusal rule as PR 18,
+//! and no pin came near it.  The binomial routes did not move: every
+//! correlation of a binomial window of height ≤ 32 spans at most 64 cells,
+//! which `advance_powered` steps directly, tap by tap in the base case's
+//! order.  The European routes are one correlation each and never reach the
+//! base case.  Old → new in ulp, then |fast − nest| / nest before → after:
+//!
+//! | route       | ulp 4 096 | nest 4 096          | ulp 16 384 | nest 16 384         |
+//! |-------------|-----------|---------------------|------------|---------------------|
+//! | `topm_call` | −25       | 6.46e-13 → 6.41e-13 | +377       | 1.94e-11 → 1.93e-11 |
+//! | `topm_put`  | −8        | 6.59e-13 → 6.58e-13 | −20        | 1.44e-12 → 1.45e-12 |
+//! | `bsm_put`   | −212      | 2.49e-13 → 2.16e-13 | +237       | 1.68e-12 → 1.65e-12 |
+//!
+//! and of `BOOK_PINS` (`bopm_put`, `bopm_call` and `bopm_put_atm` did not
+//! move, nor `topm_put` at 63 and 252):
+//!
+//! | route                    | T = 63                   | T = 252                   | T = 504                   |
+//! |--------------------------|--------------------------|---------------------------|---------------------------|
+//! | `topm_put`               | 0                        | 0                         | +4, 7.31e-16 → 0          |
+//! | `topm_call`              | −9, 4.83e-15 → 6.33e-15  | +94, 6.23e-14 → 4.66e-14  | −18, 4.53e-13 → 4.50e-13  |
+//! | `bsm_put_vanishing_rate` | −23, 1.28e-14 → 9.26e-15 | −22, 1.44e-14 → 1.78e-14  | −68, 1.50e-13 → 1.40e-13  |
+//!
 //! The four European lattice routes (`*_eu`) were pinned at `2fad527`, before
 //! BOPM and TOPM became one generic lattice, so that refactor is checked bit
 //! for bit on the one-correlation pass too.  `bsm_put_eu` was pinned at
@@ -62,9 +87,9 @@ const PINS: [(&str, ModelKind, OptionType, ExerciseStyle, u64, u64); 10] = {
     [
         ("bopm_call", Bopm, Call, American, 0x4020a77abadfedaa, 0x4020a79594a859f4),
         ("bopm_put", Bopm, Put, American, 0x4028d92522e9c99e, 0x4028d9538c55bf1c),
-        ("topm_call", Topm, Call, American, 0x4020a7a0a2647ad6, 0x4020a79fbd0b9c94),
-        ("topm_put", Topm, Put, American, 0x4028d9620a49560f, 0x4028d9635548fc99),
-        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d696, 0x4026c53a8e7eee7e),
+        ("topm_call", Topm, Call, American, 0x4020a7a0a2647abd, 0x4020a79fbd0b9e0d),
+        ("topm_put", Topm, Put, American, 0x4028d9620a495607, 0x4028d9635548fc85),
+        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d5c2, 0x4026c53a8e7eef6b),
         ("bopm_call_eu", Bopm, Call, European, 0x4020628ead394740, 0x402062bd16a5c78e),
         ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9fdd2, 0x4028d9538c565b95),
         ("topm_call_eu", Topm, Call, European, 0x402062cb94983995, 0x402062ccdf97845b),
@@ -104,15 +129,16 @@ fn contract_bits(request: &PricingRequest) -> u64 {
 const BOOK_STEPS: [usize; 3] = [63, 252, 504];
 
 /// American routes at `BOOK_STEPS`, pinned on the commit before the base
-/// case became one flat buffer read from a node table, in the order of
+/// case became one flat buffer read from a node table and re-pinned when
+/// `BASE_CUTOFF` rose to 32 (module docs), in the order of
 /// `book_contracts`.
 const BOOK_PINS: [(&str, [u64; 3]); 6] = [
     ("bopm_put", [0x40236c3dfa81c618, 0x40236fbfc7556a8a, 0x40236c87952af256]),
     ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03ed, 0x402545eaa784fb4b]),
-    ("topm_put", [0x40237315e5fbc838, 0x40236bc8da571117, 0x40236dfaf893cbba]),
-    ("topm_call", [0x40255169cf93eef5, 0x402545eaa7832cdc, 0x402548fe29d86dcc]),
+    ("topm_put", [0x40237315e5fbc838, 0x40236bc8da571117, 0x40236dfaf893cbbe]),
+    ("topm_call", [0x40255169cf93eeec, 0x402545eaa7832d3a, 0x402548fe29d86dba]),
     ("bopm_put_atm", [0x40268d3c50fe33a0, 0x4026736d3bf0dad8, 0x40267609c03f19d0]),
-    ("bsm_put_vanishing_rate", [0x402705f37601b891, 0x4026ff0dad8f8d37, 0x4026fd6bcc4366a5]),
+    ("bsm_put_vanishing_rate", [0x402705f37601b87a, 0x4026ff0dad8f8d21, 0x4026fd6bcc436661]),
 ];
 
 /// The contracts of `BOOK_PINS`:
