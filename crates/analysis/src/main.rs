@@ -1,7 +1,7 @@
 //! `amopt-lint` CLI.
 //!
 //! ```text
-//! amopt-lint check [--json] [--root <dir>]
+//! amopt-lint check [--root <dir>]
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 on any finding, 2 on usage or
@@ -18,18 +18,16 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: amopt-lint check [--json] [--root <dir>]");
+        eprintln!("usage: amopt-lint check [--root <dir>]");
         return ExitCode::from(2);
     };
     if cmd != "check" {
         eprintln!("unknown command `{cmd}`; the only command is `check`");
         return ExitCode::from(2);
     }
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -52,11 +50,7 @@ fn main() -> ExitCode {
     };
     match workspace::check_workspace(&root) {
         Ok(report) => {
-            if json {
-                println!("{}", report::json(&report));
-            } else {
-                print!("{}", report::human(&report));
-            }
+            print!("{}", report::human(&report));
             if report.findings.is_empty() {
                 ExitCode::SUCCESS
             } else {

@@ -1,4 +1,4 @@
-//! Rendering: human-readable finding lines and machine-readable JSON.
+//! Rendering: human-readable finding lines.
 
 use crate::workspace::CheckReport;
 use std::fmt::Write as _;
@@ -20,55 +20,6 @@ pub fn human(report: &CheckReport) -> String {
         report.unused_allows.len(),
         report.files_scanned
     );
-    out
-}
-
-/// One JSON document:
-/// `{"findings":[{"lint":…,"file":…,"line":…,"col":…,"message":…}],…}`.
-pub fn json(report: &CheckReport) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lint\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-            quote(f.lint),
-            quote(&f.path.display().to_string()),
-            f.line,
-            f.col,
-            quote(&f.message)
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"unused_allows\":{},\"files_scanned\":{}}}",
-        report.unused_allows.len(),
-        report.files_scanned
-    );
-    out
-}
-
-/// Minimal JSON string quoting (the findings contain no exotic content,
-/// but backticks, quotes, and backslashes must survive).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -97,13 +48,5 @@ mod tests {
         let text = human(&sample());
         assert!(text.contains("crates/service/src/queue.rs:3:7: [panic-surface]"));
         assert!(text.contains("1 finding(s)"));
-    }
-
-    #[test]
-    fn json_output_is_parseable_and_escaped() {
-        let text = json(&sample());
-        assert!(text.starts_with('{') && text.ends_with('}'));
-        assert!(text.contains("\\\"here\\\""));
-        assert!(text.contains("\"files_scanned\":2"));
     }
 }

@@ -58,12 +58,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-use crate::bermudan;
 use crate::bopm::BopmModel;
 use crate::engine::{with_powers, EngineConfig};
 use crate::error::{PricingError, Result};
 use crate::lattice::nodes::NodeTables;
-use crate::lattice::{european, fast, Lattice};
+use crate::lattice::{fast, linear, Lattice};
 use crate::params::{OptionParams, OptionType};
 use crate::topm::TopmModel;
 use amopt_fft::KernelPowers;
@@ -603,7 +602,7 @@ fn route(
             let model = BopmModel::new(req.params, req.steps)?;
             match (&req.style, req.option_type) {
                 (Style::Bermudan(_), OptionType::Put) => {
-                    bermudan::price_put_with(&model, dates, powers)
+                    linear::bermudan_put_with(&model, dates, powers)
                 }
                 _ => route_lattice(&model, req, powers, nodes),
             }
@@ -639,7 +638,7 @@ fn route_lattice<const W: usize>(
         (Style::American, OptionType::Put) => {
             Ok(fast::put_samples(model, 1, powers, &nodes.table_for(model)).0)
         }
-        (Style::European, opt) => Ok(european::price_with(model, opt, powers)),
+        (Style::European, opt) => Ok(linear::price_with(model, opt, powers)),
         (Style::Bermudan(_), _) => unsupported(req),
     }
 }
@@ -707,15 +706,15 @@ mod tests {
             }),
             (PricingRequest::european(ModelKind::Bopm, OptionType::Call, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                european::price_european_fft(&m, OptionType::Call)
+                linear::price_european_fft(&m, OptionType::Call)
             }),
             (PricingRequest::european(ModelKind::Bopm, OptionType::Put, p(), steps), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                european::price_european_fft(&m, OptionType::Put)
+                linear::price_european_fft(&m, OptionType::Put)
             }),
             (PricingRequest::bermudan_put(p(), steps, vec![50, 100, 200]), {
                 let m = BopmModel::new(p(), steps).unwrap();
-                bermudan::price_bermudan_put_fft(&m, &[50, 100, 200]).unwrap()
+                linear::price_bermudan_put_fft(&m, &[50, 100, 200]).unwrap()
             }),
             (PricingRequest::american(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
@@ -727,7 +726,7 @@ mod tests {
             }),
             (PricingRequest::european(ModelKind::Topm, OptionType::Call, p(), steps), {
                 let m = TopmModel::new(p(), steps).unwrap();
-                european::price_european_fft(&m, OptionType::Call)
+                linear::price_european_fft(&m, OptionType::Call)
             }),
             (PricingRequest::american(ModelKind::Bsm, OptionType::Put, zero_div, steps), {
                 let m = Lattice::explicit_fd(zero_div, steps).unwrap();
@@ -735,7 +734,7 @@ mod tests {
             }),
             (PricingRequest::european(ModelKind::Bsm, OptionType::Put, zero_div, steps), {
                 let m = Lattice::explicit_fd(zero_div, steps).unwrap();
-                european::price_european_fft(&m, OptionType::Put)
+                linear::price_european_fft(&m, OptionType::Put)
             }),
         ];
         let pricer = pricer();
@@ -1048,7 +1047,7 @@ mod tests {
             match (&req.style, req.option_type) {
                 (Style::American, OptionType::Call) => fast::price_american_call(m),
                 (Style::American, OptionType::Put) => fast::price_american_put(m),
-                (Style::European, opt) => european::price_european_fft(m, opt),
+                (Style::European, opt) => linear::price_european_fft(m, opt),
                 (Style::Bermudan(_), _) => {
                     unreachable!("the binomial Bermudan put is priced above")
                 }
@@ -1057,7 +1056,7 @@ mod tests {
         let (params, steps) = (req.params, req.steps);
         if let Style::Bermudan(dates) = &req.style {
             let model = BopmModel::new(params, steps).unwrap();
-            return bermudan::price_bermudan_put_fft(&model, dates).unwrap();
+            return linear::price_bermudan_put_fft(&model, dates).unwrap();
         }
         match req.model {
             ModelKind::Bopm => on(&BopmModel::new(params, steps).unwrap(), req),

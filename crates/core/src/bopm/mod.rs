@@ -1,11 +1,12 @@
 //! Binomial Option Pricing Model (Cox–Ross–Rubinstein lattice), §2 of the
 //! paper: the binomial [`Lattice`].  The model, its fast route, nest and
-//! European pass live in [`crate::lattice`]; `naive` and `european` are
-//! re-exported here under their old paths, and `fast` forwards the two
-//! American routes, because the benchmark harness (`perf/`) still names them.
+//! linear pass live in [`crate::lattice`]; `naive` and `european` (the
+//! linear pass, [`crate::lattice::linear`]) are re-exported here under their
+//! old paths, and `fast` forwards the two American routes, because the
+//! benchmark harness (`perf/`) still names them.
 
 use crate::lattice::Lattice;
-pub use crate::lattice::{european, naive};
+pub use crate::lattice::{linear as european, naive};
 
 /// The binomial lattice: rows gain one cell per step, a 2-tap kernel.
 pub type BopmModel = Lattice<1>;

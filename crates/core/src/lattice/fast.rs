@@ -52,7 +52,7 @@
 //! the call's table (same `ln u`, same `T`, and a tree's table has no spot).
 
 use super::nodes::NodeTable;
-use super::{european, Lattice};
+use super::{linear, Lattice};
 use crate::engine::left_cone::{self, GreenPrefixRow};
 use crate::engine::{with_powers, BASE_CUTOFF};
 use crate::params::OptionType;
@@ -98,7 +98,7 @@ pub(crate) fn put_samples<const W: usize>(
         // call; on the FD grid ω = 0, and one linear step lifts `1 − e^s`
         // to `1 − λe^s` with λ < 1), so the American put collapses to the
         // European FFT pass.
-        return (european::price_with(model, OptionType::Put, powers), samples);
+        return (linear::price_with(model, OptionType::Put, powers), samples);
     }
     let kernel = model.kernel();
     let green = |n: u64, c: i64| model.exercise_in(nodes, OptionType::Put, t - n as usize, c);
@@ -155,7 +155,7 @@ pub(crate) fn call_samples<const W: usize>(
     let expiry = (t, model.leaf_call_boundary().min(W as i64 * t as i64));
     // amopt-lint: allow(float-eq) -- Y = 0.0 exactly routes calls to the European fast path (Merton); any nonzero yield prices American
     if model.params().dividend_yield == 0.0 {
-        return (european::price_with(model, OptionType::Call, powers), vec![expiry]);
+        return (linear::price_with(model, OptionType::Call, powers), vec![expiry]);
     }
     let (price, mut samples) = put_samples(&model.mirrored(), rows, powers, nodes);
     for (i, col) in &mut samples {
@@ -364,7 +364,7 @@ mod tests {
             OptionType::Call => price_american_call(&m),
             OptionType::Put => price_american_put(&m),
         };
-        assert_eq!(am, european::price_european_fft(&m, opt), "W={W} {opt:?}");
+        assert_eq!(am, linear::price_european_fft(&m, opt), "W={W} {opt:?}");
     }
 
     #[test]

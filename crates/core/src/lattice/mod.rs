@@ -68,8 +68,8 @@
 //! covers.  The grid is dividend-free and put-only: it has no mirror, so
 //! only [`crate::bsm::BsmModel`], a put-only handle, reaches it.
 
-pub mod european;
 pub mod fast;
+pub mod linear;
 pub mod naive;
 pub(crate) mod nodes;
 

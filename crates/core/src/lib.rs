@@ -30,7 +30,6 @@
 
 pub mod analytic;
 pub mod batch;
-pub mod bermudan;
 pub mod bopm;
 pub mod bsm;
 pub mod engine;

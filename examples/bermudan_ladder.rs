@@ -7,7 +7,6 @@
 //! cargo run --release --example bermudan_ladder
 //! ```
 
-use american_option_pricing::core::bermudan;
 use american_option_pricing::prelude::*;
 
 fn main() {
@@ -17,7 +16,7 @@ fn main() {
     let steps = 8192usize;
     let model = BopmModel::new(params, steps).unwrap();
 
-    let european = bermudan::price_bermudan_put_fft(&model, &[steps]).unwrap();
+    let european = lattice_linear::price_bermudan_put_fft(&model, &[steps]).unwrap();
     let american = lattice_naive::price(
         &model,
         OptionType::Put,
@@ -29,7 +28,7 @@ fn main() {
     for n_dates in [1usize, 2, 4, 12, 52, 252, 1024] {
         let stride = (steps / n_dates).max(1);
         let dates: Vec<usize> = (1..=n_dates).map(|k| (k * stride).min(steps)).collect();
-        let v = bermudan::price_bermudan_put_fft(&model, &dates).unwrap();
+        let v = lattice_linear::price_bermudan_put_fft(&model, &dates).unwrap();
         println!("  {n_dates:5}  {v:.6}");
         assert!(v >= european - 1e-9 && v <= american + 1e-6);
     }

@@ -7,7 +7,6 @@
 //! cargo run --release --example convergence_study
 //! ```
 
-use american_option_pricing::core::lattice::european::price_european_fft;
 use american_option_pricing::prelude::*;
 
 fn main() {
@@ -19,8 +18,8 @@ fn main() {
         let t = 1usize << pow;
         let bin = BopmModel::new(params, t).unwrap();
         let tri = TopmModel::new(params, t).unwrap();
-        let e_bin = (price_european_fft(&bin, OptionType::Call) - target).abs();
-        let e_tri = (price_european_fft(&tri, OptionType::Call) - target).abs();
+        let e_bin = (lattice_linear::price_european_fft(&bin, OptionType::Call) - target).abs();
+        let e_tri = (lattice_linear::price_european_fft(&tri, OptionType::Call) - target).abs();
         println!("{t:7}   {e_bin:13.3e}   {e_tri:14.3e}");
     }
     println!("\nAmerican put: FD (BSM) vs binomial lattice cross-check");

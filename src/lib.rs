@@ -67,10 +67,12 @@ pub mod prelude {
     pub use amopt_core::bopm::BopmModel;
     pub use amopt_core::bsm::BsmModel;
     pub use amopt_core::greeks::{greeks_by_fd, Greeks};
-    pub use amopt_core::lattice::{fast as lattice_fast, naive as lattice_naive, Lattice};
+    pub use amopt_core::lattice::{
+        fast as lattice_fast, linear as lattice_linear, naive as lattice_naive, Lattice,
+    };
     pub use amopt_core::topm::TopmModel;
     pub use amopt_core::{
-        analytic, bermudan, exercise_boundary, greeks, implied_vol, EngineConfig, ExerciseStyle,
+        analytic, exercise_boundary, greeks, implied_vol, EngineConfig, ExerciseStyle,
         OptionParams, OptionType, PricingError,
     };
     pub use amopt_service::{

@@ -56,7 +56,7 @@ fn direct_price(req: &PricingRequest) -> Result<f64, PricingError> {
         match (req.option_type, &req.style) {
             (OptionType::Call, Style::American) => lattice_fast::price_american_call(&m),
             (OptionType::Put, Style::American) => lattice_fast::price_american_put(&m),
-            (opt, Style::European) => amopt_core::lattice::european::price_european_fft(&m, opt),
+            (opt, Style::European) => lattice_linear::price_european_fft(&m, opt),
             other => panic!("strategy generated an unroutable lattice request: {other:?}"),
         }
     }
@@ -64,7 +64,7 @@ fn direct_price(req: &PricingRequest) -> Result<f64, PricingError> {
     match (req.model, req.option_type, &req.style) {
         (ModelKind::Bopm, OptionType::Put, Style::Bermudan(dates)) => {
             let m = BopmModel::new(req.params, req.steps)?;
-            bermudan::price_bermudan_put_fft(&m, dates)
+            lattice_linear::price_bermudan_put_fft(&m, dates)
         }
         (ModelKind::Bopm, ..) => Ok(on_lattice(BopmModel::new(req.params, req.steps)?, req)),
         (ModelKind::Topm, ..) => Ok(on_lattice(TopmModel::new(req.params, req.steps)?, req)),

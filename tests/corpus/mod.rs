@@ -293,7 +293,9 @@ pub fn fast_matches_nest(kind: Kind, c: &Case, rel: f64, floor: f64) -> Check {
     Ok(())
 }
 
-/// American ≥ European ≥ 0, and intrinsic ≤ American ≤ cap (S for a call, K for a put).
+/// American ≥ European ≥ 0, and intrinsic ≤ American ≤ cap (S for a call, K for a put).  The
+/// binomial put's Bermudan, exercisable at `steps/2` (step 1 on a one-step tree) and expiry,
+/// sits between.
 pub fn bounded(kind: Kind, c: &Case) -> Check {
     prop_assume!(builds(kind, c));
     let p = c.params(kind);
@@ -307,6 +309,13 @@ pub fn bounded(kind: Kind, c: &Case) -> Check {
     prop_assert!(am >= eu - 1e-8 * eu.abs().max(1.0), "{ctx}: am < eu");
     prop_assert!(am >= intrinsic - 1e-8 * p.strike, "{ctx}: am < intrinsic");
     prop_assert!(am <= cap * (1.0 + 1e-9), "{ctx}: am above {cap:e}");
+    if kind == BOPM_PUT {
+        let dates = vec![(c.steps / 2).max(1), c.steps];
+        let be = batch_one(&PricingRequest::bermudan_put(p, c.steps, dates))
+            .map_err(|e| TestCaseError::Fail(format!("{ctx}: Bermudan {e:?}")))?;
+        prop_assert!(be >= eu - 1e-8 * eu.abs().max(1.0), "{ctx}: Bermudan {be} < eu");
+        prop_assert!(am >= be - 1e-8 * be.abs().max(1.0), "{ctx}: am < Bermudan {be}");
+    }
     Ok(())
 }
 
