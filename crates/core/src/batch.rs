@@ -242,12 +242,7 @@ fn make_key(req: &PricingRequest) -> MemoKey {
     let (style_tag, dates) = match &req.style {
         Style::European => (0, Box::default()),
         Style::American => (1, Box::default()),
-        Style::Bermudan(steps) => {
-            let mut d = steps.clone();
-            d.sort_unstable();
-            d.dedup();
-            (2, d.into_boxed_slice())
-        }
+        Style::Bermudan(steps) => (2, linear::schedule(steps)),
     };
     let p = &req.params;
     MemoKey {
@@ -588,7 +583,8 @@ impl BatchPricer {
 
 /// Routes one request to its canonical pricer.  `dates` is the
 /// normalised Bermudan schedule from the request's key (unused
-/// otherwise).  Adds no arithmetic of its own: a batch of one is bitwise
+/// otherwise), which the Bermudan pass prices without normalising it
+/// again.  Adds no arithmetic of its own: a batch of one is bitwise
 /// identical to the direct call.
 fn route(
     req: &PricingRequest,

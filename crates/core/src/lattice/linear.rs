@@ -56,27 +56,36 @@ pub(crate) fn price_with<const W: usize>(
 /// exercise date (payoff), step `0` (valuation date) never is.  Duplicates
 /// are tolerated; order does not matter.
 pub fn price_bermudan_put_fft(model: &BopmModel, exercise_steps: &[usize]) -> Result<f64> {
-    with_powers(|powers| bermudan_put_with(model, exercise_steps, powers))
+    with_powers(|powers| bermudan_put_with(model, &schedule(exercise_steps), powers))
 }
 
-/// [`price_bermudan_put_fft`] with its multiplier tables read from (and
-/// first built into) the caller's `powers`.
+/// `exercise_steps` sorted and deduplicated: the schedule
+/// [`bermudan_put_with`] prices, and the one a batch request's memo key
+/// holds.
+pub(crate) fn schedule(exercise_steps: &[usize]) -> Box<[usize]> {
+    let mut dates = exercise_steps.to_vec();
+    dates.sort_unstable();
+    dates.dedup();
+    dates.into_boxed_slice()
+}
+
+/// [`price_bermudan_put_fft`] on a [`schedule`], with its multiplier tables
+/// read from (and first built into) the caller's `powers`.  The schedule is
+/// sorted, so only its ends can fall outside `1..=T`.
 pub(crate) fn bermudan_put_with(
     model: &BopmModel,
-    exercise_steps: &[usize],
+    dates: &[usize],
     powers: &KernelPowers,
 ) -> Result<f64> {
     let t = model.steps();
-    if let Some(&e) = exercise_steps.iter().find(|&&e| e == 0 || e > t) {
+    let outside = dates.first().filter(|&&e| e == 0).or(dates.last().filter(|&&e| e > t));
+    if let Some(&e) = outside {
         return Err(PricingError::InvalidParams {
             field: "exercise_steps",
             reason: format!("step {e} outside the valid range 1..={t}"),
         });
     }
-    let mut dates: Vec<usize> = exercise_steps.to_vec();
-    dates.sort_unstable();
-    dates.dedup();
-    Ok(put_pass(model, &dates, powers))
+    Ok(put_pass(model, dates, powers))
 }
 
 /// The put's backward pass from the expiry row, over the root's full
@@ -336,9 +345,17 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_dates() {
+        // Out of range at either end of the sorted schedule, wherever the
+        // request lists it: the batch route checks the key's schedule, the
+        // direct entry its own, and both give the same error.
         let m = bopm(64);
-        assert!(price_bermudan_put_fft(&m, &[0]).is_err());
-        assert!(price_bermudan_put_fft(&m, &[65]).is_err());
+        let pricer = BatchPricer::with_memo_capacity(EngineConfig::default(), 0);
+        for dates in [vec![0], vec![65], vec![30, 65, 10], vec![30, 0, 64, 0]] {
+            let direct = price_bermudan_put_fft(&m, &dates);
+            assert!(direct.is_err(), "{dates:?}");
+            let request = PricingRequest::bermudan_put(OptionParams::paper_defaults(), 64, dates);
+            assert_eq!(pricer.price_one(&request), direct);
+        }
     }
 
     #[test]

@@ -56,6 +56,33 @@
 //! mid-band — and a kernel whose taps sum past 1 (a growing DC mode) is
 //! never cut at all.
 //!
+//! The same decay bounds the power kernel in space, and there the cut pays:
+//! a correlation transforms only the cells its kernel's *band* can reach.
+//! A kernel whose taps are all ≥ 0, of mass `s = Σ w_m` and mean tap
+//! `μ₁ = Σ m·w_m / s`, is `s` times the law of a draw from `[0, σ']`
+//! (`σ' = kernel.len() − 1`), so `W_m = s^h·P(S_h = m)` for the sum `S_h` of
+//! `h` independent draws.  Hoeffding's inequality gives `P(|S_h − h·μ₁| > a)
+//! ≤ 2·exp(−2a²/(h·σ'²))`; with `a = σ'·√(h·(ln(2/τ) + max(0, h·ln s)) / 2)`
+//! the taps outside `[lo, hi] = [⌊h·μ₁ − a⌋, ⌈h·μ₁ + a⌉]` weigh at most
+//! `τ·min(1, s^h)`, and so at most `τ·max(1, s^h)` whatever the kernel's
+//! growth.  At the heights a deep pricing runs, `2a ≈ 13.6·σ'·√h` is a few
+//! percent of the `σ'·h + 1` taps.  Output `c` needs cells `[c + lo, c + hi]`,
+//! so the `out_len` outputs need `out_len + hi − lo` cells from `lo` on, and
+//! they are placed *cyclically* in a transform of `n' =
+//! next_pow2(out_len + hi − lo)` points: cell `p ∈ [lo, lo + n')` goes to
+//! slot `p mod n'` (`lo` rounded down to even, so that cells still pack two
+//! to a point).  The cyclic correlation at `c` sums `W_m·y[(c + m) mod n']`
+//! over every tap: a band tap reaches `c + m ∈ [lo, out_len − 1 + hi]`, fewer
+//! than `n'` consecutive cells, each alone in its slot, so it reads `x[c +
+//! m]` and `out[c]` is slot `c` with no rotation of the output; a tap outside
+//! the band wraps onto some other cell or a zero, at most `‖x‖_∞`.  The band
+//! therefore moves an output by at most `τ·max(1, s^h)·‖x‖_∞`, beside the
+//! vanished bins' `τ·‖x‖₁`.  The multipliers are those of `(kernel, n', h)`,
+//! the same tables at a smaller `n'`.  A kernel with a negative tap has no
+//! such bound, and a band that does not shrink the transform buys nothing:
+//! both take `lo = 0` and `n' = next_pow2(x.len())`, the whole row, bit for
+//! bit the correlation before the band.
+//!
 //! The multipliers depend on the kernel, `n` and `h` alone, never on `x`, and
 //! the trapezoid engines ask for few of them: every window of a recursion
 //! level correlates at that level's size and height, so a pricing issues
@@ -104,7 +131,8 @@ pub struct FftScratch {
 
 /// τ: a multiplier `conj(K_k)^h` of magnitude below this is taken as an exact
 /// zero and its `powu` is never paid for; the dropped terms together move an
-/// output by at most `τ·‖x‖₁` (module comment).
+/// output by at most `τ·‖x‖₁` (module comment).  The taps of a power kernel
+/// outside its band weigh at most `τ` too.
 const VANISHED: f64 = 1e-40;
 
 /// Full linear convolution of two real sequences (`len = a + b − 1`).
@@ -201,8 +229,11 @@ impl KernelPowers {
         self.built.load(Ordering::Relaxed)
     }
 
-    /// [`correlate_power_valid_with`], with the multipliers of `(kernel,
-    /// next_pow2(x.len()), h)` read from their table.
+    /// [`correlate_power_valid_with`], with the multipliers of `(kernel, n',
+    /// h)` read from their table.  `n'` is the transform that holds the
+    /// power kernel's band and the output (module docs):
+    /// `next_pow2(out_len + hi − lo)`, or `next_pow2(x.len())` for a kernel
+    /// with a negative tap or a band that does not shrink the transform.
     ///
     /// # Panics
     /// If `kernel` is empty or `x` is shorter than `|W|`.
@@ -234,7 +265,7 @@ impl KernelPowers {
             return x[..out_len].iter().map(|&v| v * s).collect();
         }
 
-        let n = next_pow2(x.len());
+        let (lo, n) = transform(kernel, h, x.len());
         if n < 4 {
             // Two cells host one step of a two-tap kernel and nothing else,
             // so the power kernel is the kernel: no transform that small.
@@ -244,7 +275,8 @@ impl KernelPowers {
         }
         let table = self.table(kernel, n, h);
         let buf = &mut scratch.buf;
-        table.real.forward(x, buf);
+        // Cell `p ∈ [lo, lo + n)` to slot `p mod n`, so `out[c]` is slot `c`.
+        table.real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, buf);
         table.real.map_bins(buf, |k, v| table.apply(k, v));
         table.real.inverse(buf, out_len)
     }
@@ -406,6 +438,40 @@ fn kernel_response(kernel: &[f64], k: usize, full: &Fft) -> Complex64 {
 #[inline]
 fn vanished_below(h: u64) -> f64 {
     (2.0 * VANISHED.ln() / h as f64).exp()
+}
+
+/// `(lo, n)`: the first cell of a row of `x_len` cells that a correlation
+/// with `kernel^{⊛h}` reads, and its transform size — the power kernel's band
+/// where that shrinks the transform, the whole row otherwise (module docs).
+fn transform(kernel: &[f64], h: u64, x_len: usize) -> (usize, usize) {
+    // amopt-lint: hot-path
+    let out_len = x_len + 1 - power_kernel_len(kernel.len(), h);
+    let full = next_pow2(x_len);
+    band(kernel, h)
+        .map(|(lo, hi)| (lo, next_pow2(out_len + hi - lo)))
+        .filter(|&(_, n)| n < full)
+        .unwrap_or((0, full))
+}
+
+/// The taps `[lo, hi]` of `kernel^{⊛h}` outside which it weighs at most
+/// `τ·min(1, s^h)`, `s` the kernel's mass (module docs), with `lo` rounded
+/// down to even so that the band's cells pack two to a point.  `None` for a
+/// kernel with a negative tap, whose power has no such bound.
+fn band(kernel: &[f64], h: u64) -> Option<(usize, usize)> {
+    // amopt-lint: hot-path
+    if !kernel.iter().all(|&w| w >= 0.0) {
+        return None;
+    }
+    let mass: f64 = kernel.iter().sum();
+    let mean = kernel.iter().enumerate().map(|(m, &w)| m as f64 * w).sum::<f64>() / mass;
+    let last = power_kernel_len(kernel.len(), h) - 1;
+    let (h, span) = (h as f64, (kernel.len() - 1) as f64);
+    let half_width = span * (h * ((2.0 / VANISHED).ln() + (h * mass.ln()).max(0.0)) / 2.0).sqrt();
+    // A NaN mean (no mass, or an infinite one) clamps to every tap; an
+    // infinite one leaves no band.
+    let lo = (h * mean - half_width).floor().max(0.0);
+    let hi = (h * mean + half_width).ceil().min(last as f64);
+    (lo <= hi).then_some((lo as usize & !1, hi as usize))
 }
 
 /// Explicit taps of `kernel^{⊛h}` (h-fold self-convolution), computed by
@@ -610,22 +676,36 @@ mod tests {
         }
     }
 
-    /// The correlation with every multiplier paid for: the public transform
-    /// pieces and `powu`, no vanishing test.
-    fn correlate_uncut(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
-        let n = next_pow2(x.len());
-        let real = RealFft::new(n);
+    /// The correlation on the transform `(lo, n)` with each multiplier
+    /// evaluated in the pointwise pass itself, on every call; below the
+    /// vanishing test's threshold an exact zero if `cut`, paid for if not.
+    fn correlate_on(
+        x: &[f64],
+        kernel: &[f64],
+        h: u64,
+        (lo, n): (usize, usize),
+        cut: bool,
+    ) -> Vec<f64> {
+        let (real, vanished) = (RealFft::new(n), vanished_below(h));
         let mut buf = Vec::new();
-        real.forward(x, &mut buf);
+        real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, &mut buf);
         real.map_bins(&mut buf, |k, v| {
             let response = kernel_response(kernel, k, real.full());
-            if k == 0 || 2 * k == n {
+            if cut && response.norm_sqr() < vanished {
+                Complex64::ZERO
+            } else if k == 0 || 2 * k == n {
                 v.scale(response.re.powf(h as f64))
             } else {
                 v * response.conj().powu(h)
             }
         });
         real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+    }
+
+    /// The correlation with every multiplier paid for, on the transform
+    /// `correlate` picks: no vanishing test.
+    fn correlate_uncut(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+        correlate_on(x, kernel, h, transform(kernel, h, x.len()), false)
     }
 
     #[test]
@@ -641,7 +721,7 @@ mod tests {
             let peak = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             for h in [64u64, 512, 2048] {
                 let ctx = format!("{kernel:?} h={h}");
-                let (n, cut) = (next_pow2(len), vanished_below(h));
+                let (n, cut) = (transform(kernel, h, len).1, vanished_below(h));
                 let full = plan(n);
                 let dead = (0..=n / 2)
                     .filter(|&k| kernel_response(kernel, k, &full).norm_sqr() < cut)
@@ -707,24 +787,15 @@ mod tests {
         assert_eq!(fresh, reused);
     }
 
-    /// Each multiplier evaluated in the pointwise pass itself, on every call:
-    /// the expressions a table must reproduce bit for bit.
+    /// Each multiplier evaluated in the pointwise pass itself, on every call,
+    /// on the transform `correlate` picks: the bits a table must reproduce.
     fn correlate_direct(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
-        let n = next_pow2(x.len());
-        let (real, vanished) = (RealFft::new(n), vanished_below(h));
-        let mut buf = Vec::new();
-        real.forward(x, &mut buf);
-        real.map_bins(&mut buf, |k, v| {
-            let response = kernel_response(kernel, k, real.full());
-            if response.norm_sqr() < vanished {
-                Complex64::ZERO
-            } else if k == 0 || 2 * k == n {
-                v.scale(response.re.powf(h as f64))
-            } else {
-                v * response.conj().powu(h)
-            }
-        });
-        real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+        correlate_on(x, kernel, h, transform(kernel, h, x.len()), true)
+    }
+
+    /// [`correlate_direct`] on the whole row's transform, band or none.
+    fn correlate_full(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+        correlate_on(x, kernel, h, (0, next_pow2(x.len())), true)
     }
 
     fn bits(row: &[f64]) -> Vec<u64> {
@@ -747,9 +818,19 @@ mod tests {
             &[0.3, 0.35, 0.3],
         ];
         // Two cells (no transform), n = 4 at h = 1, and on up to heights at
-        // which most bins vanish.
-        let shapes =
-            [(2usize, 1u64), (3, 1), (4, 1), (5, 2), (64, 1), (200, 37), (4100, 64), (8192, 2048)];
+        // which most bins vanish; last, a two-tap kernel's band, which runs
+        // at 1 024 points where the row alone would need 8 192.
+        let shapes = [
+            (2usize, 1u64),
+            (3, 1),
+            (4, 1),
+            (5, 2),
+            (64, 1),
+            (200, 37),
+            (4100, 64),
+            (8192, 2048),
+            (4160, 4096),
+        ];
         let powers = KernelPowers::new();
         let mut scratch = FftScratch::default();
         let mut tables = std::collections::HashSet::new();
@@ -760,7 +841,7 @@ mod tests {
                 let x = rand_real(len, 60 + i as u64 + len as u64);
                 let first = bits(&powers.correlate(&x, kernel, h, &mut scratch));
                 if len > 2 {
-                    tables.insert((i, next_pow2(len), h));
+                    tables.insert((i, transform(kernel, h, len).1, h));
                     assert_eq!(first, bits(&correlate_direct(&x, kernel, h)), "{ctx}");
                 }
                 assert_eq!(powers.tables_built(), tables.len(), "{ctx}: one build per first use");
@@ -815,6 +896,84 @@ mod tests {
                 let want: f64 = taps.iter().zip(&x[c..]).map(|(w, v)| w * v).sum();
                 assert!((one[c] - want).abs() < 1e-10, "c={c}: {} vs {want}", one[c]);
             }
+        }
+    }
+
+    /// The band's kernels: a discounted two-tap (binomial) kernel, a
+    /// Boyle-like three-tap one, one whose response stays live at Nyquist,
+    /// and one whose mass exceeds 1.
+    const BAND_KERNELS: [&[f64]; 4] =
+        [&[0.4999, 0.4998], &[0.25, 0.4997, 0.25], &[0.49, 0.02, 0.49], &[0.51, 0.51]];
+
+    /// `max(1, s^h)`: how far a power of a kernel of mass `s` can grow a row.
+    fn growth(kernel: &[f64], h: u64) -> f64 {
+        kernel.iter().sum::<f64>().powf(h as f64).max(1.0)
+    }
+
+    #[test]
+    fn a_power_kernel_weighs_at_most_tau_outside_its_band() {
+        // The taps are stepped one convolution at a time: every tap is a sum
+        // of nonnegative products, so the far tails are their own values, not
+        // the rounding of the bump a transform would leave there.
+        for kernel in BAND_KERNELS {
+            let mass: f64 = kernel.iter().sum();
+            let mut taps = vec![1.0];
+            for h in 1..=4096u64 {
+                taps = naive_conv(&taps, kernel);
+                if ![1, 7, 64, 512, 4096].contains(&h) {
+                    continue;
+                }
+                let (lo, hi) = band(kernel, h).expect("a nonnegative kernel has a band");
+                assert!(lo % 2 == 0 && lo <= hi && hi < taps.len(), "{kernel:?} h={h}");
+                let outside: f64 = taps[..lo].iter().chain(&taps[hi + 1..]).sum();
+                let bound = VANISHED * mass.powf(h as f64).min(1.0);
+                assert!(outside <= bound, "{kernel:?} h={h}: {outside:e} outside [{lo}, {hi}]");
+                if h == 4096 {
+                    assert!(
+                        2 * (hi - lo) < taps.len(),
+                        "{kernel:?}: the band [{lo}, {hi}] is wide"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn banded_correlations_change_nothing_measurable() {
+        // Rows a few cells wider than the power kernel, the deep recursion's
+        // shape: the band shrinks the transform two- to eight-fold.
+        for kernel in BAND_KERNELS {
+            for (h, spare) in [(512u64, 1usize), (512, 64), (4096, 1), (4096, 64), (4096, 700)] {
+                let len = power_kernel_len(kernel.len(), h) + spare - 1;
+                let ctx = format!("{kernel:?} h={h} len={len}");
+                let n = transform(kernel, h, len).1;
+                assert!(n < next_pow2(len), "{ctx}: the band is not used");
+                let x = rand_real(len, 70 + h + spare as u64);
+                let peak = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let got = correlate_power_valid(&x, kernel, h);
+                assert_eq!(bits(&got), bits(&correlate_direct(&x, kernel, h)), "{ctx}");
+                // The two transforms round differently, each by about the
+                // h·ε the h-th power of a multiplier carries; the dropped
+                // taps weigh below τ = 1e-40.
+                let tol = h as f64 * f64::EPSILON * peak * growth(kernel, h);
+                assert_rows_close(&got, &correlate_full(&x, kernel, h), tol, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn without_a_shrinking_band_the_bits_are_the_full_transforms() {
+        // A negative tap has no band; a row much wider than its kernel's
+        // band needs the full transform anyway.
+        let negative: &[f64] = &[0.5, 0.5001, -0.0002];
+        let cases =
+            [(negative, 4096u64, 8256usize), (negative, 64, 4100), (BAND_KERNELS[1], 512, 8192)];
+        for (kernel, h, len) in cases {
+            let ctx = format!("{kernel:?} h={h} len={len}");
+            assert_eq!(transform(kernel, h, len), (0, next_pow2(len)), "{ctx}");
+            let x = rand_real(len, 80 + h);
+            let got = bits(&correlate_power_valid(&x, kernel, h));
+            assert_eq!(got, bits(&correlate_full(&x, kernel, h)), "{ctx}");
         }
     }
 

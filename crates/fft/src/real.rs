@@ -71,8 +71,18 @@ impl RealFft {
     /// # Panics
     /// If `x` is longer than `n`.
     pub fn forward(&self, x: &[f64], buf: &mut Vec<Complex64>) {
+        self.forward_rotated(x, 0, buf);
+    }
+
+    /// [`forward`](Self::forward) of `x` rotated cyclically: sample `i` of
+    /// `x` goes to slot `(i + shift) mod n` of the zero-padded row.  The
+    /// shift is even, so neighbouring samples still share a packed point.
+    ///
+    /// # Panics
+    /// If `x` is longer than `n`, or `shift` is odd or not below `n`.
+    pub(crate) fn forward_rotated(&self, x: &[f64], shift: usize, buf: &mut Vec<Complex64>) {
         // amopt-lint: hot-path
-        pack(x, self.half.len(), buf);
+        pack(x, shift, self.half.len(), buf);
         self.half.forward(buf);
     }
 
@@ -152,16 +162,31 @@ impl RealFft {
     }
 }
 
-/// `z_j = x_{2j} + i·x_{2j+1}` for `j < m`; samples past the end of `x` are
-/// zero (a lone last sample packs with a zero imaginary part).
-fn pack(x: &[f64], m: usize, buf: &mut Vec<Complex64>) {
+/// `z_j = y_{2j} + i·y_{2j+1}` for `j < m`, where `y` is `x` zero-padded to
+/// `n = 2m` and rotated by the even `shift`: the samples of `x` that pass
+/// slot `n − 1` wrap to slot 0, and a lone last sample of a run packs with a
+/// zero imaginary part.
+fn pack(x: &[f64], shift: usize, m: usize, buf: &mut Vec<Complex64>) {
     // amopt-lint: hot-path
     assert!(x.len() <= 2 * m, "row of {} samples longer than transform size {}", x.len(), 2 * m);
+    assert!(
+        shift.is_multiple_of(2) && shift < 2 * m,
+        "shift {shift} is odd or not below {}",
+        2 * m
+    );
+    let (head, wrapped) = x.split_at(x.len().min(2 * m - shift));
+    buf.clear();
+    buf.extend(pairs(wrapped));
+    buf.resize(shift / 2, Complex64::ZERO);
+    buf.extend(pairs(head));
+    buf.resize(m, Complex64::ZERO);
+}
+
+/// `x` two samples to a point, a lone last one with a zero imaginary part.
+fn pairs(x: &[f64]) -> impl Iterator<Item = Complex64> + '_ {
     let pairs = x.chunks_exact(2);
     let last = pairs.remainder().first().map(|&v| c64(v, 0.0));
-    buf.clear();
-    buf.extend(pairs.map(|p| c64(p[0], p[1])).chain(last));
-    buf.resize(m, Complex64::ZERO);
+    pairs.map(|p| c64(p[0], p[1])).chain(last)
 }
 
 /// The first `out_len` of the samples `Re z_0, Im z_0, Re z_1, …`.
@@ -246,6 +271,29 @@ mod tests {
             for (b, v) in back.iter().zip(&x) {
                 assert!((b - v).abs() < 1e-12, "n={n} len={len}");
             }
+        }
+    }
+
+    #[test]
+    fn a_rotated_row_packs_as_the_row_rotated_by_hand() {
+        // Wrapped and unwrapped runs of odd and even length, a row that
+        // fills the transform, and shifts either side of the row's end.
+        for (n, len, shift) in
+            [(8usize, 5usize, 0usize), (8, 5, 4), (8, 8, 6), (16, 7, 10), (16, 11, 14), (64, 33, 2)]
+        {
+            let x = rand_real(len, 31 + shift as u64);
+            let mut by_hand = vec![0.0; n];
+            for (i, &v) in x.iter().enumerate() {
+                by_hand[(i + shift) % n] = v;
+            }
+            let real = RealFft::new(n);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            real.forward_rotated(&x, shift, &mut got);
+            real.forward(&by_hand, &mut want);
+            let bits = |z: &[Complex64]| {
+                z.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "n={n} len={len} shift={shift}");
         }
     }
 

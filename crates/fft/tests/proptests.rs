@@ -172,6 +172,77 @@ proptest! {
     }
 }
 
+/// A nonnegative lattice-shaped kernel: a discounted two-tap one, a
+/// Boyle-like three-tap one, a three-tap one live at Nyquist (`[q, 1 − 2q,
+/// q]`, `q` near ½), or a two-tap one of mass up to 1.02.
+fn arb_lattice_kernel() -> impl Strategy<Value = Vec<f64>> {
+    (0usize..4, 0.3..0.7f64, 0.0..1.0f64, 0.99..1.0f64).prop_map(|(shape, p, u, d)| match shape {
+        0 => vec![p * d, (1.0 - p) * d],
+        1 => {
+            let middle = 0.2 + 0.4 * u;
+            vec![p * (1.0 - middle) * d, middle * d, (1.0 - p) * (1.0 - middle) * d]
+        }
+        2 => {
+            let q = 0.45 + 0.045 * u;
+            vec![q * d, (1.0 - 2.0 * q) * d, q * d]
+        }
+        _ => vec![p * (1.0 + 0.02 * u), (1.0 - p) * (1.0 + 0.02 * u)],
+    })
+}
+
+/// A lattice-shaped kernel and a row that hosts `h ≤ 4 096` steps of it
+/// with 1 … 64 cells to spare.
+fn arb_lattice_case() -> impl Strategy<Value = (Vec<f64>, u64, Vec<f64>)> {
+    (arb_lattice_kernel(), 1..=4096u64, 1usize..=64).prop_flat_map(|(kernel, h, spare)| {
+        let len = power_kernel_len(kernel.len(), h) + spare - 1;
+        prop::collection::vec(-3.0..3.0f64, len).prop_map(move |x| (kernel.clone(), h, x))
+    })
+}
+
+/// The correlation on the whole row's transform, every multiplier paid for:
+/// the public transform pieces, `K_k` summed from the plan's roots, `powu`.
+fn correlate_full_size(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
+    let real = RealFft::new(x.len().next_power_of_two().max(4));
+    let mut buf = Vec::new();
+    real.forward(x, &mut buf);
+    real.map_bins(&mut buf, |k, v| {
+        let full = real.full();
+        let mut response = Complex64::ZERO;
+        for (m, &w) in kernel.iter().enumerate() {
+            response += full.root((k * m) % full.len()) * w;
+        }
+        if k == 0 || 2 * k == full.len() {
+            v.scale(response.re.powf(h as f64))
+        } else {
+            v * response.conj().powu(h)
+        }
+    });
+    real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Rows a few cells wider than the power kernel: past a few hundred
+    /// steps the correlation transforms only the kernel's band, a fraction
+    /// of the row, and must still give the whole row's correlation.
+    #[test]
+    fn banded_correlation_matches_the_full_size_transform(case in arb_lattice_case()) {
+        let (kernel, h, x) = case;
+        let got = correlate_power_valid(&x, &kernel, h);
+        let want = correlate_full_size(&x, &kernel, h);
+        prop_assert_eq!(got.len(), want.len());
+        // Each transform rounds by about the h·ε of a multiplier's h-th
+        // power, on a row grown by at most max(1, s^h).
+        let growth = kernel.iter().sum::<f64>().powf(h as f64).max(1.0);
+        let scale = x.iter().map(|v| v.abs()).fold(1.0, f64::max) * growth;
+        let tol = 4.0 * h as f64 * f64::EPSILON * scale;
+        for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!((g - w).abs() <= tol, "h={} c={}: {} vs {}", h, c, g, w);
+        }
+    }
+}
+
 proptest! {
     // Each case steps a row of up to 8 256 cells up to 4 096 times.
     #![proptest_config(ProptestConfig::with_cases(12))]
