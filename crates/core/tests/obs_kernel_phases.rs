@@ -167,15 +167,20 @@ fn linear_advance_cells_per_step_grow_by_a_constant_per_level() {
 }
 
 /// The work of a chain-book pricing as exact counts, on one thread: the
-/// base cases it steps, the correlations it runs (one `fft_pass` each) and
-/// the cells those read.  The engine's schedule is a function of the sizes
-/// alone, so these move only with it — `BASE_CUTOFF`, the hop rule, where a
-/// row goes all-red — and a change of schedule must re-pin them, stating
-/// the old counts.  Both contracts exercise early (R = 5 %, Y = 2 %).  With
-/// a base case of height 8 the same pricings read, as (base cases, passes,
-/// cells) at T = 63 / 252 / 504: BOPM put (7, 9, 183) / (30, 42, 1 478) /
-/// (61, 90, 3 557); TOPM call (5, 9, 451) / (25, 40, 3 078) /
-/// (54, 81, 7 551).
+/// base cases it steps, the correlations it runs (one `fft_pass` each), the
+/// cells those read and the multiplier tables it builds (one per distinct
+/// kernel, transform size and height; a set that built one per transformed
+/// correlation would read about one per pass).  The engine's schedule is a
+/// function of the sizes alone, so these move only with it — `BASE_CUTOFF`,
+/// the hop rule, where a row goes all-red — and a change of schedule must
+/// re-pin them, stating the old counts; how a table's multipliers are
+/// evaluated moves their rounding, not these.  Both contracts exercise
+/// early (R = 5 %, Y = 2 %).  With a base case of height 8 the same
+/// pricings read, as (base cases, passes, cells) at T = 63 / 252 / 504:
+/// BOPM put (7, 9, 183) / (30, 42, 1 478) / (61, 90, 3 557); TOPM call
+/// (5, 9, 451) / (25, 40, 3 078) / (54, 81, 7 551).  The table counts were
+/// pinned later, when the power became square-and-multiply, and read the
+/// same on the commit before.
 #[test]
 fn book_sized_pricings_do_pinned_work() {
     let _turn = counters();
@@ -184,10 +189,15 @@ fn book_sized_pricings_do_pinned_work() {
     let bopm_put = |steps: usize| fast::price_american_put(&BopmModel::new(params, steps).unwrap());
     let topm_call =
         |steps: usize| fast::price_american_call(&TopmModel::new(params, steps).unwrap());
-    // (T, base cases, fft passes, linear cells) per route.
-    let routes: [(&str, &(dyn Fn(usize) -> f64 + Sync), [(usize, u64, u64, u64); 3]); 2] = [
-        ("bopm_put", &bopm_put, [(63, 2, 1, 32), (252, 8, 8, 649), (504, 16, 19, 1813)]),
-        ("topm_call", &topm_call, [(63, 2, 1, 89), (252, 7, 9, 1552), (504, 14, 19, 4458)]),
+    // (T, base cases, fft passes, linear cells, tables) per route.
+    type Pins = [(usize, u64, u64, u64, u64); 3];
+    let routes: [(&str, &(dyn Fn(usize) -> f64 + Sync), Pins); 2] = [
+        ("bopm_put", &bopm_put, [(63, 2, 1, 32, 0), (252, 8, 8, 649, 3), (504, 16, 19, 1813, 4)]),
+        (
+            "topm_call",
+            &topm_call,
+            [(63, 2, 1, 89, 1), (252, 7, 9, 1552, 5), (504, 14, 19, 4458, 6)],
+        ),
     ];
     for (route, price, pins) in routes {
         let got = pins.map(|(steps, ..)| {
@@ -196,9 +206,9 @@ fn book_sized_pricings_do_pinned_work() {
             let snap = kernel::snapshot();
             let base_cases = snap[KernelPhase::BaseCase as usize].calls;
             let passes = snap[KernelPhase::FftPass as usize].calls;
-            (steps, base_cases, passes, kernel::linear_cells())
+            (steps, base_cases, passes, kernel::linear_cells(), kernel::power_tables())
         });
-        println!("{route} (T, base cases, passes, cells): {got:?}");
-        assert_eq!(got, pins, "{route}: (T, base cases, fft passes, linear cells)");
+        println!("{route} (T, base cases, passes, cells, tables): {got:?}");
+        assert_eq!(got, pins, "{route}: (T, base cases, fft passes, linear cells, tables)");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The workspace deliberately avoids external numerics crates; everything the
 //! FFT and the stencil engines need from complex arithmetic fits in this
-//! module: ring operations, conjugation, polar conversion, and the stable
-//! integer power used for pointwise kernel powering.
+//! module: ring operations, conjugation, the modulus, and the integer
+//! power by square-and-multiply used for pointwise kernel powering.
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -37,13 +37,6 @@ impl Complex64 {
         c64(c, s)
     }
 
-    /// Builds `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        c64(r * c, r * s)
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -62,12 +55,6 @@ impl Complex64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument in `(−π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplies by a real scalar.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -81,28 +68,42 @@ impl Complex64 {
         c64(self.re / d, -self.im / d)
     }
 
-    /// Raises `self` to a non-negative integer power through the polar form:
-    /// `z^k = |z|^k · e^{i·k·arg z}`.
+    /// Raises `self` to a non-negative integer power by right-to-left
+    /// square-and-multiply: `z, z², z⁴, …` by squaring, and the product of
+    /// those that the set bits of `k` name, started from the lowest of them
+    /// (`k = 0` gives `1`, `k = 1` gives `z` bit for bit, and nothing is
+    /// multiplied by `1`).  At most `2·log₂k` multiplies, no transcendental.
     ///
-    /// This is the stable evaluation used for the paper's pointwise spectrum
-    /// powering: the kernels of interest satisfy `|z| ≤ 1`, so `|z|^k`
-    /// underflows gracefully toward zero instead of accumulating the rounding
-    /// of `k` successive multiplications. `0^0` is defined as `1`.
+    /// This is the paper's pointwise spectrum powering.  A response `K`
+    /// evaluated with relative rounding `δ ≈ ε` has `(K·(1 + δ))^k ≈
+    /// K^k·(1 + k·δ)`: that `k·δ` is in every form of the power, the polar
+    /// `|z|^k·e^{i·k·arg z}` included.  Each multiply rounds by at most
+    /// `√5·ε/2` in norm, and a squaring doubles the relative error of what
+    /// it squares, so the chain adds at most about `(k − 1)·√5·ε/2` on top
+    /// (first order) — the same order as `k·δ`, and no worse than the polar
+    /// form's `k·ε·(|ln|z|| + |arg z|)`.  For `|z| ≤ 1` the powers fall
+    /// toward zero and underflow to it without a NaN (no infinity is ever
+    /// formed to meet a zero).
     #[inline]
-    pub fn powu(self, k: u64) -> Self {
+    pub fn powu(self, mut k: u64) -> Self {
         if k == 0 {
             return Self::ONE;
         }
-        if k == 1 {
-            return self;
+        let mut base = self;
+        while k & 1 == 0 {
+            base *= base;
+            k >>= 1;
         }
-        let r = self.abs();
-        // amopt-lint: allow(float-eq) -- exact zero modulus short-circuits ln(); 0.0f64 == is an identity test on a computed abs
-        if r == 0.0 {
-            return Self::ZERO;
+        let mut acc = base;
+        k >>= 1;
+        while k != 0 {
+            base *= base;
+            if k & 1 == 1 {
+                acc *= base;
+            }
+            k >>= 1;
         }
-        let magnitude = (k as f64 * r.ln()).exp();
-        Self::from_polar(magnitude, k as f64 * self.arg())
+        acc
     }
 }
 
@@ -188,23 +189,71 @@ impl From<f64> for Complex64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::{FRAC_PI_2, PI};
 
     fn close(a: Complex64, b: Complex64, tol: f64) -> bool {
         (a - b).abs() <= tol
     }
 
-    /// Binary-exponentiation power: the reference [`Complex64::powu`] is
-    /// cross-checked against.
-    fn powu_binary(mut base: Complex64, mut k: u64) -> Complex64 {
-        let mut acc = Complex64::ONE;
+    /// The polar power `|z|^k·e^{i·k·arg z}` (`hypot`, `ln`, `exp`, `atan2`,
+    /// `sin_cos`): the form [`Complex64::powu`] replaced, kept to show that
+    /// square-and-multiply meets the bound it met.
+    fn powu_polar(z: Complex64, k: u64) -> Complex64 {
+        let k = k as f64;
+        Complex64::cis(k * z.im.atan2(z.re)).scale((k * z.abs().ln()).exp())
+    }
+
+    /// A double-double `hi + lo` (about 106 bits), in which the reference
+    /// power is taken: its own rounding, about `k·2⁻¹⁰⁴`, is far below the
+    /// `k·ε` either `f64` form carries.
+    #[derive(Clone, Copy)]
+    struct Dd(f64, f64);
+
+    impl Dd {
+        fn renormalised(hi: f64, lo: f64) -> Dd {
+            let sum = hi + lo;
+            Dd(sum, lo - (sum - hi))
+        }
+
+        fn add(self, other: Dd) -> Dd {
+            let sum = self.0 + other.0;
+            let back = sum - self.0;
+            let err = (self.0 - (sum - back)) + (other.0 - back);
+            Dd::renormalised(sum, err + self.1 + other.1)
+        }
+
+        fn mul(self, other: Dd) -> Dd {
+            let product = self.0 * other.0;
+            let err = self.0.mul_add(other.0, -product);
+            Dd::renormalised(product, err + (self.0 * other.1 + self.1 * other.0))
+        }
+
+        fn neg(self) -> Dd {
+            Dd(-self.0, -self.1)
+        }
+    }
+
+    /// `z^k` in double-double by repeated squaring.
+    fn powu_dd(z: Complex64, mut k: u64) -> (Dd, Dd) {
+        let mul = |(a, b): (Dd, Dd), (c, d): (Dd, Dd)| {
+            (a.mul(c).add(b.mul(d).neg()), a.mul(d).add(b.mul(c)))
+        };
+        let (mut base, mut acc) = ((Dd(z.re, 0.0), Dd(z.im, 0.0)), (Dd(1.0, 0.0), Dd(0.0, 0.0)));
         while k > 0 {
             if k & 1 == 1 {
-                acc *= base;
+                acc = mul(acc, base);
             }
-            base *= base;
+            base = mul(base, base);
             k >>= 1;
         }
         acc
+    }
+
+    /// `|got − z^k| / |z^k|`, against the double-double power.
+    fn relative_error(got: Complex64, z: Complex64, k: u64) -> f64 {
+        let (re, im) = powu_dd(z, k);
+        let (d_re, d_im) = (Dd(got.re, 0.0).add(re.neg()), Dd(got.im, 0.0).add(im.neg()));
+        d_re.0.hypot(d_im.0) / re.0.hypot(im.0)
     }
 
     #[test]
@@ -230,10 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn abs_and_arg() {
+    fn abs_is_the_modulus() {
         let z = c64(3.0, 4.0);
         assert!((z.abs() - 5.0).abs() < 1e-15);
-        assert!((Complex64::I.arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
     }
 
     #[test]
@@ -245,17 +293,36 @@ mod tests {
     }
 
     #[test]
-    fn powu_agrees_with_binary_exponentiation() {
-        let z = c64(0.6, -0.35);
-        for k in [0u64, 1, 2, 3, 7, 16, 31, 100] {
-            let a = z.powu(k);
-            let b = powu_binary(z, k);
-            assert!(close(a, b, 1e-10 * (1.0 + b.abs())), "k={k}: {a:?} vs {b:?}");
+    fn powu_is_within_c_k_eps_of_a_double_double_power() {
+        // Lattice-like responses: |z| ≤ 1, at arguments near 0, π/2 and π,
+        // and powers the pricing's heights reach, odd and even, around
+        // powers of two.  c = 2: a square-and-multiply chain rounds by at
+        // most about (k − 1)·√5·ε/2 and reads at most 0.17·k·ε here; the
+        // polar form reads at most 0.95·k·ε.
+        const C: f64 = 2.0;
+        for r in [0.999_999, 0.9999, 0.99] {
+            for theta in [1e-3, 0.05, FRAC_PI_2 - 1e-3, FRAC_PI_2 + 0.03, PI - 1e-3, 0.02 - PI] {
+                let z = Complex64::cis(theta).scale(r);
+                for k in [2u64, 3, 63, 64, 65, 251, 4_095, 16_384, 32_767] {
+                    let bound = C * k as f64 * f64::EPSILON;
+                    let ctx = format!("|z| = {r}, arg {theta}, k = {k}");
+                    let err = relative_error(z.powu(k), z, k);
+                    assert!(err <= bound, "{ctx}: {err:e} > {bound:e}");
+                    let polar = relative_error(powu_polar(z, k), z, k);
+                    assert!(polar <= bound, "{ctx}, polar: {polar:e} > {bound:e}");
+                }
+            }
         }
     }
 
     #[test]
     fn powu_of_zero_and_one() {
+        let z = c64(0.6, -0.35);
+        assert_eq!(z.powu(0), Complex64::ONE);
+        assert_eq!(
+            (z.powu(1).re.to_bits(), z.powu(1).im.to_bits()),
+            (z.re.to_bits(), z.im.to_bits())
+        );
         assert_eq!(Complex64::ZERO.powu(0), Complex64::ONE);
         assert_eq!(Complex64::ZERO.powu(5), Complex64::ZERO);
         assert!(close(Complex64::ONE.powu(1 << 40), Complex64::ONE, 1e-12));

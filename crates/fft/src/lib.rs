@@ -3,8 +3,8 @@
 //! From-scratch double-precision FFT stack built for the reproduction of
 //! *Fast American Option Pricing using Nonlinear Stencils* (PPoPP 2024):
 //!
-//! * [`Complex64`] — minimal complex arithmetic, including the stable polar
-//!   integer power used for pointwise spectrum powering.
+//! * [`Complex64`] — minimal complex arithmetic, including the integer
+//!   power by square-and-multiply used for pointwise spectrum powering.
 //! * [`radix2`] — depth-first power-of-two Cooley–Tukey transform with a
 //!   process-wide plan cache, forked over halves.
 //! * [`real`] — the real-input transform: a length-`n` real row through one

@@ -91,6 +91,41 @@
 //! | `topm_call_eu` | +12 493   | 7.67e-13 → 1.94e-12 | −5 581     | 2.92e-11 → 3.04e-11 |
 //! | `topm_put_eu`  | −1 843    | 8.71e-13 → 6.07e-13 | −30 586    | 5.33e-12 → 9.71e-12 |
 //! | `bsm_put_eu`   | −461      | 2.25e-12 → 2.18e-12 | +66 173    | 1.37e-11 → 3.36e-12 |
+//!
+//! All ten, and most of `BOOK_PINS`, were re-pinned once more when
+//! `Complex64::powu` took the multiplier `conj(K_k)^h` by square-and-multiply
+//! in place of the polar form (parent `d7d8cfd`).  That moves every table's
+//! rounding and no correlation: the schedule, the bands and the vanished
+//! bins are the same, and `K_k` already carries a relative rounding δ ≈ ε,
+//! so both forms leave about `h·δ` and square-and-multiply adds at most
+//! about `(h − 1)·√5·ε/2`.  Same refusal rule as above, and no pin came
+//! near it.  `bsm_put_eu` has no nest reachable from outside the crate
+//! (the FD grid's European is crate-private); it moved by 2.1e-13 and
+//! 6.3e-14 relative.  Old → new in ulp, then |fast − nest| / nest before →
+//! after:
+//!
+//! | route          | ulp 4 096 | nest 4 096          | ulp 16 384 | nest 16 384         |
+//! |----------------|-----------|---------------------|------------|---------------------|
+//! | `bopm_call`    | +47       | 1.23e-12 → 1.24e-12 | −317       | 1.09e-12 → 1.15e-12 |
+//! | `bopm_put`     | +2 813    | 2.77e-13 → 1.25e-13 | −82        | 2.90e-12 → 2.89e-12 |
+//! | `topm_call`    | +107      | 6.41e-13 → 6.64e-13 | +267       | 1.93e-11 → 1.93e-11 |
+//! | `topm_put`     | −818      | 5.47e-13 → 4.30e-13 | −4 033     | 1.49e-12 → 2.07e-12 |
+//! | `bsm_put`      | −283      | 2.17e-13 → 1.73e-13 | +528       | 1.70e-12 → 1.62e-12 |
+//! | `bopm_call_eu` | −4 812    | 2.91e-12 → 1.87e-12 | −12 806    | 6.90e-12 → 4.12e-12 |
+//! | `bopm_put_eu`  | +1 270    | 1.15e-13 → 6.69e-14 | +1 646     | 5.24e-12 → 5.48e-12 |
+//! | `topm_call_eu` | +1 446    | 1.94e-12 → 2.26e-12 | −5 276     | 3.04e-11 → 3.15e-11 |
+//! | `topm_put_eu`  | −2 090    | 6.07e-13 → 3.09e-13 | +13 894    | 9.71e-12 → 7.72e-12 |
+//! | `bsm_put_eu`   | +1 346    | —                   | −405       | —                   |
+//!
+//! and of `BOOK_PINS` (the binomial and trinomial puts at the paper's
+//! moneyness did not move, nor `bopm_call` at 63 and `topm_call` at 252):
+//!
+//! | route                    | T = 63                   | T = 252                   | T = 504                   |
+//! |--------------------------|--------------------------|---------------------------|---------------------------|
+//! | `bopm_call`              | 0                        | −31, 1.40e-13 → 1.35e-13  | −51, 9.19e-15 → 1.77e-14  |
+//! | `topm_call`              | +2, 6.33e-15 → 6.00e-15  | 0                         | +184, 4.50e-13 → 4.81e-13 |
+//! | `bopm_put_atm`           | −12, 6.62e-15 → 4.73e-15 | −112, 0 → 1.77e-14        | −202, 1.24e-13 → 1.56e-13 |
+//! | `bsm_put_vanishing_rate` | −7, 9.26e-15 → 8.18e-15  | +12, 1.78e-14 → 1.59e-14  | −308, 1.40e-13 → 9.21e-14 |
 
 use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
@@ -108,16 +143,16 @@ const PINS: [(&str, ModelKind, OptionType, ExerciseStyle, u64, u64); 10] = {
     use ModelKind::{Bopm, Bsm, Topm};
     use OptionType::{Call, Put};
     [
-        ("bopm_call", Bopm, Call, American, 0x4020a77abadfeda8, 0x4020a79594a859f2),
-        ("bopm_put", Bopm, Put, American, 0x4028d92522e9cb0e, 0x4028d9538c55c3b3),
-        ("topm_call", Topm, Call, American, 0x4020a7a0a2647abf, 0x4020a79fbd0b9e0c),
-        ("topm_put", Topm, Put, American, 0x4028d9620a4952fc, 0x4028d9635548fb26),
-        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d5c4, 0x4026c53a8e7eedf5),
-        ("bopm_call_eu", Bopm, Call, European, 0x4020628ead394354, 0x402062bd16a5c33a),
-        ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9cf80, 0x4028d9538c560396),
-        ("topm_call_eu", Topm, Call, European, 0x402062cb94986a62, 0x402062ccdf976e8e),
-        ("topm_put_eu", Topm, Put, European, 0x4028d9620a4954a4, 0x4028d96355481ad2),
-        ("bsm_put_eu", Bsm, Put, European, 0x4026bec80f0b82be, 0x4026beb283b54a61),
+        ("bopm_call", Bopm, Call, American, 0x4020a77abadfedd7, 0x4020a79594a858b5),
+        ("bopm_put", Bopm, Put, American, 0x4028d92522e9d60b, 0x4028d9538c55c361),
+        ("topm_call", Topm, Call, American, 0x4020a7a0a2647b2a, 0x4020a79fbd0b9f17),
+        ("topm_put", Topm, Put, American, 0x4028d9620a494fca, 0x4028d9635548eb65),
+        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d4a9, 0x4026c53a8e7ef005),
+        ("bopm_call_eu", Bopm, Call, European, 0x4020628ead393088, 0x402062bd16a59134),
+        ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9d476, 0x4028d9538c560a04),
+        ("topm_call_eu", Topm, Call, European, 0x402062cb94987008, 0x402062ccdf9759f2),
+        ("topm_put_eu", Topm, Put, European, 0x4028d9620a494c7a, 0x4028d96355485118),
+        ("bsm_put_eu", Bsm, Put, European, 0x4026bec80f0b8800, 0x4026beb283b548cc),
     ]
 };
 
@@ -153,15 +188,15 @@ const BOOK_STEPS: [usize; 3] = [63, 252, 504];
 
 /// American routes at `BOOK_STEPS`, pinned on the commit before the base
 /// case became one flat buffer read from a node table and re-pinned when
-/// `BASE_CUTOFF` rose to 32 (module docs), in the order of
-/// `book_contracts`.
+/// `BASE_CUTOFF` rose to 32 and when the spectrum power became
+/// square-and-multiply (module docs), in the order of `book_contracts`.
 const BOOK_PINS: [(&str, [u64; 3]); 6] = [
     ("bopm_put", [0x40236c3dfa81c618, 0x40236fbfc7556a8a, 0x40236c87952af256]),
-    ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03ed, 0x402545eaa784fb4b]),
+    ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03ce, 0x402545eaa784fb18]),
     ("topm_put", [0x40237315e5fbc838, 0x40236bc8da571117, 0x40236dfaf893cbbe]),
-    ("topm_call", [0x40255169cf93eeec, 0x402545eaa7832d3a, 0x402548fe29d86dba]),
-    ("bopm_put_atm", [0x40268d3c50fe33a0, 0x4026736d3bf0dad8, 0x40267609c03f19d0]),
-    ("bsm_put_vanishing_rate", [0x402705f37601b87a, 0x4026ff0dad8f8d21, 0x4026fd6bcc436661]),
+    ("topm_call", [0x40255169cf93eeee, 0x402545eaa7832d3a, 0x402548fe29d86e72]),
+    ("bopm_put_atm", [0x40268d3c50fe3394, 0x4026736d3bf0da68, 0x40267609c03f1906]),
+    ("bsm_put_vanishing_rate", [0x402705f37601b873, 0x4026ff0dad8f8d2d, 0x4026fd6bcc43652d]),
 ];
 
 /// The contracts of `BOOK_PINS`:
