@@ -5,7 +5,7 @@
 //! module: ring operations, conjugation, the modulus, and the integer
 //! power by square-and-multiply used for pointwise kernel powering.
 
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
 
 /// Complex number with `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -27,8 +27,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = c64(0.0, 0.0);
     /// Multiplicative identity.
     pub const ONE: Complex64 = c64(1.0, 0.0);
-    /// Imaginary unit.
-    pub const I: Complex64 = c64(0.0, 1.0);
 
     /// Builds the unit-modulus number `e^{iθ}`.
     #[inline]
@@ -59,13 +57,6 @@ impl Complex64 {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         c64(self.re * k, self.im * k)
-    }
-
-    /// Multiplicative inverse. Returns NaNs for zero, like `1.0/0.0` would.
-    #[inline]
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        c64(self.re / d, -self.im / d)
     }
 
     /// Raises `self` to a non-negative integer power by right-to-left
@@ -131,14 +122,6 @@ impl Sub for Complex64 {
     }
 }
 
-impl SubAssign for Complex64 {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Self) {
-        self.re -= rhs.re;
-        self.im -= rhs.im;
-    }
-}
-
 impl Mul for Complex64 {
     type Output = Complex64;
     #[inline]
@@ -159,15 +142,6 @@ impl Mul<f64> for Complex64 {
     #[inline]
     fn mul(self, rhs: f64) -> Self {
         self.scale(rhs)
-    }
-}
-
-impl Div for Complex64 {
-    type Output = Complex64;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // division as multiply-by-reciprocal
-    fn div(self, rhs: Self) -> Self {
-        self * rhs.recip()
     }
 }
 
@@ -269,13 +243,6 @@ mod tests {
     fn multiplication_matches_hand_computation() {
         // (1+2i)(3+4i) = 3+4i+6i-8 = -5+10i
         assert_eq!(c64(1.0, 2.0) * c64(3.0, 4.0), c64(-5.0, 10.0));
-    }
-
-    #[test]
-    fn division_inverts_multiplication() {
-        let a = c64(1.5, -2.25);
-        let b = c64(-0.5, 3.0);
-        assert!(close(a * b / b, a, 1e-12));
     }
 
     #[test]

@@ -92,11 +92,24 @@
 //! [`KernelPowers`] therefore evaluates each table once — on its first use,
 //! with the expressions above, so every bit is what a fresh evaluation
 //! gives — and hands it to every later correlation with the same kernel and
-//! `(n, h)`.  A table keeps only its live bins: a bitmap of bins `0 … n/2`
-//! with the count of live bins before each 64-bit word, and the live
-//! multipliers in rising `k`; a vanished bin reads back as the exact zero it
-//! always was.  At the heights a deep pricing runs that is a few percent of
-//! `n/2 + 1` entries.
+//! `(n, h)`.
+//!
+//! A table is laid out in the order the spectrum step reads it.  The
+//! forward transform leaves the packed spectrum in position order and the
+//! inverse takes it back from there (`real` module docs: position `p` holds
+//! bin `rev(p)`, and the octave mirror pairs each bin `k` with `n/2 − k`),
+//! so the step is one walk over the pairs in order, and the table holds, in
+//! the same order, each pair's split twiddle `e^{−2πik/n}` beside the
+//! multipliers of its two bins.  Each multiplier carries the scaling the
+//! transforms leave out: the inverse's `1/(n/2)`, and the split's and the
+//! merge's halvings — `conj(K_k)^h/(2n)` for a pair, `K_k^h/n` at DC and
+//! Nyquist, `conj(K_{n/4})^h/(n/2)` for the bin that pairs with itself — so
+//! no pass over the row scales it.  A table keeps only its live pairs (a
+//! pair is live when either bin is): a bitmap of pair slots with the count
+//! of live pairs before each 64-bit word, and the live pairs' entries in
+//! slot order; a vanished bin of a live pair has an exact zero multiplier,
+//! and a vanished pair writes exact zeros.  At the heights a deep pricing
+//! runs that is a few percent of the `n/4` pairs.
 //!
 //! A set is keyed on the kernel's weight *bits* as well as `(n, h)`, and
 //! owns no kernel: the caller passes it with each correlation, so a set
@@ -112,7 +125,7 @@
 
 use crate::complex::{c64, Complex64};
 use crate::radix2::{next_pow2, Fft};
-use crate::real::RealFft;
+use crate::real::{self, RealFft};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -196,12 +209,12 @@ pub fn correlate_power_valid_with(
     KernelPowers::new().correlate(x, kernel, h, scratch)
 }
 
-/// Bitmap words (64 bins each) one task of a table build evaluates; longer
-/// ranges fork.  A word costs 64 responses of a few nanoseconds each and a
-/// power by square-and-multiply, 15–45 ns by the height on a 2-core Xeon VM,
-/// per live bin: 32 words make a task of about ten microseconds and more,
-/// several forks' worth.
-const WORD_GRAIN: usize = 32;
+/// Bitmap words (64 pair slots, 128 bins each) one task of a table build
+/// evaluates; longer ranges fork.  A word costs 128 responses of a few
+/// nanoseconds each and a power by square-and-multiply, 15–45 ns by the
+/// height on a 2-core Xeon VM, per live bin: 16 words make a task of about
+/// ten microseconds and more, several forks' worth.
+const WORD_GRAIN: usize = 16;
 
 /// The spectrum multipliers `conj(K_k)^h` of the kernels a caller
 /// correlates with, one table per kernel, transform size `n` and height
@@ -280,8 +293,8 @@ impl KernelPowers {
         let buf = &mut scratch.buf;
         // Cell `p ∈ [lo, lo + n)` to slot `p mod n`, so `out[c]` is slot `c`.
         table.real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, buf);
-        table.real.map_bins(buf, |k, v| table.apply(k, v));
-        table.real.inverse(buf, out_len)
+        table.apply(buf);
+        table.real.inverse_positions(buf, out_len)
     }
 
     /// The table of `(kernel, n, h)`, built now if no correlation has asked
@@ -308,7 +321,8 @@ impl KernelPowers {
     }
 }
 
-/// The multipliers of one `(kernel, n, h)`: bins `0 … n/2`, live ones only.
+/// The multipliers of one `(kernel, n, h)` in position order, scaled, live
+/// pairs only (module docs).
 #[derive(Debug)]
 struct PowerTable {
     /// The bits of the kernel's weights, in tap order.
@@ -316,28 +330,39 @@ struct PowerTable {
     /// The transform of rows of length `n`, planned once for the table.
     real: RealFft,
     h: u64,
-    /// Per 64 bins: bit `k % 64` set when bin `k` is live, and the number of
-    /// live bins in the words before.
+    /// Position 0's multipliers: `K_0^h/n` and `K_{n/2}^h/n` (real).
+    dc: f64,
+    nyquist: f64,
+    /// Position 1's: `conj(K_{n/4})^h/(n/2)`.
+    quarter: Complex64,
+    /// Per 64 pair slots: bit `s % 64` set when the pair in slot `s` is
+    /// live, and the number of live pairs in the words before.
     live: Vec<(u64, usize)>,
-    /// `conj(K_k)^h` of the live bins in rising `k`; at DC and Nyquist the
-    /// real `K_k^h` (a zero imaginary part).
-    values: Vec<Complex64>,
+    /// `[e^{−2πik/n}, conj(K_k)^h/(2n), conj(K_{n/2−k})^h/(2n)]` of the live
+    /// pairs in slot order, `k` the bin of the pair's lower position.
+    pairs: Vec<[Complex64; 3]>,
 }
 
 impl PowerTable {
     /// Evaluates every bin's multiplier for rows of length `n`.
     fn build(kernel: &[f64], n: usize, h: u64) -> PowerTable {
         let real = RealFft::new(n);
-        let mut live = vec![(0u64, 0usize); (n / 2 + 1).div_ceil(64)];
-        let mut values = live_words(kernel, real.full(), h, vanished_below(h), &mut live, 0);
-        values.shrink_to_fit();
+        let (full, vanished, scale) = (real.full(), vanished_below(h), 1.0 / n as f64);
+        let mut live = vec![(0u64, 0usize); (n / 4 - 1).div_ceil(64)];
+        mark_live(kernel, full, vanished, &mut live, 0);
         let mut total = 0;
         for (word, before) in &mut live {
             *before = total;
             total += word.count_ones() as usize;
         }
+        let mut pairs = vec![[Complex64::ZERO; 3]; total];
+        fill_pairs(kernel, full, h, vanished, &live, 0, &mut pairs);
+        let real_part = |k| multiplier(kernel, k, full, h, vanished, scale).map_or(0.0, |v| v.re);
+        let (dc, nyquist) = (real_part(0), real_part(n / 2));
+        let quarter = multiplier(kernel, n / 4, full, h, vanished, 2.0 * scale);
+        let quarter = quarter.unwrap_or(Complex64::ZERO);
         let taps = kernel.iter().map(|w| w.to_bits()).collect();
-        PowerTable { taps, real, h, live, values }
+        PowerTable { taps, real, h, dc, nyquist, quarter, live, pairs }
     }
 
     /// Whether this is the table of `kernel` (bit for bit) at `(n, h)`.
@@ -347,79 +372,115 @@ impl PowerTable {
             && self.taps.iter().zip(kernel).all(|(&bits, w)| bits == w.to_bits())
     }
 
-    /// Bin `k` of a spectrum times its multiplier; an exact zero where the
-    /// multiplier has vanished.
-    #[inline]
-    fn apply(&self, k: usize, v: Complex64) -> Complex64 {
+    /// The spectrum step: every bin of the packed spectrum `z`, in position
+    /// order, times its multiplier, scaled for the unscaled inverse.
+    fn apply(&self, z: &mut [Complex64]) {
         // amopt-lint: hot-path
-        let (word, before) = self.live[k / 64];
-        let bit = 1u64 << (k % 64);
-        if word & bit == 0 {
-            return Complex64::ZERO;
-        }
-        let m = self.values[before + (word & (bit - 1)).count_ones() as usize];
-        if k == 0 || 2 * k == self.real.full().len() {
-            v.scale(m.re)
-        } else {
-            v * m
+        let (even, odd) = (z[0].re, z[0].im);
+        let (dc, nyquist) = ((even + odd) * self.dc, (even - odd) * self.nyquist);
+        z[0] = c64(dc + nyquist, dc - nyquist);
+        z[1] = (self.quarter * z[1].conj()).conj();
+        real::octave_pairs(z, &|s0, lo, hi| self.apply_pairs(s0, lo, hi));
+    }
+
+    /// [`PowerTable::apply`] on the pairs of slots `s0 …`: lower points in
+    /// `lo`, their partners backwards in `hi`.
+    fn apply_pairs(&self, s0: usize, lo: &mut [Complex64], hi: &mut [Complex64]) {
+        // amopt-lint: hot-path
+        let (word, before) = self.live[s0 / 64];
+        let mut next = before + (word & ((1 << (s0 % 64)) - 1)).count_ones() as usize;
+        for (s, (zk, zm)) in (s0..).zip(lo.iter_mut().zip(hi.iter_mut().rev())) {
+            if self.live[s / 64].0 & (1 << (s % 64)) == 0 {
+                (*zk, *zm) = (Complex64::ZERO, Complex64::ZERO);
+                continue;
+            }
+            let [w, mk, mm] = self.pairs[next];
+            next += 1;
+            let (xk, xm) = real::split_pair(*zk, *zm, w);
+            (*zk, *zm) = real::merge_pair(xk * mk, xm * mm, w);
         }
     }
 }
 
-/// Sets the bits of the live bins in `words` — bins `64·w0` on — and returns
-/// their multipliers in rising `k`; a bin whose `|K_k|²` is below `vanished`
-/// stays clear.  Ranges longer than [`WORD_GRAIN`] fork in halves.
-fn live_words(
+/// Sets the bits of the live pairs in `words` — slots `64·w0` on: those
+/// with a bin whose `|K_k|²` is not below `vanished`.  Ranges longer than
+/// [`WORD_GRAIN`] fork in halves.
+fn mark_live(kernel: &[f64], full: &Fft, vanished: f64, words: &mut [(u64, usize)], w0: usize) {
+    if words.len() > WORD_GRAIN {
+        let (head, tail) = words.split_at_mut(words.len() / 2);
+        let w1 = w0 + head.len();
+        amopt_parallel::join(
+            || mark_live(kernel, full, vanished, head, w0),
+            || mark_live(kernel, full, vanished, tail, w1),
+        );
+        return;
+    }
+    let (n, m) = (full.len(), full.len() / 2);
+    let live = |k| kernel_response(kernel, k, full).norm_sqr() >= vanished;
+    for (w, (word, _)) in (w0..).zip(words) {
+        for (b, s) in (64 * w..(64 * w + 64).min(n / 4 - 1)).enumerate() {
+            let k = real::bin_at(real::slot_position(s), m);
+            *word |= u64::from(live(k) || live(m - k)) << b;
+        }
+    }
+}
+
+/// Writes the entries of the live pairs marked in `words` — slots `64·w0`
+/// on, counted — to `out` in slot order; a bin whose `|K_k|²` is below
+/// `vanished` has an exact zero multiplier.  Ranges longer than
+/// [`WORD_GRAIN`] fork in halves, `out` split where the second half's live
+/// pairs begin.
+fn fill_pairs(
     kernel: &[f64],
     full: &Fft,
     h: u64,
     vanished: f64,
-    words: &mut [(u64, usize)],
+    words: &[(u64, usize)],
     w0: usize,
-) -> Vec<Complex64> {
+    out: &mut [[Complex64; 3]],
+) {
     if words.len() > WORD_GRAIN {
-        let (head, tail) = words.split_at_mut(words.len() / 2);
+        let (head, tail) = words.split_at(words.len() / 2);
+        let (out_head, out_tail) = out.split_at_mut(tail[0].1 - head[0].1);
         let w1 = w0 + head.len();
-        let (mut values, rest) = amopt_parallel::join(
-            || live_words(kernel, full, h, vanished, head, w0),
-            || live_words(kernel, full, h, vanished, tail, w1),
+        amopt_parallel::join(
+            || fill_pairs(kernel, full, h, vanished, head, w0, out_head),
+            || fill_pairs(kernel, full, h, vanished, tail, w1, out_tail),
         );
-        values.extend_from_slice(&rest);
-        return values;
+        return;
     }
-    let n = full.len();
-    let mut values = Vec::new();
-    let mut responses = [Complex64::ZERO; 64];
-    for (w, (word, _)) in (w0..).zip(words) {
-        let bins = 64 * w..(64 * w + 64).min(n / 2 + 1);
-        for (b, (k, response)) in bins.zip(&mut responses).enumerate() {
-            *response = kernel_response(kernel, k, full);
-            let vanishes = response.norm_sqr() < vanished;
-            *word |= u64::from(!vanishes) << b;
-        }
-        values.reserve(word.count_ones() as usize);
-        for b in set_bits(*word) {
-            let (k, response) = (64 * w + b, responses[b]);
-            values.push(if k == 0 || 2 * k == n {
-                // Sums of ±w_m: the roots read there are exactly ±1.
-                c64(response.re.powf(h as f64), 0.0)
-            } else {
-                response.conj().powu(h)
-            });
-        }
+    let (n, m) = (full.len(), full.len() / 2);
+    let scale = 0.5 / n as f64;
+    let multiplier = |k| multiplier(kernel, k, full, h, vanished, scale).unwrap_or(Complex64::ZERO);
+    let live_slots = words.iter().zip(w0..).flat_map(|(&(word, _), w)| {
+        (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| 64 * w + b)
+    });
+    for (entry, s) in out.iter_mut().zip(live_slots) {
+        let k = real::bin_at(real::slot_position(s), m);
+        *entry = [full.root(k), multiplier(k), multiplier(m - k)];
     }
-    values
 }
 
-/// Positions of the set bits of `word`, lowest first.
-fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let b = word.trailing_zeros() as usize;
-            word &= word - 1;
-            b
-        })
-    })
+/// `conj(K_k)^h·scale` for bin `k ∈ [0, n/2]` of rows of length `n =
+/// full.len()`, or `None` where `|K_k|²` is below `vanished`; at DC and
+/// Nyquist the real `K_k^h·scale` (the roots read there are exactly `±1`,
+/// so `K_k` is a sum of `±w_m`).
+fn multiplier(
+    kernel: &[f64],
+    k: usize,
+    full: &Fft,
+    h: u64,
+    vanished: f64,
+    scale: f64,
+) -> Option<Complex64> {
+    let response = kernel_response(kernel, k, full);
+    if response.norm_sqr() < vanished {
+        None
+    } else if k == 0 || 2 * k == full.len() {
+        Some(c64(response.re.powf(h as f64) * scale, 0.0))
+    } else {
+        Some(response.conj().powu(h).scale(scale))
+    }
 }
 
 /// Bin `k ∈ [0, n)` of the length-`n` DFT of a short real kernel,
@@ -667,8 +728,9 @@ mod tests {
     }
 
     /// The correlation on the transform `(lo, n)` with each multiplier
-    /// evaluated in the pointwise pass itself, on every call; below the
-    /// vanishing test's threshold an exact zero if `cut`, paid for if not.
+    /// evaluated in the spectrum step itself, on every call, position by
+    /// position; below the vanishing test's threshold an exact zero if
+    /// `cut`, paid for if not.
     fn correlate_on(
         x: &[f64],
         kernel: &[f64],
@@ -676,20 +738,45 @@ mod tests {
         (lo, n): (usize, usize),
         cut: bool,
     ) -> Vec<f64> {
-        let (real, vanished) = (RealFft::new(n), vanished_below(h));
-        let mut buf = Vec::new();
-        real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, &mut buf);
-        real.map_bins(&mut buf, |k, v| {
+        let (real, m, nf) = (RealFft::new(n), n / 2, n as f64);
+        let vanished = if cut { vanished_below(h) } else { 0.0 };
+        // conj(K_k)^h·scale, None where it vanished; real at DC and Nyquist.
+        let multiplier = |k: usize, scale: f64| {
             let response = kernel_response(kernel, k, real.full());
-            if cut && response.norm_sqr() < vanished {
-                Complex64::ZERO
-            } else if k == 0 || 2 * k == n {
-                v.scale(response.re.powf(h as f64))
+            if response.norm_sqr() < vanished {
+                None
+            } else if k == 0 || k == m {
+                Some(c64(response.re.powf(h as f64) * scale, 0.0))
             } else {
-                v * response.conj().powu(h)
+                Some(response.conj().powu(h).scale(scale))
             }
-        });
-        real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+        };
+        let zero = Complex64::ZERO;
+        let mut z = Vec::new();
+        real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, &mut z);
+        // Position 0 holds bins 0 and n/2, position 1 bin n/4.
+        let real_part = |k| multiplier(k, 1.0 / nf).map_or(0.0, |v| v.re);
+        let (even, odd) = (z[0].re, z[0].im);
+        let (dc, nyquist) = ((even + odd) * real_part(0), (even - odd) * real_part(m));
+        z[0] = c64(dc + nyquist, dc - nyquist);
+        z[1] = (multiplier(m / 2, 2.0 / nf).unwrap_or(zero) * z[1].conj()).conj();
+        // Every other position pairs with its octave mirror.
+        for p in 2..m {
+            let q = 3 * (1 << p.ilog2()) - 1 - p;
+            if q < p {
+                continue;
+            }
+            let k = p.reverse_bits() >> (usize::BITS - m.trailing_zeros());
+            let (mk, mm) = (multiplier(k, 0.5 / nf), multiplier(m - k, 0.5 / nf));
+            if mk.is_none() && mm.is_none() {
+                (z[p], z[q]) = (zero, zero);
+                continue;
+            }
+            let w = real.full().root(k);
+            let (xk, xm) = real::split_pair(z[p], z[q], w);
+            (z[p], z[q]) = real::merge_pair(xk * mk.unwrap_or(zero), xm * mm.unwrap_or(zero), w);
+        }
+        real.inverse_positions(&mut z, x.len() + 1 - power_kernel_len(kernel.len(), h))
     }
 
     /// The correlation with every multiplier paid for, on the transform

@@ -5,10 +5,13 @@
 //!
 //! * [`Complex64`] — minimal complex arithmetic, including the integer
 //!   power by square-and-multiply used for pointwise spectrum powering.
-//! * [`radix2`] — depth-first power-of-two Cooley–Tukey transform with a
-//!   process-wide plan cache, forked over halves.
+//! * [`radix2`] — depth-first power-of-two Cooley–Tukey transform in
+//!   radix-4 passes with a process-wide plan cache, forked over halves: a
+//!   decimation-in-frequency forward into bit-reversed order and a
+//!   decimation-in-time inverse out of it, so a correlation never permutes.
 //! * [`real`] — the real-input transform: a length-`n` real row through one
-//!   `n/2`-point complex FFT, bins `0 … n/2` only.
+//!   `n/2`-point complex FFT, bins `0 … n/2` only, which a correlation
+//!   multiplies in the transform's bit-reversed order.
 //! * [`convolve`] — linear convolution plus the kernel-power correlation
 //!   primitive ([`correlate_power_valid`]) that implements the aperiodic
 //!   linear-stencil algorithm of Ahmad et al. (SPAA 2021), the substrate
@@ -31,5 +34,5 @@ pub use convolve::{
     correlate_power_valid, correlate_power_valid_with, kernel_power_taps, linear_convolve,
     power_kernel_len, FftScratch, KernelPowers,
 };
-pub use radix2::{fft, ifft, plan, Direction, Fft};
+pub use radix2::{fft, ifft, plan, Fft};
 pub use real::RealFft;

@@ -1,49 +1,55 @@
-//! Radix-2 Cooley–Tukey FFT (decimation in time) with cached twiddle tables,
-//! run depth first and forked over halves.
+//! Power-of-two Cooley–Tukey FFT in radix-4 passes, with cached twiddle
+//! tables, run depth first and forked over sub-blocks.
 //!
 //! Sizes must be powers of two (every caller pads to the next one).  Plans
 //! are cached process-wide because the trapezoid decomposition of the pricing
 //! algorithms requests the same handful of sizes thousands of times.
 //!
-//! After the bit-reversal permutation, a block of the buffer is transformed
-//! by transforming each of its halves and then running the one butterfly
-//! pass that combines them; a block of at most `LEAF_LEN` points runs its
-//! passes one after another.  These are the butterflies of the textbook
+//! There are two transforms and no permutation between them.  The forward
+//! transform is a decimation in frequency: natural order in, *bit-reversed*
+//! order out (position `p` holds bin `rev(p)`).  The inverse is a decimation
+//! in time: bit-reversed in, natural out, and unscaled.  A correlation
+//! multiplies its spectrum position by position, so it never needs the bins
+//! in order; only the natural-order [`Fft::forward`] and [`Fft::inverse`]
+//! add the one `bit_reverse_permute` (and the inverse its `1/n`).
+//!
+//! Each pass is a radix-4 butterfly on four points a quarter block apart:
+//! three twiddle multiplies, the `±i` free.  It is two radix-2 passes fused,
+//! so the outputs land where those passes would put them and the order stays
+//! bit-reversed.  When `log₂ n` is odd, one radix-2 pass runs first in the
+//! forward transform (on the whole buffer) and last in the inverse; every
+//! block below it then has a power-of-four size, down to the twiddle-free
+//! four-point pass.
+//!
+//! A block of at most `LEAF_LEN` points runs its passes one after another,
+//! reading the plan's leaf table: each pass's twiddle triples, contiguous.
+//! A longer block runs its one pass and then its sub-blocks (forward), or
+//! its sub-blocks and then its pass (inverse), reading its twiddles from the
+//! plan's table by stride.  These are the butterflies of the textbook
 //! pass-by-pass loop in the same arithmetic — only their order differs, so
-//! every output bit is that loop's (tested against a copy of it) — and the
-//! order is the point: pass by pass, a transform that outgrows a cache level
-//! streams the whole buffer through it `log n` times, whereas depth first
-//! each block does all its passes at the innermost level that holds it, and
-//! only the `log(n / that block)` passes above it reach further out.
+//! every output bit is that loop's (tested against one) — and the order is
+//! the point: pass by pass, a transform that outgrows a cache level streams
+//! the whole buffer through it every pass, whereas depth first each block
+//! does all its passes at the innermost level that holds it.
 //!
 //! A block of `PAR_MIN_LEN` points or more transforms its halves under a
-//! `join` — each half then lives in one core's L2 rather than being traded
-//! between two every pass — and its combining pass forks over runs of
-//! `COMBINE_GRAIN` butterfly pairs.  The join tree is fixed by the sizes; the
-//! pool only decides which worker runs a node, so no thread count moves a bit.
+//! `join`, and its own pass forks over runs of `COMBINE_GRAIN` butterflies.
+//! The join tree is fixed by the sizes; the pool only decides which worker
+//! runs a node, so no thread count moves a bit.
 //!
-//! Measured: forward transform, ns per point, pass-by-pass → depth-first,
-//! medians of alternating runs on a 2-core Xeon VM (48 KiB L1d and 2 MiB L2 a
-//! core).  One thread: 2¹⁰ 7.6 → 7.5, 2¹² 9.8 → 9.5, 2¹⁴ 13.8 → 12.3,
-//! 2¹⁶ 17.4 → 15.6, 2¹⁷ 24.1 → 19.2, 2¹⁸ 38.3 → 35.0.  Two workers:
-//! 2¹⁴ 13.4 → 12.2, 2¹⁶ 17.4 → 12.5, 2¹⁷ 20.9 → 13.1, 2¹⁸ 28.6 → 19.0.  Of
-//! what remains at 2¹⁵–2¹⁷ points, `bit_reverse_permute` is 3.5–4 ns a point
-//! — serial, a scattered swap per point — which a decimation-in-frequency
-//! forward paired with a decimation-in-time inverse would remove altogether
-//! (ROADMAP item 2(d)).
+//! Measured: ns per point per transform over a forward–inverse pair, one
+//! thread, medians of 5 alternating runs on a 2-core Xeon VM (48 KiB L1d and
+//! 2 MiB L2 a core).  In natural order (both permutations and the `1/n`
+//! included), radix-2 → radix-4: 2⁶ 9.6 → 7.6, 2⁸ 14.0 → 8.9, 2¹⁰
+//! 13.3 → 12.0, 2¹⁴ 22.6 → 17.3, 2¹⁸ 43.9 → 27.3.  Without the
+//! permutations, as a correlation runs them (and with a copy of the input
+//! put back each pair): 2⁶ 5.4, 2⁸ 6.8, 2¹⁰ 9.5, 2¹⁴ 12.1, 2¹⁸ 21.2.  A
+//! warm kernel-power correlation of (cells, height) = (112, 64), (448, 256)
+//! and (4 096, 1 024), µs: 2.1 → 1.2, 8.4 → 5.2, 74.7 → 46.6.
 
-use crate::complex::Complex64;
+use crate::complex::{c64, Complex64};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Transform direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// `X_k = Σ_n x_n e^{-2πi nk/N}`.
-    Forward,
-    /// `x_n = (1/N) Σ_k X_k e^{+2πi nk/N}` (scaling included).
-    Inverse,
-}
 
 /// Blocks shorter than this are transformed by one worker.  A fork costs
 /// about a microsecond (a stolen one a wake-up more), and half of a shorter
@@ -51,10 +57,10 @@ pub enum Direction {
 const PAR_MIN_LEN: usize = 1 << 14;
 
 /// Blocks of at most this many points (16 KiB, a share of one core's L1) run
-/// their passes one after another; longer blocks recurse on their halves.
+/// their passes one after another; longer blocks recurse on their sub-blocks.
 const LEAF_LEN: usize = 1 << 10;
 
-/// Butterfly pairs one task of a combining pass handles; longer runs fork.
+/// Butterflies one task of a longer block's pass handles; longer runs fork.
 const COMBINE_GRAIN: usize = PAR_MIN_LEN / 4;
 
 /// A reusable transform plan for one power-of-two size.
@@ -63,6 +69,11 @@ pub struct Fft {
     n: usize,
     /// `twiddles[j] = e^{-2πi j / n}` for `j ∈ [0, n/2)`.
     twiddles: Vec<Complex64>,
+    /// The twiddles of the radix-4 passes of blocks of `L ∈ {4, 16, …} ≤
+    /// min(n, LEAF_LEN)` points: from index `(L/4 − 1)/3` on, `(w^j, w^{2j},
+    /// w^{3j})` for `j < L/4`, `w = e^{−2πi/L}` — copies of [`Fft::root`]'s
+    /// values.
+    leaf: Vec<[Complex64; 3]>,
 }
 
 impl Fft {
@@ -71,11 +82,19 @@ impl Fft {
     /// # Panics
     /// If `n` is zero or not a power of two.
     pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two(), "radix-2 FFT size must be a power of two, got {n}");
-        let half = n / 2;
+        assert!(n.is_power_of_two(), "FFT size must be a power of two, got {n}");
         let step = -2.0 * std::f64::consts::PI / n as f64;
-        let twiddles = (0..half).map(|j| Complex64::cis(step * j as f64)).collect();
-        Fft { n, twiddles }
+        let twiddles = (0..n / 2).map(|j| Complex64::cis(step * j as f64)).collect();
+        let mut plan = Fft { n, twiddles, leaf: Vec::new() };
+        let mut block = 4;
+        while block <= n.min(LEAF_LEN) {
+            let stride = n / block;
+            let triple = |j| [j, 2 * j, 3 * j].map(|t| plan.root(t * stride));
+            let leaf: Vec<[Complex64; 3]> = (0..block / 4).map(triple).collect();
+            plan.leaf.extend(leaf);
+            block *= 4;
+        }
+        plan
     }
 
     /// Transform size this plan was built for.
@@ -89,12 +108,6 @@ impl Fft {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The plan's root of unity `e^{-2πi j / n}`, for `j ∈ [0, n/2)`.
-    #[inline]
-    pub fn twiddle(&self, j: usize) -> Complex64 {
-        self.twiddles[j]
     }
 
     /// The root of unity `e^{-2πi j / n}` for any `j ∈ [0, n)`, read from the
@@ -115,134 +128,252 @@ impl Fft {
         }
     }
 
-    /// In-place forward DFT.
+    /// In-place forward DFT, in natural order.
     pub fn forward(&self, buf: &mut [Complex64]) {
-        self.transform(buf, Direction::Forward);
+        self.forward_bit_reversed(buf);
+        bit_reverse_permute(buf);
     }
 
-    /// In-place inverse DFT, including the `1/n` normalisation.
+    /// In-place inverse DFT, in natural order, including the `1/n`
+    /// normalisation.
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.transform(buf, Direction::Inverse);
+        bit_reverse_permute(buf);
+        self.inverse_bit_reversed(buf);
+        let scale = 1.0 / self.n as f64;
+        amopt_parallel::for_each_chunk_mut(buf, PAR_MIN_LEN / 2, |_, chunk| {
+            for v in chunk.iter_mut() {
+                *v = v.scale(scale);
+            }
+        });
     }
 
-    /// In-place transform in the given direction.
-    pub fn transform(&self, buf: &mut [Complex64], dir: Direction) {
+    /// In-place forward DFT that leaves bin `rev(p)` at position `p`
+    /// (`rev` reverses the `log₂ n` bits).
+    pub(crate) fn forward_bit_reversed(&self, buf: &mut [Complex64]) {
+        // amopt-lint: hot-path
+        self.run::<false>(buf);
+    }
+
+    /// In-place inverse DFT of a spectrum holding bin `rev(p)` at position
+    /// `p`, *without* the `1/n`: the output is `n` times the signal.
+    pub(crate) fn inverse_bit_reversed(&self, buf: &mut [Complex64]) {
+        // amopt-lint: hot-path
+        self.run::<true>(buf);
+    }
+
+    fn run<const INVERSE: bool>(&self, buf: &mut [Complex64]) {
         // amopt-lint: hot-path
         assert_eq!(buf.len(), self.n, "buffer length {} != plan size {}", buf.len(), self.n);
-        let inverse = dir == Direction::Inverse;
         if self.n >= PAR_MIN_LEN {
             // The halves fork.  Forking from a pool worker is a deque push;
             // from a thread outside the pool it is a hand-over and a wait.
             // This join moves such a caller's whole transform onto a worker,
             // so it pays one hand-over rather than one per fork (on a worker
             // the join itself is a push and a pop).
-            amopt_parallel::join(|| self.passes(buf, inverse), || ());
+            amopt_parallel::join(|| self.block::<INVERSE>(buf), || ());
         } else {
-            self.passes(buf, inverse);
+            self.block::<INVERSE>(buf);
         }
     }
 
-    /// Bit reversal, the butterflies and, for the inverse, the scaling.
-    fn passes(&self, buf: &mut [Complex64], inverse: bool) {
+    /// Every pass of the aligned block `buf`, depth first: the block's own
+    /// pass, then each sub-block's passes (forward); or the sub-blocks first
+    /// and the block's pass last (inverse).
+    fn block<const INVERSE: bool>(&self, buf: &mut [Complex64]) {
         // amopt-lint: hot-path
-        if self.n <= 1 {
+        let len = buf.len();
+        if len <= LEAF_LEN {
+            self.leaf::<INVERSE>(buf);
             return;
         }
-        bit_reverse_permute(buf);
-        self.butterflies(buf, inverse);
-        if inverse {
-            let scale = 1.0 / self.n as f64;
-            amopt_parallel::for_each_chunk_mut(buf, PAR_MIN_LEN / 2, |_, chunk| {
-                for v in chunk.iter_mut() {
-                    *v = v.scale(scale);
-                }
-            });
+        let radix = if len.trailing_zeros() % 2 == 1 { 2 } else { 4 };
+        if !INVERSE {
+            self.combine::<INVERSE>(buf, radix);
+        }
+        self.sub_blocks::<INVERSE>(buf, radix);
+        if INVERSE {
+            self.combine::<INVERSE>(buf, radix);
         }
     }
 
-    /// Every butterfly pass of the aligned block `buf` (a power-of-two run of
-    /// the bit-reversed buffer), depth first: all passes of each half, then
-    /// the one pass that combines them.
-    fn butterflies(&self, buf: &mut [Complex64], inverse: bool) {
+    /// [`Fft::block`] on each of the `parts` (1, 2 or 4) sub-blocks of
+    /// `buf`, split in halves; halves of a run of `PAR_MIN_LEN` points or
+    /// more fork.
+    fn sub_blocks<const INVERSE: bool>(&self, buf: &mut [Complex64], parts: usize) {
         // amopt-lint: hot-path
-        let block = buf.len();
-        if block <= LEAF_LEN {
-            let mut len = 1; // half the butterfly block size
-            while len < block {
-                for b in buf.chunks_exact_mut(2 * len) {
-                    let (lo, hi) = b.split_at_mut(len);
-                    butterfly_run(lo, hi, 0, &self.twiddles, self.n / (2 * len), inverse);
-                }
-                len *= 2;
+        if parts == 1 {
+            self.block::<INVERSE>(buf);
+            return;
+        }
+        let forks = buf.len() >= PAR_MIN_LEN;
+        let (lo, hi) = buf.split_at_mut(buf.len() / 2);
+        let each = |half: &mut [Complex64]| self.sub_blocks::<INVERSE>(half, parts / 2);
+        if forks {
+            amopt_parallel::join(|| each(lo), || each(hi));
+        } else {
+            each(lo);
+            each(hi);
+        }
+    }
+
+    /// All passes of a block of at most `LEAF_LEN` points, one after
+    /// another, radix-4 twiddles read from the leaf table.  Only a whole
+    /// buffer of odd `log₂ n` reaches here with a radix-2 pass to run.
+    fn leaf<const INVERSE: bool>(&self, buf: &mut [Complex64]) {
+        // amopt-lint: hot-path
+        let len = buf.len();
+        let radix2 = len.trailing_zeros() % 2 == 1;
+        let top = if radix2 { len / 2 } else { len };
+        if radix2 && !INVERSE {
+            self.combine::<INVERSE>(buf, 2);
+        }
+        let mut block = if INVERSE { 4 } else { top };
+        while (4..=top).contains(&block) {
+            self.leaf_pass::<INVERSE>(buf, block);
+            block = if INVERSE { block * 4 } else { block / 4 };
+        }
+        if radix2 && INVERSE {
+            self.combine::<INVERSE>(buf, 2);
+        }
+    }
+
+    /// The radix-4 pass of every `block`-point run of `buf`.
+    fn leaf_pass<const INVERSE: bool>(&self, buf: &mut [Complex64], block: usize) {
+        // amopt-lint: hot-path
+        if block == 4 {
+            for x in buf.chunks_exact_mut(4) {
+                let y = radix4_unit::<INVERSE>([x[0], x[1], x[2], x[3]]);
+                x.copy_from_slice(&y);
             }
             return;
         }
-        let (lo, hi) = buf.split_at_mut(block / 2);
-        if block >= PAR_MIN_LEN {
-            amopt_parallel::join(
-                || self.butterflies(lo, inverse),
-                || self.butterflies(hi, inverse),
-            );
+        let quarter = block / 4;
+        let tw = &self.leaf[(quarter - 1) / 3..][..quarter];
+        for b in buf.chunks_exact_mut(block) {
+            let (x0, rest) = b.split_at_mut(quarter);
+            let (x1, rest) = rest.split_at_mut(quarter);
+            let (x2, x3) = rest.split_at_mut(quarter);
+            let points = x0.iter_mut().zip(x1.iter_mut()).zip(x2.iter_mut().zip(x3.iter_mut()));
+            for (((a, b), (c, d)), &w) in points.zip(tw) {
+                [*a, *b, *c, *d] = radix4::<INVERSE>([*a, *b, *c, *d], w);
+            }
+        }
+    }
+
+    /// The radix-`radix` pass of the block `buf`, twiddles read from the
+    /// plan's table by stride: a block longer than `LEAF_LEN`, or a whole
+    /// buffer's radix-2 pass.
+    fn combine<const INVERSE: bool>(&self, buf: &mut [Complex64], radix: usize) {
+        // amopt-lint: hot-path
+        let stride = self.n / buf.len();
+        if radix == 2 {
+            let (lo, hi) = buf.split_at_mut(buf.len() / 2);
+            self.combine2::<INVERSE>(lo, hi, 0, stride);
         } else {
-            self.butterflies(lo, inverse);
-            self.butterflies(hi, inverse);
+            let (front, back) = buf.split_at_mut(buf.len() / 2);
+            let (x0, x1) = front.split_at_mut(front.len() / 2);
+            let (x2, x3) = back.split_at_mut(back.len() / 2);
+            self.combine4::<INVERSE>([x0, x1, x2, x3], 0, stride);
         }
-        combine(lo, hi, 0, &self.twiddles, self.n / block, inverse);
+    }
+
+    /// Radix-2 butterflies `j0 + j` of a block whose halves are `lo`, `hi`,
+    /// twiddle `e^{−2πi (j0 + j)·stride / n}`; runs longer than
+    /// [`COMBINE_GRAIN`] split at matching offsets, so each task owns
+    /// disjoint memory, and fork.
+    fn combine2<const INVERSE: bool>(
+        &self,
+        lo: &mut [Complex64],
+        hi: &mut [Complex64],
+        j0: usize,
+        stride: usize,
+    ) {
+        // amopt-lint: hot-path
+        if lo.len() <= COMBINE_GRAIN {
+            for (j, (a, b)) in (j0..).zip(lo.iter_mut().zip(hi.iter_mut())) {
+                [*a, *b] = radix2::<INVERSE>([*a, *b], self.twiddles[j * stride]);
+            }
+        } else {
+            let mid = lo.len() / 2;
+            let (l0, l1) = lo.split_at_mut(mid);
+            let (h0, h1) = hi.split_at_mut(mid);
+            amopt_parallel::join(
+                || self.combine2::<INVERSE>(l0, h0, j0, stride),
+                || self.combine2::<INVERSE>(l1, h1, j0 + mid, stride),
+            );
+        }
+    }
+
+    /// Radix-4 butterflies `j0 + j` of a block whose quarters are `x`, as
+    /// [`Fft::combine2`] forks.
+    fn combine4<const INVERSE: bool>(&self, x: [&mut [Complex64]; 4], j0: usize, stride: usize) {
+        // amopt-lint: hot-path
+        let len = x[0].len();
+        if len <= COMBINE_GRAIN {
+            let [x0, x1, x2, x3] = x;
+            let points = x0.iter_mut().zip(x1.iter_mut()).zip(x2.iter_mut().zip(x3.iter_mut()));
+            for (j, ((a, b), (c, d))) in (j0..).zip(points) {
+                let t = j * stride;
+                let w = [self.twiddles[t], self.twiddles[2 * t], self.root(3 * t)];
+                [*a, *b, *c, *d] = radix4::<INVERSE>([*a, *b, *c, *d], w);
+            }
+        } else {
+            let [x0, x1, x2, x3] = x.map(|q| q.split_at_mut(len / 2));
+            amopt_parallel::join(
+                || self.combine4::<INVERSE>([x0.0, x1.0, x2.0, x3.0], j0, stride),
+                || self.combine4::<INVERSE>([x0.1, x1.1, x2.1, x3.1], j0 + len / 2, stride),
+            );
+        }
     }
 }
 
-/// One run of a butterfly block: pairs `lo[j]` with `hi[j]` under the
-/// twiddle of index `(j0 + j)·stride`, `j0` being the run's offset in its
-/// block.
-#[inline]
-fn butterfly_run(
-    lo: &mut [Complex64],
-    hi: &mut [Complex64],
-    j0: usize,
-    tw: &[Complex64],
-    stride: usize,
-    inverse: bool,
-) {
-    // amopt-lint: hot-path
-    for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-        let mut w = tw[(j0 + j) * stride];
-        if inverse {
-            w = w.conj();
-        }
-        let t = w * *h;
-        *h = *l - t;
-        *l += t;
-    }
-}
-
-/// The pass that combines two transformed halves `lo`, `hi` of one block.
-/// Runs longer than [`COMBINE_GRAIN`] pairs split at matching offsets, so
-/// each task owns disjoint memory, and fork.
-fn combine(
-    lo: &mut [Complex64],
-    hi: &mut [Complex64],
-    j0: usize,
-    tw: &[Complex64],
-    stride: usize,
-    inverse: bool,
-) {
-    // amopt-lint: hot-path
-    if lo.len() <= COMBINE_GRAIN {
-        butterfly_run(lo, hi, j0, tw, stride, inverse);
+/// The radix-2 butterfly on points half a block apart, `w = e^{−2πij/L}`:
+/// forward (decimation in frequency) `(a + b, (a − b)·w)`; inverse
+/// (decimation in time) `(a + w̄·b, a − w̄·b)`.
+#[inline(always)]
+fn radix2<const INVERSE: bool>([a, b]: [Complex64; 2], w: Complex64) -> [Complex64; 2] {
+    if INVERSE {
+        let t = w.conj() * b;
+        [a + t, a - t]
     } else {
-        let mid = lo.len() / 2;
-        let (l0, l1) = lo.split_at_mut(mid);
-        let (h0, h1) = hi.split_at_mut(mid);
-        amopt_parallel::join(
-            || combine(l0, h0, j0, tw, stride, inverse),
-            || combine(l1, h1, j0 + mid, tw, stride, inverse),
-        );
+        [a + b, (a - b) * w]
+    }
+}
+
+/// The radix-4 butterfly on points a quarter block apart, twiddles
+/// `w = (w^j, w^{2j}, w^{3j})`: the two radix-2 passes of blocks `L` and
+/// `L/2` fused, three multiplies, `±i` as a swap and a sign.
+#[inline(always)]
+fn radix4<const INVERSE: bool>(x: [Complex64; 4], w: [Complex64; 3]) -> [Complex64; 4] {
+    if INVERSE {
+        let (t1, t2, t3) = (w[1].conj() * x[1], w[0].conj() * x[2], w[2].conj() * x[3]);
+        let (a, b, c, d) = (x[0] + t1, x[0] - t1, t2 + t3, t2 - t3);
+        let i_d = c64(-d.im, d.re);
+        [a + c, b + i_d, a - c, b - i_d]
+    } else {
+        let (a, b, c, d) = (x[0] + x[2], x[0] - x[2], x[1] + x[3], x[1] - x[3]);
+        let minus_i_d = c64(d.im, -d.re);
+        [a + c, (a - c) * w[1], (b + minus_i_d) * w[0], (b - minus_i_d) * w[2]]
+    }
+}
+
+/// [`radix4`] of a four-point block, whose one twiddle triple is `(1, 1, 1)`:
+/// no multiply at all.
+#[inline(always)]
+fn radix4_unit<const INVERSE: bool>(x: [Complex64; 4]) -> [Complex64; 4] {
+    if INVERSE {
+        let (a, b, c, d) = (x[0] + x[1], x[0] - x[1], x[2] + x[3], x[2] - x[3]);
+        let i_d = c64(-d.im, d.re);
+        [a + c, b + i_d, a - c, b - i_d]
+    } else {
+        let (a, b, c, d) = (x[0] + x[2], x[0] - x[2], x[1] + x[3], x[1] - x[3]);
+        let minus_i_d = c64(d.im, -d.re);
+        [a + c, a - c, b + minus_i_d, b - minus_i_d]
     }
 }
 
 /// In-place bit-reversal permutation (size must be a power of two).
 fn bit_reverse_permute(buf: &mut [Complex64]) {
-    // amopt-lint: hot-path
     let n = buf.len();
     let mut j = 0usize;
     for i in 1..n {
@@ -265,7 +396,7 @@ fn bit_reverse_permute(buf: &mut [Complex64]) {
 /// bad size costs the caller its own call and nobody else theirs.
 pub fn plan(n: usize) -> Arc<Fft> {
     static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Fft>>>> = OnceLock::new();
-    assert!(n.is_power_of_two(), "radix-2 FFT size must be a power of two, got {n}");
+    assert!(n.is_power_of_two(), "FFT size must be a power of two, got {n}");
     // Nothing can panic under this lock (lookups and inserts of `Arc`s), so a
     // poisoned guard still holds a valid map.
     let cache =
@@ -299,15 +430,11 @@ pub(crate) fn next_pow2(n: usize) -> usize {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::complex::c64;
 
-    /// O(n²) reference DFT.
-    pub(crate) fn dft_naive(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
+    /// O(n²) reference DFT; the inverse includes the `1/n`.
+    pub(crate) fn dft_naive(x: &[Complex64], inverse: bool) -> Vec<Complex64> {
         let n = x.len();
-        let sign = match dir {
-            Direction::Forward => -1.0,
-            Direction::Inverse => 1.0,
-        };
+        let sign = if inverse { 1.0 } else { -1.0 };
         let mut out = vec![Complex64::ZERO; n];
         for (k, o) in out.iter_mut().enumerate() {
             let mut acc = Complex64::ZERO;
@@ -315,7 +442,7 @@ pub(crate) mod tests {
                 let theta = sign * 2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64;
                 acc += v * Complex64::cis(theta);
             }
-            *o = if dir == Direction::Inverse { acc.scale(1.0 / n as f64) } else { acc };
+            *o = if inverse { acc.scale(1.0 / n as f64) } else { acc };
         }
         out
     }
@@ -332,6 +459,15 @@ pub(crate) mod tests {
 
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (*x - *y).abs()).fold(0.0, f64::max)
+    }
+
+    fn bits(buf: &[Complex64]) -> Vec<(u64, u64)> {
+        buf.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    /// `p` with its `log₂ n` bits reversed.
+    fn rev(p: usize, n: usize) -> usize {
+        p.reverse_bits().checked_shr(usize::BITS - n.trailing_zeros()).unwrap_or(0)
     }
 
     #[test]
@@ -356,12 +492,34 @@ pub(crate) mod tests {
 
     #[test]
     fn matches_naive_dft_across_sizes() {
-        for &n in &[1usize, 2, 4, 8, 32, 128, 256] {
+        // Even and odd log₂ n, below and above the leaf.
+        for &n in &[1usize, 2, 4, 8, 16, 32, 128, 256, 2048, 4096] {
             let x = rand_signal(n, n as u64);
             let mut got = x.clone();
             fft(&mut got);
-            let want = dft_naive(&x, Direction::Forward);
-            assert!(max_err(&got, &want) < 1e-9 * n as f64, "n={n}");
+            let want = dft_naive(&x, false);
+            assert!(max_err(&got, &want) < 1e-12 * n as f64, "n={n}");
+            let mut back = want.clone();
+            ifft(&mut back);
+            assert!(max_err(&back, &dft_naive(&want, true)) < 1e-12 * n as f64, "n={n}");
+        }
+    }
+
+    #[test]
+    fn the_bit_reversed_passes_are_the_permuted_transforms() {
+        for p in [1u32, 2, 5, 6, 11, 12] {
+            let n = 1 << p;
+            let x = rand_signal(n, 40 + p as u64);
+            let plan = Fft::new(n);
+            let mut positions = x.clone();
+            plan.forward_bit_reversed(&mut positions);
+            let want = dft_naive(&x, false);
+            for (q, v) in positions.iter().enumerate() {
+                assert!((*v - want[rev(q, n)]).abs() < 1e-12 * n as f64, "n={n} q={q}");
+            }
+            plan.inverse_bit_reversed(&mut positions);
+            let back: Vec<Complex64> = positions.iter().map(|v| v.scale(1.0 / n as f64)).collect();
+            assert!(max_err(&back, &x) < 1e-13 * p as f64, "n={n}");
         }
     }
 
@@ -432,62 +590,75 @@ pub(crate) mod tests {
         }
     }
 
-    /// The pass-by-pass loop the depth-first recursion replaced: every pass
-    /// over the whole buffer before the next one starts.
-    fn iterative_passes(fft: &Fft, buf: &mut [Complex64], inverse: bool) {
-        bit_reverse_permute(buf);
-        let mut len = 1;
-        while len < fft.n {
-            let stride = fft.n / (2 * len);
-            for b in buf.chunks_exact_mut(2 * len) {
-                let (lo, hi) = b.split_at_mut(len);
-                for j in 0..len {
-                    let w = if inverse {
-                        fft.twiddles[j * stride].conj()
-                    } else {
-                        fft.twiddles[j * stride]
-                    };
-                    let t = w * hi[j];
-                    hi[j] = lo[j] - t;
-                    lo[j] += t;
-                }
-            }
-            len *= 2;
+    /// The textbook pass-by-pass loop: every pass over the whole buffer
+    /// before the next one starts, each butterfly's twiddles read from
+    /// [`Fft::root`] at `j·n/L` for a block of `L` points.  Forward: a
+    /// radix-2 pass first when `log₂ n` is odd, then radix-4 passes from the
+    /// largest block down; inverse: the same passes in reverse order.
+    fn textbook<const INVERSE: bool>(fft: &Fft, buf: &mut [Complex64]) {
+        let n = fft.n;
+        let mut passes = Vec::new();
+        let mut block = n;
+        if n.trailing_zeros() % 2 == 1 {
+            passes.push((block, 2));
+            block /= 2;
         }
-        if inverse {
-            let scale = 1.0 / fft.n as f64;
-            for v in buf.iter_mut() {
-                *v = v.scale(scale);
+        while block >= 4 {
+            passes.push((block, 4));
+            block /= 4;
+        }
+        if INVERSE {
+            passes.reverse();
+        }
+        for (block, radix) in passes {
+            let (part, stride) = (block / radix, n / block);
+            for b in buf.chunks_exact_mut(block) {
+                for j in 0..part {
+                    let t = j * stride;
+                    if radix == 2 {
+                        let y = radix2::<INVERSE>([b[j], b[j + part]], fft.root(t));
+                        [b[j], b[j + part]] = y;
+                        continue;
+                    }
+                    let x = [b[j], b[j + part], b[j + 2 * part], b[j + 3 * part]];
+                    let y = if block == 4 {
+                        radix4_unit::<INVERSE>(x)
+                    } else {
+                        radix4::<INVERSE>(x, [fft.root(t), fft.root(2 * t), fft.root(3 * t)])
+                    };
+                    [b[j], b[j + part], b[j + 2 * part], b[j + 3 * part]] = y;
+                }
             }
         }
     }
 
     #[test]
-    fn depth_first_passes_are_the_iterative_passes_bit_for_bit() {
-        // Below the leaf, the sizes that recurse without forking, and the
-        // sizes whose halves and combining passes fork.
-        for p in 4u32..=17 {
+    fn depth_first_passes_are_the_textbook_passes_bit_for_bit() {
+        // Odd and even log₂ n: the sizes below the leaf, the sizes that
+        // recurse without forking, and the sizes whose sub-blocks and
+        // passes fork.
+        for p in 0u32..=17 {
             // (Not through `plan`: another test needs 2¹⁷ absent from the cache.)
             let fft = Fft::new(1 << p);
             let x = rand_signal(1 << p, 60 + p as u64);
-            let bits = |buf: Vec<Complex64>| -> Vec<(u64, u64)> {
-                buf.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+            let (mut dif, mut dit) = (x.clone(), x.clone());
+            textbook::<false>(&fft, &mut dif);
+            textbook::<true>(&fft, &mut dit);
+            let (dif, dit) = (bits(&dif), bits(&dit));
+            let run = || {
+                let (mut forward, mut inverse) = (x.clone(), x.clone());
+                fft.forward_bit_reversed(&mut forward);
+                fft.inverse_bit_reversed(&mut inverse);
+                (bits(&forward), bits(&inverse))
             };
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let mut want = x.clone();
-                iterative_passes(&fft, &mut want, dir == Direction::Inverse);
-                let want = bits(want);
-                let run = || {
-                    let mut got = x.clone();
-                    fft.transform(&mut got, dir);
-                    bits(got)
-                };
-                for threads in [1, 2, 3] {
-                    let got = amopt_parallel::run_with_threads(threads, run);
-                    assert!(got == want, "n=2^{p} {dir:?} on {threads} threads");
-                }
-                assert!(run() == want, "n=2^{p} {dir:?} on the default pool");
+            for threads in [1, 2, 3] {
+                let (forward, inverse) = amopt_parallel::run_with_threads(threads, run);
+                assert!(forward == dif, "n=2^{p} forward on {threads} threads");
+                assert!(inverse == dit, "n=2^{p} inverse on {threads} threads");
             }
+            let (forward, inverse) = run();
+            assert!(forward == dif, "n=2^{p} forward on the default pool");
+            assert!(inverse == dit, "n=2^{p} inverse on the default pool");
         }
     }
 

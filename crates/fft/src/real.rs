@@ -15,36 +15,49 @@
 //! inverse solves the same two equations for `E_k`, `O_k` and runs the
 //! `n/2`-point inverse transform, which leaves the real row interleaved in
 //! the real and imaginary parts.
+//!
+//! A correlation never puts the packed bins in order.  Its forward transform
+//! leaves them in *position order* — position `p` holds `Z_{rev(p)}`, `rev`
+//! reversing the `log₂ m` bits (`radix2`) — and its inverse takes them back
+//! from there.  Position 0 holds `Z_0` (bins 0 and `n/2`), position 1 holds
+//! `Z_{m/2}` (bin `n/4`), and in each octave `[2ʲ, 2ʲ⁺¹)`, `j ≥ 1`,
+//! positions `p` and `3·2ʲ − 1 − p` hold `Z_k` and `Z_{m−k}`: the octave
+//! mirror.  The pairs a split needs are thus the two halves of each octave,
+//! the upper one read backwards, and `octave_pairs` walks them in order
+//! from both ends, as the natural-order [`RealFft::map_bins`] walks the two
+//! halves of the whole row.  Pair *slots* number the pairs in that walk:
+//! slot `2ʲ⁻¹ − 1 + i` is the pair at position `2ʲ + i`.
 
 use crate::complex::{c64, Complex64};
 use crate::radix2::{self, Fft};
 use std::sync::Arc;
 
-/// Bin pairs one task of [`RealFft::map_bins`] handles; longer ranges fork.
-/// A pair costs what its multiplier does.  In a kernel-power correlation the
-/// multipliers come from a table evaluated once per kernel, size and height
-/// for a whole pricing or batch group (`convolve::KernelPowers`, whose build
-/// forks on its own), so a pair is
-/// cheap and uniform: a bitmap test, and a load and a complex product where
-/// the bin is live — a few nanoseconds, which makes 1 024 pairs a task of a
-/// few microseconds, a few forks' worth.  The value was measured while the
-/// powers were still taken in this pass (a hundred nanoseconds and more per
-/// live pair): on `deep_lattice`, 2 cores, 15 s runs interleaved, medians of
-/// 5–6, 256, 512 and 1 024 pairs read 9.09, 9.21 and 9.19 options/s (flat);
-/// 2 048, 4 096 and 8 192 read 8.97, 8.78 and 8.57.
+/// Bin pairs one task of a pass over a packed spectrum handles; longer runs
+/// fork.  In a kernel-power correlation the multipliers come from a table
+/// built once per kernel, size and height for a whole pricing or batch
+/// group (`convolve::KernelPowers`, whose build forks on its own), so a pair
+/// is cheap and uniform: a bitmap test, and where the pair is live a split,
+/// two complex products and a merge — a few nanoseconds, which makes 1 024
+/// pairs a task of a few microseconds, a few forks' worth.  The value was
+/// measured while the powers were still taken in this pass (a hundred
+/// nanoseconds and more per live pair): on `deep_lattice`, 2 cores, 15 s
+/// runs interleaved, medians of 5–6, 256, 512 and 1 024 pairs read 9.09,
+/// 9.21 and 9.19 options/s (flat); 2 048, 4 096 and 8 192 read 8.97, 8.78
+/// and 8.57.
 const PAIR_GRAIN: usize = 1024;
 
 /// Transform of real rows of one power-of-two length `n ≥ 4`.
 ///
 /// [`forward`](Self::forward) leaves the *packed spectrum* — `n/2` complex
-/// points carrying bins `0 … n/2` — in the caller's buffer,
-/// [`map_bins`](Self::map_bins) rewrites those bins in place, and
-/// [`inverse`](Self::inverse) returns to the real row.
+/// points carrying bins `0 … n/2`, in natural order — in the caller's
+/// buffer, [`map_bins`](Self::map_bins) rewrites those bins in place, and
+/// [`inverse`](Self::inverse) returns to the real row.  Each is the
+/// position-order pass a correlation runs plus one permutation.
 #[derive(Debug)]
 pub struct RealFft {
     /// The `n/2`-point transform the packed row goes through.
     half: Arc<Fft>,
-    /// The length-`n` plan, read only for its twiddles `e^{−2πik/n}`.
+    /// The length-`n` plan, read only for its roots `e^{−2πik/n}`.
     full: Arc<Fft>,
 }
 
@@ -71,19 +84,21 @@ impl RealFft {
     /// # Panics
     /// If `x` is longer than `n`.
     pub fn forward(&self, x: &[f64], buf: &mut Vec<Complex64>) {
-        self.forward_rotated(x, 0, buf);
+        pack(x, 0, self.half.len(), buf);
+        self.half.forward(buf);
     }
 
-    /// [`forward`](Self::forward) of `x` rotated cyclically: sample `i` of
-    /// `x` goes to slot `(i + shift) mod n` of the zero-padded row.  The
-    /// shift is even, so neighbouring samples still share a packed point.
+    /// The packed spectrum of `x` rotated cyclically, in position order:
+    /// sample `i` of `x` goes to slot `(i + shift) mod n` of the zero-padded
+    /// row.  The shift is even, so neighbouring samples still share a packed
+    /// point.
     ///
     /// # Panics
     /// If `x` is longer than `n`, or `shift` is odd or not below `n`.
     pub(crate) fn forward_rotated(&self, x: &[f64], shift: usize, buf: &mut Vec<Complex64>) {
         // amopt-lint: hot-path
         pack(x, shift, self.half.len(), buf);
-        self.half.forward(buf);
+        self.half.forward_bit_reversed(buf);
     }
 
     /// Replaces every bin `X_k`, `k ∈ [0, n/2]`, of a packed spectrum by
@@ -103,35 +118,15 @@ impl RealFft {
         z[0] = c64(0.5 * (dc + nyquist), 0.5 * (dc - nyquist));
         let (lo, hi) = z.split_at_mut(m / 2);
         hi[0] = f(m / 2, hi[0].conj()).conj();
-        self.map_pairs(&mut lo[1..], &mut hi[1..], 1, &f);
-    }
-
-    /// [`map_bins`](Self::map_bins) over the bin pairs `(k, n/2 − k)` for
-    /// `k = k0 … k0 + lo.len() − 1`: `lo` holds the packed points `Z_k` in
-    /// rising order of `k`, `hi` their partners `Z_{n/2−k}`, which therefore
-    /// run backwards.  Ranges longer than [`PAIR_GRAIN`] fork in halves.
-    fn map_pairs<F>(&self, lo: &mut [Complex64], hi: &mut [Complex64], k0: usize, f: &F)
-    where
-        F: Fn(usize, Complex64) -> Complex64 + Sync,
-    {
-        // amopt-lint: hot-path
-        let (m, pairs) = (self.half.len(), lo.len());
-        if pairs <= PAIR_GRAIN {
-            for (i, (zk, zm)) in lo.iter_mut().zip(hi.iter_mut().rev()).enumerate() {
-                let k = k0 + i;
-                let w = self.full.twiddle(k);
+        // `lo` holds Z_k in rising order of k, `hi` its partners Z_{m−k}.
+        pair_runs(&mut lo[1..], &mut hi[1..], 1, &|k0, lo, hi| {
+            for (k, (zk, zm)) in (k0..).zip(lo.iter_mut().zip(hi.iter_mut().rev())) {
+                let w = self.full.root(k);
                 let (xk, xm) = split_pair(*zk, *zm, w);
-                (*zk, *zm) = merge_pair(f(k, xk), f(m - k, xm), w);
+                let (yk, ym) = merge_pair(f(k, xk.scale(0.5)), f(m - k, xm.scale(0.5)), w);
+                (*zk, *zm) = (yk.scale(0.5), ym.scale(0.5));
             }
-        } else {
-            let mid = pairs / 2;
-            let (lo_head, lo_tail) = lo.split_at_mut(mid);
-            let (hi_tail, hi_head) = hi.split_at_mut(pairs - mid);
-            amopt_parallel::join(
-                || self.map_pairs(lo_head, hi_head, k0, f),
-                || self.map_pairs(lo_tail, hi_tail, k0 + mid, f),
-            );
-        }
+        });
     }
 
     /// Inverse of [`forward`](Self::forward): transforms the packed spectrum
@@ -146,6 +141,18 @@ impl RealFft {
         unpack(buf, out_len)
     }
 
+    /// The first `out_len` samples of the real row whose packed spectrum
+    /// `buf` holds in position order, times `n/2`: the inverse transform
+    /// without its `1/(n/2)`, which a correlation's multipliers carry.
+    ///
+    /// # Panics
+    /// If `out_len > n`.
+    pub(crate) fn inverse_positions(&self, buf: &mut [Complex64], out_len: usize) -> Vec<f64> {
+        // amopt-lint: hot-path
+        self.half.inverse_bit_reversed(buf);
+        unpack(buf, out_len)
+    }
+
     /// Bins `0 … n/2` of the DFT of `x` zero-padded to `n`, as a vector.
     pub fn spectrum(&self, x: &[f64]) -> Vec<Complex64> {
         let mut buf = Vec::new();
@@ -156,9 +163,64 @@ impl RealFft {
         bins[m] = c64(buf[0].re - buf[0].im, 0.0);
         bins[m / 2] = buf[m / 2].conj();
         for k in 1..m / 2 {
-            (bins[k], bins[m - k]) = split_pair(buf[k], buf[m - k], self.full.twiddle(k));
+            let (xk, xm) = split_pair(buf[k], buf[m - k], self.full.root(k));
+            (bins[k], bins[m - k]) = (xk.scale(0.5), xm.scale(0.5));
         }
         bins
+    }
+}
+
+/// Calls `f(s0, lo, hi)` on runs of the bin pairs of a packed spectrum `z`
+/// in position order (module docs): `lo` holds the points from position `p`
+/// on in rising order, `hi` their octave-mirror partners, which therefore
+/// run backwards, and `s0` is the slot of `lo[0]`'s pair.  Positions 0 and
+/// 1, which pair with no other, are the caller's.  Octaves longer than
+/// [`PAIR_GRAIN`] pairs fork in halves.
+pub(crate) fn octave_pairs<F>(z: &mut [Complex64], f: &F)
+where
+    F: Fn(usize, &mut [Complex64], &mut [Complex64]) + Sync,
+{
+    // amopt-lint: hot-path
+    let mut octave = 2;
+    while octave < z.len() {
+        let (lo, hi) = z[octave..2 * octave].split_at_mut(octave / 2);
+        pair_runs(lo, hi, octave / 2 - 1, f);
+        octave *= 2;
+    }
+}
+
+/// The position of the lower point of the pair in slot `s`: `2ʲ + i` for
+/// slot `2ʲ⁻¹ − 1 + i`.
+pub(crate) fn slot_position(s: usize) -> usize {
+    let o = s + 1;
+    o + (1 << o.ilog2())
+}
+
+/// The bin `rev(p)` that position `p` of a packed spectrum of `m ≥ 2`
+/// points holds in position order.
+pub(crate) fn bin_at(p: usize, m: usize) -> usize {
+    p.reverse_bits() >> (usize::BITS - m.trailing_zeros())
+}
+
+/// `f(k0, lo, hi)` on `lo` and its partners `hi` (running backwards), or
+/// on matching halves of them, forked, if longer than [`PAIR_GRAIN`]; `k0`
+/// counts the pairs from `lo[0]`'s.
+fn pair_runs<F>(lo: &mut [Complex64], hi: &mut [Complex64], k0: usize, f: &F)
+where
+    F: Fn(usize, &mut [Complex64], &mut [Complex64]) + Sync,
+{
+    // amopt-lint: hot-path
+    let pairs = lo.len();
+    if pairs <= PAIR_GRAIN {
+        f(k0, lo, hi);
+    } else {
+        let mid = pairs / 2;
+        let (lo_head, lo_tail) = lo.split_at_mut(mid);
+        let (hi_tail, hi_head) = hi.split_at_mut(pairs - mid);
+        amopt_parallel::join(
+            || pair_runs(lo_head, hi_head, k0, f),
+            || pair_runs(lo_tail, hi_tail, k0 + mid, f),
+        );
     }
 }
 
@@ -189,31 +251,36 @@ fn pairs(x: &[f64]) -> impl Iterator<Item = Complex64> + '_ {
     pairs.map(|p| c64(p[0], p[1])).chain(last)
 }
 
-/// The first `out_len` of the samples `Re z_0, Im z_0, Re z_1, …`.
+/// The first `out_len` of the samples `Re z_0, Im z_0, Re z_1, …`, in one
+/// allocation of exactly that size.
 fn unpack(z: &[Complex64], out_len: usize) -> Vec<f64> {
     // amopt-lint: hot-path
     assert!(out_len <= 2 * z.len(), "{out_len} samples asked of a row of {}", 2 * z.len());
-    // amopt-lint: allow(hot-path-alloc) -- the one output row of a transform, kept by the caller
-    z.iter().flat_map(|v| [v.re, v.im]).take(out_len).collect()
+    // The one output row of a transform, kept by the caller.
+    let mut out = Vec::with_capacity(out_len);
+    out.extend(z.iter().flat_map(|v| [v.re, v.im]).take(out_len));
+    out
 }
 
-/// Bins `(X_k, X_{m−k})` from packed points `(Z_k, Z_{m−k})`, `w = e^{−2πik/n}`.
+/// Twice the bins `(X_k, X_{m−k})` from packed points `(Z_k, Z_{m−k})`,
+/// `w = e^{−2πik/n}`: the split without its halving, which a correlation
+/// folds into its multipliers.
 #[inline]
-fn split_pair(zk: Complex64, zm: Complex64, w: Complex64) -> (Complex64, Complex64) {
+pub(crate) fn split_pair(zk: Complex64, zm: Complex64, w: Complex64) -> (Complex64, Complex64) {
     // amopt-lint: hot-path
-    let even = (zk + zm.conj()).scale(0.5);
-    let i_odd = (zk - zm.conj()).scale(0.5);
+    let even = zk + zm.conj();
+    let i_odd = zk - zm.conj();
     let t = w * c64(i_odd.im, -i_odd.re);
     (even + t, (even - t).conj())
 }
 
-/// Packed points `(Z_k, Z_{m−k})` from bins `(X_k, X_{m−k})`: the inverse of
-/// [`split_pair`].
+/// Twice the packed points `(Z_k, Z_{m−k})` from bins `(X_k, X_{m−k})`: the
+/// inverse of [`split_pair`] up to the factor 4 of the two missing halvings.
 #[inline]
-fn merge_pair(xk: Complex64, xm: Complex64, w: Complex64) -> (Complex64, Complex64) {
+pub(crate) fn merge_pair(xk: Complex64, xm: Complex64, w: Complex64) -> (Complex64, Complex64) {
     // amopt-lint: hot-path
-    let even = (xk + xm.conj()).scale(0.5);
-    let odd = w.conj() * (xk - xm.conj()).scale(0.5);
+    let even = xk + xm.conj();
+    let odd = w.conj() * (xk - xm.conj());
     let i_odd = c64(-odd.im, odd.re);
     (even + i_odd, (even - i_odd).conj())
 }
@@ -221,7 +288,7 @@ fn merge_pair(xk: Complex64, xm: Complex64, w: Complex64) -> (Complex64, Complex
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radix2::{tests::dft_naive, Direction};
+    use crate::radix2::tests::dft_naive;
 
     fn rand_real(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
@@ -242,7 +309,7 @@ mod tests {
             let got = RealFft::new(n).spectrum(&x);
             let mut padded: Vec<Complex64> = x.iter().map(|&v| Complex64::from(v)).collect();
             padded.resize(n, Complex64::ZERO);
-            let want = dft_naive(&padded, Direction::Forward);
+            let want = dft_naive(&padded, false);
             assert_eq!(got.len(), n / 2 + 1);
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
@@ -289,7 +356,7 @@ mod tests {
             let real = RealFft::new(n);
             let (mut got, mut want) = (Vec::new(), Vec::new());
             real.forward_rotated(&x, shift, &mut got);
-            real.forward(&by_hand, &mut want);
+            real.forward_rotated(&by_hand, 0, &mut want);
             let bits = |z: &[Complex64]| {
                 z.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>()
             };
@@ -312,6 +379,34 @@ mod tests {
         let got = real.inverse(&mut buf, n);
         for (j, g) in got.iter().enumerate() {
             assert!((g - x[(j + n - 5) % n]).abs() < 1e-13, "j={j}");
+        }
+    }
+
+    #[test]
+    fn octave_partners_hold_mirrored_bins() {
+        // Every pair the walk hands over holds bins k and m − k, in the slot
+        // `slot_position` maps to its lower point; positions 0 and 1 hold
+        // bins 0 and m/2, and every other position is visited exactly once.
+        for p in 1u32..=17 {
+            let m = 1usize << p;
+            let mut z: Vec<Complex64> =
+                (0..m).map(|q| c64(bin_at(q, m) as f64, q as f64)).collect();
+            assert_eq!((bin_at(0, m), bin_at(1, m)), (0, m / 2), "m={m}");
+            let seen = std::sync::Mutex::new(vec![0u8; m]);
+            octave_pairs(&mut z, &|s0, lo, hi| {
+                let mut seen = seen.lock().unwrap();
+                assert_eq!(lo.len(), hi.len(), "m={m}");
+                for (s, (a, b)) in (s0..).zip(lo.iter().zip(hi.iter().rev())) {
+                    let (pa, pb) = (a.im as usize, b.im as usize);
+                    assert_eq!(a.re as usize + b.re as usize, m, "m={m} positions {pa}, {pb}");
+                    assert_eq!(slot_position(s), pa, "m={m} slot {s}");
+                    assert_eq!(pb, 3 * (1 << pa.ilog2()) - 1 - pa, "m={m} position {pa}");
+                    seen[pa] += 1;
+                    seen[pb] += 1;
+                }
+            });
+            let seen = seen.into_inner().unwrap();
+            assert!(seen[2..].iter().all(|&v| v == 1) && seen[..2] == [0, 0], "m={m}");
         }
     }
 

@@ -126,6 +126,43 @@
 //! | `topm_call`              | +2, 6.33e-15 → 6.00e-15  | 0                         | +184, 4.50e-13 → 4.81e-13 |
 //! | `bopm_put_atm`           | −12, 6.62e-15 → 4.73e-15 | −112, 0 → 1.77e-14        | −202, 1.24e-13 → 1.56e-13 |
 //! | `bsm_put_vanishing_rate` | −7, 9.26e-15 → 8.18e-15  | +12, 1.78e-14 → 1.59e-14  | −308, 1.40e-13 → 9.21e-14 |
+//!
+//! Eighteen of the twenty, and ten of the eighteen `BOOK_PINS`, were re-pinned
+//! once more when a correlation's transforms became radix-4 passes that never
+//! permute (parent `39ac1b4`; `amopt_fft::radix2` module docs): a
+//! decimation-in-frequency forward, the spectrum step in the bit-reversed
+//! order it leaves, and a decimation-in-time inverse, with the inverse's
+//! `1/n` and the real split's and merge's halvings folded into the
+//! multipliers.  That moves the rounding of every transform and of every
+//! multiplier, and no correlation: the schedule, the bands and the vanished
+//! bins are the same.  Same refusal rule as above, and no pin came near it;
+//! no pin moved by more than 21 ulp.  `bopm_put_eu` at 4 096 and
+//! `topm_put_eu` at 16 384 kept their bits, and `bsm_put_eu` (no nest
+//! reachable from outside the crate) moved by 1.25e-15 and 9.4e-16
+//! relative.  Old → new in ulp, then |fast − nest| / nest before → after:
+//!
+//! | route          | ulp 4 096 | nest 4 096          | ulp 16 384 | nest 16 384         |
+//! |----------------|-----------|---------------------|------------|---------------------|
+//! | `bopm_call`    | −15       | 1.24e-12 → 1.23e-12 | −21        | 1.15e-12 → 1.16e-12 |
+//! | `bopm_put`     | −6        | 1.25e-13 → 1.24e-13 | −16        | 2.89e-12 → 2.89e-12 |
+//! | `topm_call`    | −14       | 6.64e-13 → 6.61e-13 | −20        | 1.93e-11 → 1.93e-11 |
+//! | `topm_put`     | +5        | 4.30e-13 → 4.30e-13 | −1         | 2.07e-12 → 2.07e-12 |
+//! | `bsm_put`      | −5        | 1.73e-13 → 1.72e-13 | −11        | 1.62e-12 → 1.62e-12 |
+//! | `bopm_call_eu` | −4        | 1.87e-12 → 1.87e-12 | −8         | 4.12e-12 → 4.12e-12 |
+//! | `bopm_put_eu`  | 0         | 6.69e-14            | −8         | 5.48e-12 → 5.48e-12 |
+//! | `topm_call_eu` | −4        | 2.26e-12 → 2.25e-12 | −8         | 3.15e-11 → 3.15e-11 |
+//! | `topm_put_eu`  | +4        | 3.09e-13 → 3.09e-13 | 0          | 7.72e-12            |
+//! | `bsm_put_eu`   | −8        | —                   | −6         | —                   |
+//!
+//! and of `BOOK_PINS` (the binomial and trinomial puts at the paper's
+//! moneyness did not move, nor `bopm_call` and `bopm_put_atm` at 63):
+//!
+//! | route                    | T = 63                   | T = 252                   | T = 504                   |
+//! |--------------------------|--------------------------|---------------------------|---------------------------|
+//! | `bopm_call`              | 0                        | −8, 1.35e-13 → 1.33e-13   | +2, 1.77e-14 → 1.74e-14   |
+//! | `topm_call`              | −2, 6.00e-15 → 6.33e-15  | −7, 4.66e-14 → 4.78e-14   | −15, 4.81e-13 → 4.79e-13  |
+//! | `bopm_put_atm`           | 0                        | −4, 1.77e-14 → 1.84e-14   | −3, 1.56e-13 → 1.56e-13   |
+//! | `bsm_put_vanishing_rate` | −1, 8.18e-15 → 8.02e-15  | −7, 1.59e-14 → 1.70e-14   | −5, 9.21e-14 → 9.13e-14   |
 
 use american_option_pricing::parallel::run_with_threads;
 use american_option_pricing::prelude::*;
@@ -143,16 +180,16 @@ const PINS: [(&str, ModelKind, OptionType, ExerciseStyle, u64, u64); 10] = {
     use ModelKind::{Bopm, Bsm, Topm};
     use OptionType::{Call, Put};
     [
-        ("bopm_call", Bopm, Call, American, 0x4020a77abadfedd7, 0x4020a79594a858b5),
-        ("bopm_put", Bopm, Put, American, 0x4028d92522e9d60b, 0x4028d9538c55c361),
-        ("topm_call", Topm, Call, American, 0x4020a7a0a2647b2a, 0x4020a79fbd0b9f17),
-        ("topm_put", Topm, Put, American, 0x4028d9620a494fca, 0x4028d9635548eb65),
-        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d4a9, 0x4026c53a8e7ef005),
-        ("bopm_call_eu", Bopm, Call, European, 0x4020628ead393088, 0x402062bd16a59134),
-        ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9d476, 0x4028d9538c560a04),
-        ("topm_call_eu", Topm, Call, European, 0x402062cb94987008, 0x402062ccdf9759f2),
-        ("topm_put_eu", Topm, Put, European, 0x4028d9620a494c7a, 0x4028d96355485118),
-        ("bsm_put_eu", Bsm, Put, European, 0x4026bec80f0b8800, 0x4026beb283b548cc),
+        ("bopm_call", Bopm, Call, American, 0x4020a77abadfedc8, 0x4020a79594a858a0),
+        ("bopm_put", Bopm, Put, American, 0x4028d92522e9d605, 0x4028d9538c55c351),
+        ("topm_call", Topm, Call, American, 0x4020a7a0a2647b1c, 0x4020a79fbd0b9f03),
+        ("topm_put", Topm, Put, American, 0x4028d9620a494fcf, 0x4028d9635548eb64),
+        ("bsm_put", Bsm, Put, American, 0x4026c552eac4d4a4, 0x4026c53a8e7eeffa),
+        ("bopm_call_eu", Bopm, Call, European, 0x4020628ead393084, 0x402062bd16a5912c),
+        ("bopm_put_eu", Bopm, Put, European, 0x4028d92522e9d476, 0x4028d9538c5609fc),
+        ("topm_call_eu", Topm, Call, European, 0x402062cb94987004, 0x402062ccdf9759ea),
+        ("topm_put_eu", Topm, Put, European, 0x4028d9620a494c7e, 0x4028d96355485118),
+        ("bsm_put_eu", Bsm, Put, European, 0x4026bec80f0b87f8, 0x4026beb283b548c6),
     ]
 };
 
@@ -188,15 +225,16 @@ const BOOK_STEPS: [usize; 3] = [63, 252, 504];
 
 /// American routes at `BOOK_STEPS`, pinned on the commit before the base
 /// case became one flat buffer read from a node table and re-pinned when
-/// `BASE_CUTOFF` rose to 32 and when the spectrum power became
-/// square-and-multiply (module docs), in the order of `book_contracts`.
+/// `BASE_CUTOFF` rose to 32, when the spectrum power became
+/// square-and-multiply and when the transforms became permutation-free
+/// radix-4 passes (module docs), in the order of `book_contracts`.
 const BOOK_PINS: [(&str, [u64; 3]); 6] = [
     ("bopm_put", [0x40236c3dfa81c618, 0x40236fbfc7556a8a, 0x40236c87952af256]),
-    ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03ce, 0x402545eaa784fb18]),
+    ("bopm_call", [0x40254575c82b64b5, 0x40254a6d9dee03c6, 0x402545eaa784fb1a]),
     ("topm_put", [0x40237315e5fbc838, 0x40236bc8da571117, 0x40236dfaf893cbbe]),
-    ("topm_call", [0x40255169cf93eeee, 0x402545eaa7832d3a, 0x402548fe29d86e72]),
-    ("bopm_put_atm", [0x40268d3c50fe3394, 0x4026736d3bf0da68, 0x40267609c03f1906]),
-    ("bsm_put_vanishing_rate", [0x402705f37601b873, 0x4026ff0dad8f8d2d, 0x4026fd6bcc43652d]),
+    ("topm_call", [0x40255169cf93eeec, 0x402545eaa7832d33, 0x402548fe29d86e63]),
+    ("bopm_put_atm", [0x40268d3c50fe3394, 0x4026736d3bf0da64, 0x40267609c03f1903]),
+    ("bsm_put_vanishing_rate", [0x402705f37601b872, 0x4026ff0dad8f8d26, 0x4026fd6bcc436528]),
 ];
 
 /// The contracts of `BOOK_PINS`:
