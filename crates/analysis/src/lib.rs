@@ -7,8 +7,10 @@
 //!
 //! * **hot-path-alloc** — regions annotated `// amopt-lint: hot-path`
 //!   (the trapezoid engines, `amopt_fft`, `amopt_stencil::advance_*`, the
-//!   batch execute path) may not allocate (`Vec::new`, `vec!`, `.to_vec()`,
-//!   `.collect()`, `Box::new`, `.clone()`) outside annotated allow sites.
+//!   batch execute path) may not allocate (`Vec::new`, `vec!`,
+//!   `Vec::with_capacity`, `String::with_capacity`, `.reserve()`,
+//!   `.to_vec()`, `.collect()`, `Box::new`, `.clone()`) outside annotated
+//!   allow sites.
 //! * **hot-path-lock** — the same regions may not call `.lock(` or the
 //!   service's `lock_unpoisoned(` outside annotated allow sites: per-worker
 //!   state lives per thread (`amopt_stencil::with_scratch`), and a lock once

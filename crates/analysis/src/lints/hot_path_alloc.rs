@@ -11,6 +11,8 @@
 //!
 //! Flagged (outside `#[cfg(test)]`):
 //! * `Vec::new` / `vec![…]` (zero-capacity today is a growth site tomorrow)
+//! * `Vec::with_capacity` / `String::with_capacity` / `.reserve()` (sized
+//!   up front, but still a fresh buffer or a regrowth)
 //! * `.to_vec()`
 //! * `.collect()` / `.collect::<…>()`
 //! * `Box::new`
@@ -42,14 +44,18 @@ pub fn hot_path_alloc(file: &SourceFile, findings: &mut Vec<Finding>) {
         };
         match file.tok(i) {
             "vec" if next == Some("!") => report(findings, "vec!"),
-            // `Vec::new` / `Box::new` path calls.
-            "Vec" | "Box" if next == Some("::") => {
+            // `Vec::new` / `Box::new` / `Vec::with_capacity` /
+            // `String::with_capacity` path calls.
+            "Vec" | "Box" | "String" if next == Some("::") => {
                 let j = file.next_code(i).and_then(|j| file.next_code(j));
-                if j.map(|j| file.tok(j)) == Some("new") {
-                    report(findings, &format!("{}::new", file.tok(i)));
+                let (ty, name) = (file.tok(i), j.map(|j| file.tok(j)));
+                if matches!((ty, name), ("Vec" | "Box", Some("new")))
+                    || matches!((ty, name), ("Vec" | "String", Some("with_capacity")))
+                {
+                    report(findings, &format!("{ty}::{}", name.unwrap_or_default()));
                 }
             }
-            "to_vec" | "collect" | "clone" => {
+            "to_vec" | "collect" | "clone" | "reserve" => {
                 // Method-call form only: `.name(` or `.name::<…>(`.
                 let prev_is_dot = file.prev_code(i).map(|p| file.tok(p)) == Some(".");
                 let called = matches!(next, Some("(") | Some("::"));
@@ -85,10 +91,13 @@ fn f(xs: &[f64]) {
     let d: Vec<f64> = xs.iter().copied().collect();
     let e = Box::new(3);
     let g = d.clone();
+    let mut h: Vec<f64> = Vec::with_capacity(4);
+    let s = String::with_capacity(8);
+    h.reserve(2);
 }
 ";
         let lints: Vec<&str> = run(src).iter().map(|f| f.lint).collect();
-        assert_eq!(lints.len(), 6, "{:?}", run(src));
+        assert_eq!(lints.len(), 9, "{:?}", run(src));
     }
 
     #[test]
@@ -115,6 +124,8 @@ mod tests {
 fn f(x: &std::sync::Arc<i32>) {
     let y = std::sync::Arc::clone(x);
     let z = collect_stats();
+    let r = reserve(3);
+    let n = String::new();
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));

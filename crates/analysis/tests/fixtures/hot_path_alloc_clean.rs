@@ -5,6 +5,12 @@ pub fn cold(xs: &[f64]) -> Vec<f64> {
     xs.to_vec()
 }
 
+pub fn cold_sized(xs: &[f64], rows: &mut Vec<f64>) -> String {
+    rows.reserve(xs.len());
+    rows.extend_from_slice(xs);
+    String::with_capacity(xs.len())
+}
+
 // amopt-lint: hot-path
 pub fn hot(xs: &[f64]) -> Vec<f64> {
     let mut acc = 0.0;
@@ -13,6 +19,13 @@ pub fn hot(xs: &[f64]) -> Vec<f64> {
     }
     // amopt-lint: allow(hot-path-alloc) -- single output vector per call, kept by the caller
     xs.iter().map(|v| v / acc).collect()
+}
+
+pub fn hot_row(xs: &[f64]) -> Vec<f64> {
+    // amopt-lint: allow(hot-path-alloc) -- the one output row, sized once and kept by the caller
+    let mut out = Vec::with_capacity(xs.len());
+    out.extend_from_slice(xs);
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Fixture: every catalogued allocation idiom inside a hot-path region.
-//! Expected: 6 `hot-path-alloc` findings, no marker errors.
+//! Expected: 9 `hot-path-alloc` findings, no marker errors.
 
 // amopt-lint: hot-path
 pub fn hot(xs: &[f64]) -> f64 {
@@ -10,4 +10,13 @@ pub fn hot(xs: &[f64]) -> f64 {
     let doubled: Vec<f64> = xs.iter().map(|v| v * 2.0).collect();
     let dup = doubled.clone();
     grown.len() as f64 + lit.len() as f64 + copied.len() as f64 + *boxed as f64 + dup.len() as f64
+}
+
+pub fn sized(xs: &[f64], rows: &mut Vec<f64>) -> usize {
+    let mut row = Vec::with_capacity(xs.len());
+    row.extend_from_slice(xs);
+    let label = String::with_capacity(16);
+    rows.reserve(row.len());
+    rows.extend(row);
+    label.capacity()
 }

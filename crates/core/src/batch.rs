@@ -383,7 +383,7 @@ pub struct MemoStats {
 /// Default memo capacity: big enough for a few books of distinct contracts,
 /// small enough that the per-shard `O(capacity / shards)` eviction scan
 /// stays invisible.
-pub const DEFAULT_MEMO_CAPACITY: usize = 512;
+const DEFAULT_MEMO_CAPACITY: usize = 512;
 
 /// Shard count of every memo.
 ///

@@ -306,6 +306,7 @@ where
         step_reds(w, &mut buf[at(f + 1)..=at(hi)]);
         (t, f, hi) = (t1, boundary, hi1);
     }
+    // amopt-lint: allow(hot-path-alloc) -- the one red row this call returns, sized once; the caller keeps it
     let mut values = Vec::with_capacity((hi - f) as usize);
     values.extend_from_slice(&buf[at(f + 1)..=at(hi)]);
     Some(GreenPrefixRow { t, boundary: f, hi, reds: Segment::new(f + 1, values) })

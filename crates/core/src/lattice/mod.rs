@@ -242,13 +242,6 @@ impl<const W: usize> Lattice<W> {
         self.up
     }
 
-    /// Risk-neutral probabilities of the `W + 1` children, down child first:
-    /// `[1−p, p]` binomial, `[p_d, p_o, p_u]` trinomial.
-    #[inline]
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probabilities[..=W]
-    }
-
     /// Discounted weights on the children `(j, …, j+W)`, down child first:
     /// `[s0, s1]` binomial, `[s0, s1, s2]` trinomial.
     #[inline]
@@ -466,7 +459,7 @@ mod tests {
     #[test]
     fn probabilities_and_weights_are_probability_like() {
         fn check<const W: usize>(m: Lattice<W>) {
-            let (p, w) = (m.probabilities(), m.weights());
+            let (p, w) = (&m.probabilities[..=W], m.weights());
             assert_eq!((p.len(), w.len()), (W + 1, W + 1));
             assert!(p.iter().chain(w).all(|&x| x > 0.0 && x < 1.0), "{p:?} {w:?}");
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-14);
@@ -518,7 +511,7 @@ mod tests {
             // Martingale: E[price next] = price·e^{(R−Y)Δt}, which also
             // pins the down-first order of the probabilities.
             let expected: f64 =
-                m.probabilities().iter().zip(0..).map(|(p, k)| p * m.node_price(1, k)).sum();
+                m.probabilities[..=W].iter().zip(0..).map(|(p, k)| p * m.node_price(1, k)).sum();
             let growth = ((m.params().rate - m.params().dividend_yield) * m.dt()).exp();
             assert!((expected - s * growth).abs() < 1e-9);
         }
@@ -530,7 +523,7 @@ mod tests {
     fn first_moment_is_exact() {
         // p_d/u + p_o + p_u·u = e^{(R−Y)Δt} exactly (factoring identity).
         let m = model::<2>(100);
-        let &[pd, po, pu] = m.probabilities() else { unreachable!() };
+        let [pd, po, pu] = m.probabilities;
         let lhs = pd / m.up() + po + pu * m.up();
         let rhs = ((m.params().rate - m.params().dividend_yield) * m.dt()).exp();
         assert!((lhs - rhs).abs() < 1e-14, "{lhs} vs {rhs}");
@@ -667,7 +660,7 @@ mod tests {
             let k = m.kernel();
             assert_eq!(k.weights(), m.weights());
             assert_eq!(k.anchor(), 0);
-            for (s, p) in m.weights().iter().zip(m.probabilities()) {
+            for (s, p) in m.weights().iter().zip(&m.probabilities[..=W]) {
                 assert!((s - m.discount() * p).abs() < 1e-15);
             }
         }

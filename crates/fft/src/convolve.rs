@@ -1,4 +1,4 @@
-//! FFT-backed convolution and the kernel-power correlation primitive.
+//! The kernel-power correlation primitive, taken by FFT.
 //!
 //! [`correlate_power_valid`] is the computational heart of the paper: inside
 //! an all-red region, `h` steps of a linear stencil with kernel `w` collapse
@@ -8,7 +8,7 @@
 //! Ahmad et al. (SPAA 2021), reference \[1\] of the paper.
 //!
 //! The row is real, so it travels as `n/2` complex points
-//! ([`RealFft`]: samples `2j`, `2j+1` in one point, one `n/2`-point
+//! (`real::RealFft`: samples `2j`, `2j+1` in one point, one `n/2`-point
 //! transform), and only bins `0 … n/2` of its length-`n` spectrum are ever
 //! formed: the correlation multiplies bin `k` by `conj(K_k)^h`, a multiplier
 //! with the row's own conjugate symmetry, so the upper half of the product
@@ -149,30 +149,6 @@ pub struct FftScratch {
 /// output by at most `τ·‖x‖₁` (module comment).  The taps of a power kernel
 /// outside its band weigh at most `τ` too.
 const VANISHED: f64 = 1e-40;
-
-/// Full linear convolution of two real sequences (`len = a + b − 1`).
-pub fn linear_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    // Small problems: direct O(ab) beats FFT constants.
-    if a.len().min(b.len()) <= 16 || out_len <= 64 {
-        let mut out = vec![0.0; out_len];
-        for (i, &x) in a.iter().enumerate() {
-            for (j, &y) in b.iter().enumerate() {
-                out[i + j] += x * y;
-            }
-        }
-        return out;
-    }
-    let real = RealFft::new(next_pow2(out_len));
-    let sa = real.spectrum(a);
-    let mut buf = Vec::new();
-    real.forward(b, &mut buf);
-    real.map_bins(&mut buf, |k, v| v * sa[k]);
-    real.inverse(&mut buf, out_len)
-}
 
 /// Number of taps of the `h`-fold self-convolution of a kernel of `k` taps.
 #[inline]
@@ -568,16 +544,6 @@ mod tests {
         (0..out_len).map(|c| w.iter().enumerate().map(|(m, &wm)| wm * x[c + m]).sum()).collect()
     }
 
-    fn naive_conv(a: &[f64], b: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; a.len() + b.len() - 1];
-        for (i, &x) in a.iter().enumerate() {
-            for (j, &y) in b.iter().enumerate() {
-                out[i + j] += x * y;
-            }
-        }
-        out
-    }
-
     fn rand_real(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(17);
         let mut next = move || {
@@ -585,19 +551,6 @@ mod tests {
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
         (0..n).map(|_| next()).collect()
-    }
-
-    #[test]
-    fn linear_convolve_matches_naive_small_and_large() {
-        for (la, lb, seed) in [(3usize, 5usize, 1u64), (40, 17, 2), (300, 120, 3)] {
-            let a = rand_real(la, seed);
-            let b = rand_real(lb, seed + 100);
-            let got = linear_convolve(&a, &b);
-            let want = naive_conv(&a, &b);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-9, "la={la} lb={lb}");
-            }
-        }
     }
 
     #[test]

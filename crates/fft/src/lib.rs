@@ -9,11 +9,12 @@
 //!   radix-4 passes with a process-wide plan cache, forked over halves: a
 //!   decimation-in-frequency forward into bit-reversed order and a
 //!   decimation-in-time inverse out of it, so a correlation never permutes.
-//! * [`real`] — the real-input transform: a length-`n` real row through one
-//!   `n/2`-point complex FFT, bins `0 … n/2` only, which a correlation
-//!   multiplies in the transform's bit-reversed order.
-//! * [`convolve`] — linear convolution plus the kernel-power correlation
-//!   primitive ([`correlate_power_valid`]) that implements the aperiodic
+//! * `real` (private) — the real-input transform: a length-`n` real row
+//!   through one `n/2`-point complex FFT, bins `0 … n/2` only, which a
+//!   correlation multiplies in the transform's bit-reversed order and never
+//!   puts in natural order.
+//! * [`convolve`] — the kernel-power correlation primitive
+//!   ([`correlate_power_valid`]) that implements the aperiodic
 //!   linear-stencil algorithm of Ahmad et al. (SPAA 2021), the substrate
 //!   reference \[1\] of the paper; [`KernelPowers`] keeps the spectrum
 //!   multipliers of the kernels its owner correlates with — one pricing,
@@ -27,12 +28,11 @@
 pub mod complex;
 pub mod convolve;
 pub mod radix2;
-pub mod real;
+mod real;
 
 pub use complex::{c64, Complex64};
 pub use convolve::{
-    correlate_power_valid, correlate_power_valid_with, kernel_power_taps, linear_convolve,
-    power_kernel_len, FftScratch, KernelPowers,
+    correlate_power_valid, correlate_power_valid_with, kernel_power_taps, power_kernel_len,
+    FftScratch, KernelPowers,
 };
-pub use radix2::{fft, ifft, plan, Fft};
-pub use real::RealFft;
+pub use radix2::{plan, Fft};

@@ -411,16 +411,6 @@ pub fn plan(n: usize) -> Arc<Fft> {
     Arc::clone(cache().entry(n).or_insert(built))
 }
 
-/// Convenience: forward transform through the plan cache.
-pub fn fft(buf: &mut [Complex64]) {
-    plan(buf.len()).forward(buf);
-}
-
-/// Convenience: inverse transform (normalised) through the plan cache.
-pub fn ifft(buf: &mut [Complex64]) {
-    plan(buf.len()).inverse(buf);
-}
-
 /// Smallest power of two `≥ n` (and `≥ 1`).
 #[inline]
 pub(crate) fn next_pow2(n: usize) -> usize {
@@ -474,7 +464,7 @@ pub(crate) mod tests {
     fn impulse_transforms_to_constant() {
         let mut x = vec![Complex64::ZERO; 16];
         x[0] = Complex64::ONE;
-        fft(&mut x);
+        plan(x.len()).forward(&mut x);
         for v in &x {
             assert!((*v - Complex64::ONE).abs() < 1e-12);
         }
@@ -483,7 +473,7 @@ pub(crate) mod tests {
     #[test]
     fn constant_transforms_to_impulse() {
         let mut x = vec![Complex64::ONE; 8];
-        fft(&mut x);
+        plan(x.len()).forward(&mut x);
         assert!((x[0] - c64(8.0, 0.0)).abs() < 1e-12);
         for v in &x[1..] {
             assert!(v.abs() < 1e-12);
@@ -496,11 +486,11 @@ pub(crate) mod tests {
         for &n in &[1usize, 2, 4, 8, 16, 32, 128, 256, 2048, 4096] {
             let x = rand_signal(n, n as u64);
             let mut got = x.clone();
-            fft(&mut got);
+            plan(got.len()).forward(&mut got);
             let want = dft_naive(&x, false);
             assert!(max_err(&got, &want) < 1e-12 * n as f64, "n={n}");
             let mut back = want.clone();
-            ifft(&mut back);
+            plan(back.len()).inverse(&mut back);
             assert!(max_err(&back, &dft_naive(&want, true)) < 1e-12 * n as f64, "n={n}");
         }
     }
@@ -528,8 +518,8 @@ pub(crate) mod tests {
         for &n in &[2usize, 64, 1024, 1 << 15] {
             let x = rand_signal(n, 7 + n as u64);
             let mut buf = x.clone();
-            fft(&mut buf);
-            ifft(&mut buf);
+            plan(buf.len()).forward(&mut buf);
+            plan(buf.len()).inverse(&mut buf);
             assert!(max_err(&buf, &x) < 1e-10, "n={n}");
         }
     }
@@ -540,7 +530,7 @@ pub(crate) mod tests {
         let x = rand_signal(n, 99);
         let time_energy: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         let mut spec = x.clone();
-        fft(&mut spec);
+        plan(spec.len()).forward(&mut spec);
         let freq_energy: f64 = spec.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-9 * time_energy.max(1.0));
     }
@@ -552,11 +542,11 @@ pub(crate) mod tests {
         let b = rand_signal(n, 2);
         let alpha = c64(0.7, -0.2);
         let mut lhs: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| alpha * x + y).collect();
-        fft(&mut lhs);
+        plan(lhs.len()).forward(&mut lhs);
         let mut fa = a.clone();
-        fft(&mut fa);
+        plan(fa.len()).forward(&mut fa);
         let mut fb = b.clone();
-        fft(&mut fb);
+        plan(fb.len()).forward(&mut fb);
         let rhs: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| alpha * x + y).collect();
         assert!(max_err(&lhs, &rhs) < 1e-9);
     }
@@ -568,11 +558,11 @@ pub(crate) mod tests {
         let n = 1 << 16;
         let x = rand_signal(n, 1234);
         let mut buf = x.clone();
-        fft(&mut buf);
+        plan(buf.len()).forward(&mut buf);
         let freq_energy: f64 = buf.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
         let time_energy: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy);
-        ifft(&mut buf);
+        plan(buf.len()).inverse(&mut buf);
         assert!(max_err(&buf, &x) < 1e-9);
     }
 
@@ -670,10 +660,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_rejected_size_does_not_poison_the_plan_cache() {
-        // `plan`, `fft` and `ifft` are public: a bad size must fail its own
-        // caller and leave the process-wide cache serving everyone else.
+        // `plan` is public: a bad size must fail its own caller and leave the
+        // process-wide cache serving everyone else.
         assert!(std::panic::catch_unwind(|| plan(3)).is_err());
-        assert!(std::panic::catch_unwind(|| fft(&mut [Complex64::ZERO; 3])).is_err());
         assert_eq!(plan(8).len(), 8);
     }
 
@@ -703,9 +692,9 @@ pub(crate) mod tests {
         let d = 13usize;
         let shifted: Vec<Complex64> = (0..n).map(|i| x[(i + n - d) % n]).collect();
         let mut fx = x.clone();
-        fft(&mut fx);
+        plan(fx.len()).forward(&mut fx);
         let mut fs = shifted;
-        fft(&mut fs);
+        plan(fs.len()).forward(&mut fs);
         for k in 0..n {
             let phase = Complex64::cis(-2.0 * std::f64::consts::PI * (k * d % n) as f64 / n as f64);
             assert!((fs[k] - fx[k] * phase).abs() < 1e-9);

@@ -24,9 +24,8 @@
 //! positions `p` and `3·2ʲ − 1 − p` hold `Z_k` and `Z_{m−k}`: the octave
 //! mirror.  The pairs a split needs are thus the two halves of each octave,
 //! the upper one read backwards, and `octave_pairs` walks them in order
-//! from both ends, as the natural-order [`RealFft::map_bins`] walks the two
-//! halves of the whole row.  Pair *slots* number the pairs in that walk:
-//! slot `2ʲ⁻¹ − 1 + i` is the pair at position `2ʲ + i`.
+//! from both ends.  Pair *slots* number the pairs in that walk: slot
+//! `2ʲ⁻¹ − 1 + i` is the pair at position `2ʲ + i`.
 
 use crate::complex::{c64, Complex64};
 use crate::radix2::{self, Fft};
@@ -46,15 +45,14 @@ use std::sync::Arc;
 /// and 8.57.
 const PAIR_GRAIN: usize = 1024;
 
-/// Transform of real rows of one power-of-two length `n ≥ 4`.
-///
-/// [`forward`](Self::forward) leaves the *packed spectrum* — `n/2` complex
-/// points carrying bins `0 … n/2`, in natural order — in the caller's
-/// buffer, [`map_bins`](Self::map_bins) rewrites those bins in place, and
-/// [`inverse`](Self::inverse) returns to the real row.  Each is the
-/// position-order pass a correlation runs plus one permutation.
+/// Transform of real rows of one power-of-two length `n ≥ 4`, in position
+/// order only: [`forward_rotated`](Self::forward_rotated) leaves the *packed
+/// spectrum* — `n/2` complex points carrying bins `0 … n/2` — in the
+/// caller's buffer, the caller splits and merges its bin pairs in place
+/// (`octave_pairs`, `split_pair`, `merge_pair`), and
+/// [`inverse_positions`](Self::inverse_positions) returns to the real row.
 #[derive(Debug)]
-pub struct RealFft {
+pub(crate) struct RealFft {
     /// The `n/2`-point transform the packed row goes through.
     half: Arc<Fft>,
     /// The length-`n` plan, read only for its roots `e^{−2πik/n}`.
@@ -66,7 +64,7 @@ impl RealFft {
     ///
     /// # Panics
     /// If `n` is not a power of two or is below 4.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two() && n >= 4, "real FFT size must be a power of two ≥ 4, got {n}");
         RealFft { half: radix2::plan(n / 2), full: radix2::plan(n) }
     }
@@ -74,18 +72,8 @@ impl RealFft {
     /// The length-`n` plan, whose roots of unity `e^{−2πij/n}` the split and
     /// merge passes read.
     #[inline]
-    pub fn full(&self) -> &Fft {
+    pub(crate) fn full(&self) -> &Fft {
         &self.full
-    }
-
-    /// Packs `x`, zero-padded to `n`, into `buf` (resized to `n/2` points)
-    /// and transforms it: `buf` then holds the packed spectrum of `x`.
-    ///
-    /// # Panics
-    /// If `x` is longer than `n`.
-    pub fn forward(&self, x: &[f64], buf: &mut Vec<Complex64>) {
-        pack(x, 0, self.half.len(), buf);
-        self.half.forward(buf);
     }
 
     /// The packed spectrum of `x` rotated cyclically, in position order:
@@ -101,46 +89,6 @@ impl RealFft {
         self.half.forward_bit_reversed(buf);
     }
 
-    /// Replaces every bin `X_k`, `k ∈ [0, n/2]`, of a packed spectrum by
-    /// `f(k, X_k)`, in one pass: each pair of packed points is split into its
-    /// two bins, mapped, and merged back.  Bins are visited in no particular
-    /// order and, past a thousand pairs, on several threads.  `X_0` and
-    /// `X_{n/2}` are real: they arrive with a zero imaginary part, and only
-    /// the real part of what `f` returns for them is kept (conjugate symmetry
-    /// admits no other).
-    pub fn map_bins(&self, z: &mut [Complex64], f: impl Fn(usize, Complex64) -> Complex64 + Sync) {
-        // amopt-lint: hot-path
-        let m = self.half.len();
-        assert_eq!(z.len(), m, "packed spectrum of {} points != n/2 = {m}", z.len());
-        let (even, odd) = (z[0].re, z[0].im);
-        let dc = f(0, c64(even + odd, 0.0)).re;
-        let nyquist = f(m, c64(even - odd, 0.0)).re;
-        z[0] = c64(0.5 * (dc + nyquist), 0.5 * (dc - nyquist));
-        let (lo, hi) = z.split_at_mut(m / 2);
-        hi[0] = f(m / 2, hi[0].conj()).conj();
-        // `lo` holds Z_k in rising order of k, `hi` its partners Z_{m−k}.
-        pair_runs(&mut lo[1..], &mut hi[1..], 1, &|k0, lo, hi| {
-            for (k, (zk, zm)) in (k0..).zip(lo.iter_mut().zip(hi.iter_mut().rev())) {
-                let w = self.full.root(k);
-                let (xk, xm) = split_pair(*zk, *zm, w);
-                let (yk, ym) = merge_pair(f(k, xk.scale(0.5)), f(m - k, xm.scale(0.5)), w);
-                (*zk, *zm) = (yk.scale(0.5), ym.scale(0.5));
-            }
-        });
-    }
-
-    /// Inverse of [`forward`](Self::forward): transforms the packed spectrum
-    /// in `buf` back (normalised) and returns the first `out_len` samples of
-    /// the real row.
-    ///
-    /// # Panics
-    /// If `out_len > n`.
-    pub fn inverse(&self, buf: &mut [Complex64], out_len: usize) -> Vec<f64> {
-        // amopt-lint: hot-path
-        self.half.inverse(buf);
-        unpack(buf, out_len)
-    }
-
     /// The first `out_len` samples of the real row whose packed spectrum
     /// `buf` holds in position order, times `n/2`: the inverse transform
     /// without its `1/(n/2)`, which a correlation's multipliers carry.
@@ -151,22 +99,6 @@ impl RealFft {
         // amopt-lint: hot-path
         self.half.inverse_bit_reversed(buf);
         unpack(buf, out_len)
-    }
-
-    /// Bins `0 … n/2` of the DFT of `x` zero-padded to `n`, as a vector.
-    pub fn spectrum(&self, x: &[f64]) -> Vec<Complex64> {
-        let mut buf = Vec::new();
-        self.forward(x, &mut buf);
-        let m = buf.len();
-        let mut bins = vec![Complex64::ZERO; m + 1];
-        bins[0] = c64(buf[0].re + buf[0].im, 0.0);
-        bins[m] = c64(buf[0].re - buf[0].im, 0.0);
-        bins[m / 2] = buf[m / 2].conj();
-        for k in 1..m / 2 {
-            let (xk, xm) = split_pair(buf[k], buf[m - k], self.full.root(k));
-            (bins[k], bins[m - k]) = (xk.scale(0.5), xm.scale(0.5));
-        }
-        bins
     }
 }
 
@@ -256,7 +188,7 @@ fn pairs(x: &[f64]) -> impl Iterator<Item = Complex64> + '_ {
 fn unpack(z: &[Complex64], out_len: usize) -> Vec<f64> {
     // amopt-lint: hot-path
     assert!(out_len <= 2 * z.len(), "{out_len} samples asked of a row of {}", 2 * z.len());
-    // The one output row of a transform, kept by the caller.
+    // amopt-lint: allow(hot-path-alloc) -- the one output row of a transform, sized once; the caller keeps it
     let mut out = Vec::with_capacity(out_len);
     out.extend(z.iter().flat_map(|v| [v.re, v.im]).take(out_len));
     out
@@ -299,6 +231,31 @@ mod tests {
         (0..n).map(|_| next()).collect()
     }
 
+    /// The pair of positions holding bins `k` and `m − k`, `0 < k < m/2`,
+    /// of a packed spectrum of `m` points: `bin_at` is its own inverse.
+    fn positions_of(k: usize, m: usize) -> (usize, usize) {
+        (bin_at(k, m), bin_at(m - k, m))
+    }
+
+    /// Bins `0 … n/2` of the DFT of `x` zero-padded to `n`, each read from
+    /// the position-order packed spectrum through `bin_at` and `split_pair`.
+    fn spectrum(x: &[f64], n: usize) -> Vec<Complex64> {
+        let real = RealFft::new(n);
+        let mut z = Vec::new();
+        real.forward_rotated(x, 0, &mut z);
+        let m = z.len();
+        let mut bins = vec![Complex64::ZERO; m + 1];
+        bins[0] = c64(z[0].re + z[0].im, 0.0);
+        bins[m] = c64(z[0].re - z[0].im, 0.0);
+        bins[m / 2] = z[bin_at(m / 2, m)].conj();
+        for k in 1..m / 2 {
+            let (p, q) = positions_of(k, m);
+            let (xk, xm) = split_pair(z[p], z[q], real.full().root(k));
+            (bins[k], bins[m - k]) = (xk.scale(0.5), xm.scale(0.5));
+        }
+        bins
+    }
+
     #[test]
     fn bins_match_the_naive_dft_at_every_size() {
         // Odd, even and full-length rows, from the smallest plan (no bin
@@ -306,7 +263,7 @@ mod tests {
         for (p, len) in [(2u32, 3usize), (2, 4), (3, 5), (4, 16), (6, 41), (8, 256), (12, 3001)] {
             let n = 1usize << p;
             let x = rand_real(len, n as u64 + len as u64);
-            let got = RealFft::new(n).spectrum(&x);
+            let got = spectrum(&x, n);
             let mut padded: Vec<Complex64> = x.iter().map(|&v| Complex64::from(v)).collect();
             padded.resize(n, Complex64::ZERO);
             let want = dft_naive(&padded, false);
@@ -317,26 +274,34 @@ mod tests {
                     "n={n} len={len} k={k}: {g:?} vs {w:?}"
                 );
             }
-            assert_eq!(got[0].im, 0.0);
-            assert_eq!(got[n / 2].im, 0.0);
         }
     }
 
     #[test]
     fn inverse_of_forward_is_the_identity() {
+        // Every bin pair split and merged back on the way, as a correlation
+        // does with multipliers of one: the merge undoes the split up to the
+        // factor 4 of the two halvings it leaves out.
         for (n, len) in
             [(4usize, 4usize), (4, 3), (8, 7), (64, 50), (4096, 4095), (1 << 15, 1 << 15)]
         {
             let x = rand_real(len, 9 + n as u64);
             let real = RealFft::new(n);
-            let mut buf = Vec::new();
-            real.forward(&x, &mut buf);
-            assert_eq!(buf.len(), n / 2);
-            real.map_bins(&mut buf, |_, v| v);
-            let back = real.inverse(&mut buf, len);
+            let mut z = Vec::new();
+            real.forward_rotated(&x, 0, &mut z);
+            let m = z.len();
+            assert_eq!(m, n / 2);
+            for k in 1..m / 2 {
+                let (p, q) = positions_of(k, m);
+                let w = real.full().root(k);
+                let (xk, xm) = split_pair(z[p], z[q], w);
+                let (zk, zm) = merge_pair(xk, xm, w);
+                (z[p], z[q]) = (zk.scale(0.25), zm.scale(0.25));
+            }
+            let back = real.inverse_positions(&mut z, len);
             assert_eq!(back.len(), len);
             for (b, v) in back.iter().zip(&x) {
-                assert!((b - v).abs() < 1e-12, "n={n} len={len}");
+                assert!((b / m as f64 - v).abs() < 1e-12, "n={n} len={len}");
             }
         }
     }
@@ -361,24 +326,6 @@ mod tests {
                 z.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>()
             };
             assert_eq!(bits(&got), bits(&want), "n={n} len={len} shift={shift}");
-        }
-    }
-
-    #[test]
-    fn map_bins_multiplies_spectra_like_a_cyclic_convolution() {
-        // Multiplying by the spectrum of a delayed impulse rotates the row.
-        let n = 32;
-        let x = rand_real(n, 77);
-        let real = RealFft::new(n);
-        let mut delay = vec![0.0; n];
-        delay[5] = 1.0;
-        let shift = real.spectrum(&delay);
-        let mut buf = Vec::new();
-        real.forward(&x, &mut buf);
-        real.map_bins(&mut buf, |k, v| v * shift[k]);
-        let got = real.inverse(&mut buf, n);
-        for (j, g) in got.iter().enumerate() {
-            assert!((g - x[(j + n - 5) % n]).abs() < 1e-13, "j={j}");
         }
     }
 

@@ -1,10 +1,7 @@
-//! Property-based tests for the FFT substrate: transforms and convolutions
+//! Property-based tests for the FFT substrate: transforms and correlations
 //! must agree with their quadratic-time definitions on arbitrary inputs.
 
-use amopt_fft::{
-    c64, correlate_power_valid, fft, ifft, kernel_power_taps, linear_convolve, power_kernel_len,
-    Complex64, RealFft,
-};
+use amopt_fft::{c64, correlate_power_valid, kernel_power_taps, plan, power_kernel_len, Complex64};
 use proptest::prelude::*;
 
 fn dft_naive(x: &[Complex64]) -> Vec<Complex64> {
@@ -28,15 +25,6 @@ fn arb_signal(max_pow: u32) -> impl Strategy<Value = Vec<Complex64>> {
     })
 }
 
-/// A real row of any length (odd or even) up to its transform size
-/// `n ∈ {4 … 4 096}`, with that size.
-fn arb_real_row() -> impl Strategy<Value = (usize, Vec<f64>)> {
-    (2u32..=12).prop_flat_map(|p| {
-        let n = 1usize << p;
-        prop::collection::vec(-10.0..10.0f64, n / 2 + 1..n + 1).prop_map(move |x| (n, x))
-    })
-}
-
 /// A 2- or 3-tap kernel of unit mass (so that thousands of steps neither
 /// blow the row up nor decay it below the tolerance) and a row that hosts
 /// `h` steps of it with 1 … 64 cells to spare.
@@ -55,37 +43,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn real_bins_match_the_naive_dft(row in arb_real_row()) {
-        let (n, x) = row;
-        let got = RealFft::new(n).spectrum(&x);
-        prop_assert_eq!(got.len(), n / 2 + 1);
-        let mut padded: Vec<Complex64> = x.iter().map(|&v| Complex64::from(v)).collect();
-        padded.resize(n, Complex64::ZERO);
-        let want = dft_naive(&padded);
-        let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
-        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((*g - *w).abs() < 1e-10 * scale, "n={} k={}", n, k);
-        }
-    }
-
-    #[test]
-    fn real_inverse_of_forward_is_the_identity(row in arb_real_row()) {
-        let (n, x) = row;
-        let real = RealFft::new(n);
-        let mut buf = Vec::new();
-        real.forward(&x, &mut buf);
-        real.map_bins(&mut buf, |_, v| v);
-        let back = real.inverse(&mut buf, x.len());
-        prop_assert_eq!(back.len(), x.len());
-        for (g, w) in back.iter().zip(&x) {
-            prop_assert!((g - w).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn fft_matches_naive_dft(x in arb_signal(8)) {
         let mut got = x.clone();
-        fft(&mut got);
+        plan(got.len()).forward(&mut got);
         let want = dft_naive(&x);
         let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
         for (g, w) in got.iter().zip(&want) {
@@ -96,42 +56,19 @@ proptest! {
     #[test]
     fn roundtrip_identity(x in arb_signal(12)) {
         let mut buf = x.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
+        let fft = plan(buf.len());
+        fft.forward(&mut buf);
+        fft.inverse(&mut buf);
         for (g, w) in buf.iter().zip(&x) {
             prop_assert!((*g - *w).abs() < 1e-10);
         }
     }
 
     #[test]
-    fn convolution_commutes(
-        a in prop::collection::vec(-5.0..5.0f64, 1..80),
-        b in prop::collection::vec(-5.0..5.0f64, 1..80),
-    ) {
-        let ab = linear_convolve(&a, &b);
-        let ba = linear_convolve(&b, &a);
-        prop_assert_eq!(ab.len(), ba.len());
-        for (x, y) in ab.iter().zip(&ba) {
-            prop_assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn convolution_total_mass_is_product_of_masses(
-        a in prop::collection::vec(-2.0..2.0f64, 1..60),
-        b in prop::collection::vec(-2.0..2.0f64, 1..60),
-    ) {
-        let conv = linear_convolve(&a, &b);
-        let lhs: f64 = conv.iter().sum();
-        let rhs = a.iter().sum::<f64>() * b.iter().sum::<f64>();
-        prop_assert!((lhs - rhs).abs() < 1e-8 * (1.0 + rhs.abs()));
-    }
-
-    #[test]
     fn power_taps_compose(kernel in prop::collection::vec(0.0..0.5f64, 2..4), h1 in 1u64..12, h2 in 1u64..12) {
         // kernel^{⊛(h1+h2)} == kernel^{⊛h1} ⊛ kernel^{⊛h2}
         let lhs = kernel_power_taps(&kernel, h1 + h2);
-        let rhs = linear_convolve(&kernel_power_taps(&kernel, h1), &kernel_power_taps(&kernel, h2));
+        let rhs = convolve_direct(&kernel_power_taps(&kernel, h1), &kernel_power_taps(&kernel, h2));
         prop_assert_eq!(lhs.len(), rhs.len());
         for (x, y) in lhs.iter().zip(&rhs) {
             prop_assert!((x - y).abs() < 1e-10);
@@ -199,25 +136,43 @@ fn arb_lattice_case() -> impl Strategy<Value = (Vec<f64>, u64, Vec<f64>)> {
     })
 }
 
-/// The correlation on the whole row's transform, every multiplier paid for:
-/// the public transform pieces, `K_k` summed from the plan's roots, `powu`.
+/// The correlation on the whole row's transform, every multiplier paid for,
+/// through the public complex transform alone: the row as `n` complex
+/// points in natural order, every one of the `n` bins times
+/// `conj(K_k)^h` with `K_k` summed from the plan's roots, the natural-order
+/// inverse, and the real parts.  No real split, no octave order, no band.
 fn correlate_full_size(x: &[f64], kernel: &[f64], h: u64) -> Vec<f64> {
-    let real = RealFft::new(x.len().next_power_of_two().max(4));
-    let mut buf = Vec::new();
-    real.forward(x, &mut buf);
-    real.map_bins(&mut buf, |k, v| {
-        let full = real.full();
+    let n = x.len().next_power_of_two();
+    let fft = plan(n);
+    let mut row: Vec<Complex64> = x.iter().map(|&v| c64(v, 0.0)).collect();
+    row.resize(n, Complex64::ZERO);
+    fft.forward(&mut row);
+    for (k, bin) in row.iter_mut().enumerate() {
         let mut response = Complex64::ZERO;
         for (m, &w) in kernel.iter().enumerate() {
-            response += full.root((k * m) % full.len()) * w;
+            response += fft.root((k * m) % n) * w;
         }
-        if k == 0 || 2 * k == full.len() {
-            v.scale(response.re.powf(h as f64))
+        *bin = if k == 0 || 2 * k == n {
+            bin.scale(response.re.powf(h as f64))
         } else {
-            v * response.conj().powu(h)
+            *bin * response.conj().powu(h)
+        };
+    }
+    fft.inverse(&mut row);
+    row.truncate(x.len() + 1 - power_kernel_len(kernel.len(), h));
+    row.iter().map(|v| v.re).collect()
+}
+
+/// The full linear convolution of `a` and `b`, each output its own sum of
+/// products.
+fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; a.len() + b.len() - 1];
+    for (i, &x) in a.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
+            out[i + j] += x * y;
         }
-    });
-    real.inverse(&mut buf, x.len() + 1 - power_kernel_len(kernel.len(), h))
+    }
+    out
 }
 
 proptest! {

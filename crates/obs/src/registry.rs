@@ -184,48 +184,6 @@ pub struct HistSnapshot {
     pub sum: u64,
 }
 
-impl HistSnapshot {
-    /// Bucket-wise merge: the histogram of the union of both observation
-    /// streams.  Associative and commutative, with the empty snapshot as
-    /// identity — the property tests pin this.
-    pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
-        let mut out = *self;
-        for (slot, v) in out.buckets.iter_mut().zip(other.buckets.iter()) {
-            *slot = slot.saturating_add(*v);
-        }
-        out.count = out.count.saturating_add(other.count);
-        out.sum = out.sum.saturating_add(other.sum);
-        out
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`0.0 ≤ q ≤ 1.0`), or 0 for an empty histogram.  Log2 buckets give
-    /// at most 2× overestimation — good enough for breakdown tables.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen > rank {
-                return bucket_bound(i);
-            }
-        }
-        bucket_bound(HIST_BUCKETS - 1)
-    }
-
-    /// Mean observed value, or 0.0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Counter),
@@ -434,32 +392,5 @@ mod tests {
         assert!(text.contains("amopt_c_us_bucket{le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains(&format!("amopt_c_us_sum {}", 5u64 + (1 << 40))));
         assert!(text.contains("amopt_c_us_count 3"));
-    }
-
-    #[test]
-    fn quantile_returns_bucket_upper_bounds() {
-        let h = Histogram::detached();
-        for v in [1u64, 2, 2, 3, 100] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(0.0), 1);
-        assert_eq!(snap.quantile(0.5), 3); // median 2 lands in [2,3]
-        assert_eq!(snap.quantile(1.0), 127); // 100 lands in [64,127]
-        assert_eq!(HistSnapshot::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn merge_is_bucketwise_addition() {
-        let a = Histogram::detached();
-        let b = Histogram::detached();
-        a.record(1);
-        a.record(9);
-        b.record(9);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.sum, 19);
-        assert_eq!(merged.buckets[bucket_index(9)], 2);
-        assert_eq!(merged.buckets[bucket_index(1)], 1);
     }
 }

@@ -143,7 +143,7 @@ impl JsonValue {
 
 /// Shortest-round-trip JSON encoding of an `f64` (`null` for non-finite
 /// values, which JSON cannot represent).
-pub fn fmt_f64(x: f64) -> String {
+fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -251,16 +251,6 @@ impl LineAssembler {
         if !self.rejected {
             self.buf.extend_from_slice(bytes);
         }
-    }
-
-    /// Bytes buffered and not yet yielded.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the stream was rejected (terminal).
-    pub fn is_rejected(&self) -> bool {
-        self.rejected
     }
 
     /// The next complete line, `None` when more bytes are needed, or the

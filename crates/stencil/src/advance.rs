@@ -62,14 +62,14 @@ pub enum Backend {
 
 /// Number of valid output cells when advancing `len` cells by `h` steps.
 /// Returns `None` if the cone swallows the whole segment.
-pub fn valid_output_len(len: usize, kernel: &StencilKernel, h: u64) -> Option<usize> {
+fn valid_output_len(len: usize, kernel: &StencilKernel, h: u64) -> Option<usize> {
     let shrink = (kernel.span() as u64).checked_mul(h)? as usize;
     len.checked_sub(shrink)
 }
 
 /// Absolute start column of the output segment.
 #[inline]
-pub fn output_start(start: i64, kernel: &StencilKernel, h: u64) -> i64 {
+fn output_start(start: i64, kernel: &StencilKernel, h: u64) -> i64 {
     start - kernel.anchor() * h as i64
 }
 

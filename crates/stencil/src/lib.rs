@@ -22,8 +22,6 @@ pub mod advance;
 pub mod kernel;
 pub mod segment;
 
-pub use advance::{
-    advance, advance_powered, output_start, valid_output_len, with_scratch, AdvanceScratch, Backend,
-};
+pub use advance::{advance, advance_powered, with_scratch, AdvanceScratch, Backend};
 pub use kernel::StencilKernel;
 pub use segment::Segment;

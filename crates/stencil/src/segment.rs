@@ -53,31 +53,6 @@ impl Segment {
         debug_assert!(self.contains(col), "column {col} outside [{}, {})", self.start, self.end());
         self.values[(col - self.start) as usize]
     }
-
-    /// Mutable value at absolute column `col`.
-    #[inline]
-    pub fn get_mut(&mut self, col: i64) -> &mut f64 {
-        debug_assert!(self.contains(col), "column {col} outside [{}, {})", self.start, self.end());
-        let i = (col - self.start) as usize;
-        &mut self.values[i]
-    }
-
-    /// Borrow of the value slice covering absolute columns `[lo, hi]`
-    /// (inclusive on both ends).
-    pub fn slice(&self, lo: i64, hi: i64) -> &[f64] {
-        assert!(
-            lo >= self.start && hi < self.end() && lo <= hi + 1,
-            "range [{lo}, {hi}] outside segment [{}, {})",
-            self.start,
-            self.end()
-        );
-        &self.values[(lo - self.start) as usize..=(hi - self.start) as usize]
-    }
-
-    /// Sub-segment copy covering absolute columns `[lo, hi]` inclusive.
-    pub fn extract(&self, lo: i64, hi: i64) -> Segment {
-        Segment::new(lo, self.slice(lo, hi).to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -92,27 +67,5 @@ mod tests {
         assert!(s.contains(-3) && s.contains(0) && !s.contains(1) && !s.contains(-4));
         assert_eq!(s.get(-3), 10.0);
         assert_eq!(s.get(0), 13.0);
-    }
-
-    #[test]
-    fn slice_and_extract() {
-        let s = Segment::new(5, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.slice(6, 7), &[2.0, 3.0]);
-        let e = s.extract(6, 8);
-        assert_eq!(e.start, 6);
-        assert_eq!(e.values, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn get_mut_writes_through() {
-        let mut s = Segment::new(0, vec![0.0; 3]);
-        *s.get_mut(2) = 9.0;
-        assert_eq!(s.values[2], 9.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn slice_out_of_range_panics() {
-        Segment::new(0, vec![1.0]).slice(0, 1);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`fft`] — from-scratch FFT substrate (radix-2, real packing,
+//! * [`fft`] — from-scratch FFT substrate (radix-4 passes, real packing,
 //!   kernel-power correlation);
 //! * [`parallel`] — fork-join facade over the work-stealing pool;
 //! * [`stencil`] — linear 1-D stencil engine (Ahmad et al., SPAA 2021);
