@@ -13,6 +13,8 @@
 //! * `Vec::new` / `vec![…]` (zero-capacity today is a growth site tomorrow)
 //! * `Vec::with_capacity` / `String::with_capacity` / `.reserve()` (sized
 //!   up front, but still a fresh buffer or a regrowth)
+//! * the path calls above with a turbofish, `Vec::<T>::new` /
+//!   `Vec::<T>::with_capacity`
 //! * `.to_vec()`
 //! * `.collect()` / `.collect::<…>()`
 //! * `Box::new`
@@ -45,9 +47,14 @@ pub fn hot_path_alloc(file: &SourceFile, findings: &mut Vec<Finding>) {
         match file.tok(i) {
             "vec" if next == Some("!") => report(findings, "vec!"),
             // `Vec::new` / `Box::new` / `Vec::with_capacity` /
-            // `String::with_capacity` path calls.
+            // `String::with_capacity` path calls, a turbofish or none.
             "Vec" | "Box" | "String" if next == Some("::") => {
-                let j = file.next_code(i).and_then(|j| file.next_code(j));
+                let mut j = file.next_code(i).and_then(|j| file.next_code(j));
+                if let Some(k) = j.filter(|&k| matches!(file.tok(k), "<" | "<<")) {
+                    j = past_generics(file, k)
+                        .filter(|&k| file.tok(k) == "::")
+                        .and_then(|k| file.next_code(k));
+                }
                 let (ty, name) = (file.tok(i), j.map(|j| file.tok(j)));
                 if matches!((ty, name), ("Vec" | "Box", Some("new")))
                     || matches!((ty, name), ("Vec" | "String", Some("with_capacity")))
@@ -65,6 +72,26 @@ pub fn hot_path_alloc(file: &SourceFile, findings: &mut Vec<Finding>) {
             }
             _ => {}
         }
+    }
+}
+
+/// The first code token after the generic arguments `<…>` opening at `i`,
+/// nested ones included (`>>` closes two).
+fn past_generics(file: &SourceFile, i: usize) -> Option<usize> {
+    let mut depth = 0;
+    let mut j = i;
+    loop {
+        depth += match file.tok(j) {
+            "<" => 1,
+            "<<" => 2,
+            ">" => -1,
+            ">>" => -2,
+            _ => 0,
+        };
+        if depth <= 0 {
+            return file.next_code(j);
+        }
+        j = file.next_code(j)?;
     }
 }
 
@@ -129,6 +156,21 @@ fn f(x: &std::sync::Arc<i32>) {
 }
 ";
         assert!(run(src).is_empty(), "{:?}", run(src));
+    }
+
+    #[test]
+    fn turbofish_path_calls_are_flagged() {
+        let src = "\
+// amopt-lint: hot-path
+fn f(n: usize) {
+    let a = Vec::<f64>::new();
+    let b = Vec::<Vec<f64>>::with_capacity(n);
+    let d = Box::<[u8; 4]>::new([0; 4]);
+    let e = Vec::<f64>::len(&a);
+}
+";
+        let found: Vec<String> = run(src).into_iter().map(|f| f.message).collect();
+        assert_eq!(found.len(), 3, "{found:?}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn assert_all_lint(report: &CheckReport, lint: &str, count: usize, name: &str) {
 #[test]
 fn hot_path_alloc_fixture_pair() {
     let bad = run_fixture("hot_path_alloc_violations.rs", &["hot-path-alloc"]);
-    assert_all_lint(&bad, "hot-path-alloc", 9, "hot_path_alloc_violations");
+    assert_all_lint(&bad, "hot-path-alloc", 11, "hot_path_alloc_violations");
     let clean = run_fixture("hot_path_alloc_clean.rs", &["hot-path-alloc"]);
     assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
     assert!(clean.unused_allows.is_empty(), "{:#?}", clean.unused_allows);

@@ -28,6 +28,13 @@ pub fn hot_row(xs: &[f64]) -> Vec<f64> {
     out
 }
 
+pub fn hot_turbofish(rows: &[Vec<f64>]) -> Vec<usize> {
+    // amopt-lint: allow(hot-path-alloc) -- the one output row, sized once and kept by the caller
+    let mut lens = Vec::<usize>::with_capacity(rows.len());
+    lens.extend(rows.iter().map(Vec::<f64>::len));
+    lens
+}
+
 #[cfg(test)]
 mod tests {
     // amopt-lint: hot-path

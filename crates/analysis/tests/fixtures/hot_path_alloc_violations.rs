@@ -1,5 +1,5 @@
 //! Fixture: every catalogued allocation idiom inside a hot-path region.
-//! Expected: 9 `hot-path-alloc` findings, no marker errors.
+//! Expected: 11 `hot-path-alloc` findings, no marker errors.
 
 // amopt-lint: hot-path
 pub fn hot(xs: &[f64]) -> f64 {
@@ -19,4 +19,10 @@ pub fn sized(xs: &[f64], rows: &mut Vec<f64>) -> usize {
     rows.reserve(row.len());
     rows.extend(row);
     label.capacity()
+}
+
+pub fn turbofish(n: usize) -> usize {
+    let grown = Vec::<f64>::new();
+    let rows = Vec::<Vec<f64>>::with_capacity(n);
+    grown.len() + rows.capacity()
 }

@@ -72,6 +72,23 @@
 //! Rows also carry the cone edge `hi` (the triangle hypotenuse in engine
 //! coordinates: `hi = σ'·(T − t)`), which shrinks by the span each step; the
 //! recursion windows are genuinely truncated rows of the same type.
+//!
+//! **Rows borrowed, not copied.**  The recursion runs on a borrowed view of
+//! a row (`RowView`): `t`, `boundary`, `hi`, the stored red cells and a
+//! length, past the stored cells of which the red cells are exact zeros.  An
+//! advance reads its caller's row as it is, and a window's red context
+//! `(f, f + σ'h₁]` is a prefix of its parent's stored cells, its length the
+//! window's whole width, so the zero tail is read in place, never copied out.
+//! Every correlation takes the stored cells and the length, and zero-extends
+//! in its transform (`amopt_fft::KernelPowers::correlate`): its size is read
+//! from the length, as it was from the materialised copy, so no bit depends
+//! on how many zeros are stored.  Before the fork a window learns how many
+//! cells will follow its output — the bulk's, and on a level's last hop its
+//! caller's too — and the base case or correlation that makes the output's
+//! first cells allocates the row with room for them, so the stitch appends
+//! the bulk into reserved capacity: no regrowth and no copy of the window's
+//! cells.  A pricing allocates the output rows of its base cases and
+//! correlations, and little else.
 
 use super::{kernel_scope, linear_cells, SEQUENTIAL_BELOW};
 use crate::error::{PricingError, Result};
@@ -98,22 +115,11 @@ pub struct GreenPrefixRow {
 }
 
 impl GreenPrefixRow {
-    /// True when every cone cell is green.
-    #[inline]
-    fn is_all_green(&self) -> bool {
-        self.boundary >= self.hi
-    }
-
-    /// Internal consistency between segment extent, boundary and `hi`.
-    fn assert_consistent(&self) {
+    /// The whole row, borrowed: its stored reds are its length.
+    fn view(&self) -> RowView<'_> {
         debug_assert_eq!(self.reds.start, self.boundary + 1, "red segment must start after f");
-        debug_assert!(
-            self.reds.end() - 1 <= self.hi,
-            "red segment [{}, {}) exceeds cone edge {}",
-            self.reds.start,
-            self.reds.end(),
-            self.hi
-        );
+        let cells = &self.reds.values;
+        RowView { t: self.t, boundary: self.boundary, hi: self.hi, cells, len: cells.len() }
     }
 
     /// Row value at column `c ∈ [boundary', hi]` (green closed form at or
@@ -127,24 +133,56 @@ impl GreenPrefixRow {
             0.0
         }
     }
+}
 
-    /// Appends the red cells `(boundary, hi]` to `out`: the stored reds up to
-    /// `hi`, then the implicit zero tail as exact zeros.  `hi` must lie within
-    /// the cone.
-    fn push_reds_through(&self, hi: i64, out: &mut Vec<f64>) {
-        debug_assert!(hi <= self.hi);
-        let n = (hi - self.boundary).max(0) as usize;
-        let len = out.len() + n;
-        out.extend_from_slice(&self.reds.values[..n.min(self.reds.len())]);
-        out.resize(len, 0.0);
+/// A borrowed row, what the engine recurses on: a [`GreenPrefixRow`]'s `t`,
+/// `boundary` and `hi`, and its red cells `(boundary, boundary + len]`, of
+/// which the first `cells.len()` are stored and the rest exact zeros.  The
+/// length, not the stored cells, sizes every correlation, so a window read
+/// in place from its parent's cells correlates at the size its materialised
+/// copy would.  Columns past `boundary + len` through `hi` are zeros too.
+#[derive(Debug, Clone, Copy)]
+struct RowView<'a> {
+    t: u64,
+    boundary: i64,
+    hi: i64,
+    cells: &'a [f64],
+    len: usize,
+}
+
+impl<'a> RowView<'a> {
+    /// True when every cone cell is green.
+    #[inline]
+    fn is_all_green(&self) -> bool {
+        self.boundary >= self.hi
     }
 
-    /// Copy of the red cells `(boundary, hi]`, materialising the implicit
-    /// zero tail.  `hi` must lie within the cone.
-    fn extract_reds(&self, hi: i64) -> Segment {
-        let mut values = Vec::with_capacity((hi - self.boundary).max(0) as usize);
-        self.push_reds_through(hi, &mut values);
-        Segment::new(self.boundary + 1, values)
+    /// Last column of the row's length: the support edge, `boundary` when
+    /// the row has no red cell.
+    #[inline]
+    fn support_end(&self) -> i64 {
+        self.boundary + self.len as i64
+    }
+
+    /// Internal consistency between stored cells, length, boundary and `hi`.
+    fn assert_consistent(&self) {
+        debug_assert!(self.cells.len() <= self.len, "more stored cells than the row's length");
+        debug_assert!(
+            self.support_end() <= self.hi,
+            "red cells ({}, {}] exceed cone edge {}",
+            self.boundary,
+            self.support_end(),
+            self.hi
+        );
+    }
+
+    /// The row cut at column `hi`, within the cone: the red cells
+    /// `(boundary, hi]`, the stored ones read in place, the rest exact
+    /// zeros — a window's red context, sized as its materialised copy.
+    fn window(&self, hi: i64) -> RowView<'a> {
+        debug_assert!(hi <= self.hi);
+        let len = (hi - self.boundary).max(0) as usize;
+        RowView { hi, cells: &self.cells[..len.min(self.cells.len())], len, ..*self }
     }
 }
 
@@ -223,7 +261,8 @@ fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
 /// The base case: `h` naive steps of `row` (`h` at most the cutoff, or a short
 /// chunk where the cone edge hugs the boundary) in one buffer checked out of
 /// the worker's [`AdvanceScratch`](amopt_stencil::AdvanceScratch) — the
-/// allocation is the output row's alone.
+/// allocation is the output row's alone, with room for `spare` cells past
+/// its cone edge, which the caller's stitch appends.
 ///
 /// Cells right of the old boundary are certified red (pure linear update);
 /// the new boundary is located by scanning *down* from the old one until the
@@ -236,8 +275,9 @@ fn crossing_from(start: i64, holds: impl Fn(i64) -> bool) -> i64 {
 fn advance_naive<G>(
     kernel: &StencilKernel,
     green: &G,
-    row: &GreenPrefixRow,
+    row: RowView<'_>,
     h: u64,
+    spare: usize,
 ) -> GreenPrefixRow
 where
     G: Fn(u64, i64) -> f64,
@@ -246,7 +286,7 @@ where
     kernel_scope!(BaseCase);
     let mut lo = (row.boundary - kernel.span() as i64 * h as i64 + 1).max(0);
     with_scratch(|s| loop {
-        match step_in(kernel, green, row, h, lo, &mut s.staging) {
+        match step_in(kernel, green, row, h, lo, &mut s.staging, spare) {
             Some(out) => return out,
             None => lo = 0,
         }
@@ -265,10 +305,11 @@ where
 fn step_in<G>(
     kernel: &StencilKernel,
     green: &G,
-    row: &GreenPrefixRow,
+    row: RowView<'_>,
     h: u64,
     lo: i64,
     buf: &mut Vec<f64>,
+    spare: usize,
 ) -> Option<GreenPrefixRow>
 where
     G: Fn(u64, i64) -> f64,
@@ -280,7 +321,8 @@ where
     let (mut t, mut f, mut hi) = (row.t, row.boundary, row.hi);
     buf.clear();
     buf.resize(at(f + 1), 0.0);
-    row.push_reds_through(hi, buf);
+    buf.extend_from_slice(row.cells);
+    buf.resize(at(hi) + 1, 0.0);
     for _ in 0..h {
         debug_assert!(hi >= span, "stepped past the cone apex");
         let (t1, hi1) = (t + 1, hi - span);
@@ -306,8 +348,8 @@ where
         step_reds(w, &mut buf[at(f + 1)..=at(hi)]);
         (t, f, hi) = (t1, boundary, hi1);
     }
-    // amopt-lint: allow(hot-path-alloc) -- the one red row this call returns, sized once; the caller keeps it
-    let mut values = Vec::with_capacity((hi - f) as usize);
+    // amopt-lint: allow(hot-path-alloc) -- the one red row this call returns, sized once with the caller's spare; the caller keeps it
+    let mut values = Vec::with_capacity((hi - f) as usize + spare);
     values.extend_from_slice(&buf[at(f + 1)..=at(hi)]);
     Some(GreenPrefixRow { t, boundary: f, hi, reds: Segment::new(f + 1, values) })
 }
@@ -350,12 +392,14 @@ fn step_reds(w: &[f64], cells: &mut [f64]) {
 }
 
 /// Pure linear advance of a row with no green cell left (`boundary < 0`):
-/// the boundary never returns, so the remaining problem is one correlation.
+/// the boundary never returns, so the remaining problem is one correlation,
+/// whose output has room for `spare` cells past the row's length.
 fn advance_all_red(
     kernel: &StencilKernel,
     powers: &KernelPowers,
-    row: &GreenPrefixRow,
+    row: RowView<'_>,
     h: u64,
+    spare: usize,
 ) -> GreenPrefixRow {
     // amopt-lint: hot-path
     kernel_scope!(FftPass);
@@ -363,23 +407,15 @@ fn advance_all_red(
     let span = kernel.span() as i64;
     let hi1 = row.hi - span * h as i64;
     let t1 = row.t + h;
-    if row.reds.is_empty() {
-        return GreenPrefixRow {
-            t: t1,
-            boundary: row.boundary,
-            hi: hi1,
-            // amopt-lint: allow(hot-path-alloc) -- empty-support result; `vec![]` never touches the heap
-            reds: Segment::new(row.reds.start, vec![]),
-        };
+    let start = row.boundary + 1;
+    if row.len == 0 {
+        // amopt-lint: allow(hot-path-alloc) -- empty-support result, sized for the caller's stitch; no heap when the spare is 0
+        let reds = Segment::new(start, Vec::with_capacity(spare));
+        return GreenPrefixRow { t: t1, boundary: row.boundary, hi: hi1, reds };
     }
-    let mut out = with_scratch(|s| {
-        let staging = &mut s.staging;
-        staging.clear();
-        staging.extend_from_slice(&row.reds.values);
-        staging.resize(row.reds.len() + span as usize * h as usize, 0.0);
-        linear_cells!(staging.len());
-        advance_powered(staging, row.reds.start, kernel, h, powers, &mut s.fft)
-    });
+    let len = row.len + span as usize * h as usize;
+    linear_cells!(len);
+    let mut out = advance_powered(row.cells, len, start, kernel, h, powers, spare);
     if out.end() - 1 > hi1 {
         out.values.truncate((hi1 - out.start + 1).max(0) as usize);
     }
@@ -387,12 +423,13 @@ fn advance_all_red(
 }
 
 /// Advances the certified-red region `(f, hi − σ'h]` by `h` purely linear
-/// steps: only the non-zero support prefix is computed (one correlation);
-/// the zero tail stays implicit.
+/// steps: only the non-zero support prefix is computed (one correlation of
+/// the row's stored cells, zero-extended in the transform to the columns the
+/// support needs); the zero tail stays implicit.
 fn advance_certified(
     kernel: &StencilKernel,
     powers: &KernelPowers,
-    row: &GreenPrefixRow,
+    row: RowView<'_>,
     h: u64,
     hi_new: i64,
 ) -> Segment {
@@ -400,27 +437,22 @@ fn advance_certified(
     kernel_scope!(FftPass);
     let span = kernel.span() as i64;
     let f = row.boundary;
-    let support_end = row.reds.end() - 1; // last stored column; f when empty
-    let out_hi = support_end.min(hi_new);
+    let out_hi = row.support_end().min(hi_new);
     if out_hi < f + 1 {
         // amopt-lint: allow(hot-path-alloc) -- empty-support result; `vec![]` never touches the heap
         return Segment::new(f + 1, vec![]);
     }
-    let in_hi = out_hi + span * h as i64;
-    with_scratch(|s| {
-        let staging = &mut s.staging;
-        staging.clear();
-        // Columns beyond the stored support are exact zeros (module docs); in
-        // windows the storage always reaches the cone edge.
-        row.push_reds_through(in_hi, staging);
-        linear_cells!(staging.len());
-        advance_powered(staging, f + 1, kernel, h, powers, &mut s.fft)
-    })
+    // Columns past the support edge are exact zeros (module docs), read as
+    // such by the correlation; in windows the length reaches the cone edge.
+    let len = (out_hi + span * h as i64 - f) as usize;
+    linear_cells!(len);
+    advance_powered(row.cells, len, f + 1, kernel, h, powers, 0)
 }
 
-/// Advances a [`GreenPrefixRow`] by `h` steps of the nonlinear stencil
+/// Advances a row by `h` steps of the nonlinear stencil
 /// `G_{t+1}[c] = max(Σ_m kernel[m]·G_t[c+m], green(t+1, c))`, in raw value
-/// space.
+/// space.  The returned row has room for `spare` cells past its cone edge:
+/// the cells its caller's stitch appends.
 ///
 /// Work `O(n log n + h log² h)` for a row of `n` stored cells — `O(h log² h)`
 /// for a row that is its cone — and span `O(h)` (Theorems 2.8 / 4.4).  Every
@@ -430,13 +462,14 @@ fn advance_certified(
 ///
 /// # Panics
 /// If the kernel anchor is non-zero or it has fewer than two taps.
-pub(crate) fn advance_green_prefix<G>(
+fn advance_green_prefix<G>(
     kernel: &StencilKernel,
     powers: &KernelPowers,
     green: &G,
-    row: &GreenPrefixRow,
+    row: RowView<'_>,
     h: u64,
     base_cutoff: u64,
+    spare: usize,
 ) -> GreenPrefixRow
 where
     G: Fn(u64, i64) -> f64 + Sync,
@@ -444,13 +477,14 @@ where
     // amopt-lint: hot-path
     assert_eq!(kernel.anchor(), 0, "left-cone engine requires anchor 0");
     assert!(kernel.span() >= 1, "left-cone engine requires at least two taps");
-    row.assert_consistent();
 
     let span = kernel.span() as i64;
-    // amopt-lint: allow(hot-path-alloc) -- one working row per advance call; iterations replace it via the stitch
-    let mut cur = row.clone();
+    // The caller's row on the first iteration, the last stitch's after.
+    let mut held: GreenPrefixRow;
+    let mut cur = row;
     let mut remaining = h;
-    while remaining > 0 {
+    loop {
+        cur.assert_consistent();
         let f = cur.boundary;
         let hi = cur.hi;
         if cur.is_all_green() {
@@ -465,15 +499,15 @@ where
                 t: cur.t + remaining,
                 boundary: f - span * r,
                 hi: hi - span * r,
-                // amopt-lint: allow(hot-path-alloc) -- empty-support result; `vec![]` never touches the heap
-                reds: Segment::new(f - span * r + 1, vec![]),
+                // amopt-lint: allow(hot-path-alloc) -- empty-support result, sized for the caller's stitch; no heap when the spare is 0
+                reds: Segment::new(f - span * r + 1, Vec::with_capacity(spare)),
             };
         }
         if f < 0 {
-            return advance_all_red(kernel, powers, &cur, remaining);
+            return advance_all_red(kernel, powers, cur, remaining, spare);
         }
         if remaining <= base_cutoff {
-            return advance_naive(kernel, green, &cur, remaining);
+            return advance_naive(kernel, green, cur, remaining, spare);
         }
 
         // The hop rule (module docs): a row strictly wider than what is left
@@ -484,57 +518,64 @@ where
         } else {
             (remaining / 2).min(((hi - f) / span).max(0) as u64)
         };
-        if h1 == 0 {
+        // What follows the next row's cone edge once it is returned: the
+        // caller's spare, on the last hop only.
+        let spare_after = |steps: u64| if steps == remaining { spare } else { 0 };
+        let (steps, next) = if h1 == 0 {
             // Cone edge hugs the boundary — advance a small chunk naively.
             let steps = remaining.min(base_cutoff.max(1));
-            cur = advance_naive(kernel, green, &cur, steps);
-            remaining -= steps;
-            continue;
-        }
+            (steps, advance_naive(kernel, green, cur, steps, spare_after(steps)))
+        } else {
+            let win_hi = f + span * h1 as i64;
+            let hi_new = hi - span * h1 as i64;
+            let sub_row = cur.window(win_hi);
+            // The window's row is the head of the stitched row: reserve the
+            // bulk's cells after it, and the caller's after those on the last hop.
+            let bulk_len = (cur.support_end().min(hi_new) - f).max(0) as usize;
+            let sub_spare = bulk_len + spare_after(h1);
+            let parallel = remaining >= SEQUENTIAL_BELOW;
+            let bulk_task = || advance_certified(kernel, powers, cur, h1, hi_new);
+            let sub_task = || {
+                // Inclusive timing: nested window recursions count in full.
+                kernel_scope!(BoundaryWindow);
+                advance_green_prefix(kernel, powers, green, sub_row, h1, base_cutoff, sub_spare)
+            };
+            // The window goes first: it is the long chain every later iteration
+            // waits for, so the forking worker keeps it and lends out the bulk —
+            // one correlation, with forks of its own, that any idle worker can
+            // take whole.
+            let (sub_out, bulk_out) =
+                if parallel { join(sub_task, bulk_task) } else { (sub_task(), bulk_task()) };
 
-        let win_hi = f + span * h1 as i64;
-        let hi_new = hi - span * h1 as i64;
-        let sub_row =
-            GreenPrefixRow { t: cur.t, boundary: f, hi: win_hi, reds: cur.extract_reds(win_hi) };
-        let parallel = remaining >= SEQUENTIAL_BELOW;
-        let bulk_task = || advance_certified(kernel, powers, &cur, h1, hi_new);
-        let sub_task = || {
-            // Inclusive timing: nested window recursions count in full.
-            kernel_scope!(BoundaryWindow);
-            advance_green_prefix(kernel, powers, green, &sub_row, h1, base_cutoff)
+            debug_assert_eq!(sub_out.t, cur.t + h1);
+            debug_assert_eq!(sub_out.hi, f);
+            // Only "never right" is load-bearing here: a boundary that outruns
+            // the drift bound (the BSM scheme at a vanishing rate loses its whole
+            // exercise region in one step) just makes the window return more
+            // columns.
+            debug_assert!(sub_out.boundary <= f, "boundary moved right");
+            debug_assert_eq!((bulk_out.start, bulk_out.len()), (f + 1, bulk_len));
+
+            // Stitch, in the capacity the window's row was allocated with: window
+            // covers (f1, f] (zero-filled up to its cone edge if its support
+            // ended early), bulk covers [f+1, support edge], zeros beyond stay
+            // implicit.
+            let f1 = sub_out.boundary;
+            let mut values = sub_out.reds.values;
+            debug_assert!(values.capacity() >= (f - f1) as usize + bulk_len, "the stitch regrows");
+            values.resize((f - f1) as usize, 0.0);
+            values.extend_from_slice(&bulk_out.values);
+            // The bulk ends at or before `hi_new`, so the row fits the cone.
+            let reds = Segment::new(f1 + 1, values);
+            (h1, GreenPrefixRow { t: cur.t + h1, boundary: f1, hi: hi_new, reds })
         };
-        // The window goes first: it is the long chain every later iteration
-        // waits for, so the forking worker keeps it and lends out the bulk —
-        // one correlation, with forks of its own, that any idle worker can
-        // take whole.
-        let (sub_out, bulk_out) =
-            if parallel { join(sub_task, bulk_task) } else { (sub_task(), bulk_task()) };
-
-        debug_assert_eq!(sub_out.t, cur.t + h1);
-        debug_assert_eq!(sub_out.hi, f);
-        // Only "never right" is load-bearing here: a boundary that outruns
-        // the drift bound (the BSM scheme at a vanishing rate loses its whole
-        // exercise region in one step) just makes the window return more
-        // columns.
-        debug_assert!(sub_out.boundary <= f, "boundary moved right");
-        debug_assert_eq!(bulk_out.start, f + 1);
-
-        // Stitch: window covers (f1, f] (zero-filled up to its cone edge if
-        // its support ended early), bulk covers [f+1, support edge], zeros
-        // beyond stay implicit.
-        let f1 = sub_out.boundary;
-        let mut values = sub_out.reds.values;
-        values.resize((f - f1) as usize, 0.0);
-        values.extend_from_slice(&bulk_out.values);
-        let mut reds = Segment::new(f1 + 1, values);
-        if reds.end() - 1 > hi_new {
-            reds.values.truncate((hi_new - reds.start + 1).max(0) as usize);
+        remaining -= steps;
+        if remaining == 0 {
+            return next;
         }
-        cur = GreenPrefixRow { t: cur.t + h1, boundary: f1, hi: hi_new, reds };
-        cur.assert_consistent();
-        remaining -= h1;
+        held = next;
+        cur = held.view();
     }
-    cur
 }
 
 /// Builds row `t = 1` of a lattice put straight from the expiry payoff
@@ -590,9 +631,9 @@ where
     );
     let mut cur = init;
     let mut frontier = Vec::new();
-    while cur.t < total_steps && !cur.is_all_green() {
+    while cur.t < total_steps && !cur.view().is_all_green() {
         let h = chunk.max(1).min(total_steps - cur.t);
-        cur = advance_green_prefix(kernel, powers, green, &cur, h, base_cutoff);
+        cur = advance_green_prefix(kernel, powers, green, cur.view(), h, base_cutoff, 0);
         frontier.push((cur.t, cur.boundary));
     }
     let root = if cur.t < total_steps { green(total_steps, 0) } else { cur.value_at(green, 0) };
@@ -845,7 +886,8 @@ mod tests {
         let strike = green(0, -1_000_000); // φ vanishes far left: green ≈ K
         let row = start_row(Shape::Binomial, &kernel, &green, &init);
         let powers = KernelPowers::new();
-        let out = advance_green_prefix(&kernel, &powers, &green, &row, steps / 2, BASE_CUTOFF);
+        let out =
+            advance_green_prefix(&kernel, &powers, &green, row.view(), steps / 2, BASE_CUTOFF, 0);
         assert!(out.reds.len() > 100);
         for &v in &out.reds.values {
             assert!(v.is_finite() && v >= -1e-12 && v <= strike, "value {v} out of [0, K]");
@@ -859,7 +901,7 @@ mod tests {
         for shape in [Shape::Binomial, Shape::ShearedBsm] {
             let (kernel, green, init) = synthetic_problem(steps, shape, 500.0);
             let row = start_row(shape, &kernel, &green, &init);
-            assert!(row.is_all_green());
+            assert!(row.view().is_all_green());
             let powers = KernelPowers::new();
             let (got, frontier) =
                 solve_to_root(&kernel, &powers, &green, row, steps, steps, BASE_CUTOFF);
@@ -930,7 +972,8 @@ mod tests {
             // Stop where the row still has width to compare.
             let total = steps * 3 / 4 - row.t;
             let powers = KernelPowers::new();
-            let once = advance_green_prefix(&kernel, &powers, &green, &row, total, BASE_CUTOFF);
+            let once =
+                advance_green_prefix(&kernel, &powers, &green, row.view(), total, BASE_CUTOFF, 0);
             assert!(once.boundary >= 0 && once.reds.len() > 50, "{shape:?}: nothing to compare");
             let chunk_lists: [&[u64]; 4] =
                 [&[total], &[3, 8, 9, 41, 127, 1, 33], &[17], &[total / 2 + 1, 5, 64]];
@@ -939,8 +982,9 @@ mod tests {
                 let mut repeated = chunks.iter().cycle();
                 while chunked.t < once.t {
                     let h = repeated.next().map_or(1, |&h| h.min(once.t - chunked.t));
+                    let view = chunked.view();
                     chunked =
-                        advance_green_prefix(&kernel, &powers, &green, &chunked, h, BASE_CUTOFF);
+                        advance_green_prefix(&kernel, &powers, &green, view, h, BASE_CUTOFF, 0);
                 }
                 let ctx = format!("{shape:?} chunks {chunks:?}");
                 assert_eq!(chunked.t, once.t, "{ctx}");
@@ -957,10 +1001,13 @@ mod tests {
 
     #[test]
     fn staged_reds_are_the_stored_reds_then_exact_zeros() {
-        // The slice-built staging of `advance_certified` and `extract_reds`
-        // against the per-column definition (stored red, else exact zero),
-        // bit for bit, for stored support ending before, at and beyond the
-        // requested column, and for empty reds.
+        // A window read in place from its parent's stored cells, and the base
+        // case's buffer filled from it, against the per-column definition
+        // (stored red, else exact zero), bit for bit, for stored support
+        // ending before, at and beyond the window's edge, and for empty reds.
+        let kernel = StencilKernel::new(vec![0.5, 0.5], 0);
+        let green = |_: u64, _: i64| -1.0;
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for f in [-3i64, 0, 5] {
             let cone_hi = f + 30;
             for stored in [0usize, 1, 12, 30] {
@@ -973,28 +1020,28 @@ mod tests {
                     hi: cone_hi,
                     reds: Segment::new(f + 1, values),
                 };
-                row.assert_consistent();
+                let view = row.view();
+                view.assert_consistent();
                 for hi in f..=cone_hi {
                     let want: Vec<u64> = ((f + 1)..=hi)
                         .map(|c| if row.reds.contains(c) { row.reds.get(c) } else { 0.0 })
                         .map(f64::to_bits)
                         .collect();
                     let ctx = format!("f {f} stored {stored} hi {hi}");
-                    let mut staging = vec![9.0; 40];
-                    staging.clear();
-                    row.push_reds_through(hi, &mut staging);
-                    assert_eq!(
-                        staging.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want,
-                        "{ctx}"
-                    );
-                    let seg = row.extract_reds(hi);
-                    assert_eq!(seg.start, f + 1, "{ctx}");
-                    assert_eq!(
-                        seg.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want,
-                        "{ctx}"
-                    );
+                    let window = view.window(hi);
+                    window.assert_consistent();
+                    assert_eq!((window.t, window.boundary, window.hi), (7, f, hi), "{ctx}");
+                    assert!(std::ptr::eq(window.cells.as_ptr(), row.reds.values.as_ptr()), "{ctx}");
+                    let mut zero_extended = window.cells.to_vec();
+                    zero_extended.resize(window.len, 0.0);
+                    assert_eq!(bits(&zero_extended), want, "{ctx}: the window");
+                    if f >= 0 {
+                        let mut buf = vec![9.0; 40];
+                        let out = step_in(&kernel, &green, window, 0, 0, &mut buf, 0).unwrap();
+                        assert_eq!(out.reds.start, f + 1, "{ctx}");
+                        assert_eq!(bits(&out.reds.values), want, "{ctx}: the base case's buffer");
+                        assert_eq!(bits(&buf[..(f + 1) as usize]), vec![0; (f + 1) as usize]);
+                    }
                 }
             }
         }
@@ -1028,7 +1075,15 @@ mod tests {
                             reds: Segment::new(f + 1, reds),
                         };
                         let powers = KernelPowers::new();
-                        let out = advance_green_prefix(&kernel, &powers, &green, &row, h, cutoff);
+                        let out = advance_green_prefix(
+                            &kernel,
+                            &powers,
+                            &green,
+                            row.view(),
+                            h,
+                            cutoff,
+                            0,
+                        );
                         let ctx = format!("{shape:?} cutoff {cutoff} h {h} width σ'h + {extra}");
                         assert_eq!(out.t, t0 + h, "{ctx}");
                         assert_eq!(out.hi, f + extra, "{ctx}");

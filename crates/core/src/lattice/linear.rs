@@ -30,7 +30,7 @@ use crate::engine::with_powers;
 use crate::error::{PricingError, Result};
 use crate::params::OptionType;
 use amopt_fft::KernelPowers;
-use amopt_stencil::{advance_powered, with_scratch, Segment};
+use amopt_stencil::{advance_powered, Segment};
 
 /// European option price via the linear pass over the payoff row.
 pub fn price_european_fft<const W: usize>(model: &Lattice<W>, opt: OptionType) -> f64 {
@@ -98,20 +98,18 @@ fn put_pass<const W: usize>(model: &Lattice<W>, dates: &[usize], powers: &Kernel
     let payoff = |i: usize, j: i64| model.exercise_put(i, j).max(0.0);
     let mut row = Segment::new(0, (0..=W as i64 * t as i64).map(|j| payoff(t, j)).collect());
     let kernel = model.kernel();
-    with_scratch(|s| {
-        let mut advance = |row: &Segment, h: usize| {
-            advance_powered(&row.values, row.start, &kernel, h as u64, powers, &mut s.fft)
-        };
-        let mut step = t; // market step of `row`
-        for &date in dates.iter().rev().filter(|&&d| d < t) {
-            row = advance(&row, step - date);
-            for (j, v) in (row.start..).zip(row.values.iter_mut()) {
-                *v = v.max(payoff(date, j));
-            }
-            step = date;
+    let advance = |row: &Segment, h: usize| {
+        advance_powered(&row.values, row.len(), row.start, &kernel, h as u64, powers, 0)
+    };
+    let mut step = t; // market step of `row`
+    for &date in dates.iter().rev().filter(|&&d| d < t) {
+        row = advance(&row, step - date);
+        for (j, v) in (row.start..).zip(row.values.iter_mut()) {
+            *v = v.max(payoff(date, j));
         }
-        row = advance(&row, step);
-    });
+        step = date;
+    }
+    row = advance(&row, step);
     debug_assert_eq!(row.len(), 1);
     (model.units.scale * row.values[0]).max(0.0)
 }

@@ -15,6 +15,12 @@
 //! is the conjugate of the lower and the packed inverse rebuilds the real
 //! output from the lower half alone.
 //!
+//! The input is a row's stored cells and its length: cells past the stored
+//! ones are exact zeros (the pricing engine's zero tail), which the packed
+//! transform buffer holds anyway, so they are never materialised.  Every
+//! size below is read from the length, so a row correlates bit for bit as
+//! its zero-extended copy would.
+//!
 //! Aliasing correctness: packing changes how the length-`n` cyclic
 //! correlation is computed, not what it is.  With `n = next_pow2(x.len())`,
 //! the cyclic correlation at output index `c` touches `x[c] … x[c + |W| − 1]`;
@@ -182,7 +188,7 @@ pub fn correlate_power_valid_with(
     h: u64,
     scratch: &mut FftScratch,
 ) -> Vec<f64> {
-    KernelPowers::new().correlate(x, kernel, h, scratch)
+    KernelPowers::new().correlate(x, x.len(), kernel, h, scratch, 0)
 }
 
 /// Bitmap words (64 pair slots, 128 bins each) one task of a table build
@@ -221,56 +227,66 @@ impl KernelPowers {
         self.built.load(Ordering::Relaxed)
     }
 
-    /// [`correlate_power_valid_with`], with the multipliers of `(kernel, n',
-    /// h)` read from their table.  `n'` is the transform that holds the
-    /// power kernel's band and the output (module docs):
-    /// `next_pow2(out_len + hi − lo)`, or `next_pow2(x.len())` for a kernel
-    /// with a negative tap or a band that does not shrink the transform.
+    /// [`correlate_power_valid_with`] of the row of `len` cells whose first
+    /// `x.len()` are `x` and whose rest are exact zeros, with the multipliers
+    /// of `(kernel, n', h)` read from their table.  The stored cells pack
+    /// straight into the transform, which is zero past them anyway, so the
+    /// output is the materialised row's bit for bit, and `n'` is the
+    /// transform that holds the power kernel's band and the output (module
+    /// docs): `next_pow2(out_len + hi − lo)`, or `next_pow2(len)` for a kernel
+    /// with a negative tap or a band that does not shrink the transform.  The
+    /// output has room for `spare` more cells, which its caller appends.
     ///
     /// # Panics
-    /// If `kernel` is empty or `x` is shorter than `|W|`.
+    /// If `kernel` is empty, `x` is longer than `len`, or `len` is shorter
+    /// than `|W|`.
     pub fn correlate(
         &self,
         x: &[f64],
+        len: usize,
         kernel: &[f64],
         h: u64,
         scratch: &mut FftScratch,
+        spare: usize,
     ) -> Vec<f64> {
         // amopt-lint: hot-path
         assert!(!kernel.is_empty(), "kernel must have at least one tap");
-        if h == 0 {
-            // amopt-lint: allow(hot-path-alloc) -- h = 0 identity returns a fresh copy; this is the output the caller keeps
-            return x.to_vec();
-        }
+        assert!(x.len() <= len, "{} stored cells in a row of {len}", x.len());
         let w_len = power_kernel_len(kernel.len(), h);
         assert!(
-            x.len() >= w_len,
-            "input of {} cells cannot host a {}-tap power kernel",
-            x.len(),
-            w_len
+            h == 0 || len >= w_len,
+            "input of {len} cells cannot host a {w_len}-tap power kernel"
         );
-        let out_len = x.len() - w_len + 1;
-
-        if kernel.len() == 1 {
-            let s = kernel[0].powi(h.min(i32::MAX as u64) as i32);
-            // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
-            return x[..out_len].iter().map(|&v| v * s).collect();
-        }
-
-        let (lo, n) = transform(kernel, h, x.len());
-        if n < 4 {
-            // Two cells host one step of a two-tap kernel and nothing else,
-            // so the power kernel is the kernel: no transform that small.
-            let dot = |c: &[f64]| c.iter().zip(kernel).map(|(v, w)| v * w).sum();
-            // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, kept by the caller
-            return x.windows(w_len).map(dot).collect();
+        let out_len = len + 1 - w_len;
+        let (lo, n) = if h == 0 { (0, 0) } else { transform(kernel, h, len) };
+        if n < 4 || kernel.len() == 1 {
+            // No transform: the identity, a one-tap kernel's scale, or two
+            // cells, which host one step of a two-tap kernel and nothing
+            // else, so the power kernel is the kernel.
+            // amopt-lint: allow(hot-path-alloc) -- single output vector per correlation, sized once with the caller's spare; the caller keeps it
+            let mut out = Vec::with_capacity(out_len + spare);
+            if h == 0 {
+                out.extend_from_slice(x);
+                out.resize(len, 0.0);
+            } else if kernel.len() == 1 {
+                let s = kernel[0].powi(h.min(i32::MAX as u64) as i32);
+                out.extend(x.iter().map(|&v| v * s));
+                out.resize(out_len, 0.0 * s);
+            } else {
+                let at = |i: usize| x.get(i).copied().unwrap_or(0.0);
+                let dot = |c: usize| -> f64 {
+                    kernel.iter().enumerate().map(|(m, w)| at(c + m) * w).sum()
+                };
+                out.extend((0..out_len).map(dot));
+            }
+            return out;
         }
         let table = self.table(kernel, n, h);
         let buf = &mut scratch.buf;
         // Cell `p ∈ [lo, lo + n)` to slot `p mod n`, so `out[c]` is slot `c`.
-        table.real.forward_rotated(&x[lo..x.len().min(lo + n)], lo % n, buf);
+        table.real.forward_rotated(&x[lo.min(x.len())..x.len().min(lo + n)], lo % n, buf);
         table.apply(buf);
-        table.real.inverse_positions(buf, out_len)
+        table.real.inverse_positions(buf, out_len, spare)
     }
 
     /// The table of `(kernel, n, h)`, built now if no correlation has asked
@@ -729,7 +745,7 @@ mod tests {
             let (xk, xm) = real::split_pair(z[p], z[q], w);
             (z[p], z[q]) = real::merge_pair(xk * mk.unwrap_or(zero), xm * mm.unwrap_or(zero), w);
         }
-        real.inverse_positions(&mut z, x.len() + 1 - power_kernel_len(kernel.len(), h))
+        real.inverse_positions(&mut z, x.len() + 1 - power_kernel_len(kernel.len(), h), 0)
     }
 
     /// The correlation with every multiplier paid for, on the transform
@@ -869,20 +885,25 @@ mod tests {
             for (len, h) in shapes.into_iter().filter(hosted) {
                 let ctx = format!("{kernel:?} len={len} h={h}");
                 let x = rand_real(len, 60 + i as u64 + len as u64);
-                let first = bits(&powers.correlate(&x, kernel, h, &mut scratch));
+                let first = bits(&powers.correlate(&x, len, kernel, h, &mut scratch, 0));
                 if len > 2 {
                     tables.insert((i, transform(kernel, h, len).1, h));
                     assert_eq!(first, bits(&correlate_direct(&x, kernel, h)), "{ctx}");
                 }
                 assert_eq!(powers.tables_built(), tables.len(), "{ctx}: one build per first use");
-                let again = bits(&powers.correlate(&rand_real(len, 3), kernel, h, &mut scratch));
+                let again =
+                    bits(&powers.correlate(&rand_real(len, 3), len, kernel, h, &mut scratch, 0));
                 assert_eq!(
                     powers.tables_built(),
                     tables.len(),
                     "{ctx}: a second use builds nothing"
                 );
                 assert_eq!(again, bits(&correlate_power_valid(&rand_real(len, 3), kernel, h)));
-                assert_eq!(first, bits(&powers.correlate(&x, kernel, h, &mut scratch)), "{ctx}");
+                assert_eq!(
+                    first,
+                    bits(&powers.correlate(&x, len, kernel, h, &mut scratch, 0)),
+                    "{ctx}"
+                );
             }
         }
     }
@@ -895,7 +916,9 @@ mod tests {
             let want = bits(&correlate_direct(&x, kernel, h));
             for threads in [1, 2, 3] {
                 let powers = KernelPowers::new();
-                let use_it = || bits(&powers.correlate(&x, kernel, h, &mut FftScratch::default()));
+                let use_it = || {
+                    bits(&powers.correlate(&x, x.len(), kernel, h, &mut FftScratch::default(), 0))
+                };
                 let (a, b) = amopt_parallel::run_with_threads(threads, || {
                     amopt_parallel::join(use_it, use_it)
                 });
@@ -1003,6 +1026,49 @@ mod tests {
             let x = rand_real(len, 80 + h);
             let got = bits(&correlate_power_valid(&x, kernel, h));
             assert_eq!(got, bits(&correlate_full(&x, kernel, h)), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn zero_extended_input_is_the_materialised_row_bit_for_bit() {
+        // Stored cells empty, shorter than the band's first cell, of odd
+        // length (a lone last sample packs with a zero partner), and the
+        // whole row; two- and three-tap kernels, whose powers have a band at
+        // the taller heights, and one with a negative tap, which has none.
+        let kernels: [&[f64]; 3] =
+            [&[0.4999, 0.4998], &[0.25, 0.4997, 0.25], &[0.5, 0.5001, -0.0002]];
+        let powers = KernelPowers::new();
+        let mut scratch = FftScratch::default();
+        for kernel in kernels {
+            for h in [1u64, 3, 64, 1024] {
+                let lo = band(kernel, h).map_or(0, |(lo, _)| lo);
+                for extra in [0usize, 1, 64, 700] {
+                    let len = power_kernel_len(kernel.len(), h) + extra;
+                    let row = rand_real(len, h + extra as u64);
+                    let odd = (len / 3) | 1;
+                    for stored in [0, lo.saturating_sub(1), odd, len] {
+                        let ctx = format!("{kernel:?} h={h} len={len} stored={stored} lo={lo}");
+                        let mut materialised = row[..stored].to_vec();
+                        materialised.resize(len, 0.0);
+                        let want = correlate_power_valid(&materialised, kernel, h);
+                        for spare in [0usize, 9] {
+                            let got = powers.correlate(
+                                &row[..stored],
+                                len,
+                                kernel,
+                                h,
+                                &mut scratch,
+                                spare,
+                            );
+                            assert_eq!(bits(&got), bits(&want), "{ctx}");
+                            assert!(
+                                got.capacity() >= got.len() + spare,
+                                "{ctx}: no room to append"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

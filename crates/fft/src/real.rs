@@ -91,14 +91,20 @@ impl RealFft {
 
     /// The first `out_len` samples of the real row whose packed spectrum
     /// `buf` holds in position order, times `n/2`: the inverse transform
-    /// without its `1/(n/2)`, which a correlation's multipliers carry.
+    /// without its `1/(n/2)`, which a correlation's multipliers carry.  The
+    /// row has room for `spare` more samples, which its caller appends.
     ///
     /// # Panics
     /// If `out_len > n`.
-    pub(crate) fn inverse_positions(&self, buf: &mut [Complex64], out_len: usize) -> Vec<f64> {
+    pub(crate) fn inverse_positions(
+        &self,
+        buf: &mut [Complex64],
+        out_len: usize,
+        spare: usize,
+    ) -> Vec<f64> {
         // amopt-lint: hot-path
         self.half.inverse_bit_reversed(buf);
-        unpack(buf, out_len)
+        unpack(buf, out_len, spare)
     }
 }
 
@@ -184,12 +190,12 @@ fn pairs(x: &[f64]) -> impl Iterator<Item = Complex64> + '_ {
 }
 
 /// The first `out_len` of the samples `Re z_0, Im z_0, Re z_1, …`, in one
-/// allocation of exactly that size.
-fn unpack(z: &[Complex64], out_len: usize) -> Vec<f64> {
+/// allocation with room for `spare` samples more.
+fn unpack(z: &[Complex64], out_len: usize, spare: usize) -> Vec<f64> {
     // amopt-lint: hot-path
     assert!(out_len <= 2 * z.len(), "{out_len} samples asked of a row of {}", 2 * z.len());
-    // amopt-lint: allow(hot-path-alloc) -- the one output row of a transform, sized once; the caller keeps it
-    let mut out = Vec::with_capacity(out_len);
+    // amopt-lint: allow(hot-path-alloc) -- the one output row of a transform, sized once with the caller's spare; the caller keeps it
+    let mut out = Vec::with_capacity(out_len + spare);
     out.extend(z.iter().flat_map(|v| [v.re, v.im]).take(out_len));
     out
 }
@@ -298,7 +304,7 @@ mod tests {
                 let (zk, zm) = merge_pair(xk, xm, w);
                 (z[p], z[q]) = (zk.scale(0.25), zm.scale(0.25));
             }
-            let back = real.inverse_positions(&mut z, len);
+            let back = real.inverse_positions(&mut z, len, 0);
             assert_eq!(back.len(), len);
             for (b, v) in back.iter().zip(&x) {
                 assert!((b / m as f64 - v).abs() < 1e-12, "n={n} len={len}");

@@ -54,16 +54,17 @@ static ALLOCATOR: counting::Counting = counting::Counting;
 #[test]
 fn a_warm_correlation_allocates_only_its_output() {
     // A two-tap lattice kernel: a row a deep pricing's leaves correlate,
-    // and the benchmark's 4 096-cell probe, whose output is 3 072 cells.
+    // the benchmark's 4 096-cell probe, whose output is 3 072 cells, and
+    // that row with a quarter of its cells stored and the rest exact zeros.
     let kernel = [0.49, 0.5];
     let powers = KernelPowers::new();
     let mut scratch = FftScratch::default();
-    for (len, h) in [(112usize, 64u64), (4096, 1024)] {
-        let x: Vec<f64> = (0..len).map(|i| ((i * 7919) % 1000) as f64 / 1000.0).collect();
+    for (len, stored, h) in [(112usize, 112, 64u64), (4096, 4096, 1024), (4096, 1024, 1024)] {
+        let x: Vec<f64> = (0..stored).map(|i| ((i * 7919) % 1000) as f64 / 1000.0).collect();
         // The first call builds the table and grows the scratch.
-        let cold = powers.correlate(&x, &kernel, h, &mut scratch);
+        let cold = powers.correlate(&x, len, &kernel, h, &mut scratch, 0);
         let before = counting::CALLS.load(Ordering::Relaxed);
-        let warm = powers.correlate(&x, &kernel, h, &mut scratch);
+        let warm = powers.correlate(&x, len, &kernel, h, &mut scratch, 0);
         let allocs = counting::CALLS.load(Ordering::Relaxed) - before;
         assert_eq!(allocs, 1, "len {len}, h {h}: a warm correlation allocated {allocs} times");
         assert_eq!(warm.len(), len - h as usize);

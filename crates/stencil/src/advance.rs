@@ -14,8 +14,8 @@ use crate::segment::Segment;
 use amopt_fft::{FftScratch, KernelPowers};
 use std::cell::RefCell;
 
-/// Per-thread scratch for the advance primitives: FFT buffers plus a staging
-/// row for callers that assemble padded/stitched inputs before advancing.
+/// Per-thread scratch for the advance primitives: FFT buffers plus the
+/// engine's base-case buffer.
 ///
 /// Engines take one of these from their own thread's free list
 /// ([`with_scratch`]) per linear advance or base case, so steady-state
@@ -24,7 +24,10 @@ use std::cell::RefCell;
 /// thread has seen and stay on that thread for reuse until it exits.
 #[derive(Debug, Default)]
 pub struct AdvanceScratch {
-    /// Caller-assembled input row (stored reds, zero-extended to the cone edge).
+    /// The buffer a nonlinear base case steps its window in (the left-cone
+    /// engine of `amopt-core`).  No advance stages its input here: a
+    /// correlation reads a row's stored cells as they are, zero-extended to
+    /// the row's length ([`advance_powered`]).
     pub staging: Vec<f64>,
     /// Reusable FFT transform buffers.
     pub fft: FftScratch,
@@ -61,10 +64,20 @@ pub enum Backend {
 }
 
 /// Number of valid output cells when advancing `len` cells by `h` steps.
-/// Returns `None` if the cone swallows the whole segment.
-fn valid_output_len(len: usize, kernel: &StencilKernel, h: u64) -> Option<usize> {
-    let shrink = (kernel.span() as u64).checked_mul(h)? as usize;
-    len.checked_sub(shrink)
+///
+/// # Panics
+/// If the cone swallows the whole row.
+fn output_len(len: usize, kernel: &StencilKernel, h: u64) -> usize {
+    (kernel.span() as u64)
+        .checked_mul(h)
+        .and_then(|shrink| len.checked_sub(shrink as usize))
+        .filter(|&l| l > 0)
+        .unwrap_or_else(|| {
+            panic!(
+                "segment of {len} cells cannot be advanced {h} steps by a span-{} kernel",
+                kernel.span()
+            )
+        })
 }
 
 /// Absolute start column of the output segment.
@@ -75,79 +88,64 @@ fn output_start(start: i64, kernel: &StencilKernel, h: u64) -> i64 {
 
 /// Advances `seg` by `h` linear steps using the requested backend.
 ///
-/// Scratch comes from the calling thread's free list ([`with_scratch`]), and the
-/// multipliers are evaluated for this call alone; a caller advancing by one
-/// kernel many times holds a `KernelPowers` and calls [`advance_powered`].
+/// The multipliers are evaluated for this call alone; a caller advancing by
+/// one kernel many times holds a `KernelPowers` and calls
+/// [`advance_powered`].
 ///
 /// # Panics
 /// If the segment is too short to produce at least one valid cell.
 pub fn advance(seg: &Segment, kernel: &StencilKernel, h: u64, backend: Backend) -> Segment {
-    let powers = KernelPowers::new();
-    with_scratch(|s| advance_by(&seg.values, seg.start, kernel, h, backend, &powers, &mut s.fft))
+    let (values, len) = (&seg.values, seg.len());
+    match backend {
+        Backend::Fft => advance_powered(values, len, seg.start, kernel, h, &KernelPowers::new(), 0),
+        Backend::Stepped => {
+            Segment::new(output_start(seg.start, kernel, h), stepped(values, len, kernel, h, 0))
+        }
+    }
 }
 
-/// [`advance`] on the FFT backend over a raw value slice anchored at
-/// absolute column `start`, with caller-owned FFT scratch and the spectrum
-/// multipliers of `kernel` read from (and first built into) `powers`: a
-/// caller advancing by one kernel many times evaluates each `(size, height)`
-/// once.  Bitwise identical to [`advance`].
+/// [`advance`] on the FFT backend over the row of `len` cells anchored at
+/// absolute column `start` whose first `values.len()` cells are `values` and
+/// whose rest are exact zeros — a row's stored cells read as they are, never
+/// staged — with the spectrum multipliers of `kernel` read from (and first
+/// built into) `powers`: a caller advancing by one kernel many times
+/// evaluates each `(size, height)` once.  Scratch comes from the calling
+/// thread's free list ([`with_scratch`]).  The output has room for `spare`
+/// more cells, which its caller appends.  Bitwise identical to [`advance`] of
+/// the materialised row.
 ///
 /// # Panics
-/// If the slice is too short to produce at least one valid cell.
+/// If `values` is longer than `len`, or the row is too short to produce at
+/// least one valid cell.
 pub fn advance_powered(
     values: &[f64],
+    len: usize,
     start: i64,
     kernel: &StencilKernel,
     h: u64,
     powers: &KernelPowers,
-    fft: &mut FftScratch,
-) -> Segment {
-    advance_by(values, start, kernel, h, Backend::Fft, powers, fft)
-}
-
-fn advance_by(
-    values: &[f64],
-    start: i64,
-    kernel: &StencilKernel,
-    h: u64,
-    backend: Backend,
-    powers: &KernelPowers,
-    fft: &mut FftScratch,
+    spare: usize,
 ) -> Segment {
     // amopt-lint: hot-path
-    let out_len =
-        valid_output_len(values.len(), kernel, h).filter(|&l| l > 0).unwrap_or_else(|| {
-            panic!(
-                "segment of {} cells cannot be advanced {h} steps by a span-{} kernel",
-                values.len(),
-                kernel.span()
-            )
-        });
-    let start = output_start(start, kernel, h);
-    if h == 0 {
-        // amopt-lint: allow(hot-path-alloc) -- h = 0 identity copies the input into the output segment the caller keeps
-        return Segment::new(start, values.to_vec());
-    }
-    let out = match backend {
-        Backend::Fft => {
-            // Small problems: the stepped loop beats FFT constants and keeps
-            // base cases allocation-light.
-            if values.len() <= 64 {
-                stepped(values, kernel, h)
-            } else {
-                powers.correlate(values, kernel.weights(), h, fft)
-            }
-        }
-        Backend::Stepped => stepped(values, kernel, h),
+    assert!(values.len() <= len, "{} stored cells in a row of {len}", values.len());
+    let out_len = output_len(len, kernel, h);
+    // Small problems: the stepped loop beats FFT constants and keeps base
+    // cases allocation-light.
+    let out = if len <= 64 {
+        stepped(values, len, kernel, h, spare)
+    } else {
+        with_scratch(|s| powers.correlate(values, len, kernel.weights(), h, &mut s.fft, spare))
     };
     debug_assert_eq!(out.len(), out_len);
-    Segment::new(start, out)
+    Segment::new(output_start(start, kernel, h), out)
 }
 
 /// `h` single steps over one buffer: a step reads `row[c ..= c + span]` to
 /// produce cell `c`, so updating in ascending order over a row of shrinking
 /// length is [`StencilKernel::step`]'s arithmetic in its order, bit for bit,
-/// with one allocation per call instead of one per step.
+/// with one allocation per call instead of one per step.  The buffer is the
+/// output row: `row`'s cells zero-extended to `len`, with room for `spare`
+/// cells past the output, which the caller appends.
 ///
 /// Every advance of at most 64 cells lands here, and the pricing engine's
 /// sequential chain of boundary windows is made of them.  So the two-tap
@@ -155,10 +153,13 @@ fn advance_by(
 /// with the taps and the sliding input cells in registers; other widths take
 /// the generic loop.  Each arm keeps `Iterator::sum`'s left fold from `−0.0`,
 /// `((−0.0 + w₀x₀) + w₁x₁) + w₂x₂`, so it is that loop bit for bit.
-fn stepped(row: &[f64], kernel: &StencilKernel, h: u64) -> Vec<f64> {
+fn stepped(row: &[f64], len: usize, kernel: &StencilKernel, h: u64, spare: usize) -> Vec<f64> {
     // amopt-lint: hot-path
-    // amopt-lint: allow(hot-path-alloc) -- the output row the caller keeps; every step runs in it
-    let mut cur = row.to_vec();
+    let out_len = output_len(len, kernel, h);
+    // amopt-lint: allow(hot-path-alloc) -- the output row the caller keeps, sized once with its spare; every step runs in it
+    let mut cur = Vec::with_capacity(len.max(out_len + spare));
+    cur.extend_from_slice(row);
+    cur.resize(len, 0.0);
     match *kernel.weights() {
         [w0, w1] => {
             for _ in 0..h {
@@ -318,7 +319,7 @@ mod tests {
                     let capacity = ((len - 1) / kernel.span()) as u64;
                     let mut folded = row.clone();
                     for h in 0..=capacity {
-                        let got = stepped(&row, &kernel, h);
+                        let got = stepped(&row, len, &kernel, h, 0);
                         assert_eq!(got.len(), folded.len(), "{}", ctx(h));
                         for (a, b) in got.iter().zip(&folded) {
                             assert_eq!(a.to_bits(), b.to_bits(), "{}", ctx(h));
@@ -326,6 +327,35 @@ mod tests {
                         if h < capacity {
                             folded = kernel.step(&folded);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_extended_row_advances_as_the_materialised_row_bit_for_bit() {
+        // Rows either side of the 64-cell switch to the stepped loop, stored
+        // cells empty, of one cell, of odd length and the whole row.
+        let kernels = [vec![0.4999, 0.4998], vec![0.25, 0.4997, 0.25], vec![0.5, 0.5001, -0.0002]];
+        let powers = KernelPowers::new();
+        for weights in kernels {
+            let kernel = StencilKernel::new(weights.clone(), 0);
+            for len in [40usize, 64, 65, 300] {
+                let row = rand_real(len, len as u64);
+                for h in [1u64, 3, 19] {
+                    for stored in [0, 1, (len / 3) | 1, len] {
+                        let ctx = format!("{weights:?} len={len} h={h} stored={stored}");
+                        let mut materialised = row[..stored].to_vec();
+                        materialised.resize(len, 0.0);
+                        let want =
+                            advance(&Segment::new(5, materialised), &kernel, h, Backend::Fft);
+                        let got = advance_powered(&row[..stored], len, 5, &kernel, h, &powers, 7);
+                        assert_eq!(got.start, want.start, "{ctx}");
+                        let bits =
+                            |s: &Segment| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                        assert!(got.values.capacity() >= got.len() + 7, "{ctx}: no room to append");
                     }
                 }
             }

@@ -8,9 +8,10 @@
 //! * [`Segment`] — row values anchored at an absolute column;
 //! * [`advance()`](advance::advance) — `h`-step aperiodic evolution returning the valid cone
 //!   interior, with the FFT backend (`O(L log L)`) and the stepped reference;
-//!   [`advance_powered()`](advance::advance_powered) is the FFT backend with a
-//!   caller's `amopt_fft::KernelPowers`, whose multiplier tables outlive the
-//!   call: one pricing's, or one batch group's.
+//!   [`advance_powered()`](advance::advance_powered) is the FFT backend over a
+//!   row's stored cells zero-extended to its length, with a caller's
+//!   `amopt_fft::KernelPowers`, whose multiplier tables outlive the call: one
+//!   pricing's, or one batch group's.
 //!
 //! The *nonlinear* stencils of the paper (`max(linear, obstacle)`) live in
 //! `amopt-core`; they call into this crate on regions certified to be free of
